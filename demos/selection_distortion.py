@@ -2,14 +2,9 @@
 survive the strength screen, and naive TSLS inference on the survivors
 overstates significance.  Conditional p-values stay close to uniform.
 
-Run: python3 demos/selection_distortion.py  (about half a minute)
+Run: python3 demos/selection_distortion.py  (a few seconds)
 """
-import numpy as np
-
-from ivselect.sampler import SamplerConfig
 from ivselect.simulate import dgp_from_r, uniformity_experiment
-
-SAMPLER = SamplerConfig(n_samples=3000, burn_in=800, chains=2, seed=1)
 
 print("null replications at the true effect; coverage = fraction of 95% "
       "intervals covering the truth among screen survivors\n")
@@ -17,7 +12,7 @@ print(f"{'r':>5} {'pass rate':>10} {'naive cov':>10} {'cond cov':>10} {'KS p (co
 
 for r, reps in [(0.5, 300), (0.12, 600), (0.10, 800)]:
     config = dgp_from_r(r=r, sigma12=0.8, n=1000, p=10, beta_star=1.0, seed=21)
-    res = uniformity_experiment(config, c0=10.0, reps=reps, sampler=SAMPLER)
+    res = uniformity_experiment(config, c0=10.0, reps=reps)
     print(f"{r:>5} {res.passing_rate:>10.3f} {res.naive_coverage:>10.3f} "
           f"{res.conditional_coverage:>10.3f} {res.ks_pvalue:>12.4f}")
 

@@ -9,6 +9,7 @@ with sorted keys.
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,7 +36,7 @@ from .simulate import (
 )
 from .teststats import ar_stat, clr_stat, tsls_stat
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _TESTS = ("tsls", "ar", "clr", "auto")
 
@@ -92,8 +93,8 @@ class AnalysisConfig:
 def ingest(path: str, config: AnalysisConfig) -> IVDataset:
     """Parse a headered CSV into a prepared dataset.
 
-    Fails loudly: any missing value or unparseable cell is reported
-    with its (1-based) data row and column name."""
+    Fails loudly: any missing value, unparseable or non-finite cell is
+    reported with its (1-based) data row and column name."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -125,11 +126,14 @@ def ingest(path: str, config: AnalysisConfig) -> IVDataset:
         if raw == "":
             raise DataError(f"row {row_no}, column {name!r}: missing value")
         try:
-            return float(raw)
+            val = float(raw)
         except ValueError:
             raise DataError(
                 f"row {row_no}, column {name!r}: could not parse {raw!r}"
             ) from None
+        if not math.isfinite(val):
+            raise DataError(f"row {row_no}, column {name!r}: non-finite value {raw!r}")
+        return val
 
     n = len(rows)
     y = np.empty(n)
@@ -229,7 +233,6 @@ def analyze(data: IVDataset, config: AnalysisConfig) -> InferenceReport:
             pretest,
             alpha=config.alpha,
             grid=config.grid_array(data),
-            config=config.sampler,
             null_value=config.null_value,
         )
     elif test == "tsls":
@@ -379,18 +382,11 @@ def _cmd_simulate(args) -> int:
     alpha = args.alpha if args.alpha is not None else 0.05
     rs = _floats(args.r)
     s12s = _floats(args.sigma12)
-    sampler = SamplerConfig(
-        n_samples=args.samples if args.samples is not None else 10000,
-        burn_in=args.burn_in if args.burn_in is not None else 2000,
-        seed=seed,
-    )
     if args.kind == "coverage":
         grid = ExperimentGrid(
             r_values=rs, sigma12_values=s12s, n=args.n, p=args.p, seed=seed
         )
-        cells = coverage_experiment(
-            grid, c0, alpha, args.reps, branch=args.branch, sampler=sampler
-        )
+        cells = coverage_experiment(grid, c0, alpha, args.reps, branch=args.branch)
         _emit(coverage_csv(cells), args.out)
         return 0
     if args.kind == "lasso-uniformity":
@@ -404,10 +400,15 @@ def _cmd_simulate(args) -> int:
             sigma_star=np.array([[1.0, s12s[0]], [s12s[0], 1.0]]),
             seed=seed,
         )
+        sampler = SamplerConfig(
+            n_samples=args.samples if args.samples is not None else 10000,
+            burn_in=args.burn_in if args.burn_in is not None else 2000,
+            seed=seed,
+        )
         res = lasso_uniformity_experiment(config, args.reps, alpha=alpha, sampler=sampler)
     else:
         config = dgp_from_r(rs[0], s12s[0], n=args.n, p=args.p, seed=seed)
-        res = uniformity_experiment(config, c0, args.reps, alpha=alpha, sampler=sampler)
+        res = uniformity_experiment(config, c0, args.reps, alpha=alpha)
     _emit(pvalue_cdf_csv(res.pvalue_samples), args.out)
     summary = {
         "kind": args.kind,
@@ -452,7 +453,8 @@ def _add_common(parser):
     parser.add_argument("--alpha", type=float, default=None, help="nominal level")
     parser.add_argument("--test", choices=_TESTS, default=None, help="which statistic to use")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--samples", type=int, default=None, help="sampler draws per chain")
+    parser.add_argument("--samples", type=int, default=None,
+                        help="Gibbs draws per chain (Lasso only; TSLS p-values are exact)")
     parser.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--config", default=None, help="JSON config file")

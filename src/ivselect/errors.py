@@ -48,7 +48,7 @@ class ConvergenceError(IVSelectError, RuntimeError):
 
 
 class DataError(IVSelectError, ValueError):
-    """A data file failed parsing or validation; message carries the location."""
+    """Input data failed parsing or validation; message carries the location."""
 
 
 class ExperimentError(IVSelectError, RuntimeError):

@@ -17,6 +17,7 @@ from scipy.linalg import qr as pivoted_qr
 
 from .errors import (
     CovarianceError,
+    DataError,
     DegenerateFirstStageError,
     DimensionError,
     RankDeficiencyError,
@@ -68,6 +69,12 @@ class IVDataset:
             )
         if not (n > self.p >= 1):
             raise DimensionError(f"need n > p >= 1, got n={n}, p={self.p}")
+        for name in ("Y", "D", "Z", "X"):
+            arr = getattr(self, name)
+            if arr is not None and not np.isfinite(arr).all():
+                first = np.unravel_index(np.argmin(np.isfinite(arr)), arr.shape)
+                at = int(first[0]) if arr.ndim == 1 else tuple(int(i) for i in first)
+                raise DataError(f"{name} has a non-finite value at index {at}")
 
     @property
     def n(self) -> int:

@@ -2,8 +2,8 @@
 
 An Interval is the hull of grid points retained by test inversion; an
 InferenceReport pairs conditional and naive answers with diagnostics.
-The grid-expansion loop lives here so the strong-instrument sampler
-branch and the weak-instrument quadrature branch invert identically.
+The grid-expansion loop lives here so the passed-screen branch, the
+weak-instrument branch and the Lasso branch invert identically.
 """
 
 import math

@@ -1,5 +1,6 @@
-"""Conditional null law of the TSLS statistic given a passed screen,
-its Gibbs sampler, and confidence intervals by test inversion.
+"""Conditional null law of the TSLS statistic given a passed screen:
+exact tails by quadrature, confidence intervals by test inversion, and
+a Gibbs sampler for chain output.
 
 The law lives on (t, d): t the standardized statistic, d > 0 the slack
 of the randomized screen's solution in the active direction u.  Its
@@ -8,22 +9,29 @@ unnormalized log density is
     -t^2 / (2 W_T) + log g(-W_ST t / W_T + (d + lam) u - O)
                    + (p - 1) log(d + lam),
 
-so the argument of g is linear in (t, d).  With Gaussian randomization
-both full conditionals are exact: Gaussian in t; in d a truncated normal
-tilted by (d + lam)^(p-1), drawn by inverse CDF when p = 1 and by slice
-steps (the tilted density is log-concave) when p > 1.  A general
-randomization log-density falls back to Metropolis-within-Gibbs with
-Robbins-Monro step adaptation during burn-in.
+so the argument of g is linear in (t, d).  The screen's randomization g
+is Gaussian, so t given d is Gaussian and integrating t out leaves d a
+log-concave weight (the randomized-response set-up of Tian & Taylor,
+Ann. Statist. 2018): every p-value is a ratio of two 1-D integrals over
+d, done by Gauss-Legendre quadrature.  The Gibbs sampler (exact in t,
+inverse-CDF or slice steps in d) is the Monte Carlo reference;
+SamplerConfig steers it and the Lasso engine only.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
-from .errors import BranchError, CovarianceError, DegenerateFirstStageError, SamplerError
+from .errors import (
+    BranchError,
+    CovarianceError,
+    DegenerateFirstStageError,
+    QuadratureError,
+    SamplerError,
+)
 from .model import (
     IVDataset,
     ModelEstimates,
@@ -44,19 +52,12 @@ _SLICE_MAX_SHRINK = 256
 class SamplerConfig:
     n_samples: int = 10000
     burn_in: int = 2000
-    step_t: float = 1.0
-    step_d: float = 1.0
-    adapt_target: float = 0.44
     seed: int = 0
     chains: int = 4
 
     def __post_init__(self):
         if self.n_samples < 1 or self.burn_in < 0:
             raise ValueError("need n_samples >= 1 and burn_in >= 0")
-        if self.step_t <= 0 or self.step_d <= 0:
-            raise ValueError("initial step sizes must be positive")
-        if not 0.2 <= self.adapt_target <= 0.6:
-            raise ValueError("adapt_target outside [0.2, 0.6]")
         if self.chains < 1:
             raise ValueError("need at least one chain")
 
@@ -271,12 +272,11 @@ def _slice_step_d(rng, d, mvec, c, lam, jac):
     return out
 
 
-def _gibbs_gaussian(rng, a, u, e, lam, c, jac, t0, d0, n_samples, burn_in,
-                    t_ref=None, collect=False):
+def _gibbs_gaussian(rng, a, u, e, lam, c, jac, t0, d0, n_samples, burn_in):
     """Batched exact Gibbs for m rows sharing dimension p and exponent jac.
 
-    a, u, e: (m, p); lam, c, t0, d0, t_ref: (m,).  Returns tail counts
-    against t_ref and, when collect, the full (m, n_samples) draw arrays.
+    a, u, e: (m, p); lam, c, t0, d0: (m,).  Returns the post-burn-in
+    draws as {"t": (m, n_samples), "d": (m, n_samples)}.
     """
     m, _ = a.shape
     anorm2 = np.einsum("ij,ij->i", a, a)
@@ -286,10 +286,8 @@ def _gibbs_gaussian(rng, a, u, e, lam, c, jac, t0, d0, n_samples, burn_in,
     d = np.asarray(d0, dtype=float).copy()
     if np.any(d <= 0):
         raise SamplerError("initial d must be positive")
-    ge = np.zeros(m)
-    le = np.zeros(m)
-    t_draws = np.empty((m, n_samples)) if collect else None
-    d_draws = np.empty((m, n_samples)) if collect else None
+    t_draws = np.empty((m, n_samples))
+    d_draws = np.empty((m, n_samples))
     for k in range(burn_in + n_samples):
         z = u * d[:, None] + e
         mean_t = -np.einsum("ij,ij->i", a, z) / prec
@@ -299,81 +297,26 @@ def _gibbs_gaussian(rng, a, u, e, lam, c, jac, t0, d0, n_samples, burn_in,
             d = _truncated_normal(rng, mvec, c, m)
         else:
             d = _slice_step_d(rng, d, mvec, c, lam, jac)
-        i = k - burn_in
-        if i >= 0:
-            if t_ref is not None:
-                ge += t >= t_ref
-                le += t <= t_ref
-            if collect:
-                t_draws[:, i] = t
-                d_draws[:, i] = d
-    return {"ge": ge, "le": le, "t": t_draws, "d": d_draws}
+        if k >= burn_in:
+            t_draws[:, k - burn_in] = t
+            d_draws[:, k - burn_in] = d
+    return {"t": t_draws, "d": d_draws}
 
 
-def _metropolis_chain(law, config, t0, d0, rng, collect=True, t_ref=None):
-    """Coordinate Metropolis for a general randomization density; step
-    sizes adapt on the log scale during burn-in, then freeze."""
-    t, d = float(t0), float(d0)
-    lp = law.log_density(t, d)
-    if not np.isfinite(lp):
-        raise SamplerError("log-density not finite at initialization")
-    log_st, log_sd = math.log(config.step_t), math.log(config.step_d)
-    target = config.adapt_target
-    accepted_burn = 0
-    acc_t = acc_d = 0
-    draws = np.empty(config.n_samples) if collect else None
-    d_draws = np.empty(config.n_samples) if collect else None
-    ge = le = 0
-    for k in range(config.burn_in + config.n_samples):
-        in_burn = k < config.burn_in
-        gain = (k + 1) ** -0.6
+def _require_gaussian(law: ConditionalLaw) -> None:
+    if law.gaussian_scale is None:
+        raise SamplerError("the conditional law needs Gaussian randomization (gaussian_scale)")
 
-        cand = t + math.exp(log_st) * rng.standard_normal()
-        cand_lp = law.log_density(cand, d)
-        ok = math.log(rng.random()) < cand_lp - lp
-        if ok:
-            t, lp = cand, cand_lp
-        if in_burn:
-            accepted_burn += ok
-            log_st += gain * (float(ok) - target)
-        else:
-            acc_t += ok
 
-        cand = d + math.exp(log_sd) * rng.standard_normal()
-        if cand <= 0:
-            ok = False
-        else:
-            cand_lp = law.log_density(t, cand)
-            ok = math.log(rng.random()) < cand_lp - lp
-        if ok:
-            d, lp = cand, cand_lp
-        if in_burn:
-            accepted_burn += ok
-            log_sd += gain * (float(ok) - target)
-        else:
-            acc_d += ok
-
-        if k == config.burn_in - 1 and accepted_burn == 0:
-            raise SamplerError("zero acceptance over burn-in: step sizes mis-scaled")
-        if k >= config.burn_in:
-            i = k - config.burn_in
-            if collect:
-                draws[i] = t
-                d_draws[i] = d
-            if t_ref is not None:
-                ge += t >= t_ref
-                le += t <= t_ref
-    n = config.n_samples
-    return {
-        "t": draws,
-        "d": d_draws,
-        "ge": ge,
-        "le": le,
-        "acceptance_t": acc_t / n,
-        "acceptance_d": acc_d / n,
-        "step_t": math.exp(log_st),
-        "step_d": math.exp(log_sd),
-    }
+def _chains(law, config, tag, m, t0, d0):
+    """m chains of the exact Gibbs sampler on one law, all from (t0, d0)."""
+    _require_gaussian(law)
+    rows = lambda v: np.repeat(v[None, :], m, axis=0)
+    return _gibbs_gaussian(
+        _generator(config.seed, tag), rows(law.slope), rows(law.u), rows(law.offset),
+        np.full(m, law.lam), np.full(m, law.gaussian_scale), law.jacobian_exponent,
+        np.full(m, t0), np.full(m, d0), config.n_samples, config.burn_in,
+    )
 
 
 def gibbs_sample(
@@ -392,25 +335,7 @@ def gibbs_sample(
         raise SamplerError("init_d must be positive")
     if not np.isfinite(law.log_density(t0, d0)):
         raise SamplerError("log-density not finite at initialization")
-    rng = _generator(config.seed, 1)
-    if law.gaussian_scale is not None:
-        out = _gibbs_gaussian(
-            rng,
-            law.slope[None, :],
-            law.u[None, :],
-            law.offset[None, :],
-            np.array([law.lam]),
-            np.array([law.gaussian_scale]),
-            law.jacobian_exponent,
-            np.array([t0]),
-            np.array([d0]),
-            config.n_samples,
-            config.burn_in,
-            collect=True,
-        )
-        return out["t"][0]
-    out = _metropolis_chain(law, config, t0, d0, rng, collect=True)
-    return out["t"]
+    return _chains(law, config, 1, 1, t0, d0)["t"][0]
 
 
 def sample_paths(law: ConditionalLaw, config: SamplerConfig = None):
@@ -419,34 +344,10 @@ def sample_paths(law: ConditionalLaw, config: SamplerConfig = None):
     Returns two arrays of shape (chains, n_samples); chains start at the
     observed state and differ only through their random streams."""
     config = config if config is not None else SamplerConfig()
-    m = config.chains
     if law.d_obs <= 0:
         raise SamplerError("observed d must be positive")
-    if law.gaussian_scale is not None:
-        rng = _generator(config.seed, 4)
-        out = _gibbs_gaussian(
-            rng,
-            np.repeat(law.slope[None, :], m, axis=0),
-            np.repeat(law.u[None, :], m, axis=0),
-            np.repeat(law.offset[None, :], m, axis=0),
-            np.full(m, law.lam),
-            np.full(m, law.gaussian_scale),
-            law.jacobian_exponent,
-            np.full(m, law.t_obs),
-            np.full(m, law.d_obs),
-            config.n_samples,
-            config.burn_in,
-            collect=True,
-        )
-        return out["t"], out["d"]
-    t_rows = np.empty((m, config.n_samples))
-    d_rows = np.empty((m, config.n_samples))
-    for c in range(m):
-        rng = _generator(config.seed, 4, c)
-        out = _metropolis_chain(law, config, law.t_obs, law.d_obs, rng, collect=True)
-        t_rows[c] = out["t"]
-        d_rows[c] = out["d"]
-    return t_rows, d_rows
+    out = _chains(law, config, 4, config.chains, law.t_obs, law.d_obs)
+    return out["t"], out["d"]
 
 
 def draws_csv(t_paths: np.ndarray, d_paths: np.ndarray) -> str:
@@ -489,39 +390,142 @@ def conditional_pvalue(draws: np.ndarray, t_obs: float, sided: str = "upper") ->
     raise ValueError(f"sided must be upper, lower, or two_sided; got {sided!r}")
 
 
-def _law_rows(laws):
-    """Stack per-law arrays for the batched Gaussian engine."""
+class Tails(NamedTuple):
+    """Exact conditional tails of T at each law's t_obs, one entry per law.
+
+    error is the larger change of either tail between the full and the
+    half Gauss-Legendre rule; nodes counts the d nodes of the full rule."""
+
+    upper: np.ndarray
+    lower: np.ndarray
+    error: np.ndarray
+    nodes: np.ndarray
+
+    @property
+    def two_sided(self) -> np.ndarray:
+        return np.minimum(1.0, 2.0 * np.minimum(self.upper, self.lower))
+
+
+_QUAD_NODES = 96
+_QUAD_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (_QUAD_NODES, _QUAD_NODES // 2))
+# the d window spans this many curvature widths either side of the mode
+_QUAD_WINDOW = 14.0
+# the window's right end is pushed out until the weight there is below
+# exp(-_QUAD_TAIL_DROP) of its peak: beyond it the mass is under rounding
+_QUAD_TAIL_DROP = 45.0
+# the normal tail is within 1e-15 of 0 or 1 beyond this many sds
+_QUAD_STEP_Z = 8.0
+_QUAD_TOL = 1e-10
+_QUAD_MAX_REFINEMENTS = 6
+
+
+def _log_weight(d, big_a, big_b, lam, jac):
+    """log of exp(-A d^2/2 + B d) (d + lam)^jac, the marginal weight of d."""
+    return -0.5 * big_a * d * d + big_b * d + jac * np.log(np.maximum(d + lam, 1e-300))
+
+
+def _window_tails(rows, panels, rule):
+    """Both tails of every row by one composite Gauss-Legendre rule.
+
+    rows holds (e0, e1, e2, e3, A, B, lam, jac, z0, z1) per law: the d
+    window [e0, e3] cut into three segments, each split into panels
+    panels; the weight; and z(d) = z0 + z1 d, the standardized distance
+    of t_obs above the mean of t given d."""
+    edges = rows[:, :4]
+    big_a, big_b, lam, jac, z0, z1 = (col[:, None] for col in rows[:, 4:].T)
+    x, w = rule
+    steps = (np.arange(panels)[:, None] + 0.5 * (1.0 + x)).ravel()
+    step = (np.diff(edges, axis=1) / panels)[:, :, None]
+    d = (edges[:, :3, None] + step * steps).reshape(len(rows), -1)
+    log_w = _log_weight(d, big_a, big_b, lam, jac)
+    wd = (step * np.tile(w, panels)).reshape(len(rows), -1)
+    wd *= np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    z = z0 + z1 * d
+    den = wd.sum(axis=1)
+    return (wd * special.ndtr(-z)).sum(axis=1) / den, (wd * special.ndtr(z)).sum(axis=1) / den
+
+
+def _pooled_pvalues(laws) -> Tails:
+    """P(T >= t_obs | pass) and P(T <= t_obs | pass) for a batch of
+    Gaussian-randomization laws, each at its own t_obs, by quadrature.
+
+    t given d is normal with mean -a.(u d + offset) / prec and sd
+    c / sqrt(prec), prec = c^2 + |a|^2, so integrating t out leaves d the
+    weight exp(-A d^2/2 + B d) (d + lam)^jac on d > 0.  The d window spans
+    _QUAD_WINDOW curvature widths about the mode (the slope counts when
+    the mode is clipped at 0) and is cut where the normal tail's argument
+    crosses -+_QUAD_STEP_Z: a small randomization scale makes that tail a
+    near-step in d.  Rows whose full and half rules differ by more than
+    _QUAD_TOL are redone on twice the panels; QuadratureError if that
+    never settles."""
+    for law in laws:
+        _require_gaussian(law)
     a = np.stack([law.slope for law in laws])
     u = np.stack([law.u for law in laws])
     e = np.stack([law.offset for law in laws])
     lam = np.array([law.lam for law in laws])
     c = np.array([law.gaussian_scale for law in laws])
-    t0 = np.array([law.t_obs for law in laws])
-    d0 = np.array([law.d_obs for law in laws])
-    return a, u, e, lam, c, t0, d0
+    t_obs = np.array([law.t_obs for law in laws])
+    jac = np.array([law.jacobian_exponent for law in laws], dtype=float)
 
+    c2 = c * c
+    prec = c2 + np.einsum("ij,ij->i", a, a)
+    au = np.einsum("ij,ij->i", a, u)
+    ae = np.einsum("ij,ij->i", a, e)
+    big_a = (np.einsum("ij,ij->i", u, u) - au * au / prec) / c2
+    big_b = (au * ae / prec - np.einsum("ij,ij->i", u, e)) / c2
+    sd_t = c / np.sqrt(prec)
 
-def _pooled_pvalues(laws, config, tags=()):
-    """Upper and two-sided conditional p-values for independent Gaussian
-    laws, pooling config.chains chains per law at its own t_obs."""
-    if any(law.gaussian_scale is None for law in laws):
-        raise SamplerError("batched path requires Gaussian randomization")
-    jac = laws[0].jacobian_exponent
-    if any(law.jacobian_exponent != jac for law in laws):
-        raise ValueError("all laws in one batch must share the jacobian exponent")
-    a, u, e, lam, c, t0, d0 = _law_rows(laws)
-    ch = config.chains
-    rep = lambda arr: np.repeat(arr, ch, axis=0)
-    rng = _generator(config.seed, 2, *tags)
-    out = _gibbs_gaussian(
-        rng, rep(a), rep(u), rep(e), rep(lam), rep(c), jac, rep(t0), rep(d0),
-        config.n_samples, config.burn_in, t_ref=rep(t0),
+    # the weight's stationary point solves A d^2 + (A lam - B) d - (B lam + jac) = 0;
+    # its larger root, in the form free of cancellation, then clipped at 0
+    qb = big_a * lam - big_b
+    root = np.sqrt((big_a * lam + big_b) ** 2 + 4.0 * big_a * jac)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stationary = np.where(
+            qb > 0, 2.0 * (big_b * lam + jac) / (qb + root), (root - qb) / (2.0 * big_a)
+        )
+        mode = np.maximum(stationary, 0.0)
+        curv = big_a + np.where(jac > 0, jac / (mode + lam) ** 2, 0.0)
+        slope = np.where(mode > 0, 0.0, np.abs(big_b + np.where(jac > 0, jac / lam, 0.0)))
+    # x with slope x + curv x^2 / 2 = K^2 / 2: K widths at an interior mode
+    k2 = _QUAD_WINDOW**2
+    x = k2 / (slope + np.sqrt(slope * slope + curv * k2))
+    peak = _log_weight(mode, big_a, big_b, lam, jac)
+    hi = mode + x
+    for _ in range(64):
+        short = _log_weight(hi, big_a, big_b, lam, jac) > peak - _QUAD_TAIL_DROP
+        if not short.any():
+            break
+        hi = np.where(short, mode + 2.0 * (hi - mode), hi)
+    else:
+        raise QuadratureError("slack weight does not decay: the d window cannot be closed")
+    lo = np.maximum(mode - x, 0.0)
+    z0 = (t_obs + ae / prec) / sd_t
+    z1 = au / (prec * sd_t)
+    with np.errstate(divide="ignore", over="ignore"):
+        cross = (np.array([[-_QUAD_STEP_Z], [_QUAD_STEP_Z]]) - z0) / np.where(z1 == 0, 1e-300, z1)
+    cuts = np.clip(np.sort(cross, axis=0), lo, hi)
+    rows = np.column_stack([lo, cuts[0], cuts[1], hi, big_a, big_b, lam, jac, z0, z1])
+
+    m = len(laws)
+    upper, lower, error = np.empty(m), np.empty(m), np.empty(m)
+    nodes = np.empty(m, dtype=int)
+    todo = np.arange(m)
+    panels = 1
+    for _ in range(_QUAD_MAX_REFINEMENTS + 1):
+        up, low = _window_tails(rows[todo], panels, _QUAD_RULES[0])
+        up_half, low_half = _window_tails(rows[todo], panels, _QUAD_RULES[1])
+        err = np.maximum(np.abs(up - up_half), np.abs(low - low_half))
+        upper[todo], lower[todo], error[todo] = up, low, err
+        nodes[todo] = 3 * panels * _QUAD_NODES
+        todo = todo[~(err <= _QUAD_TOL)]
+        if todo.size == 0:
+            return Tails(upper, lower, error, nodes)
+        panels *= 2
+    raise QuadratureError(
+        f"passed-screen tail not converged for {todo.size} of {m} laws: error "
+        f"{float(np.nanmax(error[todo])):.3g} > tol {_QUAD_TOL:.3g} at {panels // 2} panels"
     )
-    n_tot = config.n_samples * ch
-    ge = out["ge"].reshape(len(laws), ch).sum(axis=1) / n_tot
-    le = out["le"].reshape(len(laws), ch).sum(axis=1) / n_tot
-    two = np.minimum(1.0, 2.0 * np.minimum(ge, le))
-    return ge, two
 
 
 def effective_sample_size(x: np.ndarray) -> float:
@@ -580,11 +584,11 @@ def invert_ci(
     pretest: PretestOutcome,
     alpha: float = 0.05,
     grid: np.ndarray = None,
-    config: SamplerConfig = None,
     null_value: float = 0.0,
 ) -> InferenceReport:
     """Confidence interval as the hull of nulls whose two-sided
     conditional p-value stays >= alpha, plus p-values at null_value.
+    Every p-value is an exact tail from _pooled_pvalues.
 
     The screen's omega and u are held fixed across the grid; the
     statistic's complement O and covariance W_ST are rebuilt per tested
@@ -597,7 +601,6 @@ def invert_ci(
         raise BranchError("screen did not pass; invert the weak-instrument branch instead")
     if pretest.scale is None or pretest.scale <= 0:
         raise SamplerError("inversion needs the Gaussian randomization recorded by the screen")
-    config = config if config is not None else SamplerConfig()
     beta_hat = tsls_estimate(data)
     se = tsls_standard_error(data)
     if grid is None:
@@ -610,16 +613,12 @@ def invert_ci(
         halfwidth = 0.5 * (grid.max() - grid.min())
         n_points = grid.size
 
-    calls = [0]
-
     def pfn(xs):
         laws = [
             build_law_tsls(data, b0, pretest, covariance_estimates(data, b0))
             for b0 in xs
         ]
-        calls[0] += 1
-        _, two = _pooled_pvalues(laws, config, tags=(calls[0],))
-        return two
+        return _pooled_pvalues(laws).two_sided
 
     interval, _, _, grid_info = invert_pvalue_curve(
         pfn, center, halfwidth, alpha, n_points=n_points
@@ -627,17 +626,12 @@ def invert_ci(
 
     est0 = covariance_estimates(data, null_value)
     naive = tsls_stat(data, null_value, est0)
-    law0 = build_law_tsls(data, null_value, pretest, est0)
-    a, u, e, lam, c, t0, d0 = _law_rows([law0] * config.chains)
-    out = _gibbs_gaussian(
-        _generator(config.seed, 3), a, u, e, lam, c, law0.jacobian_exponent,
-        t0, d0, config.n_samples, config.burn_in, t_ref=t0, collect=True,
-    )
-    pooled = out["t"].ravel()
-    cond_p = conditional_pvalue(pooled, law0.t_obs, "two_sided")
+    tails = _pooled_pvalues([build_law_tsls(data, null_value, pretest, est0)])
+    q = float(min(tails.upper[0], tails.lower[0]))
+    err = float(tails.error[0])
     return InferenceReport(
         beta0=float(null_value),
-        conditional_pvalue=cond_p,
+        conditional_pvalue=float(tails.two_sided[0]),
         naive_pvalue=naive.naive_pvalue,
         conditional_ci=interval,
         naive_ci=wald_interval(data, alpha),
@@ -646,12 +640,11 @@ def invert_ci(
             "alpha": float(alpha),
             "beta_tsls": beta_hat,
             "standard_error": se,
-            "chains": config.chains,
-            "n_samples": config.n_samples,
-            "burn_in": config.burn_in,
-            "method": "exact_gaussian" if law0.gaussian_scale is not None else "metropolis",
-            "ess": sum(effective_sample_size(row) for row in out["t"]),
-            "geweke_z": [geweke_zscore(row) for row in out["t"]],
+            "method": "quadrature",
+            "quadrature_error": err,
+            "quadrature_nodes": int(tails.nodes[0]),
+            # Monte Carlo draws that would match the quadrature's accuracy
+            "ess": q * (1.0 - q) / max(err, np.finfo(float).eps) ** 2,
             "grid": grid_info,
         },
     )

@@ -2,11 +2,12 @@
 
 Everything here conditions on instruments Z, so each replication draws a
 fresh design, reduces it to the handful of cross-moments the statistics
-need, and runs the screen, the conditional sampler, and the reference
-procedures on those moments in batch.  A brute-force rejection oracle
-provides ground truth for the conditional null law: simulate, screen
-with fresh randomization, keep the test statistic from draws that land
-next to the observed conditioning variables.
+need, and runs the screen, the conditional p-values (exact quadrature
+after the strength screen, Gibbs sampling after Lasso selection), and
+the reference procedures on those moments in batch.  A brute-force
+rejection oracle provides ground truth for the conditional null law:
+simulate, screen with fresh randomization, keep the test statistic from
+draws that land next to the observed conditioning variables.
 """
 
 import math
@@ -295,13 +296,12 @@ def uniformity_experiment(
     c0: float,
     reps: int,
     alpha: float = 0.05,
-    sampler: SamplerConfig = None,
 ) -> ExperimentResult:
     """Null conditional p-values across replications that pass the screen.
 
     Generates under the null (beta0 = beta_star), screens with fresh
-    randomization, samples each passing replication's conditional law,
-    and returns the pooled p-values with their uniformity KS test."""
+    randomization, integrates each passing replication's conditional law
+    exactly, and returns the p-values with their uniformity KS test."""
     if reps < 100:
         raise ValueError("need reps >= 100")
     beta0 = config.beta_star
@@ -314,8 +314,7 @@ def uniformity_experiment(
             f"only {passing.size} of {reps} replications passed the screen"
         )
     laws = [st.conditional_law(int(i), beta0, screen) for i in passing]
-    cfg = sampler if sampler is not None else SamplerConfig(seed=config.seed)
-    _, two = _pooled_pvalues(laws, cfg, tags=(31,))
+    two = _pooled_pvalues(laws).two_sided
     _, naive_all = st.tsls(beta0)
     naive_two = naive_all[passing]
     naive_cov = float(np.mean(st.wald_covers(beta0, alpha)[passing]))
@@ -335,10 +334,6 @@ def uniformity_experiment(
         ks_pvalue=float(ks.pvalue),
         naive_pvalue_samples=naive_two,
     )
-
-
-def _tsls_pass_cell(config, c0, alpha, reps, sampler) -> ExperimentResult:
-    return uniformity_experiment(config, c0, reps, alpha=alpha, sampler=sampler)
 
 
 def _clr_fail_cell(config, c0, alpha, reps) -> ExperimentResult:
@@ -392,7 +387,6 @@ def coverage_experiment(
     alpha: float,
     reps: int,
     branch: str = "tsls_pass",
-    sampler: SamplerConfig = None,
 ) -> list:
     """Per-cell passing rates and coverages across the (r, sigma12) grid."""
     if branch not in ("tsls_pass", "clr_fail"):
@@ -411,7 +405,7 @@ def coverage_experiment(
                 seed=_child_seed(grid.seed, 40, i, j),
             )
             if branch == "tsls_pass":
-                res = _tsls_pass_cell(config, c0, alpha, reps, sampler)
+                res = uniformity_experiment(config, c0, reps, alpha=alpha)
             else:
                 res = _clr_fail_cell(config, c0, alpha, reps)
             cells.append(CoverageCell(r=r, sigma12=s12, result=res))

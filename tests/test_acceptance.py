@@ -12,6 +12,7 @@ This is the slow end of the suite: several minutes total, dominated by
 the weak-instrument coverage study.
 """
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from ivselect.cli import AnalysisConfig, ingest
 from ivselect.clr import QuadratureConfig, clr_conditional_inference, clr_tail, k4_constant
 from ivselect.model import covariance_estimates, tsls_estimate, tsls_standard_error
 from ivselect.pretest import RandomizationLaw, f_statistic, run_pretest, solve_randomized
-from ivselect.sampler import SamplerConfig, build_law_tsls, sample_paths
+from ivselect.sampler import SamplerConfig, _pooled_pvalues, build_law_tsls, sample_paths
 from ivselect.simulate import (
     DGPConfig,
     ExperimentGrid,
@@ -108,20 +109,20 @@ def test_screen_micro_checks():
 
 
 def test_sampler_matches_rejection_oracle():
-    # One fixed dataset; the chain samples t from the conditional law at
-    # the observed (u, O), while the oracle re-simulates the world on the
-    # same instruments and keeps passing draws landing in a small
-    # neighborhood of that conditioning event.
+    # One fixed dataset; the quadrature gives the CDF of t under the
+    # conditional law at the observed (u, O), while the oracle
+    # re-simulates the world on the same instruments and keeps passing
+    # draws landing in a small neighborhood of that conditioning event.
     config = dgp_from_r(0.5, 0.5, n=200, p=3, seed=7)
     data = generate(config)
     pre = run_pretest(data, 10.0, seed=3)
     assert pre.passed
     est = covariance_estimates(data, 1.0)
     law = build_law_tsls(data, 1.0, pre, est)
-    t_paths, _ = sample_paths(
-        law, SamplerConfig(n_samples=10000, burn_in=2000, chains=2, seed=5)
-    )
-    gibbs = t_paths.ravel()
+
+    def cdf(ts):
+        return _pooled_pvalues([replace(law, t_obs=float(t)) for t in ts]).lower
+
     kept = rejection_oracle(
         config,
         1.0,
@@ -135,10 +136,10 @@ def test_sampler_matches_rejection_oracle():
         o_tol=0.5,
         min_retained=500,
     )
-    ks = stats.ks_2samp(gibbs, kept).statistic
+    ks = stats.kstest(kept, cdf).statistic
     ok = ks < 0.08 and kept.size >= 500
     _verdict(
-        "sampler vs rejection oracle",
+        "quadrature vs rejection oracle",
         ok,
         f"KS distance {ks:.4f} (budget 0.08), {kept.size} retained oracle draws",
     )
@@ -150,18 +151,13 @@ def test_conditional_pivot_uniformity():
     # r = 0.08 the plug-in law is known to drift, so the KS test must
     # reject there (the screen passes ~12% of the time, hence the larger
     # replication count to get a comparable number of passing draws).
-    sampler = lambda seed: SamplerConfig(n_samples=4000, burn_in=1000, chains=2, seed=seed)
     details = []
     ok = True
-    for r, reps, cseed, sseed in [(0.3, 500, 201, 301), (0.5, 500, 202, 302), (1.0, 500, 203, 303)]:
-        res = uniformity_experiment(
-            dgp_from_r(r, 0.8, seed=cseed), 10.0, reps, sampler=sampler(sseed)
-        )
+    for r, reps, cseed in [(0.3, 500, 201), (0.5, 500, 202), (1.0, 500, 203)]:
+        res = uniformity_experiment(dgp_from_r(r, 0.8, seed=cseed), 10.0, reps)
         ok = ok and res.ks_pvalue > 0.01
         details.append(f"r={r}: KS p {res.ks_pvalue:.3f}")
-    res = uniformity_experiment(
-        dgp_from_r(0.08, 0.8, seed=204), 10.0, 2400, sampler=sampler(304)
-    )
+    res = uniformity_experiment(dgp_from_r(0.08, 0.8, seed=204), 10.0, 2400)
     m = res.pvalue_samples.size
     ok = ok and m >= 200 and res.ks_pvalue < 0.01
     details.append(f"r=0.08: m={m}, KS p {res.ks_pvalue:.1e} (must reject)")
@@ -180,12 +176,7 @@ def test_coverage_gap_under_weak_instruments():
     for s12 in (0.8, 0.9):
         m_total = cond_hits = naive_hits = 0
         for j in range(8):
-            res = uniformity_experiment(
-                dgp_from_r(0.08, s12, seed=204 + j),
-                10.0,
-                9600,
-                sampler=SamplerConfig(n_samples=6000, burn_in=1500, chains=2, seed=304 + j),
-            )
+            res = uniformity_experiment(dgp_from_r(0.08, s12, seed=204 + j), 10.0, 9600)
             m = res.pvalue_samples.size
             m_total += m
             cond_hits += round(res.conditional_coverage * m)

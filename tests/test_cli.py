@@ -69,6 +69,18 @@ def test_ingest_reports_bad_cell_location(tmp_path):
     )
     with pytest.raises(DataError, match="row 3, column 'z2': could not parse 'oops'"):
         ingest(_write(tmp_path, "bad.csv", text), AnalysisConfig())
+    # float() parses these, so they must be refused explicitly
+    for raw, row in (("nan", 2), ("inf", 4), ("-Infinity", 5)):
+        lines = text.replace("oops", "0.3").splitlines()
+        fields = lines[row].split(",")
+        fields[1] = raw
+        lines[row] = ",".join(fields)
+        with pytest.raises(DataError, match=f"row {row}, column 'd': non-finite value '{raw}'"):
+            ingest(_write(tmp_path, "nonfinite.csv", "\n".join(lines) + "\n"), AnalysisConfig())
+    z = np.ones((5, 2))
+    z[3, 1] = np.nan
+    with pytest.raises(DataError, match=r"Z has a non-finite value at index \(3, 1\)"):
+        IVDataset(Y=np.arange(5.0), D=np.arange(5.0) ** 2, Z=z)
 
 
 def test_ingest_structural_errors(tmp_path):
@@ -276,7 +288,7 @@ def test_cli_analyze_reproducible_json(tmp_path):
     assert outs[0] == outs[1]
 
     doc = json.loads(outs[0])
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["command"] == "analyze"
     assert doc["branch"] == "tsls"
     assert doc["n"] == 250 and doc["p"] == 3
@@ -287,6 +299,10 @@ def test_cli_analyze_reproducible_json(tmp_path):
     assert 0.0 <= rep["conditional_pvalue"] <= 1.0
     assert 0.0 <= rep["naive_pvalue"] <= 1.0
     assert rep["conditional_ci"]["lower"] < rep["conditional_ci"]["upper"]
+    diag = rep["diagnostics"]
+    assert diag["method"] == "quadrature" and diag["quadrature_error"] < 1e-10
+    assert diag["quadrature_nodes"] >= 96 and diag["ess"] > 1e10
+    assert not {"chains", "n_samples", "burn_in", "geweke_z"} & set(diag)
     assert rep["naive_ci"]["lower"] < rep["naive_ci"]["upper"]
     assert rep["beta0"] == 1.0
 
@@ -361,7 +377,7 @@ def test_cli_pretest_subcommand(tmp_path):
     assert outs[0] == outs[1]
     doc = json.loads(outs[0])
     assert doc["command"] == "pretest"
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["pretest"]["f_stat"] > 10.0
     assert doc["pretest"]["passed"] is True
     assert len(doc["pretest"]["omega"]) == 3

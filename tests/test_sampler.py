@@ -1,11 +1,12 @@
-"""Conditional (t, d) law construction, the Gibbs sampler, and CI inversion."""
+"""Conditional (t, d) law construction, the exact tail quadrature, the
+Gibbs sampler, and CI inversion."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, stats
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from ivselect import (
@@ -30,6 +31,7 @@ from ivselect import (
     wald_interval,
 )
 from ivselect.errors import BranchError, SamplerError
+from ivselect.sampler import _pooled_pvalues
 
 
 def _passed_setup(seed=0, n=150, p=1, r=0.8, beta0=0.5, scale=None):
@@ -76,18 +78,87 @@ def test_single_instrument_t_marginal_matches_closed_form():
     ts, cdf = _p1_t_marginal_cdf(law)
     ks = stats.kstest(draws, lambda x: np.interp(x, ts, cdf)).statistic
     assert ks < 0.02
+    # the quadrature's lower tail is the same CDF; the trapezoid
+    # reference is good to about 1e-7 at this spacing
+    points = np.linspace(-4.0, 4.0, 33)
+    tails = _pooled_pvalues([replace(law, t_obs=float(t)) for t in points])
+    np.testing.assert_allclose(tails.lower, np.interp(points, ts, cdf), rtol=0, atol=1e-6)
+    np.testing.assert_allclose(tails.upper, 1.0 - tails.lower, rtol=0, atol=1e-12)
 
 
-def test_metropolis_matches_exact_gibbs_marginal():
-    # same law, general-density path: the closed-form t-marginal must
-    # agree with the Metropolis chain too.  Thinned: random-walk draws
-    # are autocorrelated and the KS test wants near-independence.
-    _, _, law = _passed_setup(seed=3, p=1)
-    law_mh = replace(law, gaussian_scale=None)
-    draws = gibbs_sample(law_mh, SamplerConfig(n_samples=20000, burn_in=3000, seed=6))
-    ts, cdf = _p1_t_marginal_cdf(law)
-    ks = stats.kstest(draws[::5], lambda x: np.interp(x, ts, cdf)).statistic
-    assert ks < 0.03
+def _quad_tails(law):
+    """Both tails at t_obs by adaptive quadrature over d, from the law's
+    own density: t given d is normal with a d-free sd, so the weight of d
+    is the density at t's conditional mean."""
+    a, u, e, c = law.slope, law.u, law.offset, law.gaussian_scale
+    prec = c * c + float(a @ a)
+    sd = c / math.sqrt(prec)
+
+    def mean_t(d):
+        return -float(a @ (u * d + e)) / prec
+
+    def log_w(d):
+        return law.log_density(mean_t(d), d)
+
+    top = 10.0 * (law.d_obs + law.lam + c + 1.0)
+    while log_w(top) > log_w(0.5 * top):
+        top *= 2.0
+    peak = optimize.minimize_scalar(lambda d: -log_w(d), bounds=(1e-12, top), method="bounded",
+                                    options={"xatol": 1e-10}).x
+    ref = log_w(peak)
+    while log_w(top) > ref - 50.0:
+        top *= 2.0
+    lo = 0.0
+    if log_w(1e-12) < ref - 50.0:
+        lo = optimize.brentq(lambda d: log_w(d) - ref + 50.0, 1e-12, peak)
+    hi = optimize.brentq(lambda d: log_w(d) - ref + 50.0, peak, top)
+
+    def part(tail):
+        def f(d):
+            z = (law.t_obs - mean_t(d)) / sd
+            return math.exp(log_w(d) - ref) * (tail(z) if tail else 1.0)
+        return integrate.quad(f, lo, hi, points=[peak], limit=400, epsabs=0.0, epsrel=1e-12)[0]
+
+    den = part(None)
+    return part(lambda z: stats.norm.sf(z)) / den, part(lambda z: stats.norm.cdf(z)) / den
+
+
+def test_quadrature_matches_adaptive_quad():
+    # nulls out to beta_hat +- 30 SE put t_obs deep in both tails.  Two
+    # more rows move S inward along u so the screen passes by d_obs = 1e-6:
+    # with omega kept, the weight's mode sits just above d = 0; with
+    # omega grown along u as well, the mode is clipped at d = 0
+    worst = 0.0
+    for p, seed in ((1, 30), (3, 31), (10, 32)):
+        data = generate(dgp_from_r(0.3, 0.8, n=1000, p=p, beta_star=1.0, seed=seed))
+        pretest = run_pretest(data, c0=10.0, seed=seed)
+        assert pretest.passed
+        beta_hat, se = tsls_estimate(data), tsls_standard_error(data)
+        laws = [
+            build_law_tsls(data, b0, pretest, covariance_estimates(data, b0))
+            for b0 in beta_hat + se * np.linspace(-30.0, 30.0, 13)
+        ]
+        edge = laws[6]
+        for shift in (edge.d_obs, edge.d_obs + 3.0):
+            laws.append(replace(edge, o=edge.o - (shift - 1e-6) * edge.u, d_obs=1e-6))
+        tails = _pooled_pvalues(laws)
+        for k, law in enumerate(laws):
+            up, lo = _quad_tails(law)
+            worst = max(worst, abs(tails.upper[k] - up), abs(tails.lower[k] - lo))
+        assert np.all(tails.error < 1e-10)
+    # lam = 0 and a wide randomization leave a weight shaped by
+    # (d + lam)^(p-1) rather than by its curvature at the mode, whose
+    # right tail reaches past the curvature-based window
+    c = 30.0
+    gamma_law = ConditionalLaw(
+        w_t=1.0, w_st=np.array([0.5, 0.0]), o=np.array([-c * c, 0.0]), u=np.array([1.0, 0.0]),
+        lam=0.0, g_log_density=lambda x: -0.5 * float(x @ x) / c**2, jacobian_exponent=1,
+        gaussian_scale=c, t_obs=0.01, d_obs=1.0,
+    )
+    tails = _pooled_pvalues([gamma_law])
+    up, lo = _quad_tails(gamma_law)
+    worst = max(worst, abs(tails.upper[0] - up), abs(tails.lower[0] - lo))
+    assert worst < 1e-10
 
 
 def test_huge_randomization_scale_gives_standard_normal():
@@ -140,19 +211,6 @@ def test_conditional_pvalue_monotone_in_observation():
     points = np.linspace(-3, 3, 41)
     ps = [conditional_pvalue(draws, t, "upper") for t in points]
     assert all(a >= b for a, b in zip(ps, ps[1:]))
-
-
-def test_pvalues_invariant_to_density_rescaling():
-    # MCMC uses density ratios, so c * density must give identical chains
-    _, _, law = _passed_setup(seed=6, p=2)
-    base = law.g_log_density
-    law_a = replace(law, gaussian_scale=None)
-    law_b = replace(law, gaussian_scale=None, g_log_density=lambda x: base(x) + 3.7)
-    cfg = SamplerConfig(n_samples=3000, burn_in=500, seed=14)
-    draws_a = gibbs_sample(law_a, cfg)
-    draws_b = gibbs_sample(law_b, cfg)
-    np.testing.assert_array_equal(draws_a, draws_b)
-    assert conditional_pvalue(draws_a, law.t_obs) == conditional_pvalue(draws_b, law.t_obs)
 
 
 def test_exact_law_normalizer_single_instrument():
@@ -264,10 +322,7 @@ def test_invert_ci_strong_instruments_close_to_naive():
     data = generate(dgp_from_r(1.0, 0.8, n=1000, p=10, seed=77))
     pretest = run_pretest(data, c0=10.0, seed=3)
     assert pretest.passed
-    report = invert_ci(
-        data, pretest, alpha=0.05,
-        config=SamplerConfig(n_samples=4000, burn_in=1000, chains=2, seed=11),
-    )
+    report = invert_ci(data, pretest, alpha=0.05)
     naive = report.naive_ci
     cond = report.conditional_ci
     assert abs(cond.lower - naive.lower) < 0.10 * naive.width
@@ -277,12 +332,11 @@ def test_invert_ci_strong_instruments_close_to_naive():
 
 
 def test_invert_ci_alpha_one_degenerates_to_argmax():
-    # no Monte Carlo p-value reaches 1.0, so the retained set is empty
-    # and the interval collapses to the best-supported null
+    # no grid p-value reaches 1.0, so the retained set is empty and the
+    # interval collapses to the best-supported null
     data = generate(dgp_from_r(1.0, 0.8, n=400, p=4, seed=78))
     pretest = run_pretest(data, c0=10.0, seed=4)
-    report = invert_ci(data, pretest, alpha=1.0,
-                       config=SamplerConfig(n_samples=2000, burn_in=500, chains=2, seed=5))
+    report = invert_ci(data, pretest, alpha=1.0)
     assert report.conditional_ci.width == 0.0
     assert report.diagnostics["grid"]["degenerate"]
     se = tsls_standard_error(data)
@@ -345,3 +399,7 @@ def test_gibbs_sample_rejects_bad_initialization():
     _, _, law = _passed_setup(seed=14, p=2)
     with pytest.raises(SamplerError):
         gibbs_sample(law, SamplerConfig(n_samples=100, burn_in=10, seed=1), init_d=-1.0)
+    general = replace(law, gaussian_scale=None)
+    for run in (gibbs_sample, sample_paths, lambda law: _pooled_pvalues([law])):
+        with pytest.raises(SamplerError):
+            run(general)

@@ -108,12 +108,7 @@ def test_generate_is_deterministic_in_seed():
 
 
 def test_conditional_pvalues_uniform_with_strong_instruments():
-    res = uniformity_experiment(
-        dgp_from_r(0.5, 0.8, n=500, p=3, seed=42),
-        10.0,
-        300,
-        sampler=_light(9, n_samples=3000, burn_in=800),
-    )
+    res = uniformity_experiment(dgp_from_r(0.5, 0.8, n=500, p=3, seed=42), 10.0, 300)
     assert res.passing_rate == 1.0
     assert res.pvalue_samples.size == 300
     assert np.all((res.pvalue_samples >= 0) & (res.pvalue_samples <= 1))
@@ -126,9 +121,7 @@ def test_naive_pvalues_distorted_when_screen_binds():
     # around r = 0.1 the benchmark screen passes roughly 70% of draws,
     # so conditioning matters: the naive p-values among passers are far
     # from uniform while the conditional intervals keep most coverage
-    res = uniformity_experiment(
-        dgp_from_r(0.10, 0.8, seed=43), 10.0, 400, sampler=_light(10)
-    )
+    res = uniformity_experiment(dgp_from_r(0.10, 0.8, seed=43), 10.0, 400)
     assert 0.5 < res.passing_rate < 0.9
     naive_ks = stats.kstest(res.naive_pvalue_samples, "uniform")
     assert naive_ks.pvalue < 0.01
@@ -141,12 +134,7 @@ def test_conditional_pivot_degrades_at_extreme_weakness():
     # strained, and the conditional p-values drift from uniform; the
     # conditional intervals still dominate the naive ones by a wide
     # margin in coverage
-    res = uniformity_experiment(
-        dgp_from_r(0.08, 0.8, seed=43),
-        10.0,
-        2400,
-        sampler=_light(10, n_samples=4000, burn_in=1000),
-    )
+    res = uniformity_experiment(dgp_from_r(0.08, 0.8, seed=43), 10.0, 2400)
     assert res.pvalue_samples.size >= 200
     assert res.ks_pvalue < 0.01
     assert res.naive_coverage < 0.5
@@ -170,7 +158,6 @@ def test_coverage_without_endogeneity():
         0.05,
         500,
         branch="tsls_pass",
-        sampler=_light(6, n_samples=3000, burn_in=800),
     )
     assert len(cells) == 1
     assert cells[0].r == 0.5 and cells[0].sigma12 == 0.0
@@ -331,12 +318,7 @@ def test_coverage_csv_exact():
 
 def test_experiment_outputs_bit_reproducible():
     config = dgp_from_r(0.8, 0.5, n=300, p=3, seed=14)
-    runs = [
-        uniformity_experiment(
-            config, 10.0, 120, sampler=_light(3, n_samples=1200, burn_in=300)
-        )
-        for _ in range(2)
-    ]
+    runs = [uniformity_experiment(config, 10.0, 120) for _ in range(2)]
     a, b = runs
     assert pvalue_cdf_csv(a.pvalue_samples).encode() == pvalue_cdf_csv(
         b.pvalue_samples
