@@ -43,6 +43,7 @@ from .lasso import (
 from .model import (
     IVDataset,
     ModelEstimates,
+    Moments,
     covariance_estimates,
     prepare,
     sufficient_statistic,
@@ -61,14 +62,12 @@ from .pretest import (
 from .report import Interval, InferenceReport, invert_pvalue_curve
 from .sampler import (
     ConditionalLaw,
-    ExactLaw,
     SamplerConfig,
     build_law_tsls,
     conditional_pvalue,
     draws_csv,
     dump_draws,
     effective_sample_size,
-    exact_law,
     geweke_zscore,
     gibbs_sample,
     invert_ci,

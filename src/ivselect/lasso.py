@@ -25,6 +25,7 @@ from .errors import BranchError, ConvergenceError, SamplerError
 from .model import (
     IVDataset,
     ModelEstimates,
+    Moments,
     covariance_estimates,
     require_prepared,
     tsls_estimate,
@@ -168,8 +169,7 @@ def default_lasso_penalty(
     """1.1 times the median of ||Z' e*||_inf over resampled first-stage
     residual vectors e*: large enough that pure-noise instruments are
     usually dropped, small enough that selection stays non-trivial."""
-    require_prepared(data)
-    resid = data.D - data.Z @ data.gamma_hat
+    resid = data.D - data.Z @ require_prepared(data).gamma_hat
     rng = _generator(seed, 11)
     idx = rng.integers(0, data.n, size=(sims, data.n))
     vals = np.abs(resid[idx] @ data.Z).max(axis=1)
@@ -182,9 +182,9 @@ def default_lasso_penalty(
 def default_lasso_scale(data: IVDataset) -> float:
     """Randomization spread for the Lasso objective: half the typical
     noise scale of a Z'D coordinate (error sd times mean column norm)."""
-    require_prepared(data)
-    sig2 = math.sqrt(data.first_stage_rss / (data.n - data.p))
-    mean_col = float(np.mean(np.einsum("ij,ij->j", data.Z, data.Z)))
+    m = require_prepared(data)
+    sig2 = math.sqrt(m.rss / (m.n - m.p))
+    mean_col = float(np.mean(np.diagonal(m.ztz)))
     scale = 0.5 * sig2 * math.sqrt(mean_col)
     if scale <= 0:
         raise ValueError("degenerate design: zero first-stage noise scale")
@@ -218,43 +218,36 @@ class LassoLaw:
         return -0.5 * theta[0] ** 2 + float(self.g_log_density(x))
 
 
-def _selected_dataset(data: IVDataset, support) -> IVDataset:
-    cols = list(support)
-    return IVDataset(Y=data.Y, D=data.D, Z=data.Z[:, cols])
-
-
 def build_law_lasso(
-    data: IVDataset,
+    data: IVDataset | Moments,
     beta0: float,
     sel: LassoSelection,
     est: ModelEstimates,
     use_full_z: bool = False,
 ) -> LassoLaw:
     """Assemble the selection-event law for testing beta = beta0."""
-    require_prepared(data)
+    m = require_prepared(data)
     if not sel.support_E:
         raise BranchError("empty support: no instruments selected")
-    p = data.p
+    p = m.p
     e_idx = list(sel.support_E)
     off = sel.off_support
-    data_t = data if use_full_z else _selected_dataset(data, sel.support_E)
+    m_t = m if use_full_z else m.select(e_idx)
     s11 = float(est.sigma_hat[0, 0])
     s12 = float(est.sigma_hat[0, 1])
-    pe_d = data_t.project_z(data.D)
-    d_pe_d = float(data.D @ pe_d)
+    d_pe_d = float(m_t.s2)
     if d_pe_d <= 0:
         raise BranchError("selected instruments carry no first-stage signal")
-    w_st = s12 * (data.Z.T @ pe_d) / math.sqrt(s11 * d_pe_d)
-    t_obs = tsls_stat(data_t, beta0, est).statistic
-    s_l = data.Z.T @ data.D
-    o_l = s_l - w_st * t_obs
+    # Z'P_E D = Z'Z_E (Z_E'Z_E)^(-1) Z_E'D, which is Z'D for the full projector
+    z_pe_d = m.ztd if use_full_z else m.ztz[:, e_idx] @ m_t.gamma_hat
+    w_st = s12 * z_pe_d / math.sqrt(s11 * d_pe_d)
+    t_obs = tsls_stat(m_t, beta0, est).statistic
+    o_l = m.ztd - w_st * t_obs
 
     q = 1 + p
     cols = np.zeros((p, q))
     cols[:, 0] = -w_st
-    ztz = data.Z.T @ data.Z
-    for k, j in enumerate(e_idx):
-        cols[:, 1 + k] = ztz[:, j]
+    cols[:, 1:1 + len(e_idx)] = m.ztz[:, e_idx]
     for k, j in enumerate(off):
         cols[j, 1 + len(e_idx) + k] = sel.lambda_l
 
@@ -412,16 +405,14 @@ def lasso_conditional_inference(
     """Conditional p-value and confidence interval for the treatment
     effect after Lasso instrument selection, with the usual
     selected-instrument TSLS results as the naive reference."""
-    require_prepared(data)
+    m = require_prepared(data)
     if not sel.support_E:
         raise BranchError("empty support: no instruments selected")
     config = config if config is not None else SamplerConfig()
-    sub = data if use_full_z else _selected_dataset(data, sel.support_E)
+    sub = m if use_full_z else m.select(sel.support_E)
 
     def law_at(b0):
-        return build_law_lasso(
-            data, b0, sel, covariance_estimates(data, b0), use_full_z=use_full_z
-        )
+        return build_law_lasso(m, b0, sel, covariance_estimates(m, b0), use_full_z=use_full_z)
 
     calls = [0]
 

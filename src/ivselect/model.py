@@ -1,4 +1,5 @@
-"""Linear IV data model: preparation, projections, and point estimators.
+"""Linear IV data model: preparation, the sufficient-statistics core, and
+point estimators.
 
 The model is
 
@@ -6,7 +7,14 @@ The model is
 
 with (delta_i, xi_i) mean-zero bivariate normal with covariance Sigma*.
 Everything downstream works on a prepared dataset: exogenous covariates
-residualized out and all columns centered.
+residualized out and all columns centered.  After that, every statistic,
+screen and law depends on the data only through n and the cross-moments
+Z'Z, Z'Y, Z'D, Y'Y, Y'D and D'D.  A Moments value holds them (computed
+once per dataset, O(n p^2)) and derives S, its Y analogue, Omega_hat,
+RSS, F and beta_hat from one eigendecomposition of Z'Z.  Its arrays may
+carry a leading batch axis; the estimators here and the statistics in
+pretest and teststats take a dataset or a Moments and, given a batch,
+return one value per replication.
 """
 
 from dataclasses import dataclass
@@ -31,11 +39,137 @@ RANK_RTOL = 1e-10
 _EIG_FLOOR = 1e-12
 
 
+def _dot(a, b):
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _mv(mat, v):
+    return np.einsum("...ij,...j->...i", mat, v)
+
+
+def _sym2(a, b, c):
+    """Symmetric 2x2 matrices [[a, b], [b, c]] over the batch shape of the entries."""
+    return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+
+
+def _item(x):
+    """A Python scalar for one dataset's value; a batch's array as is."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+@dataclass(frozen=True)
+class Moments:
+    """n and the cross-moments of centered (Z, Y, D): ztz = Z'Z (p, p),
+    zty = Z'Y and ztd = Z'D (p,), yy, yd and dd scalars, each optionally
+    stacked over a leading batch axis.  Derived quantities are cached on
+    first use; m[i] is replication i of a batch.
+
+    Quantities that are differences of moments, such as Omega_hat and
+    Sigma_hat(beta0), carry rounding relative to the moments themselves:
+    about machine epsilon times Y'Y over the residual sum of squares."""
+
+    n: int
+    ztz: np.ndarray
+    zty: np.ndarray
+    ztd: np.ndarray
+    yy: np.ndarray
+    yd: np.ndarray
+    dd: np.ndarray
+
+    @classmethod
+    def of(cls, z, y, d) -> "Moments":
+        """Moments of centered instruments z (..., n, p) and y, d (..., n)."""
+        zt = np.swapaxes(z, -1, -2)
+        return cls(
+            n=z.shape[-2], ztz=zt @ z, zty=_mv(zt, y), ztd=_mv(zt, d),
+            yy=_dot(y, y), yd=_dot(y, d), dd=_dot(d, d),
+        )
+
+    def __getitem__(self, i) -> "Moments":
+        row = object.__new__(Moments)
+        # every field but n, and every cached quantity, has the batch axis first
+        vars(row).update({k: v if k == "n" else v[i] for k, v in vars(self).items()})
+        return row
+
+    def select(self, cols) -> "Moments":
+        """Moments of one dataset with only the instruments in cols."""
+        cols = list(cols)
+        return Moments(
+            self.n, self.ztz[np.ix_(cols, cols)], self.zty[cols], self.ztd[cols],
+            self.yy, self.yd, self.dd,
+        )
+
+    @property
+    def p(self) -> int:
+        return self.ztd.shape[-1]
+
+    @cached_property
+    def ztz_isqrt(self) -> np.ndarray:
+        """(Z'Z)^(-1/2), symmetric eigendecomposition root."""
+        vals, vecs = np.linalg.eigh(self.ztz)
+        if np.any((vals[..., -1] <= 0) | (vals[..., 0] < RANK_RTOL * vals[..., -1])):
+            raise RankDeficiencyError(
+                [f"z{j + 1}" for j in range(self.p)],
+                "Z'Z numerically singular; instruments are collinear",
+            )
+        vals = np.maximum(vals, _EIG_FLOOR)
+        return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Sufficient statistic S = (Z'Z)^(-1/2) Z'D; ||S||^2 = D'P_Z D."""
+        return _mv(self.ztz_isqrt, self.ztd)
+
+    @cached_property
+    def sy(self) -> np.ndarray:
+        """(Z'Z)^(-1/2) Z'Y, the Y analogue of S; S'sy = D'P_Z Y."""
+        return _mv(self.ztz_isqrt, self.zty)
+
+    @cached_property
+    def s2(self) -> np.ndarray:
+        return _dot(self.s, self.s)
+
+    @cached_property
+    def gamma_hat(self) -> np.ndarray:
+        """First-stage OLS coefficients (Z'Z)^(-1) Z'D."""
+        return _mv(self.ztz_isqrt, self.s)
+
+    @cached_property
+    def rss(self) -> np.ndarray:
+        """First-stage residual sum of squares D'(I - P_Z)D."""
+        return np.maximum(self.dd - self.s2, 0.0)
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        """First-stage F: (||S||^2 / p) / (RSS / (n - p))."""
+        return (self.s2 / self.p) / (self.rss / (self.n - self.p))
+
+    @cached_property
+    def beta_hat(self) -> np.ndarray:
+        """TSLS estimate D'P_Z Y / D'P_Z D."""
+        return _dot(self.sy, self.s) / self.s2
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Omega_hat = [Y D]' P_Zperp [Y D] / (n - p)."""
+        sy, s = self.sy, self.s
+        return _sym2(
+            self.yy - _dot(sy, sy), self.yd - _dot(sy, s), self.dd - self.s2
+        ) / (self.n - self.p)
+
+    def sigma(self, beta0) -> np.ndarray:
+        """Sigma_hat(beta0) = B^-1 Omega_hat B^-T with B = [[1, beta0], [0, 1]]:
+        the residual covariance of (Y - D beta0, D)."""
+        o = self.omega
+        o00, o01, o11 = o[..., 0, 0], o[..., 0, 1], o[..., 1, 1]
+        return _sym2(o00 - 2.0 * beta0 * o01 + beta0**2 * o11, o01 - beta0 * o11, o11)
+
+
 @dataclass(frozen=True)
 class IVDataset:
     """Outcome Y (n,), treatment D (n,), instruments Z (n, p), optional
-    exogenous covariates X (n, k).  Instances are immutable; expensive
-    decompositions are cached on first use."""
+    exogenous covariates X (n, k).  Instances are immutable; the
+    cross-moments and the prepared check are computed once."""
 
     Y: np.ndarray
     D: np.ndarray
@@ -85,61 +219,18 @@ class IVDataset:
         return self.Z.shape[1]
 
     @cached_property
-    def _qz(self) -> np.ndarray:
-        """Orthonormal basis of col(Z); P_Z v = qz @ (qz.T @ v)."""
-        _check_rank(self.Z, [f"z{j + 1}" for j in range(self.p)])
-        q, _ = np.linalg.qr(self.Z)
-        return q
+    def moments(self) -> Moments:
+        """Cross-moments of (Z, Y, D), computed once: O(n p^2)."""
+        return Moments.of(self.Z, self.Y, self.D)
 
     @cached_property
-    def ztz_isqrt(self) -> np.ndarray:
-        """(Z'Z)^(-1/2), symmetric eigendecomposition root."""
-        ztz = self.Z.T @ self.Z
-        vals, vecs = np.linalg.eigh(ztz)
-        if vals[-1] <= 0 or vals[0] / vals[-1] < RANK_RTOL:
-            raise RankDeficiencyError(
-                [f"z{j + 1}" for j in range(self.p)],
-                "Z'Z numerically singular; instruments are collinear",
-            )
-        vals = np.maximum(vals, _EIG_FLOOR)
-        return (vecs / np.sqrt(vals)) @ vecs.T
+    def _prepared(self) -> bool:
+        """No covariates and every column centered, relative to its magnitude."""
 
-    @cached_property
-    def ztz_sqrt(self) -> np.ndarray:
-        """(Z'Z)^(1/2), same symmetric root convention as ztz_isqrt."""
-        ztz = self.Z.T @ self.Z
-        vals, vecs = np.linalg.eigh(ztz)
-        vals = np.maximum(vals, _EIG_FLOOR)
-        return (vecs * np.sqrt(vals)) @ vecs.T
+        def centered(a):
+            return float(np.max(np.abs(a.mean(axis=0)))) < 1e-8 * max(1.0, float(np.max(np.abs(a))))
 
-    @cached_property
-    def s_stat(self) -> np.ndarray:
-        """Sufficient statistic S = (Z'Z)^(-1/2) Z'D; ||S||^2 = D'P_Z D."""
-        return self.ztz_isqrt @ (self.Z.T @ self.D)
-
-    @cached_property
-    def gamma_hat(self) -> np.ndarray:
-        """First-stage OLS coefficients (Z'Z)^(-1) Z'D."""
-        return np.linalg.lstsq(self.Z, self.D, rcond=None)[0]
-
-    @cached_property
-    def first_stage_rss(self) -> float:
-        r = self.D - self.Z @ self.gamma_hat
-        return float(r @ r)
-
-    @cached_property
-    def d_pz_d(self) -> float:
-        s = self.s_stat
-        return float(s @ s)
-
-    def project_z(self, v: np.ndarray) -> np.ndarray:
-        """P_Z v (columns of v projected onto col(Z))."""
-        q = self._qz
-        return q @ (q.T @ v)
-
-    def resid_z(self, v: np.ndarray) -> np.ndarray:
-        """(I - P_Z) v."""
-        return v - self.project_z(v)
+        return self.X is None and centered(self.Y) and centered(self.D) and centered(self.Z)
 
 
 def _check_rank(mat: np.ndarray, labels: list[str]) -> None:
@@ -152,22 +243,16 @@ def _check_rank(mat: np.ndarray, labels: list[str]) -> None:
         raise RankDeficiencyError([labels[j] for j in bad])
 
 
-def _is_prepared(data: IVDataset, tol: float = 1e-8) -> bool:
-    if data.X is not None:
-        return False
-    scale = max(1.0, float(np.max(np.abs(data.Z))))
-    return (
-        abs(data.Y.mean()) < tol
-        and abs(data.D.mean()) < tol
-        and float(np.max(np.abs(data.Z.mean(axis=0)))) < tol * scale
-    )
-
-
-def require_prepared(data: IVDataset) -> None:
-    if not _is_prepared(data):
+def require_prepared(data: IVDataset | Moments) -> Moments:
+    """The cross-moments of a prepared dataset.  A Moments value passes
+    as is: it is only ever built from centered data."""
+    if isinstance(data, Moments):
+        return data
+    if not data._prepared:
         raise DimensionError(
             "dataset is not prepared; call prepare() to center and residualize first"
         )
+    return data.moments
 
 
 def prepare(raw: IVDataset) -> IVDataset:
@@ -211,23 +296,24 @@ def prepare(raw: IVDataset) -> IVDataset:
     return out
 
 
-def sufficient_statistic(data: IVDataset) -> np.ndarray:
+def sufficient_statistic(data: IVDataset | Moments) -> np.ndarray:
     """S = (Z'Z)^(-1/2) Z'D, the first-stage statistic the pre-test acts on."""
-    require_prepared(data)
-    return data.s_stat
+    return require_prepared(data).s
 
 
-def tsls_estimate(data: IVDataset) -> float:
-    """Two-stage least squares estimate D'P_Z Y / D'P_Z D."""
-    require_prepared(data)
-    denom = data.d_pz_d
-    scale = float(data.D @ data.D)
-    if denom <= 1e-12 * max(scale, 1e-300):
+def _require_first_stage(m: Moments) -> None:
+    """DegenerateFirstStageError unless D'P_Z D is clear of rounding noise."""
+    if np.any(m.s2 <= 1e-12 * np.maximum(m.dd, 1e-300)):
         raise DegenerateFirstStageError(
-            f"D'P_Z D = {denom:.3e} is numerically zero; instruments do not move D"
+            f"D'P_Z D = {np.min(m.s2):.3e} is numerically zero; instruments do not move D"
         )
-    pzd = data.project_z(data.D)
-    return float(pzd @ data.Y) / denom
+
+
+def tsls_estimate(data: IVDataset | Moments) -> float:
+    """Two-stage least squares estimate D'P_Z Y / D'P_Z D."""
+    m = require_prepared(data)
+    _require_first_stage(m)
+    return _item(m.beta_hat)
 
 
 @dataclass(frozen=True)
@@ -236,31 +322,32 @@ class ModelEstimates:
 
     sigma_hat is the structural error covariance evaluated at the null
     value beta0 recorded here; omega_hat is the reduced-form covariance
-    and does not depend on beta0.
+    and does not depend on beta0.  For a batch of datasets the matrices
+    are stacked (reps, 2, 2) and beta_tsls is one value per replication.
     """
 
     beta_tsls: float
     omega_hat: np.ndarray
     sigma_hat: np.ndarray
-    gamma_hat: np.ndarray
     beta0: float
 
     def __post_init__(self):
         for name in ("omega_hat", "sigma_hat"):
             m = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, m)
-            if m.shape != (2, 2):
+            if m.shape[-2:] != (2, 2):
                 raise CovarianceError(f"{name} must be 2x2, got {m.shape}")
-            if abs(m[0, 1] - m[1, 0]) > 1e-12 * max(1.0, abs(m[0, 1])):
+            asym = np.abs(m[..., 0, 1] - m[..., 1, 0])
+            if np.any(asym > 1e-12 * np.maximum(1.0, np.abs(m[..., 0, 1]))):
                 raise CovarianceError(f"{name} is not symmetric")
             vals = np.linalg.eigvalsh(m)
-            if vals[0] <= 0:
+            if np.any(vals[..., 0] <= 0):
                 raise CovarianceError(
                     f"{name} is not positive definite (eigenvalues {vals})"
                 )
 
 
-def covariance_estimates(data: IVDataset, beta0: float) -> ModelEstimates:
+def covariance_estimates(data: IVDataset | Moments, beta0: float) -> ModelEstimates:
     """Reduced-form and structural covariance estimates at the null beta0.
 
     Omega_hat = [Y D]' P_Zperp [Y D] / (n - p)
@@ -269,32 +356,19 @@ def covariance_estimates(data: IVDataset, beta0: float) -> ModelEstimates:
     The two satisfy Omega = B Sigma B' with B = [[1, beta0], [0, 1]]
     exactly, because the column maps commute with the projection.
     """
-    require_prepared(data)
-    n, p = data.n, data.p
-    yd = np.column_stack([data.Y, data.D])
-    resid = data.resid_z(yd)
-    omega = (resid.T @ resid) / (n - p)
-
-    e = resid[:, 0] - resid[:, 1] * beta0  # residualized Y - D*beta0
-    sigma = np.empty((2, 2))
-    sigma[0, 0] = e @ e
-    sigma[0, 1] = sigma[1, 0] = e @ resid[:, 1]
-    sigma[1, 1] = resid[:, 1] @ resid[:, 1]
-    sigma /= n - p
-
+    m = require_prepared(data)
     return ModelEstimates(
-        beta_tsls=tsls_estimate(data),
-        omega_hat=omega,
-        sigma_hat=sigma,
-        gamma_hat=data.gamma_hat,
-        beta0=float(beta0),
+        beta_tsls=tsls_estimate(m),
+        omega_hat=m.omega,
+        sigma_hat=m.sigma(beta0),
+        beta0=_item(np.asarray(beta0, dtype=float)),
     )
 
 
-def tsls_standard_error(data: IVDataset, est: ModelEstimates | None = None) -> float:
+def tsls_standard_error(data: IVDataset | Moments, est: ModelEstimates | None = None) -> float:
     """Conventional standard error of the TSLS estimate,
     sqrt(Sigma_hat_11(beta_tsls)) / sqrt(D'P_Z D)."""
-    require_prepared(data)
-    beta = tsls_estimate(data) if est is None else est.beta_tsls
-    at_beta = covariance_estimates(data, beta)
-    return float(np.sqrt(at_beta.sigma_hat[0, 0] / data.d_pz_d))
+    m = require_prepared(data)
+    beta = tsls_estimate(m) if est is None else est.beta_tsls
+    at_beta = covariance_estimates(m, beta)
+    return _item(np.sqrt(at_beta.sigma_hat[..., 0, 0] / m.s2))

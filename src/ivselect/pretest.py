@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFirstStageError, DimensionError
-from .model import IVDataset, require_prepared
+from .model import IVDataset, Moments, _item, require_prepared, sufficient_statistic
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ class RandomizationLaw:
 
 @dataclass(frozen=True)
 class PretestOutcome:
-    """Everything the conditional analyses need to replay the pre-test."""
+    """Everything the conditional analyses need to replay the pre-test.
+    A batch of screens stacks every per-replication field on a leading axis."""
 
     f_stat: float
     threshold_c0: float
@@ -60,29 +61,28 @@ class PretestOutcome:
     seed: int
 
 
-def f_statistic(data: IVDataset) -> float:
+def f_statistic(data: IVDataset | Moments) -> float:
     """First-stage F: [sum (Z_i'gamma_hat)^2 / p] / [RSS / (n-p)]."""
-    require_prepared(data)
-    rss = data.first_stage_rss
-    if rss <= 1e-12 * max(float(data.D @ data.D), 1e-300):
+    m = require_prepared(data)
+    if np.any(m.rss <= 1e-12 * np.maximum(m.dd, 1e-300)):
         raise DegenerateFirstStageError(
             "first-stage residual sum of squares is zero (perfect fit)"
         )
-    return (data.d_pz_d / data.p) / (rss / (data.n - data.p))
+    return _item(m.f)
 
 
-def penalty_lambda(data: IVDataset, c0: float) -> float:
+def penalty_lambda(data: IVDataset | Moments, c0: float) -> float:
     """Penalty level lambda = sqrt(C0 * (p/(n-p)) * RSS).
 
     By construction I(F >= C0) = I(||S|| >= lambda).
     """
     if c0 < 0:
         raise ValueError(f"threshold C0 must be nonnegative, got {c0}")
-    require_prepared(data)
-    return float(np.sqrt(c0 * (data.p / (data.n - data.p)) * data.first_stage_rss))
+    m = require_prepared(data)
+    return _item(np.sqrt(c0 * (m.p / (m.n - m.p)) * m.rss))
 
 
-def default_scale(data: IVDataset) -> float:
+def default_scale(data: IVDataset | Moments) -> float:
     """Default randomization standard deviation 0.5*sqrt(n/(n-1))*std(S).
 
     std is over the p components of S.  With a single instrument that
@@ -90,58 +90,52 @@ def default_scale(data: IVDataset) -> float:
     component's noise, sqrt(Omega_hat_22) (the first-stage error
     variance), which the componentwise spread estimates when p is large.
     """
-    require_prepared(data)
-    n = data.n
-    s = data.s_stat
-    base = float(np.std(s))
-    if base <= 0:
-        resid = data.resid_z(data.D)
-        base = float(np.sqrt(resid @ resid / (n - data.p)))
-    if base <= 0:
+    m = require_prepared(data)
+    base = np.std(m.s, axis=-1)
+    base = np.where(base > 0, base, np.sqrt(m.rss / (m.n - m.p)))
+    if np.any(base <= 0):
         raise DegenerateFirstStageError("cannot set a randomization scale: S and the first-stage residuals are both degenerate")
-    return 0.5 * np.sqrt(n / (n - 1)) * base
+    return _item(0.5 * np.sqrt(m.n / (m.n - 1)) * base)
+
+
+def _l2_prox(s, omega, lam, scale, seed, c0, f_stat) -> PretestOutcome:
+    """The program's solution at w = S + omega, for one screen or, with a
+    leading batch axis on s, omega and the scalars, for every row.
+
+    The minimizer is the l2-norm prox at w:
+    v_hat = (1 - lambda/||w||) w when ||w|| > lambda, else 0.
+    Ties ||w|| = lambda resolve to not-passed.
+    """
+    w = s + omega
+    norm = np.linalg.norm(w, axis=-1)
+    passed = norm > lam
+    d = np.where(passed, norm - lam, 0.0)
+    u = np.where(passed[..., None], w / np.where(passed, norm, 1.0)[..., None], 0.0)
+    return PretestOutcome(
+        f_stat=_item(np.asarray(f_stat, dtype=float)),
+        threshold_c0=float(c0),
+        lam=_item(np.asarray(lam, dtype=float)),
+        omega=omega,
+        v_hat=d[..., None] * u,
+        d=_item(d),
+        u=u,
+        passed=_item(passed),
+        scale=scale,
+        seed=seed,
+    )
 
 
 def solve_randomized(
     s: np.ndarray, lam: float, law: RandomizationLaw, c0: float = 10.0, f_stat: float = float("nan")
 ) -> PretestOutcome:
-    """Solve min_v 0.5||v - S||^2 + lambda ||v||_2 - omega'v for a fresh omega.
-
-    The minimizer is the l2-norm prox at w = S + omega:
-    v_hat = (1 - lambda/||w||) w when ||w|| > lambda, else 0.
-    Ties ||w|| = lambda resolve to not-passed.
-    """
+    """Solve min_v 0.5||v - S||^2 + lambda ||v||_2 - omega'v for a fresh
+    omega drawn from law (see _l2_prox)."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise DimensionError("S must be a vector")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    p = s.shape[0]
-    omega = law.draw(p)
-    w = s + omega
-    norm_w = float(np.linalg.norm(w))
-    if norm_w > lam:
-        d = norm_w - lam
-        u = w / norm_w
-        v_hat = d * u
-        passed = True
-    else:
-        d = 0.0
-        u = np.zeros(p)
-        v_hat = np.zeros(p)
-        passed = False
-    return PretestOutcome(
-        f_stat=float(f_stat),
-        threshold_c0=float(c0),
-        lam=float(lam),
-        omega=omega,
-        v_hat=v_hat,
-        d=d,
-        u=u,
-        passed=passed,
-        scale=law.scale,
-        seed=law.seed,
-    )
+    return _l2_prox(s, law.draw(s.shape[0]), lam, law.scale, law.seed, c0, f_stat)
 
 
 def run_pretest(
@@ -158,4 +152,4 @@ def run_pretest(
             scale=default_scale(data) if scale is None else scale, seed=seed
         )
     lam = penalty_lambda(data, c0)
-    return solve_randomized(data.s_stat, lam, law, c0=c0, f_stat=f_statistic(data))
+    return solve_randomized(sufficient_statistic(data), lam, law, c0=c0, f_stat=f_statistic(data))

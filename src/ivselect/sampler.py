@@ -27,7 +27,6 @@ from scipy import special, stats
 
 from .errors import (
     BranchError,
-    CovarianceError,
     DegenerateFirstStageError,
     QuadratureError,
     SamplerError,
@@ -35,6 +34,7 @@ from .errors import (
 from .model import (
     IVDataset,
     ModelEstimates,
+    Moments,
     covariance_estimates,
     require_prepared,
     tsls_estimate,
@@ -116,95 +116,32 @@ class ConditionalLaw:
         return val
 
 
-@dataclass(frozen=True)
-class ExactLaw:
-    """Finite-sample law over (S, d) with the active direction u held
-    fixed: N(S; mean, var_s I) * g((d+lam)u - S) * (d+lam)^(p-1) on d>0.
-
-    Used by the harness to validate the asymptotic (t, d) law; mean and
-    var_s come from supplied (not estimated) first-stage parameters.
-    """
-
-    mean: np.ndarray
-    var_s: float
-    u: np.ndarray
-    lam: float
-    g_log_density: Callable[[np.ndarray], float]
-    jacobian_exponent: int
-    gaussian_scale: Optional[float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if self.var_s <= 0:
-            raise CovarianceError("var_s must be positive")
-        if self.lam < 0 or self.jacobian_exponent < 0:
-            raise ValueError("lam and jacobian_exponent must be >= 0")
-
-    def log_density(self, s: np.ndarray, d: float) -> float:
-        if d <= 0:
-            return -math.inf
-        s = np.asarray(s, dtype=float)
-        diff = s - self.mean
-        val = -0.5 * float(diff @ diff) / self.var_s
-        val += float(self.g_log_density((d + self.lam) * self.u - s))
-        if self.jacobian_exponent:
-            val += self.jacobian_exponent * math.log(d + self.lam)
-        return val
-
-
 def build_law_tsls(
-    data: IVDataset, beta0: float, pretest: PretestOutcome, est: ModelEstimates
+    data: IVDataset | Moments, beta0: float, pretest: PretestOutcome, est: ModelEstimates
 ) -> ConditionalLaw:
     """Conditional (t, d) law for testing beta = beta0 after the screen
     passed.  est must carry Sigma_hat evaluated at this beta0."""
-    require_prepared(data)
+    m = require_prepared(data)
     if not pretest.passed:
         raise BranchError("screen did not pass; this law conditions on passing")
-    s = data.s_stat
-    s_norm2 = float(s @ s)
-    if s_norm2 <= 0:
+    if m.s2 <= 0:
         raise DegenerateFirstStageError("S = 0: nothing to condition on")
     s11 = float(est.sigma_hat[0, 0])
     s12 = float(est.sigma_hat[0, 1])
-    w_st = s12 * s / math.sqrt(s11 * s_norm2)
-    t_obs = tsls_stat(data, beta0, est).statistic
+    w_st = s12 * m.s / math.sqrt(s11 * m.s2)
+    t_obs = tsls_stat(m, beta0, est).statistic
     g = RandomizationLaw(scale=pretest.scale, seed=pretest.seed)
     return ConditionalLaw(
         w_t=1.0,
         w_st=w_st,
-        o=s - w_st * t_obs,
+        o=m.s - w_st * t_obs,
         u=pretest.u,
         lam=pretest.lam,
         g_log_density=g.log_density,
-        jacobian_exponent=data.p - 1,
+        jacobian_exponent=m.p - 1,
         gaussian_scale=pretest.scale,
         t_obs=t_obs,
         d_obs=pretest.d,
-    )
-
-
-def exact_law(
-    data: IVDataset, beta0: float, pretest: PretestOutcome, nuisance: ModelEstimates
-) -> ExactLaw:
-    """Finite-sample (S, d) law with supplied first-stage nuisance
-    parameters (gamma in nuisance.gamma_hat, error covariance in
-    nuisance.sigma_hat).  The strength stage does not involve beta0; the
-    parameter is kept so call sites mirror build_law_tsls."""
-    require_prepared(data)
-    del beta0
-    gamma = np.asarray(nuisance.gamma_hat, dtype=float)
-    if gamma.shape != (data.p,):
-        raise ValueError(f"nuisance gamma has shape {gamma.shape}, want ({data.p},)")
-    g = RandomizationLaw(scale=pretest.scale, seed=pretest.seed)
-    return ExactLaw(
-        mean=data.ztz_sqrt @ gamma,
-        var_s=float(nuisance.sigma_hat[1, 1]),
-        u=pretest.u,
-        lam=pretest.lam,
-        g_log_density=g.log_density,
-        jacobian_exponent=data.p - 1,
-        gaussian_scale=pretest.scale,
     )
 
 
@@ -571,7 +508,7 @@ def geweke_zscore(x: np.ndarray, first: float = 0.1, last: float = 0.5) -> float
     return float((a.mean() - b.mean()) / math.sqrt(va + vb))
 
 
-def wald_interval(data: IVDataset, alpha: float = 0.05) -> Interval:
+def wald_interval(data: IVDataset | Moments, alpha: float = 0.05) -> Interval:
     """Naive TSLS confidence interval beta_hat +- z * SE."""
     beta_hat = tsls_estimate(data)
     se = tsls_standard_error(data)

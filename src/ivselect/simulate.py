@@ -1,17 +1,20 @@
 """Data-generating process and the naive-versus-conditional experiments.
 
 Everything here conditions on instruments Z, so each replication draws a
-fresh design, reduces it to the handful of cross-moments the statistics
-need, and runs the screen, the conditional p-values (exact quadrature
-after the strength screen, Gibbs sampling after Lasso selection), and
-the reference procedures on those moments in batch.  A brute-force
-rejection oracle provides ground truth for the conditional null law:
-simulate, screen with fresh randomization, keep the test statistic from
-draws that land next to the observed conditioning variables.
+fresh design.  The strength-screen experiments reduce a whole batch of
+replications to one batched Moments value and run the screen, the
+statistics and the naive references through the same functions a single
+dataset uses; replication i's conditional law is built from row i and
+integrated exactly.  The Lasso experiment builds a dataset per
+replication, because its penalty and solver work on the raw columns.
+A brute-force rejection oracle, written independently of Moments,
+provides ground truth for the conditional null law: simulate, screen
+with fresh randomization, keep the test statistic from draws that land
+next to the observed conditioning variables.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -26,16 +29,30 @@ from .lasso import (
     default_lasso_scale,
     solve_randomized_lasso,
 )
-from .model import IVDataset, covariance_estimates, prepare
-from .pretest import RandomizationLaw
+from .model import (
+    IVDataset,
+    Moments,
+    covariance_estimates,
+    prepare,
+    tsls_estimate,
+    tsls_standard_error,
+)
+from .pretest import (
+    PretestOutcome,
+    RandomizationLaw,
+    _l2_prox,
+    default_scale,
+    f_statistic,
+    penalty_lambda,
+)
 from .sampler import (
-    ConditionalLaw,
     SamplerConfig,
     _generator,
     _pooled_pvalues,
+    build_law_tsls,
     wald_interval,
 )
-from .teststats import clr_statistic_from_q, tsls_stat
+from .teststats import clr_components, clr_statistic_from_q, tsls_stat
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -171,120 +188,23 @@ def _draw_batch(config: DGPConfig, reps: int, rng):
 
 def generate(config: DGPConfig) -> IVDataset:
     """One prepared dataset from the design."""
-    rng = _generator(config.seed, 20)
-    n, p = config.n, config.p
-    z = rng.standard_normal((n, p))
-    chol = np.linalg.cholesky(config.sigma_star)
-    eps = rng.standard_normal((n, 2)) @ chol.T
-    d = z @ config.gamma_star + eps[:, 1]
-    y = d * config.beta_star + eps[:, 0]
-    return prepare(IVDataset(Y=y, D=d, Z=z))
+    z, y, d = _draw_batch(config, 1, _generator(config.seed, 20))
+    return prepare(IVDataset(Y=y[0], D=d[0], Z=z[0]))
 
 
-class _BatchStats:
-    """Per-replication cross moments shared by all experiment branches.
+def _screen(mom: Moments, c0: float, rng) -> PretestOutcome:
+    """Randomized strength screen of every replication, fresh omega each."""
+    scale = default_scale(mom)
+    omega = rng.standard_normal(mom.s.shape) * scale[:, None]
+    return _l2_prox(mom.s, omega, penalty_lambda(mom, c0), scale, 0, c0, f_statistic(mom))
 
-    Collapses each dataset to S = (Z'Z)^(-1/2) Z'D, its Y analogue, and
-    the residual second moments, exactly as the single-dataset model
-    code computes them."""
 
-    def __init__(self, z, y, d):
-        reps, n, p = z.shape
-        self.reps, self.n, self.p = reps, n, p
-        ztz = np.einsum("rni,rnj->rij", z, z)
-        vals, vecs = np.linalg.eigh(ztz)
-        vals = np.maximum(vals, 1e-12)
-        isqrt = np.einsum("rik,rk,rjk->rij", vecs, vals**-0.5, vecs)
-        self.s = np.einsum("rij,rj->ri", isqrt, np.einsum("rnj,rn->rj", z, d))
-        self.sy = np.einsum("rij,rj->ri", isqrt, np.einsum("rnj,rn->rj", z, y))
-        self.s2 = np.einsum("ri,ri->r", self.s, self.s)
-        dd = np.einsum("rn,rn->r", d, d)
-        yy = np.einsum("rn,rn->r", y, y)
-        yd = np.einsum("rn,rn->r", y, d)
-        dof = n - p
-        self.o00 = (yy - np.einsum("ri,ri->r", self.sy, self.sy)) / dof
-        self.o01 = (yd - np.einsum("ri,ri->r", self.sy, self.s)) / dof
-        self.o11 = (dd - self.s2) / dof
-        self.rss = dd - self.s2
-        self.f = (self.s2 / p) / (self.rss / dof)
-        self.beta_hat = np.einsum("ri,ri->r", self.sy, self.s) / self.s2
-
-    def sigma_entries(self, beta0: float):
-        """(Sigma_hat_11, Sigma_hat_12) at beta0 for every replication."""
-        s11 = self.o00 - 2.0 * beta0 * self.o01 + beta0**2 * self.o11
-        s12 = self.o01 - beta0 * self.o11
-        return s11, s12
-
-    def tsls(self, beta0: float):
-        """Statistic T(beta0) and its two-sided normal p-value."""
-        s11, _ = self.sigma_entries(beta0)
-        num = np.einsum("ri,ri->r", self.sy, self.s) - beta0 * self.s2
-        t = num / np.sqrt(s11 * self.s2)
-        return t, 2.0 * stats.norm.sf(np.abs(t))
-
-    def wald_covers(self, beta_true: float, alpha: float):
-        """Whether the usual TSLS interval contains beta_true."""
-        s11_hat = (
-            self.o00 - 2.0 * self.beta_hat * self.o01 + self.beta_hat**2 * self.o11
-        )
-        se = np.sqrt(s11_hat / self.s2)
-        zq = stats.norm.ppf(1.0 - alpha / 2.0)
-        return np.abs(self.beta_hat - beta_true) <= zq * se
-
-    def screen(self, c0: float, rng):
-        """Randomized strength screen with fresh omega per replication."""
-        n, p = self.n, self.p
-        lam = np.sqrt(c0 * (p / (n - p)) * self.rss)
-        scale = 0.5 * math.sqrt(n / (n - 1.0)) * np.std(self.s, axis=1)
-        fallback = np.sqrt(self.rss / (n - p))
-        scale = np.where(scale > 0, scale, fallback)
-        omega = rng.standard_normal((self.reps, p)) * scale[:, None]
-        w = self.s + omega
-        wn = np.linalg.norm(w, axis=1)
-        return {
-            "lam": lam,
-            "scale": scale,
-            "omega": omega,
-            "wnorm": wn,
-            "passed": wn > lam,
-            "d": wn - lam,
-            "u": w / np.maximum(wn, 1e-300)[:, None],
-        }
-
-    def conditional_law(self, i: int, beta0: float, screen) -> ConditionalLaw:
-        """Post-screen law of T(beta0) for replication i."""
-        s11, s12 = self.sigma_entries(beta0)
-        t, _ = self.tsls(beta0)
-        w_st = s12[i] * self.s[i] / math.sqrt(s11[i] * self.s2[i])
-        g = RandomizationLaw(scale=float(screen["scale"][i]), seed=0)
-        return ConditionalLaw(
-            w_t=1.0,
-            w_st=w_st,
-            o=self.s[i] - w_st * t[i],
-            u=screen["u"][i],
-            lam=float(screen["lam"][i]),
-            g_log_density=g.log_density,
-            jacobian_exponent=self.p - 1,
-            gaussian_scale=g.scale,
-            t_obs=float(t[i]),
-            d_obs=float(screen["d"][i]),
-        )
-
-    def clr_quadratics(self, beta0: float):
-        """(q_u, q_ur, q_r) for every replication."""
-        det = self.o00 * self.o11 - self.o01**2
-        b_quad = self.o00 - 2.0 * beta0 * self.o01 + beta0**2 * self.o11
-        a_quad = b_quad / det
-        u_hat = (self.sy - beta0 * self.s) / np.sqrt(b_quad)[:, None]
-        w1 = (self.o11 * beta0 - self.o01) / det
-        w2 = (self.o00 - self.o01 * beta0) / det
-        r_hat = (self.sy * w1[:, None] + self.s * w2[:, None]) / np.sqrt(a_quad)[
-            :, None
-        ]
-        q_u = np.einsum("ri,ri->r", u_hat, u_hat)
-        q_ur = np.einsum("ri,ri->r", u_hat, r_hat)
-        q_r = np.einsum("ri,ri->r", r_hat, r_hat)
-        return q_u, q_ur, q_r
+def _row(batch, i):
+    """Replication i of a batched PretestOutcome or ModelEstimates: every
+    field with a batch axis is indexed, the shared scalars are kept."""
+    return replace(batch, **{
+        f.name: getattr(batch, f.name)[i] for f in fields(batch) if np.ndim(getattr(batch, f.name))
+    })
 
 
 def _binom_se(rate: float, m: int) -> float:
@@ -306,18 +226,20 @@ def uniformity_experiment(
         raise ValueError("need reps >= 100")
     beta0 = config.beta_star
     rng = _generator(config.seed, 21)
-    st = _BatchStats(*_draw_batch(config, reps, rng))
-    screen = st.screen(c0, rng)
-    passing = np.nonzero(screen["passed"])[0]
+    mom = Moments.of(*_draw_batch(config, reps, rng))
+    screen = _screen(mom, c0, rng)
+    passing = np.nonzero(screen.passed)[0]
     if passing.size < 50:
         raise ExperimentError(
             f"only {passing.size} of {reps} replications passed the screen"
         )
-    laws = [st.conditional_law(int(i), beta0, screen) for i in passing]
+    est = covariance_estimates(mom, beta0)
+    laws = [build_law_tsls(mom[i], beta0, _row(screen, i), _row(est, i)) for i in passing]
     two = _pooled_pvalues(laws).two_sided
-    _, naive_all = st.tsls(beta0)
-    naive_two = naive_all[passing]
-    naive_cov = float(np.mean(st.wald_covers(beta0, alpha)[passing]))
+    naive_two = tsls_stat(mom, beta0, est).naive_pvalue[passing]
+    zq = stats.norm.ppf(1.0 - alpha / 2.0)
+    wald_covers = np.abs(tsls_estimate(mom) - beta0) <= zq * tsls_standard_error(mom)
+    naive_cov = float(np.mean(wald_covers[passing]))
     cond_cov = float(np.mean(two >= alpha))
     ks = stats.kstest(two, "uniform")
     m = passing.size
@@ -342,26 +264,24 @@ def _clr_fail_cell(config, c0, alpha, reps) -> ExperimentResult:
     truncation."""
     beta0 = config.beta_star
     rng = _generator(config.seed, 22)
-    st = _BatchStats(*_draw_batch(config, reps, rng))
-    failing = np.nonzero(st.f < c0)[0]
+    mom = Moments.of(*_draw_batch(config, reps, rng))
+    failing = np.nonzero(f_statistic(mom) < c0)[0]
     if failing.size < 50:
         raise ExperimentError(
             f"only {failing.size} of {reps} replications failed the screen"
         )
-    q_u, q_ur, q_r = st.clr_quadratics(beta0)
-    lam_sq = c0 * (st.p / (st.n - st.p)) * st.rss
+    est = covariance_estimates(mom, beta0)
+    comps = clr_components(mom, beta0, est)
+    lam_sq = penalty_lambda(mom, c0) ** 2
+    p = mom.p
     cond = np.empty(failing.size)
     naive = np.empty(failing.size)
     for k, i in enumerate(failing):
-        lr = clr_statistic_from_q(float(q_u[i]), float(q_ur[i]), float(q_r[i]))
-        omega_hat = np.array(
-            [[st.o00[i], st.o01[i]], [st.o01[i], st.o11[i]]]
-        )
-        trunc = truncation_from_estimates(
-            omega_hat, beta0, float(lam_sq[i]), float(q_r[i]), st.p
-        )
-        cond[k] = clr_tail(lr, float(q_r[i]), st.p, trunc)
-        naive[k] = clr_tail(lr, float(q_r[i]), st.p, None)
+        q_r = float(comps.q_r[i])
+        lr = clr_statistic_from_q(float(comps.q_u[i]), float(comps.q_ur[i]), q_r)
+        trunc = truncation_from_estimates(est.omega_hat[i], beta0, float(lam_sq[i]), q_r, p)
+        cond[k] = clr_tail(lr, q_r, p, trunc)
+        naive[k] = clr_tail(lr, q_r, p, None)
     cond_cov = float(np.mean(cond >= alpha))
     naive_cov = float(np.mean(naive >= alpha))
     m = failing.size
@@ -444,7 +364,7 @@ def lasso_uniformity_experiment(
             continue
         est = covariance_estimates(data, beta0)
         laws.append(build_law_lasso(data, beta0, sel, est))
-        sub = IVDataset(Y=data.Y, D=data.D, Z=data.Z[:, list(sel.support_E)])
+        sub = data.moments.select(sel.support_E)
         naive = tsls_stat(sub, beta0, covariance_estimates(sub, beta0))
         naive_ps.append(naive.naive_pvalue)
         covers.append(wald_interval(sub, alpha).contains(beta0))
@@ -494,7 +414,11 @@ def rejection_oracle(
     passing draws whose (u, O) land within the stated widths of the
     reference values.  Leaving a reference or width unset skips that
     part of the conditioning, so with none set this is the plain
-    passing-only distribution."""
+    passing-only distribution.
+
+    The statistics are written out here from the raw draws rather than
+    taken from Moments: this is the reference the engine built on Moments
+    is checked against, so it must not share that code."""
     if reps < 1:
         raise ValueError("need at least one replication")
     n, p = config.n, config.p

@@ -12,8 +12,17 @@ from enum import Enum
 import numpy as np
 from scipy import stats
 
-from .errors import CovarianceError, DegenerateFirstStageError
-from .model import IVDataset, ModelEstimates, require_prepared
+from .errors import CovarianceError
+from .model import (
+    IVDataset,
+    ModelEstimates,
+    Moments,
+    _dot,
+    _item,
+    _require_first_stage,
+    _sym2,
+    require_prepared,
+)
 
 
 class StatKind(Enum):
@@ -30,7 +39,7 @@ class TestValue:
     naive_pvalue: float
 
     def __post_init__(self):
-        if not 0.0 <= self.naive_pvalue <= 1.0:
+        if not np.all((0.0 <= self.naive_pvalue) & (self.naive_pvalue <= 1.0)):
             raise ValueError(f"p-value {self.naive_pvalue} outside [0, 1]")
 
 
@@ -47,95 +56,86 @@ class ClrComponents:
 
     u_hat: np.ndarray
     r_hat: np.ndarray
-    q_hat: np.ndarray  # 2x2: [[Q_U, Q_UR], [Q_UR, Q_R]]
+    q_hat: np.ndarray  # (..., 2, 2): [[Q_U, Q_UR], [Q_UR, Q_R]] per replication
     a0: np.ndarray
     b0: np.ndarray
 
     @property
     def q_u(self) -> float:
-        return float(self.q_hat[0, 0])
+        return _item(self.q_hat[..., 0, 0])
 
     @property
     def q_ur(self) -> float:
-        return float(self.q_hat[0, 1])
+        return _item(self.q_hat[..., 0, 1])
 
     @property
     def q_r(self) -> float:
-        return float(self.q_hat[1, 1])
+        return _item(self.q_hat[..., 1, 1])
 
 
-def tsls_stat(data: IVDataset, beta0: float, est: ModelEstimates) -> TestValue:
+def tsls_stat(data: IVDataset | Moments, beta0: float, est: ModelEstimates) -> TestValue:
     """T = D'P_Z(Y - D beta0) / (sqrt(Sigma_11) sqrt(D'P_Z D)), two-sided
     normal p-value.  Sigma_hat must be evaluated at this beta0."""
-    require_prepared(data)
-    denom = data.d_pz_d
-    if denom <= 1e-12 * max(float(data.D @ data.D), 1e-300):
-        raise DegenerateFirstStageError("D'P_Z D is numerically zero")
-    s11 = float(est.sigma_hat[0, 0])
-    if s11 <= 0:
+    m = require_prepared(data)
+    _require_first_stage(m)
+    s11 = est.sigma_hat[..., 0, 0]
+    if np.any(s11 <= 0):
         raise CovarianceError("Sigma_hat_11 must be positive")
-    pzd = data.project_z(data.D)
-    t = float(pzd @ (data.Y - data.D * beta0)) / np.sqrt(s11 * denom)
-    pval = 2.0 * stats.norm.sf(abs(t))
-    return TestValue(statistic=t, kind=StatKind.TSLS, beta0=float(beta0), naive_pvalue=min(pval, 1.0))
-
-
-def ar_stat(data: IVDataset, beta0: float) -> TestValue:
-    """Anderson-Rubin statistic; F(p, n-p) upper-tail p-value regardless
-    of instrument strength."""
-    require_prepared(data)
-    n, p = data.n, data.p
-    e = data.Y - data.D * beta0
-    pe = data.project_z(e)
-    num = float(pe @ pe) / p
-    den = float(e @ e - pe @ pe) / (n - p)
-    if den <= 1e-12 * max(float(e @ e), 1e-300):
-        raise CovarianceError("AR denominator is zero: Y - D*beta0 lies in col(Z)")
-    stat = num / den
+    t = (_dot(m.sy, m.s) - beta0 * m.s2) / np.sqrt(s11 * m.s2)
+    pval = np.minimum(2.0 * stats.norm.sf(np.abs(t)), 1.0)
     return TestValue(
-        statistic=stat,
-        kind=StatKind.AR,
-        beta0=float(beta0),
-        naive_pvalue=float(stats.f.sf(stat, p, n - p)),
+        statistic=_item(t), kind=StatKind.TSLS, beta0=float(beta0), naive_pvalue=_item(pval)
     )
 
 
-def clr_components(data: IVDataset, beta0: float, est: ModelEstimates) -> ClrComponents:
+def ar_stat(data: IVDataset | Moments, beta0: float) -> TestValue:
+    """Anderson-Rubin statistic; F(p, n-p) upper-tail p-value regardless
+    of instrument strength."""
+    m = require_prepared(data)
+    n, p = m.n, m.p
+    pe = m.sy - beta0 * m.s  # (Z'Z)^(-1/2) Z'(Y - D beta0)
+    num = _dot(pe, pe) / p
+    den = m.sigma(beta0)[..., 0, 0]  # (Y - D beta0)' P_Zperp (Y - D beta0) / (n - p)
+    ee = m.yy - 2.0 * beta0 * m.yd + beta0**2 * m.dd
+    if np.any(den <= 1e-12 * np.maximum(ee, 1e-300)):
+        raise CovarianceError("AR denominator is zero: Y - D*beta0 lies in col(Z)")
+    stat = num / den
+    return TestValue(
+        statistic=_item(stat),
+        kind=StatKind.AR,
+        beta0=float(beta0),
+        naive_pvalue=_item(stats.f.sf(stat, p, n - p)),
+    )
+
+
+def clr_components(data: IVDataset | Moments, beta0: float, est: ModelEstimates) -> ClrComponents:
     """U_hat, R_hat, Q_hat with plug-in Omega_hat.
 
     The 2x2 normalizations use closed forms: with omega = Omega_hat,
     b0'omega b0 = o11 - 2 beta0 o12 + beta0^2 o22 and
     a0'omega^(-1) a0 = b0'omega b0 / det(omega).
     """
-    require_prepared(data)
+    m = require_prepared(data)
     o = est.omega_hat
-    det = float(o[0, 0] * o[1, 1] - o[0, 1] ** 2)
-    if det <= 0:
+    o00, o01, o11 = o[..., 0, 0], o[..., 0, 1], o[..., 1, 1]
+    det = o00 * o11 - o01**2
+    if np.any(det <= 0):
         raise CovarianceError("Omega_hat is singular")
-    b_quad = float(o[0, 0] - 2 * beta0 * o[0, 1] + beta0**2 * o[1, 1])
+    b_quad = o00 - 2 * beta0 * o01 + beta0**2 * o11
     a_quad = b_quad / det
-    if b_quad <= 0 or a_quad <= 0:
+    if np.any(b_quad <= 0) or np.any(a_quad <= 0):
         raise CovarianceError("degenerate normalization at this beta0")
 
-    zty = data.Z.T @ data.Y
-    ztd = data.Z.T @ data.D
-    col_y = data.ztz_isqrt @ zty
-    col_d = data.ztz_isqrt @ ztd  # equals S
-
-    u_hat = (col_y - beta0 * col_d) / np.sqrt(b_quad)
+    # [..., None] sets each replication's scalar against its (p,) vectors
+    u_hat = (m.sy - beta0 * m.s) / np.sqrt(b_quad)[..., None]
     # omega^(-1) a0 = (o22*beta0 - o12, o11 - o12*beta0) / det
-    w1 = (o[1, 1] * beta0 - o[0, 1]) / det
-    w2 = (o[0, 0] - o[0, 1] * beta0) / det
-    r_hat = (col_y * w1 + col_d * w2) / np.sqrt(a_quad)
-
-    q = np.empty((2, 2))
-    q[0, 0] = u_hat @ u_hat
-    q[0, 1] = q[1, 0] = u_hat @ r_hat
-    q[1, 1] = r_hat @ r_hat
+    w1 = (o11 * beta0 - o01) / det
+    w2 = (o00 - o01 * beta0) / det
+    r_hat = (m.sy * w1[..., None] + m.s * w2[..., None]) / np.sqrt(a_quad)[..., None]
     return ClrComponents(
         u_hat=u_hat,
         r_hat=r_hat,
-        q_hat=q,
+        q_hat=_sym2(_dot(u_hat, u_hat), _dot(u_hat, r_hat), _dot(r_hat, r_hat)),
         a0=np.array([beta0, 1.0]),
         b0=np.array([1.0, -beta0]),
     )

@@ -112,7 +112,7 @@ def test_truncation_recovers_screen_quadratic():
         lam2 = penalty_lambda(data, 10.0) ** 2
         tr = truncation_from_estimates(est.omega_hat, beta0, lam2, comps.q_r, data.p)
         lhs = tr.d0 * comps.q_u + tr.d1 * comps.q_ur + tr.d2 * comps.q_r
-        assert lhs == pytest.approx(data.d_pz_d, rel=1e-10)
+        assert lhs == pytest.approx(data.moments.s2, rel=1e-10)
 
 
 def test_truncated_tail_bounded_and_decreasing():

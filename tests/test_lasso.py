@@ -99,7 +99,7 @@ def test_full_shrinkage_gives_empty_support():
 def test_unpenalized_limit_recovers_least_squares():
     data = generate(dgp_from_r(0.6, 0.5, n=120, p=3, seed=40))
     sel = solve_randomized_lasso(data, 1e-6, RandomizationLaw(scale=1e-300, seed=7))
-    np.testing.assert_allclose(sel.gamma_l, data.gamma_hat, atol=1e-7)
+    np.testing.assert_allclose(sel.gamma_l, data.moments.gamma_hat, atol=1e-7)
     assert sel.support_E == tuple(range(data.p))
 
 

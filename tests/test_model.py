@@ -1,23 +1,36 @@
-"""Dataset preparation, TSLS point estimation, and covariance mapping."""
+"""Dataset preparation, the Moments core, TSLS point estimation, and
+covariance mapping, with property tests of the invariances the model claims."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ivselect import (
     DGPConfig,
     IVDataset,
+    Moments,
+    ar_stat,
+    clr_components,
     covariance_estimates,
+    default_scale,
+    dgp_from_r,
+    f_statistic,
     generate,
+    penalty_lambda,
     prepare,
     sufficient_statistic,
     tsls_estimate,
     tsls_standard_error,
+    tsls_stat,
 )
 from ivselect.errors import (
     DegenerateFirstStageError,
     DimensionError,
     RankDeficiencyError,
 )
+from ivselect.simulate import _draw_batch
 
 
 def _centered(rng, n, p):
@@ -128,15 +141,15 @@ def test_covariance_at_zero_equals_omega():
     np.testing.assert_allclose(est.sigma_hat, est.omega_hat, atol=1e-14)
 
 
-def test_covariance_mapping_consistency():
+@given(seed=st.integers(0, 2**32 - 1), beta0=st.floats(-3.0, 3.0))
+def test_covariance_mapping_consistency(seed, beta0):
     data = generate(DGPConfig(n=200, p=4, beta_star=1.0, gamma_star=0.5,
-                              sigma_star=np.array([[1.0, 0.8], [0.8, 1.0]]), seed=9))
-    for beta0 in (-1.3, 0.0, 0.7, 2.5):
-        est = covariance_estimates(data, beta0)
-        b = np.array([[1.0, beta0], [0.0, 1.0]])
-        np.testing.assert_allclose(b @ est.sigma_hat @ b.T, est.omega_hat, atol=1e-12)
-        binv = np.array([[1.0, -beta0], [0.0, 1.0]])
-        np.testing.assert_allclose(est.sigma_hat, binv @ est.omega_hat @ binv.T, atol=1e-10)
+                              sigma_star=np.array([[1.0, 0.8], [0.8, 1.0]]), seed=seed))
+    est = covariance_estimates(data, beta0)
+    b = np.array([[1.0, beta0], [0.0, 1.0]])
+    np.testing.assert_allclose(b @ est.sigma_hat @ b.T, est.omega_hat, atol=1e-12)
+    binv = np.array([[1.0, -beta0], [0.0, 1.0]])
+    np.testing.assert_allclose(est.sigma_hat, binv @ est.omega_hat @ binv.T, atol=1e-10)
 
 
 def test_covariance_estimates_spd():
@@ -164,26 +177,99 @@ def test_covariance_monte_carlo_recovers_truth():
     assert np.all(np.abs(mean - target) < 3.0 * se)
 
 
-def test_projection_idempotent_and_complementary():
-    rng = np.random.default_rng(11)
-    data = prepare(IVDataset(Y=rng.standard_normal(40), D=rng.standard_normal(40),
-                             Z=rng.standard_normal((40, 3))))
-    eye = np.eye(data.n)
-    pz = data.project_z(eye)
-    mz = data.resid_z(eye)
-    assert np.max(np.abs(pz @ pz - pz)) < 1e-10
-    np.testing.assert_allclose(pz + mz, eye, atol=1e-12)
+@st.composite
+def _mixing_matrices(draw, p):
+    # U diag(sv) V' with singular values in [0.1, 10]: condition number <= 100
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    v = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    sv = draw(hnp.arrays(float, p, elements=st.floats(0.1, 10.0)))
+    return (u * sv) @ v.T
 
 
-def test_tsls_invariant_to_instrument_recombination():
+def _statistics(data, beta0):
+    est = covariance_estimates(data, beta0)
+    return np.concatenate([
+        [
+            f_statistic(data),
+            float(np.linalg.norm(sufficient_statistic(data))),
+            tsls_estimate(data),
+            tsls_stat(data, beta0, est).statistic,
+            ar_stat(data, beta0).statistic,
+        ],
+        clr_components(data, beta0, est).q_hat[[0, 0, 1], [0, 1, 1]],
+    ])
+
+
+@given(a=_mixing_matrices(4), beta0=st.floats(-2.0, 4.0))
+def test_tsls_invariant_to_instrument_recombination(a, beta0):
+    # F, ||S||, beta_hat, T, AR and (Q_U, Q_UR, Q_R) depend on Z only
+    # through its column space
     rng = np.random.default_rng(12)
     z = rng.standard_normal((100, 4))
     d = z @ np.array([0.5, 0.2, -0.3, 0.4]) + rng.standard_normal(100)
     y = 1.5 * d + rng.standard_normal(100)
-    a = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
-    est1 = tsls_estimate(prepare(IVDataset(Y=y, D=d, Z=z)))
-    est2 = tsls_estimate(prepare(IVDataset(Y=y, D=d, Z=z @ a)))
-    assert abs(est1 - est2) < 1e-8
+    base = _statistics(prepare(IVDataset(Y=y, D=d, Z=z)), beta0)
+    mixed = _statistics(prepare(IVDataset(Y=y, D=d, Z=z @ a)), beta0)
+    np.testing.assert_allclose(mixed, base, rtol=1e-8, atol=1e-10)
+
+
+def _tsls_pair(data, beta0):
+    return tsls_estimate(data), tsls_stat(data, beta0, covariance_estimates(data, beta0)).statistic
+
+
+@given(
+    log_a=st.floats(-6.0, 12.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    shift=st.floats(-3.0, 3.0),
+    beta0=st.floats(-2.0, 4.0),
+)
+def test_tsls_equivariant_under_outcome_maps(log_a, sign, shift, beta0):
+    # Y -> aY + bD: beta_hat -> a beta_hat + b and T(a beta0 + b) = sign(a) T(beta0).
+    # b = shift * |a|: once bD outweighs aY by a factor k, Sigma_hat from
+    # cross-moments loses about k^2 ulps (see Moments), so b scales with a
+    a = sign * 10.0**log_a
+    b = shift * abs(a)
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal((80, 3))
+    d = z @ np.array([0.6, -0.4, 0.3]) + rng.standard_normal(80)
+    y = 0.8 * d + rng.standard_normal(80)
+    beta_hat, t = _tsls_pair(prepare(IVDataset(Y=y, D=d, Z=z)), beta0)
+    beta_map, t_map = _tsls_pair(prepare(IVDataset(Y=a * y + b * d, D=d, Z=z)), a * beta0 + b)
+    assert beta_map == pytest.approx(a * beta_hat + b, rel=1e-9)
+    assert t_map == pytest.approx(sign * t, rel=1e-8, abs=1e-10)
+
+
+@given(log_c=st.floats(-6.0, 12.0), sign=st.sampled_from([-1.0, 1.0]), beta0=st.floats(-2.0, 4.0))
+def test_tsls_equivariant_under_treatment_scaling(log_c, sign, beta0):
+    # D -> cD: beta_hat -> beta_hat / c, T(beta0 / c) = sign(c) T(beta0), F unchanged
+    c = sign * 10.0**log_c
+    rng = np.random.default_rng(18)
+    z = rng.standard_normal((80, 3))
+    d = z @ np.array([0.6, -0.4, 0.3]) + rng.standard_normal(80)
+    y = 0.8 * d + rng.standard_normal(80)
+    base = prepare(IVDataset(Y=y, D=d, Z=z))
+    scaled = prepare(IVDataset(Y=y, D=c * d, Z=z))
+    beta_hat, t = _tsls_pair(base, beta0)
+    beta_map, t_map = _tsls_pair(scaled, beta0 / c)
+    assert beta_map == pytest.approx(beta_hat / c, rel=1e-9)
+    assert t_map == pytest.approx(sign * t, rel=1e-8, abs=1e-10)
+    assert f_statistic(scaled) == pytest.approx(f_statistic(base), rel=1e-9)
+
+
+@given(seed=st.integers(0, 2**32 - 1), beta0=st.floats(-2.0, 4.0))
+def test_batched_moments_rows_match_single_datasets(seed, beta0):
+    # row i of a batched Moments gives what the dataset's own path gives
+    config = dgp_from_r(0.3, 0.5, n=120, p=3, seed=seed)
+    z, y, d = _draw_batch(config, 3, np.random.default_rng(seed))
+    batch = Moments.of(z, y, d)
+    assert batch.omega.shape == (3, 2, 2)  # cached on the batch, so rows carry cached rows
+    for i in range(3):
+        data = prepare(IVDataset(Y=y[i], D=d[i], Z=z[i]))
+        row = _statistics(batch[i], beta0)
+        np.testing.assert_allclose(row, _statistics(data, beta0), rtol=1e-9)
+        assert default_scale(batch[i]) == pytest.approx(default_scale(data), rel=1e-9)
+        assert penalty_lambda(batch[i], 10.0) == pytest.approx(penalty_lambda(data, 10.0), rel=1e-9)
 
 
 def test_s_norm_ties_to_projected_quadratic():
@@ -191,7 +277,8 @@ def test_s_norm_ties_to_projected_quadratic():
     data = prepare(IVDataset(Y=rng.standard_normal(60), D=rng.standard_normal(60),
                              Z=rng.standard_normal((60, 5))))
     s = sufficient_statistic(data)
-    direct = float(data.D @ data.project_z(data.D))
+    coef = np.linalg.lstsq(data.Z, data.D, rcond=None)[0]
+    direct = float(data.D @ (data.Z @ coef))
     assert abs(float(s @ s) - direct) < 1e-8 * max(direct, 1.0)
 
 

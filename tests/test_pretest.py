@@ -57,7 +57,7 @@ def test_penalty_boundary_identity():
     data = _hand_instance()
     lam = penalty_lambda(data, 6.0)
     assert lam**2 == pytest.approx(4.5, abs=1e-10)
-    assert lam == pytest.approx(float(np.linalg.norm(data.s_stat)), abs=1e-10)
+    assert lam == pytest.approx(float(np.linalg.norm(data.moments.s)), abs=1e-10)
 
 
 @pytest.mark.parametrize("c0", [1.0, 5.0, 10.0, 25.0])
@@ -67,7 +67,7 @@ def test_threshold_equivalence_on_random_instances(c0):
         data = _random_data(rng, strength=rng.uniform(0.0, 0.6))
         f = f_statistic(data)
         lam = penalty_lambda(data, c0)
-        s_norm = float(np.linalg.norm(data.s_stat))
+        s_norm = float(np.linalg.norm(data.moments.s))
         assert (f >= c0) == (s_norm >= lam)
 
 
@@ -169,7 +169,7 @@ def test_default_scale_formula():
     rng = np.random.default_rng(26)
     data = _random_data(rng, n=80, p=4, strength=0.5)
     n = data.n
-    expected = 0.5 * np.sqrt(n / (n - 1)) * float(np.std(data.s_stat))
+    expected = 0.5 * np.sqrt(n / (n - 1)) * float(np.std(data.moments.s))
     assert default_scale(data) == pytest.approx(expected, rel=1e-12)
 
 

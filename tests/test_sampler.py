@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
-from scipy.integrate import cumulative_trapezoid, simpson
+from scipy.integrate import cumulative_trapezoid
 
 from ivselect import (
     ConditionalLaw,
@@ -19,7 +19,6 @@ from ivselect import (
     draws_csv,
     dump_draws,
     effective_sample_size,
-    exact_law,
     generate,
     geweke_zscore,
     gibbs_sample,
@@ -163,7 +162,7 @@ def test_quadrature_matches_adaptive_quad():
 
 def test_huge_randomization_scale_gives_standard_normal():
     data = generate(dgp_from_r(0.8, 0.6, n=150, p=3, seed=4))
-    big = 1e3 * float(np.linalg.norm(data.s_stat))
+    big = 1e3 * float(np.linalg.norm(data.moments.s))
     pretest = run_pretest(data, c0=10.0, seed=9, scale=big)
     assert pretest.passed
     law = build_law_tsls(data, 0.5, pretest, covariance_estimates(data, 0.5))
@@ -211,111 +210,6 @@ def test_conditional_pvalue_monotone_in_observation():
     points = np.linspace(-3, 3, 41)
     ps = [conditional_pvalue(draws, t, "upper") for t in points]
     assert all(a >= b for a, b in zip(ps, ps[1:]))
-
-
-def test_exact_law_normalizer_single_instrument():
-    # closed form: total mass = Phi((u m - lambda) / sqrt(var_s + c^2))
-    # after restoring the Gaussian normalizing constants the law omits
-    data, pretest, _ = _passed_setup(seed=7, p=1)
-    nuisance = covariance_estimates(data, 0.5)
-    law = exact_law(data, 0.5, pretest, nuisance)
-    m = float(law.mean[0])
-    v = law.var_s
-    c = pretest.scale
-    u0 = float(law.u[0])
-    sigma = math.sqrt(v + c**2)
-    closed = stats.norm.cdf((u0 * m - pretest.lam) / sigma)
-
-    s_grid = np.linspace(m - 10 * sigma, m + 10 * sigma, 2001)
-    d_grid = np.linspace(0.0, abs(m) + pretest.lam + 12 * sigma, 4001)
-    log_norm = -0.5 * math.log(2 * math.pi * v) - 0.5 * math.log(2 * math.pi * c**2)
-    arg_s = -0.5 * (s_grid[:, None] - m) ** 2 / v
-    arg_g = -0.5 * ((d_grid[None, :] + pretest.lam) * u0 - s_grid[:, None]) ** 2 / c**2
-    vals = np.exp(arg_s + arg_g + log_norm)
-    # Simpson along d: the integrand is cut at d = 0, so trapezoid's
-    # boundary error term would dominate the tolerance
-    inner = simpson(vals, x=d_grid, axis=1)
-    numeric = float(np.trapezoid(inner, s_grid))
-    assert numeric == pytest.approx(closed, rel=1e-6)
-
-
-def test_exact_law_agrees_with_its_formula_pointwise():
-    data, pretest, _ = _passed_setup(seed=8, p=2)
-    nuisance = covariance_estimates(data, 0.5)
-    law = exact_law(data, 0.5, pretest, nuisance)
-    rng = np.random.default_rng(15)
-    for _ in range(20):
-        s = law.mean + rng.standard_normal(2)
-        d = float(rng.uniform(0.1, 5.0))
-        x = (d + law.lam) * law.u - s
-        expected = (
-            -0.5 * float((s - law.mean) @ (s - law.mean)) / law.var_s
-            - 0.5 * float(x @ x) / pretest.scale**2
-            + (data.p - 1) * math.log(d + law.lam)
-        )
-        assert law.log_density(s, d) == pytest.approx(expected, rel=1e-12)
-    assert law.log_density(law.mean, -0.5) == -math.inf
-
-
-def test_exact_law_cone_mass_matches_rejection_sampling():
-    # p = 2: P(pass, direction in a cone) both ways -- analytic
-    # integration of the law after convolving S out, and brute-force
-    # simulation of the first stage with fresh randomization
-    data, pretest, _ = _passed_setup(seed=9, n=200, p=2, r=0.35)
-    nuisance = covariance_estimates(data, 0.5)
-    law = exact_law(data, 0.5, pretest, nuisance)
-    m = law.mean
-    v = law.var_s
-    c = pretest.scale
-    lam = pretest.lam
-    sig2 = v + c**2
-
-    theta_obs = math.atan2(pretest.u[1], pretest.u[0])
-    half = 0.45
-
-    def predicted_mass(theta_lo, theta_hi):
-        # S integrated out analytically: (d+lam)u(theta) ~ N(m, sig2 I)
-        # restricted to the cone, with the polar Jacobian (d+lam)
-        thetas = np.linspace(theta_lo, theta_hi, 801)
-        d_grid = np.linspace(0.0, float(np.linalg.norm(m)) + 12 * math.sqrt(sig2), 3001)
-        out = np.empty(thetas.size)
-        for k, th in enumerate(thetas):
-            uvec = np.array([math.cos(th), math.sin(th)])
-            pts = (d_grid[:, None] + lam) * uvec[None, :]
-            dens = np.exp(-0.5 * np.sum((pts - m) ** 2, axis=1) / sig2) / (2 * math.pi * sig2)
-            out[k] = simpson(dens * (d_grid + lam), x=d_grid)
-        return float(np.trapezoid(out, thetas))
-
-    rng = np.random.default_rng(16)
-    reps, chunk = 200_000, 20_000
-    hits_pass = hits_cone = 0
-    for _ in range(reps // chunk):
-        s_sim = m[None, :] + math.sqrt(v) * rng.standard_normal((chunk, 2))
-        w = s_sim + c * rng.standard_normal((chunk, 2))
-        norms = np.linalg.norm(w, axis=1)
-        passed = norms > lam
-        ang = np.arctan2(w[:, 1], w[:, 0])
-        delta = np.abs((ang - theta_obs + math.pi) % (2 * math.pi) - math.pi)
-        hits_pass += int(passed.sum())
-        hits_cone += int((passed & (delta <= half)).sum())
-
-    pred_cone = predicted_mass(theta_obs - half, theta_obs + half)
-    pred_pass = predicted_mass(theta_obs - math.pi, theta_obs + math.pi)
-    assert abs(pred_cone - hits_cone / reps) / pred_cone < 0.05
-    assert abs(pred_pass - hits_pass / reps) / pred_pass < 0.05
-
-
-def test_exact_law_zero_penalty_reduces_to_first_stage_density():
-    data, pretest, _ = _passed_setup(seed=10, p=2)
-    nuisance = covariance_estimates(data, 0.5)
-    law = replace(exact_law(data, 0.5, pretest, nuisance), lam=0.0,
-                  g_log_density=lambda x: 0.0, gaussian_scale=None)
-    # degenerate g contributes nothing: density is the Gaussian S part
-    # plus the polar Jacobian alone
-    s = law.mean + np.array([0.3, -0.2])
-    d = 1.7
-    expected = -0.5 * float((s - law.mean) @ (s - law.mean)) / law.var_s + math.log(d)
-    assert law.log_density(s, d) == pytest.approx(expected, rel=1e-12)
 
 
 def test_invert_ci_strong_instruments_close_to_naive():

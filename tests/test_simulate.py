@@ -18,6 +18,7 @@ from ivselect import (
     ExperimentGrid,
     ExperimentResult,
     IVDataset,
+    Moments,
     SamplerConfig,
     clr_components,
     coverage_csv,
@@ -25,6 +26,7 @@ from ivselect import (
     covariance_estimates,
     default_scale,
     dgp_from_r,
+    f_statistic,
     generate,
     lasso_uniformity_experiment,
     prepare,
@@ -33,6 +35,7 @@ from ivselect import (
     run_pretest,
     sufficient_statistic,
     tsls_estimate,
+    tsls_standard_error,
     tsls_stat,
     uniformity_experiment,
     wald_interval,
@@ -40,7 +43,7 @@ from ivselect import (
 from ivselect.errors import ExperimentError
 from ivselect.pretest import RandomizationLaw
 from ivselect.sampler import _generator
-from ivselect.simulate import _BatchStats, _child_seed, _draw_batch
+from ivselect.simulate import _child_seed, _draw_batch, _screen
 
 
 def _light(seed, n_samples=2500, burn_in=600):
@@ -192,8 +195,8 @@ def test_passing_rate_monotone_in_strength():
     for k, r in enumerate([0.05, 0.1, 0.2, 0.4, 0.8]):
         config = dgp_from_r(r, 0.5, n=300, p=3, seed=70 + k)
         rng = _generator(config.seed, 21)
-        st = _BatchStats(*_draw_batch(config, 400, rng))
-        rate = float(np.mean(st.screen(10.0, rng)["passed"]))
+        mom = Moments.of(*_draw_batch(config, 400, rng))
+        rate = float(np.mean(_screen(mom, 10.0, rng).passed))
         rates.append(rate)
         ses.append(np.sqrt(rate * (1.0 - rate) / 400.0))
     for k in range(len(rates) - 1):
@@ -258,34 +261,37 @@ def test_batch_moments_match_single_dataset_path():
     config = dgp_from_r(0.6, 0.5, n=250, p=4, seed=33)
     rng = _generator(config.seed, 21)
     z, y, d = _draw_batch(config, 5, rng)
-    st = _BatchStats(z, y, d)
+    mom = Moments.of(z, y, d)
     beta0 = 0.9
-    s11, s12 = st.sigma_entries(beta0)
-    t_all, p_all = st.tsls(beta0)
-    q_u, q_ur, q_r = st.clr_quadratics(beta0)
-    covers = st.wald_covers(1.0, 0.05)
+    est_all = covariance_estimates(mom, beta0)
+    tv_all = tsls_stat(mom, beta0, est_all)
+    comp_all = clr_components(mom, beta0, est_all)
+    beta_all = tsls_estimate(mom)
+    f_all = f_statistic(mom)
+    zq = stats.norm.ppf(0.975)
+    covers = np.abs(beta_all - 1.0) <= zq * tsls_standard_error(mom)
     for i in range(5):
         data = prepare(IVDataset(Y=y[i], D=d[i], Z=z[i]))
         est = covariance_estimates(data, beta0)
-        assert np.allclose(st.s[i], sufficient_statistic(data), atol=1e-8)
-        assert np.isclose(s11[i], est.sigma_hat[0, 0], rtol=1e-9)
-        assert np.isclose(s12[i], est.sigma_hat[0, 1], rtol=1e-9)
+        assert np.allclose(mom.s[i], sufficient_statistic(data), atol=1e-8)
+        assert np.isclose(est_all.sigma_hat[i, 0, 0], est.sigma_hat[0, 0], rtol=1e-9)
+        assert np.isclose(est_all.sigma_hat[i, 0, 1], est.sigma_hat[0, 1], rtol=1e-9)
         tv = tsls_stat(data, beta0, est)
-        assert np.isclose(t_all[i], tv.statistic, rtol=1e-9)
-        assert np.isclose(p_all[i], tv.naive_pvalue, rtol=1e-9)
-        assert np.isclose(st.beta_hat[i], tsls_estimate(data), rtol=1e-10)
+        assert np.isclose(tv_all.statistic[i], tv.statistic, rtol=1e-9)
+        assert np.isclose(tv_all.naive_pvalue[i], tv.naive_pvalue, rtol=1e-9)
+        assert np.isclose(beta_all[i], tsls_estimate(data), rtol=1e-10)
         pre = run_pretest(data, c0=10.0)
-        assert np.isclose(st.f[i], pre.f_stat, rtol=1e-9)
+        assert np.isclose(f_all[i], pre.f_stat, rtol=1e-9)
         comp = clr_components(data, beta0, est)
-        assert np.isclose(q_u[i], comp.q_u, rtol=1e-8)
-        assert np.isclose(q_ur[i], comp.q_ur, rtol=1e-8)
-        assert np.isclose(q_r[i], comp.q_r, rtol=1e-8)
+        assert np.isclose(comp_all.q_u[i], comp.q_u, rtol=1e-8)
+        assert np.isclose(comp_all.q_ur[i], comp.q_ur, rtol=1e-8)
+        assert np.isclose(comp_all.q_r[i], comp.q_r, rtol=1e-8)
         assert covers[i] == wald_interval(data, 0.05).contains(1.0)
-    screen = st.screen(10.0, _generator(0, 99))
+    screen = _screen(mom, 10.0, _generator(0, 99))
     for i in range(5):
         data = prepare(IVDataset(Y=y[i], D=d[i], Z=z[i]))
-        assert np.isclose(screen["lam"][i], run_pretest(data, c0=10.0).lam, rtol=1e-9)
-        assert np.isclose(screen["scale"][i], default_scale(data), rtol=1e-12)
+        assert np.isclose(screen.lam[i], run_pretest(data, c0=10.0).lam, rtol=1e-9)
+        assert np.isclose(screen.scale[i], default_scale(data), rtol=1e-12)
 
 
 # ------------------------------------------------------------ CSV output
