@@ -233,10 +233,10 @@ class IVDataset:
         return self.X is None and centered(self.Y) and centered(self.D) and centered(self.Z)
 
 
-def _check_rank(mat: np.ndarray, labels: list[str]) -> None:
+def _check_rank(mat: np.ndarray, labels: list[str], rtol: float = RANK_RTOL) -> None:
     sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0 or sv[-1] / sv[0] < RANK_RTOL:
-        rank = int(np.sum(sv / sv[0] >= RANK_RTOL)) if sv[0] > 0 else 0
+    if sv[0] == 0 or sv[-1] / sv[0] < rtol:
+        rank = int(np.sum(sv / sv[0] >= rtol)) if sv[0] > 0 else 0
         # Pivoted QR puts the redundant columns last; name those.
         _, _, piv = pivoted_qr(mat, mode="economic", pivoting=True)
         bad = sorted(piv[rank:])
@@ -292,7 +292,9 @@ def prepare(raw: IVDataset) -> IVDataset:
     D = D - D.mean()
     Z = Z - Z.mean(axis=0)
     out = IVDataset(Y=Y, D=D, Z=Z, X=None)
-    _check_rank(out.Z, [f"z{j + 1}" for j in range(out.p)])
+    # Moments applies RANK_RTOL to the eigenvalues of Z'Z, the squared
+    # singular values of Z: check Z against the same cutoff here.
+    _check_rank(out.Z, [f"z{j + 1}" for j in range(out.p)], RANK_RTOL**0.5)
     return out
 
 

@@ -151,11 +151,27 @@ def _generator(seed: int, *tags: int) -> np.random.Generator:
     )
 
 
+def _truncnorm_ppf(u, lo, hi):
+    """Quantile u of the standard normal truncated to [lo, hi], row-wise.
+
+    Rows with lo + hi > 0 are mirrored, so log Phi is always inverted on
+    the side away from the mass, where it keeps full relative precision
+    far into either tail; infinite bounds need no special case."""
+    flip = lo > -hi
+    a = np.where(flip, -hi, lo)
+    b = np.where(flip, -lo, hi)
+    log_a = special.log_ndtr(a)
+    log_b = special.log_ndtr(b)
+    log_mass = log_b + np.log(-np.expm1(log_a - log_b))
+    log_v = np.where(flip, np.log1p(-u), np.log(u))
+    x = special.ndtri_exp(np.logaddexp(log_a, log_v + log_mass))
+    return np.clip(np.where(flip, -x, x), lo, hi)
+
+
 def _truncated_normal(rng, mean, sd, size):
     """Exact N(mean, sd^2) draw conditioned on being positive."""
-    a = (0.0 - mean) / sd
     uu = np.clip(rng.random(size), 1e-16, 1.0 - 1e-16)
-    return stats.truncnorm.ppf(uu, a, np.inf, loc=mean, scale=sd)
+    return mean + sd * _truncnorm_ppf(uu, -mean / sd, np.inf)
 
 
 def _logf_d(x, mvec, c, lam, jac):

@@ -11,6 +11,7 @@ from scipy.integrate import cumulative_trapezoid
 from ivselect import (
     DGPConfig,
     IVDataset,
+    LassoLaw,
     LassoSelection,
     RandomizationLaw,
     SamplerConfig,
@@ -206,6 +207,25 @@ def test_retained_states_satisfy_selection_event():
     box = flat[:, 1 + n_e:]
     assert np.all(np.abs(box) <= 1.0)
     assert np.std(flat[:, 0]) > 0.1
+
+
+def test_far_orthant_states_satisfy_selection_event():
+    # p = 1, gamma selected positive while the randomization puts its
+    # conditional mean about 32 sd below zero (T settles near -16)
+    law = LassoLaw(
+        cols=np.array([[0.5, 1.0]]), base=np.array([40.0]),
+        lower=np.array([-np.inf, 0.0]), upper=np.array([np.inf, np.inf]),
+        gaussian_scale=1.0, g_log_density=RandomizationLaw(scale=1.0, seed=0).log_density,
+        t_obs=0.0, theta_obs=np.array([0.0, 0.01]), support_E=(0,), signs_sE=np.array([1.0]),
+    )
+    paths = sample_selection_paths(
+        law, SamplerConfig(n_samples=2000, burn_in=200, chains=2, seed=56)
+    )
+    flat = paths.reshape(-1, 2)
+    assert np.all((law.lower <= flat) & (flat <= law.upper))
+    # given T, gamma is nearly exponential with rate 32 (the distance in sd)
+    assert abs(flat[:, 0].mean() + 16.0) < 0.2
+    assert abs(flat[:, 1].mean() - 1.0 / 32.0) < 0.003
 
 
 def test_single_instrument_marginal_matches_quadrature():

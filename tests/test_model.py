@@ -93,6 +93,18 @@ def test_prepare_rank_deficiency_names_columns():
         prepare(IVDataset(Y=rng.standard_normal(25), D=rng.standard_normal(25), Z=z))
 
 
+def test_prepare_rejects_instruments_the_moments_core_cannot_invert():
+    # singular-value ratio about 5e-8: above RANK_RTOL, yet Z'Z's
+    # eigenvalue ratio (its square) is far below it
+    rng = np.random.default_rng(6)
+    n = 200
+    z1, z3 = rng.standard_normal(n), rng.standard_normal(n)
+    z = np.column_stack([z1, z1 + 1e-7 * rng.standard_normal(n), z3])
+    with pytest.raises(RankDeficiencyError) as info:
+        prepare(IVDataset(Y=rng.standard_normal(n), D=rng.standard_normal(n), Z=z))
+    assert info.value.columns in (["z1"], ["z2"])
+
+
 def test_prepare_collinear_covariate_named():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((25, 1))

@@ -2,6 +2,7 @@
 Gibbs sampler, and CI inversion."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from ivselect import (
     wald_interval,
 )
 from ivselect.errors import BranchError, SamplerError
-from ivselect.sampler import _pooled_pvalues
+from ivselect.sampler import _pooled_pvalues, _truncnorm_ppf
 
 
 def _passed_setup(seed=0, n=150, p=1, r=0.8, beta0=0.5, scale=None):
@@ -158,6 +159,26 @@ def test_quadrature_matches_adaptive_quad():
     up, lo = _quad_tails(gamma_law)
     worst = max(worst, abs(tails.upper[0] - up), abs(tails.lower[0] - lo))
     assert worst < 1e-10
+
+
+def test_truncnorm_ppf_matches_scipy_deep_in_the_tails():
+    # scipy.stats.truncnorm is the independent reference; every interval
+    # below lies where scipy's own formula keeps full precision
+    inf = np.inf
+    edges = [0.0, 1.0, 3.0, 8.0, 9.0, 15.0, 25.0, 30.0, 38.0]
+    cases = [(a, inf) for a in edges] + [(-inf, -a) for a in edges]
+    cases += [(a, a + 1e-8) for a in edges[3:]] + [(-a - 1e-8, -a) for a in edges[3:]]
+    cases += [(-1.0, 2.0), (-2.0, 0.5), (-0.3, 0.1), (-0.05, 1.7)]
+    u = np.array([1e-16, 1e-9, 0.01, 0.3, 0.7, 0.99, 1.0 - 1e-9, 1.0 - 1e-16])
+    lo, hi = (np.repeat(np.array(v), u.size) for v in zip(*cases))
+    uu = np.tile(u, len(cases))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _truncnorm_ppf(uu, lo, hi)
+        free = _truncnorm_ppf(u, np.full(u.size, -inf), np.full(u.size, inf))
+    np.testing.assert_allclose(x, stats.truncnorm.ppf(uu, lo, hi), rtol=1e-12, atol=0)
+    assert np.all((lo <= x) & (x <= hi))
+    np.testing.assert_allclose(free, stats.norm.ppf(u), rtol=1e-12, atol=0)
 
 
 def test_huge_randomization_scale_gives_standard_normal():
