@@ -13,6 +13,7 @@ from .clr import (
     QuadratureConfig,
     clr_conditional_inference,
     clr_tail,
+    clr_tails,
     k4_constant,
     truncation_from_estimates,
 )
@@ -96,6 +97,7 @@ from .teststats import (
     clr_components,
     clr_stat,
     clr_statistic_from_q,
+    clr_statistics,
     tsls_stat,
 )
 

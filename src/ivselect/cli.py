@@ -8,15 +8,17 @@ with sorted keys.
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .clr import clr_conditional_inference
+from .clr import clr_conditional_inference, clr_tails
 from .errors import BranchError, DataError, IVSelectError
 from .model import IVDataset, covariance_estimates, prepare, tsls_estimate, tsls_standard_error
 from .pretest import PretestOutcome, run_pretest
@@ -34,7 +36,7 @@ from .simulate import (
     rejection_oracle,
     uniformity_experiment,
 )
-from .teststats import ar_stat, clr_stat, tsls_stat
+from .teststats import ar_stat, clr_statistics, tsls_stat
 
 SCHEMA_VERSION = 2
 
@@ -90,21 +92,9 @@ class AnalysisConfig:
         return int(self.ci_grid.get("points", 201))
 
 
-def ingest(path: str, config: AnalysisConfig) -> IVDataset:
-    """Parse a headered CSV into a prepared dataset.
-
-    Fails loudly: any missing value, unparseable or non-finite cell is
-    reported with its (1-based) data row and column name."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
+def _columns(header, config):
+    """(outcome, treatment, instruments, covariates) names, checked
+    against the header."""
     cols = config.columns or {}
     outcome = cols.get("outcome", "y")
     treatment = cols.get("treatment", "d")
@@ -119,42 +109,108 @@ def ingest(path: str, config: AnalysisConfig) -> IVDataset:
     for name in [outcome, treatment, *instruments, *covariates]:
         if name not in header:
             raise DataError(f"missing column {name!r}")
-    idx = {name: header.index(name) for name in set([outcome, treatment, *instruments, *covariates])}
+    return outcome, treatment, instruments, covariates
 
-    def cell(row_vals, row_no, name):
-        raw = row_vals[idx[name]].strip()
-        if raw == "":
-            raise DataError(f"row {row_no}, column {name!r}: missing value")
+
+def _unused_cell(text):
+    """numpy converter for a column no role uses: read, never parsed."""
+    return 0.0
+
+
+def ingest(path: str, config: AnalysisConfig) -> IVDataset:
+    """Parse a headered CSV into a prepared dataset.
+
+    The header is read with csv, the body in one numpy pass.  A cell
+    parses when numpy's float parser takes it: optional quotes and
+    surrounding whitespace, decimal or exponent notation in ASCII digits.
+    Columns that no role uses are not parsed.  Fails loudly: a missing,
+    unparseable or non-finite cell, or a row whose field count differs
+    from the header's (a blank line is such a row), is reported with its
+    (1-based) data row and column name, found by a per-cell rescan that
+    runs only after the fast pass has failed."""
+    with open(path) as fh:
         try:
-            val = float(raw)
-        except ValueError:
-            raise DataError(
-                f"row {row_no}, column {name!r}: could not parse {raw!r}"
-            ) from None
-        if not math.isfinite(val):
-            raise DataError(f"row {row_no}, column {name!r}: non-finite value {raw!r}")
-        return val
+            header = [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        first = next(fh, None)
+        if first is None:
+            raise DataError(f"{path}: no data rows")
+        outcome, treatment, instruments, covariates = _columns(header, config)
+        col = {name: header.index(name) for name in [outcome, treatment, *instruments, *covariates]}
+        lines = 0
 
-    n = len(rows)
-    y = np.empty(n)
-    d = np.empty(n)
-    z = np.empty((n, len(instruments)))
-    x = np.empty((n, len(covariates))) if covariates else None
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise DataError(
-                f"row {i}: expected {len(header)} fields, found {len(row)}"
-            )
-        y[i - 1] = cell(row, i, outcome)
-        d[i - 1] = cell(row, i, treatment)
-        for j, name in enumerate(instruments):
-            z[i - 1, j] = cell(row, i, name)
-        for j, name in enumerate(covariates):
-            x[i - 1, j] = cell(row, i, name)
-    p, k = len(instruments), len(covariates)
+        def counted():
+            # numpy skips blank lines, which are errors here: count what it read
+            nonlocal lines
+            for lines, line in enumerate(itertools.chain([first], fh), start=1):
+                yield line
+
+        try:
+            with warnings.catch_warnings():
+                # a body of blank lines is caught by the line count below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    counted(),
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    ndmin=2,
+                    converters={j: _unused_cell for j in set(range(len(header))) - set(col.values())},
+                )
+            fault = None
+        except ValueError as exc:
+            fault = str(exc)
+    if fault is None:
+        if table.shape != (lines, len(header)):
+            fault = f"{table.shape[0]} rows of {table.shape[1]} fields from {lines} lines"
+        elif not np.isfinite(table).all():  # unused columns read as 0.0
+            fault = "non-finite value"
+    if fault is not None:
+        _locate_fault(path, len(header), col, fault)
+
+    def block(names):
+        return np.ascontiguousarray(table[:, [col[name] for name in names]])
+
+    n, p, k = table.shape[0], len(instruments), len(covariates)
     if n <= p + k:
         raise DataError(f"need n > p + k rows, got n={n}, p={p}, k={k}")
-    return prepare(IVDataset(Y=y, D=d, Z=z, X=x))
+    return prepare(
+        IVDataset(
+            Y=np.ascontiguousarray(table[:, col[outcome]]),
+            D=np.ascontiguousarray(table[:, col[treatment]]),
+            Z=block(instruments),
+            X=block(covariates) if covariates else None,
+        )
+    )
+
+
+def _locate_fault(path, width, col, fault):
+    """Rescan the body cell by cell and raise a DataError naming the first
+    bad row and column.  Runs only once the fast parse has failed, so it
+    never returns: with nothing to locate it raises with the fast
+    parser's own message.  col maps each used column name to its index."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for i, row in enumerate(reader, start=1):
+            if len(row) != width:
+                raise DataError(f"row {i}: expected {width} fields, found {len(row)}")
+            for name, j in col.items():
+                raw = row[j].strip()
+                if raw == "":
+                    raise DataError(f"row {i}, column {name!r}: missing value")
+                try:
+                    # float() also takes '_' separators and non-ASCII
+                    # digits; numpy's parser does not
+                    if "_" in raw or not raw.isascii():
+                        raise ValueError(raw)
+                    val = float(raw)
+                except ValueError:
+                    raise DataError(f"row {i}, column {name!r}: could not parse {raw!r}") from None
+                if not math.isfinite(val):
+                    raise DataError(f"row {i}, column {name!r}: non-finite value {raw!r}")
+    raise DataError(f"{path}: could not parse the data rows ({fault})")
 
 
 def _naive_only(data, config, flavor, reason) -> InferenceReport:
@@ -168,16 +224,16 @@ def _naive_only(data, config, flavor, reason) -> InferenceReport:
         grid_info = None
     else:
         if flavor == "ar":
-            def one_p(b):
-                return ar_stat(data, float(b)).naive_pvalue
+            def pfn(xs):
+                return np.array([ar_stat(data, float(b)).naive_pvalue for b in xs])
         else:  # clr
-            def one_p(b):
-                return clr_stat(data, float(b), covariance_estimates(data, float(b)))[0].naive_pvalue
+            est = covariance_estimates(data, null)
 
-        def pfn(xs):
-            return np.array([one_p(b) for b in xs])
+            def pfn(xs):
+                lr, q_r = clr_statistics(data, xs, est)
+                return clr_tails(lr, q_r, data.p)[0]
 
-        naive_p = one_p(null)
+        naive_p = pfn([null])[0]
         naive_ci, _, _, grid_info = invert_pvalue_curve(
             pfn,
             tsls_estimate(data),

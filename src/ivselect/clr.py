@@ -12,13 +12,19 @@ then the ratio of truncated tail mass to truncated total mass, with u2
 values whose interval is empty contributing zero to both.  The screen
 here is the non-randomized F-test: lambda is computed with no noise
 term.
+
+clr_tails evaluates many laws (one per tested null or replication) on
+one (laws x nodes) Simpson grid and refines only the laws whose error
+estimate has not converged; clr_tail is its one-law case.  A law whose
+conditioning event has mass below 1e-12 comes back as NaN with an
+underflow flag, and the weak-branch report lists those nulls.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
 from .errors import BranchError, CovarianceError, QuadratureError, TruncationError
 from .model import (
@@ -30,10 +36,12 @@ from .model import (
 )
 from .pretest import f_statistic, penalty_lambda
 from .report import InferenceReport, invert_pvalue_curve
-from .teststats import clr_components, clr_statistic_from_q
+from .teststats import clr_statistics
 
 _MAX_REFINEMENTS = 6
 _MIN_EVENT_MASS = 1e-12
+# grid cells per block of laws: bounds the (laws, nodes) temporaries
+_BLOCK_NODES = 1 << 19
 # below this share of the problem's scale, the quadratic term in sqrt(q_U)
 # is treated as absent and the screen event no longer depends on q_U
 _D0_FLOOR = 1e-14
@@ -109,42 +117,67 @@ def truncation_from_estimates(
     )
 
 
-def _chi2_interval_mass(lo, hi, p):
-    """P(lo <= chi2(p) <= hi), switching to survival-function differences
-    when the interval sits in the right tail to avoid cancellation."""
-    lo = np.maximum(np.asarray(lo, dtype=float), 0.0)
-    hi = np.maximum(np.asarray(hi, dtype=float), lo)
+def _chi2_at(fn, p, x, mask):
+    """fn(p, x) on the masked nodes, 0 elsewhere."""
+    out = np.zeros(x.shape)
+    out[mask] = fn(p, x[mask])
+    return out
+
+
+def _event_masses(lo, hi, ok, thresh, p):
+    """chi2(p) masses of the screen event [lo, hi] (denominator) and of
+    its part above thresh (numerator) at each node.
+
+    A mass is a difference of survival functions when its interval sits
+    in the right tail (lower end >= p, to avoid cancellation) and of cdfs
+    otherwise.  Each node is evaluated only on the side it uses, the
+    upper end's value is shared by both masses, and chdtr(p, 0) = 0 is
+    not evaluated."""
     right = lo >= p
-    mass = np.where(
+    # the tail event cuts the interval only where lo < thresh < hi;
+    # below it keeps all the mass, above it none
+    cut = ok & (lo < thresh) & (thresh < hi)
+    cut_right = cut & (thresh >= p)
+    cut_left = cut & ~cut_right
+    cdf_hi = _chi2_at(special.chdtr, p, hi, (ok & ~right) | cut_left)
+    sf_hi = _chi2_at(special.chdtrc, p, hi, (ok & right) | cut_right)
+    den = np.where(
         right,
-        stats.chi2.sf(lo, p) - stats.chi2.sf(hi, p),
-        stats.chi2.cdf(hi, p) - stats.chi2.cdf(lo, p),
+        _chi2_at(special.chdtrc, p, lo, ok & right) - sf_hi,
+        cdf_hi - _chi2_at(special.chdtr, p, lo, ok & ~right & (lo > 0.0)),
     )
-    return np.clip(mass, 0.0, 1.0)
+    den = np.clip(den, 0.0, 1.0)
+    num = np.where(
+        cut_right,
+        _chi2_at(special.chdtrc, p, thresh, cut_right) - sf_hi,
+        cdf_hi - _chi2_at(special.chdtr, p, thresh, cut_left),
+    )
+    num = np.where(cut, np.clip(num, 0.0, 1.0), np.where(thresh >= hi, 0.0, den))
+    return den, num
 
 
-def _truncation_intervals(trunc: ClrTruncation, u2: np.ndarray):
-    """Per-u2 interval [lo, hi] of the event in q_U, and a nonempty mask."""
-    c = trunc.d2 * trunc.q_R - trunc.lambda_sq
-    scale = trunc.d2 * trunc.q_R + trunc.lambda_sq + 1.0
-    if trunc.d0 <= _D0_FLOOR * scale:
-        if c <= 0:
-            return (
-                np.zeros_like(u2),
-                np.full_like(u2, np.inf),
-                np.ones(u2.shape, dtype=bool),
-            )
-        return np.zeros_like(u2), np.zeros_like(u2), np.zeros(u2.shape, dtype=bool)
-
-    b = trunc.d1 * u2 * math.sqrt(trunc.q_R)
-    disc = b * b - 4.0 * trunc.d0 * c
+def _truncation_intervals(coefs, u2):
+    """Per-law, per-u2 interval [lo, hi] of the event in q_U, and a
+    nonempty mask, all (laws, nodes).  coefs holds the (laws,) arrays
+    d0, d1, d2, lambda_sq and q_R of the laws' truncations."""
+    d0, d1, d2, lam, q_R = coefs
+    c = d2 * q_R - lam
+    scale = d2 * q_R + lam + 1.0
+    # no quadratic term: the event is all of q_U >= 0 or empty
+    flat = d0 <= _D0_FLOOR * scale
+    d0 = np.where(flat, 1.0, d0)[:, None]
+    b = d1[:, None] * u2 * np.sqrt(q_R)[:, None]
+    disc = b * b - 4.0 * d0 * c[:, None]
     ok = disc >= 0.0
     root = np.sqrt(np.maximum(disc, 0.0))
-    x_lo = (-b - root) / (2.0 * trunc.d0)
-    x_hi = (-b + root) / (2.0 * trunc.d0)
+    x_lo = (-b - root) / (2.0 * d0)
+    x_hi = (-b + root) / (2.0 * d0)
     ok &= x_hi > 0.0
     lo_q = np.maximum(x_lo, 0.0) ** 2
     hi_q = np.maximum(x_hi, 0.0) ** 2
+    lo_q[flat] = 0.0
+    hi_q[flat] = np.inf
+    ok[flat] = (c[flat] <= 0)[:, None]
     return lo_q, hi_q, ok
 
 
@@ -166,28 +199,108 @@ def _cosine_nodes(p: int, panels: int, substitute: bool):
     return u2, w, 2.0 / panels
 
 
-def _tail_integrals(t, q_r, p, trunc, panels, substitute):
-    """Simpson values of the (numerator, denominator) integrals plus a
-    Richardson error estimate against the half-resolution grid."""
+def _simpson_with_error(f, h):
+    """Simpson values along the last axis and the Richardson estimate of
+    their error against the half-resolution grid."""
+    full = integrate.simpson(f, dx=h, axis=-1)
+    half = integrate.simpson(f[..., ::2], dx=2.0 * h, axis=-1)
+    return full, np.abs(full - half) / 15.0
+
+
+def _tail_integrals(t, q_r, p, coefs, panels, substitute):
+    """Simpson values of the (numerator, denominator) integrals of each
+    law on one (laws, nodes) grid, plus the larger of their error
+    estimates.  t and q_r are (laws,) arrays; coefs is None for naive
+    laws, else the truncations' coefficient arrays."""
     u2, w, h = _cosine_nodes(p, panels, substitute)
-    thresh = (q_r + t) / (1.0 + q_r * u2**2 / t)
-    if trunc is None:
-        num = stats.chi2.sf(thresh, p) * w
-        den = w
-    else:
-        lo, hi, ok = _truncation_intervals(trunc, u2)
-        den = np.where(ok, _chi2_interval_mass(lo, hi, p), 0.0) * w
-        num = np.where(ok, _chi2_interval_mass(np.maximum(lo, thresh), hi, p), 0.0) * w
-    i_num = integrate.simpson(num, dx=h)
-    i_den = integrate.simpson(den, dx=h)
-    err = (
-        max(
-            abs(i_num - integrate.simpson(num[::2], dx=2.0 * h)),
-            abs(i_den - integrate.simpson(den[::2], dx=2.0 * h)),
-        )
-        / 15.0
+    thresh = (q_r + t)[:, None] / (1.0 + q_r[:, None] * u2**2 / t[:, None])
+    if coefs is None:
+        i_num, e_num = _simpson_with_error(special.chdtrc(p, thresh) * w, h)
+        i_den, e_den = _simpson_with_error(w, h)
+        return i_num, np.full_like(i_num, i_den), np.maximum(e_num, e_den)
+    den, num = _event_masses(*_truncation_intervals(coefs, u2), thresh, p)
+    i_den, e_den = _simpson_with_error(den * w, h)
+    i_num, e_num = _simpson_with_error(num * w, h)
+    return i_num, i_den, np.maximum(e_num, e_den)
+
+
+def _converged_integrals(t, q_r, p, coefs, quad):
+    """(numerator, denominator) integrals of each law, refining by panel
+    doubling only the laws whose error estimate still exceeds quad.tol.
+    Laws are evaluated in blocks of at most _BLOCK_NODES grid cells."""
+    panels = quad.panels
+    if panels % 4:
+        panels += 4 - panels % 4
+    i_num = np.empty(t.size)
+    i_den = np.empty(t.size)
+    err = np.empty(t.size)
+    todo = np.arange(t.size)
+    for _ in range(_MAX_REFINEMENTS + 1):
+        step = max(1, _BLOCK_NODES // (panels + 1))
+        for start in range(0, todo.size, step):
+            rows = todo[start : start + step]
+            sub = None if coefs is None else tuple(c[rows] for c in coefs)
+            i_num[rows], i_den[rows], err[rows] = _tail_integrals(
+                t[rows], q_r[rows], p, sub, panels, quad.endpoint_substitution
+            )
+        todo = todo[~(err[todo] <= quad.tol)]  # a NaN estimate is not converged
+        if not todo.size:
+            return i_num, i_den
+        panels *= 2
+    raise QuadratureError(
+        f"tail integral not converged: error {np.max(err[todo]):.3g} > tol {quad.tol:.3g} "
+        f"at {panels // 2} panels"
     )
-    return float(i_num), float(i_den), float(err)
+
+
+def clr_tails(t, q_r, p: int, truncs=None, quad: QuadratureConfig = None):
+    """P(statistic >= t | Q_R = q_r [, screen failed]) under the null, for
+    many laws at once.
+
+    t and q_r are 1-D arrays with one entry per law; truncs is None (every
+    law naive) or a sequence holding a ClrTruncation or None per law.
+    Each tail is a ratio of two cosine integrals, so the weight
+    normalization cancels; a naive law's denominator is the plain weight
+    mass.  All laws share one Simpson grid per refinement level and only
+    the laws not yet converged are refined.
+
+    Returns (tails, underflow): a law whose conditioning event has mass
+    below 1e-12 cannot have produced the data, so its tail is NaN and its
+    underflow flag is set.
+    """
+    quad = quad if quad is not None else QuadratureConfig()
+    k4 = k4_constant(p)
+    t = np.array(t, dtype=float, ndmin=1)
+    q_r = np.array(q_r, dtype=float, ndmin=1)
+    truncs = [None] * t.size if truncs is None else list(truncs)
+    if not t.shape == q_r.shape == (len(truncs),):
+        raise ValueError("t, q_r and truncs need one entry per law")
+    if np.any(q_r < 0):
+        raise ValueError(f"q_r = {q_r[q_r < 0][0]} must be >= 0")
+    for trunc, q in zip(truncs, q_r):
+        if trunc is not None and (abs(trunc.q_R - q) > 1e-8 * (1.0 + abs(q)) or trunc.p != p):
+            raise TruncationError("truncation was built for different (q_R, p) than requested")
+
+    tails = np.ones(t.size)
+    underflow = np.zeros(t.size, dtype=bool)
+    live = ~(t <= 0.0)
+    cond = np.array([trunc is not None for trunc in truncs], dtype=bool)
+    rows = np.flatnonzero(live & ~cond)
+    if rows.size:
+        i_num, i_den = _converged_integrals(t[rows], q_r[rows], p, None, quad)
+        tails[rows] = np.clip(i_num / i_den, 0.0, 1.0)
+    rows = np.flatnonzero(live & cond)
+    if rows.size:
+        coefs = tuple(
+            np.array([getattr(truncs[i], name) for i in rows], dtype=float)
+            for name in ("d0", "d1", "d2", "lambda_sq", "q_R")
+        )
+        i_num, i_den = _converged_integrals(t[rows], q_r[rows], p, coefs, quad)
+        low = k4 * i_den < _MIN_EVENT_MASS
+        underflow[rows] = low
+        tails[rows] = np.nan
+        tails[rows[~low]] = np.clip(i_num[~low] / i_den[~low], 0.0, 1.0)
+    return tails, underflow
 
 
 def clr_tail(
@@ -197,46 +310,16 @@ def clr_tail(
     trunc: ClrTruncation = None,
     quad: QuadratureConfig = None,
 ) -> float:
-    """P(statistic >= t | Q_R = q_r [, screen failed]) under the null.
-
-    Computed as a ratio of two cosine integrals so the weight
-    normalization cancels; with trunc absent the denominator is the
-    plain weight mass and the result is the naive tail probability.
-    """
-    quad = quad if quad is not None else QuadratureConfig()
-    k4 = k4_constant(p)
-    if q_r < 0:
-        raise ValueError(f"q_r = {q_r} must be >= 0")
-    if trunc is not None:
-        if abs(trunc.q_R - q_r) > 1e-8 * (1.0 + abs(q_r)) or trunc.p != p:
-            raise TruncationError(
-                "truncation was built for different (q_R, p) than requested"
-            )
-    if t <= 0.0:
-        return 1.0
-
-    panels = quad.panels
-    if panels % 4:
-        panels += 4 - panels % 4
-    err = math.inf
-    for _ in range(_MAX_REFINEMENTS + 1):
-        i_num, i_den, err = _tail_integrals(
-            t, q_r, p, trunc, panels, quad.endpoint_substitution
-        )
-        if err <= quad.tol:
-            break
-        panels *= 2
-    else:
-        raise QuadratureError(
-            f"tail integral not converged: error {err:.3g} > tol {quad.tol:.3g} "
-            f"at {panels // 2} panels"
-        )
-    if trunc is not None and k4 * i_den < _MIN_EVENT_MASS:
+    """P(statistic >= t | Q_R = q_r [, screen failed]) under the null: the
+    one-law case of clr_tails.  Raises TruncationError when the
+    conditioning event's mass underflows."""
+    tails, underflow = clr_tails([t], [q_r], p, [trunc], quad)
+    if underflow[0]:
         raise TruncationError(
-            f"conditioning event has mass {k4 * i_den:.3g} < {_MIN_EVENT_MASS}: "
+            f"conditioning event has mass < {_MIN_EVENT_MASS}: "
             "the data could not have failed the strength screen with these inputs"
         )
-    return float(np.clip(i_num / i_den, 0.0, 1.0))
+    return float(tails[0])
 
 
 def clr_conditional_inference(
@@ -251,7 +334,10 @@ def clr_conditional_inference(
     beta0 plus grid-inverted confidence intervals.
 
     Applies only when the non-randomized screen failed (F < c0); the
-    conditional law conditions on exactly that event.
+    conditional law conditions on exactly that event.  Each round of the
+    grid inversion evaluates all of its nulls in one clr_tails call; nulls
+    whose conditioning event underflows are listed in the diagnostics
+    (mass_underflow_nulls) and never retained.
     """
     require_prepared(data)
     if data.p < 2:
@@ -265,41 +351,31 @@ def clr_conditional_inference(
     quad = quad if quad is not None else QuadratureConfig()
     lam2 = penalty_lambda(data, c0) ** 2
     est = covariance_estimates(data, beta0)
-    parts: dict = {}
 
-    def parts_at(b0: float):
-        if b0 not in parts:
-            comps = clr_components(data, b0, est)
-            lr = clr_statistic_from_q(comps.q_u, comps.q_ur, comps.q_r)
-            parts[b0] = (lr, comps.q_r)
-        return parts[b0]
+    def truncations(xs, q_r):
+        return [
+            truncation_from_estimates(est.omega_hat, float(x), lam2, q, data.p)
+            for x, q in zip(xs, q_r)
+        ]
 
-    def cond_at(b0: float) -> float:
-        lr, q_r = parts_at(b0)
-        trunc = truncation_from_estimates(est.omega_hat, b0, lam2, q_r, data.p)
-        return clr_tail(lr, q_r, data.p, trunc=trunc, quad=quad)
-
-    def naive_at(b0: float) -> float:
-        lr, q_r = parts_at(b0)
-        return clr_tail(lr, q_r, data.p, trunc=None, quad=quad)
-
-    cond_p, naive_p = cond_at(float(beta0)), naive_at(float(beta0))
+    (lr,), (q_r,) = clr_statistics(data, [beta0], est)
+    cond_p = clr_tail(lr, q_r, data.p, trunc=truncations([beta0], [q_r])[0], quad=quad)
+    naive_p = clr_tail(lr, q_r, data.p, quad=quad)
     center = tsls_estimate(data)
     halfwidth = 8.0 * tsls_standard_error(data)
-    underflow_count = 0
+    underflow_nulls = []
 
     def cond_curve(xs):
         # far from the estimate the plug-in failure event can underflow;
-        # such nulls are unanswerable, so the scan skips and stops there
-        nonlocal underflow_count
-        out = np.empty(np.size(xs))
-        for k, x in enumerate(np.asarray(xs, dtype=float)):
-            try:
-                out[k] = cond_at(float(x))
-            except TruncationError:
-                underflow_count += 1
-                out[k] = np.nan
-        return out
+        # such nulls are unanswerable (NaN), so the scan stops there
+        lr, q_r = clr_statistics(data, xs, est)
+        tails, underflow = clr_tails(lr, q_r, data.p, truncations(xs, q_r), quad)
+        underflow_nulls.extend(np.asarray(xs, dtype=float)[underflow].tolist())
+        return tails
+
+    def naive_curve(xs):
+        lr, q_r = clr_statistics(data, xs, est)
+        return clr_tails(lr, q_r, data.p, quad=quad)[0]
 
     cond_ci, _, _, cond_info = invert_pvalue_curve(
         cond_curve,
@@ -309,7 +385,7 @@ def clr_conditional_inference(
         n_points=n_points,
     )
     naive_ci, _, _, naive_info = invert_pvalue_curve(
-        lambda xs: np.array([naive_at(float(x)) for x in xs]),
+        naive_curve,
         center,
         halfwidth,
         alpha,
@@ -331,6 +407,7 @@ def clr_conditional_inference(
             "quadrature": {"panels": quad.panels, "tol": quad.tol},
             "conditional_grid": cond_info,
             "naive_grid": naive_info,
-            "mass_underflow_points": underflow_count,
+            "mass_underflow_points": len(underflow_nulls),
+            "mass_underflow_nulls": sorted(underflow_nulls),
         },
     )

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
-from .clr import clr_tail, truncation_from_estimates
-from .errors import ExperimentError
+from .clr import clr_tails, truncation_from_estimates
+from .errors import ExperimentError, TruncationError
 from .lasso import (
     _pooled_lasso_pvalues,
     build_law_lasso,
@@ -274,14 +274,19 @@ def _clr_fail_cell(config, c0, alpha, reps) -> ExperimentResult:
     comps = clr_components(mom, beta0, est)
     lam_sq = penalty_lambda(mom, c0) ** 2
     p = mom.p
-    cond = np.empty(failing.size)
-    naive = np.empty(failing.size)
-    for k, i in enumerate(failing):
-        q_r = float(comps.q_r[i])
-        lr = clr_statistic_from_q(float(comps.q_u[i]), float(comps.q_ur[i]), q_r)
-        trunc = truncation_from_estimates(est.omega_hat[i], beta0, float(lam_sq[i]), q_r, p)
-        cond[k] = clr_tail(lr, q_r, p, trunc)
-        naive[k] = clr_tail(lr, q_r, p, None)
+    q_r = comps.q_r[failing]
+    lr = clr_statistic_from_q(comps.q_u[failing], comps.q_ur[failing], q_r)
+    truncs = [
+        truncation_from_estimates(est.omega_hat[i], beta0, float(lam_sq[i]), float(q), p)
+        for i, q in zip(failing, q_r)
+    ]
+    cond, underflow = clr_tails(lr, q_r, p, truncs)
+    if underflow.any():
+        raise TruncationError(
+            f"replication {failing[underflow][0]}: conditioning event mass underflowed, "
+            "though the replication failed the screen"
+        )
+    naive, _ = clr_tails(lr, q_r, p)
     cond_cov = float(np.mean(cond >= alpha))
     naive_cov = float(np.mean(naive >= alpha))
     m = failing.size

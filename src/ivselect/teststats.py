@@ -113,7 +113,9 @@ def clr_components(data: IVDataset | Moments, beta0: float, est: ModelEstimates)
 
     The 2x2 normalizations use closed forms: with omega = Omega_hat,
     b0'omega b0 = o11 - 2 beta0 o12 + beta0^2 o22 and
-    a0'omega^(-1) a0 = b0'omega b0 / det(omega).
+    a0'omega^(-1) a0 = b0'omega b0 / det(omega).  An array of nulls
+    broadcasts like a batch axis: many nulls on one dataset, or one null
+    per replication of a batch.
     """
     m = require_prepared(data)
     o = est.omega_hat
@@ -127,7 +129,7 @@ def clr_components(data: IVDataset | Moments, beta0: float, est: ModelEstimates)
         raise CovarianceError("degenerate normalization at this beta0")
 
     # [..., None] sets each replication's scalar against its (p,) vectors
-    u_hat = (m.sy - beta0 * m.s) / np.sqrt(b_quad)[..., None]
+    u_hat = (m.sy - np.asarray(beta0)[..., None] * m.s) / np.sqrt(b_quad)[..., None]
     # omega^(-1) a0 = (o22*beta0 - o12, o11 - o12*beta0) / det
     w1 = (o11 * beta0 - o01) / det
     w2 = (o00 - o01 * beta0) / det
@@ -136,16 +138,27 @@ def clr_components(data: IVDataset | Moments, beta0: float, est: ModelEstimates)
         u_hat=u_hat,
         r_hat=r_hat,
         q_hat=_sym2(_dot(u_hat, u_hat), _dot(u_hat, r_hat), _dot(r_hat, r_hat)),
-        a0=np.array([beta0, 1.0]),
-        b0=np.array([1.0, -beta0]),
+        a0=np.stack(np.broadcast_arrays(beta0, 1.0), -1),
+        b0=np.stack(np.broadcast_arrays(1.0, -beta0), -1),
     )
 
 
-def clr_statistic_from_q(q_u: float, q_ur: float, q_r: float) -> float:
-    """LR = 0.5 * (Q_U - Q_R + sqrt((Q_U + Q_R)^2 - 4(Q_U Q_R - Q_UR^2)))."""
+def clr_statistic_from_q(q_u, q_ur, q_r):
+    """LR = 0.5 * (Q_U - Q_R + sqrt((Q_U + Q_R)^2 - 4(Q_U Q_R - Q_UR^2))),
+    elementwise over arrays of replications."""
     disc = (q_u + q_r) ** 2 - 4.0 * (q_u * q_r - q_ur**2)
     # PSD of Q guarantees disc >= (q_u - q_r)^2; clip rounding noise
-    return max(0.5 * (q_u - q_r + np.sqrt(max(disc, 0.0))), 0.0)
+    return _item(np.maximum(0.5 * (q_u - q_r + np.sqrt(np.maximum(disc, 0.0))), 0.0))
+
+
+def clr_statistics(
+    data: IVDataset | Moments, beta0s, est: ModelEstimates
+) -> tuple[np.ndarray, np.ndarray]:
+    """LR statistic and Q_R at each null of beta0s, ready for one batched
+    clr_tails call; est supplies only Omega_hat, which does not depend on
+    the null."""
+    comps = clr_components(data, np.asarray(beta0s, dtype=float), est)
+    return clr_statistic_from_q(comps.q_u, comps.q_ur, comps.q_r), comps.q_r
 
 
 def clr_stat(

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ivselect import (
     IVDataset,
@@ -135,6 +137,81 @@ def test_ingest_prefix_defaults_pick_up_covariates(tmp_path):
     assert data.p == 1
     assert np.allclose(data.Y, manual.Y)
     assert np.allclose(data.Z, manual.Z)
+
+
+def _toy_lines():
+    return TOY.splitlines()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\n".join(_toy_lines()[:3] + [""] + _toy_lines()[3:]) + "\n", "row 3: expected 3 fields, found 0"),
+        (TOY + "\n", "row 5: expected 3 fields, found 0"),
+        ("\n".join(_toy_lines()[:3] + ["   "] + _toy_lines()[3:]) + "\n", "row 3: expected 3 fields, found 1"),
+        (TOY.replace("\n2.0,1.0", "\n#2.0,1.0"), "row 2, column 'y': could not parse '#2.0'"),
+        (TOY.replace("2.0,1.0,-0.5", "2.0,1_000,-0.5"), "row 2, column 'd': could not parse '1_000'"),
+        (TOY.replace("0.0,3.0,1.5", "0.0,\uff13,1.5"), "row 3, column 'd': could not parse '\uff13'"),
+        (TOY.replace("0.0,3.0,1.5", '0.0,"3,0",1.5'), "row 3, column 'd': could not parse '3,0'"),
+        ("y,d,z1,name\n1,2,3,a\n4,5,6\n", "row 2: expected 4 fields, found 3"),
+    ],
+    ids=["blank-line", "blank-last-line", "whitespace-line", "hash-row", "underscore", "fullwidth-digit",
+         "quoted-comma", "short-row-beside-unused-column"],
+)
+def test_ingest_locates_faults_of_the_fast_parse(tmp_path, text, message):
+    with pytest.raises(DataError, match=message):
+        ingest(_write(tmp_path, "bad.csv", text), AnalysisConfig())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'y,d,z1\n"1.0", 2.0 ,0.5\n 2.0,"1.0",-0.5\n0.0,3.0,  1.5\n"1.5",2.5,-1.5\n',
+        TOY.replace("\n", "\r\n"),
+        TOY.rstrip("\n"),
+        "y,d,z1,note\n" + "".join(f"{line},text {i}\n" for i, line in enumerate(_toy_lines()[1:])),
+    ],
+    ids=["quoted-and-padded", "crlf", "no-final-newline", "unused-text-column"],
+)
+def test_ingest_accepts_csv_variants(tmp_path, text):
+    path = tmp_path / "v.csv"
+    path.write_bytes(text.encode())
+    data = ingest(str(path), AnalysisConfig())
+    toy = ingest(_write(tmp_path, "toy.csv", TOY), AnalysisConfig())
+    for got, want in ((data.Y, toy.Y), (data.D, toy.D), (data.Z, toy.Z)):
+        assert np.array_equal(got, want)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 3),
+    k=st.integers(0, 2),
+    named=st.booleans(),
+)
+def test_ingest_equals_prepare_on_the_written_arrays(tmp_path_factory, seed, p, k, named):
+    rng = np.random.default_rng(seed)
+    n = 25
+    y, d = rng.standard_normal(n) * 3.0, rng.standard_normal(n)
+    z = rng.standard_normal((n, p))
+    x = rng.standard_normal((n, k)) if k else None
+    names = {"y": ["y"], "d": ["d"], "z": [f"z{j + 1}" for j in range(p)], "x": [f"x{j + 1}" for j in range(k)]}
+    config = AnalysisConfig()
+    if named:
+        names = {"y": ["wage"], "d": ["educ"], "z": [f"q{j}" for j in range(p)], "x": [f"age{j}" for j in range(k)]}
+        config = AnalysisConfig(
+            columns={"outcome": "wage", "treatment": "educ", "instruments": names["z"], "covariates": names["x"]}
+        )
+    table = np.column_stack([y, d, z] + ([x] if k else []))
+    header = names["y"] + names["d"] + names["z"] + names["x"]
+    order = rng.permutation(len(header)) if named else np.arange(len(header))
+    path = tmp_path_factory.mktemp("prop") / "t.csv"
+    np.savetxt(path, table[:, order], delimiter=",", header=",".join(np.array(header)[order]),
+               comments="", fmt="%.17g")
+    data = ingest(str(path), config)
+    manual = prepare(IVDataset(Y=y, D=d, Z=z, X=x))
+    assert np.array_equal(data.Y, manual.Y)
+    assert np.array_equal(data.D, manual.D)
+    assert np.array_equal(data.Z, manual.Z)
 
 
 # -------------------------------------------------------------- analyze
@@ -491,3 +568,20 @@ def test_cli_oracle_subcommand(tmp_path):
     vals = np.array([float(v) for v in lines[1:]])
     assert np.all(np.isfinite(vals))
     assert abs(vals.mean()) < 0.2
+
+
+def test_cli_clr_report_lists_underflowed_nulls(tmp_path):
+    # sigma12 = 0.99 puts a band of nulls whose plug-in failure event has
+    # mass below 1e-12 inside the CI grid
+    csv_path = _dataset_csv(tmp_path, dgp_from_r(0.2, 0.99, n=200, p=2, seed=1), "u.csv")
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"null_value": 1.0}))
+    outs = []
+    for name in ("r1.json", "r2.json"):
+        out = tmp_path / name
+        assert main(["analyze", csv_path, "--config", cfg_path, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert doc["schema_version"] == 2 and doc["branch"] == "clr"
+    diags = doc["report"]["diagnostics"]
+    assert diags["mass_underflow_points"] == len(diags["mass_underflow_nulls"]) > 0

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from ivselect import (
     ClrTruncation,
     QuadratureConfig,
     clr_conditional_inference,
     clr_tail,
+    clr_tails,
     covariance_estimates,
     clr_components,
     dgp_from_r,
@@ -21,6 +22,7 @@ from ivselect import (
     truncation_from_estimates,
 )
 from ivselect.errors import BranchError, QuadratureError, TruncationError
+from ivselect.teststats import clr_statistics
 
 
 def test_k4_exact_values():
@@ -166,3 +168,149 @@ def test_conditional_inference_reports_intervals():
     # weak instruments: both intervals wide, conditional close to naive
     if not (report.naive_ci.lower_unbounded or report.naive_ci.upper_unbounded):
         assert report.naive_ci.width > 0
+
+
+# ------------------------------------------------------ batched tails
+
+
+def _reference_tail(t, q_r, p, trunc=None, quad=QuadratureConfig()):
+    """One law at a time, every chi2 node through scipy.stats on both
+    sides of np.where: the algorithm clr_tails batches.  Returns the
+    tail (NaN for an event mass below 1e-12) and the panels it took."""
+    if t <= 0.0:
+        return 1.0, 0
+
+    def mass(lo, hi):
+        lo = np.maximum(lo, 0.0)
+        hi = np.maximum(hi, lo)
+        m = np.where(
+            lo >= p,
+            stats.chi2.sf(lo, p) - stats.chi2.sf(hi, p),
+            stats.chi2.cdf(hi, p) - stats.chi2.cdf(lo, p),
+        )
+        return np.clip(m, 0.0, 1.0)
+
+    panels = quad.panels + (-quad.panels) % 4
+    for _ in range(7):
+        if quad.endpoint_substitution:
+            theta = np.linspace(-np.pi / 2.0, np.pi / 2.0, panels + 1)
+            u2, w, h = np.sin(theta), np.cos(theta) ** (p - 2), np.pi / panels
+        else:
+            u2, h = np.linspace(-1.0, 1.0, panels + 1), 2.0 / panels
+            with np.errstate(divide="ignore"):
+                w = (1.0 - u2**2) ** ((p - 3) / 2.0)
+            w[~np.isfinite(w)] = 0.0
+        thresh = (q_r + t) / (1.0 + q_r * u2**2 / t)
+        if trunc is None:
+            num, den = stats.chi2.sf(thresh, p) * w, w
+        else:
+            c = trunc.d2 * trunc.q_R - trunc.lambda_sq
+            if trunc.d0 <= 1e-14 * (trunc.d2 * trunc.q_R + trunc.lambda_sq + 1.0):
+                lo, hi = np.zeros_like(u2), np.full_like(u2, np.inf)
+                ok = np.full(u2.shape, c <= 0)
+            else:
+                b = trunc.d1 * u2 * math.sqrt(trunc.q_R)
+                disc = b * b - 4.0 * trunc.d0 * c
+                root = np.sqrt(np.maximum(disc, 0.0))
+                x_lo, x_hi = (-b - root) / (2.0 * trunc.d0), (-b + root) / (2.0 * trunc.d0)
+                ok = (disc >= 0.0) & (x_hi > 0.0)
+                lo, hi = np.maximum(x_lo, 0.0) ** 2, np.maximum(x_hi, 0.0) ** 2
+            den = np.where(ok, mass(lo, hi), 0.0) * w
+            num = np.where(ok, mass(np.maximum(lo, thresh), hi), 0.0) * w
+        i_num, i_den = integrate.simpson(num, dx=h), integrate.simpson(den, dx=h)
+        err = max(
+            abs(i_num - integrate.simpson(num[::2], dx=2.0 * h)),
+            abs(i_den - integrate.simpson(den[::2], dx=2.0 * h)),
+        )
+        if err / 15.0 <= quad.tol:
+            break
+        panels *= 2
+    else:
+        raise QuadratureError("reference not converged")
+    if trunc is not None and k4_constant(p) * i_den < 1e-12:
+        return math.nan, panels
+    return float(np.clip(i_num / i_den, 0.0, 1.0)), panels
+
+
+def _weak_laws(data, beta0s, c0=10.0):
+    est = covariance_estimates(data, 1.0)
+    lr, q_r = clr_statistics(data, beta0s, est)
+    lam2 = penalty_lambda(data, c0) ** 2
+    truncs = [truncation_from_estimates(est.omega_hat, b, lam2, q, data.p) for b, q in zip(beta0s, q_r)]
+    return lr, q_r, truncs
+
+
+def _underflowing_data():
+    # Y nearly a multiple of D (sigma12 = 0.99): the plug-in failure
+    # event has mass below 1e-12 on a band of nulls above the estimate
+    return generate(dgp_from_r(0.2, 0.99, n=200, p=2, seed=1))
+
+
+def _check_against_reference(t, q_r, p, truncs, quad=QuadratureConfig()):
+    tails, underflow = clr_tails(t, q_r, p, truncs, quad)
+    ref, panels = np.array([_reference_tail(*law, p, tr, quad) for *law, tr in zip(t, q_r, truncs)]).T
+    np.testing.assert_array_equal(underflow, np.isnan(ref))
+    assert np.isnan(tails[underflow]).all()
+    np.testing.assert_allclose(tails[~underflow], ref[~underflow], rtol=0.0, atol=1e-13)
+    return underflow, panels
+
+
+@pytest.mark.parametrize(
+    "quad",
+    [QuadratureConfig(), QuadratureConfig(panels=128), QuadratureConfig(panels=1024, endpoint_substitution=False)],
+    ids=["default", "refined", "no-substitution"],
+)
+def test_batched_tails_match_one_law_reference(quad):
+    p = 3
+    data = _weak_data(seed=2, p=p)
+    lr, q_r, truncs = _weak_laws(data, np.linspace(-3.0, 4.0, 9))
+    # conditional and naive laws interleaved, then a vacuous and an
+    # impossible flat event, an impossible curved one, and t = 0
+    t = np.concatenate([lr, lr[:4], [2.0, 2.0, 2.0, 0.0]])
+    q = np.concatenate([q_r, q_r[:4], [3.0, 3.0, 50.0, 1.0]])
+    laws = truncs + [None] * 4 + [
+        ClrTruncation(d0=0.0, d1=0.0, d2=0.5, lambda_sq=4.0, q_R=3.0, p=p),
+        ClrTruncation(d0=0.0, d1=0.0, d2=2.0, lambda_sq=4.0, q_R=3.0, p=p),
+        ClrTruncation(d0=1.0, d1=0.0, d2=1.0, lambda_sq=1.0, q_R=50.0, p=p),
+        ClrTruncation(d0=1.0, d1=0.5, d2=1.0, lambda_sq=4.0, q_R=1.0, p=p),
+    ]
+    underflow, panels = _check_against_reference(t, q, p, laws, quad)
+    assert list(np.flatnonzero(underflow)) == [14, 15]
+    if quad.panels == 128:
+        # laws stop refining at different depths
+        assert len(set(panels[:13])) >= 2 and panels.max() > 128
+
+
+def test_batched_tails_match_reference_where_events_underflow():
+    data = _underflowing_data()
+    lr, q_r, truncs = _weak_laws(data, np.linspace(1.0, 2.6, 33))
+    underflow, _ = _check_against_reference(lr, q_r, data.p, truncs)
+    assert underflow.any() and not underflow.all()
+
+
+def test_tails_reject_mismatched_inputs():
+    tr = ClrTruncation(d0=1.0, d1=0.5, d2=1.0, lambda_sq=4.0, q_R=1.0, p=3)
+    with pytest.raises(TruncationError):
+        clr_tails([1.0, 1.0], [1.0, 2.0], 3, [tr, tr])
+    with pytest.raises(TruncationError):
+        clr_tails([1.0], [1.0], 4, [tr])
+    with pytest.raises(ValueError, match="one entry per law"):
+        clr_tails([1.0, 1.0], [1.0], 3)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        clr_tails([1.0], [-1.0], 3)
+
+
+def test_underflowed_nulls_reported():
+    data = _underflowing_data()
+    assert f_statistic(data) < 10.0
+    report = clr_conditional_inference(data, 1.0, c0=10.0)
+    nulls = report.diagnostics["mass_underflow_nulls"]
+    assert report.diagnostics["mass_underflow_points"] == len(nulls) > 0
+    assert nulls == sorted(nulls)
+    # every listed null's conditioning event underflows
+    lr, q_r, truncs = _weak_laws(data, nulls)
+    for t, q, tr in zip(lr, q_r, truncs):
+        with pytest.raises(TruncationError):
+            clr_tail(t, q, data.p, trunc=tr)
+    assert report.conditional_ci.upper < nulls[0]
+    assert clr_conditional_inference(data, 1.0, c0=10.0).to_dict() == report.to_dict()
