@@ -65,11 +65,6 @@ from .sampler import (
     ConditionalLaw,
     SamplerConfig,
     build_law_tsls,
-    conditional_pvalue,
-    draws_csv,
-    dump_draws,
-    effective_sample_size,
-    geweke_zscore,
     gibbs_sample,
     invert_ci,
     sample_paths,

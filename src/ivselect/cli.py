@@ -70,23 +70,12 @@ class AnalysisConfig:
         if self.c0 < 0:
             raise ValueError("C0 must be nonnegative")
         if self.ci_grid is not None:
-            unknown = set(self.ci_grid) - {"center", "halfwidth", "points"}
+            unknown = set(self.ci_grid) - {"points"}
             if unknown:
                 raise ValueError(f"unknown ci_grid keys: {sorted(unknown)}")
 
-    def grid_array(self, data) -> Optional[np.ndarray]:
-        if self.ci_grid is None:
-            return None
-        center = self.ci_grid.get("center")
-        halfwidth = self.ci_grid.get("halfwidth")
-        points = int(self.ci_grid.get("points", 201))
-        if center is None:
-            center = tsls_estimate(data)
-        if halfwidth is None:
-            halfwidth = 8.0 * tsls_standard_error(data)
-        return np.linspace(center - halfwidth, center + halfwidth, points)
-
     def grid_points(self) -> int:
+        """Points of every branch's initial CI grid over beta_hat +- 8 SE."""
         if self.ci_grid is None:
             return 201
         return int(self.ci_grid.get("points", 201))
@@ -288,7 +277,7 @@ def analyze(data: IVDataset, config: AnalysisConfig) -> InferenceReport:
             data,
             pretest,
             alpha=config.alpha,
-            grid=config.grid_array(data),
+            n_points=config.grid_points(),
             null_value=config.null_value,
         )
     elif test == "tsls":

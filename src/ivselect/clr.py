@@ -13,11 +13,13 @@ values whose interval is empty contributing zero to both.  The screen
 here is the non-randomized F-test: lambda is computed with no noise
 term.
 
-clr_tails evaluates many laws (one per tested null or replication) on
-one (laws x nodes) Simpson grid and refines only the laws whose error
-estimate has not converged; clr_tail is its one-law case.  A law whose
-conditioning event has mass below 1e-12 comes back as NaN with an
-underflow flag, and the weak-branch report lists those nulls.
+truncation_from_estimates builds the screen events of many laws (one per
+tested null or replication) as one ClrTruncation of arrays, and
+clr_tails evaluates them on one (laws x nodes) Simpson grid, refining
+only the laws whose error estimate has not converged; clr_tail is its
+one-law case.  A law whose conditioning event has mass below 1e-12
+comes back as NaN with an underflow flag, and the weak-branch report
+lists those nulls.
 """
 
 import math
@@ -29,6 +31,7 @@ from scipy import integrate, special
 from .errors import BranchError, CovarianceError, QuadratureError, TruncationError
 from .model import (
     IVDataset,
+    _item,
     covariance_estimates,
     require_prepared,
     tsls_estimate,
@@ -76,7 +79,8 @@ class ClrTruncation:
     """Coefficients of ||S||^2 = d0*q_U + d1*u2*sqrt(q_R q_U) + d2*q_R.
 
     The screen-failure event {||S||^2 <= lambda_sq} is, for each fixed
-    u2, an interval (possibly empty) in sqrt(q_U).
+    u2, an interval (possibly empty) in sqrt(q_U).  The coefficients are
+    scalars for one law, or arrays that broadcast over a batch of laws.
     """
 
     d0: float
@@ -87,9 +91,9 @@ class ClrTruncation:
     p: int
 
     def __post_init__(self):
-        if self.d0 < 0 or self.d2 < 0:
+        if np.any(self.d0 < 0) or np.any(self.d2 < 0):
             raise ValueError("d0 and d2 are squared coefficients; must be >= 0")
-        if self.lambda_sq < 0 or self.q_R < 0:
+        if np.any(self.lambda_sq < 0) or np.any(self.q_R < 0):
             raise ValueError("lambda_sq and q_R must be >= 0")
         if self.p < 2:
             raise ValueError("truncation is defined for p >= 2")
@@ -99,20 +103,22 @@ def truncation_from_estimates(
     omega_hat: np.ndarray, beta0: float, lambda_sq: float, q_r: float, p: int
 ) -> ClrTruncation:
     """Build the screen-event coefficients from the 2x2 reduced-form
-    covariance at the tested null."""
+    covariance at the tested null.  Arrays of nulls, of covariances
+    (..., 2, 2), of lambda_sq and of q_r broadcast to a batch of laws."""
     o = np.asarray(omega_hat, dtype=float)
-    det = float(o[0, 0] * o[1, 1] - o[0, 1] ** 2)
-    b_quad = float(o[0, 0] - 2.0 * beta0 * o[0, 1] + beta0**2 * o[1, 1])
-    if det <= 0 or b_quad <= 0:
+    o00, o01, o11 = o[..., 0, 0], o[..., 0, 1], o[..., 1, 1]
+    det = o00 * o11 - o01**2
+    b_quad = o00 - 2.0 * beta0 * o01 + beta0**2 * o11
+    if np.any(det <= 0) or np.any(b_quad <= 0):
         raise CovarianceError("reduced-form covariance is singular at this beta0")
-    alpha_coef = (o[0, 1] - beta0 * o[1, 1]) / math.sqrt(b_quad)
+    alpha_coef = (o01 - beta0 * o11) / np.sqrt(b_quad)
     d2 = det / b_quad
     return ClrTruncation(
-        d0=alpha_coef**2,
-        d1=2.0 * alpha_coef * math.sqrt(d2),
-        d2=d2,
-        lambda_sq=float(lambda_sq),
-        q_R=float(q_r),
+        d0=_item(alpha_coef**2),
+        d1=_item(2.0 * alpha_coef * np.sqrt(d2)),
+        d2=_item(d2),
+        lambda_sq=_item(np.asarray(lambda_sq, dtype=float)),
+        q_R=_item(np.asarray(q_r, dtype=float)),
         p=int(p),
     )
 
@@ -253,12 +259,12 @@ def _converged_integrals(t, q_r, p, coefs, quad):
     )
 
 
-def clr_tails(t, q_r, p: int, truncs=None, quad: QuadratureConfig = None):
+def clr_tails(t, q_r, p: int, trunc: ClrTruncation = None, quad: QuadratureConfig = None):
     """P(statistic >= t | Q_R = q_r [, screen failed]) under the null, for
     many laws at once.
 
-    t and q_r are 1-D arrays with one entry per law; truncs is None (every
-    law naive) or a sequence holding a ClrTruncation or None per law.
+    t and q_r are 1-D arrays with one entry per law; trunc is None (every
+    law naive) or one ClrTruncation whose coefficients broadcast to them.
     Each tail is a ratio of two cosine integrals, so the weight
     normalization cancels; a naive law's denominator is the plain weight
     mass.  All laws share one Simpson grid per refinement level and only
@@ -272,30 +278,25 @@ def clr_tails(t, q_r, p: int, truncs=None, quad: QuadratureConfig = None):
     k4 = k4_constant(p)
     t = np.array(t, dtype=float, ndmin=1)
     q_r = np.array(q_r, dtype=float, ndmin=1)
-    truncs = [None] * t.size if truncs is None else list(truncs)
-    if not t.shape == q_r.shape == (len(truncs),):
-        raise ValueError("t, q_r and truncs need one entry per law")
+    if t.ndim != 1 or t.shape != q_r.shape:
+        raise ValueError("t and q_r need one entry per law")
     if np.any(q_r < 0):
         raise ValueError(f"q_r = {q_r[q_r < 0][0]} must be >= 0")
-    for trunc, q in zip(truncs, q_r):
-        if trunc is not None and (abs(trunc.q_R - q) > 1e-8 * (1.0 + abs(q)) or trunc.p != p):
-            raise TruncationError("truncation was built for different (q_R, p) than requested")
+    if trunc is not None and (
+        np.any(np.abs(trunc.q_R - q_r) > 1e-8 * (1.0 + np.abs(q_r))) or trunc.p != p
+    ):
+        raise TruncationError("truncation was built for different (q_R, p) than requested")
 
     tails = np.ones(t.size)
     underflow = np.zeros(t.size, dtype=bool)
-    live = ~(t <= 0.0)
-    cond = np.array([trunc is not None for trunc in truncs], dtype=bool)
-    rows = np.flatnonzero(live & ~cond)
+    rows = np.flatnonzero(~(t <= 0.0))
     if rows.size:
-        i_num, i_den = _converged_integrals(t[rows], q_r[rows], p, None, quad)
-        tails[rows] = np.clip(i_num / i_den, 0.0, 1.0)
-    rows = np.flatnonzero(live & cond)
-    if rows.size:
-        coefs = tuple(
-            np.array([getattr(truncs[i], name) for i in rows], dtype=float)
+        coefs = None if trunc is None else tuple(
+            np.broadcast_to(np.asarray(getattr(trunc, name), dtype=float), t.shape)[rows]
             for name in ("d0", "d1", "d2", "lambda_sq", "q_R")
         )
         i_num, i_den = _converged_integrals(t[rows], q_r[rows], p, coefs, quad)
+        # a naive law's denominator is the full weight mass, 1 / k4
         low = k4 * i_den < _MIN_EVENT_MASS
         underflow[rows] = low
         tails[rows] = np.nan
@@ -313,7 +314,7 @@ def clr_tail(
     """P(statistic >= t | Q_R = q_r [, screen failed]) under the null: the
     one-law case of clr_tails.  Raises TruncationError when the
     conditioning event's mass underflows."""
-    tails, underflow = clr_tails([t], [q_r], p, [trunc], quad)
+    tails, underflow = clr_tails([t], [q_r], p, trunc, quad)
     if underflow[0]:
         raise TruncationError(
             f"conditioning event has mass < {_MIN_EVENT_MASS}: "
@@ -335,9 +336,10 @@ def clr_conditional_inference(
 
     Applies only when the non-randomized screen failed (F < c0); the
     conditional law conditions on exactly that event.  Each round of the
-    grid inversion evaluates all of its nulls in one clr_tails call; nulls
-    whose conditioning event underflows are listed in the diagnostics
-    (mass_underflow_nulls) and never retained.
+    grid inversion builds the truncations of all of its nulls in one call
+    and evaluates them in one clr_tails call; nulls whose conditioning
+    event underflows are listed in the diagnostics (mass_underflow_nulls)
+    and never retained.
     """
     require_prepared(data)
     if data.p < 2:
@@ -351,15 +353,9 @@ def clr_conditional_inference(
     quad = quad if quad is not None else QuadratureConfig()
     lam2 = penalty_lambda(data, c0) ** 2
     est = covariance_estimates(data, beta0)
-
-    def truncations(xs, q_r):
-        return [
-            truncation_from_estimates(est.omega_hat, float(x), lam2, q, data.p)
-            for x, q in zip(xs, q_r)
-        ]
-
     (lr,), (q_r,) = clr_statistics(data, [beta0], est)
-    cond_p = clr_tail(lr, q_r, data.p, trunc=truncations([beta0], [q_r])[0], quad=quad)
+    trunc = truncation_from_estimates(est.omega_hat, beta0, lam2, q_r, data.p)
+    cond_p = clr_tail(lr, q_r, data.p, trunc=trunc, quad=quad)
     naive_p = clr_tail(lr, q_r, data.p, quad=quad)
     center = tsls_estimate(data)
     halfwidth = 8.0 * tsls_standard_error(data)
@@ -369,7 +365,8 @@ def clr_conditional_inference(
         # far from the estimate the plug-in failure event can underflow;
         # such nulls are unanswerable (NaN), so the scan stops there
         lr, q_r = clr_statistics(data, xs, est)
-        tails, underflow = clr_tails(lr, q_r, data.p, truncations(xs, q_r), quad)
+        trunc = truncation_from_estimates(est.omega_hat, xs, lam2, q_r, data.p)
+        tails, underflow = clr_tails(lr, q_r, data.p, trunc, quad)
         underflow_nulls.extend(np.asarray(xs, dtype=float)[underflow].tolist())
         return tails
 

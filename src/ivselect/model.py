@@ -48,7 +48,9 @@ def _mv(mat, v):
 
 
 def _sym2(a, b, c):
-    """Symmetric 2x2 matrices [[a, b], [b, c]] over the batch shape of the entries."""
+    """Symmetric 2x2 matrices [[a, b], [b, c]] over the broadcast batch shape
+    of the entries."""
+    a, b, c = np.broadcast_arrays(a, b, c)
     return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
 
 
@@ -351,6 +353,8 @@ class ModelEstimates:
 
 def covariance_estimates(data: IVDataset | Moments, beta0: float) -> ModelEstimates:
     """Reduced-form and structural covariance estimates at the null beta0.
+    An array of nulls broadcasts against the batch axis of the moments,
+    stacking sigma_hat (..., 2, 2).
 
     Omega_hat = [Y D]' P_Zperp [Y D] / (n - p)
     Sigma_hat(beta0) = [Y - D beta0, D]' P_Zperp [Y - D beta0, D] / (n - p)

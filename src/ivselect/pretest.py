@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFirstStageError, DimensionError
-from .model import IVDataset, Moments, _item, require_prepared, sufficient_statistic
+from .model import IVDataset, Moments, _dot, _item, require_prepared, sufficient_statistic
 
 
 @dataclass(frozen=True)
@@ -24,14 +24,15 @@ class RandomizationLaw:
     """Gaussian randomization omega ~ N(0, scale^2 I_p).
 
     Draws come from a counter-based generator (Philox) keyed by seed, so
-    a recorded (seed, scale) pair reproduces omega bit-exactly.
+    a recorded (seed, scale) pair reproduces omega bit-exactly.  The
+    density also takes an array of scales, one per screen of a batch.
     """
 
     scale: float
     seed: int
 
     def __post_init__(self):
-        if not self.scale > 0:
+        if not np.all(self.scale > 0):
             raise ValueError(f"randomization scale must be positive, got {self.scale}")
 
     def draw(self, p: int) -> np.ndarray:
@@ -39,9 +40,9 @@ class RandomizationLaw:
         return rng.normal(0.0, self.scale, size=p)
 
     def log_density(self, x: np.ndarray) -> float:
-        """Unnormalized log density of omega at x."""
+        """Unnormalized log density of omega at x (..., p)."""
         x = np.asarray(x, dtype=float)
-        return float(-0.5 * (x @ x) / self.scale**2)
+        return _item(-0.5 * _dot(x, x) / self.scale**2)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 An Interval is the hull of grid points retained by test inversion; an
 InferenceReport pairs conditional and naive answers with diagnostics.
 The grid-expansion loop lives here so the passed-screen branch, the
-weak-instrument branch and the Lasso branch invert identically.
+weak-instrument branch and the Lasso branch invert identically and
+label each interval end alike: a crossing of alpha, an underflow band
+or an unbounded side.
 """
 
 import math
@@ -115,28 +117,37 @@ def plain(obj):
     return str(obj)
 
 
+# a side still retained at the grid's end reaches this factor further out
+# per round, and is reported unbounded once its end passes _UNBOUNDED_AT
+_EXPAND_FACTOR = 2.0
+_UNBOUNDED_AT = 1e5
+_MAX_ROUNDS = 60
+
+
 def invert_pvalue_curve(
     pvalue_fn: Callable[[np.ndarray], np.ndarray],
     center: float,
     halfwidth: float,
     alpha: float,
     n_points: int = 201,
-    expand_factor: float = 2.0,
-    unbounded_at: float = 1e5,
-    max_rounds: int = 60,
 ):
     """Hull of {x : pvalue_fn(x) >= alpha} from an expanding grid.
 
     pvalue_fn maps an array of candidate nulls to an array of p-values.
     Starts from n_points over center +- halfwidth; while an endpoint is
-    still retained, that side's reach grows by expand_factor per round
-    until the endpoint is excluded or |endpoint| >= unbounded_at, which
+    still retained, that side's reach grows by _EXPAND_FACTOR per round
+    until the endpoint is excluded or |endpoint| >= _UNBOUNDED_AT, which
     reports the side as unbounded. An empty retained set degenerates to
     the argmax of the p-value curve.
 
     NaN p-values count as not retained, and a NaN endpoint freezes that
     side's expansion: the scan cannot see past a point it could not
     evaluate.
+
+    info["ends"] says what set each end of the interval: "unbounded",
+    "underflow" when the grid point just outside it has a NaN p-value
+    (an unanswerable null, such as an underflowed conditioning event),
+    else "crossing", the p-value falling below alpha.
 
     Returns (interval, xs, ps, info).
     """
@@ -155,25 +166,25 @@ def invert_pvalue_curve(
         retained = ps >= alpha
         lo_open = bool(retained[0]) and not lo_unbounded
         hi_open = bool(retained[-1]) and not hi_unbounded
-        if lo_open and abs(xs[0]) >= unbounded_at:
+        if lo_open and abs(xs[0]) >= _UNBOUNDED_AT:
             lo_unbounded, lo_open = True, False
-        if hi_open and abs(xs[-1]) >= unbounded_at:
+        if hi_open and abs(xs[-1]) >= _UNBOUNDED_AT:
             hi_unbounded, hi_open = True, False
         if not retained.any() or not (lo_open or hi_open):
             break
-        if rounds >= max_rounds:
+        if rounds >= _MAX_ROUNDS:
             raise ExperimentError(
-                f"confidence-interval grid exhausted after {max_rounds} "
+                f"confidence-interval grid exhausted after {_MAX_ROUNDS} "
                 f"expansions without excluding the endpoints"
             )
         rounds += 1
         if lo_open:
-            target = center - (center - xs[0]) * expand_factor
+            target = center - (center - xs[0]) * _EXPAND_FACTOR
             new_xs = np.linspace(target, xs[0], block + 1)[:-1]
             xs = np.concatenate([new_xs, xs])
             ps = np.concatenate([np.asarray(pvalue_fn(new_xs), float), ps])
         if hi_open:
-            target = center + (xs[-1] - center) * expand_factor
+            target = center + (xs[-1] - center) * _EXPAND_FACTOR
             new_xs = np.linspace(xs[-1], target, block + 1)[1:]
             xs = np.concatenate([xs, new_xs])
             ps = np.concatenate([ps, np.asarray(pvalue_fn(new_xs), float)])
@@ -182,21 +193,24 @@ def invert_pvalue_curve(
     info = {
         "grid_size": int(xs.size),
         "expansion_rounds": rounds,
-        "degenerate": False,
+        "degenerate": not retained.any(),
     }
-    if not retained.any():
+    if retained.any():
+        lo, hi = np.flatnonzero(retained)[[0, -1]]
+    else:
         if not np.isfinite(ps).any():
             raise ExperimentError(
                 "p-value curve could not be evaluated anywhere on the grid"
             )
-        k = int(np.nanargmax(ps))
-        info["degenerate"] = True
-        return Interval(xs[k], xs[k]), xs, ps, info
-    kept = xs[retained]
-    interval = Interval(
-        lower=float(kept.min()),
-        upper=float(kept.max()),
-        lower_unbounded=lo_unbounded,
-        upper_unbounded=hi_unbounded,
-    )
+        lo = hi = int(np.nanargmax(ps))
+
+    def end(unbounded, outside):
+        if unbounded:
+            return "unbounded"
+        if 0 <= outside < ps.size and np.isnan(ps[outside]):
+            return "underflow"
+        return "crossing"
+
+    info["ends"] = {"lower": end(lo_unbounded, lo - 1), "upper": end(hi_unbounded, hi + 1)}
+    interval = Interval(xs[lo], xs[hi], lo_unbounded, hi_unbounded)
     return interval, xs, ps, info

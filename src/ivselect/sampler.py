@@ -1,6 +1,6 @@
 """Conditional null law of the TSLS statistic given a passed screen:
 exact tails by quadrature, confidence intervals by test inversion, and
-a Gibbs sampler for chain output.
+a Gibbs sampler as the Monte Carlo reference.
 
 The law lives on (t, d): t the standardized statistic, d > 0 the slack
 of the randomized screen's solution in the active direction u.  Its
@@ -16,9 +16,13 @@ Ann. Statist. 2018): every p-value is a ratio of two 1-D integrals over
 d, done by Gauss-Legendre quadrature.  The Gibbs sampler (exact in t,
 inverse-CDF or slice steps in d) is the Monte Carlo reference;
 SamplerConfig steers it and the Lasso engine only.
+
+A ConditionalLaw follows the batch convention of model.Moments: an
+array of tested nulls, or a batch of replications, gives one law whose
+fields carry the batch axis, and _pooled_pvalues integrates all of its
+laws in one call.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -35,6 +39,8 @@ from .model import (
     IVDataset,
     ModelEstimates,
     Moments,
+    _dot,
+    _item,
     covariance_estimates,
     require_prepared,
     tsls_estimate,
@@ -65,7 +71,12 @@ class SamplerConfig:
 @dataclass(frozen=True)
 class ConditionalLaw:
     """Unnormalized conditional density of (t, d) given screen passage,
-    the active direction u, and the statistic's complement O."""
+    the active direction u, and the statistic's complement O.
+
+    One value holds one law or a batch of laws, one per tested null or
+    replication: w_st, o and u end in the instrument axis (p,), and every
+    field but w_t and jacobian_exponent may carry leading batch axes that
+    broadcast together."""
 
     w_t: float
     w_st: np.ndarray
@@ -81,17 +92,18 @@ class ConditionalLaw:
     def __post_init__(self):
         for name in ("w_st", "o", "u"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.w_st.shape != self.u.shape or self.o.shape != self.u.shape:
-            raise ValueError("w_st, o, u must share one shape (p,)")
+        vecs = (self.w_st, self.o, self.u)
+        if min(v.ndim for v in vecs) == 0 or len({v.shape[-1] for v in vecs}) != 1:
+            raise ValueError("w_st, o, u must share one last axis (p,)")
         if self.w_t <= 0:
             raise ValueError("w_t must be positive")
-        if self.lam < 0 or self.jacobian_exponent < 0:
+        if np.any(self.lam < 0) or self.jacobian_exponent < 0:
             raise ValueError("lam and jacobian_exponent must be >= 0")
-        if abs(float(self.u @ self.u) - 1.0) > 1e-8:
+        if np.any(np.abs(_dot(self.u, self.u) - 1.0) > 1e-8):
             raise ValueError("u must be a unit vector")
-        if self.d_obs <= 0:
+        if np.any(self.d_obs <= 0):
             raise ValueError("observed slack d_obs must be positive")
-        if not np.isfinite(self.log_density(self.t_obs, self.d_obs)):
+        if not np.all(np.isfinite(self.log_density(self.t_obs, self.d_obs))):
             raise SamplerError("law has non-finite density at the observed state")
 
     @property
@@ -102,39 +114,48 @@ class ConditionalLaw:
     @property
     def offset(self) -> np.ndarray:
         """State-free part of g's argument."""
-        return self.lam * self.u - self.o
+        return _col(self.lam) * self.u - self.o
 
-    def g_argument(self, t: float, d: float) -> np.ndarray:
-        return self.slope * t + self.u * d + self.offset
+    def g_argument(self, t, d) -> np.ndarray:
+        return self.slope * _col(t) + self.u * _col(d) + self.offset
 
-    def log_density(self, t: float, d: float) -> float:
-        if d <= 0:
-            return -math.inf
-        val = -0.5 * t * t / self.w_t + float(self.g_log_density(self.g_argument(t, d)))
+    def log_density(self, t, d) -> float:
+        t, d = np.asarray(t, dtype=float), np.asarray(d, dtype=float)
+        val = -0.5 * t * t / self.w_t + self.g_log_density(self.g_argument(t, d))
         if self.jacobian_exponent:
-            val += self.jacobian_exponent * math.log(d + self.lam)
-        return val
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = val + self.jacobian_exponent * np.log(d + self.lam)
+        return _item(np.where(d > 0, val, -np.inf))
+
+
+def _col(x) -> np.ndarray:
+    """x with a trailing axis, to scale each law's (p,) vectors."""
+    return np.asarray(x, dtype=float)[..., None]
 
 
 def build_law_tsls(
     data: IVDataset | Moments, beta0: float, pretest: PretestOutcome, est: ModelEstimates
 ) -> ConditionalLaw:
     """Conditional (t, d) law for testing beta = beta0 after the screen
-    passed.  est must carry Sigma_hat evaluated at this beta0."""
+    passed.  est must carry Sigma_hat evaluated at this beta0.
+
+    An array of nulls, or batched moments with their screens and
+    estimates, gives one ConditionalLaw whose fields carry that batch
+    axis; one null on one dataset gives a scalar t_obs and (p,) vectors."""
     m = require_prepared(data)
-    if not pretest.passed:
+    if not np.all(pretest.passed):
         raise BranchError("screen did not pass; this law conditions on passing")
-    if m.s2 <= 0:
+    if np.any(m.s2 <= 0):
         raise DegenerateFirstStageError("S = 0: nothing to condition on")
-    s11 = float(est.sigma_hat[0, 0])
-    s12 = float(est.sigma_hat[0, 1])
-    w_st = s12 * m.s / math.sqrt(s11 * m.s2)
+    s11 = est.sigma_hat[..., 0, 0]
+    s12 = est.sigma_hat[..., 0, 1]
+    w_st = _col(s12) * m.s / _col(np.sqrt(s11 * m.s2))
     t_obs = tsls_stat(m, beta0, est).statistic
     g = RandomizationLaw(scale=pretest.scale, seed=pretest.seed)
     return ConditionalLaw(
         w_t=1.0,
         w_st=w_st,
-        o=m.s - w_st * t_obs,
+        o=m.s - w_st * _col(t_obs),
         u=pretest.u,
         lam=pretest.lam,
         g_log_density=g.log_density,
@@ -303,48 +324,8 @@ def sample_paths(law: ConditionalLaw, config: SamplerConfig = None):
     return out["t"], out["d"]
 
 
-def draws_csv(t_paths: np.ndarray, d_paths: np.ndarray) -> str:
-    """Chain draws as comma-separated text, columns chain, iter, t, d."""
-    t_paths = np.atleast_2d(np.asarray(t_paths, dtype=float))
-    d_paths = np.atleast_2d(np.asarray(d_paths, dtype=float))
-    if t_paths.shape != d_paths.shape:
-        raise ValueError("t and d paths must share a shape")
-    lines = ["chain,iter,t,d"]
-    for c in range(t_paths.shape[0]):
-        for i in range(t_paths.shape[1]):
-            lines.append(
-                "%d,%d,%s,%s"
-                % (c, i, repr(float(t_paths[c, i])), repr(float(d_paths[c, i])))
-            )
-    return "\n".join(lines) + "\n"
-
-
-def dump_draws(path, law: ConditionalLaw, config: SamplerConfig = None) -> None:
-    """Sample the configured chains and write one file row per retained draw."""
-    t_paths, d_paths = sample_paths(law, config)
-    with open(path, "w") as fh:
-        fh.write(draws_csv(t_paths, d_paths))
-
-
-def conditional_pvalue(draws: np.ndarray, t_obs: float, sided: str = "upper") -> float:
-    """Monte Carlo tail probability of t_obs among the draws."""
-    draws = np.asarray(draws, dtype=float)
-    if draws.size < 1:
-        raise ValueError("need at least one draw")
-    upper = float(np.mean(draws >= t_obs))
-    lower = float(np.mean(draws <= t_obs))
-    key = sided.replace("-", "_").lower()
-    if key == "upper":
-        return upper
-    if key == "lower":
-        return lower
-    if key == "two_sided":
-        return min(1.0, 2.0 * min(upper, lower))
-    raise ValueError(f"sided must be upper, lower, or two_sided; got {sided!r}")
-
-
 class Tails(NamedTuple):
-    """Exact conditional tails of T at each law's t_obs, one entry per law.
+    """Exact conditional tails of T at each law's t_obs, in the laws' batch shape.
 
     error is the larger change of either tail between the full and the
     half Gauss-Legendre rule; nodes counts the d nodes of the full rule."""
@@ -398,9 +379,11 @@ def _window_tails(rows, panels, rule):
     return (wd * special.ndtr(-z)).sum(axis=1) / den, (wd * special.ndtr(z)).sum(axis=1) / den
 
 
-def _pooled_pvalues(laws) -> Tails:
-    """P(T >= t_obs | pass) and P(T <= t_obs | pass) for a batch of
-    Gaussian-randomization laws, each at its own t_obs, by quadrature.
+def _pooled_pvalues(law: ConditionalLaw) -> Tails:
+    """P(T >= t_obs | pass) and P(T <= t_obs | pass) for a Gaussian-
+    randomization law, or for each law of a batch at its own t_obs, by
+    quadrature.  The tails take the law's batch shape, so
+    replace(law, t_obs=points) gives the tails at many points.
 
     t given d is normal with mean -a.(u d + offset) / prec and sd
     c / sqrt(prec), prec = c^2 + |a|^2, so integrating t out leaves d the
@@ -411,15 +394,18 @@ def _pooled_pvalues(laws) -> Tails:
     near-step in d.  Rows whose full and half rules differ by more than
     _QUAD_TOL are redone on twice the panels; QuadratureError if that
     never settles."""
-    for law in laws:
-        _require_gaussian(law)
-    a = np.stack([law.slope for law in laws])
-    u = np.stack([law.u for law in laws])
-    e = np.stack([law.offset for law in laws])
-    lam = np.array([law.lam for law in laws])
-    c = np.array([law.gaussian_scale for law in laws])
-    t_obs = np.array([law.t_obs for law in laws])
-    jac = np.array([law.jacobian_exponent for law in laws], dtype=float)
+    _require_gaussian(law)
+    a, e = law.slope, law.offset
+    p = a.shape[-1]
+    shape = np.broadcast_shapes(
+        a.shape[:-1], e.shape[:-1], np.shape(law.gaussian_scale), np.shape(law.t_obs)
+    )
+    # one row per law: broadcast, then copied contiguous by the reshape
+    a, u, e = (np.broadcast_to(v, shape + (p,)).reshape(-1, p) for v in (a, law.u, e))
+    lam, c, t_obs = (
+        np.broadcast_to(v, shape).reshape(-1) for v in (law.lam, law.gaussian_scale, law.t_obs)
+    )
+    jac = np.full(t_obs.size, float(law.jacobian_exponent))
 
     c2 = c * c
     prec = c2 + np.einsum("ij,ij->i", a, a)
@@ -460,7 +446,7 @@ def _pooled_pvalues(laws) -> Tails:
     cuts = np.clip(np.sort(cross, axis=0), lo, hi)
     rows = np.column_stack([lo, cuts[0], cuts[1], hi, big_a, big_b, lam, jac, z0, z1])
 
-    m = len(laws)
+    m = t_obs.size
     upper, lower, error = np.empty(m), np.empty(m), np.empty(m)
     nodes = np.empty(m, dtype=int)
     todo = np.arange(m)
@@ -473,55 +459,12 @@ def _pooled_pvalues(laws) -> Tails:
         nodes[todo] = 3 * panels * _QUAD_NODES
         todo = todo[~(err <= _QUAD_TOL)]
         if todo.size == 0:
-            return Tails(upper, lower, error, nodes)
+            return Tails(*(v.reshape(shape) for v in (upper, lower, error, nodes)))
         panels *= 2
     raise QuadratureError(
         f"passed-screen tail not converged for {todo.size} of {m} laws: error "
         f"{float(np.nanmax(error[todo])):.3g} > tol {_QUAD_TOL:.3g} at {panels // 2} panels"
     )
-
-
-def effective_sample_size(x: np.ndarray) -> float:
-    """ESS from the initial monotone positive sequence of autocorrelation
-    pair sums, capped at the chain length."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n < 4 or float(np.var(x)) == 0.0:
-        return float(n)
-    xc = x - x.mean()
-    nfft = 1 << int(math.ceil(math.log2(2 * n)))
-    f = np.fft.rfft(xc, nfft)
-    acov = np.fft.irfft(f * np.conjugate(f))[:n] / n
-    if acov[0] <= 0:
-        return float(n)
-    rho = acov / acov[0]
-    tau = 0.0
-    prev = math.inf
-    for k in range(0, n - 1, 2):
-        pair = rho[k] + rho[k + 1]
-        if pair <= 0:
-            break
-        pair = min(pair, prev)
-        prev = pair
-        tau += 2.0 * pair
-    tau -= 1.0
-    if tau <= 0:
-        return float(n)
-    return float(min(n, n / tau))
-
-
-def geweke_zscore(x: np.ndarray, first: float = 0.1, last: float = 0.5) -> float:
-    """Z-score of the mean difference between the first and last chain
-    segments, with autocorrelation-adjusted variances."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    a = x[: max(int(first * n), 2)]
-    b = x[-max(int(last * n), 2):]
-    va = float(np.var(a, ddof=1)) / effective_sample_size(a)
-    vb = float(np.var(b, ddof=1)) / effective_sample_size(b)
-    if va + vb == 0:
-        return 0.0
-    return float((a.mean() - b.mean()) / math.sqrt(va + vb))
 
 
 def wald_interval(data: IVDataset | Moments, alpha: float = 0.05) -> Interval:
@@ -536,7 +479,7 @@ def invert_ci(
     data: IVDataset,
     pretest: PretestOutcome,
     alpha: float = 0.05,
-    grid: np.ndarray = None,
+    n_points: int = 201,
     null_value: float = 0.0,
 ) -> InferenceReport:
     """Confidence interval as the hull of nulls whose two-sided
@@ -544,10 +487,10 @@ def invert_ci(
     Every p-value is an exact tail from _pooled_pvalues.
 
     The screen's omega and u are held fixed across the grid; the
-    statistic's complement O and covariance W_ST are rebuilt per tested
-    null.  The grid argument sets the initial span and resolution
-    (default 201 points over beta_hat +- 8 SE); expansion proceeds until
-    both endpoints are excluded or reported unbounded.
+    statistic's complement O and covariance W_ST depend on the tested
+    null, and each grid round builds the laws of all its nulls in one
+    call.  The grid starts at n_points over beta_hat +- 8 SE; expansion
+    proceeds until both endpoints are excluded or reported unbounded.
     """
     require_prepared(data)
     if not pretest.passed:
@@ -556,35 +499,21 @@ def invert_ci(
         raise SamplerError("inversion needs the Gaussian randomization recorded by the screen")
     beta_hat = tsls_estimate(data)
     se = tsls_standard_error(data)
-    if grid is None:
-        center, halfwidth, n_points = beta_hat, 8.0 * se, 201
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid.size < 3 or not (grid.min() <= beta_hat <= grid.max()):
-            raise ValueError("grid needs >= 3 points and must cover beta_hat")
-        center = 0.5 * (grid.min() + grid.max())
-        halfwidth = 0.5 * (grid.max() - grid.min())
-        n_points = grid.size
 
     def pfn(xs):
-        laws = [
-            build_law_tsls(data, b0, pretest, covariance_estimates(data, b0))
-            for b0 in xs
-        ]
-        return _pooled_pvalues(laws).two_sided
+        law = build_law_tsls(data, xs, pretest, covariance_estimates(data, xs))
+        return _pooled_pvalues(law).two_sided
 
-    interval, _, _, grid_info = invert_pvalue_curve(
-        pfn, center, halfwidth, alpha, n_points=n_points
-    )
+    interval, _, _, grid_info = invert_pvalue_curve(pfn, beta_hat, 8.0 * se, alpha, n_points)
 
     est0 = covariance_estimates(data, null_value)
     naive = tsls_stat(data, null_value, est0)
-    tails = _pooled_pvalues([build_law_tsls(data, null_value, pretest, est0)])
-    q = float(min(tails.upper[0], tails.lower[0]))
-    err = float(tails.error[0])
+    tails = _pooled_pvalues(build_law_tsls(data, null_value, pretest, est0))
+    q = float(min(tails.upper, tails.lower))
+    err = float(tails.error)
     return InferenceReport(
         beta0=float(null_value),
-        conditional_pvalue=float(tails.two_sided[0]),
+        conditional_pvalue=float(tails.two_sided),
         naive_pvalue=naive.naive_pvalue,
         conditional_ci=interval,
         naive_ci=wald_interval(data, alpha),
@@ -595,7 +524,7 @@ def invert_ci(
             "standard_error": se,
             "method": "quadrature",
             "quadrature_error": err,
-            "quadrature_nodes": int(tails.nodes[0]),
+            "quadrature_nodes": int(tails.nodes),
             # Monte Carlo draws that would match the quadrature's accuracy
             "ess": q * (1.0 - q) / max(err, np.finfo(float).eps) ** 2,
             "grid": grid_info,

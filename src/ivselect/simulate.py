@@ -4,9 +4,10 @@ Everything here conditions on instruments Z, so each replication draws a
 fresh design.  The strength-screen experiments reduce a whole batch of
 replications to one batched Moments value and run the screen, the
 statistics and the naive references through the same functions a single
-dataset uses; replication i's conditional law is built from row i and
-integrated exactly.  The Lasso experiment builds a dataset per
-replication, because its penalty and solver work on the raw columns.
+dataset uses; the conditional laws of the replications on a branch are
+built from their rows in one call and integrated exactly.  The Lasso
+experiment builds a dataset per replication, because its penalty and
+solver work on the raw columns.
 A brute-force rejection oracle, written independently of Moments,
 provides ground truth for the conditional null law: simulate, screen
 with fresh randomization, keep the test statistic from draws that land
@@ -66,7 +67,6 @@ class DGPConfig:
     beta_star: float
     gamma_star: np.ndarray
     sigma_star: np.ndarray
-    instrument_law: str = "standard_normal"
     seed: int = 0
 
     def __post_init__(self):
@@ -86,8 +86,6 @@ class DGPConfig:
             raise ValueError("sigma_star must be positive definite")
         if abs(sigma[0, 1]) >= math.sqrt(sigma[0, 0] * sigma[1, 1]):
             raise ValueError("error correlation must be strictly inside (-1, 1)")
-        if self.instrument_law != "standard_normal":
-            raise ValueError(f"unknown instrument law {self.instrument_law!r}")
 
 
 def dgp_from_r(
@@ -200,8 +198,9 @@ def _screen(mom: Moments, c0: float, rng) -> PretestOutcome:
 
 
 def _row(batch, i):
-    """Replication i of a batched PretestOutcome or ModelEstimates: every
-    field with a batch axis is indexed, the shared scalars are kept."""
+    """Replication i (or the replications of an index array i) of a batched
+    PretestOutcome or ModelEstimates: every field with a batch axis is
+    indexed, the shared scalars are kept."""
     return replace(batch, **{
         f.name: getattr(batch, f.name)[i] for f in fields(batch) if np.ndim(getattr(batch, f.name))
     })
@@ -234,8 +233,8 @@ def uniformity_experiment(
             f"only {passing.size} of {reps} replications passed the screen"
         )
     est = covariance_estimates(mom, beta0)
-    laws = [build_law_tsls(mom[i], beta0, _row(screen, i), _row(est, i)) for i in passing]
-    two = _pooled_pvalues(laws).two_sided
+    law = build_law_tsls(mom[passing], beta0, _row(screen, passing), _row(est, passing))
+    two = _pooled_pvalues(law).two_sided
     naive_two = tsls_stat(mom, beta0, est).naive_pvalue[passing]
     zq = stats.norm.ppf(1.0 - alpha / 2.0)
     wald_covers = np.abs(tsls_estimate(mom) - beta0) <= zq * tsls_standard_error(mom)
@@ -276,11 +275,8 @@ def _clr_fail_cell(config, c0, alpha, reps) -> ExperimentResult:
     p = mom.p
     q_r = comps.q_r[failing]
     lr = clr_statistic_from_q(comps.q_u[failing], comps.q_ur[failing], q_r)
-    truncs = [
-        truncation_from_estimates(est.omega_hat[i], beta0, float(lam_sq[i]), float(q), p)
-        for i, q in zip(failing, q_r)
-    ]
-    cond, underflow = clr_tails(lr, q_r, p, truncs)
+    trunc = truncation_from_estimates(est.omega_hat[failing], beta0, lam_sq[failing], q_r, p)
+    cond, underflow = clr_tails(lr, q_r, p, trunc)
     if underflow.any():
         raise TruncationError(
             f"replication {failing[underflow][0]}: conditioning event mass underflowed, "

@@ -75,7 +75,8 @@ class ClrComponents:
 
 def tsls_stat(data: IVDataset | Moments, beta0: float, est: ModelEstimates) -> TestValue:
     """T = D'P_Z(Y - D beta0) / (sqrt(Sigma_11) sqrt(D'P_Z D)), two-sided
-    normal p-value.  Sigma_hat must be evaluated at this beta0."""
+    normal p-value.  Sigma_hat must be evaluated at this beta0; an array
+    of nulls gives one statistic per null, as in clr_components."""
     m = require_prepared(data)
     _require_first_stage(m)
     s11 = est.sigma_hat[..., 0, 0]
@@ -84,7 +85,8 @@ def tsls_stat(data: IVDataset | Moments, beta0: float, est: ModelEstimates) -> T
     t = (_dot(m.sy, m.s) - beta0 * m.s2) / np.sqrt(s11 * m.s2)
     pval = np.minimum(2.0 * stats.norm.sf(np.abs(t)), 1.0)
     return TestValue(
-        statistic=_item(t), kind=StatKind.TSLS, beta0=float(beta0), naive_pvalue=_item(pval)
+        statistic=_item(t), kind=StatKind.TSLS, beta0=_item(np.asarray(beta0, dtype=float)),
+        naive_pvalue=_item(pval),
     )
 
 

@@ -336,6 +336,9 @@ def test_analysis_config_validation():
         AnalysisConfig(c0=-1.0)
     with pytest.raises(ValueError, match="unknown ci_grid keys"):
         AnalysisConfig(ci_grid={"centre": 0.0})
+    # every branch's grid is set by its point count alone
+    with pytest.raises(ValueError, match=r"unknown ci_grid keys: \['center'\]"):
+        AnalysisConfig(ci_grid={"center": 0, "points": 21})
 
 
 # ------------------------------------------------------------- main/json

@@ -1,6 +1,7 @@
 """Quadrature for the weak-instrument tail law and its screen truncation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from ivselect import (
     truncation_from_estimates,
 )
 from ivselect.errors import BranchError, QuadratureError, TruncationError
-from ivselect.teststats import clr_statistics
+from ivselect.model import Moments
+from ivselect.sampler import _generator
+from ivselect.simulate import _draw_batch
+from ivselect.teststats import clr_statistic_from_q, clr_statistics
 
 
 def test_k4_exact_values():
@@ -236,8 +240,17 @@ def _weak_laws(data, beta0s, c0=10.0):
     est = covariance_estimates(data, 1.0)
     lr, q_r = clr_statistics(data, beta0s, est)
     lam2 = penalty_lambda(data, c0) ** 2
-    truncs = [truncation_from_estimates(est.omega_hat, b, lam2, q, data.p) for b, q in zip(beta0s, q_r)]
-    return lr, q_r, truncs
+    return lr, q_r, truncation_from_estimates(est.omega_hat, np.asarray(beta0s), lam2, q_r, data.p)
+
+
+_COEFS = ("d0", "d1", "d2", "lambda_sq", "q_R")
+
+
+def _law(trunc, k, n):
+    """Law k of the n laws of a batched truncation (None stays None)."""
+    if trunc is None:
+        return None
+    return replace(trunc, **{name: float(np.broadcast_to(getattr(trunc, name), n)[k]) for name in _COEFS})
 
 
 def _underflowing_data():
@@ -246,9 +259,11 @@ def _underflowing_data():
     return generate(dgp_from_r(0.2, 0.99, n=200, p=2, seed=1))
 
 
-def _check_against_reference(t, q_r, p, truncs, quad=QuadratureConfig()):
-    tails, underflow = clr_tails(t, q_r, p, truncs, quad)
-    ref, panels = np.array([_reference_tail(*law, p, tr, quad) for *law, tr in zip(t, q_r, truncs)]).T
+def _check_against_reference(t, q_r, p, trunc, quad=QuadratureConfig()):
+    tails, underflow = clr_tails(t, q_r, p, trunc, quad)
+    ref, panels = np.array(
+        [_reference_tail(t[k], q_r[k], p, _law(trunc, k, t.size), quad) for k in range(t.size)]
+    ).T
     np.testing.assert_array_equal(underflow, np.isnan(ref))
     assert np.isnan(tails[underflow]).all()
     np.testing.assert_allclose(tails[~underflow], ref[~underflow], rtol=0.0, atol=1e-13)
@@ -263,37 +278,43 @@ def _check_against_reference(t, q_r, p, truncs, quad=QuadratureConfig()):
 def test_batched_tails_match_one_law_reference(quad):
     p = 3
     data = _weak_data(seed=2, p=p)
-    lr, q_r, truncs = _weak_laws(data, np.linspace(-3.0, 4.0, 9))
-    # conditional and naive laws interleaved, then a vacuous and an
-    # impossible flat event, an impossible curved one, and t = 0
-    t = np.concatenate([lr, lr[:4], [2.0, 2.0, 2.0, 0.0]])
-    q = np.concatenate([q_r, q_r[:4], [3.0, 3.0, 50.0, 1.0]])
-    laws = truncs + [None] * 4 + [
-        ClrTruncation(d0=0.0, d1=0.0, d2=0.5, lambda_sq=4.0, q_R=3.0, p=p),
-        ClrTruncation(d0=0.0, d1=0.0, d2=2.0, lambda_sq=4.0, q_R=3.0, p=p),
-        ClrTruncation(d0=1.0, d1=0.0, d2=1.0, lambda_sq=1.0, q_R=50.0, p=p),
-        ClrTruncation(d0=1.0, d1=0.5, d2=1.0, lambda_sq=4.0, q_R=1.0, p=p),
-    ]
-    underflow, panels = _check_against_reference(t, q, p, laws, quad)
-    assert list(np.flatnonzero(underflow)) == [14, 15]
+    lr, q_r, trunc = _weak_laws(data, np.linspace(-3.0, 4.0, 9))
+    # the conditional laws, then a vacuous and an impossible flat event,
+    # an impossible curved one, and t = 0
+    t = np.concatenate([lr, [2.0, 2.0, 2.0, 0.0]])
+    q = np.concatenate([q_r, [3.0, 3.0, 50.0, 1.0]])
+    trunc = ClrTruncation(
+        d0=np.append(trunc.d0, [0.0, 0.0, 1.0, 1.0]),
+        d1=np.append(trunc.d1, [0.0, 0.0, 0.0, 0.5]),
+        d2=np.append(trunc.d2, [0.5, 2.0, 1.0, 1.0]),
+        lambda_sq=np.append(np.broadcast_to(trunc.lambda_sq, lr.shape), [4.0, 4.0, 1.0, 4.0]),
+        q_R=q,
+        p=p,
+    )
+    underflow, panels = _check_against_reference(t, q, p, trunc, quad)
+    assert list(np.flatnonzero(underflow)) == [10, 11]
+    # naive laws at the first four nulls
+    naive_underflow, naive_panels = _check_against_reference(lr[:4], q_r[:4], p, None, quad)
+    assert not naive_underflow.any()
     if quad.panels == 128:
         # laws stop refining at different depths
-        assert len(set(panels[:13])) >= 2 and panels.max() > 128
+        panels = np.concatenate([panels[:9], naive_panels])
+        assert len(set(panels)) >= 2 and panels.max() > 128
 
 
 def test_batched_tails_match_reference_where_events_underflow():
     data = _underflowing_data()
-    lr, q_r, truncs = _weak_laws(data, np.linspace(1.0, 2.6, 33))
-    underflow, _ = _check_against_reference(lr, q_r, data.p, truncs)
+    lr, q_r, trunc = _weak_laws(data, np.linspace(1.0, 2.6, 33))
+    underflow, _ = _check_against_reference(lr, q_r, data.p, trunc)
     assert underflow.any() and not underflow.all()
 
 
 def test_tails_reject_mismatched_inputs():
     tr = ClrTruncation(d0=1.0, d1=0.5, d2=1.0, lambda_sq=4.0, q_R=1.0, p=3)
     with pytest.raises(TruncationError):
-        clr_tails([1.0, 1.0], [1.0, 2.0], 3, [tr, tr])
+        clr_tails([1.0, 1.0], [1.0, 2.0], 3, tr)
     with pytest.raises(TruncationError):
-        clr_tails([1.0], [1.0], 4, [tr])
+        clr_tails([1.0], [1.0], 4, tr)
     with pytest.raises(ValueError, match="one entry per law"):
         clr_tails([1.0, 1.0], [1.0], 3)
     with pytest.raises(ValueError, match="must be >= 0"):
@@ -308,9 +329,54 @@ def test_underflowed_nulls_reported():
     assert report.diagnostics["mass_underflow_points"] == len(nulls) > 0
     assert nulls == sorted(nulls)
     # every listed null's conditioning event underflows
-    lr, q_r, truncs = _weak_laws(data, nulls)
-    for t, q, tr in zip(lr, q_r, truncs):
+    lr, q_r, trunc = _weak_laws(data, nulls)
+    for k, (t, q) in enumerate(zip(lr, q_r)):
         with pytest.raises(TruncationError):
-            clr_tail(t, q, data.p, trunc=tr)
+            clr_tail(t, q, data.p, trunc=_law(trunc, k, len(nulls)))
     assert report.conditional_ci.upper < nulls[0]
     assert clr_conditional_inference(data, 1.0, c0=10.0).to_dict() == report.to_dict()
+
+
+def test_interval_end_set_by_underflow_band_is_labelled():
+    # the conditional p-value is 0.114 at the last retained null; the
+    # grid nulls just above it underflow, so no crossing sets that end
+    data = generate(dgp_from_r(0.3, 0.99, n=200, p=2, seed=1))
+    report = clr_conditional_inference(data, 1.0, c0=10.0)
+    diag = report.diagnostics
+    assert report.conditional_ci.upper == pytest.approx(1.48385, abs=1e-5)
+    assert diag["conditional_grid"]["ends"] == {"lower": "crossing", "upper": "underflow"}
+    assert diag["mass_underflow_nulls"][0] > report.conditional_ci.upper
+    assert diag["naive_grid"]["ends"] == {"lower": "crossing", "upper": "crossing"}
+
+
+def _assert_truncations_match(trunc, singles, t, q_r, p):
+    for name in _COEFS:
+        ref = np.array([getattr(one, name) for one in singles])
+        np.testing.assert_array_equal(np.broadcast_to(getattr(trunc, name), ref.shape), ref)
+    tails, underflow = clr_tails(t, q_r, p, trunc)
+    assert not underflow.any()
+    np.testing.assert_array_equal(tails, [clr_tail(*law, p, one) for *law, one in zip(t, q_r, singles)])
+
+
+def test_batched_truncation_equals_per_null_builds():
+    # an array of nulls on one dataset
+    data = _weak_data(seed=3)
+    nulls = np.linspace(-2.0, 3.0, 11)
+    lr, q_r, trunc = _weak_laws(data, nulls)
+    est = covariance_estimates(data, 1.0)
+    lam2 = penalty_lambda(data, 10.0) ** 2
+    singles = [truncation_from_estimates(est.omega_hat, b, lam2, q, data.p) for b, q in zip(nulls, q_r)]
+    _assert_truncations_match(trunc, singles, lr, q_r, data.p)
+    # a batch of replications at one null, each with its own covariance
+    rng = _generator(4, 1)
+    mom = Moments.of(*_draw_batch(dgp_from_r(0.05, 0.6, n=300, p=4, seed=4), 12, rng))
+    est = covariance_estimates(mom, 1.0)
+    comps = clr_components(mom, 1.0, est)
+    lam2 = penalty_lambda(mom, 10.0) ** 2
+    trunc = truncation_from_estimates(est.omega_hat, 1.0, lam2, comps.q_r, mom.p)
+    singles = [
+        truncation_from_estimates(est.omega_hat[i], 1.0, float(lam2[i]), comps.q_r[i], mom.p)
+        for i in range(12)
+    ]
+    lr = clr_statistic_from_q(comps.q_u, comps.q_ur, comps.q_r)
+    _assert_truncations_match(trunc, singles, lr, comps.q_r, mom.p)

@@ -302,8 +302,8 @@ def test_vanishing_randomization_matches_f_branch():
         pretest = run_pretest(data, c0=10.0, seed=seed + 3, scale=0.35 * default_scale(data))
         assert pretest.passed
         law_f = build_law_tsls(data, 1.0, pretest, est)
-        two_f = _pooled_pvalues([law_f]).two_sided
-        diffs.append(abs(float(two_l[0]) - float(two_f[0])))
+        two_f = _pooled_pvalues(law_f).two_sided
+        diffs.append(abs(float(two_l[0]) - float(two_f)))
     assert float(np.mean(diffs)) < 0.05
 
 

@@ -70,12 +70,25 @@ def test_inversion_recovers_known_retention_set():
     assert interval.upper == pytest.approx(1.0 + 1.9, abs=2 * spacing)
     assert info["expansion_rounds"] >= 1
     assert not info["degenerate"]
+    assert info["ends"] == {"lower": "crossing", "upper": "crossing"}
 
 
 def test_inversion_flags_unbounded_sides():
     fn = lambda xs: np.full(np.shape(xs), 0.5)
-    interval, _, _, _ = invert_pvalue_curve(fn, 0.0, 1.0, 0.05, n_points=21)
+    interval, _, _, info = invert_pvalue_curve(fn, 0.0, 1.0, 0.05, n_points=21)
     assert interval.lower_unbounded and interval.upper_unbounded
+    assert info["ends"] == {"lower": "unbounded", "upper": "unbounded"}
+
+
+def test_inversion_labels_an_end_cut_by_unanswerable_nulls():
+    # retained from -1 on; past 1.25 the curve cannot be evaluated (NaN)
+    def fn(xs):
+        xs = np.asarray(xs)
+        return np.where(xs > 1.25, np.nan, np.where(xs >= -1.0, 0.5, 0.0))
+
+    interval, _, _, info = invert_pvalue_curve(fn, 0.0, 2.0, 0.05, n_points=41)
+    assert interval.lower == pytest.approx(-1.0) and interval.upper == pytest.approx(1.2)
+    assert info["ends"] == {"lower": "crossing", "upper": "underflow"}
 
 
 def test_inversion_alpha_one_collapses_to_peak():

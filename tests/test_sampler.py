@@ -14,14 +14,9 @@ from ivselect import (
     ConditionalLaw,
     SamplerConfig,
     build_law_tsls,
-    conditional_pvalue,
     covariance_estimates,
     dgp_from_r,
-    draws_csv,
-    dump_draws,
-    effective_sample_size,
     generate,
-    geweke_zscore,
     gibbs_sample,
     invert_ci,
     run_pretest,
@@ -31,7 +26,9 @@ from ivselect import (
     wald_interval,
 )
 from ivselect.errors import BranchError, SamplerError
-from ivselect.sampler import _pooled_pvalues, _truncnorm_ppf
+from ivselect.model import Moments
+from ivselect.sampler import _generator, _pooled_pvalues, _truncnorm_ppf
+from ivselect.simulate import _draw_batch, _row, _screen
 
 
 def _passed_setup(seed=0, n=150, p=1, r=0.8, beta0=0.5, scale=None):
@@ -40,6 +37,16 @@ def _passed_setup(seed=0, n=150, p=1, r=0.8, beta0=0.5, scale=None):
     assert pretest.passed
     est = covariance_estimates(data, beta0)
     return data, pretest, build_law_tsls(data, beta0, pretest, est)
+
+
+def _one(law, k):
+    """Law k of a batch: every field with a batch axis is indexed."""
+    vectors = ("w_st", "o", "u")
+    return replace(law, **{
+        name: getattr(law, name)[k]
+        for name in (*vectors, "lam", "gaussian_scale", "t_obs", "d_obs")
+        if np.ndim(getattr(law, name)) > (name in vectors)
+    })
 
 
 def test_build_law_requires_passed_screen():
@@ -81,7 +88,7 @@ def test_single_instrument_t_marginal_matches_closed_form():
     # the quadrature's lower tail is the same CDF; the trapezoid
     # reference is good to about 1e-7 at this spacing
     points = np.linspace(-4.0, 4.0, 33)
-    tails = _pooled_pvalues([replace(law, t_obs=float(t)) for t in points])
+    tails = _pooled_pvalues(replace(law, t_obs=points))
     np.testing.assert_allclose(tails.lower, np.interp(points, ts, cdf), rtol=0, atol=1e-6)
     np.testing.assert_allclose(tails.upper, 1.0 - tails.lower, rtol=0, atol=1e-12)
 
@@ -134,18 +141,17 @@ def test_quadrature_matches_adaptive_quad():
         pretest = run_pretest(data, c0=10.0, seed=seed)
         assert pretest.passed
         beta_hat, se = tsls_estimate(data), tsls_standard_error(data)
-        laws = [
-            build_law_tsls(data, b0, pretest, covariance_estimates(data, b0))
-            for b0 in beta_hat + se * np.linspace(-30.0, 30.0, 13)
-        ]
-        edge = laws[6]
-        for shift in (edge.d_obs, edge.d_obs + 3.0):
-            laws.append(replace(edge, o=edge.o - (shift - 1e-6) * edge.u, d_obs=1e-6))
-        tails = _pooled_pvalues(laws)
-        for k, law in enumerate(laws):
-            up, lo = _quad_tails(law)
-            worst = max(worst, abs(tails.upper[k] - up), abs(tails.lower[k] - lo))
-        assert np.all(tails.error < 1e-10)
+        nulls = beta_hat + se * np.linspace(-30.0, 30.0, 13)
+        law = build_law_tsls(data, nulls, pretest, covariance_estimates(data, nulls))
+        edge = _one(law, 6)
+        shifts = np.array([edge.d_obs, edge.d_obs + 3.0])
+        edges = replace(edge, o=edge.o - (shifts - 1e-6)[:, None] * edge.u, d_obs=1e-6)
+        for batch in (law, edges):
+            tails = _pooled_pvalues(batch)
+            for k in range(tails.upper.size):
+                up, lo = _quad_tails(_one(batch, k))
+                worst = max(worst, abs(tails.upper[k] - up), abs(tails.lower[k] - lo))
+            assert np.all(tails.error < 1e-10)
     # lam = 0 and a wide randomization leave a weight shaped by
     # (d + lam)^(p-1) rather than by its curvature at the mode, whose
     # right tail reaches past the curvature-based window
@@ -155,10 +161,42 @@ def test_quadrature_matches_adaptive_quad():
         lam=0.0, g_log_density=lambda x: -0.5 * float(x @ x) / c**2, jacobian_exponent=1,
         gaussian_scale=c, t_obs=0.01, d_obs=1.0,
     )
-    tails = _pooled_pvalues([gamma_law])
+    tails = _pooled_pvalues(gamma_law)
     up, lo = _quad_tails(gamma_law)
-    worst = max(worst, abs(tails.upper[0] - up), abs(tails.lower[0] - lo))
+    worst = max(worst, abs(tails.upper - up), abs(tails.lower - lo))
     assert worst < 1e-10
+
+
+def _assert_batch_matches(law, singles):
+    for name in ("w_st", "o", "u", "lam", "gaussian_scale", "t_obs", "d_obs"):
+        ref = np.array([getattr(one, name) for one in singles])
+        np.testing.assert_array_equal(np.broadcast_to(getattr(law, name), ref.shape), ref)
+    tails = _pooled_pvalues(law)
+    for k, one in enumerate(singles):
+        for batched, single in zip(tails, _pooled_pvalues(one)):
+            np.testing.assert_array_equal(batched[k], single)
+
+
+def test_batched_law_build_equals_per_null_builds():
+    # an array of nulls on one dataset
+    data, pretest, _ = _passed_setup(seed=2, p=3)
+    nulls = np.linspace(-1.0, 2.0, 7)
+    law = build_law_tsls(data, nulls, pretest, covariance_estimates(data, nulls))
+    assert law.t_obs.shape == (7,) and law.w_st.shape == (7, 3)
+    _assert_batch_matches(
+        law, [build_law_tsls(data, b0, pretest, covariance_estimates(data, b0)) for b0 in nulls]
+    )
+    # the passing replications of a batch, at one null
+    rng = _generator(3, 1)
+    mom = Moments.of(*_draw_batch(dgp_from_r(0.22, 0.6, n=200, p=3, seed=4), 60, rng))
+    screen = _screen(mom, 10.0, rng)
+    passing = np.flatnonzero(screen.passed)
+    assert 10 < passing.size < 60
+    est = covariance_estimates(mom, 1.0)
+    law = build_law_tsls(mom[passing], 1.0, _row(screen, passing), _row(est, passing))
+    _assert_batch_matches(
+        law, [build_law_tsls(mom[i], 1.0, _row(screen, i), _row(est, i)) for i in passing]
+    )
 
 
 def test_truncnorm_ppf_matches_scipy_deep_in_the_tails():
@@ -208,29 +246,6 @@ def test_unconstrained_law_moments():
     draws = gibbs_sample(law, SamplerConfig(n_samples=20000, burn_in=1000, seed=11))
     assert abs(draws.mean()) < 0.05
     assert abs(draws.var() - 1.0) < 0.1
-
-
-def test_chain_from_observed_state_passes_geweke():
-    _, _, law = _passed_setup(seed=5, p=3)
-    draws = gibbs_sample(law, SamplerConfig(n_samples=10000, burn_in=2000, seed=12))
-    assert abs(geweke_zscore(draws)) < 1.96
-
-
-def test_conditional_pvalue_counts():
-    draws = np.array([1.0, 2.0, 3.0, 4.0])
-    assert conditional_pvalue(draws, -np.inf, "upper") == 1.0
-    assert conditional_pvalue(draws, 5.0, "upper") == 0.0
-    assert conditional_pvalue(draws, 2.5, "upper") == 0.5
-    assert conditional_pvalue(draws, 2.5, "two-sided") == 1.0
-    assert conditional_pvalue(draws, 4.0, "two-sided") == pytest.approx(0.5)
-
-
-def test_conditional_pvalue_monotone_in_observation():
-    rng = np.random.default_rng(13)
-    draws = rng.standard_normal(500)
-    points = np.linspace(-3, 3, 41)
-    ps = [conditional_pvalue(draws, t, "upper") for t in points]
-    assert all(a >= b for a, b in zip(ps, ps[1:]))
 
 
 def test_invert_ci_strong_instruments_close_to_naive():
@@ -285,36 +300,11 @@ def test_sample_paths_shapes_and_positivity():
     assert not np.allclose(t_paths[0], t_paths[1])
 
 
-def test_draws_csv_and_dump(tmp_path):
-    _, _, law = _passed_setup(seed=13, p=2)
-    cfg = SamplerConfig(n_samples=50, burn_in=20, chains=2, seed=24)
-    t_paths, d_paths = sample_paths(law, cfg)
-    text = draws_csv(t_paths, d_paths)
-    lines = text.strip().split("\n")
-    assert lines[0] == "chain,iter,t,d"
-    assert len(lines) == 1 + 2 * 50
-    chain, it, t, d = lines[1].split(",")
-    assert (chain, it) == ("0", "0")
-    assert float(t) == t_paths[0, 0] and float(d) == d_paths[0, 0]
-
-    path = tmp_path / "draws.csv"
-    dump_draws(path, law, cfg)
-    assert path.read_text() == text
-
-
-def test_effective_sample_size_orders_chains():
-    rng = np.random.default_rng(25)
-    iid = rng.standard_normal(4000)
-    slow = np.cumsum(rng.standard_normal(4000)) / 20.0
-    assert effective_sample_size(iid) > 1500
-    assert effective_sample_size(slow) < effective_sample_size(iid) / 10
-
-
 def test_gibbs_sample_rejects_bad_initialization():
     _, _, law = _passed_setup(seed=14, p=2)
     with pytest.raises(SamplerError):
         gibbs_sample(law, SamplerConfig(n_samples=100, burn_in=10, seed=1), init_d=-1.0)
     general = replace(law, gaussian_scale=None)
-    for run in (gibbs_sample, sample_paths, lambda law: _pooled_pvalues([law])):
+    for run in (gibbs_sample, sample_paths, _pooled_pvalues):
         with pytest.raises(SamplerError):
             run(general)

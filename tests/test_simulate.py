@@ -388,15 +388,6 @@ def test_config_validation_errors():
             gamma_star=0.1,
             sigma_star=np.array([[1.0, 1.5], [1.5, 1.0]]),
         )
-    with pytest.raises(ValueError, match="unknown instrument law"):
-        DGPConfig(
-            n=50,
-            p=3,
-            beta_star=1.0,
-            gamma_star=0.1,
-            sigma_star=eye,
-            instrument_law="uniform",
-        )
 
 
 def test_result_and_grid_validation_errors():
