@@ -493,16 +493,22 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common(parser):
-    parser.add_argument("--c0", type=float, default=None, help="screen threshold")
-    parser.add_argument("--alpha", type=float, default=None, help="nominal level")
-    parser.add_argument("--test", choices=_TESTS, default=None, help="which statistic to use")
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--samples", type=int, default=None,
-                        help="Gibbs draws per chain (Lasso only; TSLS p-values are exact)")
-    parser.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--config", default=None, help="JSON config file")
+def _add_common(parser, only=None):
+    """The shared flags, each defaulting to None; only, if given, names
+    the ones the subcommand reads."""
+
+    def add(flag, **kwargs):
+        if only is None or flag in only:
+            parser.add_argument(flag, default=None, **kwargs)
+
+    add("--c0", type=float, help="screen threshold")
+    add("--alpha", type=float, help="nominal level")
+    add("--test", choices=_TESTS, help="which statistic to use")
+    add("--seed", type=int, help="master seed")
+    add("--samples", type=int, help="Gibbs draws per chain (read by simulate --kind lasso-uniformity only)")
+    add("--burn-in", dest="burn_in", type=int)
+    add("--out", help="output path (default stdout)")
+    add("--config", help="JSON config file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--branch", choices=["tsls_pass", "clr_fail"], default="tsls_pass")
     ps.add_argument("--first-only", action="store_true",
                     help="put all first-stage signal on the first instrument")
-    _add_common(ps)
+    _add_common(ps, only=("--c0", "--alpha", "--seed", "--samples", "--burn-in", "--out"))
     ps.set_defaults(func=_cmd_simulate)
 
     po = sub.add_parser("oracle", help="brute-force draws from the conditional null law")
@@ -549,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--scale", type=float, default=None,
                     help="randomization scale (default: rule value on a pilot draw)")
     po.add_argument("--min-retained", dest="min_retained", type=int, default=500)
-    _add_common(po)
+    _add_common(po, only=("--c0", "--seed", "--out"))
     po.set_defaults(func=_cmd_oracle)
     return parser
 

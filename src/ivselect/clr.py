@@ -62,7 +62,6 @@ def k4_constant(p: int) -> float:
 @dataclass(frozen=True)
 class QuadratureConfig:
     panels: int = 2048
-    endpoint_substitution: bool = True  # integrate over u2 = sin(theta)
     # the truncated integrand has square-root kinks where the screen
     # interval changes regime, so demanding much below 1e-6 stalls
     tol: float = 1e-6
@@ -187,22 +186,12 @@ def _truncation_intervals(coefs, u2):
     return lo_q, hi_q, ok
 
 
-def _cosine_nodes(p: int, panels: int, substitute: bool):
-    """u2 nodes, weight values, and uniform spacing for Simpson's rule.
-
-    With the sin(theta) substitution the integrand is smooth for every
-    p >= 2; without it the weight is singular at the endpoints for p = 2
-    (kept only for cross-checks at p >= 3)."""
-    if substitute:
-        theta = np.linspace(-np.pi / 2.0, np.pi / 2.0, panels + 1)
-        u2 = np.sin(theta)
-        w = np.cos(theta) ** (p - 2)
-        return u2, w, np.pi / panels
-    u2 = np.linspace(-1.0, 1.0, panels + 1)
-    with np.errstate(divide="ignore"):
-        w = (1.0 - u2**2) ** ((p - 3) / 2.0)
-    w[~np.isfinite(w)] = 0.0
-    return u2, w, 2.0 / panels
+def _cosine_nodes(p: int, panels: int):
+    """u2 = sin(theta) nodes, weight values, and uniform theta spacing for
+    Simpson's rule.  The substitution keeps the integrand smooth for every
+    p >= 2; the weight in u2 itself is singular at the endpoints for p = 2."""
+    theta = np.linspace(-np.pi / 2.0, np.pi / 2.0, panels + 1)
+    return np.sin(theta), np.cos(theta) ** (p - 2), np.pi / panels
 
 
 def _simpson_with_error(f, h):
@@ -213,12 +202,12 @@ def _simpson_with_error(f, h):
     return full, np.abs(full - half) / 15.0
 
 
-def _tail_integrals(t, q_r, p, coefs, panels, substitute):
+def _tail_integrals(t, q_r, p, coefs, panels):
     """Simpson values of the (numerator, denominator) integrals of each
     law on one (laws, nodes) grid, plus the larger of their error
     estimates.  t and q_r are (laws,) arrays; coefs is None for naive
     laws, else the truncations' coefficient arrays."""
-    u2, w, h = _cosine_nodes(p, panels, substitute)
+    u2, w, h = _cosine_nodes(p, panels)
     thresh = (q_r + t)[:, None] / (1.0 + q_r[:, None] * u2**2 / t[:, None])
     if coefs is None:
         i_num, e_num = _simpson_with_error(special.chdtrc(p, thresh) * w, h)
@@ -246,9 +235,7 @@ def _converged_integrals(t, q_r, p, coefs, quad):
         for start in range(0, todo.size, step):
             rows = todo[start : start + step]
             sub = None if coefs is None else tuple(c[rows] for c in coefs)
-            i_num[rows], i_den[rows], err[rows] = _tail_integrals(
-                t[rows], q_r[rows], p, sub, panels, quad.endpoint_substitution
-            )
+            i_num[rows], i_den[rows], err[rows] = _tail_integrals(t[rows], q_r[rows], p, sub, panels)
         todo = todo[~(err[todo] <= quad.tol)]  # a NaN estimate is not converged
         if not todo.size:
             return i_num, i_den

@@ -11,9 +11,11 @@ full conditional is an exact (truncated) normal, so the engine is exact
 coordinate Gibbs: each constrained coordinate is one inverse-CDF draw
 from sampler._truncnorm_ppf, vectorized over laws and chains.
 
-By default the post-selection statistic and its covariance with Z'D use
-the selected instruments' projector; use_full_z=True restores the
-all-instruments projector in both places at once.
+The post-selection statistic and its covariance with Z'D use the
+selected instruments' projector.  A LassoLaw follows the batch
+convention of model.Moments: an array of tested nulls gives one law
+whose fields carry the null axis, and the engine samples all of its
+laws in one call.
 """
 
 import math
@@ -34,7 +36,7 @@ from .model import (
 )
 from .pretest import RandomizationLaw
 from .report import InferenceReport, invert_pvalue_curve
-from .sampler import SamplerConfig, _generator, _truncnorm_ppf, wald_interval
+from .sampler import SamplerConfig, _col, _generator, _truncnorm_ppf, wald_interval
 from .teststats import tsls_stat
 
 _GAP_TOL = 1e-10
@@ -194,113 +196,107 @@ def default_lasso_scale(data: IVDataset) -> float:
 
 @dataclass(frozen=True)
 class LassoLaw:
-    """Conditional law of (T, gamma_E, u_{-E}) given the selection event.
+    """Conditional law of (T, gamma_E, u_{-E}) given the selection event,
+    under Gaussian randomization of scale gaussian_scale.
 
     The randomization argument is cols @ theta + base with theta the
     state stacked as [T, gamma_E, u_{-E}]; constraints are sign orthants
-    on gamma_E and the unit box on u_{-E}."""
+    on gamma_E and the unit box on u_{-E}.  One value holds one law or a
+    batch of laws, one per tested null or replication: t_obs carries the
+    batch shape, and every other field may carry it in front of its own
+    axes."""
 
-    cols: np.ndarray  # (p, q) with q = 1 + |E| + (p - |E|)
-    base: np.ndarray  # (p,)
-    lower: np.ndarray  # (q,) state bounds
-    upper: np.ndarray  # (q,)
-    gaussian_scale: Optional[float]
-    g_log_density: object
+    cols: np.ndarray  # (..., p, q) with q = 1 + |E| + (p - |E|)
+    base: np.ndarray  # (..., p)
+    lower: np.ndarray  # (..., q) state bounds
+    upper: np.ndarray  # (..., q)
+    gaussian_scale: float
     t_obs: float
-    theta_obs: np.ndarray  # (q,) observed state
-    support_E: tuple
-    signs_sE: np.ndarray
+    theta_obs: np.ndarray  # (..., q) observed state
 
-    def log_density(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        if np.any(theta < self.lower) or np.any(theta > self.upper):
-            return -math.inf
-        x = self.cols @ theta + self.base
-        return -0.5 * theta[0] ** 2 + float(self.g_log_density(x))
+    def __post_init__(self):
+        if not np.all(np.asarray(self.gaussian_scale, dtype=float) > 0):
+            raise SamplerError("the selection law needs a positive Gaussian randomization scale")
 
 
 def build_law_lasso(
-    data: IVDataset | Moments,
-    beta0: float,
-    sel: LassoSelection,
-    est: ModelEstimates,
-    use_full_z: bool = False,
+    data: IVDataset | Moments, beta0: float, sel: LassoSelection, est: ModelEstimates
 ) -> LassoLaw:
-    """Assemble the selection-event law for testing beta = beta0."""
+    """Assemble the selection-event law for testing beta = beta0.  est
+    must carry Sigma_hat evaluated at this beta0.
+
+    An array of nulls with their estimates gives one LassoLaw whose
+    cols, base, t_obs and theta_obs carry the null axis; the bounds and
+    the scale do not depend on the null.  One null gives a scalar t_obs,
+    (p, q) cols and (q,) vectors."""
     m = require_prepared(data)
     if not sel.support_E:
         raise BranchError("empty support: no instruments selected")
     p = m.p
     e_idx = list(sel.support_E)
+    n_e = len(e_idx)
     off = sel.off_support
-    m_t = m if use_full_z else m.select(e_idx)
-    s11 = float(est.sigma_hat[0, 0])
-    s12 = float(est.sigma_hat[0, 1])
-    d_pe_d = float(m_t.s2)
+    m_e = m.select(e_idx)
+    s11 = est.sigma_hat[..., 0, 0]
+    s12 = est.sigma_hat[..., 0, 1]
+    d_pe_d = float(m_e.s2)
     if d_pe_d <= 0:
         raise BranchError("selected instruments carry no first-stage signal")
-    # Z'P_E D = Z'Z_E (Z_E'Z_E)^(-1) Z_E'D, which is Z'D for the full projector
-    z_pe_d = m.ztd if use_full_z else m.ztz[:, e_idx] @ m_t.gamma_hat
-    w_st = s12 * z_pe_d / math.sqrt(s11 * d_pe_d)
-    t_obs = tsls_stat(m_t, beta0, est).statistic
-    o_l = m.ztd - w_st * t_obs
+    # Z'P_E D = Z'Z_E (Z_E'Z_E)^(-1) Z_E'D
+    z_pe_d = m.ztz[:, e_idx] @ m_e.gamma_hat
+    w_st = _col(s12) * z_pe_d / _col(np.sqrt(s11 * d_pe_d))
+    t_obs = tsls_stat(m_e, beta0, est).statistic
+    shape = np.shape(t_obs)
 
     q = 1 + p
-    cols = np.zeros((p, q))
-    cols[:, 0] = -w_st
-    cols[:, 1:1 + len(e_idx)] = m.ztz[:, e_idx]
-    for k, j in enumerate(off):
-        cols[j, 1 + len(e_idx) + k] = sel.lambda_l
+    cols = np.zeros(shape + (p, q))
+    cols[..., 0] = -w_st
+    cols[..., 1:1 + n_e] = m.ztz[:, e_idx]
+    cols[..., off, 1 + n_e + np.arange(off.size)] = sel.lambda_l
 
-    base = -o_l.copy()
-    base[e_idx] += sel.lambda_l * sel.signs_sE
+    base = -(m.ztd - w_st * _col(t_obs))
+    base[..., e_idx] += sel.lambda_l * sel.signs_sE
 
     lower = np.full(q, -np.inf)
     upper = np.full(q, np.inf)
-    for k, s in enumerate(sel.signs_sE):
-        if s > 0:
-            lower[1 + k] = 0.0
-        else:
-            upper[1 + k] = 0.0
-    lower[1 + len(e_idx):] = -1.0
-    upper[1 + len(e_idx):] = 1.0
+    positive = sel.signs_sE > 0
+    lower[1:1 + n_e][positive] = 0.0
+    upper[1:1 + n_e][~positive] = 0.0
+    lower[1 + n_e:] = -1.0
+    upper[1 + n_e:] = 1.0
 
-    theta_obs = np.concatenate(
-        [[t_obs], sel.gamma_l[e_idx], sel.subgradient_u[off]]
-    )
-    if sel.scale is None or sel.scale <= 0:
-        raise SamplerError("selection must record its Gaussian randomization scale")
-    g = RandomizationLaw(scale=sel.scale, seed=0)
+    theta_obs = np.empty(shape + (q,))
+    theta_obs[..., 0] = t_obs
+    theta_obs[..., 1:] = np.concatenate([sel.gamma_l[e_idx], sel.subgradient_u[off]])
     return LassoLaw(
         cols=cols,
         base=base,
         lower=lower,
         upper=upper,
-        gaussian_scale=g.scale,
-        g_log_density=g.log_density,
+        gaussian_scale=sel.scale,
         t_obs=t_obs,
         theta_obs=theta_obs,
-        support_E=sel.support_E,
-        signs_sE=sel.signs_sE,
     )
 
 
 def _gibbs_linear_gaussian(
-    rng, cols, base, c, lower, upper, theta0, prior_prec, n_samples, burn_in,
+    rng, cols, base, c, lower, upper, theta0, n_samples, burn_in,
     t_ref=None, collect_state=False,
 ):
     """Batched exact Gibbs over a state with linear Gaussian coupling.
 
     cols: (m, p, q); base: (m, p); c, t_ref: (m,); lower/upper: (m, q);
-    theta0: (m, q); prior_prec: (q,).  Coordinate 0 carries the test
-    statistic; tail counts are taken against t_ref."""
+    theta0: (m, q).  Coordinate 0 carries the test statistic, which has
+    an N(0, 1) prior; the others are flat within their bounds.  Tail
+    counts are taken against t_ref."""
     m, _, q = cols.shape
     theta = np.asarray(theta0, dtype=float).copy()
     if np.any(theta < lower) or np.any(theta > upper):
         raise SamplerError("initial state violates the selection constraints")
     by_coord = np.ascontiguousarray(cols.transpose(2, 0, 1))  # (q, m, p)
     inv_c2 = 1.0 / c**2
-    prec = prior_prec[:, None] + np.einsum("imp,imp->im", by_coord, by_coord) * inv_c2
+    prec = np.einsum("imp,imp->im", by_coord, by_coord) * inv_c2
+    prec[0] += 1.0
     gain = inv_c2 / prec
     sd = 1.0 / np.sqrt(prec)
     free = np.isneginf(lower).all(axis=0) & np.isposinf(upper).all(axis=0)
@@ -333,64 +329,50 @@ def _gibbs_linear_gaussian(
     return {"ge": ge, "le": le, "state": states}
 
 
+def _chain_rows(law: LassoLaw, chains: int):
+    """(cols, base, c, lower, upper, theta_obs, t_obs) of a law or a
+    batch of laws, flattened to one row per law and repeated for each of
+    its chains."""
+    shape = np.shape(law.t_obs)
+    p, q = law.cols.shape[-2:]
+
+    def rows(v, *tail):
+        return np.repeat(np.broadcast_to(v, shape + tail).reshape((-1,) + tail), chains, axis=0)
+
+    return (
+        rows(law.cols, p, q), rows(law.base, p), rows(law.gaussian_scale),
+        rows(law.lower, q), rows(law.upper, q), rows(law.theta_obs, q), rows(law.t_obs),
+    )
+
+
 def sample_selection_paths(law: LassoLaw, config: SamplerConfig = None) -> np.ndarray:
-    """Post-burn-in state paths over (T, gamma_E, u_{-E}) for every
-    configured chain, shape (chains, n_samples, 1 + p).  Chains start at
-    the observed state and differ only through their random streams."""
+    """Post-burn-in state paths over (T, gamma_E, u_{-E}) of one law for
+    every configured chain, shape (chains, n_samples, 1 + p).  Chains
+    start at the observed state and differ only through their random
+    streams."""
     config = config if config is not None else SamplerConfig()
-    if law.gaussian_scale is None or law.gaussian_scale <= 0:
-        raise SamplerError("state paths need the Gaussian randomization scale")
-    m = config.chains
-    q = law.cols.shape[1]
-    rep = lambda arr: np.repeat(arr[None, ...], m, axis=0)
-    prior_prec = np.zeros(q)
-    prior_prec[0] = 1.0
+    *arrays, _ = _chain_rows(law, config.chains)
     out = _gibbs_linear_gaussian(
-        _generator(config.seed, 6),
-        rep(law.cols),
-        rep(law.base),
-        np.full(m, law.gaussian_scale),
-        rep(law.lower),
-        rep(law.upper),
-        rep(law.theta_obs),
-        prior_prec,
-        config.n_samples,
-        config.burn_in,
+        _generator(config.seed, 6), *arrays, config.n_samples, config.burn_in,
         collect_state=True,
     )
     return out["state"]
 
 
-def _law_batch_arrays(laws):
-    cols = np.stack([law.cols for law in laws])
-    base = np.stack([law.base for law in laws])
-    c = np.array([law.gaussian_scale for law in laws])
-    lower = np.stack([law.lower for law in laws])
-    upper = np.stack([law.upper for law in laws])
-    theta0 = np.stack([law.theta_obs for law in laws])
-    t_ref = np.array([law.t_obs for law in laws])
-    return cols, base, c, lower, upper, theta0, t_ref
-
-
-def _pooled_lasso_pvalues(laws, config, tags=()):
-    """Upper and two-sided p-values for a batch of selection laws with a
-    common state dimension, pooling config.chains chains per law."""
-    q = laws[0].cols.shape[1]
-    if any(law.cols.shape[1] != q for law in laws):
-        raise ValueError("laws in one batch must share the state dimension")
-    cols, base, c, lower, upper, theta0, t_ref = _law_batch_arrays(laws)
-    ch = config.chains
-    rep = lambda arr: np.repeat(arr, ch, axis=0)
-    prior_prec = np.zeros(q)
-    prior_prec[0] = 1.0
-    rng = _generator(config.seed, 5, *tags)
+def _pooled_lasso_pvalues(law: LassoLaw, config: SamplerConfig, tags=()):
+    """Upper and two-sided p-values of a selection law, or of each law of
+    a batch at its own t_obs, pooling config.chains chains per law.  The
+    p-values take the law's batch shape; all laws share one random
+    stream, keyed by config.seed and tags."""
+    *arrays, t_ref = _chain_rows(law, config.chains)
     out = _gibbs_linear_gaussian(
-        rng, rep(cols), rep(base), rep(c), rep(lower), rep(upper), rep(theta0),
-        prior_prec, config.n_samples, config.burn_in, t_ref=rep(t_ref),
+        _generator(config.seed, 5, *tags), *arrays, config.n_samples, config.burn_in,
+        t_ref=t_ref,
     )
-    n_tot = config.n_samples * ch
-    ge = out["ge"].reshape(len(laws), ch).sum(axis=1) / n_tot
-    le = out["le"].reshape(len(laws), ch).sum(axis=1) / n_tot
+    shape = np.shape(law.t_obs)
+    n_tot = config.n_samples * config.chains
+    ge = out["ge"].reshape(shape + (config.chains,)).sum(axis=-1) / n_tot
+    le = out["le"].reshape(shape + (config.chains,)).sum(axis=-1) / n_tot
     return ge, np.minimum(1.0, 2.0 * np.minimum(ge, le))
 
 
@@ -400,27 +382,34 @@ def lasso_conditional_inference(
     sel: LassoSelection,
     config: SamplerConfig = None,
     alpha: float = 0.05,
-    use_full_z: bool = False,
     n_points: int = 201,
 ) -> InferenceReport:
     """Conditional p-value and confidence interval for the treatment
     effect after Lasso instrument selection, with the usual
-    selected-instrument TSLS results as the naive reference."""
+    selected-instrument TSLS results as the naive reference.
+
+    Each grid round builds the laws of all its nulls in one call and
+    runs them through the Gibbs engine in one call.  The p-values are
+    Monte Carlo: the laws of one engine call share one random stream,
+    keyed by the config's seed and the call's tag (the grid round, 0 for
+    beta0), so a law's p-value depends on the other laws in its call.
+    The p-value reported at beta0 therefore differs from the grid's
+    p-value at the same null by Monte Carlo error."""
     m = require_prepared(data)
     if not sel.support_E:
         raise BranchError("empty support: no instruments selected")
     config = config if config is not None else SamplerConfig()
-    sub = m if use_full_z else m.select(sel.support_E)
+    sub = m.select(sel.support_E)
 
-    def law_at(b0):
-        return build_law_lasso(m, b0, sel, covariance_estimates(m, b0), use_full_z=use_full_z)
+    def pvalues(b0, tag):
+        law = build_law_lasso(m, b0, sel, covariance_estimates(m, b0))
+        return _pooled_lasso_pvalues(law, config, tags=(tag,))[1]
 
     calls = [0]
 
     def pfn(xs):
         calls[0] += 1
-        _, two = _pooled_lasso_pvalues([law_at(b) for b in xs], config, tags=(calls[0],))
-        return two
+        return pvalues(xs, calls[0])
 
     beta_hat = tsls_estimate(sub)
     halfwidth = 8.0 * tsls_standard_error(sub)
@@ -428,11 +417,10 @@ def lasso_conditional_inference(
         pfn, beta_hat, halfwidth, alpha, n_points=n_points
     )
 
-    _, two0 = _pooled_lasso_pvalues([law_at(beta0)], config, tags=(0,))
     naive = tsls_stat(sub, beta0, covariance_estimates(sub, beta0))
     return InferenceReport(
         beta0=float(beta0),
-        conditional_pvalue=float(two0[0]),
+        conditional_pvalue=float(pvalues(beta0, 0)),
         naive_pvalue=naive.naive_pvalue,
         conditional_ci=interval,
         naive_ci=wald_interval(sub, alpha),
@@ -442,7 +430,6 @@ def lasso_conditional_inference(
             "support": list(sel.support_E),
             "signs": sel.signs_sE,
             "lambda_l": sel.lambda_l,
-            "use_full_z": use_full_z,
             "chains": config.chains,
             "n_samples": config.n_samples,
             "burn_in": config.burn_in,

@@ -24,6 +24,7 @@ from scipy import stats
 from .clr import clr_tails, truncation_from_estimates
 from .errors import ExperimentError, TruncationError
 from .lasso import (
+    LassoLaw,
     _pooled_lasso_pvalues,
     build_law_lasso,
     default_lasso_penalty,
@@ -374,7 +375,9 @@ def lasso_uniformity_experiment(
             f"only {len(laws)} of {reps} replications selected any instrument"
         )
     cfg = sampler if sampler is not None else SamplerConfig(seed=config.seed)
-    _, two = _pooled_lasso_pvalues(laws, cfg, tags=(51,))
+    # supports differ per replication, so the laws are stacked field by field
+    law = LassoLaw(**{f.name: np.stack([getattr(w, f.name) for w in laws]) for f in fields(LassoLaw)})
+    _, two = _pooled_lasso_pvalues(law, cfg, tags=(51,))
     cond_cov = float(np.mean(two >= alpha))
     naive_cov = float(np.mean(covers))
     m = len(laws)

@@ -573,6 +573,27 @@ def test_cli_oracle_subcommand(tmp_path):
     assert abs(vals.mean()) < 0.2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--kind", "uniformity", "--config", "/nonexistent.json"],
+        ["simulate", "--kind", "uniformity", "--test", "ar"],
+        ["oracle", "--config", "/nonexistent.json"],
+        ["oracle", "--test", "ar"],
+        ["oracle", "--alpha", "0.1"],
+        ["oracle", "--samples", "100"],
+        ["oracle", "--burn-in", "10"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}",
+)
+def test_cli_rejects_flags_a_subcommand_does_not_read(argv, capsys):
+    # a flag the subcommand would ignore is a usage error, not a silent no-op
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_clr_report_lists_underflowed_nulls(tmp_path):
     # sigma12 = 0.99 puts a band of nulls whose plug-in failure event has
     # mass below 1e-12 inside the CI grid

@@ -196,14 +196,8 @@ def _reference_tail(t, q_r, p, trunc=None, quad=QuadratureConfig()):
 
     panels = quad.panels + (-quad.panels) % 4
     for _ in range(7):
-        if quad.endpoint_substitution:
-            theta = np.linspace(-np.pi / 2.0, np.pi / 2.0, panels + 1)
-            u2, w, h = np.sin(theta), np.cos(theta) ** (p - 2), np.pi / panels
-        else:
-            u2, h = np.linspace(-1.0, 1.0, panels + 1), 2.0 / panels
-            with np.errstate(divide="ignore"):
-                w = (1.0 - u2**2) ** ((p - 3) / 2.0)
-            w[~np.isfinite(w)] = 0.0
+        theta = np.linspace(-np.pi / 2.0, np.pi / 2.0, panels + 1)
+        u2, w, h = np.sin(theta), np.cos(theta) ** (p - 2), np.pi / panels
         thresh = (q_r + t) / (1.0 + q_r * u2**2 / t)
         if trunc is None:
             num, den = stats.chi2.sf(thresh, p) * w, w
@@ -272,8 +266,8 @@ def _check_against_reference(t, q_r, p, trunc, quad=QuadratureConfig()):
 
 @pytest.mark.parametrize(
     "quad",
-    [QuadratureConfig(), QuadratureConfig(panels=128), QuadratureConfig(panels=1024, endpoint_substitution=False)],
-    ids=["default", "refined", "no-substitution"],
+    [QuadratureConfig(), QuadratureConfig(panels=128)],
+    ids=["default", "refined"],
 )
 def test_batched_tails_match_one_law_reference(quad):
     p = 3

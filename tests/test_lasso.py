@@ -1,7 +1,7 @@
 """Randomized-Lasso selection, its KKT event, and post-selection inference."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -215,8 +215,7 @@ def test_far_orthant_states_satisfy_selection_event():
     law = LassoLaw(
         cols=np.array([[0.5, 1.0]]), base=np.array([40.0]),
         lower=np.array([-np.inf, 0.0]), upper=np.array([np.inf, np.inf]),
-        gaussian_scale=1.0, g_log_density=RandomizationLaw(scale=1.0, seed=0).log_density,
-        t_obs=0.0, theta_obs=np.array([0.0, 0.01]), support_E=(0,), signs_sE=np.array([1.0]),
+        gaussian_scale=1.0, t_obs=0.0, theta_obs=np.array([0.0, 0.01]),
     )
     paths = sample_selection_paths(
         law, SamplerConfig(n_samples=2000, burn_in=200, chains=2, seed=56)
@@ -255,31 +254,6 @@ def test_single_instrument_marginal_matches_quadrature():
     assert ks < 0.03
 
 
-def test_constant_jacobian_drops_out():
-    # det(Z'Z) does not involve the sampler state: folding its log into
-    # the density shifts every state's log mass by one constant, and
-    # p-values, which see the density only through ratios, are unchanged
-    data, sel = _partial_selection(seed=56)
-    law = build_law_lasso(data, 1.0, sel, covariance_estimates(data, 1.0))
-    sign, logdet = np.linalg.slogdet(data.Z.T @ data.Z)
-    assert sign > 0
-    base_g = law.g_log_density
-    law_j = replace(law, g_log_density=lambda x: base_g(x) + logdet)
-    rng = np.random.default_rng(57)
-    diffs = []
-    for _ in range(10):
-        theta = law.theta_obs + 0.01 * rng.standard_normal(law.theta_obs.size)
-        theta = np.clip(theta, law.lower + 1e-9, law.upper - 1e-9)
-        diffs.append(law_j.log_density(theta) - law.log_density(theta))
-    assert np.ptp(diffs) < 1e-12
-    assert diffs[0] == pytest.approx(logdet, rel=1e-12)
-
-    cfg = SamplerConfig(n_samples=1500, burn_in=300, chains=2, seed=58)
-    ge_a, two_a = _pooled_lasso_pvalues([law], cfg, tags=(9,))
-    ge_b, two_b = _pooled_lasso_pvalues([law_j], cfg, tags=(9,))
-    assert ge_a[0] == ge_b[0] and two_a[0] == two_b[0]
-
-
 def test_vanishing_randomization_matches_f_branch():
     # with small omega and a small penalty every instrument survives
     # selection almost surely, both conditioning events become vacuous,
@@ -297,13 +271,13 @@ def test_vanishing_randomization_matches_f_branch():
         sel = solve_randomized_lasso(data, lam, law_omega)
         assert sel.support_E == tuple(range(data.p))
         law_l = build_law_lasso(data, 1.0, sel, est)
-        _, two_l = _pooled_lasso_pvalues([law_l], cfg, tags=(1,))
+        _, two_l = _pooled_lasso_pvalues(law_l, cfg, tags=(1,))
 
         pretest = run_pretest(data, c0=10.0, seed=seed + 3, scale=0.35 * default_scale(data))
         assert pretest.passed
         law_f = build_law_tsls(data, 1.0, pretest, est)
         two_f = _pooled_pvalues(law_f).two_sided
-        diffs.append(abs(float(two_l[0]) - float(two_f)))
+        diffs.append(abs(float(two_l) - float(two_f)))
     assert float(np.mean(diffs)) < 0.05
 
 
@@ -317,3 +291,48 @@ def test_conditional_inference_report_contents():
     sub = prepare(IVDataset(Y=data.Y, D=data.D, Z=data.Z[:, list(sel.support_E)]))
     assert report.conditional_ci.contains(tsls_estimate(sub))
     assert report.naive_ci.contains(tsls_estimate(sub))
+
+
+def test_batched_lasso_law_equals_per_null_builds():
+    # one builder call over an array of nulls gives, field by field, the
+    # laws of one call per null, and the engine gives the batch the same
+    # p-values as those laws stacked
+    data, sel = _partial_selection(seed=65)
+    nulls = np.linspace(-1.0, 3.0, 7)
+    batch = build_law_lasso(data, nulls, sel, covariance_estimates(data, nulls))
+    singles = [build_law_lasso(data, b, sel, covariance_estimates(data, b)) for b in nulls]
+    stacked = LassoLaw(**{f.name: np.stack([getattr(w, f.name) for w in singles]) for f in fields(LassoLaw)})
+    q = 1 + data.p
+    assert batch.cols.shape == (7, data.p, q) and batch.theta_obs.shape == (7, q)
+    for f in fields(LassoLaw):
+        np.testing.assert_array_equal(
+            np.broadcast_to(getattr(batch, f.name), getattr(stacked, f.name).shape),
+            getattr(stacked, f.name),
+            err_msg=f.name,
+        )
+    assert singles[0].cols.shape == (data.p, q) and np.ndim(singles[0].t_obs) == 0
+    # the loops the builder's index assignments replaced, as their reference
+    n_e = len(sel.support_E)
+    lam_block = np.zeros((data.p, data.p - n_e))
+    for k, j in enumerate(sel.off_support):
+        lam_block[j, k] = sel.lambda_l
+    np.testing.assert_array_equal(batch.cols[..., 1 + n_e:], np.broadcast_to(lam_block, (7,) + lam_block.shape))
+    for k, s in enumerate(sel.signs_sE):
+        want = (0.0, np.inf) if s > 0 else (-np.inf, 0.0)
+        assert (batch.lower[1 + k], batch.upper[1 + k]) == want
+    cfg = SamplerConfig(n_samples=300, burn_in=50, chains=2, seed=66)
+    for got, want in zip(
+        _pooled_lasso_pvalues(batch, cfg, tags=(3,)), _pooled_lasso_pvalues(stacked, cfg, tags=(3,))
+    ):
+        assert got.shape == (7,)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_lasso_inference_reproduces_from_its_seed():
+    data, sel = _partial_selection(seed=67)
+    cfg = SamplerConfig(n_samples=300, burn_in=50, chains=2, seed=68)
+    first = lasso_conditional_inference(data, 1.0, sel, config=cfg).to_dict()
+    again = lasso_conditional_inference(data, 1.0, sel, config=cfg).to_dict()
+    assert first == again
+    other = lasso_conditional_inference(data, 1.0, sel, config=replace(cfg, seed=69)).to_dict()
+    assert other["conditional_pvalue"] != first["conditional_pvalue"]
