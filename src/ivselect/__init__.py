@@ -90,7 +90,6 @@ from .teststats import (
     TestValue,
     ar_stat,
     clr_components,
-    clr_stat,
     clr_statistic_from_q,
     clr_statistics,
     tsls_stat,

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .clr import clr_conditional_inference, clr_tails
 from .errors import BranchError, DataError, IVSelectError
 from .model import IVDataset, covariance_estimates, prepare, tsls_estimate, tsls_standard_error
-from .pretest import PretestOutcome, run_pretest
+from .pretest import run_pretest
 from .report import InferenceReport, invert_pvalue_curve, plain
 from .sampler import SamplerConfig, invert_ci, wald_interval
 from .simulate import (
@@ -55,7 +55,6 @@ class AnalysisConfig:
     alpha: float = 0.05
     test: str = "auto"
     randomization_scale: Optional[float] = None
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     ci_grid: Optional[dict] = None
     seed: int = 0
     columns: Optional[dict] = None
@@ -63,6 +62,11 @@ class AnalysisConfig:
     allow_mismatch: bool = False
 
     def __post_init__(self):
+        # a config file's integer c0 or null_value echoes as a float, as a flag's does
+        self.c0 = float(self.c0)
+        self.alpha = float(self.alpha)
+        self.seed = int(self.seed)
+        self.null_value = float(self.null_value)
         if self.test not in _TESTS:
             raise ValueError(f"test must be one of {_TESTS}, got {self.test!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -214,7 +218,7 @@ def _naive_only(data, config, flavor, reason) -> InferenceReport:
     else:
         if flavor == "ar":
             def pfn(xs):
-                return np.array([ar_stat(data, float(b)).naive_pvalue for b in xs])
+                return ar_stat(data, np.asarray(xs, dtype=float)).naive_pvalue
         else:  # clr
             est = covariance_estimates(data, null)
 
@@ -301,23 +305,8 @@ def analyze(data: IVDataset, config: AnalysisConfig) -> InferenceReport:
             data, config, "tsls",
             "randomized screen failed while F >= C0; no conditional branch applies",
         )
-    report.diagnostics["pretest"] = _pretest_dict(pretest)
+    report.diagnostics["pretest"] = asdict(pretest)
     return report
-
-
-def _pretest_dict(pretest: PretestOutcome) -> dict:
-    return {
-        "f_stat": pretest.f_stat,
-        "threshold_c0": pretest.threshold_c0,
-        "lam": pretest.lam,
-        "omega": pretest.omega,
-        "v_hat": pretest.v_hat,
-        "d": pretest.d,
-        "u": pretest.u,
-        "passed": pretest.passed,
-        "scale": pretest.scale,
-        "seed": pretest.seed,
-    }
 
 
 def _emit(text: str, out: Optional[str]):
@@ -332,45 +321,26 @@ def _report_json(doc: dict) -> str:
     return json.dumps(plain(doc), sort_keys=True, indent=2) + "\n"
 
 
+_CONFIG_KEYS = {"c0", "alpha", "test", "randomization_scale", "seed", "columns", "null_value", "ci_grid"}
+# Gibbs settings that older config files carry; they load and steer nothing
+_IGNORED_CONFIG_KEYS = {"samples", "burn_in", "chains"}
+
+
 def _config_from_args(args) -> AnalysisConfig:
-    file_cfg = {}
+    """The config file's keys, overridden by the flags given."""
+    keys = {}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - {
-            "c0", "alpha", "test", "randomization_scale", "seed", "columns",
-            "null_value", "ci_grid", "samples", "burn_in", "chains",
-        }
+            keys = json.load(fh)
+        unknown = set(keys) - _CONFIG_KEYS - _IGNORED_CONFIG_KEYS
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-    merged = {
-        "c0": 10.0, "alpha": 0.05, "test": "auto", "randomization_scale": None,
-        "seed": 0, "columns": None, "null_value": 0.0, "ci_grid": None,
-        "samples": 10000, "burn_in": 2000, "chains": 4,
-    }
-    merged.update(file_cfg)
-    for key in ("c0", "alpha", "test", "seed", "samples", "burn_in"):
+        keys = {k: v for k, v in keys.items() if k in _CONFIG_KEYS}
+    for key in ("c0", "alpha", "test", "seed"):
         v = getattr(args, key, None)
         if v is not None:
-            merged[key] = v
-    sampler = SamplerConfig(
-        n_samples=int(merged["samples"]),
-        burn_in=int(merged["burn_in"]),
-        seed=int(merged["seed"]),
-        chains=int(merged["chains"]),
-    )
-    return AnalysisConfig(
-        c0=float(merged["c0"]),
-        alpha=float(merged["alpha"]),
-        test=str(merged["test"]),
-        randomization_scale=merged["randomization_scale"],
-        sampler=sampler,
-        ci_grid=merged["ci_grid"],
-        seed=int(merged["seed"]),
-        columns=merged["columns"],
-        null_value=float(merged["null_value"]),
-        allow_mismatch=bool(getattr(args, "override", False)),
-    )
+            keys[key] = v
+    return AnalysisConfig(**keys, allow_mismatch=bool(getattr(args, "override", False)))
 
 
 def _cmd_analyze(args) -> int:
@@ -388,9 +358,6 @@ def _cmd_analyze(args) -> int:
             "test": config.test,
             "seed": config.seed,
             "null_value": config.null_value,
-            "samples": config.sampler.n_samples,
-            "burn_in": config.sampler.burn_in,
-            "chains": config.sampler.chains,
         },
         "pretest": report.diagnostics.get("pretest"),
         "branch": report.diagnostics.get("branch"),
@@ -411,7 +378,7 @@ def _cmd_pretest(args) -> int:
         "command": "pretest",
         "n": data.n,
         "p": data.p,
-        "pretest": _pretest_dict(pretest),
+        "pretest": asdict(pretest),
     }
     _emit(_report_json(doc), args.out)
     return 0
@@ -445,11 +412,8 @@ def _cmd_simulate(args) -> int:
             sigma_star=np.array([[1.0, s12s[0]], [s12s[0], 1.0]]),
             seed=seed,
         )
-        sampler = SamplerConfig(
-            n_samples=args.samples if args.samples is not None else 10000,
-            burn_in=args.burn_in if args.burn_in is not None else 2000,
-            seed=seed,
-        )
+        draws = {"n_samples": args.samples, "burn_in": args.burn_in}
+        sampler = SamplerConfig(seed=seed, **{k: v for k, v in draws.items() if v is not None})
         res = lasso_uniformity_experiment(config, args.reps, alpha=alpha, sampler=sampler)
     else:
         config = dgp_from_r(rs[0], s12s[0], n=args.n, p=args.p, seed=seed)
@@ -493,22 +457,22 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common(parser, only=None):
-    """The shared flags, each defaulting to None; only, if given, names
-    the ones the subcommand reads."""
+_COMMON_FLAGS = {
+    "--c0": dict(type=float, help="screen threshold"),
+    "--alpha": dict(type=float, help="nominal level"),
+    "--test": dict(choices=_TESTS, help="which statistic to use"),
+    "--seed": dict(type=int, help="master seed"),
+    "--samples": dict(type=int, help="Gibbs draws per chain (--kind lasso-uniformity only)"),
+    "--burn-in": dict(dest="burn_in", type=int, help="Gibbs burn-in (--kind lasso-uniformity only)"),
+    "--out": dict(help="output path (default stdout)"),
+    "--config": dict(help="JSON config file"),
+}
 
-    def add(flag, **kwargs):
-        if only is None or flag in only:
-            parser.add_argument(flag, default=None, **kwargs)
 
-    add("--c0", type=float, help="screen threshold")
-    add("--alpha", type=float, help="nominal level")
-    add("--test", choices=_TESTS, help="which statistic to use")
-    add("--seed", type=int, help="master seed")
-    add("--samples", type=int, help="Gibbs draws per chain (read by simulate --kind lasso-uniformity only)")
-    add("--burn-in", dest="burn_in", type=int)
-    add("--out", help="output path (default stdout)")
-    add("--config", help="JSON config file")
+def _add_common(parser, *flags):
+    """The shared flags that the subcommand reads, each defaulting to None."""
+    for flag in flags:
+        parser.add_argument(flag, default=None, **_COMMON_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,12 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("data", help="CSV file with outcome, treatment, instruments")
     pa.add_argument("--override", action="store_true",
                     help="allow a forced branch that contradicts the screen (naive-only)")
-    _add_common(pa)
+    _add_common(pa, "--c0", "--alpha", "--test", "--seed", "--out", "--config")
     pa.set_defaults(func=_cmd_analyze)
 
     pp = sub.add_parser("pretest", help="run only the randomized strength screen")
     pp.add_argument("data")
-    _add_common(pp)
+    _add_common(pp, "--c0", "--seed", "--out", "--config")
     pp.set_defaults(func=_cmd_pretest)
 
     ps = sub.add_parser("simulate", help="run a simulation experiment, emit CSV")
@@ -542,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--branch", choices=["tsls_pass", "clr_fail"], default="tsls_pass")
     ps.add_argument("--first-only", action="store_true",
                     help="put all first-stage signal on the first instrument")
-    _add_common(ps, only=("--c0", "--alpha", "--seed", "--samples", "--burn-in", "--out"))
+    _add_common(ps, "--c0", "--alpha", "--seed", "--samples", "--burn-in", "--out")
     ps.set_defaults(func=_cmd_simulate)
 
     po = sub.add_parser("oracle", help="brute-force draws from the conditional null law")
@@ -555,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--scale", type=float, default=None,
                     help="randomization scale (default: rule value on a pilot draw)")
     po.add_argument("--min-retained", dest="min_retained", type=int, default=500)
-    _add_common(po, only=("--c0", "--seed", "--out"))
+    _add_common(po, "--c0", "--seed", "--out")
     po.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -39,7 +39,11 @@ from .report import InferenceReport, invert_pvalue_curve
 from .sampler import SamplerConfig, _col, _generator, _truncnorm_ppf, wald_interval
 from .teststats import tsls_stat
 
-_GAP_TOL = 1e-10
+# duality-gap tolerance relative to D'D, so the stopping rule does not
+# depend on the units of D: about 450 ulps of D'D, above the gap's rounding floor
+_GAP_RTOL = 1e-13
+_PENALTY_SIMS = 200
+_PENALTY_MULT = 1.1
 _MAX_SWEEPS = 100000
 _RESYNC_EVERY = 128
 
@@ -119,7 +123,7 @@ def _dual_gap(z, d_vec, omega, lam, gamma, resid):
 def solve_randomized_lasso(
     data: IVDataset, lambda_l: float, law: RandomizationLaw
 ) -> LassoSelection:
-    """Coordinate descent to duality gap < 1e-10, then the selection
+    """Coordinate descent to duality gap < 1e-13 D'D, then the selection
     event (support, signs, subgradient) read off the stationarity
     condition u = (omega + Z'resid) / lambda_l."""
     require_prepared(data)
@@ -131,7 +135,7 @@ def solve_randomized_lasso(
     col_norm2 = np.einsum("ij,ij->j", z, z)
     gamma = np.zeros(p)
     resid = d_vec.copy()
-    gap = math.inf
+    gap, tol = math.inf, _GAP_RTOL * float(d_vec @ d_vec)
     for sweep in range(_MAX_SWEEPS):
         for j in range(p):
             old = gamma[j]
@@ -142,7 +146,7 @@ def solve_randomized_lasso(
                 gamma[j] = new
         if sweep % 4 == 3 or sweep == 0:
             gap, _ = _dual_gap(z, d_vec, omega, lambda_l, gamma, resid)
-            if gap < _GAP_TOL:
+            if gap < tol:
                 break
     else:
         raise ConvergenceError(
@@ -166,17 +170,16 @@ def solve_randomized_lasso(
     )
 
 
-def default_lasso_penalty(
-    data: IVDataset, seed: int = 0, sims: int = 200, mult: float = 1.1
-) -> float:
-    """1.1 times the median of ||Z' e*||_inf over resampled first-stage
-    residual vectors e*: large enough that pure-noise instruments are
-    usually dropped, small enough that selection stays non-trivial."""
+def default_lasso_penalty(data: IVDataset, seed: int = 0) -> float:
+    """1.1 times the median of ||Z' e*||_inf over 200 resampled
+    first-stage residual vectors e*: large enough that pure-noise
+    instruments are usually dropped, small enough that selection stays
+    non-trivial."""
     resid = data.D - data.Z @ require_prepared(data).gamma_hat
     rng = _generator(seed, 11)
-    idx = rng.integers(0, data.n, size=(sims, data.n))
+    idx = rng.integers(0, data.n, size=(_PENALTY_SIMS, data.n))
     vals = np.abs(resid[idx] @ data.Z).max(axis=1)
-    lam = mult * float(np.median(vals))
+    lam = _PENALTY_MULT * float(np.median(vals))
     if lam <= 0:
         raise ValueError("degenerate penalty: first-stage residuals are zero")
     return lam

@@ -36,8 +36,6 @@ from .errors import (
 # penalty, so this is an error, not a warning.
 RANK_RTOL = 1e-10
 
-_EIG_FLOOR = 1e-12
-
 
 def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
@@ -114,7 +112,6 @@ class Moments:
                 [f"z{j + 1}" for j in range(self.p)],
                 "Z'Z numerically singular; instruments are collinear",
             )
-        vals = np.maximum(vals, _EIG_FLOOR)
         return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
     @cached_property

@@ -140,17 +140,10 @@ def solve_randomized(
 
 
 def run_pretest(
-    data: IVDataset,
-    c0: float = 10.0,
-    law: RandomizationLaw | None = None,
-    seed: int = 0,
-    scale: float | None = None,
+    data: IVDataset, c0: float = 10.0, seed: int = 0, scale: float | None = None
 ) -> PretestOutcome:
     """Convenience wrapper: F statistic, penalty, and randomized program
-    for a prepared dataset."""
-    if law is None:
-        law = RandomizationLaw(
-            scale=default_scale(data) if scale is None else scale, seed=seed
-        )
+    for a prepared dataset; scale defaults to default_scale(data)."""
+    law = RandomizationLaw(scale=default_scale(data) if scale is None else scale, seed=seed)
     lam = penalty_lambda(data, c0)
     return solve_randomized(sufficient_statistic(data), lam, law, c0=c0, f_stat=f_statistic(data))

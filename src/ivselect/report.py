@@ -5,7 +5,10 @@ InferenceReport pairs conditional and naive answers with diagnostics.
 The grid-expansion loop lives here so the passed-screen branch, the
 weak-instrument branch and the Lasso branch invert identically and
 label each interval end alike: a crossing of alpha, an underflow band
-or an unbounded side.
+or an unbounded side.  A side is unbounded when the grid still retains
+it at 1e4 initial halfwidths from the grid's center.  That reach is
+measured in the grid's own units, not in absolute ones, so rescaling Y
+or D rescales every interval and keeps its end labels.
 """
 
 import math
@@ -118,9 +121,10 @@ def plain(obj):
 
 
 # a side still retained at the grid's end reaches this factor further out
-# per round, and is reported unbounded once its end passes _UNBOUNDED_AT
+# per round, and is reported unbounded once its reach from the center
+# passes _UNBOUNDED_REACH initial halfwidths
 _EXPAND_FACTOR = 2.0
-_UNBOUNDED_AT = 1e5
+_UNBOUNDED_REACH = 1e4
 _MAX_ROUNDS = 60
 
 
@@ -136,9 +140,9 @@ def invert_pvalue_curve(
     pvalue_fn maps an array of candidate nulls to an array of p-values.
     Starts from n_points over center +- halfwidth; while an endpoint is
     still retained, that side's reach grows by _EXPAND_FACTOR per round
-    until the endpoint is excluded or |endpoint| >= _UNBOUNDED_AT, which
-    reports the side as unbounded. An empty retained set degenerates to
-    the argmax of the p-value curve.
+    until the endpoint is excluded or its distance from center reaches
+    _UNBOUNDED_REACH halfwidths, which reports the side as unbounded. An
+    empty retained set degenerates to the argmax of the p-value curve.
 
     NaN p-values count as not retained, and a NaN endpoint freezes that
     side's expansion: the scan cannot see past a point it could not
@@ -166,9 +170,9 @@ def invert_pvalue_curve(
         retained = ps >= alpha
         lo_open = bool(retained[0]) and not lo_unbounded
         hi_open = bool(retained[-1]) and not hi_unbounded
-        if lo_open and abs(xs[0]) >= _UNBOUNDED_AT:
+        if lo_open and center - xs[0] >= _UNBOUNDED_REACH * halfwidth:
             lo_unbounded, lo_open = True, False
-        if hi_open and abs(xs[-1]) >= _UNBOUNDED_AT:
+        if hi_open and xs[-1] - center >= _UNBOUNDED_REACH * halfwidth:
             hi_unbounded, hi_open = True, False
         if not retained.any() or not (lo_open or hi_open):
             break

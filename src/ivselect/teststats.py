@@ -28,7 +28,6 @@ from .model import (
 class StatKind(Enum):
     TSLS = "tsls"
     AR = "ar"
-    CLR = "clr"
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,12 @@ def tsls_stat(data: IVDataset | Moments, beta0: float, est: ModelEstimates) -> T
 
 def ar_stat(data: IVDataset | Moments, beta0: float) -> TestValue:
     """Anderson-Rubin statistic; F(p, n-p) upper-tail p-value regardless
-    of instrument strength."""
+    of instrument strength.  An array of nulls gives one statistic per
+    null, as in tsls_stat."""
     m = require_prepared(data)
     n, p = m.n, m.p
-    pe = m.sy - beta0 * m.s  # (Z'Z)^(-1/2) Z'(Y - D beta0)
+    beta0 = np.asarray(beta0, dtype=float)
+    pe = m.sy - beta0[..., None] * m.s  # (Z'Z)^(-1/2) Z'(Y - D beta0)
     num = _dot(pe, pe) / p
     den = m.sigma(beta0)[..., 0, 0]  # (Y - D beta0)' P_Zperp (Y - D beta0) / (n - p)
     ee = m.yy - 2.0 * beta0 * m.yd + beta0**2 * m.dd
@@ -105,7 +106,7 @@ def ar_stat(data: IVDataset | Moments, beta0: float) -> TestValue:
     return TestValue(
         statistic=_item(stat),
         kind=StatKind.AR,
-        beta0=float(beta0),
+        beta0=_item(beta0),
         naive_pvalue=_item(stats.f.sf(stat, p, n - p)),
     )
 
@@ -161,19 +162,3 @@ def clr_statistics(
     the null."""
     comps = clr_components(data, np.asarray(beta0s, dtype=float), est)
     return clr_statistic_from_q(comps.q_u, comps.q_ur, comps.q_r), comps.q_r
-
-
-def clr_stat(
-    data: IVDataset, beta0: float, est: ModelEstimates
-) -> tuple[TestValue, ClrComponents]:
-    """CLR statistic and components; naive p-value is the tail of the
-    null law given Q_R with no selection truncation."""
-    comps = clr_components(data, beta0, est)
-    lr = clr_statistic_from_q(comps.q_u, comps.q_ur, comps.q_r)
-    from .clr import QuadratureConfig, clr_tail  # deferred: clr imports this module
-
-    pval = clr_tail(lr, comps.q_r, data.p, trunc=None, quad=QuadratureConfig())
-    tv = TestValue(
-        statistic=lr, kind=StatKind.CLR, beta0=float(beta0), naive_pvalue=pval
-    )
-    return tv, comps

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ivselect import (
     IVDataset,
-    SamplerConfig,
     ar_stat,
     dgp_from_r,
     generate,
@@ -40,9 +39,8 @@ def _dataset_csv(tmp_path, config, name):
     return _write(tmp_path, name, "\n".join(lines) + "\n")
 
 
-def _light(points=41, n_samples=1200, burn_in=300, seed=0, **kw):
+def _light(points=41, seed=0, **kw):
     return AnalysisConfig(
-        sampler=SamplerConfig(n_samples=n_samples, burn_in=burn_in, chains=2, seed=seed),
         ci_grid={"points": points},
         seed=seed,
         **kw,
@@ -299,8 +297,6 @@ def test_analyze_zero_threshold_always_passes(tmp_path):
     )
     cfg = _light(
         points=81,
-        n_samples=3000,
-        burn_in=800,
         c0=0.0,
         randomization_scale=50.0,
         null_value=1.0,
@@ -325,6 +321,45 @@ def test_analyze_screen_fail_with_high_f_is_naive_only(tmp_path):
     assert report.diagnostics["pretest"]["f_stat"] >= 10.0
     assert report.diagnostics["branch"] == "naive_only"
     assert "no conditional branch applies" in report.diagnostics["reason"]
+
+
+_UNIT_CASES = {  # (r, sigma12, n, p, seed): the branch its analysis takes
+    "tsls": (0.2, 0.8, 300, 4, 3),
+    "clr": (0.1, 0.8, 300, 4, 4),
+    "clr-unbounded": (0.05, 0.5, 250, 3, 91),
+}
+
+
+def _unit_analysis(case, a=1.0, b=0.0, c=1.0):
+    """analyze after Y -> aY + bD and D -> cD, at the mapped null."""
+    r, sigma12, n, p, seed = _UNIT_CASES[case]
+    data = generate(dgp_from_r(r, sigma12, n=n, p=p, seed=seed))
+    mapped = prepare(IVDataset(Y=a * data.Y + b * data.D, D=c * data.D, Z=data.Z))
+    config = _light(seed=seed, null_value=(a * 1.0 + b) / c)
+    return analyze(mapped, config)
+
+
+@pytest.mark.parametrize("case", list(_UNIT_CASES))
+@pytest.mark.parametrize(
+    "a, b, c",
+    [(1e6, 0.0, 1.0), (-1e6, 3e6, 1.0), (1e-6, -2e-6, 1.0), (1.0, 0.0, 1e6), (1.0, 0.0, 1e-6)],
+)
+def test_analyze_intervals_equivariant_under_units(case, a, b, c):
+    # beta -> (a beta + b) / c maps every interval and its end labels;
+    # a < 0 swaps the ends.  The screen does not see Y, and sees D only
+    # through S, whose randomization scales with it, so the branch holds.
+    base = _unit_analysis(case)
+    got = _unit_analysis(case, a, b, c)
+    assert got.diagnostics["branch"] == base.diagnostics["branch"]
+    for name in ("conditional_ci", "naive_ci"):
+        ends = [(a * x + b) / c for x in (getattr(base, name).lower, getattr(base, name).upper)]
+        iv = getattr(got, name)
+        np.testing.assert_allclose([iv.lower, iv.upper], sorted(ends), rtol=1e-8, atol=1e-8 * abs(a / c))
+    for key, grid in base.diagnostics.items():
+        if isinstance(grid, dict) and "ends" in grid:
+            lower, upper = grid["ends"]["lower"], grid["ends"]["upper"]
+            expected = {"lower": lower, "upper": upper} if a > 0 else {"lower": upper, "upper": lower}
+            assert got.diagnostics[key]["ends"] == expected
 
 
 def test_analysis_config_validation():
@@ -412,9 +447,9 @@ def test_cli_config_merge_and_flag_override(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["config"]["c0"] == 12.0  # flag beats file
     assert doc["config"]["alpha"] == 0.1  # file beats default
-    assert doc["config"]["samples"] == 500
-    assert doc["config"]["chains"] == 2
     assert doc["config"]["null_value"] == 1.0
+    # the retired Gibbs keys still load, and steer and echo nothing
+    assert not {"samples", "burn_in", "chains"} & set(doc["config"])
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -431,7 +466,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
     weak = _dataset_csv(tmp_path, dgp_from_r(0.05, 0.5, n=250, p=3, seed=91), "w.csv")
-    assert main(["analyze", weak, "--test", "tsls", "--samples", "400", "--burn-in", "100"]) == 2
+    assert main(["analyze", weak, "--test", "tsls"]) == 2
     assert "does not apply" in capsys.readouterr().err
 
 
@@ -583,6 +618,12 @@ def test_cli_oracle_subcommand(tmp_path):
         ["oracle", "--alpha", "0.1"],
         ["oracle", "--samples", "100"],
         ["oracle", "--burn-in", "10"],
+        ["analyze", "data.csv", "--samples", "100"],
+        ["analyze", "data.csv", "--burn-in", "10"],
+        ["pretest", "data.csv", "--alpha", "0.1"],
+        ["pretest", "data.csv", "--test", "ar"],
+        ["pretest", "data.csv", "--samples", "100"],
+        ["pretest", "data.csv", "--burn-in", "10"],
     ],
     ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}",
 )

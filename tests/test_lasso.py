@@ -148,6 +148,27 @@ def test_matches_proximal_gradient_solver():
         np.testing.assert_allclose(sel.gamma_l, gamma, atol=1e-6)
 
 
+@pytest.mark.parametrize("s", [1e-3, 1e3, 1e4, 1e6])
+def test_selection_equivariant_under_treatment_units(s):
+    # D -> sD scales the penalty, the randomization and gamma by s and
+    # keeps the selection event: the stopping gap is relative to D'D
+    gamma = np.zeros(10)
+    gamma[:3] = 0.15
+    data = generate(DGPConfig(n=1000, p=10, beta_star=1.0, gamma_star=gamma,
+                              sigma_star=np.array([[1.0, 0.8], [0.8, 1.0]]), seed=4))
+
+    def select(d):
+        law = RandomizationLaw(scale=default_lasso_scale(d), seed=2)
+        return solve_randomized_lasso(d, default_lasso_penalty(d, seed=1), law)
+
+    base = select(data)
+    scaled = select(prepare(IVDataset(Y=data.Y, D=s * data.D, Z=data.Z)))
+    assert scaled.support_E == base.support_E
+    np.testing.assert_array_equal(scaled.signs_sE, base.signs_sE)
+    np.testing.assert_allclose(scaled.gamma_l / s, base.gamma_l, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(scaled.subgradient_u, base.subgradient_u, rtol=0, atol=1e-12)
+
+
 def test_selection_event_validation():
     with pytest.raises(ValueError, match="zero off the support"):
         LassoSelection(

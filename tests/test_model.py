@@ -226,6 +226,15 @@ def test_tsls_invariant_to_instrument_recombination(a, beta0):
     np.testing.assert_allclose(mixed, base, rtol=1e-8, atol=1e-10)
 
 
+@pytest.mark.parametrize("s", [1e-9, 1e-8, 1e8])
+def test_statistics_invariant_to_instrument_units(s):
+    # Z -> sZ is the recombination A = sI: the rank check on Z'Z is
+    # relative, so no absolute floor may touch its eigenvalues
+    data = generate(dgp_from_r(0.3, 0.5, n=250, p=3, seed=1))
+    scaled = prepare(IVDataset(Y=data.Y, D=data.D, Z=s * data.Z))
+    np.testing.assert_allclose(_statistics(scaled, 1.0), _statistics(data, 1.0), rtol=1e-8, atol=1e-10)
+
+
 def _tsls_pair(data, beta0):
     return tsls_estimate(data), tsls_stat(data, beta0, covariance_estimates(data, beta0)).statistic
 

@@ -7,10 +7,12 @@ from scipy import stats
 from ivselect import (
     IVDataset,
     StatKind,
+    QuadratureConfig,
     ar_stat,
     clr_components,
-    clr_stat,
     clr_statistic_from_q,
+    clr_statistics,
+    clr_tail,
     covariance_estimates,
     dgp_from_r,
     generate,
@@ -129,6 +131,16 @@ def test_ar_matches_grid_minimum_of_its_objective():
     assert ar_stat(data, b_min).statistic == pytest.approx(direct.min(), rel=1e-9)
 
 
+def test_ar_stat_over_an_array_of_nulls_equals_per_null_calls():
+    data = _strong_data(seed=4, n=150, p=4)
+    nulls = np.linspace(-2.0, 4.0, 61)
+    batch = ar_stat(data, nulls)
+    single = [ar_stat(data, float(b)) for b in nulls]
+    np.testing.assert_array_equal(batch.statistic, [tv.statistic for tv in single])
+    np.testing.assert_array_equal(batch.naive_pvalue, [tv.naive_pvalue for tv in single])
+    np.testing.assert_array_equal(batch.beta0, nulls)
+
+
 def test_clr_component_identities():
     data = _strong_data(seed=3, n=200, p=4)
     for beta0 in (-0.5, 0.9, 2.0):
@@ -152,10 +164,13 @@ def test_clr_statistic_nonnegative_and_pvalue_valid():
     for seed in range(8):
         data = generate(dgp_from_r(rng.uniform(0.05, 0.4), 0.5, n=150, p=3, seed=60 + seed))
         beta0 = rng.uniform(-1, 2)
-        tv, comps = clr_stat(data, beta0, covariance_estimates(data, beta0))
-        assert tv.statistic >= 0
-        assert 0.0 <= tv.naive_pvalue <= 1.0
-        assert tv.statistic == pytest.approx(
+        est = covariance_estimates(data, beta0)
+        lr, q_r = clr_statistics(data, beta0, est)
+        naive_pvalue = clr_tail(lr, q_r, data.p, trunc=None, quad=QuadratureConfig())
+        comps = clr_components(data, beta0, est)
+        assert lr >= 0
+        assert 0.0 <= naive_pvalue <= 1.0
+        assert lr == pytest.approx(
             clr_statistic_from_q(comps.q_u, comps.q_ur, comps.q_r), abs=1e-12
         )
 
@@ -173,11 +188,11 @@ def test_statistics_invariant_to_instrument_recombination():
 
     tsls_base = tsls_stat(data, beta0, covariance_estimates(data, beta0)).statistic
     ar_base = ar_stat(data, beta0).statistic
-    clr_base = clr_stat(data, beta0, covariance_estimates(data, beta0))[0].statistic
+    clr_base = clr_statistics(data, beta0, covariance_estimates(data, beta0))[0]
 
     mixed = prepare(IVDataset(Y=y, D=d, Z=z @ a_general))
     assert abs(tsls_stat(mixed, beta0, covariance_estimates(mixed, beta0)).statistic - tsls_base) < 1e-8
     assert abs(ar_stat(mixed, beta0).statistic - ar_base) < 1e-8
 
     rotated = prepare(IVDataset(Y=y, D=d, Z=z @ a_ortho))
-    assert abs(clr_stat(rotated, beta0, covariance_estimates(rotated, beta0))[0].statistic - clr_base) < 1e-8
+    assert abs(clr_statistics(rotated, beta0, covariance_estimates(rotated, beta0))[0] - clr_base) < 1e-8
