@@ -63,10 +63,12 @@ class AnalysisConfig:
 
     def __post_init__(self):
         # a config file's integer c0 or null_value echoes as a float, as a flag's does
-        self.c0 = float(self.c0)
-        self.alpha = float(self.alpha)
-        self.seed = int(self.seed)
-        self.null_value = float(self.null_value)
+        for key, kind in (("c0", float), ("alpha", float), ("seed", int), ("null_value", float)):
+            value = getattr(self, key)
+            try:
+                setattr(self, key, kind(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must be a number, got {value!r}") from None
         if self.test not in _TESTS:
             raise ValueError(f"test must be one of {_TESTS}, got {self.test!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -412,8 +414,8 @@ def _cmd_simulate(args) -> int:
             sigma_star=np.array([[1.0, s12s[0]], [s12s[0], 1.0]]),
             seed=seed,
         )
-        draws = {"n_samples": args.samples, "burn_in": args.burn_in}
-        sampler = SamplerConfig(seed=seed, **{k: v for k, v in draws.items() if v is not None})
+        points = {} if args.samples is None else {"n_samples": args.samples}
+        sampler = SamplerConfig(seed=seed, **points)
         res = lasso_uniformity_experiment(config, args.reps, alpha=alpha, sampler=sampler)
     else:
         config = dgp_from_r(rs[0], s12s[0], n=args.n, p=args.p, seed=seed)
@@ -462,8 +464,8 @@ _COMMON_FLAGS = {
     "--alpha": dict(type=float, help="nominal level"),
     "--test": dict(choices=_TESTS, help="which statistic to use"),
     "--seed": dict(type=int, help="master seed"),
-    "--samples": dict(type=int, help="Gibbs draws per chain (--kind lasso-uniformity only)"),
-    "--burn-in": dict(dest="burn_in", type=int, help="Gibbs burn-in (--kind lasso-uniformity only)"),
+    "--samples": dict(type=int, help="QMC points of the Lasso engine (--kind lasso-uniformity only)"),
+    "--burn-in": dict(dest="burn_in", type=int, help="accepted for old scripts; read by nothing"),
     "--out": dict(help="output path (default stdout)"),
     "--config": dict(help="JSON config file"),
 }

@@ -6,15 +6,20 @@ stationarity condition -Z'(D - Z g) + lam u = omega turns the selection
 event into sign constraints on g_E and a box on u_{-E}, so the
 conditional null law of the post-selection TSLS statistic T lives on
 (T, g_E, u_{-E}) with the randomization density evaluated at a linear
-function of the state.  With Gaussian randomization every coordinate's
-full conditional is an exact (truncated) normal, so the engine is exact
-coordinate Gibbs: each constrained coordinate is one inverse-CDF draw
-from sampler._truncnorm_ppf, vectorized over laws and chains.
+function of the state.  With Gaussian randomization that law is a
+full-rank Gaussian truncated to a box on which T is free.  The engine
+integrates it without a Markov chain: sequential conditioning (Genz
+1992) draws (g_E, u_{-E}) over one scrambled Sobol point set, one
+inverse-CDF step of sampler._truncnorm_ppf per coordinate, and T's
+tail given the rest is a closed-form normal tail.  Every p-value is
+then a deterministic, smooth function of the law and the seed.  Exact
+coordinate Gibbs on the same law (sample_selection_paths) stays as the
+Monte Carlo reference the engine is checked against.
 
 The post-selection statistic and its covariance with Z'D use the
 selected instruments' projector.  A LassoLaw follows the batch
 convention of model.Moments: an array of tested nulls gives one law
-whose fields carry the null axis, and the engine samples all of its
+whose fields carry the null axis, and the engine integrates all of its
 laws in one call.
 """
 
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from .errors import BranchError, ConvergenceError, SamplerError
 from .model import (
@@ -36,7 +42,14 @@ from .model import (
 )
 from .pretest import RandomizationLaw
 from .report import InferenceReport, invert_pvalue_curve
-from .sampler import SamplerConfig, _col, _generator, _truncnorm_ppf, wald_interval
+from .sampler import (
+    SamplerConfig,
+    _col,
+    _generator,
+    _truncnorm_ppf,
+    sobol_points,
+    wald_interval,
+)
 from .teststats import tsls_stat
 
 # duality-gap tolerance relative to D'D, so the stopping rule does not
@@ -46,6 +59,9 @@ _PENALTY_SIMS = 200
 _PENALTY_MULT = 1.1
 _MAX_SWEEPS = 100000
 _RESYNC_EVERY = 128
+_QMC_SCRAMBLES = 8
+# laws times points held at once by the QMC engine
+_QMC_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -282,16 +298,13 @@ def build_law_lasso(
     )
 
 
-def _gibbs_linear_gaussian(
-    rng, cols, base, c, lower, upper, theta0, n_samples, burn_in,
-    t_ref=None, collect_state=False,
-):
+def _gibbs_linear_gaussian(rng, cols, base, c, lower, upper, theta0, n_samples, burn_in):
     """Batched exact Gibbs over a state with linear Gaussian coupling.
 
-    cols: (m, p, q); base: (m, p); c, t_ref: (m,); lower/upper: (m, q);
+    cols: (m, p, q); base: (m, p); c: (m,); lower/upper: (m, q);
     theta0: (m, q).  Coordinate 0 carries the test statistic, which has
-    an N(0, 1) prior; the others are flat within their bounds.  Tail
-    counts are taken against t_ref."""
+    an N(0, 1) prior; the others are flat within their bounds.  Returns
+    the post-burn-in states, (m, n_samples, q)."""
     m, _, q = cols.shape
     theta = np.asarray(theta0, dtype=float).copy()
     if np.any(theta < lower) or np.any(theta > upper):
@@ -303,9 +316,7 @@ def _gibbs_linear_gaussian(
     gain = inv_c2 / prec
     sd = 1.0 / np.sqrt(prec)
     free = np.isneginf(lower).all(axis=0) & np.isposinf(upper).all(axis=0)
-    ge = np.zeros(m)
-    le = np.zeros(m)
-    states = np.empty((m, n_samples, q)) if collect_state else None
+    states = np.empty((m, n_samples, q))
     for k in range(burn_in + n_samples):
         if k % _RESYNC_EVERY == 0:
             x = np.einsum("mpq,mq->mp", cols, theta) + base
@@ -320,62 +331,99 @@ def _gibbs_linear_gaussian(
                 lo = (lower[:, i] - mean) / sd[i]
                 hi = (upper[:, i] - mean) / sd[i]
                 theta[:, i] = np.clip(
-                    mean + sd[i] * _truncnorm_ppf(uu, lo, hi), lower[:, i], upper[:, i]
+                    mean + sd[i] * _truncnorm_ppf(uu, lo, hi)[0], lower[:, i], upper[:, i]
                 )
             x += col * theta[:, i:i + 1]
         if k >= burn_in:
-            if t_ref is not None:
-                ge += theta[:, 0] >= t_ref
-                le += theta[:, 0] <= t_ref
-            if collect_state:
-                states[:, k - burn_in] = theta
-    return {"ge": ge, "le": le, "state": states}
+            states[:, k - burn_in] = theta
+    return states
 
 
-def _chain_rows(law: LassoLaw, chains: int):
-    """(cols, base, c, lower, upper, theta_obs, t_obs) of a law or a
-    batch of laws, flattened to one row per law and repeated for each of
-    its chains."""
-    shape = np.shape(law.t_obs)
-    p, q = law.cols.shape[-2:]
-
-    def rows(v, *tail):
-        return np.repeat(np.broadcast_to(v, shape + tail).reshape((-1,) + tail), chains, axis=0)
-
-    return (
-        rows(law.cols, p, q), rows(law.base, p), rows(law.gaussian_scale),
-        rows(law.lower, q), rows(law.upper, q), rows(law.theta_obs, q), rows(law.t_obs),
-    )
+def _law_rows(law: LassoLaw, v, *tail):
+    """A field v of a law or a batch of laws, one row per law: (m,) + tail."""
+    return np.broadcast_to(v, np.shape(law.t_obs) + tail).reshape((-1,) + tail)
 
 
 def sample_selection_paths(law: LassoLaw, config: SamplerConfig = None) -> np.ndarray:
     """Post-burn-in state paths over (T, gamma_E, u_{-E}) of one law for
     every configured chain, shape (chains, n_samples, 1 + p).  Chains
     start at the observed state and differ only through their random
-    streams."""
+    streams.  This exact Gibbs sampler is the Monte Carlo reference that
+    tests check the QMC engine against; no product path calls it."""
     config = config if config is not None else SamplerConfig()
-    *arrays, _ = _chain_rows(law, config.chains)
-    out = _gibbs_linear_gaussian(
-        _generator(config.seed, 6), *arrays, config.n_samples, config.burn_in,
-        collect_state=True,
+    p, q = law.cols.shape[-2:]
+
+    def rows(v, *tail):
+        return np.repeat(_law_rows(law, v, *tail), config.chains, axis=0)
+
+    return _gibbs_linear_gaussian(
+        _generator(config.seed, 6), rows(law.cols, p, q), rows(law.base, p),
+        rows(law.gaussian_scale), rows(law.lower, q), rows(law.upper, q),
+        rows(law.theta_obs, q), config.n_samples, config.burn_in,
     )
-    return out["state"]
 
 
-def _pooled_lasso_pvalues(law: LassoLaw, config: SamplerConfig, tags=()):
+def _qmc_tails(u, t_obs, mean, chol, slope, prec_t, lower, upper):
+    """Upper and lower tails of T at t_obs for m laws over the points
+    u (p, N).  mean: (m, 1 + p), the mean of (T, r); chol: (m, p, p), the
+    Cholesky factor of Sigma_rr; slope: (m, p), the change of T's
+    conditional mean per unit of z; prec_t: (m,), Q_TT; lower, upper:
+    (m, p), the bounds of r."""
+    p, n = u.shape
+    z = np.empty((p, t_obs.size, n))
+    log_w = np.zeros(z.shape[1:])
+    t_mean = mean[:, :1]
+    for k in range(p):
+        shift = mean[:, 1 + k, None] + sum(chol[:, k, j, None] * z[j] for j in range(k))
+        sd = chol[:, k, k, None]
+        z[k], log_mass = _truncnorm_ppf(
+            u[k], (lower[:, k, None] - shift) / sd, (upper[:, k, None] - shift) / sd
+        )
+        log_w += log_mass
+        t_mean = t_mean + slope[:, k, None] * z[k]
+    w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    dist = (t_obs[:, None] - t_mean) * np.sqrt(prec_t)[:, None]
+    den = w.sum(axis=1)
+    return (w * special.ndtr(-dist)).sum(axis=1) / den, (w * special.ndtr(dist)).sum(axis=1) / den
+
+
+def _pooled_lasso_pvalues(law: LassoLaw, points: np.ndarray):
     """Upper and two-sided p-values of a selection law, or of each law of
-    a batch at its own t_obs, pooling config.chains chains per law.  The
-    p-values take the law's batch shape; all laws share one random
-    stream, keyed by config.seed and tags."""
-    *arrays, t_ref = _chain_rows(law, config.chains)
-    out = _gibbs_linear_gaussian(
-        _generator(config.seed, 5, *tags), *arrays, config.n_samples, config.burn_in,
-        t_ref=t_ref,
+    a batch at its own t_obs, by sequential conditioning over the QMC
+    points (N, p) of sampler.sobol_points.  The p-values take the law's
+    batch shape; each law's value depends only on that law and the points.
+
+    The state theta = (T, r), r = (gamma_E, u_{-E}), has density
+    exp(-theta'Q theta / 2 + h'theta) on its box, with precision
+    Q = e0 e0' + cols'cols / c^2 and h = -cols'base / c^2.  T is free, so
+    r is N(mu_r, Sigma_rr) truncated to its box.  Each point draws r
+    coordinate by coordinate through the Cholesky factor of Sigma_rr, one
+    inverse-CDF step within the bounds the earlier coordinates leave, and
+    is weighted by the product of those bounds' masses (Genz 1992).
+    Given r, T is N((h_T - Q_Tr r) / Q_TT, 1 / Q_TT), so each point
+    contributes T's tails at t_obs in closed form.  Laws are taken
+    _QMC_CHUNK // N at a time, which bounds the working set."""
+    p, q = law.cols.shape[-2:]
+    cols, base = _law_rows(law, law.cols, p, q), _law_rows(law, law.base, p)
+    c2 = _law_rows(law, law.gaussian_scale) ** 2
+    cols_t = np.swapaxes(cols, 1, 2)
+    prec = cols_t @ cols / c2[:, None, None]
+    prec[:, 0, 0] += 1.0
+    cov = np.linalg.inv(prec)
+    mean = (cov @ (cols_t @ base[:, :, None]))[..., 0] / -c2[:, None]
+    chol = np.linalg.cholesky(cov[:, 1:, 1:])
+    # T given r = mean_r + chol z is N(mean_T + slope'z, 1 / Q_TT)
+    slope = (np.swapaxes(chol, 1, 2) @ prec[:, 1:, :1])[..., 0] / -prec[:, :1, 0]
+    arrays = (
+        _law_rows(law, law.t_obs), mean, chol, slope, prec[:, 0, 0],
+        _law_rows(law, law.lower, q)[:, 1:], _law_rows(law, law.upper, q)[:, 1:],
     )
-    shape = np.shape(law.t_obs)
-    n_tot = config.n_samples * config.chains
-    ge = out["ge"].reshape(shape + (config.chains,)).sum(axis=-1) / n_tot
-    le = out["le"].reshape(shape + (config.chains,)).sum(axis=-1) / n_tot
+    step = max(1, _QMC_CHUNK // len(points))
+    tails = [
+        _qmc_tails(points.T, *(v[at:at + step] for v in arrays))
+        for at in range(0, arrays[0].size, step)
+    ]
+    ge, le = (np.concatenate(t).reshape(np.shape(law.t_obs)) for t in zip(*tails))
     return ge, np.minimum(1.0, 2.0 * np.minimum(ge, le))
 
 
@@ -392,27 +440,23 @@ def lasso_conditional_inference(
     selected-instrument TSLS results as the naive reference.
 
     Each grid round builds the laws of all its nulls in one call and
-    runs them through the Gibbs engine in one call.  The p-values are
-    Monte Carlo: the laws of one engine call share one random stream,
-    keyed by the config's seed and the call's tag (the grid round, 0 for
-    beta0), so a law's p-value depends on the other laws in its call.
-    The p-value reported at beta0 therefore differs from the grid's
-    p-value at the same null by Monte Carlo error."""
+    runs them through the QMC engine in one call.  Every law is
+    integrated over one scrambled Sobol set of config.n_samples points
+    (rounded up to a power of two) keyed by config.seed, so the p-value
+    curve is a deterministic, smooth function of beta0, and the p-value
+    reported at beta0 is the curve's value there.  diagnostics["qmc_se"]
+    is the spread of that p-value over _QMC_SCRAMBLES independent
+    scrambles, the first of them the grid's."""
     m = require_prepared(data)
     if not sel.support_E:
         raise BranchError("empty support: no instruments selected")
     config = config if config is not None else SamplerConfig()
     sub = m.select(sel.support_E)
-
-    def pvalues(b0, tag):
-        law = build_law_lasso(m, b0, sel, covariance_estimates(m, b0))
-        return _pooled_lasso_pvalues(law, config, tags=(tag,))[1]
-
-    calls = [0]
+    points = sobol_points(config, m.p)
 
     def pfn(xs):
-        calls[0] += 1
-        return pvalues(xs, calls[0])
+        law = build_law_lasso(m, xs, sel, covariance_estimates(m, xs))
+        return _pooled_lasso_pvalues(law, points)[1]
 
     beta_hat = tsls_estimate(sub)
     halfwidth = 8.0 * tsls_standard_error(sub)
@@ -420,10 +464,15 @@ def lasso_conditional_inference(
         pfn, beta_hat, halfwidth, alpha, n_points=n_points
     )
 
+    law0 = build_law_lasso(m, beta0, sel, covariance_estimates(m, beta0))
+    scrambles = [
+        _pooled_lasso_pvalues(law0, sobol_points(config, m.p, k))[1]
+        for k in range(_QMC_SCRAMBLES)
+    ]
     naive = tsls_stat(sub, beta0, covariance_estimates(sub, beta0))
     return InferenceReport(
         beta0=float(beta0),
-        conditional_pvalue=float(pvalues(beta0, 0)),
+        conditional_pvalue=float(scrambles[0]),
         naive_pvalue=naive.naive_pvalue,
         conditional_ci=interval,
         naive_ci=wald_interval(sub, alpha),
@@ -433,9 +482,8 @@ def lasso_conditional_inference(
             "support": list(sel.support_E),
             "signs": sel.signs_sE,
             "lambda_l": sel.lambda_l,
-            "chains": config.chains,
-            "n_samples": config.n_samples,
-            "burn_in": config.burn_in,
+            "qmc_points": len(points),
+            "qmc_se": float(np.std(scrambles, ddof=1)),
             "grid": grid_info,
         },
     )

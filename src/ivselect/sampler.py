@@ -14,8 +14,10 @@ is Gaussian, so t given d is Gaussian and integrating t out leaves d a
 log-concave weight (the randomized-response set-up of Tian & Taylor,
 Ann. Statist. 2018): every p-value is a ratio of two 1-D integrals over
 d, done by Gauss-Legendre quadrature.  The Gibbs sampler (exact in t,
-inverse-CDF or slice steps in d) is the Monte Carlo reference;
-SamplerConfig steers it and the Lasso engine only.
+inverse-CDF or slice steps in d) is the Monte Carlo reference.
+SamplerConfig steers it and the Lasso engines only: the Lasso QMC
+engine reads its seed and n_samples (sobol_points), the Gibbs samplers
+all four fields.
 
 A ConditionalLaw follows the batch convention of model.Moments: an
 array of tested nulls, or a batch of replications, gives one law whose
@@ -28,6 +30,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import special, stats
+from scipy.stats import qmc
 
 from .errors import (
     BranchError,
@@ -173,7 +176,8 @@ def _generator(seed: int, *tags: int) -> np.random.Generator:
 
 
 def _truncnorm_ppf(u, lo, hi):
-    """Quantile u of the standard normal truncated to [lo, hi], row-wise.
+    """Quantile u of the standard normal truncated to [lo, hi], row-wise,
+    and the log mass log(Phi(hi) - Phi(lo)) of the bounds.
 
     Rows with lo + hi > 0 are mirrored, so log Phi is always inverted on
     the side away from the mass, where it keeps full relative precision
@@ -186,13 +190,23 @@ def _truncnorm_ppf(u, lo, hi):
     log_mass = log_b + np.log(-np.expm1(log_a - log_b))
     log_v = np.where(flip, np.log1p(-u), np.log(u))
     x = special.ndtri_exp(np.logaddexp(log_a, log_v + log_mass))
-    return np.clip(np.where(flip, -x, x), lo, hi)
+    return np.clip(np.where(flip, -x, x), lo, hi), log_mass
+
+
+def sobol_points(config: SamplerConfig, dim: int, scramble: int = 0) -> np.ndarray:
+    """config.n_samples points of [0, 1)^dim, rounded up to a power of two,
+    from a Sobol set scrambled by a stream keyed by config.seed and
+    scramble.  Points are clipped away from 0 and 1, so every inverse-CDF
+    draw stays finite."""
+    log2_n = (config.n_samples - 1).bit_length()
+    sobol = qmc.Sobol(dim, scramble=True, rng=_generator(config.seed, 5, scramble))
+    return np.clip(sobol.random_base2(log2_n), 1e-16, 1.0 - 1e-16)
 
 
 def _truncated_normal(rng, mean, sd, size):
     """Exact N(mean, sd^2) draw conditioned on being positive."""
     uu = np.clip(rng.random(size), 1e-16, 1.0 - 1e-16)
-    return mean + sd * _truncnorm_ppf(uu, -mean / sd, np.inf)
+    return mean + sd * _truncnorm_ppf(uu, -mean / sd, np.inf)[0]
 
 
 def _logf_d(x, mvec, c, lam, jac):

@@ -52,6 +52,7 @@ from .sampler import (
     _generator,
     _pooled_pvalues,
     build_law_tsls,
+    sobol_points,
     wald_interval,
 )
 from .teststats import clr_components, clr_statistic_from_q, tsls_stat
@@ -343,9 +344,12 @@ def lasso_uniformity_experiment(
     """Null conditional p-values after randomized-Lasso selection.
 
     Each replication tunes its penalty by the resampling rule, runs the
-    randomized Lasso, and, when the support is non-empty, samples the
+    randomized Lasso, and, when the support is non-empty, builds the
     selection-event law of the post-selection statistic at beta_star.
-    The passing rate reported is the non-empty-selection rate."""
+    The laws of all replications are integrated in one QMC engine call
+    over one scrambled Sobol set of sampler.n_samples points keyed by
+    sampler.seed (burn_in and chains are not read).  The passing rate
+    reported is the non-empty-selection rate."""
     if reps < 100:
         raise ValueError("need reps >= 100")
     beta0 = config.beta_star
@@ -377,7 +381,7 @@ def lasso_uniformity_experiment(
     cfg = sampler if sampler is not None else SamplerConfig(seed=config.seed)
     # supports differ per replication, so the laws are stacked field by field
     law = LassoLaw(**{f.name: np.stack([getattr(w, f.name) for w in laws]) for f in fields(LassoLaw)})
-    _, two = _pooled_lasso_pvalues(law, cfg, tags=(51,))
+    _, two = _pooled_lasso_pvalues(law, sobol_points(cfg, config.p))
     cond_cov = float(np.mean(two >= alpha))
     naive_cov = float(np.mean(covers))
     m = len(laws)

@@ -470,6 +470,15 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "does not apply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "pretest"])
+@pytest.mark.parametrize("key", ["seed", "c0"])
+def test_cli_null_config_number_is_a_usage_error(tmp_path, capsys, command, key):
+    toy = _write(tmp_path, "toy.csv", TOY)
+    cfg = _write(tmp_path, "cfg.json", json.dumps({key: None}))
+    assert main([command, toy, "--config", cfg]) == 2
+    assert f"error: {key} must be a number, got None" in capsys.readouterr().err
+
+
 def test_cli_mismatch_override_flag(tmp_path):
     weak = _dataset_csv(tmp_path, dgp_from_r(0.05, 0.5, n=250, p=3, seed=91), "w.csv")
     out = tmp_path / "o.json"

@@ -5,7 +5,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import integrate, special, stats
 from scipy.integrate import cumulative_trapezoid
 
 from ivselect import (
@@ -32,7 +34,7 @@ from ivselect import (
 )
 from ivselect.errors import BranchError
 from ivselect.lasso import _pooled_lasso_pvalues
-from ivselect.sampler import _pooled_pvalues
+from ivselect.sampler import _pooled_pvalues, sobol_points
 
 
 def _soft(x, tau):
@@ -230,14 +232,18 @@ def test_retained_states_satisfy_selection_event():
     assert np.std(flat[:, 0]) > 0.1
 
 
-def test_far_orthant_states_satisfy_selection_event():
+def _far_orthant_law():
     # p = 1, gamma selected positive while the randomization puts its
     # conditional mean about 32 sd below zero (T settles near -16)
-    law = LassoLaw(
+    return LassoLaw(
         cols=np.array([[0.5, 1.0]]), base=np.array([40.0]),
         lower=np.array([-np.inf, 0.0]), upper=np.array([np.inf, np.inf]),
         gaussian_scale=1.0, t_obs=0.0, theta_obs=np.array([0.0, 0.01]),
     )
+
+
+def test_far_orthant_states_satisfy_selection_event():
+    law = _far_orthant_law()
     paths = sample_selection_paths(
         law, SamplerConfig(n_samples=2000, burn_in=200, chains=2, seed=56)
     )
@@ -248,31 +254,122 @@ def test_far_orthant_states_satisfy_selection_event():
     assert abs(flat[:, 1].mean() - 1.0 / 32.0) < 0.003
 
 
-def test_single_instrument_marginal_matches_quadrature():
-    # p = 1 with the instrument selected: integrating gamma over its
-    # sign half-line out of phi(t) g(a t + z gamma + b) leaves
-    # phi(t) * Phi(-s (a t + b) / c)
+def _single_instrument_law():
     data = generate(dgp_from_r(0.8, 0.6, n=150, p=1, seed=52))
     law_omega = RandomizationLaw(scale=default_lasso_scale(data), seed=53)
     lam = default_lasso_penalty(data, seed=54)
     sel = solve_randomized_lasso(data, lam, law_omega)
     assert sel.support_E == (0,)
-    law = build_law_lasso(data, 1.0, sel, covariance_estimates(data, 1.0))
+    return build_law_lasso(data, 1.0, sel, covariance_estimates(data, 1.0))
+
+
+def _single_instrument_cdf(law, ts):
+    # p = 1 with the instrument selected: integrating gamma over its
+    # sign half-line out of phi(t) g(a t + z gamma + b) leaves
+    # phi(t) * Phi(-s (a t + b) / c), taken in logs so that a far
+    # orthant keeps its mass
+    a, b, c = float(law.cols[0, 0]), float(law.base[0]), law.gaussian_scale
+    s = 1.0 if law.lower[1] == 0.0 else -1.0
+    log_pdf = stats.norm.logpdf(ts) + special.log_ndtr(-s * (a * ts + b) / c)
+    cdf = cumulative_trapezoid(np.exp(log_pdf - log_pdf.max()), ts, initial=0.0)
+    return cdf / cdf[-1]
+
+
+def test_single_instrument_marginal_matches_quadrature():
+    law = _single_instrument_law()
     paths = sample_selection_paths(
         law, SamplerConfig(n_samples=20000, burn_in=2000, chains=1, seed=55)
     )
     draws = paths[0, :, 0]
-
-    a = float(law.cols[0, 0])
-    b = float(law.base[0])
-    c = law.gaussian_scale
-    s = float(sel.signs_sE[0])
     ts = np.linspace(-12, 12, 12001)
-    pdf = stats.norm.pdf(ts) * stats.norm.cdf(-s * (a * ts + b) / c)
-    cdf = cumulative_trapezoid(pdf, ts, initial=0.0)
-    cdf /= cdf[-1]
+    cdf = _single_instrument_cdf(law, ts)
     ks = stats.kstest(draws, lambda x: np.interp(x, ts, cdf)).statistic
     assert ks < 0.03
+
+
+@pytest.mark.parametrize("make_law", [_single_instrument_law, _far_orthant_law])
+def test_qmc_tails_match_single_instrument_closed_form(make_law):
+    law = make_law()
+    ts = np.linspace(-40.0, 40.0, 160001)
+    cdf = _single_instrument_cdf(law, ts)
+    # the law's central quantiles, where both tails carry mass
+    t_eval = np.interp([0.05, 0.3, 0.5, 0.7, 0.95], cdf, ts)
+    upper, two = _pooled_lasso_pvalues(replace(law, t_obs=t_eval), sobol_points(SamplerConfig(), 1))
+    want = 1.0 - np.interp(t_eval, ts, cdf)
+    np.testing.assert_allclose(upper, want, rtol=0, atol=1e-3)
+    np.testing.assert_allclose(two, np.minimum(1.0, 2.0 * np.minimum(want, 1.0 - want)), rtol=0, atol=1e-3)
+
+
+def _nquad_upper_tail(law):
+    """P(T >= t_obs) by adaptive quadrature over r = (gamma_E, u_{-E}) in
+    its box, infinite sides cut 6 units out.  For fixed r the exponent
+    -T^2/2 - |a T + v|^2 / 2c^2, v = C_r r + base, is a quadratic in T,
+    so T's integral is a normal tail."""
+    cols, base, c2 = law.cols, law.base, law.gaussian_scale**2
+    a = cols[:, 0]
+    prec = 1.0 + float(a @ a) / c2
+
+    def t_integral(r, tail):
+        v = cols[:, 1:] @ np.asarray(r) + base
+        mean = -float(a @ v) / (c2 * prec)
+        weight = math.exp(-0.5 * float(v @ v) / c2 + 0.5 * prec * mean * mean)
+        return weight * (special.ndtr((mean - law.t_obs) * math.sqrt(prec)) if tail else 1.0)
+
+    ranges = [(max(lo, -6.0), min(hi, 6.0)) for lo, hi in zip(law.lower[1:], law.upper[1:])]
+    opts = {"epsabs": 1e-10, "epsrel": 1e-8}
+    num = integrate.nquad(lambda *r: t_integral(r, True), ranges, opts=opts)[0]
+    den = integrate.nquad(lambda *r: t_integral(r, False), ranges, opts=opts)[0]
+    return num / den
+
+
+@pytest.mark.parametrize("law", [
+    # p = 2: gamma_0 >= 0 cuts about a fifth of its mass, the box on u_1 more
+    LassoLaw(
+        cols=np.array([[-0.6, 2.0, 0.0], [-0.3, 0.8, 1.5]]), base=np.array([-1.0, 0.4]),
+        lower=np.array([-np.inf, 0.0, -1.0]), upper=np.array([np.inf, np.inf, 1.0]),
+        gaussian_scale=1.0, t_obs=0.7, theta_obs=np.array([0.7, 0.5, 0.0]),
+    ),
+    # p = 3: gamma_0 >= 0, gamma_2 <= 0 and the box on u_1
+    LassoLaw(
+        cols=np.array([[-0.6, 2.0, 0.5, 0.0], [-0.3, 0.8, 0.3, 1.2], [0.4, 0.5, 1.8, 0.0]]),
+        base=np.array([-1.0, 0.4, 0.6]),
+        lower=np.array([-np.inf, 0.0, -np.inf, -1.0]), upper=np.array([np.inf, np.inf, 0.0, 1.0]),
+        gaussian_scale=1.0, t_obs=-0.4, theta_obs=np.array([-0.4, 0.5, -0.3, 0.0]),
+    ),
+], ids=["p2", "p3"])
+def test_qmc_tail_matches_adaptive_quadrature(law):
+    want = _nquad_upper_tail(law)
+    upper, two = _pooled_lasso_pvalues(law, sobol_points(SamplerConfig(n_samples=4096), law.cols.shape[0]))
+    assert abs(float(upper) - want) < 1e-4
+    assert abs(float(two) - min(1.0, 2.0 * min(want, 1.0 - want))) < 2e-4
+
+
+def test_qmc_tails_match_long_gibbs_runs_at_p10():
+    # a bench-like selection: p = 10, three weak instruments; the QMC
+    # tails at 256 points against 16 long chains, within four standard
+    # errors of the difference (chains: spread of the chain means;
+    # QMC: spread over 8 scrambles)
+    gamma = np.zeros(10)
+    gamma[:3] = 0.15
+    data = generate(DGPConfig(n=1000, p=10, beta_star=1.0, gamma_star=gamma,
+                              sigma_star=np.array([[1.0, 0.8], [0.8, 1.0]]), seed=4))
+    law_omega = RandomizationLaw(scale=default_lasso_scale(data), seed=2)
+    sel = solve_randomized_lasso(data, default_lasso_penalty(data, seed=1), law_omega)
+    assert 1 <= len(sel.support_E) < data.p
+    law = build_law_lasso(data, 1.0, sel, covariance_estimates(data, 1.0))
+    ts = law.t_obs + np.array([-1.0, 0.0, 1.0])
+
+    chains = 16
+    paths = sample_selection_paths(law, SamplerConfig(n_samples=3000, burn_in=300, chains=chains, seed=3))
+    per_chain = (paths[:, :, 0, None] >= ts).mean(axis=1)
+    gibbs, gibbs_se = per_chain.mean(axis=0), per_chain.std(axis=0, ddof=1) / math.sqrt(chains)
+
+    cfg = SamplerConfig(n_samples=256, seed=5)
+    scrambles = np.array([
+        _pooled_lasso_pvalues(replace(law, t_obs=ts), sobol_points(cfg, data.p, k))[0] for k in range(8)
+    ])
+    qmc, qmc_se = scrambles[0], scrambles.std(axis=0, ddof=1)
+    assert np.all(np.abs(qmc - gibbs) < 4.0 * np.sqrt(gibbs_se**2 + qmc_se**2))
 
 
 def test_vanishing_randomization_matches_f_branch():
@@ -292,7 +389,7 @@ def test_vanishing_randomization_matches_f_branch():
         sel = solve_randomized_lasso(data, lam, law_omega)
         assert sel.support_E == tuple(range(data.p))
         law_l = build_law_lasso(data, 1.0, sel, est)
-        _, two_l = _pooled_lasso_pvalues(law_l, cfg, tags=(1,))
+        _, two_l = _pooled_lasso_pvalues(law_l, sobol_points(cfg, data.p))
 
         pretest = run_pretest(data, c0=10.0, seed=seed + 3, scale=0.35 * default_scale(data))
         assert pretest.passed
@@ -309,6 +406,8 @@ def test_conditional_inference_report_contents():
     assert report.diagnostics["branch"] == "lasso"
     assert report.diagnostics["support"] == list(sel.support_E)
     assert 0.0 <= report.conditional_pvalue <= 1.0
+    assert report.diagnostics["qmc_points"] == 2048
+    assert 0.0 < report.diagnostics["qmc_se"] < 0.01
     sub = prepare(IVDataset(Y=data.Y, D=data.D, Z=data.Z[:, list(sel.support_E)]))
     assert report.conditional_ci.contains(tsls_estimate(sub))
     assert report.naive_ci.contains(tsls_estimate(sub))
@@ -316,8 +415,7 @@ def test_conditional_inference_report_contents():
 
 def test_batched_lasso_law_equals_per_null_builds():
     # one builder call over an array of nulls gives, field by field, the
-    # laws of one call per null, and the engine gives the batch the same
-    # p-values as those laws stacked
+    # laws of one call per null
     data, sel = _partial_selection(seed=65)
     nulls = np.linspace(-1.0, 3.0, 7)
     batch = build_law_lasso(data, nulls, sel, covariance_estimates(data, nulls))
@@ -341,19 +439,47 @@ def test_batched_lasso_law_equals_per_null_builds():
     for k, s in enumerate(sel.signs_sE):
         want = (0.0, np.inf) if s > 0 else (-np.inf, 0.0)
         assert (batch.lower[1 + k], batch.upper[1 + k]) == want
-    cfg = SamplerConfig(n_samples=300, burn_in=50, chains=2, seed=66)
-    for got, want in zip(
-        _pooled_lasso_pvalues(batch, cfg, tags=(3,)), _pooled_lasso_pvalues(stacked, cfg, tags=(3,))
-    ):
-        assert got.shape == (7,)
-        np.testing.assert_array_equal(got, want)
+    # a law's p-values do not depend on the laws beside it: alone, inside
+    # its batch, and stacked with the laws of another selection, whose
+    # bounds then carry the law axis.  At 4096 points the engine takes 4
+    # laws at a time, so both stacks cross its chunk boundaries.
+    points = sobol_points(SamplerConfig(n_samples=4096, seed=66), data.p)
+    data_b, sel_b = _partial_selection(seed=50)
+    others = build_law_lasso(data_b, nulls, sel_b, covariance_estimates(data_b, nulls))
+    mixed = LassoLaw(**{
+        f.name: np.concatenate([
+            np.broadcast_to(getattr(w, f.name), np.shape(w.t_obs) + np.shape(getattr(singles[0], f.name)))
+            for w in (others, batch)
+        ])
+        for f in fields(LassoLaw)
+    })
+    assert mixed.lower.shape == (14, q)
+    alone = [_pooled_lasso_pvalues(w, points) for w in singles]
+    in_batch = _pooled_lasso_pvalues(batch, points)
+    in_mixed = _pooled_lasso_pvalues(mixed, points)
+    for k in range(2):
+        want = np.array([a[k] for a in alone])
+        assert in_batch[k].shape == (7,)
+        np.testing.assert_array_equal(in_batch[k], want)
+        np.testing.assert_array_equal(in_mixed[k][7:], want)
 
 
-def test_lasso_inference_reproduces_from_its_seed():
+@given(seed=st.integers(0, 2**63 - 1), beta0=st.floats(-1.0, 3.0))
+def test_lasso_inference_reproduces_from_its_seed(seed, beta0):
     data, sel = _partial_selection(seed=67)
-    cfg = SamplerConfig(n_samples=300, burn_in=50, chains=2, seed=68)
-    first = lasso_conditional_inference(data, 1.0, sel, config=cfg).to_dict()
-    again = lasso_conditional_inference(data, 1.0, sel, config=cfg).to_dict()
+    cfg = SamplerConfig(n_samples=64, seed=seed)
+    first = lasso_conditional_inference(data, beta0, sel, config=cfg).to_dict()
+    again = lasso_conditional_inference(data, beta0, sel, config=cfg).to_dict()
     assert first == again
-    other = lasso_conditional_inference(data, 1.0, sel, config=replace(cfg, seed=69)).to_dict()
+    other = lasso_conditional_inference(data, beta0, sel, config=replace(cfg, seed=seed ^ 1)).to_dict()
     assert other["conditional_pvalue"] != first["conditional_pvalue"]
+
+
+def test_reported_pvalue_is_the_curve_at_beta0():
+    data, sel = _partial_selection(seed=63)
+    cfg = SamplerConfig(n_samples=500, seed=64)
+    report = lasso_conditional_inference(data, 1.0, sel, config=cfg)
+    nulls = np.array([0.5, 1.0, 1.5])
+    law = build_law_lasso(data, nulls, sel, covariance_estimates(data, nulls))
+    curve = _pooled_lasso_pvalues(law, sobol_points(cfg, data.p))[1]
+    assert report.conditional_pvalue == curve[1]

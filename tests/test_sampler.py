@@ -212,11 +212,18 @@ def test_truncnorm_ppf_matches_scipy_deep_in_the_tails():
     uu = np.tile(u, len(cases))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = _truncnorm_ppf(uu, lo, hi)
-        free = _truncnorm_ppf(u, np.full(u.size, -inf), np.full(u.size, inf))
+        x, log_mass = _truncnorm_ppf(uu, lo, hi)
+        free, free_mass = _truncnorm_ppf(u, np.full(u.size, -inf), np.full(u.size, inf))
     np.testing.assert_allclose(x, stats.truncnorm.ppf(uu, lo, hi), rtol=1e-12, atol=0)
     assert np.all((lo <= x) & (x <= hi))
     np.testing.assert_allclose(free, stats.norm.ppf(u), rtol=1e-12, atol=0)
+    # the truncated density is phi(x) / mass at every x within the bounds;
+    # on the 1e-8-wide intervals both formulas lose 8 digits to cancellation
+    mass_ref = stats.norm.logpdf(x) - stats.truncnorm.logpdf(x, lo, hi)
+    narrow = hi - lo < 1e-6
+    np.testing.assert_allclose(log_mass[~narrow], mass_ref[~narrow], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(log_mass[narrow], mass_ref[narrow], rtol=1e-8, atol=0)
+    assert np.all(free_mass == 0.0)
 
 
 def test_huge_randomization_scale_gives_standard_normal():
