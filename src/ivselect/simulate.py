@@ -1,13 +1,16 @@
 """Data-generating process and the naive-versus-conditional experiments.
 
-Everything here conditions on instruments Z, so each replication draws a
-fresh design.  The strength-screen experiments reduce a whole batch of
-replications to one batched Moments value and run the screen, the
-statistics and the naive references through the same functions a single
-dataset uses; the conditional laws of the replications on a branch are
-built from their rows in one call and integrated exactly.  The Lasso
-experiment builds a dataset per replication, because its penalty and
-solver work on the raw columns.
+Each replication draws a fresh design, instruments included.  The
+strength-screen experiments (uniformity, and coverage on both branches)
+read a replication only through its Moments, so they draw those exactly,
+from Bartlett's decomposition of the Wishart law of the cross-products,
+without drawing rows: a replication costs O(p^2) draws whatever n is.
+One batched Moments value then runs through the screen, the statistics
+and the naive references, the same functions a single dataset uses, and
+the conditional laws of the replications on a branch are built in one
+call and integrated exactly.  Rows are still drawn where columns are
+needed: generate builds a dataset, and the Lasso experiment builds one
+per replication, because its penalty and solver work on the raw columns.
 A brute-force rejection oracle, written independently of Moments,
 provides ground truth for the conditional null law: simulate, screen
 with fresh randomization, keep the test statistic from draws that land
@@ -62,7 +65,11 @@ _SEED_MASK = (1 << 63) - 1
 
 @dataclass(frozen=True)
 class DGPConfig:
-    """Linear IV data-generating process with Gaussian instruments."""
+    """Linear IV data-generating process with Gaussian instruments.
+
+    Z and the errors are Gaussian, which the screen experiments rely on:
+    they draw a replication's Moments exactly from the Wishart law of the
+    cross-products (_draw_moments) rather than from rows."""
 
     n: int
     p: int
@@ -186,6 +193,37 @@ def _draw_batch(config: DGPConfig, reps: int, rng):
     return z, y, d
 
 
+def _draw_moments(config: DGPConfig, reps: int, rng) -> Moments:
+    """The Moments of reps centered datasets, drawn exactly without rows.
+
+    The centered cross-product of n standardized rows [Z e] is
+    Wishart_{p+2}(n - 1, I).  Its Bartlett factor T is lower triangular,
+    with T_jj^2 ~ chi^2(n - 1 - j) and standard normals below the diagonal
+    (Anderson, An Introduction to Multivariate Statistical Analysis, 7.2).
+    [Z Y D] = [Z e] M for a fixed M, so the cross-moments are M'T T'M:
+    (p+2)(p+3)/2 draws per replication, whatever n is."""
+    n, p = config.n, config.p
+    k = p + 2
+    chol = np.linalg.cholesky(config.sigma_star)
+    m = np.zeros((k, k))
+    m[:p, :p] = np.eye(p)
+    m[:p, p + 1] = config.gamma_star  # D = Z gamma* + e chol[1]
+    m[p:, p + 1] = chol[1]
+    m[:, p] = config.beta_star * m[:, p + 1]  # Y = D beta* + e chol[0]
+    m[p:, p] += chol[0]
+    t = np.zeros((reps, k, k))
+    below = np.tril_indices(k, -1)
+    t[:, below[0], below[1]] = rng.standard_normal((reps, below[0].size))
+    diag = np.arange(k)
+    t[:, diag, diag] = np.sqrt(rng.chisquare(n - 1 - diag, size=(reps, k)))
+    g = np.swapaxes(t, -1, -2) @ m
+    c = np.swapaxes(g, -1, -2) @ g
+    return Moments(
+        n=n, ztz=c[:, :p, :p], zty=c[:, :p, p], ztd=c[:, :p, p + 1],
+        yy=c[:, p, p], yd=c[:, p, p + 1], dd=c[:, p + 1, p + 1],
+    )
+
+
 def generate(config: DGPConfig) -> IVDataset:
     """One prepared dataset from the design."""
     z, y, d = _draw_batch(config, 1, _generator(config.seed, 20))
@@ -227,7 +265,7 @@ def uniformity_experiment(
         raise ValueError("need reps >= 100")
     beta0 = config.beta_star
     rng = _generator(config.seed, 21)
-    mom = Moments.of(*_draw_batch(config, reps, rng))
+    mom = _draw_moments(config, reps, rng)
     screen = _screen(mom, c0, rng)
     passing = np.nonzero(screen.passed)[0]
     if passing.size < 50:
@@ -265,7 +303,7 @@ def _clr_fail_cell(config, c0, alpha, reps) -> ExperimentResult:
     truncation."""
     beta0 = config.beta_star
     rng = _generator(config.seed, 22)
-    mom = Moments.of(*_draw_batch(config, reps, rng))
+    mom = _draw_moments(config, reps, rng)
     failing = np.nonzero(f_statistic(mom) < c0)[0]
     if failing.size < 50:
         raise ExperimentError(

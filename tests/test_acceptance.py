@@ -8,8 +8,8 @@ the code under test.  The two dataset regressions need user-supplied
 CSV extracts under data/ and skip when those are absent; the README
 documents the expected layout.
 
-This is the slow end of the suite: several minutes total, dominated by
-the weak-instrument coverage study.
+This is the slow end of the suite: under a minute total, dominated by
+the weak-branch study, whose CLR intervals are unbounded.
 """
 import math
 from dataclasses import replace
@@ -169,8 +169,7 @@ def test_coverage_gap_under_weak_instruments():
     # while the conditional ones stay near nominal.  At this design the
     # conditional coverage sits right at the 0.90 line, so a small run
     # answers with a coin flip; replications are pooled over eight
-    # pre-registered batches (one batch at a time keeps memory bounded)
-    # until the per-cell standard error is ~0.003.
+    # pre-registered batches until the per-cell standard error is ~0.003.
     details = []
     ok = True
     for s12 in (0.8, 0.9):
