@@ -11,6 +11,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -63,12 +64,16 @@ class AnalysisConfig:
 
     def __post_init__(self):
         # a config file's integer c0 or null_value echoes as a float, as a flag's does
-        for key, kind in (("c0", float), ("alpha", float), ("seed", int), ("null_value", float)):
+        for key, kind in (
+            ("c0", float), ("alpha", float), ("seed", int), ("null_value", float),
+            ("randomization_scale", float),
+        ):
             value = getattr(self, key)
-            try:
-                setattr(self, key, kind(value))
-            except (TypeError, ValueError):
-                raise ValueError(f"{key} must be a number, got {value!r}") from None
+            if value is None and key == "randomization_scale":
+                continue
+            if not _is_number(value):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+            setattr(self, key, kind(value))
         if self.test not in _TESTS:
             raise ValueError(f"test must be one of {_TESTS}, got {self.test!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -76,15 +81,36 @@ class AnalysisConfig:
         if self.c0 < 0:
             raise ValueError("C0 must be nonnegative")
         if self.ci_grid is not None:
-            unknown = set(self.ci_grid) - {"points"}
-            if unknown:
-                raise ValueError(f"unknown ci_grid keys: {sorted(unknown)}")
+            _require_keys("ci_grid", self.ci_grid, {"points"})
+            points = self.ci_grid.get("points", 201)
+            if not (_is_number(points) and float(points).is_integer() and points >= 3):
+                raise ValueError(f"ci_grid points must be an integer >= 3, got {points!r}")
+        if self.columns is not None:
+            _require_keys("columns", self.columns, {"outcome", "treatment", "instruments", "covariates"})
+            for role, name in self.columns.items():
+                names = [name] if role in ("outcome", "treatment") else name or []
+                if not (isinstance(names, (list, tuple)) and all(isinstance(v, str) for v in names)):
+                    raise ValueError(f"columns {role} must give column names, got {name!r}")
 
     def grid_points(self) -> int:
         """Points of every branch's initial CI grid over beta_hat +- 8 SE."""
         if self.ci_grid is None:
             return 201
         return int(self.ci_grid.get("points", 201))
+
+
+def _is_number(value) -> bool:
+    """A finite real number; a string or a JSON true, which float() takes, is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < math.inf
+
+
+def _require_keys(name, value, allowed):
+    """ValueError unless value is a mapping whose keys all lie in allowed."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    unknown = set(value) - allowed
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
 
 
 def _columns(header, config):
@@ -414,8 +440,7 @@ def _cmd_simulate(args) -> int:
             sigma_star=np.array([[1.0, s12s[0]], [s12s[0], 1.0]]),
             seed=seed,
         )
-        points = {} if args.samples is None else {"n_samples": args.samples}
-        sampler = SamplerConfig(seed=seed, **points)
+        sampler = None if args.samples is None else SamplerConfig(seed=seed, n_samples=args.samples)
         res = lasso_uniformity_experiment(config, args.reps, alpha=alpha, sampler=sampler)
     else:
         config = dgp_from_r(rs[0], s12s[0], n=args.n, p=args.p, seed=seed)

@@ -2,6 +2,8 @@
 the selected support and signs.
 
 Selection solves min 0.5 ||D - Z g||^2 + lam ||g||_1 - omega' g.  Its
+solver and default penalty read only Z'Z, Z'D, D'D and RSS, so a Moments
+value, or a row m[i] of a batch, selects as its dataset does.  The
 stationarity condition -Z'(D - Z g) + lam u = omega turns the selection
 event into sign constraints on g_E and a box on u_{-E}, so the
 conditional null law of the post-selection TSLS statistic T lives on
@@ -60,6 +62,9 @@ _PENALTY_MULT = 1.1
 _MAX_SWEEPS = 100000
 _RESYNC_EVERY = 128
 _QMC_SCRAMBLES = 8
+# QMC points per law without a SamplerConfig, whose default was sized for
+# Gibbs draws: qmc_se stays below 1e-3 on n = 1000, p = 10 designs
+_QMC_POINTS = 1024
 # laws times points held at once by the QMC engine
 _QMC_CHUNK = 1 << 14
 
@@ -105,63 +110,60 @@ class LassoSelection:
         return np.setdiff1d(np.arange(self.omega.size), list(self.support_E))
 
 
-def _dual_gap(z, d_vec, omega, lam, gamma, resid):
-    """Duality gap of the randomized Lasso at (gamma, resid = D - Z gamma).
+def _dual_gap(m: Moments, omega, lam, gamma, grad):
+    """Duality gap of the randomized Lasso at gamma, grad = Z'resid.
 
     Dual point s * resid with s chosen feasible for the box constraint
-    |(Z'theta + omega)_j| <= lam and as close to 1 as allowed.  The box
-    carries a machine-precision margin: at the solution every active
-    coordinate sits exactly on its boundary, and without the margin the
-    intersection of the per-coordinate s-intervals can round to empty."""
-    primal = 0.5 * float(resid @ resid) + lam * float(np.abs(gamma).sum()) - float(
-        omega @ gamma
-    )
-    zr = z.T @ resid
-    wide = lam + 1e-12 * (lam + float(np.abs(omega).max()) + float(np.abs(zr).max()))
-    s_lo, s_hi = -math.inf, math.inf
-    for zr_j, om_j in zip(zr, omega):
-        if zr_j > 0:
-            s_lo = max(s_lo, (-wide - om_j) / zr_j)
-            s_hi = min(s_hi, (wide - om_j) / zr_j)
-        elif zr_j < 0:
-            s_lo = max(s_lo, (wide - om_j) / zr_j)
-            s_hi = min(s_hi, (-wide - om_j) / zr_j)
-        elif abs(om_j) > wide:
-            return math.inf, primal
+    |(Z'theta + omega)_j| <= lam and as close to 1 as allowed, and
+    ||resid||^2 = D'D - gamma'(Z'D + grad).  The box carries a
+    machine-precision margin: at the solution every active coordinate
+    sits exactly on its boundary, and without the margin the intersection
+    of the per-coordinate s-intervals can round to empty."""
+    dd = float(m.dd)
+    rr = dd - float(gamma @ (m.ztd + grad))
+    primal = 0.5 * rr + lam * float(np.abs(gamma).sum()) - float(omega @ gamma)
+    wide = lam + 1e-12 * (lam + float(np.abs(omega).max()) + float(np.abs(grad).max()))
+    moving = grad != 0
+    if np.any(np.abs(omega[~moving]) > wide):
+        return math.inf
+    ends = np.stack([-wide - omega[moving], wide - omega[moving]]) / grad[moving]
+    s_lo = float(np.max(ends.min(axis=0), initial=-math.inf))
+    s_hi = float(np.min(ends.max(axis=0), initial=math.inf))
     if s_lo > s_hi:
-        return math.inf, primal
+        return math.inf
     s = min(max(1.0, s_lo), s_hi)
-    theta = s * resid
-    dual = float(theta @ d_vec) - 0.5 * float(theta @ theta)
-    return primal - dual, primal
+    # the dual value is s resid'D - s^2 ||resid||^2 / 2, with resid'D = D'D - gamma'Z'D
+    return primal - s * (dd - float(gamma @ m.ztd)) + 0.5 * s * s * rr
 
 
 def solve_randomized_lasso(
-    data: IVDataset, lambda_l: float, law: RandomizationLaw
+    data: IVDataset | Moments, lambda_l: float, law: RandomizationLaw
 ) -> LassoSelection:
-    """Coordinate descent to duality gap < 1e-13 D'D, then the selection
+    """Covariance-update coordinate descent (Friedman, Hastie & Tibshirani,
+    J. Stat. Softw. 2010) to duality gap < 1e-13 D'D, then the selection
     event (support, signs, subgradient) read off the stationarity
-    condition u = (omega + Z'resid) / lambda_l."""
-    require_prepared(data)
+    condition u = (omega + Z'resid) / lambda_l.  Z'resid = Z'D - Z'Z gamma
+    moves by one column of Z'Z per changed coordinate, and is recomputed
+    before each gap check, so the stopping rule never reads drift."""
+    m = require_prepared(data)
     if lambda_l <= 0:
         raise ValueError("lambda_l must be positive")
-    z, d_vec = data.Z, data.D
-    p = data.p
+    ztz, ztd, p = m.ztz, m.ztd, m.p
     omega = law.draw(p)
-    col_norm2 = np.einsum("ij,ij->j", z, z)
-    gamma = np.zeros(p)
-    resid = d_vec.copy()
-    gap, tol = math.inf, _GAP_RTOL * float(d_vec @ d_vec)
+    col_norm2 = np.diagonal(ztz)
+    gamma, grad = np.zeros(p), ztd.copy()
+    gap, tol = math.inf, _GAP_RTOL * float(m.dd)
     for sweep in range(_MAX_SWEEPS):
         for j in range(p):
             old = gamma[j]
-            rho = float(z[:, j] @ resid) + col_norm2[j] * old + omega[j]
+            rho = grad[j] + col_norm2[j] * old + omega[j]
             new = math.copysign(max(abs(rho) - lambda_l, 0.0), rho) / col_norm2[j]
             if new != old:
-                resid += z[:, j] * (old - new)
+                grad += ztz[:, j] * (old - new)
                 gamma[j] = new
         if sweep % 4 == 3 or sweep == 0:
-            gap, _ = _dual_gap(z, d_vec, omega, lambda_l, gamma, resid)
+            grad = ztd - ztz @ gamma
+            gap = _dual_gap(m, omega, lambda_l, gamma, grad)
             if gap < tol:
                 break
     else:
@@ -171,7 +173,7 @@ def solve_randomized_lasso(
         )
     support = tuple(int(j) for j in np.nonzero(gamma)[0])
     signs = np.sign(gamma[list(support)])
-    u = (omega + z.T @ resid) / lambda_l
+    u = (omega + grad) / lambda_l
     u[list(support)] = signs
     off = np.setdiff1d(np.arange(p), list(support))
     u[off] = np.clip(u[off], -1.0, 1.0)
@@ -186,22 +188,23 @@ def solve_randomized_lasso(
     )
 
 
-def default_lasso_penalty(data: IVDataset, seed: int = 0) -> float:
-    """1.1 times the median of ||Z' e*||_inf over 200 resampled
-    first-stage residual vectors e*: large enough that pure-noise
-    instruments are usually dropped, small enough that selection stays
-    non-trivial."""
-    resid = data.D - data.Z @ require_prepared(data).gamma_hat
-    rng = _generator(seed, 11)
-    idx = rng.integers(0, data.n, size=(_PENALTY_SIMS, data.n))
-    vals = np.abs(resid[idx] @ data.Z).max(axis=1)
-    lam = _PENALTY_MULT * float(np.median(vals))
+def default_lasso_penalty(data: IVDataset | Moments, seed: int = 0) -> float:
+    """1.1 times the median of ||Z'e||_inf over 200 Gaussian errors e ~
+    N(0, sigma_hat^2 I), sigma_hat^2 = RSS / (n - p): large enough that
+    pure-noise instruments are usually dropped, small enough that
+    selection stays non-trivial.  Each draw is sigma_hat ||L xi||_inf,
+    L L' = Z'Z, xi ~ N(0, I) (Lee, Sun, Sun & Taylor, Ann. Statist. 2016)."""
+    m = require_prepared(data)
+    sigma = math.sqrt(float(m.rss) / (m.n - m.p))
+    xi = _generator(seed, 11).standard_normal((_PENALTY_SIMS, m.p))
+    vals = np.abs(xi @ np.linalg.cholesky(m.ztz).T).max(axis=1)
+    lam = _PENALTY_MULT * sigma * float(np.median(vals))
     if lam <= 0:
         raise ValueError("degenerate penalty: first-stage residuals are zero")
     return lam
 
 
-def default_lasso_scale(data: IVDataset) -> float:
+def default_lasso_scale(data: IVDataset | Moments) -> float:
     """Randomization spread for the Lasso objective: half the typical
     noise scale of a Z'D coordinate (error sd times mean column norm)."""
     m = require_prepared(data)
@@ -428,7 +431,7 @@ def _pooled_lasso_pvalues(law: LassoLaw, points: np.ndarray):
 
 
 def lasso_conditional_inference(
-    data: IVDataset,
+    data: IVDataset | Moments,
     beta0: float,
     sel: LassoSelection,
     config: SamplerConfig = None,
@@ -442,15 +445,15 @@ def lasso_conditional_inference(
     Each grid round builds the laws of all its nulls in one call and
     runs them through the QMC engine in one call.  Every law is
     integrated over one scrambled Sobol set of config.n_samples points
-    (rounded up to a power of two) keyed by config.seed, so the p-value
-    curve is a deterministic, smooth function of beta0, and the p-value
-    reported at beta0 is the curve's value there.  diagnostics["qmc_se"]
-    is the spread of that p-value over _QMC_SCRAMBLES independent
-    scrambles, the first of them the grid's."""
+    (rounded up to a power of two; 1024 without a config) keyed by
+    config.seed, so the p-value curve is a deterministic, smooth function
+    of beta0, and the p-value reported at beta0 is the curve's value
+    there.  diagnostics["qmc_se"] is the spread of that p-value over
+    _QMC_SCRAMBLES independent scrambles, the first of them the grid's."""
     m = require_prepared(data)
     if not sel.support_E:
         raise BranchError("empty support: no instruments selected")
-    config = config if config is not None else SamplerConfig()
+    config = config if config is not None else SamplerConfig(n_samples=_QMC_POINTS)
     sub = m.select(sel.support_E)
     points = sobol_points(config, m.p)
 

@@ -1,20 +1,19 @@
 """Data-generating process and the naive-versus-conditional experiments.
 
-Each replication draws a fresh design, instruments included.  The
-strength-screen experiments (uniformity, and coverage on both branches)
-read a replication only through its Moments, so they draw those exactly,
-from Bartlett's decomposition of the Wishart law of the cross-products,
-without drawing rows: a replication costs O(p^2) draws whatever n is.
-One batched Moments value then runs through the screen, the statistics
-and the naive references, the same functions a single dataset uses, and
-the conditional laws of the replications on a branch are built in one
-call and integrated exactly.  Rows are still drawn where columns are
-needed: generate builds a dataset, and the Lasso experiment builds one
-per replication, because its penalty and solver work on the raw columns.
-A brute-force rejection oracle, written independently of Moments,
-provides ground truth for the conditional null law: simulate, screen
-with fresh randomization, keep the test statistic from draws that land
-next to the observed conditioning variables.
+Each replication draws a fresh design, instruments included.  Every
+experiment reads a replication only through its Moments, so it draws
+those exactly, from Bartlett's decomposition of the Wishart law of the
+cross-products, without rows: a replication costs O(p^2) draws whatever
+n is.  The strength-screen experiments run one batched Moments value
+through the screen, the statistics and the naive references, the same
+functions a single dataset uses, and build and integrate the
+conditional laws of a branch's replications in one call.  The Lasso
+experiment selects on each row m[i] of the batch and integrates all
+the selection laws in one QMC call.  Only generate draws rows, to build
+a dataset.  A brute-force rejection oracle, written independently of
+Moments, provides ground truth for the conditional null law: simulate,
+screen with fresh randomization, keep the test statistic from draws
+that land next to the observed conditioning variables.
 """
 
 import math
@@ -27,6 +26,7 @@ from scipy import stats
 from .clr import clr_tails, truncation_from_estimates
 from .errors import ExperimentError, TruncationError
 from .lasso import (
+    _QMC_POINTS,
     LassoLaw,
     _pooled_lasso_pvalues,
     build_law_lasso,
@@ -67,8 +67,8 @@ _SEED_MASK = (1 << 63) - 1
 class DGPConfig:
     """Linear IV data-generating process with Gaussian instruments.
 
-    Z and the errors are Gaussian, which the screen experiments rely on:
-    they draw a replication's Moments exactly from the Wishart law of the
+    Z and the errors are Gaussian, which the experiments rely on: they
+    draw a replication's Moments exactly from the Wishart law of the
     cross-products (_draw_moments) rather than from rows."""
 
     n: int
@@ -246,8 +246,31 @@ def _row(batch, i):
     })
 
 
-def _binom_se(rate: float, m: int) -> float:
-    return math.sqrt(max(rate * (1.0 - rate), 0.0) / m) if m > 0 else float("nan")
+def _result(reps, passing_rate, cond, naive, naive_covers, alpha) -> ExperimentResult:
+    """A cell's result from the conditional and naive p-values of the
+    replications on its branch and whether their naive intervals cover:
+    coverages with binomial SEs and the conditional p-values' KS test."""
+
+    def se(rate, k):
+        return math.sqrt(max(rate * (1.0 - rate), 0.0) / k)
+
+    m = cond.size
+    naive_cov = float(np.mean(naive_covers))
+    cond_cov = float(np.mean(cond >= alpha))
+    ks = stats.kstest(cond, "uniform")
+    return ExperimentResult(
+        passing_rate=passing_rate,
+        naive_coverage=naive_cov,
+        conditional_coverage=cond_cov,
+        pvalue_samples=cond,
+        reps=reps,
+        passing_se=se(passing_rate, reps),
+        naive_se=se(naive_cov, m),
+        conditional_se=se(cond_cov, m),
+        ks_statistic=float(ks.statistic),
+        ks_pvalue=float(ks.pvalue),
+        naive_pvalue_samples=naive,
+    )
 
 
 def uniformity_experiment(
@@ -278,23 +301,7 @@ def uniformity_experiment(
     naive_two = tsls_stat(mom, beta0, est).naive_pvalue[passing]
     zq = stats.norm.ppf(1.0 - alpha / 2.0)
     wald_covers = np.abs(tsls_estimate(mom) - beta0) <= zq * tsls_standard_error(mom)
-    naive_cov = float(np.mean(wald_covers[passing]))
-    cond_cov = float(np.mean(two >= alpha))
-    ks = stats.kstest(two, "uniform")
-    m = passing.size
-    return ExperimentResult(
-        passing_rate=passing.size / reps,
-        naive_coverage=naive_cov,
-        conditional_coverage=cond_cov,
-        pvalue_samples=two,
-        reps=reps,
-        passing_se=_binom_se(passing.size / reps, reps),
-        naive_se=_binom_se(naive_cov, m),
-        conditional_se=_binom_se(cond_cov, m),
-        ks_statistic=float(ks.statistic),
-        ks_pvalue=float(ks.pvalue),
-        naive_pvalue_samples=naive_two,
-    )
+    return _result(reps, passing.size / reps, two, naive_two, wald_covers[passing], alpha)
 
 
 def _clr_fail_cell(config, c0, alpha, reps) -> ExperimentResult:
@@ -323,23 +330,7 @@ def _clr_fail_cell(config, c0, alpha, reps) -> ExperimentResult:
             "though the replication failed the screen"
         )
     naive, _ = clr_tails(lr, q_r, p)
-    cond_cov = float(np.mean(cond >= alpha))
-    naive_cov = float(np.mean(naive >= alpha))
-    m = failing.size
-    ks = stats.kstest(cond, "uniform")
-    return ExperimentResult(
-        passing_rate=1.0 - failing.size / reps,
-        naive_coverage=naive_cov,
-        conditional_coverage=cond_cov,
-        pvalue_samples=cond,
-        reps=reps,
-        passing_se=_binom_se(failing.size / reps, reps),
-        naive_se=_binom_se(naive_cov, m),
-        conditional_se=_binom_se(cond_cov, m),
-        ks_statistic=float(ks.statistic),
-        ks_pvalue=float(ks.pvalue),
-        naive_pvalue_samples=naive,
-    )
+    return _result(reps, 1.0 - failing.size / reps, cond, naive, naive >= alpha, alpha)
 
 
 def coverage_experiment(
@@ -381,34 +372,27 @@ def lasso_uniformity_experiment(
 ) -> ExperimentResult:
     """Null conditional p-values after randomized-Lasso selection.
 
-    Each replication tunes its penalty by the resampling rule, runs the
-    randomized Lasso, and, when the support is non-empty, builds the
-    selection-event law of the post-selection statistic at beta_star.
-    The laws of all replications are integrated in one QMC engine call
+    Each replication, a row of one exact moment draw, tunes its penalty by
+    the Gaussian rule, runs the randomized Lasso and, when the support is
+    non-empty, builds the selection-event law of the post-selection
+    statistic at beta_star.  All the laws are integrated in one QMC call
     over one scrambled Sobol set of sampler.n_samples points keyed by
-    sampler.seed (burn_in and chains are not read).  The passing rate
-    reported is the non-empty-selection rate."""
+    sampler.seed (without a sampler, 1024 points keyed by config.seed).
+    The passing rate is the non-empty-selection rate."""
     if reps < 100:
         raise ValueError("need reps >= 100")
     beta0 = config.beta_star
-    rng = _generator(config.seed, 23)
-    z, y, d = _draw_batch(config, reps, rng)
-    laws = []
-    naive_ps = []
-    covers = []
+    mom = _draw_moments(config, reps, _generator(config.seed, 23))
+    laws, naive_ps, covers = [], [], []
     for i in range(reps):
-        data = IVDataset(Y=y[i], D=d[i], Z=z[i])
-        lam = default_lasso_penalty(data, seed=_child_seed(config.seed, 23, i, 0))
-        law = RandomizationLaw(
-            scale=default_lasso_scale(data),
-            seed=_child_seed(config.seed, 23, i, 1),
-        )
-        sel = solve_randomized_lasso(data, lam, law)
+        row = mom[i]
+        lam = default_lasso_penalty(row, seed=_child_seed(config.seed, 23, i, 0))
+        law = RandomizationLaw(scale=default_lasso_scale(row), seed=_child_seed(config.seed, 23, i, 1))
+        sel = solve_randomized_lasso(row, lam, law)
         if not sel.support_E:
             continue
-        est = covariance_estimates(data, beta0)
-        laws.append(build_law_lasso(data, beta0, sel, est))
-        sub = data.moments.select(sel.support_E)
+        laws.append(build_law_lasso(row, beta0, sel, covariance_estimates(row, beta0)))
+        sub = row.select(sel.support_E)
         naive = tsls_stat(sub, beta0, covariance_estimates(sub, beta0))
         naive_ps.append(naive.naive_pvalue)
         covers.append(wald_interval(sub, alpha).contains(beta0))
@@ -416,27 +400,11 @@ def lasso_uniformity_experiment(
         raise ExperimentError(
             f"only {len(laws)} of {reps} replications selected any instrument"
         )
-    cfg = sampler if sampler is not None else SamplerConfig(seed=config.seed)
+    cfg = sampler if sampler is not None else SamplerConfig(n_samples=_QMC_POINTS, seed=config.seed)
     # supports differ per replication, so the laws are stacked field by field
     law = LassoLaw(**{f.name: np.stack([getattr(w, f.name) for w in laws]) for f in fields(LassoLaw)})
     _, two = _pooled_lasso_pvalues(law, sobol_points(cfg, config.p))
-    cond_cov = float(np.mean(two >= alpha))
-    naive_cov = float(np.mean(covers))
-    m = len(laws)
-    ks = stats.kstest(two, "uniform")
-    return ExperimentResult(
-        passing_rate=m / reps,
-        naive_coverage=naive_cov,
-        conditional_coverage=cond_cov,
-        pvalue_samples=two,
-        reps=reps,
-        passing_se=_binom_se(m / reps, reps),
-        naive_se=_binom_se(naive_cov, m),
-        conditional_se=_binom_se(cond_cov, m),
-        ks_statistic=float(ks.statistic),
-        ks_pvalue=float(ks.pvalue),
-        naive_pvalue_samples=np.asarray(naive_ps),
-    )
+    return _result(reps, len(laws) / reps, two, np.asarray(naive_ps), covers, alpha)
 
 
 def rejection_oracle(

@@ -479,6 +479,34 @@ def test_cli_null_config_number_is_a_usage_error(tmp_path, capsys, command, key)
     assert f"error: {key} must be a number, got None" in capsys.readouterr().err
 
 
+_WRONG_TYPE_CONFIGS = [
+    ({"randomization_scale": "0.5"}, "randomization_scale must be a number, got '0.5'"),
+    ({"randomization_scale": True}, "randomization_scale must be a number, got True"),
+    ({"c0": False}, "c0 must be a number, got False"),
+    ({"seed": "3"}, "seed must be a number, got '3'"),
+    ({"null_value": float("nan")}, "null_value must be a number, got nan"),
+    ({"c0": float("inf")}, "c0 must be a number, got inf"),
+    ({"columns": "y"}, "columns must be an object, got 'y'"),
+    ({"columns": {"instrument": ["z1"]}}, "unknown columns keys: ['instrument']"),
+    ({"columns": {"outcome": ["y"]}}, "columns outcome must give column names, got ['y']"),
+    ({"columns": {"instruments": "z1"}}, "columns instruments must give column names, got 'z1'"),
+    ({"ci_grid": {"points": None}}, "ci_grid points must be an integer >= 3, got None"),
+    ({"ci_grid": {"points": 20.5}}, "ci_grid points must be an integer >= 3, got 20.5"),
+    ({"ci_grid": [21]}, "ci_grid must be an object, got [21]"),
+]
+
+
+@pytest.mark.parametrize("command", ["analyze", "pretest"])
+@pytest.mark.parametrize("keys, message", [
+    pytest.param(keys, message, id=json.dumps(keys, separators=(",", ":"))) for keys, message in _WRONG_TYPE_CONFIGS
+])
+def test_cli_config_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, command, keys, message):
+    toy = _write(tmp_path, "toy.csv", TOY)
+    cfg = _write(tmp_path, "cfg.json", json.dumps(keys))
+    assert main([command, toy, "--config", cfg]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_cli_mismatch_override_flag(tmp_path):
     weak = _dataset_csv(tmp_path, dgp_from_r(0.05, 0.5, n=250, p=3, seed=91), "w.csv")
     out = tmp_path / "o.json"

@@ -15,6 +15,7 @@ from ivselect import (
     IVDataset,
     LassoLaw,
     LassoSelection,
+    Moments,
     RandomizationLaw,
     SamplerConfig,
     build_law_lasso,
@@ -33,7 +34,7 @@ from ivselect import (
     tsls_estimate,
 )
 from ivselect.errors import BranchError
-from ivselect.lasso import _pooled_lasso_pvalues
+from ivselect.lasso import _dual_gap, _pooled_lasso_pvalues
 from ivselect.sampler import _pooled_pvalues, sobol_points
 
 
@@ -150,10 +151,50 @@ def test_matches_proximal_gradient_solver():
         np.testing.assert_allclose(sel.gamma_l, gamma, atol=1e-6)
 
 
-@pytest.mark.parametrize("s", [1e-3, 1e3, 1e4, 1e6])
-def test_selection_equivariant_under_treatment_units(s):
-    # D -> sD scales the penalty, the randomization and gamma by s and
-    # keeps the selection event: the stopping gap is relative to D'D
+def _row_dual_gap(z, d, omega, lam, gamma):
+    """The duality gap from the rows, with the per-coordinate s-interval
+    loop: the reference for lasso._dual_gap's moment form."""
+    resid = d - z @ gamma
+    primal = 0.5 * float(resid @ resid) + lam * float(np.abs(gamma).sum()) - float(omega @ gamma)
+    zr = z.T @ resid
+    wide = lam + 1e-12 * (lam + float(np.abs(omega).max()) + float(np.abs(zr).max()))
+    s_lo, s_hi = -math.inf, math.inf
+    for zr_j, om_j in zip(zr, omega):
+        if zr_j != 0:
+            lo, hi = sorted(((-wide - om_j) / zr_j, (wide - om_j) / zr_j))
+            s_lo, s_hi = max(s_lo, lo), min(s_hi, hi)
+        elif abs(om_j) > wide:
+            return math.inf
+    if s_lo > s_hi:
+        return math.inf
+    theta = min(max(1.0, s_lo), s_hi) * resid
+    return primal - (float(theta @ d) - 0.5 * float(theta @ theta))
+
+
+def test_moment_duality_gap_matches_row_form():
+    # at points on the segment from zero to the solution, relative to D'D
+    rng = np.random.default_rng(43)
+    for k in range(30):
+        data = _random_instance(rng)
+        law = RandomizationLaw(scale=float(rng.uniform(0.3, 2.0)), seed=950 + k)
+        lam = float(rng.uniform(0.2, 1.2)) * float(np.max(np.abs(data.Z.T @ data.D + law.draw(data.p))))
+        sel = solve_randomized_lasso(data, lam, law)
+        m = data.moments
+        for t in (0.0, 0.5, 0.9, 1.0):
+            gamma = t * sel.gamma_l
+            want = _row_dual_gap(data.Z, data.D, sel.omega, lam, gamma)
+            got = _dual_gap(m, sel.omega, lam, gamma, m.ztd - m.ztz @ gamma)
+            assert abs(got - want) <= 1e-12 * float(m.dd)
+
+
+@pytest.mark.parametrize("column, s", [
+    *(pytest.param("D", s, id=str(s)) for s in (1e-3, 1e3, 1e4, 1e6)),
+    *(pytest.param("Z", s, id=f"Z-{s}") for s in (1e-3, 1e3, 1e6)),
+])
+def test_selection_equivariant_under_treatment_units(column, s):
+    # D -> sD scales the penalty, the randomization and gamma by s, and
+    # Z -> sZ scales the penalty and the randomization by s and gamma by
+    # 1/s; both keep the selection event: the stopping gap is relative to D'D
     gamma = np.zeros(10)
     gamma[:3] = 0.15
     data = generate(DGPConfig(n=1000, p=10, beta_star=1.0, gamma_star=gamma,
@@ -164,10 +205,15 @@ def test_selection_equivariant_under_treatment_units(s):
         return solve_randomized_lasso(d, default_lasso_penalty(d, seed=1), law)
 
     base = select(data)
-    scaled = select(prepare(IVDataset(Y=data.Y, D=s * data.D, Z=data.Z)))
+    if column == "D":
+        scaled = select(prepare(IVDataset(Y=data.Y, D=s * data.D, Z=data.Z)))
+        gamma_back = scaled.gamma_l / s
+    else:
+        scaled = select(prepare(IVDataset(Y=data.Y, D=data.D, Z=s * data.Z)))
+        gamma_back = scaled.gamma_l * s
     assert scaled.support_E == base.support_E
     np.testing.assert_array_equal(scaled.signs_sE, base.signs_sE)
-    np.testing.assert_allclose(scaled.gamma_l / s, base.gamma_l, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(gamma_back, base.gamma_l, rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(scaled.subgradient_u, base.subgradient_u, rtol=0, atol=1e-12)
 
 
@@ -252,6 +298,48 @@ def test_far_orthant_states_satisfy_selection_event():
     # given T, gamma is nearly exponential with rate 32 (the distance in sd)
     assert abs(flat[:, 0].mean() + 16.0) < 0.2
     assert abs(flat[:, 1].mean() - 1.0 / 32.0) < 0.003
+
+
+def test_selection_and_inference_read_only_moments():
+    # the penalty, the solver and the inference take a bare Moments, or
+    # one replication of a batch, and give exactly what the dataset gives
+    data, _ = _partial_selection(seed=50)
+    other, _ = _partial_selection(seed=63)
+    names = ("ztz", "zty", "ztd", "yy", "yd", "dd")
+    batch = Moments(data.n, *(np.stack([getattr(d.moments, k) for d in (other, data)]) for k in names))
+
+    def run(src):
+        lam = default_lasso_penalty(src, seed=52)
+        sel = solve_randomized_lasso(src, lam, RandomizationLaw(scale=default_lasso_scale(src), seed=51))
+        return sel, lasso_conditional_inference(src, 1.0, sel).to_dict()
+
+    want_sel, want_rep = run(data)
+    assert want_sel.support_E and want_rep["diagnostics"]["qmc_points"] == 1024
+    for src in (Moments.of(data.Z, data.Y, data.D), batch[1]):
+        sel, rep = run(src)
+        for f in fields(LassoSelection):
+            np.testing.assert_array_equal(getattr(sel, f.name), getattr(want_sel, f.name), err_msg=f.name)
+        assert rep == want_rep
+
+
+def test_gaussian_penalty_matches_row_draws_in_law():
+    # each draw of the penalty is sigma_hat ||L xi||_inf with LL' = Z'Z;
+    # the reference draws rows e ~ N(0, sigma_hat^2 I) on the fixed,
+    # correlated and unevenly scaled Z, and takes 1.1 times the median of
+    # 200 values of ||Z'e||_inf, the penalty's own rule
+    rng = np.random.default_rng(70)
+    n, p = 60, 6
+    z = (rng.standard_normal((n, p)) + 0.7 * rng.standard_normal((n, 1))) * np.linspace(0.3, 3.0, p)
+    d = z @ np.full(p, 0.2) + rng.standard_normal(n)
+    data = prepare(IVDataset(Y=d + rng.standard_normal(n), D=d, Z=z))
+    resid = data.D - data.Z @ np.linalg.lstsq(data.Z, data.D, rcond=None)[0]
+    sigma = math.sqrt(float(resid @ resid) / (n - p))
+    rows = [
+        1.1 * np.median(np.abs(sigma * rng.standard_normal((200, n)) @ data.Z).max(axis=1))
+        for _ in range(300)
+    ]
+    penalties = [default_lasso_penalty(data, seed=k) for k in range(300)]
+    assert stats.ks_2samp(penalties, rows).pvalue > 1e-3
 
 
 def _single_instrument_law():

@@ -340,14 +340,23 @@ def test_moment_draw_matches_row_draw_in_law():
 
 
 def test_experiment_memory_does_not_grow_with_n():
-    # rows of this design would take 300 x 20000 x 5 doubles, 240 MB
-    tracemalloc.start()
-    try:
-        uniformity_experiment(dgp_from_r(0.5, 0.8, n=20000, p=3, seed=9), 10.0, 300)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
+    # rows of these designs would take 300 (and 100) x 20000 x 5 doubles,
+    # 240 (and 80) MB
+    lasso_config = DGPConfig(
+        n=20000, p=3, beta_star=1.0, gamma_star=np.array([0.05, 0.0, 0.0]),
+        sigma_star=np.array([[1.0, 0.5], [0.5, 1.0]]), seed=9,
+    )
+    for run in (
+        lambda: uniformity_experiment(dgp_from_r(0.5, 0.8, n=20000, p=3, seed=9), 10.0, 300),
+        lambda: lasso_uniformity_experiment(lasso_config, 100),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 # ------------------------------------------------------------ CSV output
@@ -380,19 +389,22 @@ def test_coverage_csv_exact():
 
 def test_experiment_outputs_bit_reproducible():
     config = dgp_from_r(0.8, 0.5, n=300, p=3, seed=14)
-    runs = [uniformity_experiment(config, 10.0, 120) for _ in range(2)]
-    a, b = runs
-    assert pvalue_cdf_csv(a.pvalue_samples).encode() == pvalue_cdf_csv(
-        b.pvalue_samples
-    ).encode()
-    assert np.array_equal(a.pvalue_samples, b.pvalue_samples)
-    assert np.array_equal(a.naive_pvalue_samples, b.naive_pvalue_samples)
-    assert (a.passing_rate, a.naive_coverage, a.conditional_coverage) == (
-        b.passing_rate,
-        b.naive_coverage,
-        b.conditional_coverage,
-    )
-    assert (a.ks_statistic, a.ks_pvalue) == (b.ks_statistic, b.ks_pvalue)
+    for run in (
+        lambda: uniformity_experiment(config, 10.0, 120),
+        lambda: lasso_uniformity_experiment(config, 120),
+    ):
+        a, b = run(), run()
+        assert pvalue_cdf_csv(a.pvalue_samples).encode() == pvalue_cdf_csv(
+            b.pvalue_samples
+        ).encode()
+        assert np.array_equal(a.pvalue_samples, b.pvalue_samples)
+        assert np.array_equal(a.naive_pvalue_samples, b.naive_pvalue_samples)
+        assert (a.passing_rate, a.naive_coverage, a.conditional_coverage) == (
+            b.passing_rate,
+            b.naive_coverage,
+            b.conditional_coverage,
+        )
+        assert (a.ks_statistic, a.ks_pvalue) == (b.ks_statistic, b.ks_pvalue)
 
 
 # ------------------------------------------------- lasso selection cell
