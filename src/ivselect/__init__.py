@@ -12,6 +12,7 @@ from .clr import (
     ClrTruncation,
     QuadratureConfig,
     clr_conditional_inference,
+    clr_naive_inference,
     clr_tail,
     clr_tails,
     k4_constant,
@@ -60,7 +61,7 @@ from .pretest import (
     run_pretest,
     solve_randomized,
 )
-from .report import Interval, InferenceReport, invert_pvalue_curve
+from .report import Interval, InferenceReport, invert_around, invert_pvalue_curve
 from .sampler import (
     ConditionalLaw,
     SamplerConfig,
@@ -86,7 +87,6 @@ from .simulate import (
 )
 from .teststats import (
     ClrComponents,
-    StatKind,
     TestValue,
     ar_stat,
     clr_components,

@@ -19,11 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .clr import clr_conditional_inference, clr_tails
+from .clr import clr_conditional_inference, clr_naive_inference
 from .errors import BranchError, DataError, IVSelectError
-from .model import IVDataset, covariance_estimates, prepare, tsls_estimate, tsls_standard_error
+from .model import IVDataset, covariance_estimates, prepare
 from .pretest import run_pretest
-from .report import InferenceReport, invert_pvalue_curve, plain
+from .report import GRID_POINTS, InferenceReport, invert_around, plain
 from .sampler import SamplerConfig, invert_ci, wald_interval
 from .simulate import (
     DGPConfig,
@@ -37,7 +37,7 @@ from .simulate import (
     rejection_oracle,
     uniformity_experiment,
 )
-from .teststats import ar_stat, clr_statistics, tsls_stat
+from .teststats import ar_stat, tsls_stat
 
 SCHEMA_VERSION = 2
 
@@ -73,6 +73,8 @@ class AnalysisConfig:
                 continue
             if not _is_number(value):
                 raise ValueError(f"{key} must be a number, got {value!r}")
+            if kind is int and not float(value).is_integer():
+                raise ValueError(f"{key} must be an integer, got {value!r}")
             setattr(self, key, kind(value))
         if self.test not in _TESTS:
             raise ValueError(f"test must be one of {_TESTS}, got {self.test!r}")
@@ -82,7 +84,7 @@ class AnalysisConfig:
             raise ValueError("C0 must be nonnegative")
         if self.ci_grid is not None:
             _require_keys("ci_grid", self.ci_grid, {"points"})
-            points = self.ci_grid.get("points", 201)
+            points = self.ci_grid.get("points", GRID_POINTS)
             if not (_is_number(points) and float(points).is_integer() and points >= 3):
                 raise ValueError(f"ci_grid points must be an integer >= 3, got {points!r}")
         if self.columns is not None:
@@ -94,9 +96,7 @@ class AnalysisConfig:
 
     def grid_points(self) -> int:
         """Points of every branch's initial CI grid over beta_hat +- 8 SE."""
-        if self.ci_grid is None:
-            return 201
-        return int(self.ci_grid.get("points", 201))
+        return int((self.ci_grid or {}).get("points", GRID_POINTS))
 
 
 def _is_number(value) -> bool:
@@ -239,29 +239,17 @@ def _naive_only(data, config, flavor, reason) -> InferenceReport:
     law does not apply (or is not available)."""
     null = config.null_value
     alpha = config.alpha
+    grid_info = None
     if flavor == "tsls":
         naive_p = tsls_stat(data, null, covariance_estimates(data, null)).naive_pvalue
         naive_ci = wald_interval(data, alpha)
-        grid_info = None
-    else:
-        if flavor == "ar":
-            def pfn(xs):
-                return ar_stat(data, np.asarray(xs, dtype=float)).naive_pvalue
-        else:  # clr
-            est = covariance_estimates(data, null)
-
-            def pfn(xs):
-                lr, q_r = clr_statistics(data, xs, est)
-                return clr_tails(lr, q_r, data.p)[0]
-
-        naive_p = pfn([null])[0]
-        naive_ci, _, _, grid_info = invert_pvalue_curve(
-            pfn,
-            tsls_estimate(data),
-            8.0 * tsls_standard_error(data),
-            alpha,
-            n_points=config.grid_points(),
+    elif flavor == "ar":
+        naive_p = ar_stat(data, null).naive_pvalue
+        naive_ci, _, _, grid_info = invert_around(
+            lambda xs: ar_stat(data, xs).naive_pvalue, data, alpha, config.grid_points()
         )
+    else:
+        naive_p, naive_ci, grid_info = clr_naive_inference(data, null, alpha, config.grid_points())
     diags = {
         "branch": "naive_only",
         "statistic": flavor,
@@ -412,16 +400,23 @@ def _cmd_pretest(args) -> int:
     return 0
 
 
-def _floats(text: str):
-    return tuple(float(v) for v in text.split(",") if v != "")
+def _list_flag(args, name: str, single: bool) -> tuple:
+    """The floats of the comma-separated flag --name: exactly one where
+    the command reads a single value, else at least one."""
+    text = getattr(args, name)
+    values = tuple(float(v) for v in text.split(",") if v != "")
+    if not values or (single and len(values) > 1):
+        count = "one value" if single else "one or more values"
+        raise ValueError(f"--{name} takes {count}, got {text!r}")
+    return values
 
 
 def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     c0 = args.c0 if args.c0 is not None else 10.0
     alpha = args.alpha if args.alpha is not None else 0.05
-    rs = _floats(args.r)
-    s12s = _floats(args.sigma12)
+    single = args.kind != "coverage"  # only the coverage grid reads lists
+    rs, s12s = _list_flag(args, "r", single), _list_flag(args, "sigma12", single)
     if args.kind == "coverage":
         grid = ExperimentGrid(
             r_values=rs, sigma12_values=s12s, n=args.n, p=args.p, seed=seed
@@ -429,21 +424,23 @@ def _cmd_simulate(args) -> int:
         cells = coverage_experiment(grid, c0, alpha, args.reps, branch=args.branch)
         _emit(coverage_csv(cells), args.out)
         return 0
+    (r,), (s12,) = rs, s12s
     if args.kind == "lasso-uniformity":
-        gamma = np.zeros(args.p)
-        gamma[0] = rs[0]
+        gamma = np.full(args.p, r)
+        if args.first_only:
+            gamma[1:] = 0.0
         config = DGPConfig(
             n=args.n,
             p=args.p,
             beta_star=1.0,
-            gamma_star=gamma if args.first_only else np.full(args.p, rs[0]),
-            sigma_star=np.array([[1.0, s12s[0]], [s12s[0], 1.0]]),
+            gamma_star=gamma,
+            sigma_star=np.array([[1.0, s12], [s12, 1.0]]),
             seed=seed,
         )
         sampler = None if args.samples is None else SamplerConfig(seed=seed, n_samples=args.samples)
         res = lasso_uniformity_experiment(config, args.reps, alpha=alpha, sampler=sampler)
     else:
-        config = dgp_from_r(rs[0], s12s[0], n=args.n, p=args.p, seed=seed)
+        config = dgp_from_r(r, s12, n=args.n, p=args.p, seed=seed)
         res = uniformity_experiment(config, c0, args.reps, alpha=alpha)
     _emit(pvalue_cdf_csv(res.pvalue_samples), args.out)
     summary = {
@@ -462,10 +459,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_oracle(args) -> int:
     seed = args.seed if args.seed is not None else 0
     c0 = args.c0 if args.c0 is not None else 10.0
-    config = dgp_from_r(
-        _floats(args.r)[0], _floats(args.sigma12)[0], n=args.n, p=args.p,
-        beta_star=args.beta0, seed=seed,
-    )
+    (r,), (s12,) = _list_flag(args, "r", True), _list_flag(args, "sigma12", True)
+    config = dgp_from_r(r, s12, n=args.n, p=args.p, beta_star=args.beta0, seed=seed)
     if args.scale is not None:
         scale = args.scale
     else:
@@ -525,8 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="run a simulation experiment, emit CSV")
     ps.add_argument("--kind", choices=["uniformity", "coverage", "lasso-uniformity"],
                     default="uniformity")
-    ps.add_argument("--r", default="0.5", help="comma-separated first-stage strengths")
-    ps.add_argument("--sigma12", default="0.8", help="comma-separated error covariances")
+    ps.add_argument("--r", default="0.5",
+                    help="first-stage strength; comma-separated for --kind coverage")
+    ps.add_argument("--sigma12", default="0.8",
+                    help="error covariance; comma-separated for --kind coverage")
     ps.add_argument("--reps", type=int, default=500)
     ps.add_argument("--n", type=int, default=1000)
     ps.add_argument("--p", type=int, default=10)

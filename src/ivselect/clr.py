@@ -23,24 +23,18 @@ lists those nulls.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import BranchError, CovarianceError, QuadratureError, TruncationError
-from .model import (
-    IVDataset,
-    _item,
-    covariance_estimates,
-    require_prepared,
-    tsls_estimate,
-    tsls_standard_error,
-)
+from .model import IVDataset, _item, covariance_estimates, require_prepared
 from .pretest import f_statistic, penalty_lambda
-from .report import InferenceReport, invert_pvalue_curve
+from .report import GRID_POINTS, InferenceReport, invert_around
 from .teststats import clr_statistics
 
+# panel doublings a law may take before its quadrature gives up
 _MAX_REFINEMENTS = 6
 _MIN_EVENT_MASS = 1e-12
 # grid cells per block of laws: bounds the (laws, nodes) temporaries
@@ -194,12 +188,17 @@ def _cosine_nodes(p: int, panels: int):
     return np.sin(theta), np.cos(theta) ** (p - 2), np.pi / panels
 
 
+def _simpson(f, h):
+    """Simpson's rule along the last axis (an odd number of nodes, spacing
+    h), summed in the order scipy.integrate.simpson sums."""
+    return (f[..., 0:-2:2] + 4.0 * f[..., 1:-1:2] + f[..., 2::2]).sum(-1) * (h / 3)
+
+
 def _simpson_with_error(f, h):
     """Simpson values along the last axis and the Richardson estimate of
     their error against the half-resolution grid."""
-    full = integrate.simpson(f, dx=h, axis=-1)
-    half = integrate.simpson(f[..., ::2], dx=2.0 * h, axis=-1)
-    return full, np.abs(full - half) / 15.0
+    full = _simpson(f, h)
+    return full, np.abs(full - _simpson(f[..., ::2], 2.0 * h)) / 15.0
 
 
 def _tail_integrals(t, q_r, p, coefs, panels):
@@ -219,30 +218,28 @@ def _tail_integrals(t, q_r, p, coefs, panels):
     return i_num, i_den, np.maximum(e_num, e_den)
 
 
-def _converged_integrals(t, q_r, p, coefs, quad):
-    """(numerator, denominator) integrals of each law, refining by panel
-    doubling only the laws whose error estimate still exceeds quad.tol.
-    Laws are evaluated in blocks of at most _BLOCK_NODES grid cells."""
-    panels = quad.panels
-    if panels % 4:
-        panels += 4 - panels % 4
-    i_num = np.empty(t.size)
-    i_den = np.empty(t.size)
-    err = np.empty(t.size)
-    todo = np.arange(t.size)
+def _refine(evaluate, size, panels, tol):
+    """Evaluate size laws by evaluate(rows, panels) -> (values, error),
+    then again on twice the panels for the laws whose error still exceeds
+    tol (a NaN error is not converged), at most _MAX_REFINEMENTS times.
+    values is a tuple of (len(rows),) arrays.  Returns the values and
+    errors stacked over all laws, and the panels each law converged at;
+    QuadratureError if some law never does.  Both exact engines (this
+    module's and the passed-screen quadrature) refine through it."""
+    values, error, used = None, np.empty(size), np.empty(size, dtype=int)
+    todo = np.arange(size)
     for _ in range(_MAX_REFINEMENTS + 1):
-        step = max(1, _BLOCK_NODES // (panels + 1))
-        for start in range(0, todo.size, step):
-            rows = todo[start : start + step]
-            sub = None if coefs is None else tuple(c[rows] for c in coefs)
-            i_num[rows], i_den[rows], err[rows] = _tail_integrals(t[rows], q_r[rows], p, sub, panels)
-        todo = todo[~(err[todo] <= quad.tol)]  # a NaN estimate is not converged
+        vals, err = evaluate(todo, panels)
+        if values is None:
+            values = np.empty((len(vals), size))
+        values[:, todo], error[todo], used[todo] = vals, err, panels
+        todo = todo[~(err <= tol)]
         if not todo.size:
-            return i_num, i_den
+            return values, error, used
         panels *= 2
     raise QuadratureError(
-        f"tail integral not converged: error {np.max(err[todo]):.3g} > tol {quad.tol:.3g} "
-        f"at {panels // 2} panels"
+        f"quadrature not converged for {todo.size} of {size} laws: error "
+        f"{np.max(error[todo]):.3g} > tol {tol:.3g} at {panels // 2} panels"
     )
 
 
@@ -254,8 +251,9 @@ def clr_tails(t, q_r, p: int, trunc: ClrTruncation = None, quad: QuadratureConfi
     law naive) or one ClrTruncation whose coefficients broadcast to them.
     Each tail is a ratio of two cosine integrals, so the weight
     normalization cancels; a naive law's denominator is the plain weight
-    mass.  All laws share one Simpson grid per refinement level and only
-    the laws not yet converged are refined.
+    mass.  All laws share one Simpson grid per refinement level, taken in
+    blocks of at most _BLOCK_NODES grid cells, and only the laws not yet
+    converged are refined.
 
     Returns (tails, underflow): a law whose conditioning event has mass
     below 1e-12 cannot have produced the data, so its tail is NaN and its
@@ -277,12 +275,25 @@ def clr_tails(t, q_r, p: int, trunc: ClrTruncation = None, quad: QuadratureConfi
     tails = np.ones(t.size)
     underflow = np.zeros(t.size, dtype=bool)
     rows = np.flatnonzero(~(t <= 0.0))
+    t_on, q_on = t[rows], q_r[rows]
+    coefs = None if trunc is None else tuple(
+        np.broadcast_to(np.asarray(getattr(trunc, name), dtype=float), t.shape)[rows]
+        for name in ("d0", "d1", "d2", "lambda_sq", "q_R")
+    )
+
+    def evaluate(todo, panels):
+        step = max(1, _BLOCK_NODES // (panels + 1))
+        blocks = []
+        for at in (todo[start : start + step] for start in range(0, todo.size, step)):
+            sub = None if coefs is None else tuple(c[at] for c in coefs)
+            blocks.append(_tail_integrals(t_on[at], q_on[at], p, sub, panels))
+        i_num, i_den, err = map(np.concatenate, zip(*blocks))
+        return (i_num, i_den), err
+
     if rows.size:
-        coefs = None if trunc is None else tuple(
-            np.broadcast_to(np.asarray(getattr(trunc, name), dtype=float), t.shape)[rows]
-            for name in ("d0", "d1", "d2", "lambda_sq", "q_R")
-        )
-        i_num, i_den = _converged_integrals(t[rows], q_r[rows], p, coefs, quad)
+        # panels rounded up to a multiple of 4, so the half grid is Simpson's too
+        panels = quad.panels + -quad.panels % 4
+        (i_num, i_den), _, _ = _refine(evaluate, rows.size, panels, quad.tol)
         # a naive law's denominator is the full weight mass, 1 / k4
         low = k4 * i_den < _MIN_EVENT_MASS
         underflow[rows] = low
@@ -310,13 +321,26 @@ def clr_tail(
     return float(tails[0])
 
 
+def clr_naive_inference(data: IVDataset, beta0: float, alpha: float, n_points: int = GRID_POINTS):
+    """Naive CLR answer, the tail given Q_R alone: (p-value at beta0,
+    grid-inverted interval, grid info).  The weak-instrument branch
+    reports it next to the conditional one; a naive-only report is it."""
+    est = covariance_estimates(data, beta0)
+
+    def curve(xs):
+        lr, q_r = clr_statistics(data, xs, est)
+        return clr_tails(lr, q_r, data.p)[0]
+
+    interval, _, _, info = invert_around(curve, data, alpha, n_points)
+    return float(curve([beta0])[0]), interval, info
+
+
 def clr_conditional_inference(
     data: IVDataset,
     beta0: float,
     c0: float = 10.0,
     alpha: float = 0.05,
-    quad: QuadratureConfig = None,
-    n_points: int = 201,
+    n_points: int = GRID_POINTS,
 ) -> InferenceReport:
     """Weak-instrument branch: conditional and naive CLR p-values at
     beta0 plus grid-inverted confidence intervals.
@@ -337,15 +361,12 @@ def clr_conditional_inference(
             f"strength screen passed (F = {f_stat:.4g} >= C0 = {c0:.4g}); "
             "this branch conditions on failing it"
         )
-    quad = quad if quad is not None else QuadratureConfig()
     lam2 = penalty_lambda(data, c0) ** 2
     est = covariance_estimates(data, beta0)
     (lr,), (q_r,) = clr_statistics(data, [beta0], est)
     trunc = truncation_from_estimates(est.omega_hat, beta0, lam2, q_r, data.p)
-    cond_p = clr_tail(lr, q_r, data.p, trunc=trunc, quad=quad)
-    naive_p = clr_tail(lr, q_r, data.p, quad=quad)
-    center = tsls_estimate(data)
-    halfwidth = 8.0 * tsls_standard_error(data)
+    cond_p = clr_tail(lr, q_r, data.p, trunc=trunc)
+    naive_p, naive_ci, naive_info = clr_naive_inference(data, beta0, alpha, n_points)
     underflow_nulls = []
 
     def cond_curve(xs):
@@ -353,28 +374,11 @@ def clr_conditional_inference(
         # such nulls are unanswerable (NaN), so the scan stops there
         lr, q_r = clr_statistics(data, xs, est)
         trunc = truncation_from_estimates(est.omega_hat, xs, lam2, q_r, data.p)
-        tails, underflow = clr_tails(lr, q_r, data.p, trunc, quad)
+        tails, underflow = clr_tails(lr, q_r, data.p, trunc)
         underflow_nulls.extend(np.asarray(xs, dtype=float)[underflow].tolist())
         return tails
 
-    def naive_curve(xs):
-        lr, q_r = clr_statistics(data, xs, est)
-        return clr_tails(lr, q_r, data.p, quad=quad)[0]
-
-    cond_ci, _, _, cond_info = invert_pvalue_curve(
-        cond_curve,
-        center,
-        halfwidth,
-        alpha,
-        n_points=n_points,
-    )
-    naive_ci, _, _, naive_info = invert_pvalue_curve(
-        naive_curve,
-        center,
-        halfwidth,
-        alpha,
-        n_points=n_points,
-    )
+    cond_ci, _, _, cond_info = invert_around(cond_curve, data, alpha, n_points)
     return InferenceReport(
         beta0=float(beta0),
         conditional_pvalue=cond_p,
@@ -388,7 +392,7 @@ def clr_conditional_inference(
             "lambda_sq": lam2,
             "alpha": float(alpha),
             "truncation_renormalized": True,
-            "quadrature": {"panels": quad.panels, "tol": quad.tol},
+            "quadrature": asdict(QuadratureConfig()),
             "conditional_grid": cond_info,
             "naive_grid": naive_info,
             "mass_underflow_points": len(underflow_nulls),

@@ -33,17 +33,9 @@ import numpy as np
 from scipy import special
 
 from .errors import BranchError, ConvergenceError, SamplerError
-from .model import (
-    IVDataset,
-    ModelEstimates,
-    Moments,
-    covariance_estimates,
-    require_prepared,
-    tsls_estimate,
-    tsls_standard_error,
-)
+from .model import IVDataset, ModelEstimates, Moments, covariance_estimates, require_prepared
 from .pretest import RandomizationLaw
-from .report import InferenceReport, invert_pvalue_curve
+from .report import GRID_POINTS, InferenceReport, invert_around
 from .sampler import (
     SamplerConfig,
     _col,
@@ -436,7 +428,7 @@ def lasso_conditional_inference(
     sel: LassoSelection,
     config: SamplerConfig = None,
     alpha: float = 0.05,
-    n_points: int = 201,
+    n_points: int = GRID_POINTS,
 ) -> InferenceReport:
     """Conditional p-value and confidence interval for the treatment
     effect after Lasso instrument selection, with the usual
@@ -461,11 +453,7 @@ def lasso_conditional_inference(
         law = build_law_lasso(m, xs, sel, covariance_estimates(m, xs))
         return _pooled_lasso_pvalues(law, points)[1]
 
-    beta_hat = tsls_estimate(sub)
-    halfwidth = 8.0 * tsls_standard_error(sub)
-    interval, _, _, grid_info = invert_pvalue_curve(
-        pfn, beta_hat, halfwidth, alpha, n_points=n_points
-    )
+    interval, _, _, grid_info = invert_around(pfn, sub, alpha, n_points)
 
     law0 = build_law_lasso(m, beta0, sel, covariance_estimates(m, beta0))
     scrambles = [

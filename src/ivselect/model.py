@@ -332,21 +332,6 @@ class ModelEstimates:
     sigma_hat: np.ndarray
     beta0: float
 
-    def __post_init__(self):
-        for name in ("omega_hat", "sigma_hat"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, m)
-            if m.shape[-2:] != (2, 2):
-                raise CovarianceError(f"{name} must be 2x2, got {m.shape}")
-            asym = np.abs(m[..., 0, 1] - m[..., 1, 0])
-            if np.any(asym > 1e-12 * np.maximum(1.0, np.abs(m[..., 0, 1]))):
-                raise CovarianceError(f"{name} is not symmetric")
-            vals = np.linalg.eigvalsh(m)
-            if np.any(vals[..., 0] <= 0):
-                raise CovarianceError(
-                    f"{name} is not positive definite (eigenvalues {vals})"
-                )
-
 
 def covariance_estimates(data: IVDataset | Moments, beta0: float) -> ModelEstimates:
     """Reduced-form and structural covariance estimates at the null beta0.
@@ -357,12 +342,20 @@ def covariance_estimates(data: IVDataset | Moments, beta0: float) -> ModelEstima
     Sigma_hat(beta0) = [Y - D beta0, D]' P_Zperp [Y - D beta0, D] / (n - p)
 
     The two satisfy Omega = B Sigma B' with B = [[1, beta0], [0, 1]]
-    exactly, because the column maps commute with the projection.
+    exactly, because the column maps commute with the projection.  Both
+    are symmetric 2x2 by construction, and Sigma_hat is positive definite
+    exactly when Omega_hat is, so Omega_hat's leading entry and
+    determinant are the one check.
     """
     m = require_prepared(data)
+    o = m.omega
+    if not np.all((o[..., 0, 0] > 0) & (o[..., 0, 0] * o[..., 1, 1] - o[..., 0, 1] ** 2 > 0)):
+        raise CovarianceError(
+            "Omega_hat is not positive definite: the residuals of Y and D on Z are collinear"
+        )
     return ModelEstimates(
         beta_tsls=tsls_estimate(m),
-        omega_hat=m.omega,
+        omega_hat=o,
         sigma_hat=m.sigma(beta0),
         beta0=_item(np.asarray(beta0, dtype=float)),
     )

@@ -2,13 +2,15 @@
 
 An Interval is the hull of grid points retained by test inversion; an
 InferenceReport pairs conditional and naive answers with diagnostics.
-The grid-expansion loop lives here so the passed-screen branch, the
-weak-instrument branch and the Lasso branch invert identically and
-label each interval end alike: a crossing of alpha, an underflow band
-or an unbounded side.  A side is unbounded when the grid still retains
-it at 1e4 initial halfwidths from the grid's center.  That reach is
-measured in the grid's own units, not in absolute ones, so rescaling Y
-or D rescales every interval and keeps its end labels.
+The grid every inversion starts on (invert_around: GRID_POINTS points
+over beta_hat +- 8 SE) and the grid-expansion loop live here, so the
+passed-screen branch, the weak-instrument branch, the Lasso branch and
+the naive-only reports invert identically and label each interval end
+alike: a crossing of alpha, an underflow band or an unbounded side.
+A side is unbounded when the grid still retains it at 1e4 initial
+halfwidths from the grid's center.  That reach is measured in the
+grid's own units, not in absolute ones, so rescaling Y or D rescales
+every interval and keeps its end labels.
 """
 
 import math
@@ -18,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ExperimentError
+from .model import tsls_estimate, tsls_standard_error
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,8 @@ def plain(obj):
     return str(obj)
 
 
+# points of every initial CI grid unless a config sets ci_grid.points
+GRID_POINTS = 201
 # a side still retained at the grid's end reaches this factor further out
 # per round, and is reported unbounded once its reach from the center
 # passes _UNBOUNDED_REACH initial halfwidths
@@ -133,7 +138,7 @@ def invert_pvalue_curve(
     center: float,
     halfwidth: float,
     alpha: float,
-    n_points: int = 201,
+    n_points: int = GRID_POINTS,
 ):
     """Hull of {x : pvalue_fn(x) >= alpha} from an expanding grid.
 
@@ -218,3 +223,12 @@ def invert_pvalue_curve(
     info["ends"] = {"lower": end(lo_unbounded, lo - 1), "upper": end(hi_unbounded, hi + 1)}
     interval = Interval(xs[lo], xs[hi], lo_unbounded, hi_unbounded)
     return interval, xs, ps, info
+
+
+def invert_around(pvalue_fn, data, alpha: float, n_points: int = GRID_POINTS):
+    """invert_pvalue_curve on the grid every branch starts on: n_points
+    over beta_hat +- 8 SE of data, a prepared dataset or its Moments (for
+    the Lasso, those of the selected instruments)."""
+    return invert_pvalue_curve(
+        pvalue_fn, tsls_estimate(data), 8.0 * tsls_standard_error(data), alpha, n_points
+    )

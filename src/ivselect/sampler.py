@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 from scipy.stats import qmc
 
+from .clr import _refine
 from .errors import (
     BranchError,
     DegenerateFirstStageError,
@@ -50,7 +51,7 @@ from .model import (
     tsls_standard_error,
 )
 from .pretest import PretestOutcome, RandomizationLaw
-from .report import InferenceReport, Interval, invert_pvalue_curve
+from .report import GRID_POINTS, InferenceReport, Interval, invert_around
 from .teststats import tsls_stat
 
 _SLICE_MAX_EXPAND = 512
@@ -364,7 +365,6 @@ _QUAD_TAIL_DROP = 45.0
 # the normal tail is within 1e-15 of 0 or 1 beyond this many sds
 _QUAD_STEP_Z = 8.0
 _QUAD_TOL = 1e-10
-_QUAD_MAX_REFINEMENTS = 6
 
 
 def _log_weight(d, big_a, big_b, lam, jac):
@@ -460,32 +460,21 @@ def _pooled_pvalues(law: ConditionalLaw) -> Tails:
     cuts = np.clip(np.sort(cross, axis=0), lo, hi)
     rows = np.column_stack([lo, cuts[0], cuts[1], hi, big_a, big_b, lam, jac, z0, z1])
 
-    m = t_obs.size
-    upper, lower, error = np.empty(m), np.empty(m), np.empty(m)
-    nodes = np.empty(m, dtype=int)
-    todo = np.arange(m)
-    panels = 1
-    for _ in range(_QUAD_MAX_REFINEMENTS + 1):
+    def evaluate(todo, panels):
         up, low = _window_tails(rows[todo], panels, _QUAD_RULES[0])
         up_half, low_half = _window_tails(rows[todo], panels, _QUAD_RULES[1])
-        err = np.maximum(np.abs(up - up_half), np.abs(low - low_half))
-        upper[todo], lower[todo], error[todo] = up, low, err
-        nodes[todo] = 3 * panels * _QUAD_NODES
-        todo = todo[~(err <= _QUAD_TOL)]
-        if todo.size == 0:
-            return Tails(*(v.reshape(shape) for v in (upper, lower, error, nodes)))
-        panels *= 2
-    raise QuadratureError(
-        f"passed-screen tail not converged for {todo.size} of {m} laws: error "
-        f"{float(np.nanmax(error[todo])):.3g} > tol {_QUAD_TOL:.3g} at {panels // 2} panels"
-    )
+        return (up, low), np.maximum(np.abs(up - up_half), np.abs(low - low_half))
+
+    (upper, lower), error, panels = _refine(evaluate, t_obs.size, 1, _QUAD_TOL)
+    nodes = 3 * panels * _QUAD_NODES
+    return Tails(*(v.reshape(shape) for v in (upper, lower, error, nodes)))
 
 
 def wald_interval(data: IVDataset | Moments, alpha: float = 0.05) -> Interval:
     """Naive TSLS confidence interval beta_hat +- z * SE."""
     beta_hat = tsls_estimate(data)
     se = tsls_standard_error(data)
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
+    z = special.ndtri(1.0 - alpha / 2.0)
     return Interval(beta_hat - z * se, beta_hat + z * se)
 
 
@@ -493,7 +482,7 @@ def invert_ci(
     data: IVDataset,
     pretest: PretestOutcome,
     alpha: float = 0.05,
-    n_points: int = 201,
+    n_points: int = GRID_POINTS,
     null_value: float = 0.0,
 ) -> InferenceReport:
     """Confidence interval as the hull of nulls whose two-sided
@@ -511,14 +500,12 @@ def invert_ci(
         raise BranchError("screen did not pass; invert the weak-instrument branch instead")
     if pretest.scale is None or pretest.scale <= 0:
         raise SamplerError("inversion needs the Gaussian randomization recorded by the screen")
-    beta_hat = tsls_estimate(data)
-    se = tsls_standard_error(data)
 
     def pfn(xs):
         law = build_law_tsls(data, xs, pretest, covariance_estimates(data, xs))
         return _pooled_pvalues(law).two_sided
 
-    interval, _, _, grid_info = invert_pvalue_curve(pfn, beta_hat, 8.0 * se, alpha, n_points)
+    interval, _, _, grid_info = invert_around(pfn, data, alpha, n_points)
 
     est0 = covariance_estimates(data, null_value)
     naive = tsls_stat(data, null_value, est0)
@@ -534,8 +521,8 @@ def invert_ci(
         diagnostics={
             "branch": "tsls",
             "alpha": float(alpha),
-            "beta_tsls": beta_hat,
-            "standard_error": se,
+            "beta_tsls": tsls_estimate(data),
+            "standard_error": tsls_standard_error(data),
             "method": "quadrature",
             "quadrature_error": err,
             "quadrature_nodes": int(tails.nodes),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .clr import clr_tails, truncation_from_estimates
 from .errors import ExperimentError, TruncationError
@@ -79,6 +79,8 @@ class DGPConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.p < 1:
+            raise ValueError(f"need p >= 1 instruments, got p = {self.p}")
         gamma = np.atleast_1d(np.asarray(self.gamma_star, dtype=float))
         if gamma.size == 1:
             gamma = np.full(self.p, float(gamma[0]))
@@ -299,7 +301,7 @@ def uniformity_experiment(
     law = build_law_tsls(mom[passing], beta0, _row(screen, passing), _row(est, passing))
     two = _pooled_pvalues(law).two_sided
     naive_two = tsls_stat(mom, beta0, est).naive_pvalue[passing]
-    zq = stats.norm.ppf(1.0 - alpha / 2.0)
+    zq = special.ndtri(1.0 - alpha / 2.0)
     wald_covers = np.abs(tsls_estimate(mom) - beta0) <= zq * tsls_standard_error(mom)
     return _result(reps, passing.size / reps, two, naive_two, wald_covers[passing], alpha)
 

@@ -7,10 +7,9 @@ quadrature elsewhere.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import CovarianceError
 from .model import (
@@ -25,15 +24,9 @@ from .model import (
 )
 
 
-class StatKind(Enum):
-    TSLS = "tsls"
-    AR = "ar"
-
-
 @dataclass(frozen=True)
 class TestValue:
     statistic: float
-    kind: StatKind
     beta0: float
     naive_pvalue: float
 
@@ -56,8 +49,6 @@ class ClrComponents:
     u_hat: np.ndarray
     r_hat: np.ndarray
     q_hat: np.ndarray  # (..., 2, 2): [[Q_U, Q_UR], [Q_UR, Q_R]] per replication
-    a0: np.ndarray
-    b0: np.ndarray
 
     @property
     def q_u(self) -> float:
@@ -82,10 +73,9 @@ def tsls_stat(data: IVDataset | Moments, beta0: float, est: ModelEstimates) -> T
     if np.any(s11 <= 0):
         raise CovarianceError("Sigma_hat_11 must be positive")
     t = (_dot(m.sy, m.s) - beta0 * m.s2) / np.sqrt(s11 * m.s2)
-    pval = np.minimum(2.0 * stats.norm.sf(np.abs(t)), 1.0)
+    pval = np.minimum(2.0 * special.ndtr(-np.abs(t)), 1.0)
     return TestValue(
-        statistic=_item(t), kind=StatKind.TSLS, beta0=_item(np.asarray(beta0, dtype=float)),
-        naive_pvalue=_item(pval),
+        statistic=_item(t), beta0=_item(np.asarray(beta0, dtype=float)), naive_pvalue=_item(pval)
     )
 
 
@@ -104,10 +94,7 @@ def ar_stat(data: IVDataset | Moments, beta0: float) -> TestValue:
         raise CovarianceError("AR denominator is zero: Y - D*beta0 lies in col(Z)")
     stat = num / den
     return TestValue(
-        statistic=_item(stat),
-        kind=StatKind.AR,
-        beta0=_item(beta0),
-        naive_pvalue=_item(stats.f.sf(stat, p, n - p)),
+        statistic=_item(stat), beta0=_item(beta0), naive_pvalue=_item(special.fdtrc(p, n - p, stat))
     )
 
 
@@ -141,8 +128,6 @@ def clr_components(data: IVDataset | Moments, beta0: float, est: ModelEstimates)
         u_hat=u_hat,
         r_hat=r_hat,
         q_hat=_sym2(_dot(u_hat, u_hat), _dot(u_hat, r_hat), _dot(r_hat, r_hat)),
-        a0=np.stack(np.broadcast_arrays(beta0, 1.0), -1),
-        b0=np.stack(np.broadcast_arrays(1.0, -beta0), -1),
     )
 
 

@@ -484,6 +484,8 @@ _WRONG_TYPE_CONFIGS = [
     ({"randomization_scale": True}, "randomization_scale must be a number, got True"),
     ({"c0": False}, "c0 must be a number, got False"),
     ({"seed": "3"}, "seed must be a number, got '3'"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": -0.25}, "seed must be an integer, got -0.25"),
     ({"null_value": float("nan")}, "null_value must be a number, got nan"),
     ({"c0": float("inf")}, "c0 must be a number, got inf"),
     ({"columns": "y"}, "columns must be an object, got 'y'"),
@@ -670,6 +672,68 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_LIST_FLAG_MISUSES = [
+    (["simulate", "--r", ","], "--r takes one value, got ','"),
+    (["simulate", "--sigma12", ""], "--sigma12 takes one value, got ''"),
+    (["simulate", "--kind", "coverage", "--r", ","], "--r takes one or more values, got ','"),
+    (["simulate", "--kind", "uniformity", "--r", "0.3,0.9", "--reps", "100"],
+     "--r takes one value, got '0.3,0.9'"),
+    (["simulate", "--kind", "uniformity", "--sigma12", "0.5,0.8", "--reps", "100"],
+     "--sigma12 takes one value, got '0.5,0.8'"),
+    (["simulate", "--kind", "lasso-uniformity", "--r", "0.3,0.9", "--reps", "100", "--n", "200", "--p", "3"],
+     "--r takes one value, got '0.3,0.9'"),
+    (["oracle", "--r", ","], "--r takes one value, got ','"),
+    (["oracle", "--sigma12", "0.5,0.8", "--reps", "1000", "--min-retained", "1"],
+     "--sigma12 takes one value, got '0.5,0.8'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=" ".join(argv)) for argv, message in _LIST_FLAG_MISUSES
+])
+def test_cli_list_flags_fail_loudly(argv, message, capsys):
+    # an empty list, or a second value the command would not read, is a usage error
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["uniformity", "coverage", "lasso-uniformity"])
+def test_cli_simulate_needs_an_instrument(kind, capsys):
+    assert main(["simulate", "--kind", kind, "--p", "0"]) == 2
+    assert "error: need p >= 1 instruments, got p = 0" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def branch_inputs(tmp_path_factory):
+    """(csv, config) of a TSLS, a CLR and a naive-only analysis."""
+    tmp = tmp_path_factory.mktemp("branches")
+    strong = _dataset_csv(tmp, dgp_from_r(1.0, 0.5, n=250, p=3, seed=90), "strong.csv")
+    weak = _dataset_csv(tmp, dgp_from_r(0.12, 0.5, n=250, p=3, seed=92), "weak.csv")  # F = 7.6
+    grid = {"null_value": 1.0, "ci_grid": {"points": 21}}
+    return {
+        branch: (csv_path, _write(tmp, f"{branch}.json", json.dumps({**grid, **extra})))
+        for branch, csv_path, extra in [
+            ("tsls", strong, {}), ("clr", weak, {"test": "clr"}), ("naive_only", weak, {"test": "ar"}),
+        ]
+    }
+
+
+@given(seed=st.integers(0, 2**63 - 1))
+def test_analyze_reproduces_from_its_seed(branch_inputs, tmp_path_factory, seed):
+    out = tmp_path_factory.getbasetemp() / "seeded.json"
+
+    def report(csv_path, cfg, s):
+        assert main(["analyze", csv_path, "--config", cfg, "--seed", str(s), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    for branch, (csv_path, cfg) in branch_inputs.items():
+        first = report(csv_path, cfg, seed)
+        assert json.loads(first)["branch"] == branch
+        assert report(csv_path, cfg, seed) == first
+        other = json.loads(report(csv_path, cfg, seed ^ 1))
+        assert other["pretest"]["omega"] != json.loads(first)["pretest"]["omega"]
 
 
 def test_cli_clr_report_lists_underflowed_nulls(tmp_path):

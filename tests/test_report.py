@@ -5,7 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from ivselect import Interval, InferenceReport, invert_pvalue_curve
+import ivselect.report
+from ivselect import (
+    DGPConfig,
+    Interval,
+    InferenceReport,
+    RandomizationLaw,
+    clr_conditional_inference,
+    default_lasso_penalty,
+    default_lasso_scale,
+    dgp_from_r,
+    generate,
+    invert_ci,
+    invert_pvalue_curve,
+    lasso_conditional_inference,
+    run_pretest,
+    solve_randomized_lasso,
+    tsls_estimate,
+    tsls_standard_error,
+)
+from ivselect.cli import AnalysisConfig, analyze
 from ivselect.report import plain
 
 
@@ -113,3 +132,50 @@ def test_inversion_validates_inputs():
         invert_pvalue_curve(fn, 0.0, -1.0, 0.05)
     with pytest.raises(ValueError):
         invert_pvalue_curve(fn, 0.0, 1.0, 1.5)
+
+
+def test_every_inversion_starts_on_the_estimate_grid(monkeypatch):
+    # every branch, naive or conditional, starts its CI grid at n_points
+    # over beta_hat +- 8 SE of the dataset it tests: the whole dataset, or
+    # the selected instruments' for the Lasso
+    starts = []
+    real = ivselect.report.invert_pvalue_curve
+
+    def spy(pvalue_fn, center, halfwidth, alpha, n_points):
+        starts.append((center, halfwidth, n_points))
+        return real(pvalue_fn, center, halfwidth, alpha, n_points)
+
+    monkeypatch.setattr(ivselect.report, "invert_pvalue_curve", spy)
+
+    def grid_of(data, n_points=31):
+        return (tsls_estimate(data), 8.0 * tsls_standard_error(data), n_points)
+
+    strong = generate(dgp_from_r(0.3, 0.5, n=300, p=4, seed=7))
+    weak = generate(dgp_from_r(0.05, 0.5, n=300, p=3, seed=8))
+    lasso_data = generate(DGPConfig(
+        n=200, p=4, beta_star=1.0, gamma_star=np.array([0.9, 0.6, 0.05, 0.0]),
+        sigma_star=np.array([[1.0, 0.5], [0.5, 1.0]]), seed=67,
+    ))
+    sel = solve_randomized_lasso(
+        lasso_data,
+        default_lasso_penalty(lasso_data, seed=69),
+        RandomizationLaw(scale=default_lasso_scale(lasso_data), seed=68),
+    )
+    assert 1 <= len(sel.support_E) < lasso_data.p
+    cases = [
+        ("tsls", lambda: invert_ci(strong, run_pretest(strong, c0=10.0, seed=1), n_points=31),
+         [grid_of(strong)]),
+        ("clr conditional and naive", lambda: clr_conditional_inference(weak, 0.0, n_points=31),
+         [grid_of(weak)] * 2),
+        ("lasso", lambda: lasso_conditional_inference(lasso_data, 1.0, sel, n_points=31),
+         [grid_of(lasso_data.moments.select(sel.support_E))]),
+        ("naive-only ar", lambda: analyze(weak, AnalysisConfig(test="ar", ci_grid={"points": 31})),
+         [grid_of(weak)]),
+        ("naive-only clr", lambda: analyze(
+            strong, AnalysisConfig(test="clr", allow_mismatch=True, ci_grid={"points": 31})
+        ), [grid_of(strong)]),
+    ]
+    for name, run, want in cases:
+        starts.clear()
+        run()
+        assert starts == want, name

@@ -502,3 +502,9 @@ def test_child_seed_and_benchmark_config():
         n=50, p=4, beta_star=1.0, gamma_star=0.7, sigma_star=np.eye(2)
     )
     assert np.array_equal(broadcast.gamma_star, np.full(4, 0.7))
+
+
+def test_config_needs_an_instrument():
+    # p = 0 would pass the other checks and fail later with an IndexError
+    with pytest.raises(ValueError, match="need p >= 1 instruments, got p = 0"):
+        DGPConfig(n=50, p=0, beta_star=1.0, gamma_star=np.zeros(0), sigma_star=np.eye(2))
