@@ -14,7 +14,7 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -196,14 +196,14 @@ def ingest(path: str, config: AnalysisConfig) -> IVDataset:
     n, p, k = table.shape[0], len(instruments), len(covariates)
     if n <= p + k:
         raise DataError(f"need n > p + k rows, got n={n}, p={p}, k={k}")
-    return prepare(
-        IVDataset(
-            Y=np.ascontiguousarray(table[:, col[outcome]]),
-            D=np.ascontiguousarray(table[:, col[treatment]]),
-            Z=block(instruments),
-            X=block(covariates) if covariates else None,
-        )
+    raw = IVDataset(
+        Y=np.ascontiguousarray(table[:, col[outcome]]),
+        D=np.ascontiguousarray(table[:, col[treatment]]),
+        Z=block(instruments),
+        X=block(covariates) if covariates else None,
     )
+    del table  # raw holds copies of every column it reads; free the parse first
+    return prepare(raw)
 
 
 def _locate_fault(path, width, col, fault):
@@ -426,17 +426,16 @@ def _cmd_simulate(args) -> int:
         return 0
     (r,), (s12,) = rs, s12s
     if args.kind == "lasso-uniformity":
-        gamma = np.full(args.p, r)
-        if args.first_only:
-            gamma[1:] = 0.0
         config = DGPConfig(
             n=args.n,
             p=args.p,
             beta_star=1.0,
-            gamma_star=gamma,
+            gamma_star=r,
             sigma_star=np.array([[1.0, s12], [s12, 1.0]]),
             seed=seed,
         )
+        if args.first_only:  # after DGPConfig has checked p
+            config = replace(config, gamma_star=np.where(np.arange(args.p) == 0, r, 0.0))
         sampler = None if args.samples is None else SamplerConfig(seed=seed, n_samples=args.samples)
         res = lasso_uniformity_experiment(config, args.reps, alpha=alpha, sampler=sampler)
     else:

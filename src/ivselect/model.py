@@ -232,14 +232,15 @@ class IVDataset:
         return self.X is None and centered(self.Y) and centered(self.D) and centered(self.Z)
 
 
-def _check_rank(mat: np.ndarray, labels: list[str], rtol: float = RANK_RTOL) -> None:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[0] == 0 or sv[-1] / sv[0] < rtol:
-        rank = int(np.sum(sv / sv[0] >= rtol)) if sv[0] > 0 else 0
-        # Pivoted QR puts the redundant columns last; name those.
-        _, _, piv = pivoted_qr(mat, mode="economic", pivoting=True)
-        bad = sorted(piv[rank:])
-        raise RankDeficiencyError([labels[j] for j in bad])
+def _rank_error(mat: np.ndarray, labels: list[str], rtol: float) -> RankDeficiencyError:
+    """The error naming the columns of mat that pivoted QR puts past its
+    numerical rank (singular values below rtol times the largest).  Runs
+    only once a rule has found mat rank deficient, so it names at least
+    one column."""
+    r, piv = pivoted_qr(mat, mode="r", pivoting=True)
+    sv = np.linalg.svd(r[: mat.shape[1]], compute_uv=False)
+    rank = min(int(np.sum(sv > rtol * sv[0])), mat.shape[1] - 1)
+    return RankDeficiencyError([labels[j] for j in sorted(piv[rank:])])
 
 
 def require_prepared(data: IVDataset | Moments) -> Moments:
@@ -259,41 +260,48 @@ def prepare(raw: IVDataset) -> IVDataset:
 
     Centering is equivalent to including an intercept among the exogenous
     covariates, so a constant column in X is redundant but harmless.
-    Raises RankDeficiencyError naming the offending columns when [Z X]
-    is collinear.
+    Raises RankDeficiencyError naming the offending columns when X is
+    collinear, when residualizing leaves an instrument less than
+    RANK_RTOL of its centered norm, or when the moments core cannot
+    invert the residualized Z'Z.  Each rule is relative to the columns it
+    judges, so rescaling any column of X, or all of Z, changes no verdict.
     """
-    Y = raw.Y - raw.Y.mean()
-    D = raw.D - raw.D.mean()
-    Z = raw.Z - raw.Z.mean(axis=0)
+    # one (n, p + 2) block, so centering and residualizing are one pass each
+    block = np.column_stack([raw.Y, raw.D, raw.Z])
+    block -= block.mean(axis=0)
+    z_norms = np.sqrt(_dot(block.T[2:], block.T[2:]))
 
     if raw.X is not None:
         X = raw.X - raw.X.mean(axis=0)
-        # columns that were constants are identically zero now; drop them
-        keep = np.max(np.abs(X), axis=0) > 1e-12 * max(
-            1.0, float(np.max(np.abs(raw.X)))
-        )
-        x_labels = [f"x{j + 1}" for j in range(X.shape[1]) if keep[j]]
+        # columns that were constants are zero to rounding now; drop them
+        keep = np.max(np.abs(X), axis=0) > 1e-12 * np.max(np.abs(raw.X), axis=0)
+        x_labels = [f"x{j + 1}" for j in np.flatnonzero(keep)]
         X = X[:, keep]
         if X.shape[1] > 0:
-            z_labels = [f"z{j + 1}" for j in range(Z.shape[1])]
-            _check_rank(np.hstack([Z, X]), z_labels + x_labels)
-            if raw.n <= Z.shape[1] + X.shape[1]:
+            if raw.n <= raw.p + X.shape[1]:
                 raise DimensionError(
-                    f"need n > p + k, got n={raw.n}, p={Z.shape[1]}, k={X.shape[1]}"
+                    f"need n > p + k, got n={raw.n}, p={raw.p}, k={X.shape[1]}"
                 )
-            coef, *_ = np.linalg.lstsq(X, np.column_stack([Y, D, Z]), rcond=None)
-            resid = np.column_stack([Y, D, Z]) - X @ coef
-            Y, D, Z = resid[:, 0], resid[:, 1], resid[:, 2:]
+            X /= np.sqrt(_dot(X.T, X.T))  # unit columns: X's units cannot reach its verdict
+            coef, _, _, sv = np.linalg.lstsq(X, block, rcond=RANK_RTOL)
+            if sv[-1] < RANK_RTOL * sv[0]:
+                raise _rank_error(X, x_labels, RANK_RTOL)
+            block -= X @ coef
 
     # re-center to machine precision (residualizing on centered X keeps
-    # means at zero only up to rounding)
-    Y = Y - Y.mean()
-    D = D - D.mean()
-    Z = Z - Z.mean(axis=0)
-    out = IVDataset(Y=Y, D=D, Z=Z, X=None)
-    # Moments applies RANK_RTOL to the eigenvalues of Z'Z, the squared
-    # singular values of Z: check Z against the same cutoff here.
-    _check_rank(out.Z, [f"z{j + 1}" for j in range(out.p)], RANK_RTOL**0.5)
+    # means at zero only up to rounding); a constant column becomes zero
+    block -= block.mean(axis=0)
+    out = IVDataset(Y=block[:, 0], D=block[:, 1], Z=block[:, 2:])
+    z_labels = [f"z{j + 1}" for j in range(raw.p)]
+    lost = np.sqrt(np.diagonal(out.moments.ztz)) <= RANK_RTOL * z_norms
+    if lost.any():
+        raise RankDeficiencyError([z_labels[j] for j in np.flatnonzero(lost)])
+    try:
+        out.moments.ztz_isqrt
+    except RankDeficiencyError:
+        # the moments core applies RANK_RTOL to the eigenvalues of Z'Z,
+        # the squared singular values of Z
+        raise _rank_error(out.Z, z_labels, RANK_RTOL**0.5) from None
     return out
 
 
@@ -321,16 +329,14 @@ def tsls_estimate(data: IVDataset | Moments) -> float:
 class ModelEstimates:
     """Point estimates consumed by the test statistics.
 
-    sigma_hat is the structural error covariance evaluated at the null
-    value beta0 recorded here; omega_hat is the reduced-form covariance
-    and does not depend on beta0.  For a batch of datasets the matrices
-    are stacked (reps, 2, 2) and beta_tsls is one value per replication.
+    sigma_hat is the structural error covariance at the null it was
+    evaluated at; omega_hat is the reduced-form covariance and does not
+    depend on the null.  For a batch of datasets or nulls the matrices
+    are stacked (..., 2, 2).
     """
 
-    beta_tsls: float
     omega_hat: np.ndarray
     sigma_hat: np.ndarray
-    beta0: float
 
 
 def covariance_estimates(data: IVDataset | Moments, beta0: float) -> ModelEstimates:
@@ -353,18 +359,13 @@ def covariance_estimates(data: IVDataset | Moments, beta0: float) -> ModelEstima
         raise CovarianceError(
             "Omega_hat is not positive definite: the residuals of Y and D on Z are collinear"
         )
-    return ModelEstimates(
-        beta_tsls=tsls_estimate(m),
-        omega_hat=o,
-        sigma_hat=m.sigma(beta0),
-        beta0=_item(np.asarray(beta0, dtype=float)),
-    )
+    _require_first_stage(m)
+    return ModelEstimates(omega_hat=o, sigma_hat=m.sigma(beta0))
 
 
-def tsls_standard_error(data: IVDataset | Moments, est: ModelEstimates | None = None) -> float:
+def tsls_standard_error(data: IVDataset | Moments) -> float:
     """Conventional standard error of the TSLS estimate,
     sqrt(Sigma_hat_11(beta_tsls)) / sqrt(D'P_Z D)."""
     m = require_prepared(data)
-    beta = tsls_estimate(m) if est is None else est.beta_tsls
-    at_beta = covariance_estimates(m, beta)
+    at_beta = covariance_estimates(m, tsls_estimate(m))
     return _item(np.sqrt(at_beta.sigma_hat[..., 0, 0] / m.s2))

@@ -112,7 +112,7 @@ def dgp_from_r(
         n=n,
         p=p,
         beta_star=beta_star,
-        gamma_star=np.full(p, float(r)),
+        gamma_star=float(r),  # DGPConfig broadcasts it once p is checked
         sigma_star=np.array([[1.0, sigma12], [sigma12, 1.0]]),
         seed=seed,
     )

@@ -699,10 +699,17 @@ def test_cli_list_flags_fail_loudly(argv, message, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["uniformity", "coverage", "lasso-uniformity"])
-def test_cli_simulate_needs_an_instrument(kind, capsys):
-    assert main(["simulate", "--kind", kind, "--p", "0"]) == 2
-    assert "error: need p >= 1 instruments, got p = 0" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, p", [
+    pytest.param(["simulate", "--kind", kind], p, id=kind if p == 0 else f"{kind} --p {p}")
+    for kind in ["uniformity", "coverage", "lasso-uniformity"] for p in (0, -1)
+] + [
+    pytest.param(["simulate", "--kind", "lasso-uniformity", "--first-only"], -1, id="lasso-uniformity --first-only --p -1"),
+    pytest.param(["oracle"], -1, id="oracle --p -1"),
+])
+def test_cli_simulate_needs_an_instrument(argv, p, capsys):
+    # p is checked before any array of length p is made
+    assert main([*argv, "--p", str(p)]) == 2
+    assert f"error: need p >= 1 instruments, got p = {p}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

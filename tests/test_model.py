@@ -113,6 +113,83 @@ def test_prepare_collinear_covariate_named():
         prepare(IVDataset(Y=rng.standard_normal(25), D=rng.standard_normal(25), Z=z, X=x))
 
 
+def _covariate_design(n=300, seed=7):
+    """(y, d, z, x): three covariates that three instruments load on."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3)) - 1.0
+    z = rng.standard_normal((n, 3)) + 0.5 * x + 2.0
+    d = z @ np.array([0.4, 0.3, 0.2]) + x @ np.array([0.5, -0.5, 1.0]) + rng.standard_normal(n)
+    y = d + x @ np.array([-0.3, 0.2, 0.1]) + rng.standard_normal(n)
+    return y, d, z, x
+
+
+def _named(y, d, z, x=None):
+    with pytest.raises(RankDeficiencyError) as info:
+        prepare(IVDataset(Y=y, D=d, Z=z, X=x))
+    return info.value.columns
+
+
+def test_prepare_names_the_dependent_column():
+    y, d, z, x = _covariate_design()
+    # p = 1, the instrument is a covariate: only its residual norm relative
+    # to its own centered norm sees it; relative to Z's scale it is lost
+    assert _named(y, d, x[:, :1], x) == ["z1"]
+    z_const = z.copy()
+    z_const[:, 1] = 3.7
+    assert _named(y, d, z_const, x) == ["z2"]
+    assert _named(y, d, z_const) == ["z2"]
+    assert _named(y, d, z_const[:, 1:2]) == ["z1"]
+    x_dep = np.column_stack([x, x[:, 0] - 2.0 * x[:, 2]])
+    (named,) = _named(y, d, z, x_dep)
+    assert named in ("x1", "x3", "x4")
+    z_sum = z.copy()
+    z_sum[:, 2] = x[:, 1] - z[:, 1]  # z2 + z3 lies in span(X)
+    assert _named(y, d, z_sum, x) in (["z2"], ["z3"])
+
+
+def test_prepare_verdicts_ignore_column_units():
+    # every rank rule is relative to the columns it judges, so rescaling X
+    # (any column) or Z (all columns) changes no verdict and no residual
+    y, d, z, x = _covariate_design()
+    base = prepare(IVDataset(Y=y, D=d, Z=z, X=x))
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.max(np.abs(b)))
+
+    for s in (1e-12, 1e-6, 1e6, 1e12):
+        for sx in (np.full(3, s), np.array([s, 1.0, 1.0 / s])):
+            out = prepare(IVDataset(Y=y, D=d, Z=z, X=x * sx))
+            for a, b in ((out.Y, base.Y), (out.D, base.D), (out.Z, base.Z)):
+                close(a, b)
+        out = prepare(IVDataset(Y=y, D=d, Z=s * z, X=x))
+        for a, b in ((out.Y, base.Y), (out.D, base.D), (out.Z / s, base.Z)):
+            close(a, b)
+
+
+def test_prepare_factorizes_no_n_row_matrix(monkeypatch):
+    # the rank rules read numbers the fit and the moments already hold;
+    # SVD and pivoted QR run only to name columns once a rule has failed
+    import ivselect.model as model
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    monkeypatch.setattr(model, "pivoted_qr", spy("pivoted_qr", model.pivoted_qr))
+    y, d, z, x = _covariate_design(n=2000)
+    prepare(IVDataset(Y=y, D=d, Z=z, X=x))
+    assert calls == []
+    assert _named(y, d, x[:, :1], x) == ["z1"] and calls == []  # named without factorizing
+    z[:, 2] = z[:, 0]
+    _named(y, d, z, x)
+    assert calls == ["pivoted_qr", "svd"]
+
+
 def test_row_count_mismatch_rejected():
     with pytest.raises(DimensionError, match="row counts"):
         IVDataset(Y=np.zeros(5), D=np.zeros(4), Z=np.zeros((5, 1)))

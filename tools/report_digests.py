@@ -1,19 +1,34 @@
-"""Print one sha256 per output of ivselect on a fixed set of inputs.
+"""Print one sha256 per output of ivselect on a fixed set of inputs, or
+compare two checkouts output by output.
 
 Two checkouts that print the same lines give byte-identical reports and
 simulation tables on every branch: `analyze` on screen-passing (TSLS),
-screen-failing (CLR) and underflow-band inputs, each also forced to
-`--test tsls --override`, `--test clr --override` and `--test ar`
-(naive-only); `pretest`; Lasso library reports with and without a
-SamplerConfig; and every `simulate` kind.  The inputs are generated here
-by ivselect.simulate.generate at fixed seeds, so the script needs no
-data files.
+screen-failing (CLR) and underflow-band inputs, and on a passing and a
+failing input with covariates x1..x3 that the instruments load on, each
+also forced to `--test tsls --override`, `--test clr --override` and
+`--test ar` (naive-only); `pretest`; Lasso library reports with and
+without a SamplerConfig; and every `simulate` kind.  The inputs are
+generated here by ivselect.simulate.generate at fixed seeds, so the
+script needs no data files.
 
     python tools/report_digests.py                 # this checkout's src
     python tools/report_digests.py --src OTHER/src > other.txt
 
 and diff the two listings.  Each line is `sha256  name`; the digest
 covers the exit code, stdout (or the --out file) and stderr.
+
+A change that moves the last bits of an answer changes its digest.  To
+compare by value, run both checkouts on the same input files:
+
+    python tools/report_digests.py --against OTHER/src --rtol 1e-12
+
+Each output prints `identical`, or the largest relative difference over
+its numbers, and `text differs` when anything but a number differs (a
+branch, an interval end label).  `quadrature_error` and `ess` are
+skipped: they are rounding-level error estimates.  The exit code is 1
+when any output differs by more than --rtol or in its text.  --csv FILE
+adds `analyze` and `pretest` on another headered CSV, with FILE's stem
+plus .json as its config when that exists.
 """
 
 import argparse
@@ -21,6 +36,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +56,11 @@ DATASETS = [
     ("underflow-1", 0.3, 0.99, 200, 2, 1, 1.0),
     ("underflow-2", 0.2, 0.99, 200, 2, 1, 1.0),
 ]
+# the same design plus covariates x1..x3, which Z, D and Y load on
+COVARIATE_DATASETS = [
+    ("covariates-tsls", 0.25, 0.8, 400, 5, 3, 1.0),
+    ("covariates-clr", 0.05, 0.8, 400, 5, 4, 1.0),
+]
 FORCED = [[], ["--test", "tsls", "--override"], ["--test", "clr", "--override"], ["--test", "ar"]]
 SIMULATE = [
     ["--kind", "uniformity", "--r", "0.3", "--reps", "300", "--n", "300", "--p", "5", "--seed", "1"],
@@ -51,12 +73,40 @@ SIMULATE = [
     ["--kind", "lasso-uniformity", "--first-only", "--r", "0.4", "--reps", "100", "--n", "300",
      "--p", "4", "--seed", "5", "--samples", "256"],
 ]
+LASSO_SEEDS = (1, 2)
+# a value of one of these keys is replaced by * before comparing by value
+SKIPPED = re.compile(r'("(?:quadrature_error|ess)": )[^,}\n]+')
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
-def _write_csv(path, data):
-    header = ["y", "d"] + [f"z{j + 1}" for j in range(data.p)]
-    table = np.column_stack([data.Y, data.D, data.Z])
-    np.savetxt(path, table, delimiter=",", header=",".join(header), comments="", fmt="%.17g")
+def _write_csv(path, y, d, z, x=None):
+    header = ["y", "d"] + [f"z{j + 1}" for j in range(z.shape[1])]
+    cols = [y, d, z]
+    if x is not None:
+        header += [f"x{j + 1}" for j in range(x.shape[1])]
+        cols.append(x)
+    np.savetxt(path, np.column_stack(cols), delimiter=",", header=",".join(header), comments="", fmt="%.17g")
+
+
+def make_inputs(workdir: Path):
+    """Write every generated input into workdir: a CSV and config per
+    dataset, and the Lasso datasets as .npy."""
+    from ivselect.simulate import dgp_from_r, generate
+
+    for spec in DATASETS + COVARIATE_DATASETS:
+        name, r, s12, n, p, seed, null = spec
+        data = generate(dgp_from_r(r, s12, n=n, p=p, seed=seed))
+        y, d, z, x = data.Y, data.D, data.Z, None
+        if spec in COVARIATE_DATASETS:
+            x = np.random.default_rng(seed).standard_normal((n, 3)) - 1.0
+            z = z + 0.5 * x[:, np.arange(p) % 3] + 2.0
+            d = d + x @ np.array([0.5, -0.5, 1.0])
+            y = y + x @ np.array([-0.3, 0.2, 0.1])
+        _write_csv(workdir / f"{name}.csv", y, d, z, x)
+        (workdir / f"{name}.json").write_text(json.dumps({"null_value": null, "seed": seed}))
+    for seed in LASSO_SEEDS:
+        data = generate(dgp_from_r(0.3, 0.5, n=300, p=6, seed=seed))
+        np.save(workdir / f"lasso-{seed}.npy", np.column_stack([data.Y, data.D, data.Z]))
 
 
 def _run_cli(main, argv):
@@ -66,9 +116,10 @@ def _run_cli(main, argv):
     return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
 
 
-def outputs(workdir: Path):
-    """(name, text) for every output, in a fixed order.  ivselect is
-    imported here, after main has put the chosen src on sys.path."""
+def outputs(workdir: Path, extra_csvs=()):
+    """(name, text) for every output on the inputs in workdir, in a fixed
+    order.  ivselect is imported here, after main has put the chosen src
+    on sys.path."""
     from ivselect.cli import main
     from ivselect.lasso import (
         default_lasso_penalty,
@@ -76,23 +127,27 @@ def outputs(workdir: Path):
         lasso_conditional_inference,
         solve_randomized_lasso,
     )
+    from ivselect.model import IVDataset
     from ivselect.pretest import RandomizationLaw
     from ivselect.report import plain
     from ivselect.sampler import SamplerConfig
-    from ivselect.simulate import dgp_from_r, generate
 
-    for name, r, s12, n, p, seed, null in DATASETS:
-        csv_path = workdir / f"{name}.csv"
-        _write_csv(csv_path, generate(dgp_from_r(r, s12, n=n, p=p, seed=seed)))
-        cfg = workdir / f"{name}.json"
-        cfg.write_text(json.dumps({"null_value": null, "seed": seed}))
+    for name, *_ in DATASETS + COVARIATE_DATASETS:
+        csv_path, cfg = workdir / f"{name}.csv", workdir / f"{name}.json"
         for flags in FORCED:
             tag = "auto" if not flags else flags[1]
             yield f"analyze/{name}/{tag}", _run_cli(main, ["analyze", str(csv_path), "--config", str(cfg), *flags])
         yield f"pretest/{name}", _run_cli(main, ["pretest", str(csv_path), "--config", str(cfg)])
 
-    for seed in (1, 2):
-        data = generate(dgp_from_r(0.3, 0.5, n=300, p=6, seed=seed))
+    for csv_path in map(Path, extra_csvs):
+        cfg = csv_path.with_suffix(".json")
+        flags = ["--config", str(cfg)] if cfg.exists() else []
+        yield f"analyze/{csv_path}", _run_cli(main, ["analyze", str(csv_path), *flags])
+        yield f"pretest/{csv_path}", _run_cli(main, ["pretest", str(csv_path), *flags])
+
+    for seed in LASSO_SEEDS:
+        block = np.load(workdir / f"lasso-{seed}.npy")
+        data = IVDataset(Y=block[:, 0], D=block[:, 1], Z=block[:, 2:])
         law = RandomizationLaw(scale=default_lasso_scale(data), seed=seed + 10)
         sel = solve_randomized_lasso(data, default_lasso_penalty(data, seed=seed), law)
         for tag, config in (("default", None), ("sampler", SamplerConfig(n_samples=256, seed=seed))):
@@ -104,16 +159,61 @@ def outputs(workdir: Path):
         yield f"simulate/{kind}/seed{argv[argv.index('--seed') + 1]}", _run_cli(main, ["simulate", *argv])
 
 
+def collect(src, workdir, extra_csvs):
+    """{name: text} of every output of the checkout whose package is in
+    src, run in a fresh interpreter on the inputs in workdir."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--src", src, "--dump", str(workdir)]
+    argv += [f"--csv={c}" for c in extra_csvs]
+    lines = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
+    return dict(json.loads(line) for line in lines)
+
+
+def difference(a: str, b: str):
+    """(largest relative difference over the numbers, whether anything
+    but the numbers differs) between two output texts."""
+    a, b = SKIPPED.sub(r"\1*", a), SKIPPED.sub(r"\1*", b)
+    xs, ys = NUMBER.findall(a), NUMBER.findall(b)
+    text_differs = NUMBER.sub("#", a) != NUMBER.sub("#", b)
+    rel = max(
+        (abs(x - y) / max(abs(x), abs(y)) for x, y in zip(map(float, xs), map(float, ys)) if x != y),
+        default=0.0,
+    )
+    return rel, text_differs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="directory holding the ivselect package (default: this checkout's src)")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="compare every output by value with the ivselect package in OTHER_SRC")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest relative difference --against accepts (default 0)")
+    parser.add_argument("--csv", action="append", default=[],
+                        help="another headered CSV to analyze (repeatable)")
+    parser.add_argument("--dump", help=argparse.SUPPRESS)  # inputs dir: print [name, text] lines
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
+    if args.dump:
+        for item in outputs(Path(args.dump), args.csv):
+            print(json.dumps(item))
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in outputs(Path(tmp)):
-            print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}")
-    return 0
+        make_inputs(Path(tmp))
+        if args.against is None:
+            for name, text in outputs(Path(tmp), args.csv):
+                print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}")
+            return 0
+        mine, theirs = collect(args.src, tmp, args.csv), collect(args.against, tmp, args.csv)
+    failed = False
+    for name, text in mine.items():
+        if text == theirs[name]:
+            print(f"identical  {name}")
+            continue
+        rel, text_differs = difference(text, theirs[name])
+        failed |= rel > args.rtol or text_differs
+        print(f"max rel {rel:.3g}{'  text differs' if text_differs else ''}  {name}")
+    return int(failed)
 
 
 if __name__ == "__main__":
