@@ -22,7 +22,7 @@ import numpy as np
 from .clr import clr_conditional_inference, clr_naive_inference
 from .errors import BranchError, DataError, IVSelectError
 from .model import IVDataset, covariance_estimates, prepare
-from .pretest import run_pretest
+from .pretest import RandomizationLaw, default_scale, run_pretest
 from .report import GRID_POINTS, InferenceReport, invert_around, plain
 from .sampler import SamplerConfig, invert_ci, wald_interval
 from .simulate import (
@@ -463,11 +463,7 @@ def _cmd_oracle(args) -> int:
     if args.scale is not None:
         scale = args.scale
     else:
-        from .pretest import default_scale
-
         scale = default_scale(generate(config))
-    from .pretest import RandomizationLaw
-
     law = RandomizationLaw(scale=scale, seed=seed)
     draws = rejection_oracle(
         config, args.beta0, c0, law, args.reps, min_retained=args.min_retained

@@ -30,7 +30,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import special
-from scipy.stats import qmc
 
 from .clr import _refine
 from .errors import (
@@ -199,6 +198,8 @@ def sobol_points(config: SamplerConfig, dim: int, scramble: int = 0) -> np.ndarr
     from a Sobol set scrambled by a stream keyed by config.seed and
     scramble.  Points are clipped away from 0 and 1, so every inverse-CDF
     draw stays finite."""
+    from scipy.stats import qmc  # deferred: scipy.stats more than doubles ivselect.cli's import time
+
     log2_n = (config.n_samples - 1).bit_length()
     sobol = qmc.Sobol(dim, scramble=True, rng=_generator(config.seed, 5, scramble))
     return np.clip(sobol.random_base2(log2_n), 1e-16, 1.0 - 1e-16)

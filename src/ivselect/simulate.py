@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .clr import clr_tails, truncation_from_estimates
 from .errors import ExperimentError, TruncationError
@@ -252,6 +252,7 @@ def _result(reps, passing_rate, cond, naive, naive_covers, alpha) -> ExperimentR
     """A cell's result from the conditional and naive p-values of the
     replications on its branch and whether their naive intervals cover:
     coverages with binomial SEs and the conditional p-values' KS test."""
+    from scipy import stats  # deferred: scipy.stats more than doubles ivselect.cli's import time
 
     def se(rate, k):
         return math.sqrt(max(rate * (1.0 - rate), 0.0) / k)

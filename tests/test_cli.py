@@ -3,6 +3,10 @@ screen-then-branch dispatch of analyze, config merging, and the four
 subcommands' output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -566,6 +570,32 @@ def test_cli_simulate_uniformity(tmp_path, capsys):
     assert summary["kind"] == "uniformity"
     assert summary["passing_rate"] == 1.0
     assert summary["reps"] == 120
+
+
+IMPORT_SURFACE = """
+import sys
+import ivselect.cli
+heavy = [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules]
+assert not heavy, heavy
+from ivselect import sampler
+code = ivselect.cli.main(["simulate", "--kind", "uniformity", "--r", "0.8", "--sigma12", "0.5",
+                          "--reps", "100", "--n", "200", "--p", "2", "--seed", "1", "--out", sys.argv[1]])
+assert code == 0, code
+points = sampler.sobol_points(sampler.SamplerConfig(n_samples=16), 2)
+assert points.shape == (16, 2), points.shape
+assert "scipy.stats" in sys.modules
+"""
+
+
+def test_cli_import_defers_scipy_stats_to_its_callers(tmp_path):
+    # a fresh process: every test module has imported scipy.stats by now
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SURFACE, str(tmp_path / "u.csv")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_cli_simulate_coverage(tmp_path):
