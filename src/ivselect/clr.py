@@ -346,11 +346,12 @@ def clr_conditional_inference(
     beta0 plus grid-inverted confidence intervals.
 
     Applies only when the non-randomized screen failed (F < c0); the
-    conditional law conditions on exactly that event.  Each round of the
-    grid inversion builds the truncations of all of its nulls in one call
-    and evaluates them in one clr_tails call; nulls whose conditioning
-    event underflows are listed in the diagnostics (mass_underflow_nulls)
-    and never retained.
+    conditional law conditions on exactly that event.  Each p-value call
+    of the grid inversion builds the truncations of all of its nulls in
+    one call and evaluates them in one clr_tails call.  Nulls whose
+    conditioning event underflows are never retained; the diagnostics
+    list those the inversion evaluated (mass_underflow_nulls), and the
+    grid nulls its coarse scan skipped are not among them.
     """
     require_prepared(data)
     if data.p < 2:

@@ -7,6 +7,11 @@ over beta_hat +- 8 SE) and the grid-expansion loop live here, so the
 passed-screen branch, the weak-instrument branch, the Lasso branch and
 the naive-only reports invert identically and label each interval end
 alike: a crossing of alpha, an underflow band or an unbounded side.
+The grid is read coarse to fine: every _STRIDE-th null and each grid end
+first, then only the nulls beside the outermost retained ones, so a CI
+costs about n_points / 8 + 14 p-values instead of one per grid null, and
+is a full scan's hull unless the retained set holds an island narrower
+than _STRIDE nulls away from its ends.
 A side is unbounded when the grid still retains it at 1e4 initial
 halfwidths from the grid's center.  That reach is measured in the
 grid's own units, not in absolute ones, so rescaling Y or D rescales
@@ -131,6 +136,8 @@ GRID_POINTS = 201
 _EXPAND_FACTOR = 2.0
 _UNBOUNDED_REACH = 1e4
 _MAX_ROUNDS = 60
+# the coarse scan evaluates every _STRIDE-th grid null and each grid end
+_STRIDE = 8
 
 
 def invert_pvalue_curve(
@@ -140,25 +147,38 @@ def invert_pvalue_curve(
     alpha: float,
     n_points: int = GRID_POINTS,
 ):
-    """Hull of {x : pvalue_fn(x) >= alpha} from an expanding grid.
+    """Hull of {x : pvalue_fn(x) >= alpha} on an expanding grid, read
+    coarse to fine.
 
     pvalue_fn maps an array of candidate nulls to an array of p-values.
-    Starts from n_points over center +- halfwidth; while an endpoint is
-    still retained, that side's reach grows by _EXPAND_FACTOR per round
-    until the endpoint is excluded or its distance from center reaches
-    _UNBOUNDED_REACH halfwidths, which reports the side as unbounded. An
-    empty retained set degenerates to the argmax of the p-value curve.
+    The grid starts at n_points over center +- halfwidth; while an end
+    null is still retained, that side's reach grows by _EXPAND_FACTOR per
+    round, adding a block of nulls, until the end is excluded or its
+    distance from center reaches _UNBOUNDED_REACH halfwidths, which
+    reports the side as unbounded.
 
-    NaN p-values count as not retained, and a NaN endpoint freezes that
-    side's expansion: the scan cannot see past a point it could not
-    evaluate.
+    Only part of that grid is evaluated.  The coarse scan takes every
+    _STRIDE-th null of the initial grid and of each expansion block, and
+    every grid end, so the expansion decisions, which read only the ends,
+    are a full scan's.  One more call evaluates the fine nulls between the
+    first retained coarse null and the evaluated one before it, and
+    likewise after the last, which places each end of the hull on the
+    fine grid.  A retained island narrower than _STRIDE nulls that lies
+    outside those two gaps is not seen.  When no coarse null is retained,
+    the rest of the grid is evaluated, so a narrow retained set is found
+    and an empty one degenerates to the argmax of the whole curve.
+
+    NaN p-values count as not retained, and a NaN end freezes that side's
+    expansion: the scan cannot see past a null it could not evaluate.
 
     info["ends"] says what set each end of the interval: "unbounded",
-    "underflow" when the grid point just outside it has a NaN p-value
-    (an unanswerable null, such as an underflowed conditioning event),
-    else "crossing", the p-value falling below alpha.
+    "underflow" when the grid null just outside it has a NaN p-value (an
+    unanswerable null, such as an underflowed conditioning event), else
+    "crossing", the p-value falling below alpha.  That null is always
+    evaluated.  info["grid_size"] counts the grid's nulls, evaluated or not.
 
-    Returns (interval, xs, ps, info).
+    Returns (interval, xs, ps, info); xs and ps hold the evaluated nulls
+    only, in increasing order.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha = {alpha} outside (0, 1]")
@@ -166,20 +186,32 @@ def invert_pvalue_curve(
         raise ValueError("need halfwidth > 0 and at least 3 grid points")
 
     xs = np.linspace(center - halfwidth, center + halfwidth, n_points)
-    ps = np.asarray(pvalue_fn(xs), dtype=float)
+    ps = np.full(n_points, np.nan)
+    done = np.zeros(n_points, dtype=bool)
+
+    def evaluate(idx):
+        if idx.size:
+            ps[idx] = np.asarray(pvalue_fn(xs[idx]), dtype=float)
+            done[idx] = True
+
+    def coarse(size, outer_first):
+        # every _STRIDE-th of size new nulls, counted from the outer end
+        idx = np.arange(0, size, _STRIDE)
+        return idx if outer_first else size - 1 - idx[::-1]
+
+    evaluate(np.union1d(coarse(n_points, True), [n_points - 1]))
     lo_unbounded = hi_unbounded = False
     rounds = 0
     block = max((n_points - 1) // 2, 2)
 
     while True:
-        retained = ps >= alpha
-        lo_open = bool(retained[0]) and not lo_unbounded
-        hi_open = bool(retained[-1]) and not hi_unbounded
+        lo_open = bool(ps[0] >= alpha) and not lo_unbounded
+        hi_open = bool(ps[-1] >= alpha) and not hi_unbounded
         if lo_open and center - xs[0] >= _UNBOUNDED_REACH * halfwidth:
             lo_unbounded, lo_open = True, False
         if hi_open and xs[-1] - center >= _UNBOUNDED_REACH * halfwidth:
             hi_unbounded, hi_open = True, False
-        if not retained.any() or not (lo_open or hi_open):
+        if not (lo_open or hi_open):
             break
         if rounds >= _MAX_ROUNDS:
             raise ExperimentError(
@@ -189,16 +221,32 @@ def invert_pvalue_curve(
         rounds += 1
         if lo_open:
             target = center - (center - xs[0]) * _EXPAND_FACTOR
-            new_xs = np.linspace(target, xs[0], block + 1)[:-1]
-            xs = np.concatenate([new_xs, xs])
-            ps = np.concatenate([np.asarray(pvalue_fn(new_xs), float), ps])
+            xs = np.concatenate([np.linspace(target, xs[0], block + 1)[:-1], xs])
+            ps = np.concatenate([np.full(block, np.nan), ps])
+            done = np.concatenate([np.zeros(block, dtype=bool), done])
+            evaluate(coarse(block, True))
         if hi_open:
             target = center + (xs[-1] - center) * _EXPAND_FACTOR
-            new_xs = np.linspace(xs[-1], target, block + 1)[1:]
-            xs = np.concatenate([xs, new_xs])
-            ps = np.concatenate([ps, np.asarray(pvalue_fn(new_xs), float)])
+            xs = np.concatenate([xs, np.linspace(xs[-1], target, block + 1)[1:]])
+            ps = np.concatenate([ps, np.full(block, np.nan)])
+            done = np.concatenate([done, np.zeros(block, dtype=bool)])
+            evaluate(xs.size - block + coarse(block, False))
 
-    retained = ps >= alpha
+    def gap(i, step):
+        # the unevaluated nulls from i outward to the next evaluated one
+        out = []
+        while 0 <= i + step < xs.size and not done[i + step]:
+            i += step
+            out.append(i)
+        return out
+
+    retained = done & (ps >= alpha)
+    if retained.any():
+        lo, hi = np.flatnonzero(retained)[[0, -1]]
+        evaluate(np.array(sorted(gap(lo, -1) + gap(hi, 1)), dtype=int))
+    else:
+        evaluate(np.flatnonzero(~done))
+    retained = done & (ps >= alpha)
     info = {
         "grid_size": int(xs.size),
         "expansion_rounds": rounds,
@@ -222,7 +270,7 @@ def invert_pvalue_curve(
 
     info["ends"] = {"lower": end(lo_unbounded, lo - 1), "upper": end(hi_unbounded, hi + 1)}
     interval = Interval(xs[lo], xs[hi], lo_unbounded, hi_unbounded)
-    return interval, xs, ps, info
+    return interval, xs[done], ps[done], info
 
 
 def invert_around(pvalue_fn, data, alpha: float, n_points: int = GRID_POINTS):

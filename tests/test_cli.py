@@ -2,6 +2,7 @@
 screen-then-branch dispatch of analyze, config merging, and the four
 subcommands' output formats."""
 
+import functools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivselect import (
@@ -343,6 +344,20 @@ def _unit_analysis(case, a=1.0, b=0.0, c=1.0):
     return analyze(mapped, config)
 
 
+def _assert_intervals_mapped(base, got, a, b, c):
+    """Both intervals of got are base's mapped by beta -> (a beta + b) / c,
+    to rel 1e-8, with their end labels (swapped when a < 0)."""
+    for name in ("conditional_ci", "naive_ci"):
+        ends = [(a * x + b) / c for x in (getattr(base, name).lower, getattr(base, name).upper)]
+        iv = getattr(got, name)
+        np.testing.assert_allclose([iv.lower, iv.upper], sorted(ends), rtol=1e-8, atol=1e-8 * abs(a / c))
+    for key, grid in base.diagnostics.items():
+        if isinstance(grid, dict) and "ends" in grid:
+            lower, upper = grid["ends"]["lower"], grid["ends"]["upper"]
+            expected = {"lower": lower, "upper": upper} if a > 0 else {"lower": upper, "upper": lower}
+            assert got.diagnostics[key]["ends"] == expected
+
+
 @pytest.mark.parametrize("case", list(_UNIT_CASES))
 @pytest.mark.parametrize(
     "a, b, c",
@@ -355,15 +370,29 @@ def test_analyze_intervals_equivariant_under_units(case, a, b, c):
     base = _unit_analysis(case)
     got = _unit_analysis(case, a, b, c)
     assert got.diagnostics["branch"] == base.diagnostics["branch"]
-    for name in ("conditional_ci", "naive_ci"):
-        ends = [(a * x + b) / c for x in (getattr(base, name).lower, getattr(base, name).upper)]
-        iv = getattr(got, name)
-        np.testing.assert_allclose([iv.lower, iv.upper], sorted(ends), rtol=1e-8, atol=1e-8 * abs(a / c))
-    for key, grid in base.diagnostics.items():
-        if isinstance(grid, dict) and "ends" in grid:
-            lower, upper = grid["ends"]["lower"], grid["ends"]["upper"]
-            expected = {"lower": lower, "upper": upper} if a > 0 else {"lower": upper, "upper": lower}
-            assert got.diagnostics[key]["ends"] == expected
+    _assert_intervals_mapped(base, got, a, b, c)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_base(case):
+    return _unit_analysis(case)
+
+
+@settings(derandomize=True)
+@given(
+    case=st.sampled_from(["tsls", "clr"]),
+    log_a=st.floats(-6.0, 6.0),
+    a_sign=st.sampled_from([-1.0, 1.0]),
+    shift=st.floats(-5.0, 5.0),
+    log_c=st.floats(-6.0, 6.0),
+)
+def test_analyze_intervals_equivariant_under_any_units(case, log_a, a_sign, shift, log_c):
+    # the property behind the fixed cases above, for any a != 0, b and c > 0
+    a, c = a_sign * 10.0**log_a, 10.0**log_c
+    b = shift * abs(a)
+    base, got = _unit_base(case), _unit_analysis(case, a, b, c)
+    assert got.diagnostics["branch"] == base.diagnostics["branch"] == case
+    _assert_intervals_mapped(base, got, a, b, c)
 
 
 def test_analysis_config_validation():

@@ -3,13 +3,13 @@ compare two checkouts output by output.
 
 Two checkouts that print the same lines give byte-identical reports and
 simulation tables on every branch: `analyze` on screen-passing (TSLS),
-screen-failing (CLR) and underflow-band inputs, and on a passing and a
-failing input with covariates x1..x3 that the instruments load on, each
-also forced to `--test tsls --override`, `--test clr --override` and
-`--test ar` (naive-only); `pretest`; Lasso library reports with and
-without a SamplerConfig; and every `simulate` kind.  The inputs are
-generated here by ivselect.simulate.generate at fixed seeds, so the
-script needs no data files.
+screen-failing (CLR), underflow-band and unbounded-CLR inputs, and on a
+passing and a failing input with covariates x1..x3 that the instruments
+load on, each also forced to `--test tsls --override`, `--test clr
+--override` and `--test ar` (naive-only); `pretest`; Lasso library
+reports with and without a SamplerConfig; and every `simulate` kind.
+The inputs are generated here by ivselect.simulate.generate at fixed
+seeds, so the script needs no data files.
 
     python tools/report_digests.py                 # this checkout's src
     python tools/report_digests.py --src OTHER/src > other.txt
@@ -46,7 +46,8 @@ import numpy as np
 
 # (name, r, sigma12, n, p, seed, null_value): strong inputs pass the
 # screen, weak ones fail it; "underflow" puts nulls whose failure event
-# has mass below 1e-12 inside the CI grid
+# has mass below 1e-12 inside the CI grid; "unbounded" fails it with a CLR
+# interval whose grid expands 14 rounds to 3001 nulls
 DATASETS = [
     ("tsls-1", 0.25, 0.8, 400, 5, 1, 1.0),
     ("tsls-2", 0.25, 0.8, 400, 5, 2, 1.0),
@@ -55,6 +56,7 @@ DATASETS = [
     ("clr-2", 0.08, 0.5, 300, 3, 2, 0.0),
     ("underflow-1", 0.3, 0.99, 200, 2, 1, 1.0),
     ("underflow-2", 0.2, 0.99, 200, 2, 1, 1.0),
+    ("unbounded-1", 0.05, 0.5, 200, 3, 90, 1.0),
 ]
 # the same design plus covariates x1..x3, which Z, D and Y load on
 COVARIATE_DATASETS = [
