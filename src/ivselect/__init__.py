@@ -12,7 +12,7 @@ from .clr import (
     ClrTruncation,
     QuadratureConfig,
     clr_conditional_inference,
-    clr_naive_inference,
+    clr_law,
     clr_tail,
     clr_tails,
     k4_constant,
@@ -61,7 +61,7 @@ from .pretest import (
     run_pretest,
     solve_randomized,
 )
-from .report import Interval, InferenceReport, invert_around, invert_pvalue_curve
+from .report import Answer, Interval, InferenceReport, answer, build_report, invert_pvalue_curve
 from .sampler import (
     ConditionalLaw,
     SamplerConfig,
@@ -69,6 +69,7 @@ from .sampler import (
     gibbs_sample,
     invert_ci,
     sample_paths,
+    wald_answer,
     wald_interval,
 )
 from .simulate import (

@@ -19,12 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .clr import clr_conditional_inference, clr_naive_inference
+from .clr import clr_conditional_inference, clr_law
 from .errors import BranchError, DataError, IVSelectError
 from .model import IVDataset, covariance_estimates, prepare
 from .pretest import RandomizationLaw, default_scale, run_pretest
-from .report import GRID_POINTS, InferenceReport, invert_around, plain
-from .sampler import SamplerConfig, invert_ci, wald_interval
+from .report import GRID_POINTS, InferenceReport, answer, build_report, plain
+from .sampler import SamplerConfig, invert_ci, wald_answer
 from .simulate import (
     DGPConfig,
     ExperimentGrid,
@@ -37,7 +37,7 @@ from .simulate import (
     rejection_oracle,
     uniformity_experiment,
 )
-from .teststats import ar_stat, tsls_stat
+from .teststats import ar_stat
 
 SCHEMA_VERSION = 2
 
@@ -237,35 +237,15 @@ def _locate_fault(path, width, col, fault):
 def _naive_only(data, config, flavor, reason) -> InferenceReport:
     """Report without a conditional part, for branches whose conditional
     law does not apply (or is not available)."""
-    null = config.null_value
-    alpha = config.alpha
-    grid_info = None
+    null, alpha, n_points = config.null_value, config.alpha, config.grid_points()
     if flavor == "tsls":
-        naive_p = tsls_stat(data, null, covariance_estimates(data, null)).naive_pvalue
-        naive_ci = wald_interval(data, alpha)
+        naive = wald_answer(data, null, alpha)
     elif flavor == "ar":
-        naive_p = ar_stat(data, null).naive_pvalue
-        naive_ci, _, _, grid_info = invert_around(
-            lambda xs: ar_stat(data, xs).naive_pvalue, data, alpha, config.grid_points()
-        )
+        naive = answer(lambda xs: (ar_stat(data, xs).naive_pvalue,), data, null, alpha, n_points)
     else:
-        naive_p, naive_ci, grid_info = clr_naive_inference(data, null, alpha, config.grid_points())
-    diags = {
-        "branch": "naive_only",
-        "statistic": flavor,
-        "reason": reason,
-        "alpha": alpha,
-    }
-    if grid_info is not None:
-        diags["grid"] = grid_info
-    return InferenceReport(
-        beta0=float(null),
-        conditional_pvalue=None,
-        naive_pvalue=float(naive_p),
-        conditional_ci=None,
-        naive_ci=naive_ci,
-        diagnostics=diags,
-    )
+        est = covariance_estimates(data, null)
+        naive = answer(lambda xs: clr_law(data, xs, est), data, null, alpha, n_points)
+    return build_report(null, alpha, "naive_only", naive, statistic=flavor, reason=reason)
 
 
 def analyze(data: IVDataset, config: AnalysisConfig) -> InferenceReport:

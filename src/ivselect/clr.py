@@ -17,9 +17,10 @@ truncation_from_estimates builds the screen events of many laws (one per
 tested null or replication) as one ClrTruncation of arrays, and
 clr_tails evaluates them on one (laws x nodes) Simpson grid, refining
 only the laws whose error estimate has not converged; clr_tail is its
-one-law case.  A law whose conditioning event has mass below 1e-12
-comes back as NaN with an underflow flag, and the weak-branch report
-lists those nulls.
+one-law case; clr_law builds and evaluates the laws, naive or
+truncated, of many nulls or replications from their moments.  A law
+whose conditioning event has mass below 1e-12 comes back as NaN with
+an underflow flag, and the weak-branch report lists those nulls.
 """
 
 import math
@@ -29,9 +30,9 @@ import numpy as np
 from scipy import special
 
 from .errors import BranchError, CovarianceError, QuadratureError, TruncationError
-from .model import IVDataset, _item, covariance_estimates, require_prepared
+from .model import IVDataset, ModelEstimates, Moments, _item, covariance_estimates, require_prepared
 from .pretest import f_statistic, penalty_lambda
-from .report import GRID_POINTS, InferenceReport, invert_around
+from .report import GRID_POINTS, InferenceReport, answer, build_report
 from .teststats import clr_statistics
 
 # panel doublings a law may take before its quadrature gives up
@@ -302,6 +303,15 @@ def clr_tails(t, q_r, p: int, trunc: ClrTruncation = None, quad: QuadratureConfi
     return tails, underflow
 
 
+def _require_mass(underflow) -> None:
+    """TruncationError when a law's conditioning event underflowed."""
+    if np.any(underflow):
+        raise TruncationError(
+            f"conditioning event has mass < {_MIN_EVENT_MASS}: "
+            "the data could not have failed the strength screen with these inputs"
+        )
+
+
 def clr_tail(
     t: float,
     q_r: float,
@@ -313,26 +323,21 @@ def clr_tail(
     one-law case of clr_tails.  Raises TruncationError when the
     conditioning event's mass underflows."""
     tails, underflow = clr_tails([t], [q_r], p, trunc, quad)
-    if underflow[0]:
-        raise TruncationError(
-            f"conditioning event has mass < {_MIN_EVENT_MASS}: "
-            "the data could not have failed the strength screen with these inputs"
-        )
+    _require_mass(underflow)
     return float(tails[0])
 
 
-def clr_naive_inference(data: IVDataset, beta0: float, alpha: float, n_points: int = GRID_POINTS):
-    """Naive CLR answer, the tail given Q_R alone: (p-value at beta0,
-    grid-inverted interval, grid info).  The weak-instrument branch
-    reports it next to the conditional one; a naive-only report is it."""
-    est = covariance_estimates(data, beta0)
-
-    def curve(xs):
-        lr, q_r = clr_statistics(data, xs, est)
-        return clr_tails(lr, q_r, data.p)[0]
-
-    interval, _, _, info = invert_around(curve, data, alpha, n_points)
-    return float(curve([beta0])[0]), interval, info
+def clr_law(data: IVDataset | Moments, nulls, est: ModelEstimates, lam_sq=None):
+    """(tails, underflow) of the CLR law at each null, as clr_tails
+    returns them: the LR statistic and Q_R from the moments and est's
+    Omega_hat, then the tail given Q_R alone (naive, lam_sq None) or also
+    given the failed screen {||S||^2 <= lam_sq}.  nulls is an array of
+    nulls on one dataset, or one null for a batch of replications with
+    their estimates and lam_sq."""
+    lr, q_r = clr_statistics(data, nulls, est)
+    if lam_sq is None:
+        return clr_tails(lr, q_r, data.p)
+    return clr_tails(lr, q_r, data.p, truncation_from_estimates(est.omega_hat, nulls, lam_sq, q_r, data.p))
 
 
 def clr_conditional_inference(
@@ -346,12 +351,13 @@ def clr_conditional_inference(
     beta0 plus grid-inverted confidence intervals.
 
     Applies only when the non-randomized screen failed (F < c0); the
-    conditional law conditions on exactly that event.  Each p-value call
-    of the grid inversion builds the truncations of all of its nulls in
-    one call and evaluates them in one clr_tails call.  Nulls whose
-    conditioning event underflows are never retained; the diagnostics
-    list those the inversion evaluated (mass_underflow_nulls), and the
-    grid nulls its coarse scan skipped are not among them.
+    conditional law conditions on exactly that event, and a beta0 whose
+    event underflows is refused with TruncationError before any grid
+    work.  Each p-value call of the grid inversion builds the laws of all
+    of its nulls in one clr_law call.  Nulls whose conditioning event
+    underflows are never retained; the diagnostics list those the
+    inversion evaluated (mass_underflow_nulls), and the grid nulls its
+    coarse scan skipped are not among them.
     """
     require_prepared(data)
     if data.p < 2:
@@ -364,39 +370,20 @@ def clr_conditional_inference(
         )
     lam2 = penalty_lambda(data, c0) ** 2
     est = covariance_estimates(data, beta0)
-    (lr,), (q_r,) = clr_statistics(data, [beta0], est)
-    trunc = truncation_from_estimates(est.omega_hat, beta0, lam2, q_r, data.p)
-    cond_p = clr_tail(lr, q_r, data.p, trunc=trunc)
-    naive_p, naive_ci, naive_info = clr_naive_inference(data, beta0, alpha, n_points)
-    underflow_nulls = []
-
-    def cond_curve(xs):
-        # far from the estimate the plug-in failure event can underflow;
-        # such nulls are unanswerable (NaN), so the scan stops there
-        lr, q_r = clr_statistics(data, xs, est)
-        trunc = truncation_from_estimates(est.omega_hat, xs, lam2, q_r, data.p)
-        tails, underflow = clr_tails(lr, q_r, data.p, trunc)
-        underflow_nulls.extend(np.asarray(xs, dtype=float)[underflow].tolist())
-        return tails
-
-    cond_ci, _, _, cond_info = invert_around(cond_curve, data, alpha, n_points)
-    return InferenceReport(
-        beta0=float(beta0),
-        conditional_pvalue=cond_p,
-        naive_pvalue=naive_p,
-        conditional_ci=cond_ci,
-        naive_ci=naive_ci,
-        diagnostics={
-            "branch": "clr",
-            "f_stat": f_stat,
-            "c0": float(c0),
-            "lambda_sq": lam2,
-            "alpha": float(alpha),
-            "truncation_renormalized": True,
-            "quadrature": asdict(QuadratureConfig()),
-            "conditional_grid": cond_info,
-            "naive_grid": naive_info,
-            "mass_underflow_points": len(underflow_nulls),
-            "mass_underflow_nulls": sorted(underflow_nulls),
-        },
+    # far from the estimate the plug-in failure event can underflow;
+    # such nulls are unanswerable (NaN), so the scan stops there
+    cond = answer(
+        lambda xs: clr_law(data, xs, est, lam2), data, beta0, alpha, n_points,
+        refuse=lambda tails, underflow: _require_mass(underflow),
+    )
+    naive = answer(lambda xs: clr_law(data, xs, est), data, beta0, alpha, n_points)
+    return build_report(
+        beta0, alpha, "clr", naive, cond,
+        f_stat=f_stat,
+        c0=float(c0),
+        lambda_sq=lam2,
+        truncation_renormalized=True,
+        quadrature=asdict(QuadratureConfig()),
+        mass_underflow_points=len(cond.unanswerable),
+        mass_underflow_nulls=list(cond.unanswerable),
     )

@@ -35,14 +35,14 @@ from scipy import special
 from .errors import BranchError, ConvergenceError, SamplerError
 from .model import IVDataset, ModelEstimates, Moments, covariance_estimates, require_prepared
 from .pretest import RandomizationLaw
-from .report import GRID_POINTS, InferenceReport, invert_around
+from .report import GRID_POINTS, InferenceReport, answer, build_report
 from .sampler import (
     SamplerConfig,
     _col,
     _generator,
     _truncnorm_ppf,
     sobol_points,
-    wald_interval,
+    wald_answer,
 )
 from .teststats import tsls_stat
 
@@ -443,38 +443,25 @@ def lasso_conditional_inference(
     there.  diagnostics["qmc_se"] is the spread of that p-value over
     _QMC_SCRAMBLES independent scrambles, the first of them the grid's."""
     m = require_prepared(data)
-    if not sel.support_E:
-        raise BranchError("empty support: no instruments selected")
     config = config if config is not None else SamplerConfig(n_samples=_QMC_POINTS)
     sub = m.select(sel.support_E)
     points = sobol_points(config, m.p)
 
-    def pfn(xs):
+    def curve(xs):
         law = build_law_lasso(m, xs, sel, covariance_estimates(m, xs))
-        return _pooled_lasso_pvalues(law, points)[1]
+        return _pooled_lasso_pvalues(law, points)[1], law
 
-    interval, _, _, grid_info = invert_around(pfn, sub, alpha, n_points)
-
-    law0 = build_law_lasso(m, beta0, sel, covariance_estimates(m, beta0))
-    scrambles = [
-        _pooled_lasso_pvalues(law0, sobol_points(config, m.p, k))[1]
-        for k in range(_QMC_SCRAMBLES)
+    cond = answer(curve, sub, beta0, alpha, n_points)
+    law0 = cond.at_beta0[1]
+    scrambles = [cond.pvalue] + [
+        _pooled_lasso_pvalues(law0, sobol_points(config, m.p, k))[1][0]
+        for k in range(1, _QMC_SCRAMBLES)
     ]
-    naive = tsls_stat(sub, beta0, covariance_estimates(sub, beta0))
-    return InferenceReport(
-        beta0=float(beta0),
-        conditional_pvalue=float(scrambles[0]),
-        naive_pvalue=naive.naive_pvalue,
-        conditional_ci=interval,
-        naive_ci=wald_interval(sub, alpha),
-        diagnostics={
-            "branch": "lasso",
-            "alpha": float(alpha),
-            "support": list(sel.support_E),
-            "signs": sel.signs_sE,
-            "lambda_l": sel.lambda_l,
-            "qmc_points": len(points),
-            "qmc_se": float(np.std(scrambles, ddof=1)),
-            "grid": grid_info,
-        },
+    return build_report(
+        beta0, alpha, "lasso", wald_answer(sub, beta0, alpha), cond,
+        support=list(sel.support_E),
+        signs=sel.signs_sE,
+        lambda_l=sel.lambda_l,
+        qmc_points=len(points),
+        qmc_se=float(np.std(scrambles, ddof=1)),
     )

@@ -1,12 +1,13 @@
-"""Containers shared by every inference branch.
+"""Containers shared by every inference branch, and the one place
+their answers and reports are made.
 
 An Interval is the hull of grid points retained by test inversion; an
 InferenceReport pairs conditional and naive answers with diagnostics.
-The grid every inversion starts on (invert_around: GRID_POINTS points
-over beta_hat +- 8 SE) and the grid-expansion loop live here, so the
-passed-screen branch, the weak-instrument branch, the Lasso branch and
-the naive-only reports invert identically and label each interval end
-alike: a crossing of alpha, an underflow band or an unbounded side.
+Each branch hands answer() one vectorised p-value curve; answer() reads
+it at beta0 and inverts it on the grid every branch starts on
+(GRID_POINTS points over beta_hat +- 8 SE), so every branch labels each
+interval end alike: a crossing of alpha, an underflow band or an
+unbounded side.  build_report() makes every InferenceReport.
 The grid is read coarse to fine: every _STRIDE-th null and each grid end
 first, then only the nulls beside the outermost retained ones, so a CI
 costs about n_points / 8 + 14 p-values instead of one per grid null, and
@@ -20,7 +21,7 @@ every interval and keeps its end labels.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -273,10 +274,55 @@ def invert_pvalue_curve(
     return interval, xs[done], ps[done], info
 
 
-def invert_around(pvalue_fn, data, alpha: float, n_points: int = GRID_POINTS):
-    """invert_pvalue_curve on the grid every branch starts on: n_points
-    over beta_hat +- 8 SE of data, a prepared dataset or its Moments (for
-    the Lasso, those of the selected instruments)."""
-    return invert_pvalue_curve(
-        pvalue_fn, tsls_estimate(data), 8.0 * tsls_standard_error(data), alpha, n_points
+class Answer(NamedTuple):
+    """A p-value at beta0 and the interval that inverts the same test.
+    An answer from answer() also holds the grid info, the curve's items
+    at [beta0] and the evaluated nulls with NaN p-values, in increasing
+    order; a closed-form one, such as the Wald answer, holds none."""
+
+    pvalue: float
+    interval: Interval
+    grid: Optional[dict] = None
+    at_beta0: tuple = ()
+    unanswerable: tuple = ()
+
+
+def answer(curve, data, beta0: float, alpha: float, n_points: int = GRID_POINTS, refuse=None) -> Answer:
+    """A branch's answer from its curve, which maps an array of nulls to a
+    tuple: their p-values, NaN where a null is unanswerable, then the
+    engine's per-null extras.  The curve is evaluated at [beta0] first;
+    refuse, when given, takes those items and raises when beta0 is
+    unanswerable, before any grid work.  Then invert_pvalue_curve inverts
+    it on n_points over beta_hat +- 8 SE of data, a prepared dataset or
+    its Moments (for the Lasso, those of the selected instruments)."""
+    at_beta0 = curve(np.array([beta0], dtype=float))
+    if refuse is not None:
+        refuse(*at_beta0)
+    interval, xs, ps, grid = invert_pvalue_curve(
+        lambda nulls: curve(nulls)[0], tsls_estimate(data), 8.0 * tsls_standard_error(data), alpha, n_points
+    )
+    return Answer(float(at_beta0[0][0]), interval, grid, at_beta0, tuple(xs[np.isnan(ps)].tolist()))
+
+
+def build_report(
+    beta0: float, alpha: float, branch: str, naive: Answer, conditional: Answer = None, **diagnostics
+) -> InferenceReport:
+    """The InferenceReport of a branch's answers; conditional is None in a
+    naive-only report.  diagnostics holds the branch, alpha, the grid
+    info of the inverted answers ("grid" when there is one, else
+    "conditional_grid" and "naive_grid"), then the branch's own keys."""
+    grids = {
+        f"{name}_grid": ans.grid
+        for name, ans in (("conditional", conditional), ("naive", naive))
+        if ans is not None and ans.grid is not None
+    }
+    if len(grids) == 1:
+        grids = {"grid": grids.popitem()[1]}
+    return InferenceReport(
+        beta0=float(beta0),
+        conditional_pvalue=None if conditional is None else conditional.pvalue,
+        naive_pvalue=naive.pvalue,
+        conditional_ci=None if conditional is None else conditional.interval,
+        naive_ci=naive.interval,
+        diagnostics={"branch": branch, "alpha": float(alpha), **grids, **diagnostics},
     )

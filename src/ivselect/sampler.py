@@ -50,7 +50,7 @@ from .model import (
     tsls_standard_error,
 )
 from .pretest import PretestOutcome, RandomizationLaw
-from .report import GRID_POINTS, InferenceReport, Interval, invert_around
+from .report import GRID_POINTS, Answer, InferenceReport, Interval, answer, build_report
 from .teststats import tsls_stat
 
 _SLICE_MAX_EXPAND = 512
@@ -479,6 +479,13 @@ def wald_interval(data: IVDataset | Moments, alpha: float = 0.05) -> Interval:
     return Interval(beta_hat - z * se, beta_hat + z * se)
 
 
+def wald_answer(data: IVDataset | Moments, beta0: float, alpha: float = 0.05) -> Answer:
+    """Naive TSLS answer: the Wald test's normal p-value at beta0 and the
+    Wald interval."""
+    naive = tsls_stat(data, beta0, covariance_estimates(data, beta0))
+    return Answer(naive.naive_pvalue, wald_interval(data, alpha))
+
+
 def invert_ci(
     data: IVDataset,
     pretest: PretestOutcome,
@@ -502,33 +509,21 @@ def invert_ci(
     if pretest.scale is None or pretest.scale <= 0:
         raise SamplerError("inversion needs the Gaussian randomization recorded by the screen")
 
-    def pfn(xs):
-        law = build_law_tsls(data, xs, pretest, covariance_estimates(data, xs))
-        return _pooled_pvalues(law).two_sided
+    def curve(xs):
+        tails = _pooled_pvalues(build_law_tsls(data, xs, pretest, covariance_estimates(data, xs)))
+        return (tails.two_sided, *tails)
 
-    interval, _, _, grid_info = invert_around(pfn, data, alpha, n_points)
-
-    est0 = covariance_estimates(data, null_value)
-    naive = tsls_stat(data, null_value, est0)
-    tails = _pooled_pvalues(build_law_tsls(data, null_value, pretest, est0))
-    q = float(min(tails.upper, tails.lower))
-    err = float(tails.error)
-    return InferenceReport(
-        beta0=float(null_value),
-        conditional_pvalue=float(tails.two_sided),
-        naive_pvalue=naive.naive_pvalue,
-        conditional_ci=interval,
-        naive_ci=wald_interval(data, alpha),
-        diagnostics={
-            "branch": "tsls",
-            "alpha": float(alpha),
-            "beta_tsls": tsls_estimate(data),
-            "standard_error": tsls_standard_error(data),
-            "method": "quadrature",
-            "quadrature_error": err,
-            "quadrature_nodes": int(tails.nodes),
-            # Monte Carlo draws that would match the quadrature's accuracy
-            "ess": q * (1.0 - q) / max(err, np.finfo(float).eps) ** 2,
-            "grid": grid_info,
-        },
+    cond = answer(curve, data, null_value, alpha, n_points)
+    _, upper, lower, error, nodes = cond.at_beta0
+    q = float(min(upper[0], lower[0]))
+    err = float(error[0])
+    return build_report(
+        null_value, alpha, "tsls", wald_answer(data, null_value, alpha), cond,
+        beta_tsls=tsls_estimate(data),
+        standard_error=tsls_standard_error(data),
+        method="quadrature",
+        quadrature_error=err,
+        quadrature_nodes=int(nodes[0]),
+        # Monte Carlo draws that would match the quadrature's accuracy
+        ess=q * (1.0 - q) / max(err, np.finfo(float).eps) ** 2,
     )

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from .clr import clr_tails, truncation_from_estimates
+from .clr import clr_law
 from .errors import ExperimentError, TruncationError
 from .lasso import (
     _QMC_POINTS,
@@ -56,9 +56,9 @@ from .sampler import (
     _pooled_pvalues,
     build_law_tsls,
     sobol_points,
-    wald_interval,
+    wald_answer,
 )
-from .teststats import clr_components, clr_statistic_from_q, tsls_stat
+from .teststats import tsls_stat
 
 _SEED_MASK = (1 << 63) - 1
 
@@ -319,20 +319,18 @@ def _clr_fail_cell(config, c0, alpha, reps) -> ExperimentResult:
         raise ExperimentError(
             f"only {failing.size} of {reps} replications failed the screen"
         )
+    # the estimates come from the whole batch before its rows are taken,
+    # so the failing rows' moments carry them as computed batch-wide
     est = covariance_estimates(mom, beta0)
-    comps = clr_components(mom, beta0, est)
     lam_sq = penalty_lambda(mom, c0) ** 2
-    p = mom.p
-    q_r = comps.q_r[failing]
-    lr = clr_statistic_from_q(comps.q_u[failing], comps.q_ur[failing], q_r)
-    trunc = truncation_from_estimates(est.omega_hat[failing], beta0, lam_sq[failing], q_r, p)
-    cond, underflow = clr_tails(lr, q_r, p, trunc)
+    sub, sub_est = mom[failing], _row(est, failing)
+    cond, underflow = clr_law(sub, beta0, sub_est, lam_sq[failing])
     if underflow.any():
         raise TruncationError(
             f"replication {failing[underflow][0]}: conditioning event mass underflowed, "
             "though the replication failed the screen"
         )
-    naive, _ = clr_tails(lr, q_r, p)
+    naive, _ = clr_law(sub, beta0, sub_est)
     return _result(reps, 1.0 - failing.size / reps, cond, naive, naive >= alpha, alpha)
 
 
@@ -395,10 +393,9 @@ def lasso_uniformity_experiment(
         if not sel.support_E:
             continue
         laws.append(build_law_lasso(row, beta0, sel, covariance_estimates(row, beta0)))
-        sub = row.select(sel.support_E)
-        naive = tsls_stat(sub, beta0, covariance_estimates(sub, beta0))
-        naive_ps.append(naive.naive_pvalue)
-        covers.append(wald_interval(sub, alpha).contains(beta0))
+        naive = wald_answer(row.select(sel.support_E), beta0, alpha)
+        naive_ps.append(naive.pvalue)
+        covers.append(naive.interval.contains(beta0))
     if len(laws) < 50:
         raise ExperimentError(
             f"only {len(laws)} of {reps} replications selected any instrument"

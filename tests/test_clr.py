@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import ivselect.report
 from ivselect import (
     ClrTruncation,
     QuadratureConfig,
@@ -341,6 +342,27 @@ def test_interval_end_set_by_underflow_band_is_labelled():
     assert diag["conditional_grid"]["ends"] == {"lower": "crossing", "upper": "underflow"}
     assert diag["mass_underflow_nulls"][0] > report.conditional_ci.upper
     assert diag["naive_grid"]["ends"] == {"lower": "crossing", "upper": "crossing"}
+
+
+def test_underflowed_null_is_refused_before_the_scan(monkeypatch):
+    # at beta0 = 1.6 the failure event's mass underflows, so the branch
+    # refuses the null before it inverts either curve; at 2.0, further out,
+    # the event has mass again and the branch answers
+    scans = []
+    real = ivselect.report.invert_pvalue_curve
+
+    def spy(*args):
+        scans.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ivselect.report, "invert_pvalue_curve", spy)
+    data = generate(dgp_from_r(0.3, 0.99, n=200, p=2, seed=1))
+    with pytest.raises(TruncationError, match="conditioning event has mass < 1e-12"):
+        clr_conditional_inference(data, 1.6, c0=10.0)
+    assert scans == []
+    report = clr_conditional_inference(data, 2.0, c0=10.0)
+    assert len(scans) == 2
+    assert 0.0 <= report.conditional_pvalue <= 1.0
 
 
 def _assert_truncations_match(trunc, singles, t, q_r, p):

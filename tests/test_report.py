@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import ivselect.report
 from ivselect import (
     DGPConfig,
+    answer,
     Interval,
     InferenceReport,
     RandomizationLaw,
@@ -250,6 +251,38 @@ def test_inversion_labels_an_end_cut_by_unanswerable_nulls():
     interval, _, _, info = invert_pvalue_curve(fn, 0.0, 2.0, 0.05, n_points=41)
     assert interval.lower == pytest.approx(-1.0) and interval.upper == pytest.approx(1.2)
     assert info["ends"] == {"lower": "crossing", "upper": "underflow"}
+
+
+def test_answer_reads_beta0_and_the_unanswerable_nulls_off_its_curve():
+    # a bump on the estimate grid with a NaN band over its upper half: the
+    # answer is the curve's own value and extras at [beta0], and its
+    # unanswerable nulls are exactly the grid nulls evaluated with NaN
+    data = generate(dgp_from_r(0.3, 0.5, n=300, p=4, seed=7))
+    center, halfwidth = tsls_estimate(data), 8.0 * tsls_standard_error(data)
+    calls = []
+
+    def curve(xs):
+        calls.append(xs)
+        z = (xs - center) / halfwidth
+        ps = np.where((z > 0.3) & (z < 0.7), np.nan, np.exp(-8.0 * z * z))
+        return ps, 2.0 * xs
+
+    beta0 = center - 0.1 * halfwidth
+    got = answer(curve, data, beta0, 0.05, 101)
+    first, grid_nulls = calls[0], np.concatenate(calls[1:])
+    want = curve(np.array([beta0]))
+    np.testing.assert_array_equal(first, [beta0])
+    assert got.pvalue == want[0][0]
+    assert len(got.at_beta0) == 2
+    for item, ref in zip(got.at_beta0, want):
+        np.testing.assert_array_equal(item, ref)
+    nan_nulls = np.sort(grid_nulls[np.isnan(curve(grid_nulls)[0])])
+    assert got.unanswerable == tuple(nan_nulls.tolist()) and len(nan_nulls) > 0
+    # only evaluated nulls: the band holds more grid nulls than were read
+    fine = np.linspace(center - halfwidth, center + halfwidth, 101)
+    z = (fine - center) / halfwidth
+    assert np.count_nonzero((z > 0.3) & (z < 0.7)) > len(nan_nulls)
+    assert got.grid["ends"] == {"lower": "crossing", "upper": "underflow"}
 
 
 def test_inversion_alpha_one_collapses_to_peak():

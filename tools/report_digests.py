@@ -3,7 +3,9 @@ compare two checkouts output by output.
 
 Two checkouts that print the same lines give byte-identical reports and
 simulation tables on every branch: `analyze` on screen-passing (TSLS),
-screen-failing (CLR), underflow-band and unbounded-CLR inputs, and on a
+screen-failing (CLR), underflow-band and unbounded-CLR inputs, on an
+input whose tested null the CLR branch refuses because its conditioning
+event underflows (exit code 2 and the error on stderr), and on a
 passing and a failing input with covariates x1..x3 that the instruments
 load on, each also forced to `--test tsls --override`, `--test clr
 --override` and `--test ar` (naive-only); `pretest`; Lasso library
@@ -46,7 +48,8 @@ import numpy as np
 
 # (name, r, sigma12, n, p, seed, null_value): strong inputs pass the
 # screen, weak ones fail it; "underflow" puts nulls whose failure event
-# has mass below 1e-12 inside the CI grid; "unbounded" fails it with a CLR
+# has mass below 1e-12 inside the CI grid, and "underflow-null" tests one
+# such null, which the CLR branch refuses; "unbounded" fails it with a CLR
 # interval whose grid expands 14 rounds to 3001 nulls
 DATASETS = [
     ("tsls-1", 0.25, 0.8, 400, 5, 1, 1.0),
@@ -56,6 +59,7 @@ DATASETS = [
     ("clr-2", 0.08, 0.5, 300, 3, 2, 0.0),
     ("underflow-1", 0.3, 0.99, 200, 2, 1, 1.0),
     ("underflow-2", 0.2, 0.99, 200, 2, 1, 1.0),
+    ("underflow-null", 0.3, 0.99, 200, 2, 1, 1.6),
     ("unbounded-1", 0.05, 0.5, 200, 3, 90, 1.0),
 ]
 # the same design plus covariates x1..x3, which Z, D and Y load on
