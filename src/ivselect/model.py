@@ -11,7 +11,7 @@ residualized out and all columns centered.  After that, every statistic,
 screen and law depends on the data only through n and the cross-moments
 Z'Z, Z'Y, Z'D, Y'Y, Y'D and D'D.  A Moments value holds them (computed
 once per dataset, O(n p^2)) and derives S, its Y analogue, Omega_hat,
-RSS, F and beta_hat from one eigendecomposition of Z'Z.  Its arrays may
+RSS, F and beta_hat from one inverse square root of Z'Z.  Its arrays may
 carry a leading batch axis; the estimators here and the statistics in
 pretest and teststats take a dataset or a Moments and, given a batch,
 return one value per replication.
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr as pivoted_qr
 
 from .errors import (
     CovarianceError,
@@ -35,6 +34,8 @@ from .errors import (
 # rank deficient.  Silent pseudo-inversion would corrupt the pre-test
 # penalty, so this is an error, not a warning.
 RANK_RTOL = 1e-10
+# Newton-Schulz steps: e = 1 - eig(ZY) goes to (3e^2 + e^3)/4, so six take |e| <= 0.5 to rounding
+_NS_STEPS = 6
 
 
 def _dot(a, b):
@@ -105,14 +106,36 @@ class Moments:
 
     @cached_property
     def ztz_isqrt(self) -> np.ndarray:
-        """(Z'Z)^(-1/2), symmetric eigendecomposition root."""
-        vals, vecs = np.linalg.eigh(self.ztz)
-        if np.any((vals[..., -1] <= 0) | (vals[..., 0] < RANK_RTOL * vals[..., -1])):
-            raise RankDeficiencyError(
-                [f"z{j + 1}" for j in range(self.p)],
-                "Z'Z numerically singular; instruments are collinear",
-            )
-        return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+        """(Z'Z)^(-1/2) by the coupled Newton-Schulz iteration (Higham,
+        Functions of Matrices, SIAM 2008) on Z'Z / (trace / p), Y -> root and
+        Z -> inverse root, in batched matmuls; a fixed step count keeps each
+        row's root independent of its batch-mates.  A row settles if its scaled
+        Z'Z is within 2 of I (Frobenius), so every eigenvalue is below 3 and the
+        first T = (3I - ZY)/2 is positive definite (from (3, 5), Z would tend to
+        a root of the wrong sign), and if ||ZY - I||_F <= 1e-8 at the last T,
+        which that step squares.  The other rows (rank deficient, badly scaled,
+        widely spread) take the eigendecomposition root and its RANK_RTOL rule."""
+        eye = np.eye(self.p)
+        with np.errstate(all="ignore"):  # a row that diverges falls back below
+            scale = np.trace(self.ztz, axis1=-2, axis2=-1)[..., None, None] / self.p
+            y = self.ztz / scale
+            z = t = 1.5 * eye - 0.5 * y
+            basin = _dot(eye - t, eye - t).sum(-1) < 1  # ||scaled Z'Z - I||_F < 2
+            y = y @ t
+            for _ in range(_NS_STEPS - 1):
+                t = 1.5 * eye - 0.5 * (z @ y)
+                y, z = y @ t, t @ z
+            root = z / np.sqrt(scale)  # eye - t is half of ZY - I before the last step
+            settled = basin & (_dot(eye - t, eye - t).sum(-1) <= 0.5e-8**2)
+        if not settled.all():
+            vals, vecs = np.linalg.eigh(self.ztz[~settled])
+            if np.any((vals[..., -1] <= 0) | (vals[..., 0] < RANK_RTOL * vals[..., -1])):
+                raise RankDeficiencyError(
+                    [f"z{j + 1}" for j in range(self.p)],
+                    "Z'Z numerically singular; instruments are collinear",
+                )
+            root[~settled] = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+        return root
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -232,12 +255,19 @@ class IVDataset:
         return self.X is None and centered(self.Y) and centered(self.D) and centered(self.Z)
 
 
+def pivoted_qr(mat: np.ndarray):
+    """R and the column pivots of mat's pivoted QR."""
+    from scipy.linalg import qr  # deferred: only a failed rank rule needs scipy.linalg
+
+    return qr(mat, mode="r", pivoting=True)
+
+
 def _rank_error(mat: np.ndarray, labels: list[str], rtol: float) -> RankDeficiencyError:
     """The error naming the columns of mat that pivoted QR puts past its
     numerical rank (singular values below rtol times the largest).  Runs
     only once a rule has found mat rank deficient, so it names at least
     one column."""
-    r, piv = pivoted_qr(mat, mode="r", pivoting=True)
+    r, piv = pivoted_qr(mat)
     sv = np.linalg.svd(r[: mat.shape[1]], compute_uv=False)
     rank = min(int(np.sum(sv > rtol * sv[0])), mat.shape[1] - 1)
     return RankDeficiencyError([labels[j] for j in sorted(piv[rank:])])

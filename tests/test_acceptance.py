@@ -164,6 +164,20 @@ def test_conditional_pivot_uniformity():
     _verdict("conditional pivot uniformity", ok, "; ".join(details))
 
 
+def test_conditional_pivot_drift_detected_at_9600_reps():
+    # The r = 0.08 leg above has about 50-65% power at 2400 replications.
+    # Four times as many replications leave about 1100 passing draws, and
+    # the drift is then plain: seeds 300-319 all rejected with KS p at most
+    # 2.4e-4.  Seed 205 is pre-registered, not picked from those.
+    res = uniformity_experiment(dgp_from_r(0.08, 0.8, seed=205), 10.0, 9600)
+    m = res.pvalue_samples.size
+    _verdict(
+        "conditional pivot drift at 9600 replications",
+        m >= 1000 and res.ks_pvalue < 0.01,
+        f"r=0.08: m={m}, KS p {res.ks_pvalue:.1e} (must reject)",
+    )
+
+
 def test_coverage_gap_under_weak_instruments():
     # Among screen survivors at r = 0.08 the naive intervals collapse
     # while the conditional ones stay near nominal.  At this design the

@@ -611,7 +611,7 @@ def test_cli_simulate_uniformity(tmp_path, capsys):
 IMPORT_SURFACE = """
 import sys
 import ivselect.cli
-heavy = [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules]
+heavy = [m for m in ("scipy.stats", "scipy.linalg", "scipy.integrate", "scipy.optimize") if m in sys.modules]
 assert not heavy, heavy
 from ivselect import sampler
 code = ivselect.cli.main(["simulate", "--kind", "uniformity", "--r", "0.8", "--sigma12", "0.5",

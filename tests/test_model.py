@@ -30,7 +30,8 @@ from ivselect.errors import (
     DimensionError,
     RankDeficiencyError,
 )
-from ivselect.simulate import _draw_batch
+from ivselect.sampler import _generator
+from ivselect.simulate import _draw_batch, _draw_moments, _screen
 
 
 def _centered(rng, n, p):
@@ -368,6 +369,117 @@ def test_batched_moments_rows_match_single_datasets(seed, beta0):
         np.testing.assert_allclose(row, _statistics(data, beta0), rtol=1e-9)
         assert default_scale(batch[i]) == pytest.approx(default_scale(data), rel=1e-9)
         assert penalty_lambda(batch[i], 10.0) == pytest.approx(penalty_lambda(data, 10.0), rel=1e-9)
+
+
+def _ztz_moments(ztz):
+    """Moments carrying the given Z'Z stack and zero cross-moments with Y, D."""
+    vec, scalar = np.zeros(ztz.shape[:-1]), np.zeros(ztz.shape[:-2])
+    return Moments(n=100, ztz=ztz, zty=vec, ztd=vec, yy=scalar, yd=scalar, dd=scalar)
+
+
+def _spd(rng, p, kappa, scale=1.0):
+    """A p x p SPD matrix with condition number kappa and random eigenvectors."""
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return (q * rng.permutation(scale * np.geomspace(1.0, kappa, p))) @ q.T
+
+
+def _eigh_root(a):
+    vals, vecs = np.linalg.eigh(a)
+    return (vecs / np.sqrt(vals)) @ vecs.T
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 12),
+    log_kappas=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4),
+    log_scale=st.floats(-6.0, 6.0),
+)
+def test_ztz_isqrt_matches_the_eigendecomposition_root(seed, p, log_kappas, log_scale):
+    # settled rows come from Newton-Schulz, the rest from eigh; either way
+    # the root is the eigh root to rounding, amplified at most by sqrt(kappa)
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_spd(rng, p, 10.0**lk, 10.0**log_scale) for lk in log_kappas])
+    roots = _ztz_moments(stack).ztz_isqrt
+    for root, a, lk in zip(roots, stack, log_kappas):
+        ref = _eigh_root(a)
+        big = np.abs(ref).max()
+        assert np.abs(root - ref).max() <= 1e-12 * 10.0 ** (lk / 2) * big
+        assert np.abs(root - root.T).max() <= 1e-14 * big
+
+
+def _one_leading_column(p, var):
+    """Z'Z of 4000 draws of p uncorrelated instruments, the first with variance var."""
+    z = np.random.default_rng(23).standard_normal((4000, p))
+    z[:, 0] *= np.sqrt(var)
+    return z.T @ z
+
+
+@pytest.mark.parametrize(
+    "ztz",
+    [
+        np.diag([4.0, 0.4, 0.4, 0.4, 0.4, 0.4]),
+        _one_leading_column(10, 6.0),
+        np.full((10, 10), 1 / 3) + np.diag(np.full(10, 2 / 3)),  # equicorrelated, rho = 1/3
+    ],
+    ids=["diag", "one-column-variance-6", "equicorrelated"],
+)
+def test_ztz_isqrt_is_the_positive_root_when_one_eigenvalue_leads(ztz):
+    # each has one eigenvalue near 4 times the mean, where the first
+    # Newton-Schulz step flips the sign of Z's root yet ZY still tends to I
+    ref = _eigh_root(ztz)
+    assert np.abs(_ztz_moments(ztz).ztz_isqrt - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(6, 12), lead=st.floats(1.0, 5.0))
+def test_ztz_isqrt_matches_the_root_under_one_leading_eigenvalue(seed, p, lead):
+    # trace p: one eigenvalue lead and p - 1 equal ones.  Half the draws fall
+    # in (3, 5), where the iteration alone would settle on a wrong root
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
+    rest = (p - lead) / (p - 1)
+    a = (q * np.r_[lead, np.full(p - 1, rest)]) @ q.T
+    ref = _eigh_root(a)
+    assert np.abs(_ztz_moments(a).ztz_isqrt - ref).max() <= 1e-12 * np.sqrt(lead / rest) * np.abs(ref).max()
+
+
+def test_ztz_isqrt_row_is_the_single_matrix_root_bit_for_bit():
+    # a fixed step count: a row's root cannot depend on its batch-mates,
+    # whether it settles (kappa 1.5) or falls back to eigh (kappa 1e6)
+    rng = np.random.default_rng(21)
+    stack = np.stack([_spd(rng, 6, k, s) for k, s in ((1.5, 1.0), (1e6, 1e3), (1.2, 1e-4), (3.0, 7.0))])
+    roots = _ztz_moments(stack).ztz_isqrt
+    for i, a in enumerate(stack):
+        assert np.array_equal(roots[i], _ztz_moments(a).ztz_isqrt)
+
+
+def test_ztz_isqrt_mixed_stack_keeps_the_rank_verdict():
+    rng = np.random.default_rng(22)
+    settled = [_spd(rng, 4, 1.3), _spd(rng, 4, 2.0, 50.0)]
+    ill = _spd(rng, 4, 1e8)  # full rank under RANK_RTOL, yet it falls back
+    z = rng.standard_normal((30, 4))
+    z[:, 3] = z[:, 0] - z[:, 1]
+    collinear = z.T @ z
+    roots = _ztz_moments(np.stack([*settled, ill])).ztz_isqrt
+    np.testing.assert_array_equal(roots[2], _eigh_root(ill))
+    with pytest.raises(RankDeficiencyError, match="collinear") as info:
+        _ztz_moments(np.stack([*settled, ill, collinear])).ztz_isqrt
+    assert info.value.columns == ["z1", "z2", "z3", "z4"]
+
+
+def test_screen_of_a_bench_batch_runs_no_eigendecomposition(monkeypatch):
+    config = dgp_from_r(0.08, 0.8)
+    rng = _generator(config.seed, 21)
+    mom = _draw_moments(config, 1000, rng)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    screen = _screen(mom, 10.0, rng)
+    assert calls == []
+    assert 0 < screen.passed.sum() < 1000
 
 
 def test_s_norm_ties_to_projected_quadratic():

@@ -9,7 +9,9 @@ event underflows (exit code 2 and the error on stderr), and on a
 passing and a failing input with covariates x1..x3 that the instruments
 load on, each also forced to `--test tsls --override`, `--test clr
 --override` and `--test ar` (naive-only); `pretest`; Lasso library
-reports with and without a SamplerConfig; and every `simulate` kind.
+reports with and without a SamplerConfig; and every `simulate` kind,
+`uniformity` both where every replication passes the screen (r = 0.3)
+and at the bench design, where most of the batch fails it (r = 0.08).
 The inputs are generated here by ivselect.simulate.generate at fixed
 seeds, so the script needs no data files.
 
@@ -70,6 +72,8 @@ COVARIATE_DATASETS = [
 FORCED = [[], ["--test", "tsls", "--override"], ["--test", "clr", "--override"], ["--test", "ar"]]
 SIMULATE = [
     ["--kind", "uniformity", "--r", "0.3", "--reps", "300", "--n", "300", "--p", "5", "--seed", "1"],
+    # the bench design, where most of the 1000 screened replications fail
+    ["--kind", "uniformity", "--r", "0.08", "--reps", "1000", "--n", "1000", "--p", "10", "--seed", "6"],
     ["--kind", "coverage", "--branch", "tsls_pass", "--r", "0.2,0.4", "--sigma12", "0.8",
      "--reps", "200", "--n", "300", "--p", "5", "--seed", "2"],
     ["--kind", "coverage", "--branch", "clr_fail", "--r", "0.05", "--sigma12", "0.5,0.9",
