@@ -15,16 +15,19 @@ term.
 
 truncation_from_estimates builds the screen events of many laws (one per
 tested null or replication) as one ClrTruncation of arrays, and
-clr_tails evaluates them on one (laws x nodes) Simpson grid, refining
-only the laws whose error estimate has not converged; clr_tail is its
-one-law case; clr_law builds and evaluates the laws, naive or
-truncated, of many nulls or replications from their moments.  A law
+clr_tails integrates them in theta (u2 = sin theta) by the composite
+Gauss-Legendre rule of both exact engines, cut at each law's breakpoints
+(the notch at u2 = 0 and the kinks of the event), refining only the laws
+whose error estimate has not converged; clr_tail is its one-law case;
+clr_law builds and evaluates the laws, naive or truncated, of many nulls
+or replications from their moments.  A law
 whose conditioning event has mass below 1e-12 comes back as NaN with
 an underflow flag, and the weak-branch report lists those nulls.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -35,10 +38,15 @@ from .pretest import f_statistic, penalty_lambda
 from .report import GRID_POINTS, InferenceReport, answer, build_report
 from .teststats import clr_statistics
 
+# the one quadrature rule of both exact engines: composite Gauss-Legendre
+# with 96 nodes per panel, the 48-node rule giving its error estimate
+_QUAD_NODES = 96
+_QUAD_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (_QUAD_NODES, _QUAD_NODES // 2))
+_QUAD_TOL = 1e-10
 # panel doublings a law may take before its quadrature gives up
 _MAX_REFINEMENTS = 6
 _MIN_EVENT_MASS = 1e-12
-# grid cells per block of laws: bounds the (laws, nodes) temporaries
+# nodes per block of laws: bounds the (laws, nodes) temporaries
 _BLOCK_NODES = 1 << 19
 # below this share of the problem's scale, the quadratic term in sqrt(q_U)
 # is treated as absent and the screen event no longer depends on q_U
@@ -56,14 +64,15 @@ def k4_constant(p: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    panels: int = 2048
-    # the truncated integrand has square-root kinks where the screen
-    # interval changes regime, so demanding much below 1e-6 stalls
-    tol: float = 1e-6
+    """The CLR tails' starting panels per segment, and the absolute
+    error a law's integrals must reach."""
+
+    panels: int = 1
+    tol: float = _QUAD_TOL
 
     def __post_init__(self):
-        if self.panels < 4 or self.panels % 2:
-            raise ValueError("panels must be an even integer >= 4")
+        if self.panels < 1:
+            raise ValueError("panels must be an integer >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -181,56 +190,73 @@ def _truncation_intervals(coefs, u2):
     return lo_q, hi_q, ok
 
 
-def _cosine_nodes(p: int, panels: int):
-    """u2 = sin(theta) nodes, weight values, and uniform theta spacing for
-    Simpson's rule.  The substitution keeps the integrand smooth for every
-    p >= 2; the weight in u2 itself is singular at the endpoints for p = 2."""
-    theta = np.linspace(-np.pi / 2.0, np.pi / 2.0, panels + 1)
-    return np.sin(theta), np.cos(theta) ** (p - 2), np.pi / panels
+def _composite_rule(edges, panels, rule):
+    """Nodes and weights, (rows, segments * panels * len(rule[0])), of the
+    Gauss-Legendre rule on panels equal panels of every segment [a, b]
+    between consecutive edges of each row.  A segment is mapped by
+    x = a + (b - a) sin^2(pi s / 2), s in [0, 1], whose zero slope at both
+    ends makes a square-root singularity at an edge smooth in s."""
+    s = ((np.arange(panels)[:, None] + 0.5 * (1.0 + rule[0])) / panels).ravel()
+    ws = np.tile(rule[1], panels) * (np.pi / (4 * panels)) * np.sin(np.pi * s)
+    width = np.diff(edges, axis=1)[:, :, None]
+    nodes = edges[:, :-1, None] + width * np.sin(0.5 * np.pi * s) ** 2
+    return nodes.reshape(len(edges), -1), (width * ws).reshape(len(edges), -1)
 
 
-def _simpson(f, h):
-    """Simpson's rule along the last axis (an odd number of nodes, spacing
-    h), summed in the order scipy.integrate.simpson sums."""
-    return (f[..., 0:-2:2] + 4.0 * f[..., 1:-1:2] + f[..., 2::2]).sum(-1) * (h / 3)
+def _breakpoints(t, q_r, coefs):
+    """Sorted theta edges, 9 per naive and 13 per truncated law: +-pi/2, 0,
+    the notch +-w^(1, 2/3, 1/3), w = sqrt(t/q_r), and for a truncated law
+    the u2 where the event appears and where thresh(u2) = tau meets an end
+    sqrt(tau) of it: tau > 0 solves d0^2 tau^2 + (2 d0 c + d1^2 t) tau
+    + c^2 - d1^2 t (q_r + t) = 0, c = d2 q_r - lambda_sq.  A missing point
+    (NaN) sits at 0, one past |u2| = 1 at an end: zero-width segments."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.sqrt(t / q_r)
+        mags = [w, w ** (2 / 3), w ** (1 / 3)]
+        signed = []
+        if coefs is not None:
+            d0, d1, d2, lam, _ = coefs
+            c = d2 * q_r - lam
+            mags.append(np.sqrt(4.0 * d0 * c / (d1 * d1 * q_r)))
+            b, a0 = 2.0 * d0 * c + d1 * d1 * t, c * c - d1 * d1 * t * (q_r + t)
+            root = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * d0 * d0 * a0), b))
+            # sqrt(tau) solves the event's quadratic at this u2
+            signed = [-(d0 * tau + c) / (d1 * np.sqrt(q_r * tau)) for tau in (root / d0**2, a0 / root)]
+        u2 = np.column_stack([sign * m for m in mags for sign in (1.0, -1.0)] + signed)
+    u2 = np.clip(np.nan_to_num(u2, nan=0.0), -1.0, 1.0)
+    ends = np.broadcast_to([-np.pi / 2.0, 0.0, np.pi / 2.0], (len(t), 3))
+    return np.sort(np.column_stack([ends, np.arcsin(u2)]), axis=1)
 
 
-def _simpson_with_error(f, h):
-    """Simpson values along the last axis and the Richardson estimate of
-    their error against the half-resolution grid."""
-    full = _simpson(f, h)
-    return full, np.abs(full - _simpson(f[..., ::2], 2.0 * h)) / 15.0
-
-
-def _tail_integrals(t, q_r, p, coefs, panels):
-    """Simpson values of the (numerator, denominator) integrals of each
-    law on one (laws, nodes) grid, plus the larger of their error
-    estimates.  t and q_r are (laws,) arrays; coefs is None for naive
-    laws, else the truncations' coefficient arrays."""
-    u2, w, h = _cosine_nodes(p, panels)
+def _tail_integrals(t, q_r, p, coefs, edges, panels, rule):
+    """The (numerator, denominator) integrals of each law by
+    _composite_rule over theta (u2 = sin theta, weight cos^(p-2) theta)
+    between its edges.  t and q_r are (laws,) arrays; coefs is None for
+    naive laws, else the truncations' coefficient arrays."""
+    theta, w = _composite_rule(edges, panels, rule)
+    u2 = np.sin(theta)
+    w *= np.cos(theta) ** (p - 2)
     thresh = (q_r + t)[:, None] / (1.0 + q_r[:, None] * u2**2 / t[:, None])
     if coefs is None:
-        i_num, e_num = _simpson_with_error(special.chdtrc(p, thresh) * w, h)
-        i_den, e_den = _simpson_with_error(w, h)
-        return i_num, np.full_like(i_num, i_den), np.maximum(e_num, e_den)
+        return (special.chdtrc(p, thresh) * w).sum(1), w.sum(1)
     den, num = _event_masses(*_truncation_intervals(coefs, u2), thresh, p)
-    i_den, e_den = _simpson_with_error(den * w, h)
-    i_num, e_num = _simpson_with_error(num * w, h)
-    return i_num, i_den, np.maximum(e_num, e_den)
+    return (num * w).sum(1), (den * w).sum(1)
 
 
 def _refine(evaluate, size, panels, tol):
-    """Evaluate size laws by evaluate(rows, panels) -> (values, error),
-    then again on twice the panels for the laws whose error still exceeds
-    tol (a NaN error is not converged), at most _MAX_REFINEMENTS times.
-    values is a tuple of (len(rows),) arrays.  Returns the values and
-    errors stacked over all laws, and the panels each law converged at;
-    QuadratureError if some law never does.  Both exact engines (this
-    module's and the passed-screen quadrature) refine through it."""
+    """Evaluate size laws by evaluate(rows, panels, rule) -> a tuple of
+    (len(rows),) arrays, on the full and on the half rule of _QUAD_RULES;
+    a law's error is the largest change of its values between the two.
+    Laws whose error still exceeds tol (a NaN error is not converged) are
+    redone on twice the panels, at most _MAX_REFINEMENTS times.  Returns
+    the full rule's values and the errors stacked over all laws, and the
+    panels each law converged at; QuadratureError if some law never does.
+    Both exact engines (this module's and the passed-screen one) use it."""
     values, error, used = None, np.empty(size), np.empty(size, dtype=int)
     todo = np.arange(size)
     for _ in range(_MAX_REFINEMENTS + 1):
-        vals, err = evaluate(todo, panels)
+        vals = np.array(evaluate(todo, panels, _QUAD_RULES[0]))
+        err = np.abs(vals - np.array(evaluate(todo, panels, _QUAD_RULES[1]))).max(axis=0)
         if values is None:
             values = np.empty((len(vals), size))
         values[:, todo], error[todo], used[todo] = vals, err, panels
@@ -244,6 +270,18 @@ def _refine(evaluate, size, panels, tol):
     )
 
 
+class ClrTails(NamedTuple):
+    """Per-law CLR tails, NaN where the conditioning event's mass
+    underflowed (underflow set), with the error estimate and the nodes
+    per law that the quadrature reached (0 for a law with t <= 0, whose
+    tail is 1 without an integral)."""
+
+    tail: np.ndarray
+    underflow: np.ndarray
+    error: np.ndarray
+    nodes: np.ndarray
+
+
 def clr_tails(t, q_r, p: int, trunc: ClrTruncation = None, quad: QuadratureConfig = None):
     """P(statistic >= t | Q_R = q_r [, screen failed]) under the null, for
     many laws at once.
@@ -252,13 +290,13 @@ def clr_tails(t, q_r, p: int, trunc: ClrTruncation = None, quad: QuadratureConfi
     law naive) or one ClrTruncation whose coefficients broadcast to them.
     Each tail is a ratio of two cosine integrals, so the weight
     normalization cancels; a naive law's denominator is the plain weight
-    mass.  All laws share one Simpson grid per refinement level, taken in
-    blocks of at most _BLOCK_NODES grid cells, and only the laws not yet
-    converged are refined.
+    mass.  All laws share one panel count per refinement level, taken in
+    blocks of at most _BLOCK_NODES nodes (one law per block when a law
+    alone has more), and only the laws not yet converged are refined.
 
-    Returns (tails, underflow): a law whose conditioning event has mass
-    below 1e-12 cannot have produced the data, so its tail is NaN and its
-    underflow flag is set.
+    Returns ClrTails: a law whose conditioning event has mass below 1e-12
+    cannot have produced the data, so its tail is NaN and its underflow
+    flag is set.
     """
     quad = quad if quad is not None else QuadratureConfig()
     k4 = k4_constant(p)
@@ -273,34 +311,34 @@ def clr_tails(t, q_r, p: int, trunc: ClrTruncation = None, quad: QuadratureConfi
     ):
         raise TruncationError("truncation was built for different (q_R, p) than requested")
 
-    tails = np.ones(t.size)
-    underflow = np.zeros(t.size, dtype=bool)
+    zeros = np.zeros(t.size, dtype=int)
+    out = ClrTails(np.ones(t.size), zeros.astype(bool), zeros.astype(float), zeros)
     rows = np.flatnonzero(~(t <= 0.0))
     t_on, q_on = t[rows], q_r[rows]
     coefs = None if trunc is None else tuple(
         np.broadcast_to(np.asarray(getattr(trunc, name), dtype=float), t.shape)[rows]
         for name in ("d0", "d1", "d2", "lambda_sq", "q_R")
     )
+    edges = _breakpoints(t_on, q_on, coefs)
+    segments = edges.shape[1] - 1
 
-    def evaluate(todo, panels):
-        step = max(1, _BLOCK_NODES // (panels + 1))
+    def evaluate(todo, panels, rule):
+        step = max(1, _BLOCK_NODES // (segments * panels * _QUAD_NODES))
         blocks = []
         for at in (todo[start : start + step] for start in range(0, todo.size, step)):
             sub = None if coefs is None else tuple(c[at] for c in coefs)
-            blocks.append(_tail_integrals(t_on[at], q_on[at], p, sub, panels))
-        i_num, i_den, err = map(np.concatenate, zip(*blocks))
-        return (i_num, i_den), err
+            blocks.append(_tail_integrals(t_on[at], q_on[at], p, sub, edges[at], panels, rule))
+        return tuple(map(np.concatenate, zip(*blocks)))
 
     if rows.size:
-        # panels rounded up to a multiple of 4, so the half grid is Simpson's too
-        panels = quad.panels + -quad.panels % 4
-        (i_num, i_den), _, _ = _refine(evaluate, rows.size, panels, quad.tol)
+        (i_num, i_den), out.error[rows], panels = _refine(evaluate, rows.size, quad.panels, quad.tol)
+        out.nodes[rows] = segments * panels * _QUAD_NODES
         # a naive law's denominator is the full weight mass, 1 / k4
         low = k4 * i_den < _MIN_EVENT_MASS
-        underflow[rows] = low
-        tails[rows] = np.nan
-        tails[rows[~low]] = np.clip(i_num[~low] / i_den[~low], 0.0, 1.0)
-    return tails, underflow
+        out.underflow[rows] = low
+        out.tail[rows] = np.nan
+        out.tail[rows[~low]] = np.clip(i_num[~low] / i_den[~low], 0.0, 1.0)
+    return out
 
 
 def _require_mass(underflow) -> None:
@@ -322,18 +360,17 @@ def clr_tail(
     """P(statistic >= t | Q_R = q_r [, screen failed]) under the null: the
     one-law case of clr_tails.  Raises TruncationError when the
     conditioning event's mass underflows."""
-    tails, underflow = clr_tails([t], [q_r], p, trunc, quad)
-    _require_mass(underflow)
-    return float(tails[0])
+    law = clr_tails([t], [q_r], p, trunc, quad)
+    _require_mass(law.underflow)
+    return float(law.tail[0])
 
 
 def clr_law(data: IVDataset | Moments, nulls, est: ModelEstimates, lam_sq=None):
-    """(tails, underflow) of the CLR law at each null, as clr_tails
-    returns them: the LR statistic and Q_R from the moments and est's
-    Omega_hat, then the tail given Q_R alone (naive, lam_sq None) or also
-    given the failed screen {||S||^2 <= lam_sq}.  nulls is an array of
-    nulls on one dataset, or one null for a batch of replications with
-    their estimates and lam_sq."""
+    """The ClrTails of the CLR law at each null: the LR statistic and Q_R
+    from the moments and est's Omega_hat, then the tail given Q_R alone
+    (naive, lam_sq None) or also given the failed screen
+    {||S||^2 <= lam_sq}.  nulls is an array of nulls on one dataset, or
+    one null for a batch of replications with their estimates and lam_sq."""
     lr, q_r = clr_statistics(data, nulls, est)
     if lam_sq is None:
         return clr_tails(lr, q_r, data.p)
@@ -374,16 +411,18 @@ def clr_conditional_inference(
     # such nulls are unanswerable (NaN), so the scan stops there
     cond = answer(
         lambda xs: clr_law(data, xs, est, lam2), data, beta0, alpha, n_points,
-        refuse=lambda tails, underflow: _require_mass(underflow),
+        refuse=lambda tail, underflow, *_: _require_mass(underflow),
     )
     naive = answer(lambda xs: clr_law(data, xs, est), data, beta0, alpha, n_points)
+    _, _, error, nodes = cond.at_beta0
     return build_report(
         beta0, alpha, "clr", naive, cond,
         f_stat=f_stat,
         c0=float(c0),
         lambda_sq=lam2,
         truncation_renormalized=True,
-        quadrature=asdict(QuadratureConfig()),
+        quadrature_error=float(error[0]),
+        quadrature_nodes=int(nodes[0]),
         mass_underflow_points=len(cond.unanswerable),
         mass_underflow_nulls=list(cond.unanswerable),
     )

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy import special
 
-from .clr import _refine
+from .clr import _QUAD_NODES, _QUAD_TOL, _composite_rule, _refine
 from .errors import (
     BranchError,
     DegenerateFirstStageError,
@@ -356,8 +356,6 @@ class Tails(NamedTuple):
         return np.minimum(1.0, 2.0 * np.minimum(self.upper, self.lower))
 
 
-_QUAD_NODES = 96
-_QUAD_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (_QUAD_NODES, _QUAD_NODES // 2))
 # the d window spans this many curvature widths either side of the mode
 _QUAD_WINDOW = 14.0
 # the window's right end is pushed out until the weight there is below
@@ -365,7 +363,6 @@ _QUAD_WINDOW = 14.0
 _QUAD_TAIL_DROP = 45.0
 # the normal tail is within 1e-15 of 0 or 1 beyond this many sds
 _QUAD_STEP_Z = 8.0
-_QUAD_TOL = 1e-10
 
 
 def _log_weight(d, big_a, big_b, lam, jac):
@@ -374,20 +371,15 @@ def _log_weight(d, big_a, big_b, lam, jac):
 
 
 def _window_tails(rows, panels, rule):
-    """Both tails of every row by one composite Gauss-Legendre rule.
+    """Both tails of every row by clr._composite_rule.
 
     rows holds (e0, e1, e2, e3, A, B, lam, jac, z0, z1) per law: the d
-    window [e0, e3] cut into three segments, each split into panels
-    panels; the weight; and z(d) = z0 + z1 d, the standardized distance
-    of t_obs above the mean of t given d."""
-    edges = rows[:, :4]
+    window [e0, e3] cut into three segments; the weight; and
+    z(d) = z0 + z1 d, the standardized distance of t_obs above the mean
+    of t given d."""
     big_a, big_b, lam, jac, z0, z1 = (col[:, None] for col in rows[:, 4:].T)
-    x, w = rule
-    steps = (np.arange(panels)[:, None] + 0.5 * (1.0 + x)).ravel()
-    step = (np.diff(edges, axis=1) / panels)[:, :, None]
-    d = (edges[:, :3, None] + step * steps).reshape(len(rows), -1)
+    d, wd = _composite_rule(rows[:, :4], panels, rule)
     log_w = _log_weight(d, big_a, big_b, lam, jac)
-    wd = (step * np.tile(w, panels)).reshape(len(rows), -1)
     wd *= np.exp(log_w - log_w.max(axis=1, keepdims=True))
     z = z0 + z1 * d
     den = wd.sum(axis=1)
@@ -461,12 +453,9 @@ def _pooled_pvalues(law: ConditionalLaw) -> Tails:
     cuts = np.clip(np.sort(cross, axis=0), lo, hi)
     rows = np.column_stack([lo, cuts[0], cuts[1], hi, big_a, big_b, lam, jac, z0, z1])
 
-    def evaluate(todo, panels):
-        up, low = _window_tails(rows[todo], panels, _QUAD_RULES[0])
-        up_half, low_half = _window_tails(rows[todo], panels, _QUAD_RULES[1])
-        return (up, low), np.maximum(np.abs(up - up_half), np.abs(low - low_half))
-
-    (upper, lower), error, panels = _refine(evaluate, t_obs.size, 1, _QUAD_TOL)
+    (upper, lower), error, panels = _refine(
+        lambda todo, panels, rule: _window_tails(rows[todo], panels, rule), t_obs.size, 1, _QUAD_TOL
+    )
     nodes = 3 * panels * _QUAD_NODES
     return Tails(*(v.reshape(shape) for v in (upper, lower, error, nodes)))
 

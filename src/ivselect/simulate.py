@@ -324,13 +324,13 @@ def _clr_fail_cell(config, c0, alpha, reps) -> ExperimentResult:
     est = covariance_estimates(mom, beta0)
     lam_sq = penalty_lambda(mom, c0) ** 2
     sub, sub_est = mom[failing], _row(est, failing)
-    cond, underflow = clr_law(sub, beta0, sub_est, lam_sq[failing])
+    cond, underflow, _, _ = clr_law(sub, beta0, sub_est, lam_sq[failing])
     if underflow.any():
         raise TruncationError(
             f"replication {failing[underflow][0]}: conditioning event mass underflowed, "
             "though the replication failed the screen"
         )
-    naive, _ = clr_law(sub, beta0, sub_est)
+    naive = clr_law(sub, beta0, sub_est).tail
     return _result(reps, 1.0 - failing.size / reps, cond, naive, naive >= alpha, alpha)
 
 

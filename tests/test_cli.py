@@ -824,3 +824,17 @@ def test_cli_clr_report_lists_underflowed_nulls(tmp_path):
     assert doc["schema_version"] == 2 and doc["branch"] == "clr"
     diags = doc["report"]["diagnostics"]
     assert diags["mass_underflow_points"] == len(diags["mass_underflow_nulls"]) > 0
+
+
+def test_cli_clr_answers_at_a_null_with_tiny_lr(tmp_path):
+    # at beta_hat_LIML the LR statistic is 3.6e-15: its tail has a notch
+    # about 5e-9 wide at u2 = 0, which a uniform grid never resolved
+    csv_path = _dataset_csv(tmp_path, dgp_from_r(0.05, 0.8, n=1000, p=10, seed=1), "small-lr.csv")
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"null_value": 1.073947507635656, "seed": 1}))
+    out = tmp_path / "r.json"
+    assert main(["analyze", csv_path, "--config", cfg_path, "--out", str(out)]) == 0
+    doc = json.loads(out.read_bytes())
+    assert doc["branch"] == "clr"
+    rep = doc["report"]
+    assert rep["conditional_pvalue"] > 0.9999 and rep["naive_pvalue"] > 0.9999
+    assert rep["diagnostics"]["quadrature_error"] <= 1e-10 and rep["diagnostics"]["quadrature_nodes"] > 0

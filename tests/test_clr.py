@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+from scipy import integrate, optimize, special, stats
 
 import ivselect.report
 from ivselect import (
@@ -143,8 +145,9 @@ def test_empty_truncation_rejected():
 
 
 def test_quadrature_nonconvergence_raises():
-    with pytest.raises(QuadratureError):
-        clr_tail(2.0, 3.0, 5, quad=QuadratureConfig(panels=4, tol=1e-15))
+    # a NaN statistic gives NaN integrals, whose error never settles
+    with pytest.raises(QuadratureError, match="not converged for 1 of 2 laws: error nan"):
+        clr_tails([2.0, math.nan], [3.0, 3.0], 5)
 
 
 def test_conditional_inference_requires_failed_screen():
@@ -178,59 +181,6 @@ def test_conditional_inference_reports_intervals():
 # ------------------------------------------------------ batched tails
 
 
-def _reference_tail(t, q_r, p, trunc=None, quad=QuadratureConfig()):
-    """One law at a time, every chi2 node through scipy.stats on both
-    sides of np.where: the algorithm clr_tails batches.  Returns the
-    tail (NaN for an event mass below 1e-12) and the panels it took."""
-    if t <= 0.0:
-        return 1.0, 0
-
-    def mass(lo, hi):
-        lo = np.maximum(lo, 0.0)
-        hi = np.maximum(hi, lo)
-        m = np.where(
-            lo >= p,
-            stats.chi2.sf(lo, p) - stats.chi2.sf(hi, p),
-            stats.chi2.cdf(hi, p) - stats.chi2.cdf(lo, p),
-        )
-        return np.clip(m, 0.0, 1.0)
-
-    panels = quad.panels + (-quad.panels) % 4
-    for _ in range(7):
-        theta = np.linspace(-np.pi / 2.0, np.pi / 2.0, panels + 1)
-        u2, w, h = np.sin(theta), np.cos(theta) ** (p - 2), np.pi / panels
-        thresh = (q_r + t) / (1.0 + q_r * u2**2 / t)
-        if trunc is None:
-            num, den = stats.chi2.sf(thresh, p) * w, w
-        else:
-            c = trunc.d2 * trunc.q_R - trunc.lambda_sq
-            if trunc.d0 <= 1e-14 * (trunc.d2 * trunc.q_R + trunc.lambda_sq + 1.0):
-                lo, hi = np.zeros_like(u2), np.full_like(u2, np.inf)
-                ok = np.full(u2.shape, c <= 0)
-            else:
-                b = trunc.d1 * u2 * math.sqrt(trunc.q_R)
-                disc = b * b - 4.0 * trunc.d0 * c
-                root = np.sqrt(np.maximum(disc, 0.0))
-                x_lo, x_hi = (-b - root) / (2.0 * trunc.d0), (-b + root) / (2.0 * trunc.d0)
-                ok = (disc >= 0.0) & (x_hi > 0.0)
-                lo, hi = np.maximum(x_lo, 0.0) ** 2, np.maximum(x_hi, 0.0) ** 2
-            den = np.where(ok, mass(lo, hi), 0.0) * w
-            num = np.where(ok, mass(np.maximum(lo, thresh), hi), 0.0) * w
-        i_num, i_den = integrate.simpson(num, dx=h), integrate.simpson(den, dx=h)
-        err = max(
-            abs(i_num - integrate.simpson(num[::2], dx=2.0 * h)),
-            abs(i_den - integrate.simpson(den[::2], dx=2.0 * h)),
-        )
-        if err / 15.0 <= quad.tol:
-            break
-        panels *= 2
-    else:
-        raise QuadratureError("reference not converged")
-    if trunc is not None and k4_constant(p) * i_den < 1e-12:
-        return math.nan, panels
-    return float(np.clip(i_num / i_den, 0.0, 1.0)), panels
-
-
 def _weak_laws(data, beta0s, c0=10.0):
     est = covariance_estimates(data, 1.0)
     lr, q_r = clr_statistics(data, beta0s, est)
@@ -254,20 +204,26 @@ def _underflowing_data():
     return generate(dgp_from_r(0.2, 0.99, n=200, p=2, seed=1))
 
 
-def _check_against_reference(t, q_r, p, trunc, quad=QuadratureConfig()):
-    tails, underflow = clr_tails(t, q_r, p, trunc, quad)
-    ref, panels = np.array(
-        [_reference_tail(t[k], q_r[k], p, _law(trunc, k, t.size), quad) for k in range(t.size)]
-    ).T
-    np.testing.assert_array_equal(underflow, np.isnan(ref))
-    assert np.isnan(tails[underflow]).all()
-    np.testing.assert_allclose(tails[~underflow], ref[~underflow], rtol=0.0, atol=1e-13)
-    return underflow, panels
+def _check_against_one_law(t, q_r, p, trunc, quad=QuadratureConfig()):
+    """The batched tails against each law alone: the same tail as
+    clr_tail to 1e-13 (which refuses an underflowed law), and the same
+    nodes as its one-law clr_tails."""
+    law = clr_tails(t, q_r, p, trunc, quad)
+    for k in range(t.size):
+        one = _law(trunc, k, t.size)
+        assert law.nodes[k] == clr_tails(t[k : k + 1], q_r[k : k + 1], p, one, quad).nodes[0]
+        if law.underflow[k]:
+            assert np.isnan(law.tail[k])
+            with pytest.raises(TruncationError):
+                clr_tail(t[k], q_r[k], p, one, quad)
+        else:
+            assert law.tail[k] == pytest.approx(clr_tail(t[k], q_r[k], p, one, quad), abs=1e-13)
+    return law
 
 
 @pytest.mark.parametrize(
     "quad",
-    [QuadratureConfig(), QuadratureConfig(panels=128)],
+    [QuadratureConfig(), QuadratureConfig(tol=1e-14)],
     ids=["default", "refined"],
 )
 def test_batched_tails_match_one_law_reference(quad):
@@ -286,22 +242,191 @@ def test_batched_tails_match_one_law_reference(quad):
         q_R=q,
         p=p,
     )
-    underflow, panels = _check_against_reference(t, q, p, trunc, quad)
-    assert list(np.flatnonzero(underflow)) == [10, 11]
+    law = _check_against_one_law(t, q, p, trunc, quad)
+    assert list(np.flatnonzero(law.underflow)) == [10, 11]
+    assert law.nodes[-1] == 0 and law.error[-1] == 0.0 and law.tail[-1] == 1.0
     # naive laws at the first four nulls
-    naive_underflow, naive_panels = _check_against_reference(lr[:4], q_r[:4], p, None, quad)
-    assert not naive_underflow.any()
-    if quad.panels == 128:
-        # laws stop refining at different depths
-        panels = np.concatenate([panels[:9], naive_panels])
-        assert len(set(panels)) >= 2 and panels.max() > 128
+    naive = _check_against_one_law(lr[:4], q_r[:4], p, None, quad)
+    assert not naive.underflow.any()
+    if quad.tol < QuadratureConfig().tol:
+        # laws stop refining at different depths: the underflowed events'
+        # integrals meet the tight tol at once, the others refine
+        assert len(set(law.nodes[:12])) >= 2 and law.nodes.max() > law.nodes[10]
+        assert (law.error <= quad.tol).all() and (naive.error <= quad.tol).all()
 
 
 def test_batched_tails_match_reference_where_events_underflow():
     data = _underflowing_data()
     lr, q_r, trunc = _weak_laws(data, np.linspace(1.0, 2.6, 33))
-    underflow, _ = _check_against_reference(lr, q_r, data.p, trunc)
-    assert underflow.any() and not underflow.all()
+    law = _check_against_one_law(lr, q_r, data.p, trunc)
+    assert law.underflow.any() and not law.underflow.all()
+
+
+# ------------------------------------------------------ independent oracles
+
+
+def _event(u2, q_r, trunc):
+    """(lo, hi) of the screen event in q_U at one u2 (d0 > 0), None when
+    it is empty."""
+    b = trunc.d1 * u2 * math.sqrt(q_r)
+    disc = b * b - 4.0 * trunc.d0 * (trunc.d2 * q_r - trunc.lambda_sq)
+    if disc < 0.0 or -b + math.sqrt(disc) <= 0.0:
+        return None
+    root = math.sqrt(disc)
+    return max(-b - root, 0.0) ** 2 / (4.0 * trunc.d0**2), (-b + root) ** 2 / (4.0 * trunc.d0**2)
+
+
+def _kinks(t, q_r, trunc):
+    """u2 where the event appears, and u2 where thresh meets an end of
+    the event's interval: sign changes on a grid geometric about u2 = 0,
+    each refined by brentq."""
+    thresh = lambda u2: (q_r + t) / (1.0 + q_r * u2 * u2 / t)
+    c = trunc.d2 * q_r - trunc.lambda_sq
+
+    def disc(u2):
+        return (trunc.d1 * u2) ** 2 * q_r - 4.0 * trunc.d0 * c
+
+    def gap(end):
+        def f(u2):
+            ev = _event(u2, q_r, trunc)
+            return math.nan if ev is None else thresh(u2) - ev[end]
+
+        return f
+
+    def roots(f, grid):
+        vals = np.array([f(u) for u in grid])
+        return [
+            optimize.brentq(f, grid[k], grid[k + 1], xtol=1e-300, rtol=1e-15)
+            for k in np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        ]
+
+    mags = np.geomspace(1e-13, 1.0, 1500)
+    grid = np.concatenate([-mags[::-1], [0.0], mags])
+    appear = roots(disc, grid)
+    # the ends are NaN outside the event: add nodes just either side of
+    # where it appears
+    grid = np.sort(np.concatenate([grid, np.outer(appear, [1.0 - 1e-12, 1.0 + 1e-12]).ravel()]))
+    return appear, roots(gap(0), grid) + roots(gap(1), grid)
+
+
+def _quad_tail(t, q_r, p, trunc=None):
+    """The tail by adaptive quad in theta, split at 0, at the _kinks, and
+    at a ladder of decades from a tenth of the notch width sqrt(t/q_r)
+    out to u2 = 1, so that no segment hides the step of the chi2 tail:
+    no code of the engine's."""
+    thresh = lambda u2: (q_r + t) / (1.0 + q_r * u2 * u2 / t)
+
+    def part(theta, tail):
+        u2 = math.sin(theta)
+        if trunc is None:
+            mass = special.chdtrc(p, thresh(u2)) if tail else 1.0
+        else:
+            ev = _event(u2, q_r, trunc)
+            lo, hi = (0.0, 0.0) if ev is None else ev
+            lo = max(lo, thresh(u2)) if tail else lo
+            mass = max(special.chdtr(p, hi) - special.chdtr(p, lo), 0.0) if hi > lo else 0.0
+        return math.cos(theta) ** (p - 2) * mass
+
+    w = math.sqrt(t / q_r)
+    points = [0.0] + [s * w * 10.0**k for k in range(-1, 16) for s in (-1.0, 1.0)]
+    if trunc is not None:
+        points += sum(_kinks(t, q_r, trunc), [])
+    edges = sorted({-math.pi / 2, math.pi / 2} | {math.asin(u) for u in points if abs(u) < 1.0})
+    num, den = (
+        sum(
+            integrate.quad(part, a, b, args=(tail,), limit=200, epsabs=1e-15, epsrel=1e-13)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+        for tail in (True, False)
+    )
+    return (num / den if den > 0.0 else math.nan), k4_constant(p) * den
+
+
+@st.composite
+def _tail_laws(draw):
+    """(t, q_R, p, trunc): t in [1e-14, 20], q_R in [0.1, 1e4]; naive, or
+    truncated with d1 = +-2 sqrt(d0 d2) as from a covariance and lambda^2
+    set so that thresh meets an end of the event within five notch widths
+    of u2 = 0."""
+    p = draw(st.sampled_from([2, 3, 4, 10]))
+    t = 10.0 ** draw(st.floats(-14.0, math.log10(20.0)))
+    q_r = 10.0 ** draw(st.floats(-1.0, 4.0))
+    if draw(st.booleans()):
+        return t, q_r, p, None
+    d0, d2 = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))
+    d1 = draw(st.sampled_from([-2.0, 2.0])) * math.sqrt(d0 * d2)
+    u2 = min(max(draw(st.floats(-5.0, 5.0)) * math.sqrt(t / q_r), -1.0), 1.0)
+    x = math.sqrt((q_r + t) / (1.0 + q_r * u2 * u2 / t))
+    # ||S||^2 at (x, u2), as a sum of squares
+    root_d2 = math.copysign(math.sqrt(d2), d1)
+    lam = (math.sqrt(d0) * x + root_d2 * u2 * math.sqrt(q_r)) ** 2 + d2 * q_r * (1.0 - u2 * u2)
+    return t, q_r, p, ClrTruncation(d0=d0, d1=d1, d2=d2, lambda_sq=lam, q_R=q_r, p=p)
+
+
+# the truncated law at beta0 = 1 of the clr-fail-large-n bench input at
+# seed 9 (tail 0.859357986085), whose kinks next to the notch misled a
+# Simpson error estimate
+_SEED9 = ClrTruncation(d0=0.63332, d1=0.95457, d2=0.35970, lambda_sq=99.301, q_R=240.63, p=10)
+
+
+# the first three are small LR, where a uniform grid never resolved the
+# notch (tails 0.99999399655, 0.99999927852 and 0.99992249583)
+@given(_tail_laws())
+@example((6e-11, 160.0, 10, None))
+@example((1e-12, 50.0, 10, None))
+@example((1e-8, 160.0, 10, None))
+@example((0.015452, 240.63, 10, _SEED9))
+def test_tails_match_split_quad_oracle(law):
+    t, q_r, p, trunc = law
+    ref, mass = _quad_tail(t, q_r, p, trunc)
+    assume(mass > 1e-9)
+    tail = clr_tails([t], [q_r], p, trunc)
+    assert not tail.underflow[0]
+    assert tail.tail[0] == pytest.approx(ref, abs=1e-9)
+
+
+def _monte_carlo_tail(omega, beta0, lam_sq, t, q_r, p, draws=1_000_000, seed=0):
+    """P(LR >= t | Q_R = q_r, ||S||^2 <= lam_sq) from draws of the data:
+    R = sqrt(q_r) e1 and U ~ N(0, I_p) mapped back to the whitened
+    (Z'Y, Z'D) by the inverse of clr_components' 2x2 map at beta0, with
+    the draws that fail the screen kept.  Returns the tail, its binomial
+    SE and the kept count."""
+    (o00, o01), (_, o11) = omega
+    det = o00 * o11 - o01**2
+    b_root = math.sqrt(o00 - 2.0 * beta0 * o01 + beta0**2 * o11)
+    a_root = b_root / math.sqrt(det)
+    # [U R] = [Z'Y Z'D] @ to_ur, both whitened
+    to_ur = np.array([
+        [1.0 / b_root, (o11 * beta0 - o01) / det / a_root],
+        [-beta0 / b_root, (o00 - o01 * beta0) / det / a_root],
+    ])
+    back = np.linalg.inv(to_ur)
+    u = np.random.default_rng(seed).standard_normal((draws, p))
+    s = u * back[0, 1]
+    s[:, 0] += math.sqrt(q_r) * back[1, 1]
+    kept = u[np.einsum("ij,ij->i", s, s) <= lam_sq]
+    lr = clr_statistic_from_q(np.einsum("ij,ij->i", kept, kept), kept[:, 0] * math.sqrt(q_r), q_r)
+    tail = float(np.mean(lr >= t))
+    return tail, math.sqrt(tail * (1.0 - tail) / len(kept)), len(kept)
+
+
+@pytest.mark.parametrize(
+    "seed, c0, beta0, crossing",
+    [(0, 2.5, 1.0, False), (4, 3.0, 1.0, True)],
+    ids=["no-crossing", "crossing"],
+)
+def test_truncated_tail_matches_data_level_monte_carlo(seed, c0, beta0, crossing):
+    data = _weak_data(seed=seed)
+    assert f_statistic(data) < c0
+    lr, q_r, trunc = _weak_laws(data, [beta0], c0)
+    one = _law(trunc, 0, 1)
+    assert bool(_kinks(lr[0], q_r[0], one)[1]) == crossing
+    mc, se, kept = _monte_carlo_tail(
+        covariance_estimates(data, 1.0).omega_hat, beta0, float(trunc.lambda_sq), lr[0], q_r[0], data.p
+    )
+    tail = clr_tail(lr[0], q_r[0], data.p, one)
+    assert kept > 10_000 and abs(tail - clr_tail(lr[0], q_r[0], data.p)) > 10 * se
+    assert abs(tail - mc) < 4.0 * se
 
 
 def test_tails_reject_mismatched_inputs():
@@ -369,9 +494,9 @@ def _assert_truncations_match(trunc, singles, t, q_r, p):
     for name in _COEFS:
         ref = np.array([getattr(one, name) for one in singles])
         np.testing.assert_array_equal(np.broadcast_to(getattr(trunc, name), ref.shape), ref)
-    tails, underflow = clr_tails(t, q_r, p, trunc)
-    assert not underflow.any()
-    np.testing.assert_array_equal(tails, [clr_tail(*law, p, one) for *law, one in zip(t, q_r, singles)])
+    got = clr_tails(t, q_r, p, trunc)
+    assert not got.underflow.any()
+    np.testing.assert_array_equal(got.tail, [clr_tail(*law, p, one) for *law, one in zip(t, q_r, singles)])
 
 
 def test_batched_truncation_equals_per_null_builds():

@@ -3,7 +3,7 @@ compare two checkouts output by output.
 
 Two checkouts that print the same lines give byte-identical reports and
 simulation tables on every branch: `analyze` on screen-passing (TSLS),
-screen-failing (CLR), underflow-band and unbounded-CLR inputs, on an
+screen-failing (CLR), underflow-band, unbounded-CLR and tiny-LR inputs, on an
 input whose tested null the CLR branch refuses because its conditioning
 event underflows (exit code 2 and the error on stderr), and on a
 passing and a failing input with covariates x1..x3 that the instruments
@@ -52,7 +52,9 @@ import numpy as np
 # screen, weak ones fail it; "underflow" puts nulls whose failure event
 # has mass below 1e-12 inside the CI grid, and "underflow-null" tests one
 # such null, which the CLR branch refuses; "unbounded" fails it with a CLR
-# interval whose grid expands 14 rounds to 3001 nulls
+# interval whose grid expands 14 rounds to 3001 nulls; "small-lr" tests
+# beta_hat_LIML, where LR is 3.6e-15 and the CLR tail has a notch about
+# 5e-9 wide
 DATASETS = [
     ("tsls-1", 0.25, 0.8, 400, 5, 1, 1.0),
     ("tsls-2", 0.25, 0.8, 400, 5, 2, 1.0),
@@ -63,6 +65,7 @@ DATASETS = [
     ("underflow-2", 0.2, 0.99, 200, 2, 1, 1.0),
     ("underflow-null", 0.3, 0.99, 200, 2, 1, 1.6),
     ("unbounded-1", 0.05, 0.5, 200, 3, 90, 1.0),
+    ("small-lr", 0.05, 0.8, 1000, 10, 1, 1.073947507635656),
 ]
 # the same design plus covariates x1..x3, which Z, D and Y load on
 COVARIATE_DATASETS = [
