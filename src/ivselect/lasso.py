@@ -189,7 +189,7 @@ def default_lasso_penalty(data: IVDataset | Moments, seed: int = 0) -> float:
     m = require_prepared(data)
     sigma = math.sqrt(float(m.rss) / (m.n - m.p))
     xi = _generator(seed, 11).standard_normal((_PENALTY_SIMS, m.p))
-    vals = np.abs(xi @ np.linalg.cholesky(m.ztz).T).max(axis=1)
+    vals = np.abs(xi @ m.chol.T).max(axis=1)
     lam = _PENALTY_MULT * sigma * float(np.median(vals))
     if lam <= 0:
         raise ValueError("degenerate penalty: first-stage residuals are zero")

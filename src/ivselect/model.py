@@ -9,9 +9,10 @@ with (delta_i, xi_i) mean-zero bivariate normal with covariance Sigma*.
 Everything downstream works on a prepared dataset: exogenous covariates
 residualized out and all columns centered.  After that, every statistic,
 screen and law depends on the data only through n and the cross-moments
-Z'Z, Z'Y, Z'D, Y'Y, Y'D and D'D.  A Moments value holds them (computed
-once per dataset, O(n p^2)) and derives S, its Y analogue, Omega_hat,
-RSS, F and beta_hat from one inverse square root of Z'Z.  Its arrays may
+Z'Z, Z'Y, Z'D, Y'Y, Y'D and D'D.  A Moments value holds them as the
+Cholesky factor L of Z'Z, S = L^-1 Z'D and its Y analogue L^-1 Z'Y
+(computed once per dataset, O(n p^2)), and derives Omega_hat, RSS, F
+and beta_hat from those.  Its arrays may
 carry a leading batch axis; the estimators here and the statistics in
 pretest and teststats take a dataset or a Moments and, given a batch,
 return one value per replication.
@@ -34,8 +35,6 @@ from .errors import (
 # rank deficient.  Silent pseudo-inversion would corrupt the pre-test
 # penalty, so this is an error, not a warning.
 RANK_RTOL = 1e-10
-# Newton-Schulz steps: e = 1 - eig(ZY) goes to (3e^2 + e^3)/4, so six take |e| <= 0.5 to rounding
-_NS_STEPS = 6
 
 
 def _dot(a, b):
@@ -60,19 +59,21 @@ def _item(x):
 
 @dataclass(frozen=True)
 class Moments:
-    """n and the cross-moments of centered (Z, Y, D): ztz = Z'Z (p, p),
-    zty = Z'Y and ztd = Z'D (p,), yy, yd and dd scalars, each optionally
-    stacked over a leading batch axis.  Derived quantities are cached on
-    first use; m[i] is replication i of a batch.
+    """n, the lower Cholesky factor L of Z'Z (p, p), s = L^-1 Z'D and
+    sy = L^-1 Z'Y (p,), and yy = Y'Y, yd = Y'D and dd = D'D of centered
+    (Z, Y, D), each optionally stacked over a leading batch axis.  Any LL'
+    = Z'Z gives S up to a rotation, which no statistic, screen or law sees;
+    the triangular L also keeps S unchanged when an instrument is rescaled.
+    Derived quantities are cached on first use; m[i] is replication i.
 
     Quantities that are differences of moments, such as Omega_hat and
     Sigma_hat(beta0), carry rounding relative to the moments themselves:
     about machine epsilon times Y'Y over the residual sum of squares."""
 
     n: int
-    ztz: np.ndarray
-    zty: np.ndarray
-    ztd: np.ndarray
+    chol: np.ndarray
+    s: np.ndarray
+    sy: np.ndarray
     yy: np.ndarray
     yd: np.ndarray
     dd: np.ndarray
@@ -81,10 +82,28 @@ class Moments:
     def of(cls, z, y, d) -> "Moments":
         """Moments of centered instruments z (..., n, p) and y, d (..., n)."""
         zt = np.swapaxes(z, -1, -2)
-        return cls(
-            n=z.shape[-2], ztz=zt @ z, zty=_mv(zt, y), ztd=_mv(zt, d),
-            yy=_dot(y, y), yd=_dot(y, d), dd=_dot(d, d),
-        )
+        return cls.of_cross(z.shape[-2], zt @ z, _mv(zt, y), _mv(zt, d), _dot(y, y), _dot(y, d), _dot(d, d))
+
+    @classmethod
+    def of_cross(cls, n, ztz, zty, ztd, yy, yd, dd) -> "Moments":
+        """Moments from the cross-products Z'Z, Z'Y, Z'D, Y'Y, Y'D and D'D.
+        Raises RankDeficiencyError when Z'Z has no Cholesky factor, or names
+        the instruments j whose L_jj / sqrt(Z'Z_jj), the sine of the angle
+        between z_j and the earlier columns, is at most sqrt(RANK_RTOL), the
+        RANK_RTOL rule on Z's singular values read in unit-free form."""
+        try:
+            chol = np.linalg.cholesky(ztz)
+        except np.linalg.LinAlgError:  # a batch fails as a whole
+            labels = [f"z{j + 1}" for j in range(ztz.shape[-1])]
+            raise RankDeficiencyError(labels, "Z'Z is not positive definite; instruments are collinear") from None
+        sine = np.diagonal(chol, axis1=-2, axis2=-1) / np.sqrt(np.diagonal(ztz, axis1=-2, axis2=-1))
+        lost = np.flatnonzero(~np.all(sine > RANK_RTOL**0.5, axis=tuple(range(sine.ndim - 1))))
+        if lost.size:
+            raise RankDeficiencyError([f"z{j + 1}" for j in lost])
+        whitened = np.linalg.solve(chol, np.stack([ztd, zty], axis=-1))
+        # contiguous copies: einsum over a strided view sums in another order
+        s, sy = (np.ascontiguousarray(whitened[..., k]) for k in (0, 1))
+        return cls(n=n, chol=chol, s=s, sy=sy, yy=yy, yd=yd, dd=dd)
 
     def __getitem__(self, i) -> "Moments":
         row = object.__new__(Moments)
@@ -95,57 +114,26 @@ class Moments:
     def select(self, cols) -> "Moments":
         """Moments of one dataset with only the instruments in cols."""
         cols = list(cols)
-        return Moments(
+        return Moments.of_cross(
             self.n, self.ztz[np.ix_(cols, cols)], self.zty[cols], self.ztd[cols],
             self.yy, self.yd, self.dd,
         )
 
     @property
     def p(self) -> int:
-        return self.ztd.shape[-1]
+        return self.s.shape[-1]
 
     @cached_property
-    def ztz_isqrt(self) -> np.ndarray:
-        """(Z'Z)^(-1/2) by the coupled Newton-Schulz iteration (Higham,
-        Functions of Matrices, SIAM 2008) on Z'Z / (trace / p), Y -> root and
-        Z -> inverse root, in batched matmuls; a fixed step count keeps each
-        row's root independent of its batch-mates.  A row settles if its scaled
-        Z'Z is within 2 of I (Frobenius), so every eigenvalue is below 3 and the
-        first T = (3I - ZY)/2 is positive definite (from (3, 5), Z would tend to
-        a root of the wrong sign), and if ||ZY - I||_F <= 1e-8 at the last T,
-        which that step squares.  The other rows (rank deficient, badly scaled,
-        widely spread) take the eigendecomposition root and its RANK_RTOL rule."""
-        eye = np.eye(self.p)
-        with np.errstate(all="ignore"):  # a row that diverges falls back below
-            scale = np.trace(self.ztz, axis1=-2, axis2=-1)[..., None, None] / self.p
-            y = self.ztz / scale
-            z = t = 1.5 * eye - 0.5 * y
-            basin = _dot(eye - t, eye - t).sum(-1) < 1  # ||scaled Z'Z - I||_F < 2
-            y = y @ t
-            for _ in range(_NS_STEPS - 1):
-                t = 1.5 * eye - 0.5 * (z @ y)
-                y, z = y @ t, t @ z
-            root = z / np.sqrt(scale)  # eye - t is half of ZY - I before the last step
-            settled = basin & (_dot(eye - t, eye - t).sum(-1) <= 0.5e-8**2)
-        if not settled.all():
-            vals, vecs = np.linalg.eigh(self.ztz[~settled])
-            if np.any((vals[..., -1] <= 0) | (vals[..., 0] < RANK_RTOL * vals[..., -1])):
-                raise RankDeficiencyError(
-                    [f"z{j + 1}" for j in range(self.p)],
-                    "Z'Z numerically singular; instruments are collinear",
-                )
-            root[~settled] = (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-        return root
+    def ztz(self) -> np.ndarray:
+        return self.chol @ np.swapaxes(self.chol, -1, -2)  # Z'Z = LL'
 
     @cached_property
-    def s(self) -> np.ndarray:
-        """Sufficient statistic S = (Z'Z)^(-1/2) Z'D; ||S||^2 = D'P_Z D."""
-        return _mv(self.ztz_isqrt, self.ztd)
+    def ztd(self) -> np.ndarray:
+        return _mv(self.chol, self.s)  # Z'D = L s
 
     @cached_property
-    def sy(self) -> np.ndarray:
-        """(Z'Z)^(-1/2) Z'Y, the Y analogue of S; S'sy = D'P_Z Y."""
-        return _mv(self.ztz_isqrt, self.zty)
+    def zty(self) -> np.ndarray:
+        return _mv(self.chol, self.sy)  # Z'Y = L sy
 
     @cached_property
     def s2(self) -> np.ndarray:
@@ -153,8 +141,8 @@ class Moments:
 
     @cached_property
     def gamma_hat(self) -> np.ndarray:
-        """First-stage OLS coefficients (Z'Z)^(-1) Z'D."""
-        return _mv(self.ztz_isqrt, self.s)
+        """First-stage OLS coefficients (Z'Z)^(-1) Z'D = L^-T S."""
+        return np.linalg.solve(np.swapaxes(self.chol, -1, -2), self.s[..., None])[..., 0]
 
     @cached_property
     def rss(self) -> np.ndarray:
@@ -293,8 +281,8 @@ def prepare(raw: IVDataset) -> IVDataset:
     Raises RankDeficiencyError naming the offending columns when X is
     collinear, when residualizing leaves an instrument less than
     RANK_RTOL of its centered norm, or when the moments core cannot
-    invert the residualized Z'Z.  Each rule is relative to the columns it
-    judges, so rescaling any column of X, or all of Z, changes no verdict.
+    factor the residualized Z'Z.  Each rule is relative to the columns it
+    judges, so rescaling any column of X or of Z changes no verdict.
     """
     # one (n, p + 2) block, so centering and residualizing are one pass each
     block = np.column_stack([raw.Y, raw.D, raw.Z])
@@ -323,20 +311,21 @@ def prepare(raw: IVDataset) -> IVDataset:
     block -= block.mean(axis=0)
     out = IVDataset(Y=block[:, 0], D=block[:, 1], Z=block[:, 2:])
     z_labels = [f"z{j + 1}" for j in range(raw.p)]
-    lost = np.sqrt(np.diagonal(out.moments.ztz)) <= RANK_RTOL * z_norms
+    try:
+        chol = out.moments.chol
+    except RankDeficiencyError:  # no factor: read the norms off Z, then name columns
+        chol = None
+    z_res = np.sqrt(_dot(out.Z.T, out.Z.T) if chol is None else _dot(chol, chol))
+    lost = z_res <= RANK_RTOL * z_norms
     if lost.any():
         raise RankDeficiencyError([z_labels[j] for j in np.flatnonzero(lost)])
-    try:
-        out.moments.ztz_isqrt
-    except RankDeficiencyError:
-        # the moments core applies RANK_RTOL to the eigenvalues of Z'Z,
-        # the squared singular values of Z
-        raise _rank_error(out.Z, z_labels, RANK_RTOL**0.5) from None
+    if chol is None:  # at the core's sqrt(RANK_RTOL), on unit-norm columns: no units reach it
+        raise _rank_error(out.Z / z_res, z_labels, RANK_RTOL**0.5)
     return out
 
 
 def sufficient_statistic(data: IVDataset | Moments) -> np.ndarray:
-    """S = (Z'Z)^(-1/2) Z'D, the first-stage statistic the pre-test acts on."""
+    """S = L^-1 Z'D with LL' = Z'Z, the first-stage statistic the pre-test acts on."""
     return require_prepared(data).s
 
 

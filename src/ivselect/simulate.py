@@ -37,6 +37,7 @@ from .lasso import (
 from .model import (
     IVDataset,
     Moments,
+    _dot,
     covariance_estimates,
     prepare,
     tsls_estimate,
@@ -202,27 +203,27 @@ def _draw_moments(config: DGPConfig, reps: int, rng) -> Moments:
     Wishart_{p+2}(n - 1, I).  Its Bartlett factor T is lower triangular,
     with T_jj^2 ~ chi^2(n - 1 - j) and standard normals below the diagonal
     (Anderson, An Introduction to Multivariate Statistical Analysis, 7.2).
-    [Z Y D] = [Z e] M for a fixed M, so the cross-moments are M'T T'M:
-    (p+2)(p+3)/2 draws per replication, whatever n is."""
+    [Z Y D] = [Z e] M for a fixed M with M_zz = I, so the cross-moments are
+    G'G with G = T'M.  G's Z block is [T_zz' 0], so L = T_zz factors Z'Z
+    and L^-1 Z'Y, L^-1 Z'D are the top of G's Y and D columns: one
+    triangular matvec and (p+2)(p+3)/2 draws per replication, whatever n is."""
     n, p = config.n, config.p
     k = p + 2
     chol = np.linalg.cholesky(config.sigma_star)
-    m = np.zeros((k, k))
-    m[:p, :p] = np.eye(p)
-    m[:p, p + 1] = config.gamma_star  # D = Z gamma* + e chol[1]
-    m[p:, p + 1] = chol[1]
-    m[:, p] = config.beta_star * m[:, p + 1]  # Y = D beta* + e chol[0]
-    m[p:, p] += chol[0]
+    m = np.zeros((k, 2))  # the Y and D columns of M
+    m[:p, 1] = config.gamma_star  # D = Z gamma* + e chol[1]
+    m[p:, 1] = chol[1]
+    m[:, 0] = config.beta_star * m[:, 1]  # Y = D beta* + e chol[0]
+    m[p:, 0] += chol[0]
     t = np.zeros((reps, k, k))
     below = np.tril_indices(k, -1)
     t[:, below[0], below[1]] = rng.standard_normal((reps, below[0].size))
     diag = np.arange(k)
     t[:, diag, diag] = np.sqrt(rng.chisquare(n - 1 - diag, size=(reps, k)))
-    g = np.swapaxes(t, -1, -2) @ m
-    c = np.swapaxes(g, -1, -2) @ g
+    y, d = np.swapaxes(m.T @ t, 0, 1).copy()  # the Y and D columns of G, contiguous
     return Moments(
-        n=n, ztz=c[:, :p, :p], zty=c[:, :p, p], ztd=c[:, :p, p + 1],
-        yy=c[:, p, p], yd=c[:, p, p + 1], dd=c[:, p + 1, p + 1],
+        n=n, chol=t[:, :p, :p], s=d[:, :p].copy(), sy=y[:, :p].copy(),
+        yy=_dot(y, y), yd=_dot(y, d), dd=_dot(d, d),
     )
 
 

@@ -39,10 +39,10 @@ class TestValue:
 class ClrComponents:
     """Sufficient statistics of the weak-instrument reduced-form model.
 
-    U_hat = (Z'Z)^(-1/2) Ytilde b0 / sqrt(b0' Omega b0)
-    R_hat = (Z'Z)^(-1/2) Ytilde Omega^(-1) a0 / sqrt(a0' Omega^(-1) a0)
+    U_hat = L^-1 Ytilde b0 / sqrt(b0' Omega b0)
+    R_hat = L^-1 Ytilde Omega^(-1) a0 / sqrt(a0' Omega^(-1) a0)
 
-    with Ytilde = [Z'Y, Z'D], a0 = (beta0, 1), b0 = (1, -beta0).  Under
+    with Ytilde = [Z'Y, Z'D], LL' = Z'Z, a0 = (beta0, 1), b0 = (1, -beta0).  Under
     the null U_hat is standard normal and independent of R_hat.
     """
 
@@ -86,7 +86,7 @@ def ar_stat(data: IVDataset | Moments, beta0: float) -> TestValue:
     m = require_prepared(data)
     n, p = m.n, m.p
     beta0 = np.asarray(beta0, dtype=float)
-    pe = m.sy - beta0[..., None] * m.s  # (Z'Z)^(-1/2) Z'(Y - D beta0)
+    pe = m.sy - beta0[..., None] * m.s  # L^-1 Z'(Y - D beta0)
     num = _dot(pe, pe) / p
     den = m.sigma(beta0)[..., 0, 0]  # (Y - D beta0)' P_Zperp (Y - D beta0) / (n - p)
     ee = m.yy - 2.0 * beta0 * m.yd + beta0**2 * m.dd

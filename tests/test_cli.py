@@ -335,11 +335,12 @@ _UNIT_CASES = {  # (r, sigma12, n, p, seed): the branch its analysis takes
 }
 
 
-def _unit_analysis(case, a=1.0, b=0.0, c=1.0):
-    """analyze after Y -> aY + bD and D -> cD, at the mapped null."""
+def _unit_analysis(case, a=1.0, b=0.0, c=1.0, z_units=1.0):
+    """analyze after Y -> aY + bD, D -> cD and Z -> Z diag(z_units), at the
+    mapped null."""
     r, sigma12, n, p, seed = _UNIT_CASES[case]
     data = generate(dgp_from_r(r, sigma12, n=n, p=p, seed=seed))
-    mapped = prepare(IVDataset(Y=a * data.Y + b * data.D, D=c * data.D, Z=data.Z))
+    mapped = prepare(IVDataset(Y=a * data.Y + b * data.D, D=c * data.D, Z=data.Z * z_units))
     config = _light(seed=seed, null_value=(a * 1.0 + b) / c)
     return analyze(mapped, config)
 
@@ -388,18 +389,24 @@ def _unit_base(case):
     shift=st.floats(-5.0, 5.0),
     log_c=st.floats(-6.0, 6.0),
     c_sign=st.sampled_from([-1.0, 1.0]),
+    log_z=st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4),
 )
-def test_analyze_intervals_equivariant_under_any_units(case, log_a, a_sign, shift, log_c, c_sign):
-    # the property behind the fixed cases above, for any a != 0, b and c != 0.
+def test_analyze_intervals_equivariant_under_any_units(case, log_a, a_sign, shift, log_c, c_sign, log_z):
+    # the property behind the fixed cases above, for any a != 0, b and
+    # c != 0, and any positive units per instrument: S = L^-1 Z'D is
+    # unchanged by Z -> Z diag(s), so the realized screen is too.
     # D -> -D flips S, but the screen's realized randomization omega is
     # fixed in coordinates, so S + omega is not flipped with it and the
     # passed-screen (TSLS) conditional answer moves; for c < 0 that case
-    # checks its naive (Wald) interval only
+    # checks its naive (Wald) answer only
     a, c = a_sign * 10.0**log_a, c_sign * 10.0**log_c
     b = shift * abs(a)
-    base, got = _unit_base(case), _unit_analysis(case, a, b, c)
+    base, got = _unit_base(case), _unit_analysis(case, a, b, c, 10.0 ** np.array(log_z))
     assert got.diagnostics["branch"] == base.diagnostics["branch"] == case
-    _assert_intervals_mapped(base, got, a, b, c, conditional=case == "clr" or c > 0)
+    conditional = case == "clr" or c > 0
+    _assert_intervals_mapped(base, got, a, b, c, conditional)
+    for name in ("conditional_pvalue", "naive_pvalue")[not conditional:]:
+        assert abs(getattr(got, name) - getattr(base, name)) <= 1e-9, name
 
 
 def test_analysis_config_validation():
@@ -826,11 +833,33 @@ def test_cli_clr_report_lists_underflowed_nulls(tmp_path):
     assert diags["mass_underflow_points"] == len(diags["mass_underflow_nulls"]) > 0
 
 
+@pytest.mark.parametrize("units", [1e-5, 1e5])
+def test_cli_answer_ignores_one_instruments_units(tmp_path, units):
+    # the tsls-1 input of tools/report_digests.py with z2 rescaled: the
+    # rank rule reads the sine of each instrument's angle to the earlier
+    # ones, and S = L^-1 Z'D does not move, so neither does the answer
+    data = generate(dgp_from_r(0.25, 0.8, n=400, p=5, seed=1))
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"null_value": 1.0, "seed": 3}))
+    docs = []
+    for scale in (1.0, units):
+        z = data.Z.copy()
+        z[:, 1] *= scale
+        rows = np.column_stack([data.Y, data.D, z])
+        text = "y,d,z1,z2,z3,z4,z5\n" + "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
+        out = tmp_path / f"r{scale}.json"
+        assert main(["analyze", _write(tmp_path, f"z{scale}.csv", text + "\n"), "--config", cfg_path, "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_bytes()))
+    assert docs[0]["branch"] == docs[1]["branch"] == "tsls"
+    for key in ("conditional_pvalue", "naive_pvalue"):
+        assert docs[1]["report"][key] == pytest.approx(docs[0]["report"][key], abs=1e-12), key
+
+
 def test_cli_clr_answers_at_a_null_with_tiny_lr(tmp_path):
-    # at beta_hat_LIML the LR statistic is 3.6e-15: its tail has a notch
-    # about 5e-9 wide at u2 = 0, which a uniform grid never resolved
+    # 1e-6 from beta_hat_LIML the LR statistic is 2.2e-11: its tail has a
+    # notch about 6e-7 wide at u2 = 0, which a uniform grid never resolved.
+    # (At beta_hat_LIML itself LR is rounding noise, and may round to 0.)
     csv_path = _dataset_csv(tmp_path, dgp_from_r(0.05, 0.8, n=1000, p=10, seed=1), "small-lr.csv")
-    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"null_value": 1.073947507635656, "seed": 1}))
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"null_value": 1.073948507635656, "seed": 1}))
     out = tmp_path / "r.json"
     assert main(["analyze", csv_path, "--config", cfg_path, "--out", str(out)]) == 0
     doc = json.loads(out.read_bytes())

@@ -305,7 +305,7 @@ def test_selection_and_inference_read_only_moments():
     # one replication of a batch, and give exactly what the dataset gives
     data, _ = _partial_selection(seed=50)
     other, _ = _partial_selection(seed=63)
-    names = ("ztz", "zty", "ztd", "yy", "yd", "dd")
+    names = ("chol", "s", "sy", "yy", "yd", "dd")
     batch = Moments(data.n, *(np.stack([getattr(d.moments, k) for d in (other, data)]) for k in names))
 
     def run(src):

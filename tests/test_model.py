@@ -95,8 +95,8 @@ def test_prepare_rank_deficiency_names_columns():
 
 
 def test_prepare_rejects_instruments_the_moments_core_cannot_invert():
-    # singular-value ratio about 5e-8: above RANK_RTOL, yet Z'Z's
-    # eigenvalue ratio (its square) is far below it
+    # z2's angle to z1 has sine about 5e-8: above RANK_RTOL, yet below
+    # the sqrt(RANK_RTOL) the moments core applies to L_jj / ||z_j||
     rng = np.random.default_rng(6)
     n = 200
     z1, z3 = rng.standard_normal(n), rng.standard_normal(n)
@@ -307,7 +307,7 @@ def test_tsls_invariant_to_instrument_recombination(a, beta0):
 @pytest.mark.parametrize("s", [1e-9, 1e-8, 1e8])
 def test_statistics_invariant_to_instrument_units(s):
     # Z -> sZ is the recombination A = sI: the rank check on Z'Z is
-    # relative, so no absolute floor may touch its eigenvalues
+    # relative, so no absolute floor may touch its Cholesky factor
     data = generate(dgp_from_r(0.3, 0.5, n=250, p=3, seed=1))
     scaled = prepare(IVDataset(Y=data.Y, D=data.D, Z=s * data.Z))
     np.testing.assert_allclose(_statistics(scaled, 1.0), _statistics(data, 1.0), rtol=1e-8, atol=1e-10)
@@ -371,98 +371,116 @@ def test_batched_moments_rows_match_single_datasets(seed, beta0):
         assert penalty_lambda(batch[i], 10.0) == pytest.approx(penalty_lambda(data, 10.0), rel=1e-9)
 
 
-def _ztz_moments(ztz):
-    """Moments carrying the given Z'Z stack and zero cross-moments with Y, D."""
-    vec, scalar = np.zeros(ztz.shape[:-1]), np.zeros(ztz.shape[:-2])
-    return Moments(n=100, ztz=ztz, zty=vec, ztd=vec, yy=scalar, yd=scalar, dd=scalar)
-
-
 def _spd(rng, p, kappa, scale=1.0):
     """A p x p SPD matrix with condition number kappa and random eigenvectors."""
     q, _ = np.linalg.qr(rng.standard_normal((p, p)))
     return (q * rng.permutation(scale * np.geomspace(1.0, kappa, p))) @ q.T
 
 
-def _eigh_root(a):
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs / np.sqrt(vals)) @ vecs.T
+def _cross_products(rng, ztz, n=100):
+    """(n, Z'Z, Z'Y, Z'D, Y'Y, Y'D, D'D) of a dataset with the given Z'Z:
+    the whitened vectors and the 2 x 2 residual cross-product are drawn."""
+    p = ztz.shape[-1]
+    vals, vecs = np.linalg.eigh(ztz)
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    sy, s = rng.standard_normal((2, p))
+    e = rng.standard_normal((n, 2))
+    r = e.T @ e
+    return n, ztz, root @ sy, root @ s, sy @ sy + r[0, 0], sy @ s + r[0, 1], s @ s + r[1, 1]
+
+
+def _root_statistics(n, ztz, zty, ztd, yy, yd, dd):
+    """||S||^2, S_Y'S, F, beta_hat and Omega_hat from the symmetric
+    (Z'Z)^(-1/2) of an eigendecomposition, an independent reference."""
+    p = ztz.shape[-1]
+    vals, vecs = np.linalg.eigh(ztz)
+    isqrt = (vecs / np.sqrt(vals)) @ vecs.T
+    s, sy = isqrt @ ztd, isqrt @ zty
+    s2 = s @ s
+    omega = np.array([[yy - sy @ sy, yd - sy @ s], [yd - sy @ s, dd - s2]]) / (n - p)
+    return s2, sy @ s, (s2 / p) / ((dd - s2) / (n - p)), (sy @ s) / s2, omega
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     p=st.integers(1, 12),
-    log_kappas=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4),
+    log_kappa=st.floats(0.0, 8.0),
     log_scale=st.floats(-6.0, 6.0),
 )
-def test_ztz_isqrt_matches_the_eigendecomposition_root(seed, p, log_kappas, log_scale):
-    # settled rows come from Newton-Schulz, the rest from eigh; either way
-    # the root is the eigh root to rounding, amplified at most by sqrt(kappa)
+def test_cholesky_core_matches_the_symmetric_root(seed, p, log_kappa, log_scale):
+    # LL' = Z'Z to rounding, and every statistic read from L^-1 Z'D equals
+    # the one read from (Z'Z)^(-1/2) Z'D: the two differ by a rotation.
+    # Rounding Z'Z by eps moves D'P_Z D by up to kappa eps relative, in
+    # either method, so the tolerance grows with kappa past 1e3
     rng = np.random.default_rng(seed)
-    stack = np.stack([_spd(rng, p, 10.0**lk, 10.0**log_scale) for lk in log_kappas])
-    roots = _ztz_moments(stack).ztz_isqrt
-    for root, a, lk in zip(roots, stack, log_kappas):
-        ref = _eigh_root(a)
-        big = np.abs(ref).max()
-        assert np.abs(root - ref).max() <= 1e-12 * 10.0 ** (lk / 2) * big
-        assert np.abs(root - root.T).max() <= 1e-14 * big
+    kappa = 10.0**log_kappa
+    cross = _cross_products(rng, _spd(rng, p, kappa, 10.0**log_scale))
+    m = Moments.of_cross(*cross)
+    ztz = cross[1]
+    assert np.abs(m.chol @ m.chol.T - ztz).max() <= 1e-12 * np.abs(ztz).max()
+    assert np.array_equal(m.chol, np.tril(m.chol)) and np.all(np.diagonal(m.chol) > 0)
+    s2, sys, f, beta_hat, omega = _root_statistics(*cross)
+    tol = 1e-15 * max(kappa, 1e3)
+    for got, want in ((m.s2, s2), (m.sy @ m.s, sys), (m.f, f), (m.beta_hat, beta_hat)):
+        assert got == pytest.approx(want, rel=tol, abs=tol * s2)
+    np.testing.assert_allclose(m.omega, omega, rtol=0, atol=tol * np.abs(omega).max())
 
 
-def _one_leading_column(p, var):
-    """Z'Z of 4000 draws of p uncorrelated instruments, the first with variance var."""
-    z = np.random.default_rng(23).standard_normal((4000, p))
-    z[:, 0] *= np.sqrt(var)
-    return z.T @ z
+def _stacked(rows):
+    """One batched Moments from the cross-products of several datasets."""
+    return Moments.of_cross(rows[0][0], *(np.stack([r[k] for r in rows]) for k in range(1, 7)))
 
 
-@pytest.mark.parametrize(
-    "ztz",
-    [
-        np.diag([4.0, 0.4, 0.4, 0.4, 0.4, 0.4]),
-        _one_leading_column(10, 6.0),
-        np.full((10, 10), 1 / 3) + np.diag(np.full(10, 2 / 3)),  # equicorrelated, rho = 1/3
-    ],
-    ids=["diag", "one-column-variance-6", "equicorrelated"],
-)
-def test_ztz_isqrt_is_the_positive_root_when_one_eigenvalue_leads(ztz):
-    # each has one eigenvalue near 4 times the mean, where the first
-    # Newton-Schulz step flips the sign of Z's root yet ZY still tends to I
-    ref = _eigh_root(ztz)
-    assert np.abs(_ztz_moments(ztz).ztz_isqrt - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-@given(seed=st.integers(0, 2**32 - 1), p=st.integers(6, 12), lead=st.floats(1.0, 5.0))
-def test_ztz_isqrt_matches_the_root_under_one_leading_eigenvalue(seed, p, lead):
-    # trace p: one eigenvalue lead and p - 1 equal ones.  Half the draws fall
-    # in (3, 5), where the iteration alone would settle on a wrong root
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
-    rest = (p - lead) / (p - 1)
-    a = (q * np.r_[lead, np.full(p - 1, rest)]) @ q.T
-    ref = _eigh_root(a)
-    assert np.abs(_ztz_moments(a).ztz_isqrt - ref).max() <= 1e-12 * np.sqrt(lead / rest) * np.abs(ref).max()
-
-
-def test_ztz_isqrt_row_is_the_single_matrix_root_bit_for_bit():
-    # a fixed step count: a row's root cannot depend on its batch-mates,
-    # whether it settles (kappa 1.5) or falls back to eigh (kappa 1e6)
+def test_batch_row_is_the_single_dataset_bit_for_bit():
+    # a batch row's factor, whitened vectors and statistics cannot depend
+    # on its batch-mates, whatever their conditioning and scale
     rng = np.random.default_rng(21)
-    stack = np.stack([_spd(rng, 6, k, s) for k, s in ((1.5, 1.0), (1e6, 1e3), (1.2, 1e-4), (3.0, 7.0))])
-    roots = _ztz_moments(stack).ztz_isqrt
-    for i, a in enumerate(stack):
-        assert np.array_equal(roots[i], _ztz_moments(a).ztz_isqrt)
+    rows = [_cross_products(rng, _spd(rng, 6, k, s)) for k, s in ((1.5, 1.0), (1e6, 1e3), (1.2, 1e-4), (3.0, 7.0))]
+    batch = _stacked(rows)
+    for i, cross in enumerate(rows):
+        one = Moments.of_cross(*cross)
+        for name in ("chol", "s", "sy", "s2", "f", "beta_hat", "omega", "gamma_hat"):
+            assert np.array_equal(getattr(batch[i], name), getattr(one, name)), name
 
 
-def test_ztz_isqrt_mixed_stack_keeps_the_rank_verdict():
+def test_mixed_stack_with_a_collinear_row_names_its_columns():
     rng = np.random.default_rng(22)
-    settled = [_spd(rng, 4, 1.3), _spd(rng, 4, 2.0, 50.0)]
-    ill = _spd(rng, 4, 1e8)  # full rank under RANK_RTOL, yet it falls back
+    rows = [_cross_products(rng, a) for a in (_spd(rng, 4, 1.3), _spd(rng, 4, 2.0, 50.0), _spd(rng, 4, 1e8))]
     z = rng.standard_normal((30, 4))
     z[:, 3] = z[:, 0] - z[:, 1]
-    collinear = z.T @ z
-    roots = _ztz_moments(np.stack([*settled, ill])).ztz_isqrt
-    np.testing.assert_array_equal(roots[2], _eigh_root(ill))
-    with pytest.raises(RankDeficiencyError, match="collinear") as info:
-        _ztz_moments(np.stack([*settled, ill, collinear])).ztz_isqrt
-    assert info.value.columns == ["z1", "z2", "z3", "z4"]
+    assert np.array_equal(_stacked(rows)[2].s, Moments.of_cross(*rows[2]).s)  # kappa 1e8 is full rank
+    with pytest.raises(RankDeficiencyError) as info:
+        _stacked([*rows, _cross_products(rng, z.T @ z, n=30)])
+    assert info.value.columns == ["z4"]
+    with pytest.raises(RankDeficiencyError, match="not positive definite"):
+        _stacked([*rows, _cross_products(rng, np.diag([1.0, 1.0, 0.0, 1.0]))])
+
+
+def test_bartlett_moments_match_the_full_cross_product():
+    # the Bartlett path reads L = T_zz and L^-1 Z'D off T'M; the full
+    # cross-product M'TT'M of the same T, through the data path's
+    # Cholesky core, must give the same statistics
+    config = dgp_from_r(0.1, 0.8, n=500, p=7, seed=5)
+    n, p, reps = config.n, config.p, 200
+    mom = _draw_moments(config, reps, np.random.default_rng(8))
+    rng = np.random.default_rng(8)  # the same draws, in the same order
+    k = p + 2
+    t = np.zeros((reps, k, k))
+    below = np.tril_indices(k, -1)
+    t[:, below[0], below[1]] = rng.standard_normal((reps, below[0].size))
+    t[:, np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(n - 1 - np.arange(k), size=(reps, k)))
+    chol = np.linalg.cholesky(config.sigma_star)
+    mix = np.zeros((k, k))
+    mix[:p, :p] = np.eye(p)
+    mix[:p, p + 1] = config.gamma_star
+    mix[p:, p + 1] = chol[1]
+    mix[:, p] = config.beta_star * mix[:, p + 1]
+    mix[p:, p] += chol[0]
+    c = np.swapaxes(t @ np.swapaxes(t, -1, -2) @ mix, -1, -2) @ mix
+    ref = Moments.of_cross(n, c[:, :p, :p], c[:, :p, p], c[:, :p, p + 1], c[:, p, p], c[:, p, p + 1], c[:, p + 1, p + 1])
+    for name in ("f", "beta_hat", "omega", "ztz", "ztd", "zty"):
+        np.testing.assert_allclose(getattr(mom, name), getattr(ref, name), rtol=1e-12, atol=0, err_msg=name)
+    np.testing.assert_allclose(mom.chol, ref.chol, rtol=0, atol=1e-12 * np.abs(ref.chol).max())
 
 
 def test_screen_of_a_bench_batch_runs_no_eigendecomposition(monkeypatch):

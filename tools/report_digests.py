@@ -28,7 +28,11 @@ compare by value, run both checkouts on the same input files:
 
 Each output prints `identical`, or the largest relative difference over
 its numbers, and `text differs` when anything but a number differs (a
-branch, an interval end label).  `quadrature_error` and `ess` are
+branch, an interval end label).  When both outputs hold a JSON document
+(the `analyze` and `pretest` reports and the Lasso outputs), the lines
+under it name each key path whose numbers differ by more than --rtol,
+with their largest relative difference; list entries share their list's
+path, as in `pretest.omega[]`.  `quadrature_error` and `ess` are
 skipped: they are rounding-level error estimates.  The exit code is 1
 when any output differs by more than --rtol or in its text.  --csv FILE
 adds `analyze` and `pretest` on another headered CSV, with FILE's stem
@@ -53,8 +57,8 @@ import numpy as np
 # has mass below 1e-12 inside the CI grid, and "underflow-null" tests one
 # such null, which the CLR branch refuses; "unbounded" fails it with a CLR
 # interval whose grid expands 14 rounds to 3001 nulls; "small-lr" tests
-# beta_hat_LIML, where LR is 3.6e-15 and the CLR tail has a notch about
-# 5e-9 wide
+# beta_hat_LIML + 1e-6, where LR is 2.2e-11 and the CLR tail has a notch
+# about 6e-7 wide
 DATASETS = [
     ("tsls-1", 0.25, 0.8, 400, 5, 1, 1.0),
     ("tsls-2", 0.25, 0.8, 400, 5, 2, 1.0),
@@ -65,7 +69,7 @@ DATASETS = [
     ("underflow-2", 0.2, 0.99, 200, 2, 1, 1.0),
     ("underflow-null", 0.3, 0.99, 200, 2, 1, 1.6),
     ("unbounded-1", 0.05, 0.5, 200, 3, 90, 1.0),
-    ("small-lr", 0.05, 0.8, 1000, 10, 1, 1.073947507635656),
+    ("small-lr", 0.05, 0.8, 1000, 10, 1, 1.073948507635656),
 ]
 # the same design plus covariates x1..x3, which Z, D and Y load on
 COVARIATE_DATASETS = [
@@ -181,17 +185,65 @@ def collect(src, workdir, extra_csvs):
     return dict(json.loads(line) for line in lines)
 
 
+def _json_doc(text: str):
+    """(the JSON object that text, or its stdout after the exit-code line,
+    starts with; the text around it), or None when there is none."""
+    for start in (0, text.find("\n") + 1):
+        if text.startswith("{", start):
+            try:
+                doc, end = json.JSONDecoder().raw_decode(text, start)
+            except ValueError:
+                return None
+            return doc, text[:start] + text[end:]
+    return None
+
+
+def _leaves(doc, path=""):
+    """(key path, value) for every leaf of a JSON document; list entries
+    share their list's path, with []."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _leaves(value, f"{path}[]")
+    else:
+        yield path, doc
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _rel(x: float, y: float) -> float:
+    return 0.0 if x == y or (x != x and y != y) else abs(x - y) / max(abs(x), abs(y))
+
+
 def difference(a: str, b: str):
     """(largest relative difference over the numbers, whether anything
-    but the numbers differs) between two output texts."""
+    but the numbers differs, {key path: largest relative difference} when
+    both texts hold a JSON document, else {}) between two output texts."""
+    docs = _json_doc(a), _json_doc(b)
+    if None not in docs:
+        (doc_a, rest_a), (doc_b, rest_b) = docs
+        leaves_a, leaves_b = list(_leaves(doc_a)), list(_leaves(doc_b))
+        paths = [path for path, _ in leaves_a]
+        text_differs = rest_a != rest_b or paths != [path for path, _ in leaves_b]
+        by_key = {}
+        for (path, x), (_, y) in zip(leaves_a, leaves_b):
+            if path.rsplit(".", 1)[-1] in ("quadrature_error", "ess"):
+                continue
+            if _is_number(x) and _is_number(y):
+                by_key[path] = max(by_key.get(path, 0.0), _rel(x, y))
+            else:
+                text_differs |= x != y
+        by_key = {path: rel for path, rel in by_key.items() if rel > 0}
+        return max(by_key.values(), default=0.0), text_differs, by_key
     a, b = SKIPPED.sub(r"\1*", a), SKIPPED.sub(r"\1*", b)
     xs, ys = NUMBER.findall(a), NUMBER.findall(b)
     text_differs = NUMBER.sub("#", a) != NUMBER.sub("#", b)
-    rel = max(
-        (abs(x - y) / max(abs(x), abs(y)) for x, y in zip(map(float, xs), map(float, ys)) if x != y),
-        default=0.0,
-    )
-    return rel, text_differs
+    rel = max((_rel(x, y) for x, y in zip(map(float, xs), map(float, ys))), default=0.0)
+    return rel, text_differs, {}
 
 
 def main(argv=None) -> int:
@@ -223,9 +275,12 @@ def main(argv=None) -> int:
         if text == theirs[name]:
             print(f"identical  {name}")
             continue
-        rel, text_differs = difference(text, theirs[name])
+        rel, text_differs, by_key = difference(text, theirs[name])
         failed |= rel > args.rtol or text_differs
         print(f"max rel {rel:.3g}{'  text differs' if text_differs else ''}  {name}")
+        for path, key_rel in by_key.items():
+            if key_rel > args.rtol:
+                print(f"    {key_rel:.3g}  {path}")
     return int(failed)
 
 
