@@ -21,7 +21,7 @@ import numpy as np
 
 from .clr import clr_conditional_inference, clr_law
 from .errors import BranchError, DataError, IVSelectError
-from .model import IVDataset, covariance_estimates, prepare
+from .model import _BLOCK_ROWS, IVDataset, Moments, _RowFactor, covariance_estimates
 from .pretest import RandomizationLaw, default_scale, run_pretest
 from .report import GRID_POINTS, InferenceReport, answer, build_report, plain
 from .sampler import SamplerConfig, invert_ci, wald_answer
@@ -138,72 +138,55 @@ def _unused_cell(text):
     return 0.0
 
 
-def ingest(path: str, config: AnalysisConfig) -> IVDataset:
-    """Parse a headered CSV into a prepared dataset.
+def ingest(path: str, config: AnalysisConfig) -> Moments:
+    """Parse a headered CSV into the moments of the prepared dataset.
 
-    The header is read with csv, the body in one numpy pass.  A cell
+    The header is read with csv, the body by numpy a block of
+    model._BLOCK_ROWS lines at a time; each block is checked, folded into
+    the QR factor of [1 X Z D Y] and dropped, so memory does not grow with
+    the row count (see model.prepare, whose moments these equal).  A cell
     parses when numpy's float parser takes it: optional quotes and
     surrounding whitespace, decimal or exponent notation in ASCII digits.
     Columns that no role uses are not parsed.  Fails loudly: a missing,
     unparseable or non-finite cell, or a row whose field count differs
     from the header's (a blank line is such a row), is reported with its
-    (1-based) data row and column name, found by a per-cell rescan that
-    runs only after the fast pass has failed."""
+    (1-based) data row and column name, found by a per-cell rescan from
+    the top that runs only after a block's fast parse has failed."""
     with open(path) as fh:
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        first = next(fh, None)
-        if first is None:
-            raise DataError(f"{path}: no data rows")
         outcome, treatment, instruments, covariates = _columns(header, config)
         col = {name: header.index(name) for name in [outcome, treatment, *instruments, *covariates]}
-        lines = 0
-
-        def counted():
-            # numpy skips blank lines, which are errors here: count what it read
-            nonlocal lines
-            for lines, line in enumerate(itertools.chain([first], fh), start=1):
-                yield line
-
-        try:
-            with warnings.catch_warnings():
-                # a body of blank lines is caught by the line count below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(
-                    counted(),
-                    delimiter=",",
-                    quotechar='"',
-                    comments=None,
-                    ndmin=2,
-                    converters={j: _unused_cell for j in set(range(len(header))) - set(col.values())},
-                )
-            fault = None
-        except ValueError as exc:
-            fault = str(exc)
-    if fault is None:
-        if table.shape != (lines, len(header)):
-            fault = f"{table.shape[0]} rows of {table.shape[1]} fields from {lines} lines"
-        elif not np.isfinite(table).all():  # unused columns read as 0.0
-            fault = "non-finite value"
+        order = [col[name] for name in [*covariates, *instruments, treatment, outcome]]
+        unused = {j: _unused_cell for j in set(range(len(header))) - set(col.values())}
+        factor = _RowFactor(len(covariates), len(instruments))
+        fault = None
+        with warnings.catch_warnings():
+            # a block of blank lines is caught by the line count below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            while fault is None and (lines := list(itertools.islice(fh, _BLOCK_ROWS))):
+                try:
+                    table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2, converters=unused)
+                except ValueError as exc:
+                    fault = str(exc)
+                else:
+                    # numpy skips blank lines, which are errors here: count what it read
+                    if table.shape != (len(lines), len(header)):
+                        fault = f"{table.shape[0]} rows of {table.shape[1]} fields from {len(lines)} lines"
+                    elif not np.isfinite(table).all():  # unused columns read as 0.0
+                        fault = "non-finite value"
+                    else:
+                        factor.add(table[:, order])
     if fault is not None:
         _locate_fault(path, len(header), col, fault)
-
-    def block(names):
-        return np.ascontiguousarray(table[:, [col[name] for name in names]])
-
-    n, p, k = table.shape[0], len(instruments), len(covariates)
+    n, p, k = factor.n, len(instruments), len(covariates)
+    if n == 0:
+        raise DataError(f"{path}: no data rows")
     if n <= p + k:
         raise DataError(f"need n > p + k rows, got n={n}, p={p}, k={k}")
-    raw = IVDataset(
-        Y=np.ascontiguousarray(table[:, col[outcome]]),
-        D=np.ascontiguousarray(table[:, col[treatment]]),
-        Z=block(instruments),
-        X=block(covariates) if covariates else None,
-    )
-    del table  # raw holds copies of every column it reads; free the parse first
-    return prepare(raw)
+    return factor.moments()
 
 
 def _locate_fault(path, width, col, fault):
@@ -248,7 +231,7 @@ def _naive_only(data, config, flavor, reason) -> InferenceReport:
     return build_report(null, alpha, "naive_only", naive, statistic=flavor, reason=reason)
 
 
-def analyze(data: IVDataset, config: AnalysisConfig) -> InferenceReport:
+def analyze(data: IVDataset | Moments, config: AnalysisConfig) -> InferenceReport:
     """Screen, dispatch to the matching conditional branch, and report.
 
     auto follows the screen: conditional post-screen inference when it

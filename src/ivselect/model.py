@@ -9,11 +9,14 @@ with (delta_i, xi_i) mean-zero bivariate normal with covariance Sigma*.
 Everything downstream works on a prepared dataset: exogenous covariates
 residualized out and all columns centered.  After that, every statistic,
 screen and law depends on the data only through n and the cross-moments
-Z'Z, Z'Y, Z'D, Y'Y, Y'D and D'D.  A Moments value holds them as the
-Cholesky factor L of Z'Z, S = L^-1 Z'D and its Y analogue L^-1 Z'Y
-(computed once per dataset, O(n p^2)), and derives Omega_hat, RSS, F
-and beta_hat from those.  Its arrays may
-carry a leading batch axis; the estimators here and the statistics in
+of [Z D Y].  A Moments value holds them as the blocks of that matrix's
+upper-triangular QR factor R: the Cholesky factor L of Z'Z, S = L^-1 Z'D,
+its Y analogue L^-1 Z'Y and the 2 x 2 factor B of the residuals of
+[D Y] on Z, and derives Omega_hat, RSS, F and beta_hat from those.  A
+dataset's R is grown a block of rows at a time from the R of
+[1 X Z D Y] (_RowFactor), so no step holds more than one block of
+rows beside the data it was given.  Its arrays may carry a leading
+batch axis; the estimators here and the statistics in
 pretest and teststats take a dataset or a Moments and, given a batch,
 return one value per replication.
 """
@@ -59,51 +62,49 @@ def _item(x):
 
 @dataclass(frozen=True)
 class Moments:
-    """n, the lower Cholesky factor L of Z'Z (p, p), s = L^-1 Z'D and
-    sy = L^-1 Z'Y (p,), and yy = Y'Y, yd = Y'D and dd = D'D of centered
-    (Z, Y, D), each optionally stacked over a leading batch axis.  Any LL'
-    = Z'Z gives S up to a rotation, which no statistic, screen or law sees;
-    the triangular L also keeps S unchanged when an instrument is rescaled.
-    Derived quantities are cached on first use; m[i] is replication i.
-
-    Quantities that are differences of moments, such as Omega_hat and
-    Sigma_hat(beta0), carry rounding relative to the moments themselves:
-    about machine epsilon times Y'Y over the residual sum of squares."""
+    """The blocks of the upper-triangular R = [[L', s, sy], [0, B]] of
+    centered [Z D Y], each optionally stacked over a leading batch axis:
+    n, the lower Cholesky factor L of Z'Z (p, p), s = L^-1 Z'D and
+    sy = L^-1 Z'Y (p,), and b (2, 2), whose columns B_D and B_Y give
+    B'B = [D Y]'(I - P_Z)[D Y].  Any LL' = Z'Z gives S up to a rotation,
+    which no statistic, screen or law sees; the triangular L also keeps S
+    unchanged when an instrument is rescaled.  Omega_hat, RSS and
+    Sigma_hat(beta0) are read off B, so they carry rounding relative to
+    the residuals, not to Y'Y.  Derived quantities are cached on first
+    use; m[i] is replication i."""
 
     n: int
     chol: np.ndarray
     s: np.ndarray
     sy: np.ndarray
-    yy: np.ndarray
-    yd: np.ndarray
-    dd: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def of(cls, z, y, d) -> "Moments":
         """Moments of centered instruments z (..., n, p) and y, d (..., n)."""
-        zt = np.swapaxes(z, -1, -2)
-        return cls.of_cross(z.shape[-2], zt @ z, _mv(zt, y), _mv(zt, d), _dot(y, y), _dot(y, d), _dot(d, d))
+        r = np.linalg.qr(np.concatenate([z, d[..., None], y[..., None]], axis=-1), mode="r")
+        return cls.of_factor(z.shape[-2], r)
 
     @classmethod
-    def of_cross(cls, n, ztz, zty, ztd, yy, yd, dd) -> "Moments":
-        """Moments from the cross-products Z'Z, Z'Y, Z'D, Y'Y, Y'D and D'D.
-        Raises RankDeficiencyError when Z'Z has no Cholesky factor, or names
-        the instruments j whose L_jj / sqrt(Z'Z_jj), the sine of the angle
-        between z_j and the earlier columns, is at most sqrt(RANK_RTOL), the
+    def of_factor(cls, n, r) -> "Moments":
+        """Moments from an upper-triangular R of p + 2 columns (B has the
+        rows past p, two unless n < p + 2) with R'R the cross-product of
+        [Z D Y].  Rows are flipped to a positive diagonal, so L is the
+        Cholesky factor of Z'Z.  Raises RankDeficiencyError naming the
+        instruments j whose L_jj / ||z_j||, the sine of the angle between
+        z_j and the earlier columns, is at most sqrt(RANK_RTOL): the
         RANK_RTOL rule on Z's singular values read in unit-free form."""
-        try:
-            chol = np.linalg.cholesky(ztz)
-        except np.linalg.LinAlgError:  # a batch fails as a whole
-            labels = [f"z{j + 1}" for j in range(ztz.shape[-1])]
-            raise RankDeficiencyError(labels, "Z'Z is not positive definite; instruments are collinear") from None
-        sine = np.diagonal(chol, axis1=-2, axis2=-1) / np.sqrt(np.diagonal(ztz, axis1=-2, axis2=-1))
+        r = r * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)[..., None]
+        p = r.shape[-1] - 2
+        rz = r[..., :p, :p]
+        norms = np.linalg.norm(rz, axis=-2)  # ||z_j||: a zero column reads as sine 0
+        sine = np.diagonal(rz, axis1=-2, axis2=-1) / np.maximum(norms, np.finfo(float).tiny)
         lost = np.flatnonzero(~np.all(sine > RANK_RTOL**0.5, axis=tuple(range(sine.ndim - 1))))
         if lost.size:
             raise RankDeficiencyError([f"z{j + 1}" for j in lost])
-        whitened = np.linalg.solve(chol, np.stack([ztd, zty], axis=-1))
         # contiguous copies: einsum over a strided view sums in another order
-        s, sy = (np.ascontiguousarray(whitened[..., k]) for k in (0, 1))
-        return cls(n=n, chol=chol, s=s, sy=sy, yy=yy, yd=yd, dd=dd)
+        s, sy, b = (np.ascontiguousarray(a) for a in (r[..., :p, p], r[..., :p, p + 1], r[..., p:, p:]))
+        return cls(n=n, chol=np.swapaxes(rz, -1, -2), s=s, sy=sy, b=b)
 
     def __getitem__(self, i) -> "Moments":
         row = object.__new__(Moments)
@@ -112,12 +113,11 @@ class Moments:
         return row
 
     def select(self, cols) -> "Moments":
-        """Moments of one dataset with only the instruments in cols."""
-        cols = list(cols)
-        return Moments.of_cross(
-            self.n, self.ztz[np.ix_(cols, cols)], self.zty[cols], self.ztd[cols],
-            self.yy, self.yd, self.dd,
-        )
+        """Moments of one dataset with only the instruments in cols: the QR
+        of those columns of R, which keeps R'R's entries for them."""
+        p = self.p
+        r = np.block([[self.chol.T, self.s[:, None], self.sy[:, None]], [np.zeros((len(self.b), p)), self.b]])
+        return Moments.of_factor(self.n, np.linalg.qr(r[:, [*cols, p, p + 1]], mode="r"))
 
     @property
     def p(self) -> int:
@@ -136,6 +136,10 @@ class Moments:
         return _mv(self.chol, self.sy)  # Z'Y = L sy
 
     @cached_property
+    def dd(self) -> np.ndarray:
+        return self.s2 + self.rss  # D'D
+
+    @cached_property
     def s2(self) -> np.ndarray:
         return _dot(self.s, self.s)
 
@@ -146,8 +150,9 @@ class Moments:
 
     @cached_property
     def rss(self) -> np.ndarray:
-        """First-stage residual sum of squares D'(I - P_Z)D."""
-        return np.maximum(self.dd - self.s2, 0.0)
+        """First-stage residual sum of squares D'(I - P_Z)D = ||B_D||^2."""
+        bd = self.b[..., :, 0]
+        return _dot(bd, bd)
 
     @cached_property
     def f(self) -> np.ndarray:
@@ -161,18 +166,16 @@ class Moments:
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """Omega_hat = [Y D]' P_Zperp [Y D] / (n - p)."""
-        sy, s = self.sy, self.s
-        return _sym2(
-            self.yy - _dot(sy, sy), self.yd - _dot(sy, s), self.dd - self.s2
-        ) / (self.n - self.p)
+        """Omega_hat = [Y D]' P_Zperp [Y D] / (n - p) = [B_Y B_D]'[B_Y B_D] / (n - p)."""
+        bd, by = self.b[..., :, 0], self.b[..., :, 1]
+        return _sym2(_dot(by, by), _dot(by, bd), self.rss) / (self.n - self.p)
 
     def sigma(self, beta0) -> np.ndarray:
-        """Sigma_hat(beta0) = B^-1 Omega_hat B^-T with B = [[1, beta0], [0, 1]]:
-        the residual covariance of (Y - D beta0, D)."""
-        o = self.omega
-        o00, o01, o11 = o[..., 0, 0], o[..., 0, 1], o[..., 1, 1]
-        return _sym2(o00 - 2.0 * beta0 * o01 + beta0**2 * o11, o01 - beta0 * o11, o11)
+        """Sigma_hat(beta0), the residual covariance of (Y - D beta0, D):
+        the Gram matrix of the columns (B_Y - beta0 B_D, B_D) over n - p."""
+        bd = self.b[..., :, 0]
+        e = self.b[..., :, 1] - np.asarray(beta0, dtype=float)[..., None] * bd
+        return _sym2(_dot(e, e), _dot(e, bd), self.rss) / (self.n - self.p)
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,7 @@ class IVDataset:
 
     @cached_property
     def moments(self) -> Moments:
-        """Cross-moments of (Z, Y, D), computed once: O(n p^2)."""
+        """Moments of (Z, Y, D), from one QR of [Z D Y]: O(n p^2)."""
         return Moments.of(self.Z, self.Y, self.D)
 
     @cached_property
@@ -261,8 +264,77 @@ def _rank_error(mat: np.ndarray, labels: list[str], rtol: float) -> RankDeficien
     return RankDeficiencyError([labels[j] for j in sorted(piv[rank:])])
 
 
+def _conditioned(r: np.ndarray, rtol: float) -> bool:
+    """Whether r's singular values all exceed rtol times the largest.  The
+    Frobenius norms bound the 2-norm condition number from above, so they
+    clear a well-conditioned r without a decomposition."""
+    try:
+        if np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r)) * rtol < 1.0:
+            return True
+    except np.linalg.LinAlgError:  # an exactly singular r
+        return False
+    sv = np.linalg.svd(r, compute_uv=False)
+    return bool(sv[-1] > rtol * sv[0])
+
+
+# Rows of one block: ingest parses, and prepare factors, this many rows at
+# a time, so neither holds more and both fold the same blocks into R.
+_BLOCK_ROWS = 8192
+
+
+class _RowFactor:
+    """The upper-triangular R of [1 X Z D Y] grown a block of rows at a
+    time (sequential TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J.
+    Sci. Comput. 2012), and each X column's range; no row is kept.  Rows
+    enter less the first row, which the intercept absorbs: an offset costs
+    no digits, and a constant column is exactly zero."""
+
+    def __init__(self, k: int, p: int):
+        self.k, self.p, self.n = k, p, 0
+        self.r = np.zeros((k + p + 3, k + p + 3))  # square from the start
+        self.lo, self.hi = np.full(k, np.inf), np.full(k, -np.inf)
+
+    def add(self, block: np.ndarray) -> None:
+        """Fold in a block of rows whose columns are X, Z, D and Y."""
+        if self.n == 0:
+            self.origin = block[0].copy()
+        self.lo = np.minimum(self.lo, block[:, : self.k].min(axis=0, initial=np.inf))
+        self.hi = np.maximum(self.hi, block[:, : self.k].max(axis=0, initial=-np.inf))
+        rows = np.hstack([np.ones((len(block), 1)), block - self.origin])
+        self.r = np.linalg.qr(np.vstack([self.r, rows]), mode="r")
+        self.n += len(block)
+
+    def moments(self) -> "Moments":
+        """The Moments of [Z D Y] residualized on [1 X], once every rank
+        rule has passed.  Constant X columns are dropped by factoring R's
+        other columns again; self.r and self.keep then hold the fit used."""
+        self.keep = self.hi - self.lo > 1e-12 * np.maximum(np.abs(self.lo), np.abs(self.hi))
+        if not self.keep.all():
+            cols = np.flatnonzero(np.r_[True, self.keep, np.ones(self.p + 2, bool)])
+            self.r = np.linalg.qr(self.r[:, cols], mode="r")
+        k, p, r = int(self.keep.sum()), self.p, self.r
+        if self.n <= p + k:
+            raise DimensionError(f"need n > p + k, got n={self.n}, p={p}, k={k}")
+        rx = r[1 : 1 + k, 1 : 1 + k]  # the factor of the centered X, in unit columns:
+        rx = rx / np.linalg.norm(rx, axis=0)  # X's units cannot reach its verdict
+        if not _conditioned(rx, RANK_RTOL):  # without X, 0 x 0 and conditioned
+            raise _rank_error(rx, [f"x{j + 1}" for j in np.flatnonzero(self.keep)], RANK_RTOL)
+        # an instrument's centered norm (rows below the intercept) against
+        # its residual norm (rows below X)
+        z = r[:, 1 + k : 1 + k + p]
+        z_res = np.linalg.norm(z[1 + k :], axis=0)
+        lost = z_res <= RANK_RTOL * np.linalg.norm(z[1:], axis=0)
+        z_labels = [f"z{j + 1}" for j in range(p)]
+        if lost.any():
+            raise RankDeficiencyError([z_labels[j] for j in np.flatnonzero(lost)])
+        try:
+            return Moments.of_factor(self.n, r[1 + k :, 1 + k :])
+        except RankDeficiencyError:  # at the core's sqrt(RANK_RTOL), on unit-norm columns: no units reach it
+            raise _rank_error(z[1 + k : 1 + k + p] / z_res, z_labels, RANK_RTOL**0.5) from None
+
+
 def require_prepared(data: IVDataset | Moments) -> Moments:
-    """The cross-moments of a prepared dataset.  A Moments value passes
+    """The moments of a prepared dataset.  A Moments value passes
     as is: it is only ever built from centered data."""
     if isinstance(data, Moments):
         return data
@@ -283,44 +355,24 @@ def prepare(raw: IVDataset) -> IVDataset:
     RANK_RTOL of its centered norm, or when the moments core cannot
     factor the residualized Z'Z.  Each rule is relative to the columns it
     judges, so rescaling any column of X or of Z changes no verdict.
+
+    The rows go through the blocks of _BLOCK_ROWS that cli.ingest folds
+    into R, so the moments equal ingest's on a CSV of the same numbers
+    bit for bit; the residual arrays come from R's fit coefficients.
     """
-    # one (n, p + 2) block, so centering and residualizing are one pass each
-    block = np.column_stack([raw.Y, raw.D, raw.Z])
-    block -= block.mean(axis=0)
-    z_norms = np.sqrt(_dot(block.T[2:], block.T[2:]))
-
-    if raw.X is not None:
-        X = raw.X - raw.X.mean(axis=0)
-        # columns that were constants are zero to rounding now; drop them
-        keep = np.max(np.abs(X), axis=0) > 1e-12 * np.max(np.abs(raw.X), axis=0)
-        x_labels = [f"x{j + 1}" for j in np.flatnonzero(keep)]
-        X = X[:, keep]
-        if X.shape[1] > 0:
-            if raw.n <= raw.p + X.shape[1]:
-                raise DimensionError(
-                    f"need n > p + k, got n={raw.n}, p={raw.p}, k={X.shape[1]}"
-                )
-            X /= np.sqrt(_dot(X.T, X.T))  # unit columns: X's units cannot reach its verdict
-            coef, _, _, sv = np.linalg.lstsq(X, block, rcond=RANK_RTOL)
-            if sv[-1] < RANK_RTOL * sv[0]:
-                raise _rank_error(X, x_labels, RANK_RTOL)
-            block -= X @ coef
-
-    # re-center to machine precision (residualizing on centered X keeps
-    # means at zero only up to rounding); a constant column becomes zero
-    block -= block.mean(axis=0)
-    out = IVDataset(Y=block[:, 0], D=block[:, 1], Z=block[:, 2:])
-    z_labels = [f"z{j + 1}" for j in range(raw.p)]
-    try:
-        chol = out.moments.chol
-    except RankDeficiencyError:  # no factor: read the norms off Z, then name columns
-        chol = None
-    z_res = np.sqrt(_dot(out.Z.T, out.Z.T) if chol is None else _dot(chol, chol))
-    lost = z_res <= RANK_RTOL * z_norms
-    if lost.any():
-        raise RankDeficiencyError([z_labels[j] for j in np.flatnonzero(lost)])
-    if chol is None:  # at the core's sqrt(RANK_RTOL), on unit-norm columns: no units reach it
-        raise _rank_error(out.Z / z_res, z_labels, RANK_RTOL**0.5)
+    x = np.empty((raw.n, 0)) if raw.X is None else raw.X
+    factor = _RowFactor(x.shape[1], raw.p)
+    for i in range(0, raw.n, _BLOCK_ROWS):
+        factor.add(np.column_stack([a[i : i + _BLOCK_ROWS] for a in (x, raw.Z, raw.D, raw.Y)]))
+    m = factor.moments()
+    k, r = int(factor.keep.sum()), factor.r
+    coef = np.linalg.solve(r[: 1 + k, : 1 + k], r[: 1 + k, 1 + k :])  # [Z D Y] on [1 X], less the origin
+    x0, w0 = factor.origin[: x.shape[1]][factor.keep], factor.origin[x.shape[1] :]
+    resid = np.column_stack([raw.Z, raw.D, raw.Y])
+    resid -= w0 + coef[0]
+    resid -= (x[:, factor.keep] - x0) @ coef[1:]
+    out = IVDataset(Y=resid[:, -1], D=resid[:, -2], Z=resid[:, :-2])
+    vars(out).update(moments=m, _prepared=True)  # the cached properties, known here
     return out
 
 

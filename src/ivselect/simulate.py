@@ -37,7 +37,6 @@ from .lasso import (
 from .model import (
     IVDataset,
     Moments,
-    _dot,
     covariance_estimates,
     prepare,
     tsls_estimate,
@@ -204,8 +203,9 @@ def _draw_moments(config: DGPConfig, reps: int, rng) -> Moments:
     with T_jj^2 ~ chi^2(n - 1 - j) and standard normals below the diagonal
     (Anderson, An Introduction to Multivariate Statistical Analysis, 7.2).
     [Z Y D] = [Z e] M for a fixed M with M_zz = I, so the cross-moments are
-    G'G with G = T'M.  G's Z block is [T_zz' 0], so L = T_zz factors Z'Z
-    and L^-1 Z'Y, L^-1 Z'D are the top of G's Y and D columns: one
+    G'G with G = T'M.  G's Z block is [T_zz' 0], so L = T_zz factors Z'Z,
+    L^-1 Z'Y and L^-1 Z'D are the top of G's Y and D columns, and their
+    last two rows are a B with B'B the residual cross-product: one
     triangular matvec and (p+2)(p+3)/2 draws per replication, whatever n is."""
     n, p = config.n, config.p
     k = p + 2
@@ -220,10 +220,10 @@ def _draw_moments(config: DGPConfig, reps: int, rng) -> Moments:
     t[:, below[0], below[1]] = rng.standard_normal((reps, below[0].size))
     diag = np.arange(k)
     t[:, diag, diag] = np.sqrt(rng.chisquare(n - 1 - diag, size=(reps, k)))
-    y, d = np.swapaxes(m.T @ t, 0, 1).copy()  # the Y and D columns of G, contiguous
+    y, d = np.swapaxes(m.T @ t, 0, 1)  # the Y and D columns of G
+    # contiguous copies: einsum over a strided view sums in another order
     return Moments(
-        n=n, chol=t[:, :p, :p], s=d[:, :p].copy(), sy=y[:, :p].copy(),
-        yy=_dot(y, y), yd=_dot(y, d), dd=_dot(d, d),
+        n=n, chol=t[:, :p, :p], s=d[:, :p].copy(), sy=y[:, :p].copy(), b=np.stack([d[:, p:], y[:, p:]], axis=-1),
     )
 
 

@@ -89,7 +89,7 @@ def ar_stat(data: IVDataset | Moments, beta0: float) -> TestValue:
     pe = m.sy - beta0[..., None] * m.s  # L^-1 Z'(Y - D beta0)
     num = _dot(pe, pe) / p
     den = m.sigma(beta0)[..., 0, 0]  # (Y - D beta0)' P_Zperp (Y - D beta0) / (n - p)
-    ee = m.yy - 2.0 * beta0 * m.yd + beta0**2 * m.dd
+    ee = _dot(pe, pe) + (n - p) * den  # (Y - D beta0)'(Y - D beta0)
     if np.any(den <= 1e-12 * np.maximum(ee, 1e-300)):
         raise CovarianceError("AR denominator is zero: Y - D*beta0 lies in col(Z)")
     stat = num / den
@@ -102,7 +102,8 @@ def clr_components(data: IVDataset | Moments, beta0: float, est: ModelEstimates)
     """U_hat, R_hat, Q_hat with plug-in Omega_hat.
 
     The 2x2 normalizations use closed forms: with omega = Omega_hat,
-    b0'omega b0 = o11 - 2 beta0 o12 + beta0^2 o22 and
+    b0'omega b0 = Sigma_hat(beta0)_11, read off the moments' residual
+    factor so that it does not cancel, and
     a0'omega^(-1) a0 = b0'omega b0 / det(omega).  An array of nulls
     broadcasts like a batch axis: many nulls on one dataset, or one null
     per replication of a batch.
@@ -113,7 +114,7 @@ def clr_components(data: IVDataset | Moments, beta0: float, est: ModelEstimates)
     det = o00 * o11 - o01**2
     if np.any(det <= 0):
         raise CovarianceError("Omega_hat is singular")
-    b_quad = o00 - 2 * beta0 * o01 + beta0**2 * o11
+    b_quad = m.sigma(beta0)[..., 0, 0]
     a_quad = b_quad / det
     if np.any(b_quad <= 0) or np.any(a_quad <= 0):
         raise CovarianceError("degenerate normalization at this beta0")
@@ -132,11 +133,14 @@ def clr_components(data: IVDataset | Moments, beta0: float, est: ModelEstimates)
 
 
 def clr_statistic_from_q(q_u, q_ur, q_r):
-    """LR = 0.5 * (Q_U - Q_R + sqrt((Q_U + Q_R)^2 - 4(Q_U Q_R - Q_UR^2))),
-    elementwise over arrays of replications."""
-    disc = (q_u + q_r) ** 2 - 4.0 * (q_u * q_r - q_ur**2)
-    # PSD of Q guarantees disc >= (q_u - q_r)^2; clip rounding noise
-    return _item(np.maximum(0.5 * (q_u - q_r + np.sqrt(np.maximum(disc, 0.0))), 0.0))
+    """LR = 0.5 * (Q_U - Q_R + sqrt(disc)) with disc = (Q_U - Q_R)^2 +
+    4 Q_UR^2, elementwise over arrays of replications.  Where Q_R >= Q_U
+    that sum cancels, so LR is read as 2 Q_UR^2 / (sqrt(disc) + Q_R - Q_U),
+    the same number; both forms are >= 0."""
+    gap = q_u - q_r
+    root = np.sqrt(gap**2 + 4.0 * q_ur**2)
+    # the denominator is only read where it is root + |gap| > 0
+    return _item(np.where(gap < 0, 2.0 * q_ur**2 / np.where(gap < 0, root - gap, 1.0), 0.5 * (gap + root)))
 
 
 def clr_statistics(

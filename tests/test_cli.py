@@ -24,6 +24,7 @@ from ivselect import (
 )
 from ivselect.cli import AnalysisConfig, analyze, ingest, main
 from ivselect.errors import BranchError, DataError
+from ivselect.model import _BLOCK_ROWS, Moments
 
 TOY = "y,d,z1\n1.0,2.0,0.5\n2.0,1.0,-0.5\n0.0,3.0,1.5\n1.5,2.5,-1.5\n"
 
@@ -55,12 +56,25 @@ def _light(points=41, seed=0, **kw):
 # --------------------------------------------------------------- ingest
 
 
+_FACTOR_FIELDS = ("chol", "s", "sy", "b")
+
+
+def _same_moments(got, want):
+    """ingest's Moments equal want's (a Moments, or a dataset's) bit for bit."""
+    want = getattr(want, "moments", want)
+    assert got.n == want.n
+    for name in _FACTOR_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_ingest_toy_file(tmp_path):
     data = ingest(_write(tmp_path, "toy.csv", TOY), AnalysisConfig())
     assert data.n == 4 and data.p == 1
-    assert data.X is None
-    assert abs(float(data.Y.mean())) < 1e-12
-    assert np.allclose(data.Y, np.array([1.0, 2.0, 0.0, 1.5]) - 1.125)
+    y, d, z = (np.array(c) - np.mean(c) for c in ([1.0, 2.0, 0.0, 1.5], [2.0, 1.0, 3.0, 2.5], [0.5, -0.5, 1.5, -1.5]))
+    ref = Moments.of(z[:, None], y, d)
+    for name in _FACTOR_FIELDS:
+        np.testing.assert_allclose(getattr(data, name), getattr(ref, name), rtol=0, atol=1e-14, err_msg=name)
+    assert data.dd == pytest.approx(d @ d, rel=1e-14)
 
 
 def test_ingest_reports_bad_cell_location(tmp_path):
@@ -127,8 +141,7 @@ def test_ingest_column_mapping_and_covariates(tmp_path):
         IVDataset(Y=w[:, 0], D=w[:, 1], Z=w[:, 2:4], X=w[:, 4:5])
     )
     assert data.p == 2
-    assert np.allclose(data.Z, manual.Z)
-    assert np.allclose(data.Y, manual.Y)
+    _same_moments(data, manual)
 
 
 def test_ingest_prefix_defaults_pick_up_covariates(tmp_path):
@@ -138,8 +151,7 @@ def test_ingest_prefix_defaults_pick_up_covariates(tmp_path):
     data = ingest(_write(tmp_path, "px.csv", "\n".join(rows) + "\n"), AnalysisConfig())
     manual = prepare(IVDataset(Y=w[:, 0], D=w[:, 1], Z=w[:, 2:3], X=w[:, 3:4]))
     assert data.p == 1
-    assert np.allclose(data.Y, manual.Y)
-    assert np.allclose(data.Z, manual.Z)
+    _same_moments(data, manual)
 
 
 def _toy_lines():
@@ -180,9 +192,7 @@ def test_ingest_accepts_csv_variants(tmp_path, text):
     path = tmp_path / "v.csv"
     path.write_bytes(text.encode())
     data = ingest(str(path), AnalysisConfig())
-    toy = ingest(_write(tmp_path, "toy.csv", TOY), AnalysisConfig())
-    for got, want in ((data.Y, toy.Y), (data.D, toy.D), (data.Z, toy.Z)):
-        assert np.array_equal(got, want)
+    _same_moments(data, ingest(_write(tmp_path, "toy.csv", TOY), AnalysisConfig()))
 
 
 @given(
@@ -210,11 +220,69 @@ def test_ingest_equals_prepare_on_the_written_arrays(tmp_path_factory, seed, p, 
     path = tmp_path_factory.mktemp("prop") / "t.csv"
     np.savetxt(path, table[:, order], delimiter=",", header=",".join(np.array(header)[order]),
                comments="", fmt="%.17g")
-    data = ingest(str(path), config)
-    manual = prepare(IVDataset(Y=y, D=d, Z=z, X=x))
-    assert np.array_equal(data.Y, manual.Y)
-    assert np.array_equal(data.D, manual.D)
-    assert np.array_equal(data.Z, manual.Z)
+    _same_moments(ingest(str(path), config), prepare(IVDataset(Y=y, D=d, Z=z, X=x)))
+
+
+def _block_csv(tmp_path, n, k, seed=0):
+    """(path, y, d, z, x): a CSV of n rows, three instruments and k
+    covariates, the last of them constant, written to round-trip."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k)) + 3.0
+    x[:, -1] = 2.5
+    z = rng.standard_normal((n, 3)) + 0.4 * x[:, :1]
+    d = z @ np.array([0.3, 0.2, 0.1]) + x[:, 0] + rng.standard_normal(n)
+    y = d + rng.standard_normal(n) - x[:, 0]
+    header = ["y", "d", "z1", "z2", "z3"] + [f"x{j + 1}" for j in range(k)]
+    path = tmp_path / f"blocks-{n}-{k}.csv"
+    np.savetxt(path, np.column_stack([y, d, z, x]), delimiter=",", header=",".join(header), comments="", fmt="%.17g")
+    return str(path), y, d, z, x
+
+
+def test_ingest_equals_prepare_across_blocks(tmp_path):
+    # three blocks, the last one short: the same boundaries on both paths,
+    # and the constant x3 spans them all; it is dropped, as a column of
+    # rounding noise must never act as a regressor
+    n = 2 * _BLOCK_ROWS + 17
+    path, y, d, z, x = _block_csv(tmp_path, n, 3)
+    data = ingest(path, AnalysisConfig())
+    _same_moments(data, prepare(IVDataset(Y=y, D=d, Z=z, X=x)))
+    without = prepare(IVDataset(Y=y, D=d, Z=z, X=x[:, :2])).moments
+    for name in _FACTOR_FIELDS:
+        np.testing.assert_allclose(getattr(data, name), getattr(without, name), rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_ingest_locates_faults_past_the_first_block(tmp_path):
+    n = 2 * _BLOCK_ROWS + 100
+    path, *_ = _block_csv(tmp_path, n, 1)
+    lines = Path(path).read_text().splitlines()
+    bad, row = lines.copy(), 2 * _BLOCK_ROWS + 50  # a data row of block 3
+    fields = bad[row].split(",")
+    fields[4] = "oops"
+    bad[row] = ",".join(fields)
+    with pytest.raises(DataError, match=f"row {row}, column 'z3': could not parse 'oops'"):
+        ingest(_write(tmp_path, "bad.csv", "\n".join(bad) + "\n"), AnalysisConfig())
+    blank = lines[: 1 + _BLOCK_ROWS] + [""] + lines[1 + _BLOCK_ROWS :]  # the first line of block 2
+    with pytest.raises(DataError, match=f"row {_BLOCK_ROWS + 1}: expected 6 fields, found 0"):
+        ingest(_write(tmp_path, "blank.csv", "\n".join(blank) + "\n"), AnalysisConfig())
+
+
+def test_ingest_memory_does_not_grow_with_rows(tmp_path):
+    # ingest holds one block of lines and the factor, whatever n is: the
+    # tracemalloc peaks of 4 and 16 blocks of the same columns agree
+    # within one block's bytes
+    import tracemalloc
+
+    peaks = []
+    for blocks in (4, 16):
+        path, *_ = _block_csv(tmp_path, blocks * _BLOCK_ROWS, 2)
+        tracemalloc.start()
+        try:
+            ingest(path, AnalysisConfig())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block_bytes = _BLOCK_ROWS * 7 * 8  # one block of the parsed table
+    assert abs(peaks[1] - peaks[0]) < block_bytes, peaks
 
 
 # -------------------------------------------------------------- analyze
@@ -852,6 +920,52 @@ def test_cli_answer_ignores_one_instruments_units(tmp_path, units):
     assert docs[0]["branch"] == docs[1]["branch"] == "tsls"
     for key in ("conditional_pvalue", "naive_pvalue"):
         assert docs[1]["report"][key] == pytest.approx(docs[0]["report"][key], abs=1e-12), key
+
+
+def _numbers(doc, path=""):
+    """{key path: [values]} of a JSON document's leaves, list entries
+    under their list's path."""
+    out = {}
+    items = doc.items() if isinstance(doc, dict) else ((None, v) for v in doc) if isinstance(doc, list) else None
+    if items is None:
+        return {path: [doc]}
+    for key, value in items:
+        for sub, values in _numbers(value, path if key is None else f"{path}.{key}").items():
+            out.setdefault(sub, []).extend(values)
+    return out
+
+
+@pytest.mark.parametrize("case", ["tsls", "clr"])
+@pytest.mark.parametrize("u_seed", [0, 1])
+def test_cli_answers_invariant_under_triangular_instrument_maps(tmp_path, case, u_seed):
+    # Z -> ZU with U upper triangular, positive diagonal: the Cholesky
+    # factor of U'Z'ZU is U'L, so S = L^-1 Z'D, the screen's draw around
+    # it and every answer stay put, whatever units U gives the columns
+    r, sigma12, n, p, seed = _UNIT_CASES[case]
+    data = generate(dgp_from_r(r, sigma12, n=n, p=p, seed=seed))
+    rng = np.random.default_rng(u_seed)
+    u = np.triu(rng.standard_normal((p, p)), 1) + np.diag(10.0 ** rng.uniform(-3.0, 3.0, p))
+    mapped = prepare(IVDataset(Y=data.Y, D=data.D, Z=data.Z @ u))
+    np.testing.assert_allclose(mapped.moments.s, data.moments.s, rtol=1e-9)
+    cfg_path = _write(tmp_path, "cfg.json", json.dumps({"null_value": 1.0, "seed": seed}))
+    docs = []
+    for tag, z in (("base", data.Z), ("mapped", data.Z @ u)):
+        rows = np.column_stack([data.Y, data.D, z])
+        header = ",".join(["y", "d"] + [f"z{j + 1}" for j in range(p)])
+        text = header + "\n" + "\n".join(",".join(repr(float(v)) for v in row) for row in rows) + "\n"
+        out = tmp_path / f"{tag}.json"
+        assert main(["analyze", _write(tmp_path, f"{tag}.csv", text), "--config", cfg_path, "--out", str(out)]) == 0
+        docs.append(_numbers(json.loads(out.read_bytes())))
+    assert docs[0].keys() == docs[1].keys()
+    assert docs[0][".branch"] == [case]
+    for key, want in docs[0].items():
+        if key.rsplit(".", 1)[-1] in ("quadrature_error", "ess"):  # rounding-level error estimates
+            continue
+        got = docs[1][key]
+        if all(isinstance(v, float) for v in want):
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-12, err_msg=key)
+        else:
+            assert got == want, key
 
 
 def test_cli_clr_answers_at_a_null_with_tiny_lr(tmp_path):

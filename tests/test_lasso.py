@@ -305,7 +305,7 @@ def test_selection_and_inference_read_only_moments():
     # one replication of a batch, and give exactly what the dataset gives
     data, _ = _partial_selection(seed=50)
     other, _ = _partial_selection(seed=63)
-    names = ("chol", "s", "sy", "yy", "yd", "dd")
+    names = ("chol", "s", "sy", "b")
     batch = Moments(data.n, *(np.stack([getattr(d.moments, k) for d in (other, data)]) for k in names))
 
     def run(src):
@@ -315,7 +315,7 @@ def test_selection_and_inference_read_only_moments():
 
     want_sel, want_rep = run(data)
     assert want_sel.support_E and want_rep["diagnostics"]["qmc_points"] == 1024
-    for src in (Moments.of(data.Z, data.Y, data.D), batch[1]):
+    for src in (Moments(data.n, *(getattr(data.moments, k) for k in names)), batch[1]):
         sel, rep = run(src)
         for f in fields(LassoSelection):
             np.testing.assert_array_equal(getattr(sel, f.name), getattr(want_sel, f.name), err_msg=f.name)

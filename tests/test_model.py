@@ -1,6 +1,8 @@
 """Dataset preparation, the Moments core, TSLS point estimation, and
 covariance mapping, with property tests of the invariances the model claims."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -320,13 +322,14 @@ def _tsls_pair(data, beta0):
 @given(
     log_a=st.floats(-6.0, 12.0),
     sign=st.sampled_from([-1.0, 1.0]),
-    shift=st.floats(-3.0, 3.0),
+    shift=st.floats(-3e6, 3e6),
     beta0=st.floats(-2.0, 4.0),
 )
 def test_tsls_equivariant_under_outcome_maps(log_a, sign, shift, beta0):
     # Y -> aY + bD: beta_hat -> a beta_hat + b and T(a beta0 + b) = sign(a) T(beta0).
-    # b = shift * |a|: once bD outweighs aY by a factor k, Sigma_hat from
-    # cross-moments loses about k^2 ulps (see Moments), so b scales with a
+    # b = shift * |a| up to 3e6 |a|: Sigma_hat(beta0) is read off the
+    # residual factor B as (B_Y - beta0 B_D, B_D), so bD outweighing aY
+    # costs no digits beyond the rounding of aY + bD itself
     a = sign * 10.0**log_a
     b = shift * abs(a)
     rng = np.random.default_rng(17)
@@ -337,6 +340,38 @@ def test_tsls_equivariant_under_outcome_maps(log_a, sign, shift, beta0):
     beta_map, t_map = _tsls_pair(prepare(IVDataset(Y=a * y + b * d, D=d, Z=z)), a * beta0 + b)
     assert beta_map == pytest.approx(a * beta_hat + b, rel=1e-9)
     assert t_map == pytest.approx(sign * t, rel=1e-8, abs=1e-10)
+
+
+def _exact_sigma11(y, d, z, beta0):
+    """Sigma_hat(beta0)_11 of the doubles given, in exact rationals: the
+    residual of Y - D beta0 on [1 Z] from the normal equations, its sum
+    of squares over n - p."""
+    n, p = z.shape
+    cols = [[Fraction(1)] * n] + [[Fraction(v) for v in z[:, j]] for j in range(p)]
+    e = [Fraction(yi) - Fraction(beta0) * Fraction(di) for yi, di in zip(y, d)]
+    # the augmented normal equations [A'A | A'e], solved by Gauss-Jordan
+    rows = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] + [sum(a * b for a, b in zip(ci, e))] for ci in cols]
+    for i in range(p + 1):
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for j in range(p + 1):
+            if j != i:
+                rows[j] = [vj - rows[j][i] * vi for vj, vi in zip(rows[j], rows[i])]
+    coef = [row[-1] for row in rows]
+    resid = [ei - sum(c * col[i] for c, col in zip(coef, cols)) for i, ei in enumerate(e)]
+    return float(sum(r * r for r in resid) / (n - p))
+
+
+def test_sigma_near_a_multiple_of_d_matches_an_exact_oracle():
+    # Y = aY0 + bD with b / a = 3e6, at beta0 = a + b: Y - D beta0 is
+    # 3e6 times smaller than Y.  Sigma_hat as a difference of cross-moments
+    # lost about (3e6)^2 ulps (1.3e-2 relative); read off B it loses 3e6
+    rng = np.random.default_rng(19)
+    n, p, a, b = 120, 3, 1.0, 3e6
+    z = rng.standard_normal((n, p))
+    d = z @ np.array([0.6, -0.4, 0.3]) + rng.standard_normal(n)
+    y = a * (0.8 * d + rng.standard_normal(n)) + b * d
+    m = prepare(IVDataset(Y=y, D=d, Z=z)).moments
+    assert m.sigma(a + b)[0, 0] == pytest.approx(_exact_sigma11(y, d, z, a + b), rel=1e-8)
 
 
 @given(log_c=st.floats(-6.0, 12.0), sign=st.sampled_from([-1.0, 1.0]), beta0=st.floats(-2.0, 4.0))
@@ -371,34 +406,27 @@ def test_batched_moments_rows_match_single_datasets(seed, beta0):
         assert penalty_lambda(batch[i], 10.0) == pytest.approx(penalty_lambda(data, 10.0), rel=1e-9)
 
 
-def _spd(rng, p, kappa, scale=1.0):
-    """A p x p SPD matrix with condition number kappa and random eigenvectors."""
-    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    return (q * rng.permutation(scale * np.geomspace(1.0, kappa, p))) @ q.T
+def _rows(rng, p, kappa, scale=1.0, n=100):
+    """(z, y, d): n rows whose Z'Z has eigenvalues scale * geomspace(1,
+    kappa) in random order and random eigenvectors; Y and D load on Z."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    z = (u * np.sqrt(rng.permutation(scale * np.geomspace(1.0, kappa, p)))) @ v.T
+    y, d = (u @ rng.standard_normal((p, 2)) + rng.standard_normal((n, 2))).T
+    return z, y, d
 
 
-def _cross_products(rng, ztz, n=100):
-    """(n, Z'Z, Z'Y, Z'D, Y'Y, Y'D, D'D) of a dataset with the given Z'Z:
-    the whitened vectors and the 2 x 2 residual cross-product are drawn."""
-    p = ztz.shape[-1]
-    vals, vecs = np.linalg.eigh(ztz)
-    root = (vecs * np.sqrt(vals)) @ vecs.T
-    sy, s = rng.standard_normal((2, p))
-    e = rng.standard_normal((n, 2))
-    r = e.T @ e
-    return n, ztz, root @ sy, root @ s, sy @ sy + r[0, 0], sy @ s + r[0, 1], s @ s + r[1, 1]
-
-
-def _root_statistics(n, ztz, zty, ztd, yy, yd, dd):
-    """||S||^2, S_Y'S, F, beta_hat and Omega_hat from the symmetric
-    (Z'Z)^(-1/2) of an eigendecomposition, an independent reference."""
-    p = ztz.shape[-1]
-    vals, vecs = np.linalg.eigh(ztz)
+def _root_statistics(z, y, d):
+    """||S||^2, S_Y'S, F, beta_hat and Omega_hat from the cross-products
+    and the symmetric (Z'Z)^(-1/2) of an eigendecomposition, an
+    independent reference."""
+    n, p = z.shape
+    vals, vecs = np.linalg.eigh(z.T @ z)
     isqrt = (vecs / np.sqrt(vals)) @ vecs.T
-    s, sy = isqrt @ ztd, isqrt @ zty
+    s, sy = isqrt @ (z.T @ d), isqrt @ (z.T @ y)
     s2 = s @ s
-    omega = np.array([[yy - sy @ sy, yd - sy @ s], [yd - sy @ s, dd - s2]]) / (n - p)
-    return s2, sy @ s, (s2 / p) / ((dd - s2) / (n - p)), (sy @ s) / s2, omega
+    omega = np.array([[y @ y - sy @ sy, y @ d - sy @ s], [y @ d - sy @ s, d @ d - s2]]) / (n - p)
+    return s2, sy @ s, (s2 / p) / ((d @ d - s2) / (n - p)), (sy @ s) / s2, omega
 
 
 @given(
@@ -408,18 +436,19 @@ def _root_statistics(n, ztz, zty, ztd, yy, yd, dd):
     log_scale=st.floats(-6.0, 6.0),
 )
 def test_cholesky_core_matches_the_symmetric_root(seed, p, log_kappa, log_scale):
-    # LL' = Z'Z to rounding, and every statistic read from L^-1 Z'D equals
-    # the one read from (Z'Z)^(-1/2) Z'D: the two differ by a rotation.
-    # Rounding Z'Z by eps moves D'P_Z D by up to kappa eps relative, in
-    # either method, so the tolerance grows with kappa past 1e3
+    # the R of [Z D Y] gives LL' = Z'Z to rounding, and every statistic
+    # read from L^-1 Z'D equals the one read from (Z'Z)^(-1/2) Z'D: the
+    # two differ by a rotation.  Rounding Z'Z by eps moves D'P_Z D by up
+    # to kappa eps relative in the reference, so the tolerance grows with
+    # kappa past 1e3
     rng = np.random.default_rng(seed)
     kappa = 10.0**log_kappa
-    cross = _cross_products(rng, _spd(rng, p, kappa, 10.0**log_scale))
-    m = Moments.of_cross(*cross)
-    ztz = cross[1]
+    z, y, d = _rows(rng, p, kappa, 10.0**log_scale)
+    m = Moments.of(z, y, d)
+    ztz = z.T @ z
     assert np.abs(m.chol @ m.chol.T - ztz).max() <= 1e-12 * np.abs(ztz).max()
     assert np.array_equal(m.chol, np.tril(m.chol)) and np.all(np.diagonal(m.chol) > 0)
-    s2, sys, f, beta_hat, omega = _root_statistics(*cross)
+    s2, sys, f, beta_hat, omega = _root_statistics(z, y, d)
     tol = 1e-15 * max(kappa, 1e3)
     for got, want in ((m.s2, s2), (m.sy @ m.s, sys), (m.f, f), (m.beta_hat, beta_hat)):
         assert got == pytest.approx(want, rel=tol, abs=tol * s2)
@@ -427,39 +456,42 @@ def test_cholesky_core_matches_the_symmetric_root(seed, p, log_kappa, log_scale)
 
 
 def _stacked(rows):
-    """One batched Moments from the cross-products of several datasets."""
-    return Moments.of_cross(rows[0][0], *(np.stack([r[k] for r in rows]) for k in range(1, 7)))
+    """One batched Moments from the rows of several datasets of one shape."""
+    return Moments.of(*(np.stack(arrays) for arrays in zip(*rows)))
 
 
 def test_batch_row_is_the_single_dataset_bit_for_bit():
     # a batch row's factor, whitened vectors and statistics cannot depend
     # on its batch-mates, whatever their conditioning and scale
     rng = np.random.default_rng(21)
-    rows = [_cross_products(rng, _spd(rng, 6, k, s)) for k, s in ((1.5, 1.0), (1e6, 1e3), (1.2, 1e-4), (3.0, 7.0))]
+    rows = [_rows(rng, 6, k, s) for k, s in ((1.5, 1.0), (1e6, 1e3), (1.2, 1e-4), (3.0, 7.0))]
     batch = _stacked(rows)
-    for i, cross in enumerate(rows):
-        one = Moments.of_cross(*cross)
-        for name in ("chol", "s", "sy", "s2", "f", "beta_hat", "omega", "gamma_hat"):
+    for i, row in enumerate(rows):
+        one = Moments.of(*row)
+        for name in ("chol", "s", "sy", "b", "s2", "f", "beta_hat", "omega", "gamma_hat"):
             assert np.array_equal(getattr(batch[i], name), getattr(one, name)), name
 
 
 def test_mixed_stack_with_a_collinear_row_names_its_columns():
     rng = np.random.default_rng(22)
-    rows = [_cross_products(rng, a) for a in (_spd(rng, 4, 1.3), _spd(rng, 4, 2.0, 50.0), _spd(rng, 4, 1e8))]
-    z = rng.standard_normal((30, 4))
+    rows = [_rows(rng, 4, *a) for a in ((1.3,), (2.0, 50.0), (1e8,))]
+    assert np.array_equal(_stacked(rows)[2].s, Moments.of(*rows[2]).s)  # kappa 1e8 is full rank
+    z, y, d = _rows(rng, 4, 1.0)
     z[:, 3] = z[:, 0] - z[:, 1]
-    assert np.array_equal(_stacked(rows)[2].s, Moments.of_cross(*rows[2]).s)  # kappa 1e8 is full rank
     with pytest.raises(RankDeficiencyError) as info:
-        _stacked([*rows, _cross_products(rng, z.T @ z, n=30)])
+        _stacked([*rows, (z, y, d)])
     assert info.value.columns == ["z4"]
-    with pytest.raises(RankDeficiencyError, match="not positive definite"):
-        _stacked([*rows, _cross_products(rng, np.diag([1.0, 1.0, 0.0, 1.0]))])
+    z[:, 3] = rng.standard_normal(100)
+    z[:, 2] = 0.0
+    with pytest.raises(RankDeficiencyError) as info:
+        _stacked([*rows, (z, y, d)])
+    assert info.value.columns == ["z3"]
 
 
 def test_bartlett_moments_match_the_full_cross_product():
-    # the Bartlett path reads L = T_zz and L^-1 Z'D off T'M; the full
-    # cross-product M'TT'M of the same T, through the data path's
-    # Cholesky core, must give the same statistics
+    # the Bartlett path reads L = T_zz and L^-1 Z'D off T'M; the QR of
+    # T'M, whose cross-product M'TT'M is that of the drawn rows, must
+    # give the same statistics
     config = dgp_from_r(0.1, 0.8, n=500, p=7, seed=5)
     n, p, reps = config.n, config.p, 200
     mom = _draw_moments(config, reps, np.random.default_rng(8))
@@ -476,9 +508,9 @@ def test_bartlett_moments_match_the_full_cross_product():
     mix[p:, p + 1] = chol[1]
     mix[:, p] = config.beta_star * mix[:, p + 1]
     mix[p:, p] += chol[0]
-    c = np.swapaxes(t @ np.swapaxes(t, -1, -2) @ mix, -1, -2) @ mix
-    ref = Moments.of_cross(n, c[:, :p, :p], c[:, :p, p], c[:, :p, p + 1], c[:, p, p], c[:, p, p + 1], c[:, p + 1, p + 1])
-    for name in ("f", "beta_hat", "omega", "ztz", "ztd", "zty"):
+    rows = np.swapaxes(t, -1, -2) @ mix  # columns Z, Y, D
+    ref = Moments.of_factor(n, np.linalg.qr(rows[..., [*range(p), p + 1, p]], mode="r"))
+    for name in ("f", "beta_hat", "omega", "rss", "dd", "ztz", "ztd", "zty"):
         np.testing.assert_allclose(getattr(mom, name), getattr(ref, name), rtol=1e-12, atol=0, err_msg=name)
     np.testing.assert_allclose(mom.chol, ref.chol, rtol=0, atol=1e-12 * np.abs(ref.chol).max())
 

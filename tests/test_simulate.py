@@ -333,8 +333,13 @@ def test_moment_draw_matches_row_draw_in_law():
         "yd": beta * dd + s[0, 1],
         "yy": beta**2 * dd + 2.0 * beta * s[0, 1] + s[0, 0],
     }
+    def dot(u, v):
+        return np.einsum("ij,ij->i", u, v)
+
+    by, bd = mom.b[:, :, 1], mom.b[:, :, 0]
+    cross = {"yd": dot(mom.sy, mom.s) + dot(by, bd), "yy": dot(mom.sy, mom.sy) + dot(by, by)}  # off R's blocks
     for key, mean in expected.items():
-        draws = getattr(mom, key)
+        draws = cross[key] if key in cross else getattr(mom, key)
         se = draws.std(axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - (n - 1) * mean) <= 4.0 * se), key
 

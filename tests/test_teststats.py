@@ -1,5 +1,7 @@
 """TSLS, Anderson-Rubin, and CLR statistics with their reference laws."""
 
+import decimal
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -153,6 +155,27 @@ def test_clr_component_identities():
 def test_clr_collapse_when_cross_term_vanishes():
     assert clr_statistic_from_q(5.0, 0.0, 2.0) == pytest.approx(3.0, abs=1e-12)
     assert clr_statistic_from_q(2.0, 0.0, 5.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def _lr_reference(q_u, q_ur, q_r):
+    """LR = (Q_U - Q_R + sqrt((Q_U - Q_R)^2 + 4 Q_UR^2)) / 2 in 50-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        u, ur, r = (decimal.Decimal(float(v)) for v in (q_u, q_ur, q_r))
+        return float((u - r + ((u - r) ** 2 + 4 * ur * ur).sqrt()) / 2)
+
+
+def test_clr_statistic_matches_a_50_digit_reference():
+    # LR << Q_R is where the plain form cancels: the small-lr digest input
+    # has LR 2.2e-11 at Q_R about 160, and the last case LR 1e-20 at 1e4
+    rng = np.random.default_rng(34)
+    q_u, q_r = 10.0 ** rng.uniform(-3.0, 4.0, (2, 200))
+    q_ur = rng.uniform(-1.0, 1.0, 200) * np.sqrt(q_u * q_r)
+    small = [(5.0, np.sqrt(2.2e-11 * 155.0), 160.0), (1e-3, 1e-8, 1e4), (2.0, -3e-9, 50.0), (1e4, 1e-8, 1e4)]
+    q_u, q_ur, q_r = (np.concatenate([v, w]) for v, w in zip((q_u, q_ur, q_r), zip(*small)))
+    lr = clr_statistic_from_q(q_u, q_ur, q_r)
+    want = np.array([_lr_reference(*q) for q in zip(q_u, q_ur, q_r)])
+    np.testing.assert_allclose(lr, want, rtol=1e-12, atol=0)
 
 
 def test_clr_statistic_nonnegative_and_pvalue_valid():

@@ -5,9 +5,10 @@ Two checkouts that print the same lines give byte-identical reports and
 simulation tables on every branch: `analyze` on screen-passing (TSLS),
 screen-failing (CLR), underflow-band, unbounded-CLR and tiny-LR inputs, on an
 input whose tested null the CLR branch refuses because its conditioning
-event underflows (exit code 2 and the error on stderr), and on a
+event underflows (exit code 2 and the error on stderr), on a
 passing and a failing input with covariates x1..x3 that the instruments
-load on, each also forced to `--test tsls --override`, `--test clr
+load on, and on a failing one of 2 * 8192 + 17 rows, so three blocks of
+ingest, with a constant covariate x4 beside them, each also forced to `--test tsls --override`, `--test clr
 --override` and `--test ar` (naive-only); `pretest`; Lasso library
 reports with and without a SamplerConfig; and every `simulate` kind,
 `uniformity` both where every replication passes the screen (r = 0.3)
@@ -75,6 +76,10 @@ DATASETS = [
 COVARIATE_DATASETS = [
     ("covariates-tsls", 0.25, 0.8, 400, 5, 3, 1.0),
     ("covariates-clr", 0.05, 0.8, 400, 5, 4, 1.0),
+    # two blocks of ivselect.model._BLOCK_ROWS = 8192 rows and 17 more, and
+    # a constant x4 beside x1..x3: ingest's blocks and its drop of a
+    # constant column that spans them
+    ("blocks-clr", 0.02, 0.8, 2 * 8192 + 17, 5, 5, 1.0),
 ]
 FORCED = [[], ["--test", "tsls", "--override"], ["--test", "clr", "--override"], ["--test", "ar"]]
 SIMULATE = [
@@ -119,6 +124,8 @@ def make_inputs(workdir: Path):
             z = z + 0.5 * x[:, np.arange(p) % 3] + 2.0
             d = d + x @ np.array([0.5, -0.5, 1.0])
             y = y + x @ np.array([-0.3, 0.2, 0.1])
+            if name == "blocks-clr":
+                x = np.column_stack([x, np.full(n, 2.5)])
         _write_csv(workdir / f"{name}.csv", y, d, z, x)
         (workdir / f"{name}.json").write_text(json.dumps({"null_value": null, "seed": seed}))
     for seed in LASSO_SEEDS:
