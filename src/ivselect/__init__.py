@@ -48,7 +48,6 @@ from .model import (
     Moments,
     covariance_estimates,
     prepare,
-    sufficient_statistic,
     tsls_estimate,
     tsls_standard_error,
 )

@@ -26,7 +26,6 @@ from .pretest import RandomizationLaw, default_scale, run_pretest
 from .report import GRID_POINTS, InferenceReport, answer, build_report, plain
 from .sampler import SamplerConfig, invert_ci, wald_answer
 from .simulate import (
-    DGPConfig,
     ExperimentGrid,
     coverage_csv,
     coverage_experiment,
@@ -139,12 +138,12 @@ def _unused_cell(text):
 
 
 def ingest(path: str, config: AnalysisConfig) -> Moments:
-    """Parse a headered CSV into the moments of the prepared dataset.
+    """Parse a headered CSV into the Moments that model.prepare gives its rows.
 
     The header is read with csv, the body by numpy a block of
     model._BLOCK_ROWS lines at a time; each block is checked, folded into
     the QR factor of [1 X Z D Y] and dropped, so memory does not grow with
-    the row count (see model.prepare, whose moments these equal).  A cell
+    the row count, as in model.prepare, which folds the same blocks.  A cell
     parses when numpy's float parser takes it: optional quotes and
     surrounding whitespace, decimal or exponent notation in ASCII digits.
     Columns that no role uses are not parsed.  Fails loudly: a missing,
@@ -389,14 +388,7 @@ def _cmd_simulate(args) -> int:
         return 0
     (r,), (s12,) = rs, s12s
     if args.kind == "lasso-uniformity":
-        config = DGPConfig(
-            n=args.n,
-            p=args.p,
-            beta_star=1.0,
-            gamma_star=r,
-            sigma_star=np.array([[1.0, s12], [s12, 1.0]]),
-            seed=seed,
-        )
+        config = dgp_from_r(r, s12, n=args.n, p=args.p, seed=seed)
         if args.first_only:  # after DGPConfig has checked p
             config = replace(config, gamma_star=np.where(np.arange(args.p) == 0, r, 0.0))
         sampler = None if args.samples is None else SamplerConfig(seed=seed, n_samples=args.samples)

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import special
 
 from .errors import BranchError, CovarianceError, QuadratureError, TruncationError
-from .model import IVDataset, ModelEstimates, Moments, _item, covariance_estimates, require_prepared
+from .model import IVDataset, ModelEstimates, Moments, _item, covariance_estimates
 from .pretest import f_statistic, penalty_lambda
 from .report import GRID_POINTS, InferenceReport, answer, build_report
 from .teststats import clr_statistics
@@ -396,7 +396,6 @@ def clr_conditional_inference(
     inversion evaluated (mass_underflow_nulls), and the grid nulls its
     coarse scan skipped are not among them.
     """
-    require_prepared(data)
     if data.p < 2:
         raise BranchError("the weak-instrument tail law requires p >= 2 instruments")
     f_stat = f_statistic(data)

@@ -6,19 +6,20 @@ The model is
     Y_i = D_i beta* + delta_i,        D_i = Z_i' gamma* + xi_i,
 
 with (delta_i, xi_i) mean-zero bivariate normal with covariance Sigma*.
-Everything downstream works on a prepared dataset: exogenous covariates
-residualized out and all columns centered.  After that, every statistic,
-screen and law depends on the data only through n and the cross-moments
-of [Z D Y].  A Moments value holds them as the blocks of that matrix's
-upper-triangular QR factor R: the Cholesky factor L of Z'Z, S = L^-1 Z'D,
-its Y analogue L^-1 Z'Y and the 2 x 2 factor B of the residuals of
-[D Y] on Z, and derives Omega_hat, RSS, F and beta_hat from those.  A
-dataset's R is grown a block of rows at a time from the R of
-[1 X Z D Y] (_RowFactor), so no step holds more than one block of
-rows beside the data it was given.  Its arrays may carry a leading
-batch axis; the estimators here and the statistics in
-pretest and teststats take a dataset or a Moments and, given a batch,
-return one value per replication.
+Every statistic, screen and law depends on the data only through n and
+the cross-moments of [Z D Y] after the exogenous covariates X and an
+intercept are residualized out.  A Moments value holds them as the
+blocks of that matrix's upper-triangular QR factor R: the Cholesky
+factor L of Z'Z, S = L^-1 Z'D, its Y analogue L^-1 Z'Y and the 2 x 2
+factor B of the residuals of [D Y] on Z, and derives Omega_hat, RSS, F
+and beta_hat from those.  prepare is the one way from rows to Moments:
+it grows R a block of rows at a time from the R of [1 X Z D Y]
+(_RowFactor), so no step holds more than one block of rows beside the
+data it was given, and a row IVDataset is prepared the first time a
+library function reads it.  Moments arrays may carry a leading batch
+axis; the estimators here and the statistics in pretest and teststats
+take a dataset or a Moments and, given a batch, return one value per
+replication.
 """
 
 from dataclasses import dataclass
@@ -180,9 +181,9 @@ class Moments:
 
 @dataclass(frozen=True)
 class IVDataset:
-    """Outcome Y (n,), treatment D (n,), instruments Z (n, p), optional
-    exogenous covariates X (n, k).  Instances are immutable; the
-    cross-moments and the prepared check are computed once."""
+    """Raw rows: outcome Y (n,), treatment D (n,), instruments Z (n, p),
+    optional exogenous covariates X (n, k).  Instances are immutable;
+    their moments are prepare's, computed the first time they are read."""
 
     Y: np.ndarray
     D: np.ndarray
@@ -233,17 +234,8 @@ class IVDataset:
 
     @cached_property
     def moments(self) -> Moments:
-        """Moments of (Z, Y, D), from one QR of [Z D Y]: O(n p^2)."""
-        return Moments.of(self.Z, self.Y, self.D)
-
-    @cached_property
-    def _prepared(self) -> bool:
-        """No covariates and every column centered, relative to its magnitude."""
-
-        def centered(a):
-            return float(np.max(np.abs(a.mean(axis=0)))) < 1e-8 * max(1.0, float(np.max(np.abs(a))))
-
-        return self.X is None and centered(self.Y) and centered(self.D) and centered(self.Z)
+        """prepare(self): the Moments of the rows, centered and residualized on X."""
+        return prepare(self)
 
 
 def pivoted_qr(mat: np.ndarray):
@@ -307,18 +299,18 @@ class _RowFactor:
     def moments(self) -> "Moments":
         """The Moments of [Z D Y] residualized on [1 X], once every rank
         rule has passed.  Constant X columns are dropped by factoring R's
-        other columns again; self.r and self.keep then hold the fit used."""
-        self.keep = self.hi - self.lo > 1e-12 * np.maximum(np.abs(self.lo), np.abs(self.hi))
-        if not self.keep.all():
-            cols = np.flatnonzero(np.r_[True, self.keep, np.ones(self.p + 2, bool)])
-            self.r = np.linalg.qr(self.r[:, cols], mode="r")
-        k, p, r = int(self.keep.sum()), self.p, self.r
+        other columns again."""
+        keep = self.hi - self.lo > 1e-12 * np.maximum(np.abs(self.lo), np.abs(self.hi))
+        r = self.r
+        if not keep.all():
+            r = np.linalg.qr(r[:, np.flatnonzero(np.r_[True, keep, np.ones(self.p + 2, bool)])], mode="r")
+        k, p = int(keep.sum()), self.p
         if self.n <= p + k:
             raise DimensionError(f"need n > p + k, got n={self.n}, p={p}, k={k}")
         rx = r[1 : 1 + k, 1 : 1 + k]  # the factor of the centered X, in unit columns:
         rx = rx / np.linalg.norm(rx, axis=0)  # X's units cannot reach its verdict
         if not _conditioned(rx, RANK_RTOL):  # without X, 0 x 0 and conditioned
-            raise _rank_error(rx, [f"x{j + 1}" for j in np.flatnonzero(self.keep)], RANK_RTOL)
+            raise _rank_error(rx, [f"x{j + 1}" for j in np.flatnonzero(keep)], RANK_RTOL)
         # an instrument's centered norm (rows below the intercept) against
         # its residual norm (rows below X)
         z = r[:, 1 + k : 1 + k + p]
@@ -334,19 +326,12 @@ class _RowFactor:
 
 
 def require_prepared(data: IVDataset | Moments) -> Moments:
-    """The moments of a prepared dataset.  A Moments value passes
-    as is: it is only ever built from centered data."""
-    if isinstance(data, Moments):
-        return data
-    if not data._prepared:
-        raise DimensionError(
-            "dataset is not prepared; call prepare() to center and residualize first"
-        )
-    return data.moments
+    """The Moments of data: a Moments value as is, a row dataset's prepare(data)."""
+    return data if isinstance(data, Moments) else data.moments
 
 
-def prepare(raw: IVDataset) -> IVDataset:
-    """Residualize X out of (Y, D, Z), center every column, drop X.
+def prepare(raw: IVDataset) -> Moments:
+    """The Moments of (Y, D, Z) with an intercept and X residualized out.
 
     Centering is equivalent to including an intercept among the exogenous
     covariates, so a constant column in X is redundant but harmless.
@@ -358,27 +343,13 @@ def prepare(raw: IVDataset) -> IVDataset:
 
     The rows go through the blocks of _BLOCK_ROWS that cli.ingest folds
     into R, so the moments equal ingest's on a CSV of the same numbers
-    bit for bit; the residual arrays come from R's fit coefficients.
+    bit for bit, and no more than one block of rows is copied.
     """
     x = np.empty((raw.n, 0)) if raw.X is None else raw.X
     factor = _RowFactor(x.shape[1], raw.p)
     for i in range(0, raw.n, _BLOCK_ROWS):
         factor.add(np.column_stack([a[i : i + _BLOCK_ROWS] for a in (x, raw.Z, raw.D, raw.Y)]))
-    m = factor.moments()
-    k, r = int(factor.keep.sum()), factor.r
-    coef = np.linalg.solve(r[: 1 + k, : 1 + k], r[: 1 + k, 1 + k :])  # [Z D Y] on [1 X], less the origin
-    x0, w0 = factor.origin[: x.shape[1]][factor.keep], factor.origin[x.shape[1] :]
-    resid = np.column_stack([raw.Z, raw.D, raw.Y])
-    resid -= w0 + coef[0]
-    resid -= (x[:, factor.keep] - x0) @ coef[1:]
-    out = IVDataset(Y=resid[:, -1], D=resid[:, -2], Z=resid[:, :-2])
-    vars(out).update(moments=m, _prepared=True)  # the cached properties, known here
-    return out
-
-
-def sufficient_statistic(data: IVDataset | Moments) -> np.ndarray:
-    """S = L^-1 Z'D with LL' = Z'Z, the first-stage statistic the pre-test acts on."""
-    return require_prepared(data).s
+    return factor.moments()
 
 
 def _require_first_stage(m: Moments) -> None:

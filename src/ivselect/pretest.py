@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFirstStageError, DimensionError
-from .model import IVDataset, Moments, _dot, _item, require_prepared, sufficient_statistic
+from .model import IVDataset, Moments, _dot, _item, require_prepared
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def run_pretest(
     data: IVDataset, c0: float = 10.0, seed: int = 0, scale: float | None = None
 ) -> PretestOutcome:
     """Convenience wrapper: F statistic, penalty, and randomized program
-    for a prepared dataset; scale defaults to default_scale(data)."""
+    for a row dataset or its Moments; scale defaults to default_scale(data)."""
     law = RandomizationLaw(scale=default_scale(data) if scale is None else scale, seed=seed)
     lam = penalty_lambda(data, c0)
-    return solve_randomized(sufficient_statistic(data), lam, law, c0=c0, f_stat=f_statistic(data))
+    return solve_randomized(require_prepared(data).s, lam, law, c0=c0, f_stat=f_statistic(data))

@@ -293,8 +293,8 @@ def answer(curve, data, beta0: float, alpha: float, n_points: int = GRID_POINTS,
     engine's per-null extras.  The curve is evaluated at [beta0] first;
     refuse, when given, takes those items and raises when beta0 is
     unanswerable, before any grid work.  Then invert_pvalue_curve inverts
-    it on n_points over beta_hat +- 8 SE of data, a prepared dataset or
-    its Moments (for the Lasso, those of the selected instruments)."""
+    it on n_points over beta_hat +- 8 SE of data, a row dataset or its
+    Moments (for the Lasso, those of the selected instruments)."""
     at_beta0 = curve(np.array([beta0], dtype=float))
     if refuse is not None:
         refuse(*at_beta0)

@@ -492,7 +492,6 @@ def invert_ci(
     call.  The grid starts at n_points over beta_hat +- 8 SE; expansion
     proceeds until both endpoints are excluded or reported unbounded.
     """
-    require_prepared(data)
     if not pretest.passed:
         raise BranchError("screen did not pass; invert the weak-instrument branch instead")
     if pretest.scale is None or pretest.scale <= 0:

@@ -38,7 +38,6 @@ from .model import (
     IVDataset,
     Moments,
     covariance_estimates,
-    prepare,
     tsls_estimate,
     tsls_standard_error,
 )
@@ -87,8 +86,12 @@ class DGPConfig:
         object.__setattr__(self, "gamma_star", gamma)
         sigma = np.asarray(self.sigma_star, dtype=float)
         object.__setattr__(self, "sigma_star", sigma)
-        if self.n <= self.p + 1:
-            raise ValueError("need n > p + 1 observations")
+        for name, value in (("beta_star", self.beta_star), ("gamma_star", gamma), ("sigma_star", sigma)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
+        # the Bartlett draw needs chi^2(n - 1 - j) for j <= p + 1
+        if self.n <= self.p + 2:
+            raise ValueError(f"need n > p + 2 observations, got n = {self.n}, p = {self.p}")
         if gamma.shape != (self.p,):
             raise ValueError("gamma_star must have length p")
         if sigma.shape != (2, 2) or abs(sigma[0, 1] - sigma[1, 0]) > 1e-12:
@@ -228,9 +231,10 @@ def _draw_moments(config: DGPConfig, reps: int, rng) -> Moments:
 
 
 def generate(config: DGPConfig) -> IVDataset:
-    """One prepared dataset from the design."""
+    """One dataset of centered rows drawn from the design; the library
+    prepares it on first use."""
     z, y, d = _draw_batch(config, 1, _generator(config.seed, 20))
-    return prepare(IVDataset(Y=y[0], D=d[0], Z=z[0]))
+    return IVDataset(Y=y[0], D=d[0], Z=z[0])
 
 
 def _screen(mom: Moments, c0: float, rng) -> PretestOutcome:

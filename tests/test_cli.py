@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,18 @@ from hypothesis import strategies as st
 
 from ivselect import (
     IVDataset,
+    RandomizationLaw,
     ar_stat,
+    default_lasso_penalty,
     dgp_from_r,
     generate,
+    lasso_conditional_inference,
     prepare,
+    run_pretest,
+    solve_randomized_lasso,
     tsls_estimate,
 )
-from ivselect.cli import AnalysisConfig, analyze, ingest, main
+from ivselect.cli import AnalysisConfig, _report_json, analyze, ingest, main
 from ivselect.errors import BranchError, DataError
 from ivselect.model import _BLOCK_ROWS, Moments
 
@@ -60,8 +66,7 @@ _FACTOR_FIELDS = ("chol", "s", "sy", "b")
 
 
 def _same_moments(got, want):
-    """ingest's Moments equal want's (a Moments, or a dataset's) bit for bit."""
-    want = getattr(want, "moments", want)
+    """ingest's Moments equal want's bit for bit."""
     assert got.n == want.n
     for name in _FACTOR_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -246,7 +251,7 @@ def test_ingest_equals_prepare_across_blocks(tmp_path):
     path, y, d, z, x = _block_csv(tmp_path, n, 3)
     data = ingest(path, AnalysisConfig())
     _same_moments(data, prepare(IVDataset(Y=y, D=d, Z=z, X=x)))
-    without = prepare(IVDataset(Y=y, D=d, Z=z, X=x[:, :2])).moments
+    without = prepare(IVDataset(Y=y, D=d, Z=z, X=x[:, :2]))
     for name in _FACTOR_FIELDS:
         np.testing.assert_allclose(getattr(data, name), getattr(without, name), rtol=1e-12, atol=1e-12, err_msg=name)
 
@@ -286,6 +291,35 @@ def test_ingest_memory_does_not_grow_with_rows(tmp_path):
 
 
 # -------------------------------------------------------------- analyze
+
+
+def _covariate_rows(r, n=400, seed=0):
+    """Raw rows: four instruments of strength r that load on two
+    uncentered covariates, which also enter D and Y."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2)) + 3.0
+    z = rng.standard_normal((n, 4)) + 0.5 * x[:, :1] + 1.0
+    d = z @ np.full(4, r) + x @ np.array([0.5, -0.3]) + rng.standard_normal(n)
+    y = d + x @ np.array([-0.2, 0.4]) + rng.standard_normal(n)
+    return IVDataset(Y=y, D=d, Z=z, X=x)
+
+
+@pytest.mark.parametrize("case, r", [("tsls", 0.5), ("clr", 0.04)])
+def test_raw_rows_with_covariates_answer_as_prepared(case, r):
+    # a row dataset is prepared on first use: every answer on the raw
+    # rows, covariates and all, equals the one on prepare's Moments
+    raw, m = _covariate_rows(r), prepare(_covariate_rows(r))
+    cfg = _light(null_value=1.0, seed=3)
+    got = analyze(raw, cfg)
+    assert got.diagnostics["branch"] == case
+    assert _report_json(got.to_dict()) == _report_json(analyze(m, cfg).to_dict())
+    assert _report_json(asdict(run_pretest(raw, seed=3))) == _report_json(asdict(run_pretest(m, seed=3)))
+    assert tsls_estimate(raw) == tsls_estimate(m)
+    law = RandomizationLaw(scale=0.1, seed=4)
+    sel = solve_randomized_lasso(raw, default_lasso_penalty(raw, seed=5), law)
+    assert sel.support_E
+    got = lasso_conditional_inference(raw, 1.0, sel).to_dict()
+    assert _report_json(got) == _report_json(lasso_conditional_inference(m, 1.0, sel).to_dict())
 
 
 def test_analyze_auto_follows_screen(tmp_path):
@@ -762,6 +796,20 @@ def test_cli_simulate_lasso_uniformity(tmp_path, capsys):
     assert summary["passing_rate"] >= 0.5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--r", "nan"], "gamma_star must be finite"),
+        (["--r", "inf"], "gamma_star must be finite"),
+        (["--n", "12", "--p", "10"], "need n > p + 2 observations"),
+    ],
+    ids=["r-nan", "r-inf", "n-is-p-plus-2"],
+)
+def test_cli_simulate_rejects_a_design_it_cannot_draw(argv, message, capsys):
+    assert main(["simulate", "--reps", "20", *argv]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_cli_oracle_subcommand(tmp_path):
     args = [
         "oracle",
@@ -946,7 +994,7 @@ def test_cli_answers_invariant_under_triangular_instrument_maps(tmp_path, case, 
     rng = np.random.default_rng(u_seed)
     u = np.triu(rng.standard_normal((p, p)), 1) + np.diag(10.0 ** rng.uniform(-3.0, 3.0, p))
     mapped = prepare(IVDataset(Y=data.Y, D=data.D, Z=data.Z @ u))
-    np.testing.assert_allclose(mapped.moments.s, data.moments.s, rtol=1e-9)
+    np.testing.assert_allclose(mapped.s, data.moments.s, rtol=1e-9)
     cfg_path = _write(tmp_path, "cfg.json", json.dumps({"null_value": 1.0, "seed": seed}))
     docs = []
     for tag, z in (("base", data.Z), ("mapped", data.Z @ u)):

@@ -50,7 +50,7 @@ def _orthonormal_instance(seed, n=80, p=4):
     gamma = rng.uniform(-1.5, 1.5, p)
     d = q @ gamma + 0.3 * rng.standard_normal(n)
     y = 0.5 * d + 0.3 * rng.standard_normal(n)
-    return prepare(IVDataset(Y=y, D=d, Z=q))
+    return IVDataset(Y=y, D=d, Z=q)
 
 
 def _random_instance(rng):
@@ -60,11 +60,11 @@ def _random_instance(rng):
     gamma = rng.uniform(-1.0, 1.0, p)
     d = mix @ gamma + rng.standard_normal(n)
     y = d * rng.uniform(-1.0, 1.0) + rng.standard_normal(n)
-    return prepare(IVDataset(Y=y, D=d, Z=mix))
+    return IVDataset(Y=y, D=d, Z=mix)
 
 
-def _objective(data, lam, omega, gamma):
-    resid = data.D - data.Z @ gamma
+def _objective(rows, lam, omega, gamma):
+    resid = rows.D - rows.Z @ gamma
     return (
         0.5 * float(resid @ resid)
         + lam * float(np.abs(gamma).sum())
@@ -72,11 +72,12 @@ def _objective(data, lam, omega, gamma):
     )
 
 
-def test_orthonormal_design_soft_threshold():
-    data = _orthonormal_instance(seed=0)
+def test_orthonormal_design_soft_threshold(prepared_rows):
+    raw = _orthonormal_instance(seed=0)
+    data, rows = prepare(raw), prepared_rows(raw)
     law = RandomizationLaw(scale=0.8, seed=5)
     omega = law.draw(data.p)
-    rho = data.Z.T @ data.D + omega
+    rho = rows.Z.T @ rows.D + omega
     lam = 0.6 * float(np.max(np.abs(rho)))
     sel = solve_randomized_lasso(data, lam, law)
     expected = np.array([_soft(r, lam) for r in rho])
@@ -85,11 +86,12 @@ def test_orthonormal_design_soft_threshold():
     assert 1 <= len(sel.support_E) < data.p
 
 
-def test_full_shrinkage_gives_empty_support():
-    data = _orthonormal_instance(seed=1)
+def test_full_shrinkage_gives_empty_support(prepared_rows):
+    raw = _orthonormal_instance(seed=1)
+    data, rows = prepare(raw), prepared_rows(raw)
     law = RandomizationLaw(scale=0.8, seed=6)
     omega = law.draw(data.p)
-    lam = 1.01 * float(np.max(np.abs(data.Z.T @ data.D + omega)))
+    lam = 1.01 * float(np.max(np.abs(rows.Z.T @ rows.D + omega)))
     sel = solve_randomized_lasso(data, lam, law)
     assert sel.support_E == ()
     assert np.all(sel.gamma_l == 0.0)
@@ -107,46 +109,48 @@ def test_unpenalized_limit_recovers_least_squares():
     assert sel.support_E == tuple(range(data.p))
 
 
-def test_kkt_residual_small_on_random_instances():
+def test_kkt_residual_small_on_random_instances(prepared_rows):
     rng = np.random.default_rng(41)
     for k in range(50):
-        data = _random_instance(rng)
+        raw = _random_instance(rng)
+        data, rows = prepare(raw), prepared_rows(raw)
         law = RandomizationLaw(scale=float(rng.uniform(0.2, 3.0)), seed=700 + k)
         omega = law.draw(data.p)
-        lam = float(rng.uniform(0.2, 1.2)) * float(np.max(np.abs(data.Z.T @ data.D + omega)))
+        lam = float(rng.uniform(0.2, 1.2)) * float(np.max(np.abs(rows.Z.T @ rows.D + omega)))
         sel = solve_randomized_lasso(data, lam, law)
-        resid = data.D - data.Z @ sel.gamma_l
-        kkt = -data.Z.T @ resid + lam * sel.subgradient_u - sel.omega
+        resid = rows.D - rows.Z @ sel.gamma_l
+        kkt = -rows.Z.T @ resid + lam * sel.subgradient_u - sel.omega
         assert float(np.max(np.abs(kkt))) < 1e-6
         off = sel.off_support
         assert np.all(sel.gamma_l[off] == 0.0)
         assert np.all(np.abs(sel.subgradient_u[off]) <= 1.0)
 
 
-def test_matches_proximal_gradient_solver():
+def test_matches_proximal_gradient_solver(prepared_rows):
     # independent oracle: proximal gradient on the same objective,
     # run to a fixed point (the problem is strongly convex, so the
     # iteration contracts geometrically)
     rng = np.random.default_rng(42)
     for k in range(20):
-        data = _random_instance(rng)
+        raw = _random_instance(rng)
+        data, rows = prepare(raw), prepared_rows(raw)
         law = RandomizationLaw(scale=float(rng.uniform(0.3, 2.0)), seed=900 + k)
         omega = law.draw(data.p)
-        lam = 0.4 * float(np.max(np.abs(data.Z.T @ data.D + omega)))
+        lam = 0.4 * float(np.max(np.abs(rows.Z.T @ rows.D + omega)))
         sel = solve_randomized_lasso(data, lam, law)
 
-        step = 1.0 / float(np.linalg.eigvalsh(data.Z.T @ data.Z)[-1])
+        step = 1.0 / float(np.linalg.eigvalsh(rows.Z.T @ rows.Z)[-1])
         gamma = np.zeros(data.p)
         for _ in range(200000):
-            grad = -data.Z.T @ (data.D - data.Z @ gamma) - omega
+            grad = -rows.Z.T @ (rows.D - rows.Z @ gamma) - omega
             new = gamma - step * grad
             new = np.sign(new) * np.maximum(np.abs(new) - step * lam, 0.0)
             if float(np.max(np.abs(new - gamma))) < 1e-14:
                 gamma = new
                 break
             gamma = new
-        obj_cd = _objective(data, lam, omega, sel.gamma_l)
-        obj_pg = _objective(data, lam, omega, gamma)
+        obj_cd = _objective(rows, lam, omega, sel.gamma_l)
+        obj_pg = _objective(rows, lam, omega, gamma)
         assert abs(obj_cd - obj_pg) < 1e-8
         np.testing.assert_allclose(sel.gamma_l, gamma, atol=1e-6)
 
@@ -171,18 +175,18 @@ def _row_dual_gap(z, d, omega, lam, gamma):
     return primal - (float(theta @ d) - 0.5 * float(theta @ theta))
 
 
-def test_moment_duality_gap_matches_row_form():
+def test_moment_duality_gap_matches_row_form(prepared_rows):
     # at points on the segment from zero to the solution, relative to D'D
     rng = np.random.default_rng(43)
     for k in range(30):
-        data = _random_instance(rng)
+        raw = _random_instance(rng)
+        m, rows = prepare(raw), prepared_rows(raw)
         law = RandomizationLaw(scale=float(rng.uniform(0.3, 2.0)), seed=950 + k)
-        lam = float(rng.uniform(0.2, 1.2)) * float(np.max(np.abs(data.Z.T @ data.D + law.draw(data.p))))
-        sel = solve_randomized_lasso(data, lam, law)
-        m = data.moments
+        lam = float(rng.uniform(0.2, 1.2)) * float(np.max(np.abs(rows.Z.T @ rows.D + law.draw(m.p))))
+        sel = solve_randomized_lasso(m, lam, law)
         for t in (0.0, 0.5, 0.9, 1.0):
             gamma = t * sel.gamma_l
-            want = _row_dual_gap(data.Z, data.D, sel.omega, lam, gamma)
+            want = _row_dual_gap(rows.Z, rows.D, sel.omega, lam, gamma)
             got = _dual_gap(m, sel.omega, lam, gamma, m.ztd - m.ztz @ gamma)
             assert abs(got - want) <= 1e-12 * float(m.dd)
 
@@ -322,7 +326,7 @@ def test_selection_and_inference_read_only_moments():
         assert rep == want_rep
 
 
-def test_gaussian_penalty_matches_row_draws_in_law():
+def test_gaussian_penalty_matches_row_draws_in_law(prepared_rows):
     # each draw of the penalty is sigma_hat ||L xi||_inf with LL' = Z'Z;
     # the reference draws rows e ~ N(0, sigma_hat^2 I) on the fixed,
     # correlated and unevenly scaled Z, and takes 1.1 times the median of
@@ -331,15 +335,16 @@ def test_gaussian_penalty_matches_row_draws_in_law():
     n, p = 60, 6
     z = (rng.standard_normal((n, p)) + 0.7 * rng.standard_normal((n, 1))) * np.linspace(0.3, 3.0, p)
     d = z @ np.full(p, 0.2) + rng.standard_normal(n)
-    data = prepare(IVDataset(Y=d + rng.standard_normal(n), D=d, Z=z))
-    resid = data.D - data.Z @ np.linalg.lstsq(data.Z, data.D, rcond=None)[0]
+    raw = IVDataset(Y=d + rng.standard_normal(n), D=d, Z=z)
+    data, rows = prepare(raw), prepared_rows(raw)
+    resid = rows.D - rows.Z @ np.linalg.lstsq(rows.Z, rows.D, rcond=None)[0]
     sigma = math.sqrt(float(resid @ resid) / (n - p))
-    rows = [
-        1.1 * np.median(np.abs(sigma * rng.standard_normal((200, n)) @ data.Z).max(axis=1))
+    reference = [
+        1.1 * np.median(np.abs(sigma * rng.standard_normal((200, n)) @ rows.Z).max(axis=1))
         for _ in range(300)
     ]
     penalties = [default_lasso_penalty(data, seed=k) for k in range(300)]
-    assert stats.ks_2samp(penalties, rows).pvalue > 1e-3
+    assert stats.ks_2samp(penalties, reference).pvalue > 1e-3
 
 
 def _single_instrument_law():

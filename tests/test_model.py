@@ -22,7 +22,6 @@ from ivselect import (
     generate,
     penalty_lambda,
     prepare,
-    sufficient_statistic,
     tsls_estimate,
     tsls_standard_error,
     tsls_stat,
@@ -32,8 +31,16 @@ from ivselect.errors import (
     DimensionError,
     RankDeficiencyError,
 )
+from ivselect.model import require_prepared
 from ivselect.sampler import _generator
 from ivselect.simulate import _draw_batch, _draw_moments, _screen
+
+
+def _assert_moments_close(got, want, atol):
+    """Every block of got's factor within atol of want's."""
+    assert got.n == want.n
+    for name in ("chol", "s", "sy", "b"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=atol, err_msg=name)
 
 
 def _centered(rng, n, p):
@@ -48,10 +55,7 @@ def test_prepare_identity_when_centered():
     d -= d.mean()
     y = 2.0 * d + rng.standard_normal(40)
     y -= y.mean()
-    out = prepare(IVDataset(Y=y, D=d, Z=z))
-    np.testing.assert_allclose(out.Y, y, atol=1e-12)
-    np.testing.assert_allclose(out.D, d, atol=1e-12)
-    np.testing.assert_allclose(out.Z, z, atol=1e-12)
+    _assert_moments_close(prepare(IVDataset(Y=y, D=d, Z=z)), Moments.of(z, y, d), atol=1e-12)
 
 
 def test_prepare_constant_covariate_is_plain_centering():
@@ -61,10 +65,7 @@ def test_prepare_constant_covariate_is_plain_centering():
     y = rng.standard_normal(30) + 1.0
     x = np.full((30, 1), 3.7)
     out = prepare(IVDataset(Y=y, D=d, Z=z, X=x))
-    np.testing.assert_allclose(out.Y, y - y.mean(), atol=1e-10)
-    np.testing.assert_allclose(out.D, d - d.mean(), atol=1e-10)
-    np.testing.assert_allclose(out.Z, z - z.mean(axis=0), atol=1e-10)
-    assert out.X is None
+    _assert_moments_close(out, Moments.of(z - z.mean(axis=0), y - y.mean(), d - d.mean()), atol=1e-10)
 
 
 def test_prepare_matches_normal_equations_oracle():
@@ -83,9 +84,7 @@ def test_prepare_matches_normal_equations_oracle():
     resid = m - g @ coef
 
     out = prepare(IVDataset(Y=y, D=d, Z=z, X=x))
-    np.testing.assert_allclose(out.Y, resid[:, 0], atol=1e-10)
-    np.testing.assert_allclose(out.D, resid[:, 1], atol=1e-10)
-    np.testing.assert_allclose(out.Z, resid[:, 2:], atol=1e-10)
+    _assert_moments_close(out, Moments.of(resid[:, 2:], resid[:, 0], resid[:, 1]), atol=1e-10)
 
 
 def test_prepare_rank_deficiency_names_columns():
@@ -152,7 +151,8 @@ def test_prepare_names_the_dependent_column():
 
 def test_prepare_verdicts_ignore_column_units():
     # every rank rule is relative to the columns it judges, so rescaling X
-    # (any column) or Z (all columns) changes no verdict and no residual
+    # (any column) or Z (all columns) changes no verdict and no moment
+    # beyond Z's units in L
     y, d, z, x = _covariate_design()
     base = prepare(IVDataset(Y=y, D=d, Z=z, X=x))
 
@@ -162,10 +162,10 @@ def test_prepare_verdicts_ignore_column_units():
     for s in (1e-12, 1e-6, 1e6, 1e12):
         for sx in (np.full(3, s), np.array([s, 1.0, 1.0 / s])):
             out = prepare(IVDataset(Y=y, D=d, Z=z, X=x * sx))
-            for a, b in ((out.Y, base.Y), (out.D, base.D), (out.Z, base.Z)):
+            for a, b in ((out.chol, base.chol), (out.s, base.s), (out.sy, base.sy), (out.b, base.b)):
                 close(a, b)
         out = prepare(IVDataset(Y=y, D=d, Z=s * z, X=x))
-        for a, b in ((out.Y, base.Y), (out.D, base.D), (out.Z / s, base.Z)):
+        for a, b in ((out.chol / s, base.chol), (out.s, base.s), (out.sy, base.sy), (out.b, base.b)):
             close(a, b)
 
 
@@ -191,6 +191,42 @@ def test_prepare_factorizes_no_n_row_matrix(monkeypatch):
     z[:, 2] = z[:, 0]
     _named(y, d, z, x)
     assert calls == ["pivoted_qr", "svd"]
+
+
+def test_prepare_memory_does_not_grow_with_rows():
+    # prepare copies one block of rows at a time into the factor and keeps
+    # none: the tracemalloc peaks of 4 and 16 blocks of the same columns
+    # agree within one block's bytes, as ingest's do
+    import tracemalloc
+
+    from ivselect.model import _BLOCK_ROWS
+
+    peaks = []
+    for blocks in (4, 16):
+        raw = IVDataset(*_covariate_design(n=blocks * _BLOCK_ROWS))
+        tracemalloc.start()
+        try:
+            prepare(raw)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block_bytes = _BLOCK_ROWS * 8 * 8  # one block of [X Z D Y]
+    assert abs(peaks[1] - peaks[0]) < block_bytes, peaks
+
+
+def test_nearly_centered_rows_are_prepared():
+    # column means 1e-9 of their magnitude: a row dataset is never taken
+    # as centered as it stands, so every answer is prepare's bit for bit
+    rng = np.random.default_rng(15)
+    z = rng.standard_normal((200, 3))
+    d = z @ np.array([0.5, 0.3, 0.2]) + rng.standard_normal(200)
+    y = d + rng.standard_normal(200)
+    y, d, z = (a - a.mean(axis=0) + 1e-9 * np.max(np.abs(a)) for a in (y, d, z))
+    raw = IVDataset(Y=y, D=d, Z=z)
+    m = prepare(IVDataset(Y=y, D=d, Z=z))
+    assert np.array_equal(_statistics(raw, 0.7), _statistics(m, 0.7))
+    assert tsls_standard_error(raw) == tsls_standard_error(m)
+    assert default_scale(raw) == default_scale(m)
 
 
 def test_row_count_mismatch_rejected():
@@ -284,7 +320,7 @@ def _statistics(data, beta0):
     return np.concatenate([
         [
             f_statistic(data),
-            float(np.linalg.norm(sufficient_statistic(data))),
+            float(np.linalg.norm(require_prepared(data).s)),
             tsls_estimate(data),
             tsls_stat(data, beta0, est).statistic,
             ar_stat(data, beta0).statistic,
@@ -370,7 +406,7 @@ def test_sigma_near_a_multiple_of_d_matches_an_exact_oracle():
     z = rng.standard_normal((n, p))
     d = z @ np.array([0.6, -0.4, 0.3]) + rng.standard_normal(n)
     y = a * (0.8 * d + rng.standard_normal(n)) + b * d
-    m = prepare(IVDataset(Y=y, D=d, Z=z)).moments
+    m = prepare(IVDataset(Y=y, D=d, Z=z))
     assert m.sigma(a + b)[0, 0] == pytest.approx(_exact_sigma11(y, d, z, a + b), rel=1e-8)
 
 
@@ -532,17 +568,16 @@ def test_screen_of_a_bench_batch_runs_no_eigendecomposition(monkeypatch):
     assert 0 < screen.passed.sum() < 1000
 
 
-def test_s_norm_ties_to_projected_quadratic():
+def test_s_norm_ties_to_projected_quadratic(prepared_rows):
     rng = np.random.default_rng(13)
-    data = prepare(IVDataset(Y=rng.standard_normal(60), D=rng.standard_normal(60),
-                             Z=rng.standard_normal((60, 5))))
-    s = sufficient_statistic(data)
-    coef = np.linalg.lstsq(data.Z, data.D, rcond=None)[0]
-    direct = float(data.D @ (data.Z @ coef))
+    raw = IVDataset(Y=rng.standard_normal(60), D=rng.standard_normal(60), Z=rng.standard_normal((60, 5)))
+    s, rows = prepare(raw).s, prepared_rows(raw)
+    coef = np.linalg.lstsq(rows.Z, rows.D, rcond=None)[0]
+    direct = float(rows.D @ (rows.Z @ coef))
     assert abs(float(s @ s) - direct) < 1e-8 * max(direct, 1.0)
 
 
-def test_standard_error_matches_quadratic_forms():
+def test_standard_error_matches_quadratic_forms(prepared_rows):
     # recompute from raw arrays: sqrt of Sigma_hat_11 at beta_hat over D'P_Z D
     rng = np.random.default_rng(14)
     z = rng.standard_normal((80, 3))
@@ -550,7 +585,8 @@ def test_standard_error_matches_quadratic_forms():
     y = 0.8 * d + rng.standard_normal(80)
     data = prepare(IVDataset(Y=y, D=d, Z=z))
 
-    zc, yc, dc = data.Z, data.Y, data.D
+    rows = prepared_rows(IVDataset(Y=y, D=d, Z=z))
+    zc, yc, dc = rows.Z, rows.Y, rows.D
     pz = zc @ np.linalg.solve(zc.T @ zc, zc.T)
     dpd = dc @ pz @ dc
     beta_hat = (dc @ pz @ yc) / dpd

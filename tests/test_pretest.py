@@ -15,11 +15,15 @@ from ivselect import (
 )
 
 
-def _hand_instance():
+def _hand_rows():
     # Z = (-1, 0, 1), D = (-2, 1, 1): gamma_hat = 1.5, RSS = 1.5, F = 6
     z = np.array([[-1.0], [0.0], [1.0]])
     d = np.array([-2.0, 1.0, 1.0])
-    return prepare(IVDataset(Y=d.copy(), D=d, Z=z))
+    return IVDataset(Y=d.copy(), D=d, Z=z)
+
+
+def _hand_instance():
+    return prepare(_hand_rows())
 
 
 def _random_data(rng, n=60, p=3, strength=0.5):
@@ -29,11 +33,12 @@ def _random_data(rng, n=60, p=3, strength=0.5):
     return prepare(IVDataset(Y=y, D=d, Z=z))
 
 
-def test_f_statistic_hand_instance():
+def test_f_statistic_hand_instance(prepared_rows):
     data = _hand_instance()
-    gamma = float(np.linalg.lstsq(data.Z, data.D, rcond=None)[0][0])
+    rows = prepared_rows(_hand_rows())
+    gamma = float(np.linalg.lstsq(rows.Z, rows.D, rcond=None)[0][0])
     assert gamma == pytest.approx(1.5, abs=1e-12)
-    rss = float(np.sum((data.D - data.Z[:, 0] * gamma) ** 2))
+    rss = float(np.sum((rows.D - rows.Z[:, 0] * gamma) ** 2))
     assert rss == pytest.approx(1.5, abs=1e-12)
     assert f_statistic(data) == pytest.approx(6.0, abs=1e-10)
 
@@ -57,7 +62,7 @@ def test_penalty_boundary_identity():
     data = _hand_instance()
     lam = penalty_lambda(data, 6.0)
     assert lam**2 == pytest.approx(4.5, abs=1e-10)
-    assert lam == pytest.approx(float(np.linalg.norm(data.moments.s)), abs=1e-10)
+    assert lam == pytest.approx(float(np.linalg.norm(data.s)), abs=1e-10)
 
 
 @pytest.mark.parametrize("c0", [1.0, 5.0, 10.0, 25.0])
@@ -67,7 +72,7 @@ def test_threshold_equivalence_on_random_instances(c0):
         data = _random_data(rng, strength=rng.uniform(0.0, 0.6))
         f = f_statistic(data)
         lam = penalty_lambda(data, c0)
-        s_norm = float(np.linalg.norm(data.moments.s))
+        s_norm = float(np.linalg.norm(data.s))
         assert (f >= c0) == (s_norm >= lam)
 
 
@@ -169,7 +174,7 @@ def test_default_scale_formula():
     rng = np.random.default_rng(26)
     data = _random_data(rng, n=80, p=4, strength=0.5)
     n = data.n
-    expected = 0.5 * np.sqrt(n / (n - 1)) * float(np.std(data.moments.s))
+    expected = 0.5 * np.sqrt(n / (n - 1)) * float(np.std(data.s))
     assert default_scale(data) == pytest.approx(expected, rel=1e-12)
 
 

@@ -35,7 +35,6 @@ from ivselect import (
     pvalue_cdf_csv,
     rejection_oracle,
     run_pretest,
-    sufficient_statistic,
     tsls_estimate,
     tsls_standard_error,
     tsls_stat,
@@ -277,7 +276,7 @@ def test_batch_moments_match_single_dataset_path():
     for i in range(5):
         data = prepare(IVDataset(Y=y[i], D=d[i], Z=z[i]))
         est = covariance_estimates(data, beta0)
-        assert np.allclose(mom.s[i], sufficient_statistic(data), atol=1e-8)
+        assert np.allclose(mom.s[i], data.s, atol=1e-8)
         assert np.isclose(est_all.sigma_hat[i, 0, 0], est.sigma_hat[0, 0], rtol=1e-9)
         assert np.isclose(est_all.sigma_hat[i, 0, 1], est.sigma_hat[0, 1], rtol=1e-9)
         tv = tsls_stat(data, beta0, est)
@@ -441,8 +440,17 @@ def test_lasso_selection_experiment_reports_selection_rate():
 
 def test_config_validation_errors():
     eye = np.eye(2)
-    with pytest.raises(ValueError, match="n > p \\+ 1"):
-        DGPConfig(n=4, p=3, beta_star=1.0, gamma_star=0.1, sigma_star=eye)
+    # the Bartlett draw needs chi^2(n - 1 - j) for j <= p + 1
+    for n in (4, 5):
+        with pytest.raises(ValueError, match="n > p \\+ 2"):
+            DGPConfig(n=n, p=3, beta_star=1.0, gamma_star=0.1, sigma_star=eye)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="beta_star must be finite"):
+            DGPConfig(n=50, p=3, beta_star=bad, gamma_star=0.1, sigma_star=eye)
+        with pytest.raises(ValueError, match="gamma_star must be finite"):
+            DGPConfig(n=50, p=3, beta_star=1.0, gamma_star=[0.1, bad, 0.1], sigma_star=eye)
+        with pytest.raises(ValueError, match="sigma_star must be finite"):
+            DGPConfig(n=50, p=3, beta_star=1.0, gamma_star=0.1, sigma_star=[[1.0, bad], [bad, 1.0]])
     with pytest.raises(ValueError, match="length p"):
         DGPConfig(n=50, p=3, beta_star=1.0, gamma_star=np.ones(2), sigma_star=eye)
     with pytest.raises(ValueError, match="symmetric"):

@@ -14,7 +14,15 @@ reports with and without a SamplerConfig; and every `simulate` kind,
 `uniformity` both where every replication passes the screen (r = 0.3)
 and at the bench design, where most of the batch fails it (r = 0.08).
 The inputs are generated here by ivselect.simulate.generate at fixed
-seeds, so the script needs no data files.
+seeds, so the script needs no data files.  The Lasso outputs pass the
+library a raw IVDataset of generated rows, which it prepares with
+ivselect.model.prepare on first use.
+
+generate returns the centered rows it draws.  Before that change it
+returned prepare's rebuild of them, which differs in the last bit, so
+the per-checkout listings of two checkouts on either side of it differ
+on every input.  Compare such checkouts with --against, which runs both
+on the same input files.
 
     python tools/report_digests.py                 # this checkout's src
     python tools/report_digests.py --src OTHER/src > other.txt
