@@ -9,7 +9,7 @@ import numpy as np
 
 from ivselect.model import covariance_estimates, tsls_estimate, tsls_standard_error
 from ivselect.pretest import f_statistic, run_pretest
-from ivselect.sampler import SamplerConfig, build_law_tsls, gibbs_sample, invert_ci, wald_interval
+from ivselect.sampler import SamplerConfig, build_law_tsls, invert_ci, sample_paths, wald_interval
 from ivselect.simulate import dgp_from_r, generate
 
 # Moderately strong design: 10 instruments, first-stage slope 0.3 each.
@@ -31,7 +31,7 @@ if pretest.passed:
     beta0 = 1.0
     est = covariance_estimates(data, beta0)
     law = build_law_tsls(data, beta0, pretest, est)
-    draws = gibbs_sample(law, SamplerConfig(n_samples=6000, burn_in=1500, seed=1))
+    draws, _ = sample_paths(law, SamplerConfig(n_samples=6000, burn_in=1500, seed=1, chains=1))
     t_obs = law.t_obs
     p_cond = min(1.0, 2 * min(np.mean(draws >= t_obs), np.mean(draws <= t_obs)))
     print(f"\ntesting beta0 = {beta0}: t_obs = {t_obs:.3f}")

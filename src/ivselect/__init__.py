@@ -4,7 +4,7 @@ The screen-then-estimate workflow (keep the instruments only if the
 first-stage F beats a threshold, or only if the Lasso selects them)
 distorts the usual TSLS test.  This package randomizes the screen,
 derives the exact conditional null law of the post-screen statistic,
-and samples or integrates it to produce valid p-values and confidence
+and integrates it to produce valid p-values and confidence
 intervals, alongside the naive quantities for comparison.
 """
 
@@ -39,7 +39,6 @@ from .lasso import (
     default_lasso_penalty,
     default_lasso_scale,
     lasso_conditional_inference,
-    sample_selection_paths,
     solve_randomized_lasso,
 )
 from .model import (
@@ -65,7 +64,6 @@ from .sampler import (
     ConditionalLaw,
     SamplerConfig,
     build_law_tsls,
-    gibbs_sample,
     invert_ci,
     sample_paths,
     wald_answer,

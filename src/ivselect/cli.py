@@ -21,7 +21,7 @@ import numpy as np
 
 from .clr import clr_conditional_inference, clr_law
 from .errors import BranchError, DataError, IVSelectError
-from .model import _BLOCK_ROWS, IVDataset, Moments, _RowFactor, covariance_estimates
+from .model import _BLOCK_ROWS, IVDataset, Moments, _RowFactor
 from .pretest import RandomizationLaw, default_scale, run_pretest
 from .report import GRID_POINTS, InferenceReport, answer, build_report, plain
 from .sampler import SamplerConfig, invert_ci, wald_answer
@@ -225,8 +225,7 @@ def _naive_only(data, config, flavor, reason) -> InferenceReport:
     elif flavor == "ar":
         naive = answer(lambda xs: (ar_stat(data, xs).naive_pvalue,), data, null, alpha, n_points)
     else:
-        est = covariance_estimates(data, null)
-        naive = answer(lambda xs: clr_law(data, xs, est), data, null, alpha, n_points)
+        naive = answer(lambda xs: clr_law(data, xs), data, null, alpha, n_points)
     return build_report(null, alpha, "naive_only", naive, statistic=flavor, reason=reason)
 
 

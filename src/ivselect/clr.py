@@ -13,16 +13,17 @@ values whose interval is empty contributing zero to both.  The screen
 here is the non-randomized F-test: lambda is computed with no noise
 term.
 
-truncation_from_estimates builds the screen events of many laws (one per
-tested null or replication) as one ClrTruncation of arrays, and
-clr_tails integrates them in theta (u2 = sin theta) by the composite
-Gauss-Legendre rule of both exact engines, cut at each law's breakpoints
-(the notch at u2 = 0 and the kinks of the event), refining only the laws
-whose error estimate has not converged; clr_tail is its one-law case;
 clr_law builds and evaluates the laws, naive or truncated, of many nulls
-or replications from their moments.  A law
-whose conditioning event has mass below 1e-12 comes back as NaN with
-an underflow flag, and the weak-branch report lists those nulls.
+or replications from their moments alone: the screen events as one
+ClrTruncation of arrays, from Sigma_hat(beta0) and det Omega_hat read
+off the moments' residual factor (truncation_from_estimates builds the
+same from a given Omega_hat).  clr_tails integrates them in theta
+(u2 = sin theta) by the composite Gauss-Legendre rule of both exact
+engines, cut at each law's breakpoints (the notch at u2 = 0 and the
+kinks of the event), refining only the laws whose error estimate has not
+converged; clr_tail is its one-law case.  A law whose conditioning event
+has mass below 1e-12 comes back as NaN with an underflow flag, and the
+weak-branch report lists those nulls.
 """
 
 import math
@@ -33,7 +34,7 @@ import numpy as np
 from scipy import special
 
 from .errors import BranchError, CovarianceError, QuadratureError, TruncationError
-from .model import IVDataset, ModelEstimates, Moments, _item, covariance_estimates
+from .model import IVDataset, Moments, _item, require_prepared
 from .pretest import f_statistic, penalty_lambda
 from .report import GRID_POINTS, InferenceReport, answer, build_report
 from .teststats import clr_statistics
@@ -102,20 +103,14 @@ class ClrTruncation:
             raise ValueError("truncation is defined for p >= 2")
 
 
-def truncation_from_estimates(
-    omega_hat: np.ndarray, beta0: float, lambda_sq: float, q_r: float, p: int
-) -> ClrTruncation:
-    """Build the screen-event coefficients from the 2x2 reduced-form
-    covariance at the tested null.  Arrays of nulls, of covariances
-    (..., 2, 2), of lambda_sq and of q_r broadcast to a batch of laws."""
-    o = np.asarray(omega_hat, dtype=float)
-    o00, o01, o11 = o[..., 0, 0], o[..., 0, 1], o[..., 1, 1]
-    det = o00 * o11 - o01**2
-    b_quad = o00 - 2.0 * beta0 * o01 + beta0**2 * o11
-    if np.any(det <= 0) or np.any(b_quad <= 0):
+def _truncation(s11, s12, det, lambda_sq, q_r, p) -> ClrTruncation:
+    """The screen-event coefficients from Sigma_hat(beta0)'s s11 and s12
+    and det Omega_hat: d0 = s12^2 / s11, d1 = 2 s12 sqrt(det) / s11,
+    d2 = det / s11.  Arrays broadcast to a batch of laws."""
+    if np.any(det <= 0) or np.any(s11 <= 0):
         raise CovarianceError("reduced-form covariance is singular at this beta0")
-    alpha_coef = (o01 - beta0 * o11) / np.sqrt(b_quad)
-    d2 = det / b_quad
+    alpha_coef = s12 / np.sqrt(s11)
+    d2 = det / s11
     return ClrTruncation(
         d0=_item(alpha_coef**2),
         d1=_item(2.0 * alpha_coef * np.sqrt(d2)),
@@ -124,6 +119,20 @@ def truncation_from_estimates(
         q_R=_item(np.asarray(q_r, dtype=float)),
         p=int(p),
     )
+
+
+def truncation_from_estimates(
+    omega_hat: np.ndarray, beta0: float, lambda_sq: float, q_r: float, p: int
+) -> ClrTruncation:
+    """Build the screen-event coefficients from the 2x2 reduced-form
+    covariance at the tested null.  Arrays of nulls, of covariances
+    (..., 2, 2), of lambda_sq and of q_r broadcast to a batch of laws.
+    Omega's entries cancel once Y carries a large multiple of D; clr_law
+    reads the same coefficients off the moments instead."""
+    o = np.asarray(omega_hat, dtype=float)
+    o00, o01, o11 = o[..., 0, 0], o[..., 0, 1], o[..., 1, 1]
+    s11 = o00 - 2.0 * beta0 * o01 + beta0**2 * o11
+    return _truncation(s11, o01 - beta0 * o11, o00 * o11 - o01**2, lambda_sq, q_r, p)
 
 
 def _chi2_at(fn, p, x, mask):
@@ -365,16 +374,20 @@ def clr_tail(
     return float(law.tail[0])
 
 
-def clr_law(data: IVDataset | Moments, nulls, est: ModelEstimates, lam_sq=None):
+def clr_law(data: IVDataset | Moments, nulls, lam_sq=None):
     """The ClrTails of the CLR law at each null: the LR statistic and Q_R
-    from the moments and est's Omega_hat, then the tail given Q_R alone
-    (naive, lam_sq None) or also given the failed screen
-    {||S||^2 <= lam_sq}.  nulls is an array of nulls on one dataset, or
-    one null for a batch of replications with their estimates and lam_sq."""
-    lr, q_r = clr_statistics(data, nulls, est)
+    from the moments, then the tail given Q_R alone (naive, lam_sq None)
+    or also given the failed screen {||S||^2 <= lam_sq}, whose
+    coefficients come from Sigma_hat(null) and det Omega_hat read off the
+    moments' residual factor.  nulls is an array of nulls on one dataset,
+    or one null for a batch of replications with their lam_sq."""
+    m = require_prepared(data)
+    lr, q_r = clr_statistics(m, nulls)
     if lam_sq is None:
-        return clr_tails(lr, q_r, data.p)
-    return clr_tails(lr, q_r, data.p, truncation_from_estimates(est.omega_hat, nulls, lam_sq, q_r, data.p))
+        return clr_tails(lr, q_r, m.p)
+    sigma = m.sigma(nulls)
+    trunc = _truncation(sigma[..., 0, 0], sigma[..., 0, 1], m.det_omega, lam_sq, q_r, m.p)
+    return clr_tails(lr, q_r, m.p, trunc)
 
 
 def clr_conditional_inference(
@@ -405,14 +418,13 @@ def clr_conditional_inference(
             "this branch conditions on failing it"
         )
     lam2 = penalty_lambda(data, c0) ** 2
-    est = covariance_estimates(data, beta0)
     # far from the estimate the plug-in failure event can underflow;
     # such nulls are unanswerable (NaN), so the scan stops there
     cond = answer(
-        lambda xs: clr_law(data, xs, est, lam2), data, beta0, alpha, n_points,
+        lambda xs: clr_law(data, xs, lam2), data, beta0, alpha, n_points,
         refuse=lambda tail, underflow, *_: _require_mass(underflow),
     )
-    naive = answer(lambda xs: clr_law(data, xs, est), data, beta0, alpha, n_points)
+    naive = answer(lambda xs: clr_law(data, xs), data, beta0, alpha, n_points)
     _, _, error, nodes = cond.at_beta0
     return build_report(
         beta0, alpha, "clr", naive, cond,

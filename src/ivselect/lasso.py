@@ -14,9 +14,9 @@ integrates it without a Markov chain: sequential conditioning (Genz
 1992) draws (g_E, u_{-E}) over one scrambled Sobol point set, one
 inverse-CDF step of sampler._truncnorm_ppf per coordinate, and T's
 tail given the rest is a closed-form normal tail.  Every p-value is
-then a deterministic, smooth function of the law and the seed.  Exact
-coordinate Gibbs on the same law (sample_selection_paths) stays as the
-Monte Carlo reference the engine is checked against.
+then a deterministic, smooth function of the law and the seed; the
+tests check the engine against i.i.d. rejection draws from the same
+Gaussian, kept where they land in the box.
 
 The post-selection statistic and its covariance with Z'D use the
 selected instruments' projector.  A LassoLaw follows the batch
@@ -52,7 +52,6 @@ _GAP_RTOL = 1e-13
 _PENALTY_SIMS = 200
 _PENALTY_MULT = 1.1
 _MAX_SWEEPS = 100000
-_RESYNC_EVERY = 128
 _QMC_SCRAMBLES = 8
 # QMC points per law without a SamplerConfig, whose default was sized for
 # Gibbs draws: qmc_se stays below 1e-3 on n = 1000, p = 10 designs
@@ -215,10 +214,11 @@ class LassoLaw:
 
     The randomization argument is cols @ theta + base with theta the
     state stacked as [T, gamma_E, u_{-E}]; constraints are sign orthants
-    on gamma_E and the unit box on u_{-E}.  One value holds one law or a
-    batch of laws, one per tested null or replication: t_obs carries the
-    batch shape, and every other field may carry it in front of its own
-    axes."""
+    on gamma_E and the unit box on u_{-E}.  Of the observed state only
+    t_obs is kept: the engine integrates (gamma_E, u_{-E}) out and needs
+    no start.  One value holds one law or a batch of laws, one per tested
+    null or replication: t_obs carries the batch shape, and every other
+    field may carry it in front of its own axes."""
 
     cols: np.ndarray  # (..., p, q) with q = 1 + |E| + (p - |E|)
     base: np.ndarray  # (..., p)
@@ -226,7 +226,6 @@ class LassoLaw:
     upper: np.ndarray  # (..., q)
     gaussian_scale: float
     t_obs: float
-    theta_obs: np.ndarray  # (..., q) observed state
 
     def __post_init__(self):
         if not np.all(np.asarray(self.gaussian_scale, dtype=float) > 0):
@@ -240,7 +239,7 @@ def build_law_lasso(
     must carry Sigma_hat evaluated at this beta0.
 
     An array of nulls with their estimates gives one LassoLaw whose
-    cols, base, t_obs and theta_obs carry the null axis; the bounds and
+    cols, base and t_obs carry the null axis; the bounds and
     the scale do not depend on the null.  One null gives a scalar t_obs,
     (p, q) cols and (q,) vectors."""
     m = require_prepared(data)
@@ -278,10 +277,6 @@ def build_law_lasso(
     upper[1:1 + n_e][~positive] = 0.0
     lower[1 + n_e:] = -1.0
     upper[1 + n_e:] = 1.0
-
-    theta_obs = np.empty(shape + (q,))
-    theta_obs[..., 0] = t_obs
-    theta_obs[..., 1:] = np.concatenate([sel.gamma_l[e_idx], sel.subgradient_u[off]])
     return LassoLaw(
         cols=cols,
         base=base,
@@ -289,73 +284,12 @@ def build_law_lasso(
         upper=upper,
         gaussian_scale=sel.scale,
         t_obs=t_obs,
-        theta_obs=theta_obs,
     )
-
-
-def _gibbs_linear_gaussian(rng, cols, base, c, lower, upper, theta0, n_samples, burn_in):
-    """Batched exact Gibbs over a state with linear Gaussian coupling.
-
-    cols: (m, p, q); base: (m, p); c: (m,); lower/upper: (m, q);
-    theta0: (m, q).  Coordinate 0 carries the test statistic, which has
-    an N(0, 1) prior; the others are flat within their bounds.  Returns
-    the post-burn-in states, (m, n_samples, q)."""
-    m, _, q = cols.shape
-    theta = np.asarray(theta0, dtype=float).copy()
-    if np.any(theta < lower) or np.any(theta > upper):
-        raise SamplerError("initial state violates the selection constraints")
-    by_coord = np.ascontiguousarray(cols.transpose(2, 0, 1))  # (q, m, p)
-    inv_c2 = 1.0 / c**2
-    prec = np.einsum("imp,imp->im", by_coord, by_coord) * inv_c2
-    prec[0] += 1.0
-    gain = inv_c2 / prec
-    sd = 1.0 / np.sqrt(prec)
-    free = np.isneginf(lower).all(axis=0) & np.isposinf(upper).all(axis=0)
-    states = np.empty((m, n_samples, q))
-    for k in range(burn_in + n_samples):
-        if k % _RESYNC_EVERY == 0:
-            x = np.einsum("mpq,mq->mp", cols, theta) + base
-        for i in range(q):
-            col = by_coord[i]
-            x -= col * theta[:, i:i + 1]
-            mean = -np.einsum("mp,mp->m", col, x) * gain[i]
-            if free[i]:
-                theta[:, i] = mean + sd[i] * rng.standard_normal(m)
-            else:
-                uu = np.clip(rng.random(m), 1e-16, 1.0 - 1e-16)
-                lo = (lower[:, i] - mean) / sd[i]
-                hi = (upper[:, i] - mean) / sd[i]
-                theta[:, i] = np.clip(
-                    mean + sd[i] * _truncnorm_ppf(uu, lo, hi)[0], lower[:, i], upper[:, i]
-                )
-            x += col * theta[:, i:i + 1]
-        if k >= burn_in:
-            states[:, k - burn_in] = theta
-    return states
 
 
 def _law_rows(law: LassoLaw, v, *tail):
     """A field v of a law or a batch of laws, one row per law: (m,) + tail."""
     return np.broadcast_to(v, np.shape(law.t_obs) + tail).reshape((-1,) + tail)
-
-
-def sample_selection_paths(law: LassoLaw, config: SamplerConfig = None) -> np.ndarray:
-    """Post-burn-in state paths over (T, gamma_E, u_{-E}) of one law for
-    every configured chain, shape (chains, n_samples, 1 + p).  Chains
-    start at the observed state and differ only through their random
-    streams.  This exact Gibbs sampler is the Monte Carlo reference that
-    tests check the QMC engine against; no product path calls it."""
-    config = config if config is not None else SamplerConfig()
-    p, q = law.cols.shape[-2:]
-
-    def rows(v, *tail):
-        return np.repeat(_law_rows(law, v, *tail), config.chains, axis=0)
-
-    return _gibbs_linear_gaussian(
-        _generator(config.seed, 6), rows(law.cols, p, q), rows(law.base, p),
-        rows(law.gaussian_scale), rows(law.lower, q), rows(law.upper, q),
-        rows(law.theta_obs, q), config.n_samples, config.burn_in,
-    )
 
 
 def _qmc_tails(u, t_obs, mean, chol, slope, prec_t, lower, upper):

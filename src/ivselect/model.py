@@ -171,6 +171,14 @@ class Moments:
         bd, by = self.b[..., :, 0], self.b[..., :, 1]
         return _sym2(_dot(by, by), _dot(by, bd), self.rss) / (self.n - self.p)
 
+    @cached_property
+    def det_omega(self) -> np.ndarray:
+        """det Omega_hat = (det B)^2 / (n - p)^2, which stays exact when Y
+        gains a multiple of D, where Omega_hat's entries cancel.  B is
+        not triangular in every batch, so its full determinant is taken."""
+        b = self.b
+        return ((b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]) / (self.n - self.p)) ** 2
+
     def sigma(self, beta0) -> np.ndarray:
         """Sigma_hat(beta0), the residual covariance of (Y - D beta0, D):
         the Gram matrix of the columns (B_Y - beta0 B_D, B_D) over n - p."""

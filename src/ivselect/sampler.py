@@ -13,11 +13,11 @@ so the argument of g is linear in (t, d).  The screen's randomization g
 is Gaussian, so t given d is Gaussian and integrating t out leaves d a
 log-concave weight (the randomized-response set-up of Tian & Taylor,
 Ann. Statist. 2018): every p-value is a ratio of two 1-D integrals over
-d, done by Gauss-Legendre quadrature.  The Gibbs sampler (exact in t,
-inverse-CDF or slice steps in d) is the Monte Carlo reference.
-SamplerConfig steers it and the Lasso engines only: the Lasso QMC
-engine reads its seed and n_samples (sobol_points), the Gibbs samplers
-all four fields.
+d, done by Gauss-Legendre quadrature.  The Gibbs sampler sample_paths
+(exact in t, inverse-CDF or slice steps in d) is the Monte Carlo
+reference; no product path calls it.  SamplerConfig steers it and the
+Lasso QMC engine only: sample_paths reads all four fields, the QMC
+engine its seed and n_samples (sobol_points).
 
 A ConditionalLaw follows the batch convention of model.Moments: an
 array of tested nulls, or a batch of replications, gives one law whose
@@ -79,7 +79,8 @@ class ConditionalLaw:
     One value holds one law or a batch of laws, one per tested null or
     replication: w_st, o and u end in the instrument axis (p,), and every
     field but w_t and jacobian_exponent may carry leading batch axes that
-    broadcast together."""
+    broadcast together.  w_t, the variance of T, must be 1: T is
+    standardized, and the engines take its prior as N(0, 1)."""
 
     w_t: float
     w_st: np.ndarray
@@ -98,8 +99,8 @@ class ConditionalLaw:
         vecs = (self.w_st, self.o, self.u)
         if min(v.ndim for v in vecs) == 0 or len({v.shape[-1] for v in vecs}) != 1:
             raise ValueError("w_st, o, u must share one last axis (p,)")
-        if self.w_t <= 0:
-            raise ValueError("w_t must be positive")
+        if self.w_t != 1.0:
+            raise ValueError(f"w_t = {self.w_t}: T is standardized, so w_t must be 1")
         if np.any(self.lam < 0) or self.jacobian_exponent < 0:
             raise ValueError("lam and jacobian_exponent must be >= 0")
         if np.any(np.abs(_dot(self.u, self.u) - 1.0) > 1e-8):
@@ -112,7 +113,7 @@ class ConditionalLaw:
     @property
     def slope(self) -> np.ndarray:
         """Coefficient of t inside g's argument."""
-        return -self.w_st / self.w_t
+        return -self.w_st
 
     @property
     def offset(self) -> np.ndarray:
@@ -124,7 +125,7 @@ class ConditionalLaw:
 
     def log_density(self, t, d) -> float:
         t, d = np.asarray(t, dtype=float), np.asarray(d, dtype=float)
-        val = -0.5 * t * t / self.w_t + self.g_log_density(self.g_argument(t, d))
+        val = -0.5 * t * t + self.g_log_density(self.g_argument(t, d))
         if self.jacobian_exponent:
             with np.errstate(divide="ignore", invalid="ignore"):
                 val = val + self.jacobian_exponent * np.log(d + self.lam)
@@ -298,45 +299,21 @@ def _require_gaussian(law: ConditionalLaw) -> None:
         raise SamplerError("the conditional law needs Gaussian randomization (gaussian_scale)")
 
 
-def _chains(law, config, tag, m, t0, d0):
-    """m chains of the exact Gibbs sampler on one law, all from (t0, d0)."""
-    _require_gaussian(law)
-    rows = lambda v: np.repeat(v[None, :], m, axis=0)
-    return _gibbs_gaussian(
-        _generator(config.seed, tag), rows(law.slope), rows(law.u), rows(law.offset),
-        np.full(m, law.lam), np.full(m, law.gaussian_scale), law.jacobian_exponent,
-        np.full(m, t0), np.full(m, d0), config.n_samples, config.burn_in,
-    )
-
-
-def gibbs_sample(
-    law: ConditionalLaw,
-    config: SamplerConfig = None,
-    init_t: float = None,
-    init_d: float = None,
-) -> np.ndarray:
-    """One chain of post-burn-in t draws from the conditional law.
-
-    Defaults initialize at the observed state (t_obs, d_obs)."""
-    config = config if config is not None else SamplerConfig()
-    t0 = law.t_obs if init_t is None else float(init_t)
-    d0 = law.d_obs if init_d is None else float(init_d)
-    if d0 <= 0:
-        raise SamplerError("init_d must be positive")
-    if not np.isfinite(law.log_density(t0, d0)):
-        raise SamplerError("log-density not finite at initialization")
-    return _chains(law, config, 1, 1, t0, d0)["t"][0]
-
-
 def sample_paths(law: ConditionalLaw, config: SamplerConfig = None):
-    """Post-burn-in (t, d) paths for every configured chain.
+    """Post-burn-in (t, d) paths of the exact Gibbs sampler on one law,
+    for every configured chain.
 
     Returns two arrays of shape (chains, n_samples); chains start at the
     observed state and differ only through their random streams."""
     config = config if config is not None else SamplerConfig()
-    if law.d_obs <= 0:
-        raise SamplerError("observed d must be positive")
-    out = _chains(law, config, 4, config.chains, law.t_obs, law.d_obs)
+    _require_gaussian(law)
+    m = config.chains
+    rows = lambda v: np.repeat(v[None, :], m, axis=0)
+    out = _gibbs_gaussian(
+        _generator(config.seed, 4), rows(law.slope), rows(law.u), rows(law.offset),
+        np.full(m, law.lam), np.full(m, law.gaussian_scale), law.jacobian_exponent,
+        np.full(m, law.t_obs), np.full(m, law.d_obs), config.n_samples, config.burn_in,
+    )
     return out["t"], out["d"]
 
 

@@ -324,18 +324,15 @@ def _clr_fail_cell(config, c0, alpha, reps) -> ExperimentResult:
         raise ExperimentError(
             f"only {failing.size} of {reps} replications failed the screen"
         )
-    # the estimates come from the whole batch before its rows are taken,
-    # so the failing rows' moments carry them as computed batch-wide
-    est = covariance_estimates(mom, beta0)
     lam_sq = penalty_lambda(mom, c0) ** 2
-    sub, sub_est = mom[failing], _row(est, failing)
-    cond, underflow, _, _ = clr_law(sub, beta0, sub_est, lam_sq[failing])
+    sub = mom[failing]
+    cond, underflow, _, _ = clr_law(sub, beta0, lam_sq[failing])
     if underflow.any():
         raise TruncationError(
             f"replication {failing[underflow][0]}: conditioning event mass underflowed, "
             "though the replication failed the screen"
         )
-    naive = clr_law(sub, beta0, sub_est).tail
+    naive = clr_law(sub, beta0).tail
     return _result(reps, 1.0 - failing.size / reps, cond, naive, naive >= alpha, alpha)
 
 
@@ -346,27 +343,26 @@ def coverage_experiment(
     reps: int,
     branch: str = "tsls_pass",
 ) -> list:
-    """Per-cell passing rates and coverages across the (r, sigma12) grid."""
+    """Per-cell passing rates and coverages across the (r, sigma12) grid.
+    Every cell's DGPConfig is built before the first draw, so a design
+    no cell can draw is refused before any cell runs."""
     if branch not in ("tsls_pass", "clr_fail"):
         raise ValueError(f"unknown branch {branch!r}")
     if reps < 200:
         raise ValueError("need reps >= 200 per cell")
+    designs = [
+        (r, s12, dgp_from_r(r, s12, n=grid.n, p=grid.p, beta_star=grid.beta_star,
+                            seed=_child_seed(grid.seed, 40, i, j)))
+        for i, r in enumerate(grid.r_values)
+        for j, s12 in enumerate(grid.sigma12_values)
+    ]
     cells = []
-    for i, r in enumerate(grid.r_values):
-        for j, s12 in enumerate(grid.sigma12_values):
-            config = dgp_from_r(
-                r,
-                s12,
-                n=grid.n,
-                p=grid.p,
-                beta_star=grid.beta_star,
-                seed=_child_seed(grid.seed, 40, i, j),
-            )
-            if branch == "tsls_pass":
-                res = uniformity_experiment(config, c0, reps, alpha=alpha)
-            else:
-                res = _clr_fail_cell(config, c0, alpha, reps)
-            cells.append(CoverageCell(r=r, sigma12=s12, result=res))
+    for r, s12, config in designs:
+        if branch == "tsls_pass":
+            res = uniformity_experiment(config, c0, reps, alpha=alpha)
+        else:
+            res = _clr_fail_cell(config, c0, alpha, reps)
+        cells.append(CoverageCell(r=r, sigma12=s12, result=res))
     return cells
 
 

@@ -98,33 +98,33 @@ def ar_stat(data: IVDataset | Moments, beta0: float) -> TestValue:
     )
 
 
-def clr_components(data: IVDataset | Moments, beta0: float, est: ModelEstimates) -> ClrComponents:
-    """U_hat, R_hat, Q_hat with plug-in Omega_hat.
+def clr_components(data: IVDataset | Moments, beta0: float) -> ClrComponents:
+    """U_hat, R_hat, Q_hat with plug-in Omega_hat, all read off the
+    moments' residual factor.
 
-    The 2x2 normalizations use closed forms: with omega = Omega_hat,
-    b0'omega b0 = Sigma_hat(beta0)_11, read off the moments' residual
-    factor so that it does not cancel, and
-    a0'omega^(-1) a0 = b0'omega b0 / det(omega).  An array of nulls
-    broadcasts like a batch axis: many nulls on one dataset, or one null
-    per replication of a batch.
+    With Sigma = Sigma_hat(beta0), S_e = S_Y - beta0 S and
+    det = det Omega_hat = det Sigma, the closed forms are
+    U_hat = S_e / sqrt(Sigma_11) and
+    R_hat = (S Sigma_11 - S_e Sigma_12) / sqrt(Sigma_11 det).  Neither
+    goes through Omega_hat's entries, which cancel once Y carries a large
+    multiple of D, so both keep their digits under Y -> Y + bD.  An array
+    of nulls broadcasts like a batch axis: many nulls on one dataset, or
+    one null per replication of a batch.
     """
     m = require_prepared(data)
-    o = est.omega_hat
-    o00, o01, o11 = o[..., 0, 0], o[..., 0, 1], o[..., 1, 1]
-    det = o00 * o11 - o01**2
+    _require_first_stage(m)
+    det = m.det_omega
     if np.any(det <= 0):
         raise CovarianceError("Omega_hat is singular")
-    b_quad = m.sigma(beta0)[..., 0, 0]
-    a_quad = b_quad / det
-    if np.any(b_quad <= 0) or np.any(a_quad <= 0):
+    sigma = m.sigma(beta0)
+    s11, s12 = sigma[..., 0, 0], sigma[..., 0, 1]
+    if np.any(s11 <= 0):
         raise CovarianceError("degenerate normalization at this beta0")
 
     # [..., None] sets each replication's scalar against its (p,) vectors
-    u_hat = (m.sy - np.asarray(beta0)[..., None] * m.s) / np.sqrt(b_quad)[..., None]
-    # omega^(-1) a0 = (o22*beta0 - o12, o11 - o12*beta0) / det
-    w1 = (o11 * beta0 - o01) / det
-    w2 = (o00 - o01 * beta0) / det
-    r_hat = (m.sy * w1[..., None] + m.s * w2[..., None]) / np.sqrt(a_quad)[..., None]
+    s_e = m.sy - np.asarray(beta0)[..., None] * m.s
+    u_hat = s_e / np.sqrt(s11)[..., None]
+    r_hat = (m.s * s11[..., None] - s_e * s12[..., None]) / np.sqrt(s11 * det)[..., None]
     return ClrComponents(
         u_hat=u_hat,
         r_hat=r_hat,
@@ -143,11 +143,8 @@ def clr_statistic_from_q(q_u, q_ur, q_r):
     return _item(np.where(gap < 0, 2.0 * q_ur**2 / np.where(gap < 0, root - gap, 1.0), 0.5 * (gap + root)))
 
 
-def clr_statistics(
-    data: IVDataset | Moments, beta0s, est: ModelEstimates
-) -> tuple[np.ndarray, np.ndarray]:
+def clr_statistics(data: IVDataset | Moments, beta0s) -> tuple[np.ndarray, np.ndarray]:
     """LR statistic and Q_R at each null of beta0s, ready for one batched
-    clr_tails call; est supplies only Omega_hat, which does not depend on
-    the null."""
-    comps = clr_components(data, np.asarray(beta0s, dtype=float), est)
+    clr_tails call."""
+    comps = clr_components(data, np.asarray(beta0s, dtype=float))
     return clr_statistic_from_q(comps.q_u, comps.q_ur, comps.q_r), comps.q_r

@@ -511,6 +511,19 @@ def test_analyze_intervals_equivariant_under_any_units(case, log_a, a_sign, shif
         assert abs(getattr(got, name) - getattr(base, name)) <= 1e-9, name
 
 
+@pytest.mark.parametrize("case", ["clr", "clr-unbounded"])
+@pytest.mark.parametrize("b", [1e4, 1e6, 3e6])
+def test_clr_answer_invariant_when_y_gains_a_multiple_of_d(case, b):
+    # Y -> Y + bD maps the CLR law at a null to the law at null + b.
+    # Omega_hat's entries grow like b^2 and cancel in det Omega_hat and in
+    # Sigma_hat(null + b), so the law reads both off the residual factor
+    base, got = _unit_base(case), _unit_analysis(case, b=b)
+    assert got.diagnostics["branch"] == base.diagnostics["branch"] == "clr"
+    _assert_intervals_mapped(base, got, 1.0, b, 1.0)
+    for name in ("conditional_pvalue", "naive_pvalue"):
+        assert abs(getattr(got, name) - getattr(base, name)) <= 1e-8, name
+
+
 def test_analysis_config_validation():
     with pytest.raises(ValueError, match="test must be one of"):
         AnalysisConfig(test="wald")

@@ -93,7 +93,7 @@ def test_truncation_coefficients_reproduced_from_omega():
     data = _weak_data(seed=1)
     beta0 = 0.8
     est = covariance_estimates(data, beta0)
-    comps = clr_components(data, beta0, est)
+    comps = clr_components(data, beta0)
     lam2 = penalty_lambda(data, 10.0) ** 2
     tr = truncation_from_estimates(est.omega_hat, beta0, lam2, comps.q_r, data.p)
 
@@ -117,7 +117,7 @@ def test_truncation_recovers_screen_quadratic():
         data = _weak_data(seed=seed, r=0.15)
         beta0 = 0.7
         est = covariance_estimates(data, beta0)
-        comps = clr_components(data, beta0, est)
+        comps = clr_components(data, beta0)
         lam2 = penalty_lambda(data, 10.0) ** 2
         tr = truncation_from_estimates(est.omega_hat, beta0, lam2, comps.q_r, data.p)
         lhs = tr.d0 * comps.q_u + tr.d1 * comps.q_ur + tr.d2 * comps.q_r
@@ -128,7 +128,7 @@ def test_truncated_tail_bounded_and_decreasing():
     data = _weak_data(seed=2)
     beta0 = 1.0
     est = covariance_estimates(data, beta0)
-    comps = clr_components(data, beta0, est)
+    comps = clr_components(data, beta0)
     lam2 = penalty_lambda(data, 10.0) ** 2
     tr = truncation_from_estimates(est.omega_hat, beta0, lam2, comps.q_r, data.p)
     ts = np.linspace(0.05, 10.0, 30)
@@ -183,7 +183,7 @@ def test_conditional_inference_reports_intervals():
 
 def _weak_laws(data, beta0s, c0=10.0):
     est = covariance_estimates(data, 1.0)
-    lr, q_r = clr_statistics(data, beta0s, est)
+    lr, q_r = clr_statistics(data, beta0s)
     lam2 = penalty_lambda(data, c0) ** 2
     return lr, q_r, truncation_from_estimates(est.omega_hat, np.asarray(beta0s), lam2, q_r, data.p)
 
@@ -512,7 +512,7 @@ def test_batched_truncation_equals_per_null_builds():
     rng = _generator(4, 1)
     mom = Moments.of(*_draw_batch(dgp_from_r(0.05, 0.6, n=300, p=4, seed=4), 12, rng))
     est = covariance_estimates(mom, 1.0)
-    comps = clr_components(mom, 1.0, est)
+    comps = clr_components(mom, 1.0)
     lam2 = penalty_lambda(mom, 10.0) ** 2
     trunc = truncation_from_estimates(est.omega_hat, 1.0, lam2, comps.q_r, mom.p)
     singles = [

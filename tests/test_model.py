@@ -325,7 +325,7 @@ def _statistics(data, beta0):
             tsls_stat(data, beta0, est).statistic,
             ar_stat(data, beta0).statistic,
         ],
-        clr_components(data, beta0, est).q_hat[[0, 0, 1], [0, 1, 1]],
+        clr_components(data, beta0).q_hat[[0, 0, 1], [0, 1, 1]],
     ])
 
 

@@ -1,5 +1,5 @@
 """Conditional (t, d) law construction, the exact tail quadrature, the
-Gibbs sampler, and CI inversion."""
+Gibbs reference sampler, and CI inversion."""
 
 import math
 import warnings
@@ -17,7 +17,6 @@ from ivselect import (
     covariance_estimates,
     dgp_from_r,
     generate,
-    gibbs_sample,
     invert_ci,
     run_pretest,
     sample_paths,
@@ -81,9 +80,9 @@ def _p1_t_marginal_cdf(law, span=12.0, points=12001):
 
 def test_single_instrument_t_marginal_matches_closed_form():
     _, _, law = _passed_setup(seed=3, p=1)
-    draws = gibbs_sample(law, SamplerConfig(n_samples=20000, burn_in=2000, seed=5))
+    draws, _ = sample_paths(law, SamplerConfig(n_samples=20000, burn_in=2000, seed=5, chains=1))
     ts, cdf = _p1_t_marginal_cdf(law)
-    ks = stats.kstest(draws, lambda x: np.interp(x, ts, cdf)).statistic
+    ks = stats.kstest(draws[0], lambda x: np.interp(x, ts, cdf)).statistic
     assert ks < 0.02
     # the quadrature's lower tail is the same CDF; the trapezoid
     # reference is good to about 1e-7 at this spacing
@@ -232,8 +231,8 @@ def test_huge_randomization_scale_gives_standard_normal():
     pretest = run_pretest(data, c0=10.0, seed=9, scale=big)
     assert pretest.passed
     law = build_law_tsls(data, 0.5, pretest, covariance_estimates(data, 0.5))
-    draws = gibbs_sample(law, SamplerConfig(n_samples=20000, burn_in=2000, seed=10))
-    assert stats.kstest(draws, "norm").statistic < 0.02
+    draws, _ = sample_paths(law, SamplerConfig(n_samples=20000, burn_in=2000, seed=10, chains=1))
+    assert stats.kstest(draws[0], "norm").statistic < 0.02
 
 
 def test_unconstrained_law_moments():
@@ -250,7 +249,7 @@ def test_unconstrained_law_moments():
         t_obs=0.0,
         d_obs=1.0,
     )
-    draws = gibbs_sample(law, SamplerConfig(n_samples=20000, burn_in=1000, seed=11))
+    draws, _ = sample_paths(law, SamplerConfig(n_samples=20000, burn_in=1000, seed=11, chains=1))
     assert abs(draws.mean()) < 0.05
     assert abs(draws.var() - 1.0) < 0.1
 
@@ -292,10 +291,10 @@ def test_wald_interval_formula():
 
 def test_sampler_reproducibility():
     _, _, law = _passed_setup(seed=11, p=2)
-    cfg = SamplerConfig(n_samples=2000, burn_in=200, seed=21)
-    np.testing.assert_array_equal(gibbs_sample(law, cfg), gibbs_sample(law, cfg))
-    other = gibbs_sample(law, SamplerConfig(n_samples=2000, burn_in=200, seed=22))
-    assert not np.array_equal(gibbs_sample(law, cfg), other)
+    cfg = SamplerConfig(n_samples=2000, burn_in=200, seed=21, chains=1)
+    np.testing.assert_array_equal(sample_paths(law, cfg), sample_paths(law, cfg))
+    other = sample_paths(law, replace(cfg, seed=22))
+    assert not np.array_equal(sample_paths(law, cfg), other)
 
 
 def test_sample_paths_shapes_and_positivity():
@@ -309,9 +308,15 @@ def test_sample_paths_shapes_and_positivity():
 
 def test_gibbs_sample_rejects_bad_initialization():
     _, _, law = _passed_setup(seed=14, p=2)
-    with pytest.raises(SamplerError):
-        gibbs_sample(law, SamplerConfig(n_samples=100, burn_in=10, seed=1), init_d=-1.0)
     general = replace(law, gaussian_scale=None)
-    for run in (gibbs_sample, sample_paths, _pooled_pvalues):
+    for run in (sample_paths, _pooled_pvalues):
         with pytest.raises(SamplerError):
             run(general)
+
+
+def test_law_refuses_a_t_variance_the_engines_ignore():
+    # the engines integrate T against an N(0, 1) prior; a law with another
+    # w_t would get the tails of w_t = 1 without a word
+    _, _, law = _passed_setup(seed=14, p=2)
+    with pytest.raises(ValueError, match="w_t"):
+        replace(law, w_t=2.0)

@@ -41,6 +41,7 @@ from ivselect import (
     uniformity_experiment,
     wald_interval,
 )
+from ivselect import simulate
 from ivselect.errors import ExperimentError
 from ivselect.pretest import RandomizationLaw
 from ivselect.sampler import _generator
@@ -268,7 +269,7 @@ def test_batch_moments_match_single_dataset_path():
     beta0 = 0.9
     est_all = covariance_estimates(mom, beta0)
     tv_all = tsls_stat(mom, beta0, est_all)
-    comp_all = clr_components(mom, beta0, est_all)
+    comp_all = clr_components(mom, beta0)
     beta_all = tsls_estimate(mom)
     f_all = f_statistic(mom)
     zq = stats.norm.ppf(0.975)
@@ -285,7 +286,7 @@ def test_batch_moments_match_single_dataset_path():
         assert np.isclose(beta_all[i], tsls_estimate(data), rtol=1e-10)
         pre = run_pretest(data, c0=10.0)
         assert np.isclose(f_all[i], pre.f_stat, rtol=1e-9)
-        comp = clr_components(data, beta0, est)
+        comp = clr_components(data, beta0)
         assert np.isclose(comp_all.q_u[i], comp.q_u, rtol=1e-8)
         assert np.isclose(comp_all.q_ur[i], comp.q_ur, rtol=1e-8)
         assert np.isclose(comp_all.q_r[i], comp.q_r, rtol=1e-8)
@@ -469,6 +470,19 @@ def test_config_validation_errors():
             gamma_star=0.1,
             sigma_star=np.array([[1.0, 1.5], [1.5, 1.0]]),
         )
+
+
+@pytest.mark.parametrize("branch", ["tsls_pass", "clr_fail"])
+def test_coverage_refuses_a_bad_cell_before_any_draw(monkeypatch, branch):
+    # r = nan cannot be drawn; the r = 0.2 cell before it must not run first
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before the grid was checked")
+
+    monkeypatch.setattr(simulate, "uniformity_experiment", no_cell)
+    monkeypatch.setattr(simulate, "_clr_fail_cell", no_cell)
+    grid = ExperimentGrid(r_values=(0.2, np.nan), sigma12_values=(0.5,), n=300, p=5)
+    with pytest.raises(ValueError, match="gamma_star"):
+        coverage_experiment(grid, 10.0, 0.05, 200, branch=branch)
 
 
 def test_result_and_grid_validation_errors():

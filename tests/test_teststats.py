@@ -144,7 +144,7 @@ def test_ar_stat_over_an_array_of_nulls_equals_per_null_calls():
 def test_clr_component_identities():
     data = _strong_data(seed=3, n=200, p=4)
     for beta0 in (-0.5, 0.9, 2.0):
-        comps = clr_components(data, beta0, covariance_estimates(data, beta0))
+        comps = clr_components(data, beta0)
         assert comps.q_u == pytest.approx(float(comps.u_hat @ comps.u_hat), abs=1e-10)
         assert comps.q_r == pytest.approx(float(comps.r_hat @ comps.r_hat), abs=1e-10)
         assert comps.q_ur == pytest.approx(float(comps.u_hat @ comps.r_hat), abs=1e-10)
@@ -183,10 +183,9 @@ def test_clr_statistic_nonnegative_and_pvalue_valid():
     for seed in range(8):
         data = generate(dgp_from_r(rng.uniform(0.05, 0.4), 0.5, n=150, p=3, seed=60 + seed))
         beta0 = rng.uniform(-1, 2)
-        est = covariance_estimates(data, beta0)
-        lr, q_r = clr_statistics(data, beta0, est)
+        lr, q_r = clr_statistics(data, beta0)
         naive_pvalue = clr_tail(lr, q_r, data.p, trunc=None, quad=QuadratureConfig())
-        comps = clr_components(data, beta0, est)
+        comps = clr_components(data, beta0)
         assert lr >= 0
         assert 0.0 <= naive_pvalue <= 1.0
         assert lr == pytest.approx(
@@ -207,11 +206,11 @@ def test_statistics_invariant_to_instrument_recombination():
 
     tsls_base = tsls_stat(data, beta0, covariance_estimates(data, beta0)).statistic
     ar_base = ar_stat(data, beta0).statistic
-    clr_base = clr_statistics(data, beta0, covariance_estimates(data, beta0))[0]
+    clr_base = clr_statistics(data, beta0)[0]
 
     mixed = prepare(IVDataset(Y=y, D=d, Z=z @ a_general))
     assert abs(tsls_stat(mixed, beta0, covariance_estimates(mixed, beta0)).statistic - tsls_base) < 1e-8
     assert abs(ar_stat(mixed, beta0).statistic - ar_base) < 1e-8
 
     rotated = prepare(IVDataset(Y=y, D=d, Z=z @ a_ortho))
-    assert abs(clr_statistics(rotated, beta0, covariance_estimates(rotated, beta0))[0] - clr_base) < 1e-8
+    assert abs(clr_statistics(rotated, beta0)[0] - clr_base) < 1e-8

@@ -8,7 +8,9 @@ input whose tested null the CLR branch refuses because its conditioning
 event underflows (exit code 2 and the error on stderr), on a
 passing and a failing input with covariates x1..x3 that the instruments
 load on, and on a failing one of 2 * 8192 + 17 rows, so three blocks of
-ingest, with a constant covariate x4 beside them, each also forced to `--test tsls --override`, `--test clr
+ingest, with a constant covariate x4 beside them, and on shift-clr, the
+clr-1 rows with Y + 3e6 D tested at null 1 + 3e6, where Omega_hat's
+entries cancel, each also forced to `--test tsls --override`, `--test clr
 --override` and `--test ar` (naive-only); `pretest`; Lasso library
 reports with and without a SamplerConfig; and every `simulate` kind,
 `uniformity` both where every replication passes the screen (r = 0.3)
@@ -23,6 +25,11 @@ returned prepare's rebuild of them, which differs in the last bit, so
 the per-checkout listings of two checkouts on either side of it differ
 on every input.  Compare such checkouts with --against, which runs both
 on the same input files.
+
+shift-clr's CLR outputs differ from those of checkouts whose CLR law
+read Omega_hat's entries, which cancel there: their p-values differ by
+about 8e-4 relative.  Listings printed by versions of this script from
+before shift-clr was added have no shift-clr lines.
 
     python tools/report_digests.py                 # this checkout's src
     python tools/report_digests.py --src OTHER/src > other.txt
@@ -89,6 +96,8 @@ COVARIATE_DATASETS = [
     # constant column that spans them
     ("blocks-clr", 0.02, 0.8, 2 * 8192 + 17, 5, 5, 1.0),
 ]
+# (name, dataset, b): the dataset's rows with Y + b D, tested at its null + b
+SHIFTED = [("shift-clr", "clr-1", 3e6)]
 FORCED = [[], ["--test", "tsls", "--override"], ["--test", "clr", "--override"], ["--test", "ar"]]
 SIMULATE = [
     ["--kind", "uniformity", "--r", "0.3", "--reps", "300", "--n", "300", "--p", "5", "--seed", "1"],
@@ -136,6 +145,11 @@ def make_inputs(workdir: Path):
                 x = np.column_stack([x, np.full(n, 2.5)])
         _write_csv(workdir / f"{name}.csv", y, d, z, x)
         (workdir / f"{name}.json").write_text(json.dumps({"null_value": null, "seed": seed}))
+    for name, source, b in SHIFTED:
+        _, r, s12, n, p, seed, null = next(spec for spec in DATASETS if spec[0] == source)
+        data = generate(dgp_from_r(r, s12, n=n, p=p, seed=seed))
+        _write_csv(workdir / f"{name}.csv", data.Y + b * data.D, data.D, data.Z)
+        (workdir / f"{name}.json").write_text(json.dumps({"null_value": null + b, "seed": seed}))
     for seed in LASSO_SEEDS:
         data = generate(dgp_from_r(0.3, 0.5, n=300, p=6, seed=seed))
         np.save(workdir / f"lasso-{seed}.npy", np.column_stack([data.Y, data.D, data.Z]))
@@ -164,7 +178,7 @@ def outputs(workdir: Path, extra_csvs=()):
     from ivselect.report import plain
     from ivselect.sampler import SamplerConfig
 
-    for name, *_ in DATASETS + COVARIATE_DATASETS:
+    for name, *_ in DATASETS + COVARIATE_DATASETS + SHIFTED:
         csv_path, cfg = workdir / f"{name}.csv", workdir / f"{name}.json"
         for flags in FORCED:
             tag = "auto" if not flags else flags[1]
