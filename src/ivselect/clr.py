@@ -31,13 +31,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import BranchError, CovarianceError, QuadratureError, TruncationError
 from .model import IVDataset, Moments, _item, require_prepared
 from .pretest import f_statistic, penalty_lambda
 from .report import GRID_POINTS, InferenceReport, answer, build_report
-from .teststats import clr_statistics
+from .teststats import _chi2_tails, clr_statistics
 
 # the one quadrature rule of both exact engines: composite Gauss-Legendre
 # with 96 nodes per panel, the 48-node rule giving its error estimate
@@ -47,7 +46,7 @@ _QUAD_TOL = 1e-10
 # panel doublings a law may take before its quadrature gives up
 _MAX_REFINEMENTS = 6
 _MIN_EVENT_MASS = 1e-12
-# nodes per block of laws: bounds the (laws, nodes) temporaries
+# nodes per block of laws or of one law's panels: bounds the temporaries
 _BLOCK_NODES = 1 << 19
 # below this share of the problem's scale, the quadratic term in sqrt(q_U)
 # is treated as absent and the screen event no longer depends on q_U
@@ -58,9 +57,7 @@ def k4_constant(p: int) -> float:
     """Normalizer of the cosine weight: Gamma(p/2) / (sqrt(pi) Gamma((p-1)/2))."""
     if p < 2:
         raise ValueError(f"p = {p}: the cosine-weight integral needs p >= 2")
-    return math.exp(special.gammaln(p / 2.0) - special.gammaln((p - 1) / 2.0)) / math.sqrt(
-        math.pi
-    )
+    return math.exp(math.lgamma(p / 2.0) - math.lgamma((p - 1) / 2.0)) / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -135,11 +132,11 @@ def truncation_from_estimates(
     return _truncation(s11, o01 - beta0 * o11, o00 * o11 - o01**2, lambda_sq, q_r, p)
 
 
-def _chi2_at(fn, p, x, mask):
-    """fn(p, x) on the masked nodes, 0 elsewhere."""
-    out = np.zeros(x.shape)
-    out[mask] = fn(p, x[mask])
-    return out
+def _chi2_at(p, x, mask):
+    """The chi2(p) (cdf, sf) on the masked nodes, 0 elsewhere."""
+    cdf, sf = np.zeros(x.shape), np.zeros(x.shape)
+    cdf[mask], sf[mask] = _chi2_tails(p, x[mask])
+    return cdf, sf
 
 
 def _event_masses(lo, hi, ok, thresh, p):
@@ -148,28 +145,17 @@ def _event_masses(lo, hi, ok, thresh, p):
 
     A mass is a difference of survival functions when its interval sits
     in the right tail (lower end >= p, to avoid cancellation) and of cdfs
-    otherwise.  Each node is evaluated only on the side it uses, the
-    upper end's value is shared by both masses, and chdtr(p, 0) = 0 is
-    not evaluated."""
+    otherwise.  Each end is evaluated once, on the nodes that read it;
+    chi2(p) at 0 is not evaluated."""
     right = lo >= p
     # the tail event cuts the interval only where lo < thresh < hi;
     # below it keeps all the mass, above it none
     cut = ok & (lo < thresh) & (thresh < hi)
-    cut_right = cut & (thresh >= p)
-    cut_left = cut & ~cut_right
-    cdf_hi = _chi2_at(special.chdtr, p, hi, (ok & ~right) | cut_left)
-    sf_hi = _chi2_at(special.chdtrc, p, hi, (ok & right) | cut_right)
-    den = np.where(
-        right,
-        _chi2_at(special.chdtrc, p, lo, ok & right) - sf_hi,
-        cdf_hi - _chi2_at(special.chdtr, p, lo, ok & ~right & (lo > 0.0)),
-    )
-    den = np.clip(den, 0.0, 1.0)
-    num = np.where(
-        cut_right,
-        _chi2_at(special.chdtrc, p, thresh, cut_right) - sf_hi,
-        cdf_hi - _chi2_at(special.chdtr, p, thresh, cut_left),
-    )
+    cdf_hi, sf_hi = _chi2_at(p, hi, ok)
+    cdf_lo, sf_lo = _chi2_at(p, lo, ok & (lo > 0.0))
+    cdf_t, sf_t = _chi2_at(p, thresh, cut)
+    den = np.clip(np.where(right, sf_lo - sf_hi, cdf_hi - cdf_lo), 0.0, 1.0)
+    num = np.where(thresh >= p, sf_t - sf_hi, cdf_hi - cdf_t)
     num = np.where(cut, np.clip(num, 0.0, 1.0), np.where(thresh >= hi, 0.0, den))
     return den, num
 
@@ -199,14 +185,15 @@ def _truncation_intervals(coefs, u2):
     return lo_q, hi_q, ok
 
 
-def _composite_rule(edges, panels, rule):
+def _composite_rule(edges, panels, rule, which=slice(None)):
     """Nodes and weights, (rows, segments * panels * len(rule[0])), of the
-    Gauss-Legendre rule on panels equal panels of every segment [a, b]
-    between consecutive edges of each row.  A segment is mapped by
-    x = a + (b - a) sin^2(pi s / 2), s in [0, 1], whose zero slope at both
-    ends makes a square-root singularity at an edge smooth in s."""
-    s = ((np.arange(panels)[:, None] + 0.5 * (1.0 + rule[0])) / panels).ravel()
-    ws = np.tile(rule[1], panels) * (np.pi / (4 * panels)) * np.sin(np.pi * s)
+    Gauss-Legendre rule on panels equal panels (those which selects) of
+    every segment [a, b] between consecutive edges of each row.  A segment
+    is mapped by x = a + (b - a) sin^2(pi s / 2), s in [0, 1], whose zero
+    slope at both ends makes a square-root singularity smooth in s."""
+    start = np.arange(panels)[which, None]
+    s = ((start + 0.5 * (1.0 + rule[0])) / panels).ravel()
+    ws = np.tile(rule[1], len(start)) * (np.pi / (4 * panels)) * np.sin(np.pi * s)
     width = np.diff(edges, axis=1)[:, :, None]
     nodes = edges[:, :-1, None] + width * np.sin(0.5 * np.pi * s) ** 2
     return nodes.reshape(len(edges), -1), (width * ws).reshape(len(edges), -1)
@@ -237,17 +224,17 @@ def _breakpoints(t, q_r, coefs):
     return np.sort(np.column_stack([ends, np.arcsin(u2)]), axis=1)
 
 
-def _tail_integrals(t, q_r, p, coefs, edges, panels, rule):
+def _tail_integrals(t, q_r, p, coefs, edges, panels, rule, which):
     """The (numerator, denominator) integrals of each law by
     _composite_rule over theta (u2 = sin theta, weight cos^(p-2) theta)
-    between its edges.  t and q_r are (laws,) arrays; coefs is None for
-    naive laws, else the truncations' coefficient arrays."""
-    theta, w = _composite_rule(edges, panels, rule)
+    between its edges, on the panels which selects.  t and q_r are (laws,)
+    arrays; coefs is None for naive laws, else the truncations' arrays."""
+    theta, w = _composite_rule(edges, panels, rule, which)
     u2 = np.sin(theta)
     w *= np.cos(theta) ** (p - 2)
     thresh = (q_r + t)[:, None] / (1.0 + q_r[:, None] * u2**2 / t[:, None])
     if coefs is None:
-        return (special.chdtrc(p, thresh) * w).sum(1), w.sum(1)
+        return (_chi2_tails(p, thresh)[1] * w).sum(1), w.sum(1)
     den, num = _event_masses(*_truncation_intervals(coefs, u2), thresh, p)
     return (num * w).sum(1), (den * w).sum(1)
 
@@ -300,7 +287,7 @@ def clr_tails(t, q_r, p: int, trunc: ClrTruncation = None, quad: QuadratureConfi
     Each tail is a ratio of two cosine integrals, so the weight
     normalization cancels; a naive law's denominator is the plain weight
     mass.  All laws share one panel count per refinement level, taken in
-    blocks of at most _BLOCK_NODES nodes (one law per block when a law
+    blocks of at most _BLOCK_NODES nodes (runs of one law's panels when it
     alone has more), and only the laws not yet converged are refined.
 
     Returns ClrTails: a law whose conditioning event has mass below 1e-12
@@ -332,12 +319,19 @@ def clr_tails(t, q_r, p: int, trunc: ClrTruncation = None, quad: QuadratureConfi
     segments = edges.shape[1] - 1
 
     def evaluate(todo, panels, rule):
-        step = max(1, _BLOCK_NODES // (segments * panels * _QUAD_NODES))
+        # a law with more nodes than a block is integrated a run of size
+        # panels at a time, and its partial integrals are added up
+        runs = -(-segments * panels * _QUAD_NODES // _BLOCK_NODES)
+        size = -(-panels // runs)
+        step = max(1, _BLOCK_NODES // (segments * size * _QUAD_NODES))
         blocks = []
         for at in (todo[start : start + step] for start in range(0, todo.size, step)):
             sub = None if coefs is None else tuple(c[at] for c in coefs)
-            blocks.append(_tail_integrals(t_on[at], q_on[at], p, sub, edges[at], panels, rule))
-        return tuple(map(np.concatenate, zip(*blocks)))
+            blocks.append(sum(
+                np.array(_tail_integrals(t_on[at], q_on[at], p, sub, edges[at], panels, rule, slice(k, k + size)))
+                for k in range(0, panels, size)
+            ))
+        return np.concatenate(blocks, axis=1)
 
     if rows.size:
         (i_num, i_den), out.error[rows], panels = _refine(evaluate, rows.size, quad.panels, quad.tol)

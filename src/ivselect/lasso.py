@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import BranchError, ConvergenceError, SamplerError
 from .model import IVDataset, ModelEstimates, Moments, covariance_estimates, require_prepared
@@ -298,6 +297,8 @@ def _qmc_tails(u, t_obs, mean, chol, slope, prec_t, lower, upper):
     Cholesky factor of Sigma_rr; slope: (m, p), the change of T's
     conditional mean per unit of z; prec_t: (m,), Q_TT; lower, upper:
     (m, p), the bounds of r."""
+    from scipy import special  # deferred: _truncnorm_ppf loads it on this path anyway
+
     p, n = u.shape
     z = np.empty((p, t_obs.size, n))
     log_w = np.zeros(z.shape[1:])

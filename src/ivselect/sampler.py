@@ -26,10 +26,10 @@ laws in one call.
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import special
 
 from .clr import _QUAD_NODES, _QUAD_TOL, _composite_rule, _refine
 from .errors import (
@@ -51,7 +51,7 @@ from .model import (
 )
 from .pretest import PretestOutcome, RandomizationLaw
 from .report import GRID_POINTS, Answer, InferenceReport, Interval, answer, build_report
-from .teststats import tsls_stat
+from .teststats import _normal_tails, tsls_stat
 
 _SLICE_MAX_EXPAND = 512
 _SLICE_MAX_SHRINK = 256
@@ -183,6 +183,8 @@ def _truncnorm_ppf(u, lo, hi):
     Rows with lo + hi > 0 are mirrored, so log Phi is always inverted on
     the side away from the mass, where it keeps full relative precision
     far into either tail; infinite bounds need no special case."""
+    from scipy import special  # deferred: only the Lasso and sample_paths call this
+
     flip = lo > -hi
     a = np.where(flip, -hi, lo)
     b = np.where(flip, -lo, hi)
@@ -359,8 +361,9 @@ def _window_tails(rows, panels, rule):
     log_w = _log_weight(d, big_a, big_b, lam, jac)
     wd *= np.exp(log_w - log_w.max(axis=1, keepdims=True))
     z = z0 + z1 * d
+    above, below = _normal_tails(z)
     den = wd.sum(axis=1)
-    return (wd * special.ndtr(-z)).sum(axis=1) / den, (wd * special.ndtr(z)).sum(axis=1) / den
+    return (wd * above).sum(axis=1) / den, (wd * below).sum(axis=1) / den
 
 
 def _pooled_pvalues(law: ConditionalLaw) -> Tails:
@@ -437,11 +440,16 @@ def _pooled_pvalues(law: ConditionalLaw) -> Tails:
     return Tails(*(v.reshape(shape) for v in (upper, lower, error, nodes)))
 
 
+def _wald_z(alpha: float) -> float:
+    """The two-sided normal critical value of level alpha."""
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
+
+
 def wald_interval(data: IVDataset | Moments, alpha: float = 0.05) -> Interval:
     """Naive TSLS confidence interval beta_hat +- z * SE."""
     beta_hat = tsls_estimate(data)
     se = tsls_standard_error(data)
-    z = special.ndtri(1.0 - alpha / 2.0)
+    z = _wald_z(alpha)
     return Interval(beta_hat - z * se, beta_hat + z * se)
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .clr import clr_law
 from .errors import ExperimentError, TruncationError
@@ -53,6 +52,7 @@ from .sampler import (
     SamplerConfig,
     _generator,
     _pooled_pvalues,
+    _wald_z,
     build_law_tsls,
     sobol_points,
     wald_answer,
@@ -307,8 +307,7 @@ def uniformity_experiment(
     law = build_law_tsls(mom[passing], beta0, _row(screen, passing), _row(est, passing))
     two = _pooled_pvalues(law).two_sided
     naive_two = tsls_stat(mom, beta0, est).naive_pvalue[passing]
-    zq = special.ndtri(1.0 - alpha / 2.0)
-    wald_covers = np.abs(tsls_estimate(mom) - beta0) <= zq * tsls_standard_error(mom)
+    wald_covers = np.abs(tsls_estimate(mom) - beta0) <= _wald_z(alpha) * tsls_standard_error(mom)
     return _result(reps, passing.size / reps, two, naive_two, wald_covers[passing], alpha)
 
 

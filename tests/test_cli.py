@@ -488,21 +488,26 @@ def _unit_base(case):
     case=st.sampled_from(["tsls", "clr"]),
     log_a=st.floats(-6.0, 6.0),
     a_sign=st.sampled_from([-1.0, 1.0]),
-    shift=st.floats(-5.0, 5.0),
+    log_shift=st.floats(-3.0, 5.0),
+    shift_sign=st.sampled_from([-1.0, 1.0]),
     log_c=st.floats(-6.0, 6.0),
     c_sign=st.sampled_from([-1.0, 1.0]),
     log_z=st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4),
 )
-def test_analyze_intervals_equivariant_under_any_units(case, log_a, a_sign, shift, log_c, c_sign, log_z):
+def test_analyze_intervals_equivariant_under_any_units(case, log_a, a_sign, log_shift, shift_sign, log_c, c_sign,
+                                                        log_z):
     # the property behind the fixed cases above, for any a != 0, b and
     # c != 0, and any positive units per instrument: S = L^-1 Z'D is
     # unchanged by Z -> Z diag(s), so the realized screen is too.
     # D -> -D flips S, but the screen's realized randomization omega is
     # fixed in coordinates, so S + omega is not flipped with it and the
     # passed-screen (TSLS) conditional answer moves; for c < 0 that case
-    # checks its naive (Wald) answer only
+    # checks its naive (Wald) answer only.  |b / a| is log-uniform up to
+    # 1e5: the mapped null (a + b) / c is itself rounded by eps |b / a| in
+    # beta, and at |b / a| = 3e6 that one ulp moves the CLR p-value by
+    # 1.4e-9, past the 1e-9 bound (the fixed b cases above reach 3e6)
     a, c = a_sign * 10.0**log_a, c_sign * 10.0**log_c
-    b = shift * abs(a)
+    b = shift_sign * 10.0**log_shift * abs(a)
     base, got = _unit_base(case), _unit_analysis(case, a, b, c, 10.0 ** np.array(log_z))
     assert got.diagnostics["branch"] == base.diagnostics["branch"] == case
     conditional = case == "clr" or c > 0
@@ -731,13 +736,28 @@ def test_cli_simulate_uniformity(tmp_path, capsys):
 
 
 IMPORT_SURFACE = """
+import json
 import sys
 import ivselect.cli
-heavy = [m for m in ("scipy.stats", "scipy.linalg", "scipy.integrate", "scipy.optimize") if m in sys.modules]
-assert not heavy, heavy
+
+strong, weak, config, out = sys.argv[1:5]
+
+
+def assert_no_scipy(after):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, (after, loaded[:5])
+
+
+assert_no_scipy("import ivselect.cli")
+for csv, branch in ((strong, "tsls"), (weak, "clr")):
+    assert ivselect.cli.main(["analyze", csv, "--config", config, "--out", out]) == 0
+    assert json.load(open(out))["branch"] == branch
+    assert_no_scipy("analyze on the " + branch + " branch")
+assert ivselect.cli.main(["pretest", strong, "--out", out]) == 0
+assert_no_scipy("pretest")
 from ivselect import sampler
 code = ivselect.cli.main(["simulate", "--kind", "uniformity", "--r", "0.8", "--sigma12", "0.5",
-                          "--reps", "100", "--n", "200", "--p", "2", "--seed", "1", "--out", sys.argv[1]])
+                          "--reps", "100", "--n", "200", "--p", "2", "--seed", "1", "--out", out])
 assert code == 0, code
 points = sampler.sobol_points(sampler.SamplerConfig(n_samples=16), 2)
 assert points.shape == (16, 2), points.shape
@@ -746,11 +766,16 @@ assert "scipy.stats" in sys.modules
 
 
 def test_cli_import_defers_scipy_stats_to_its_callers(tmp_path):
-    # a fresh process: every test module has imported scipy.stats by now
+    # a fresh process: every test module has imported scipy by now.  The
+    # passed- and failed-screen analyses and the pretest load no scipy;
+    # simulate's KS test and the Sobol points load scipy.stats
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    strong = _dataset_csv(tmp_path, dgp_from_r(1.0, 0.5, n=250, p=3, seed=90), "s.csv")
+    weak = _dataset_csv(tmp_path, dgp_from_r(0.05, 0.5, n=250, p=3, seed=91), "w.csv")
+    config = _write(tmp_path, "cfg.json", json.dumps({"null_value": 1.0, "ci_grid": {"points": 21}}))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_SURFACE, str(tmp_path / "u.csv")],
+        [sys.executable, "-c", IMPORT_SURFACE, strong, weak, config, str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

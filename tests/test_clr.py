@@ -1,6 +1,7 @@
 """Quadrature for the weak-instrument tail law and its screen truncation."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
+import ivselect.clr
 import ivselect.report
 from ivselect import (
     ClrTruncation,
@@ -260,6 +262,31 @@ def test_batched_tails_match_reference_where_events_underflow():
     lr, q_r, trunc = _weak_laws(data, np.linspace(1.0, 2.6, 33))
     law = _check_against_one_law(lr, q_r, data.p, trunc)
     assert law.underflow.any() and not law.underflow.all()
+
+
+def test_law_with_more_nodes_than_a_block_is_integrated_in_runs_of_panels(monkeypatch):
+    # a law is split over runs of its panels once it alone has more than
+    # _BLOCK_NODES nodes, so memory stays bounded as panels grow; its
+    # partial integrals add up to the unblocked tails
+    data = _weak_data(seed=2, p=3)
+    lr, q_r, trunc = _weak_laws(data, np.array([-1.0, 2.0]))
+    unblocked = [(law, clr_tails(lr, q_r, 3, law, QuadratureConfig(panels=64))) for law in (trunc, None)]
+    deep = clr_tails(lr[:1], q_r[:1], 3, _law(trunc, 0, 2), QuadratureConfig(panels=4096))
+    assert deep.nodes[0] > ivselect.clr._BLOCK_NODES
+    np.testing.assert_allclose(deep.tail, unblocked[0][1].tail[:1], rtol=1e-13, atol=0.0)
+    # a naive law at 4096 panels peaks below twice its peak at 512, where it
+    # still fits one block (eight times, unblocked)
+    peaks = []
+    for panels in (512, 4096):
+        tracemalloc.start()
+        clr_tails([1.0], [1.0], 2, None, QuadratureConfig(panels=panels))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
+    monkeypatch.setattr(ivselect.clr, "_BLOCK_NODES", 1 << 12)
+    for law, want in unblocked:
+        got = clr_tails(lr, q_r, 3, law, QuadratureConfig(panels=64))
+        np.testing.assert_allclose(got.tail, want.tail, rtol=1e-13, atol=0.0)
 
 
 # ------------------------------------------------------ independent oracles

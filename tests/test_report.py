@@ -156,8 +156,9 @@ def _curve(family, m, w, level, side, cut, alpha):
         bump = level * np.exp(-0.5 * ((x - m) / w) ** 2)
         if family == "bump":  # one crossing each side, or none
             return bump
-        if family == "plateau":  # flat at level, then exactly at alpha
-            return np.select([np.abs(x - m) <= w, np.abs(x - m) <= 2 * w], [level, alpha], 0.0)
+        if family == "plateau":  # flat at level, then exactly at alpha if level reaches it
+            # (below alpha the ring at alpha would be two islands, not one interval)
+            return np.select([np.abs(x - m) <= w, np.abs(x - m) <= 2 * w], [level, min(level, alpha)], 0.0)
         if family == "nan-band":  # unanswerable past cut on one side
             return np.where(side * (x - cut) > 0, np.nan, bump)
         if family == "ray":  # retained from m on, one side unbounded

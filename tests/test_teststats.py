@@ -4,7 +4,7 @@ import decimal
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from ivselect import (
     IVDataset,
@@ -21,6 +21,7 @@ from ivselect import (
     tsls_estimate,
     tsls_stat,
 )
+from ivselect.teststats import _chi2_tails, _normal_tails
 
 
 def _strong_data(seed=0, n=150, p=3):
@@ -214,3 +215,47 @@ def test_statistics_invariant_to_instrument_recombination():
 
     rotated = prepare(IVDataset(Y=y, D=d, Z=z @ a_ortho))
     assert abs(clr_statistics(rotated, beta0)[0] - clr_base) < 1e-8
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want) / want)
+
+
+def test_normal_tails_match_scipy_ndtr():
+    # both tails from one erfc: to 1e-14 within 8 sds, and to 1e-12 as
+    # far as the smaller tail stays above 1e-300 (scipy's own exp(-a^2)
+    # is off by 2e-13 there); beyond it exactly 0 and 1, and NaN stays NaN
+    rng = np.random.default_rng(3)
+    near = np.concatenate([np.linspace(-8.0, 8.0, 160_001), rng.uniform(-8.0, 8.0, 100_000), [0.0]])
+    upper, lower = _normal_tails(near)
+    assert _rel_err(upper, special.ndtr(-near)) <= 1e-14
+    assert _rel_err(lower, special.ndtr(near)) <= 1e-14
+    edge = -special.ndtri(1e-300)
+    far = np.concatenate([np.linspace(8.0, edge, 50_001), rng.uniform(8.0, edge, 50_000)])
+    for sign in (1.0, -1.0):
+        upper, lower = _normal_tails(sign * far)
+        assert _rel_err(upper, special.ndtr(-sign * far)) <= (1e-12 if sign > 0 else 1e-14)
+        assert _rel_err(lower, special.ndtr(sign * far)) <= (1e-14 if sign > 0 else 1e-12)
+    beyond = np.array([38.5, 40.0, 1e3, 1e300, np.inf])
+    for sign, small in ((1.0, 0), (-1.0, 1)):
+        tails = _normal_tails(sign * beyond)
+        assert np.all(tails[small] == 0.0) and np.all(tails[1 - small] == 1.0)
+    assert all(np.isnan(tail) for tail in _normal_tails(np.nan))
+
+
+def test_chi2_tails_match_scipy_chdtr():
+    # cdf and sf at every integer p <= 200, from x = 1e-8 to where the sf
+    # reaches 1e-300, to 1e-12 wherever scipy's value is above 1e-300
+    # (exp rounding sets that floor: scipy's erfc and chdtrc(1, .) differ
+    # by 2e-13 there); x = 0 and x = inf are exact
+    for p in range(1, 201):
+        x = np.concatenate([
+            np.geomspace(1e-8, special.chdtri(p, 1e-300), 400),
+            np.linspace(0.5 * p, 2.0 * p, 200),
+        ])
+        cdf, sf = _chi2_tails(p, x)
+        for got, want in ((cdf, special.chdtr(p, x)), (sf, special.chdtrc(p, x))):
+            seen = want >= 1e-300
+            assert _rel_err(got[seen], want[seen]) <= 1e-12, p
+            assert np.all(got[~seen] < 1e-299), p
+        assert [list(tail) for tail in _chi2_tails(p, np.array([0.0, np.inf]))] == [[0.0, 1.0], [1.0, 0.0]]
