@@ -43,7 +43,6 @@ from .lasso import (
 )
 from .model import (
     IVDataset,
-    ModelEstimates,
     Moments,
     covariance_estimates,
     prepare,

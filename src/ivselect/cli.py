@@ -14,7 +14,7 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -114,7 +114,8 @@ def _require_keys(name, value, allowed):
 
 def _columns(header, config):
     """(outcome, treatment, instruments, covariates) names, checked
-    against the header."""
+    against the header: each used name is one header column, and no
+    column has two roles.  Names that no role uses may repeat."""
     cols = config.columns or {}
     outcome = cols.get("outcome", "y")
     treatment = cols.get("treatment", "d")
@@ -126,9 +127,17 @@ def _columns(header, config):
         covariates = [h for h in header if h.startswith("x")]
     if not instruments:
         raise DataError("no instrument columns (z*) found or configured")
-    for name in [outcome, treatment, *instruments, *covariates]:
-        if name not in header:
-            raise DataError(f"missing column {name!r}")
+    roles = {}
+    for role, names in (("outcome", [outcome]), ("treatment", [treatment]),
+                        ("instrument", instruments), ("covariate", covariates)):
+        for name in names:
+            if name not in header:
+                raise DataError(f"missing column {name!r}")
+            if header.count(name) > 1:
+                raise DataError(f"column {name!r} appears {header.count(name)} times in the header")
+            if name in roles:
+                raise DataError(f"column {name!r} has two roles: {roles[name]} and {role}")
+            roles[name] = role
     return outcome, treatment, instruments, covariates
 
 
@@ -160,7 +169,7 @@ def ingest(path: str, config: AnalysisConfig) -> Moments:
         col = {name: header.index(name) for name in [outcome, treatment, *instruments, *covariates]}
         order = [col[name] for name in [*covariates, *instruments, treatment, outcome]]
         unused = {j: _unused_cell for j in set(range(len(header))) - set(col.values())}
-        factor = _RowFactor(len(covariates), len(instruments))
+        factor = _RowFactor(covariates, instruments)
         fault = None
         with warnings.catch_warnings():
             # a block of blank lines is caught by the line count below
@@ -180,11 +189,8 @@ def ingest(path: str, config: AnalysisConfig) -> Moments:
                         factor.add(table[:, order])
     if fault is not None:
         _locate_fault(path, len(header), col, fault)
-    n, p, k = factor.n, len(instruments), len(covariates)
-    if n == 0:
+    if factor.n == 0:
         raise DataError(f"{path}: no data rows")
-    if n <= p + k:
-        raise DataError(f"need n > p + k rows, got n={n}, p={p}, k={k}")
     return factor.moments()
 
 
@@ -298,7 +304,7 @@ def _report_json(doc: dict) -> str:
     return json.dumps(plain(doc), sort_keys=True, indent=2) + "\n"
 
 
-_CONFIG_KEYS = {"c0", "alpha", "test", "randomization_scale", "seed", "columns", "null_value", "ci_grid"}
+_CONFIG_KEYS = {f.name for f in fields(AnalysisConfig)} - {"allow_mismatch"}
 # Gibbs settings that older config files carry; they load and steer nothing
 _IGNORED_CONFIG_KEYS = {"samples", "burn_in", "chains"}
 

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BranchError, ConvergenceError, SamplerError
-from .model import IVDataset, ModelEstimates, Moments, covariance_estimates, require_prepared
+from .model import IVDataset, Moments, covariance_estimates, require_prepared
 from .pretest import RandomizationLaw
 from .report import GRID_POINTS, InferenceReport, answer, build_report
 from .sampler import (
@@ -61,43 +61,40 @@ _QMC_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class LassoSelection:
-    """Solution and selection event of the randomized Lasso."""
+    """Solution and selection event of the randomized Lasso.  The
+    support E, its signs and the off-support indices are read off
+    gamma_l's nonzero and zero entries."""
 
     lambda_l: float
     omega: np.ndarray
     gamma_l: np.ndarray
-    support_E: tuple
-    signs_sE: np.ndarray
     subgradient_u: np.ndarray
     scale: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("omega", "gamma_l", "signs_sE", "subgradient_u"):
+        for name in ("omega", "gamma_l", "subgradient_u"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "support_E", tuple(int(j) for j in self.support_E))
         if self.lambda_l <= 0:
             raise ValueError("lambda_l must be positive")
         p = self.omega.size
         if self.gamma_l.size != p or self.subgradient_u.size != p:
             raise ValueError("omega, gamma_l, subgradient_u must share length p")
-        e = list(self.support_E)
-        if len(self.signs_sE) != len(e):
-            raise ValueError("signs_sE must match support_E")
-        if any(j < 0 or j >= p for j in e):
-            raise ValueError("support indices out of range")
-        off = np.setdiff1d(np.arange(p), e)
-        if np.any(self.gamma_l[off] != 0.0):
-            raise ValueError("gamma_l must be exactly zero off the support")
-        if e and np.any(np.sign(self.gamma_l[e]) != self.signs_sE):
-            raise ValueError("signs_sE must be the signs of gamma_l on the support")
-        if e and np.any(self.subgradient_u[e] != self.signs_sE):
+        if np.any(self.subgradient_u[list(self.support_E)] != self.signs_sE):
             raise ValueError("subgradient must equal the signs on the support")
-        if np.any(np.abs(self.subgradient_u[off]) > 1.0 + 1e-8):
+        if np.any(np.abs(self.subgradient_u[self.off_support]) > 1.0 + 1e-8):
             raise ValueError("off-support subgradient exceeds the unit box")
 
     @property
+    def support_E(self) -> tuple:
+        return tuple(int(j) for j in np.flatnonzero(self.gamma_l))
+
+    @property
+    def signs_sE(self) -> np.ndarray:
+        return np.sign(self.gamma_l[list(self.support_E)])
+
+    @property
     def off_support(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.omega.size), list(self.support_E))
+        return np.flatnonzero(self.gamma_l == 0.0)
 
 
 def _dual_gap(m: Moments, omega, lam, gamma, grad):
@@ -161,20 +158,9 @@ def solve_randomized_lasso(
             f"coordinate descent stopped at duality gap {gap:.3g} "
             f"after {_MAX_SWEEPS} sweeps"
         )
-    support = tuple(int(j) for j in np.nonzero(gamma)[0])
-    signs = np.sign(gamma[list(support)])
-    u = (omega + grad) / lambda_l
-    u[list(support)] = signs
-    off = np.setdiff1d(np.arange(p), list(support))
-    u[off] = np.clip(u[off], -1.0, 1.0)
+    u = np.where(gamma != 0.0, np.sign(gamma), np.clip((omega + grad) / lambda_l, -1.0, 1.0))
     return LassoSelection(
-        lambda_l=float(lambda_l),
-        omega=omega,
-        gamma_l=gamma,
-        support_E=support,
-        signs_sE=signs,
-        subgradient_u=u,
-        scale=law.scale,
+        lambda_l=float(lambda_l), omega=omega, gamma_l=gamma, subgradient_u=u, scale=law.scale
     )
 
 
@@ -232,10 +218,10 @@ class LassoLaw:
 
 
 def build_law_lasso(
-    data: IVDataset | Moments, beta0: float, sel: LassoSelection, est: ModelEstimates
+    data: IVDataset | Moments, beta0: float, sel: LassoSelection, est: np.ndarray
 ) -> LassoLaw:
     """Assemble the selection-event law for testing beta = beta0.  est
-    must carry Sigma_hat evaluated at this beta0.
+    is Sigma_hat evaluated at this beta0.
 
     An array of nulls with their estimates gives one LassoLaw whose
     cols, base and t_obs carry the null axis; the bounds and
@@ -249,8 +235,7 @@ def build_law_lasso(
     n_e = len(e_idx)
     off = sel.off_support
     m_e = m.select(e_idx)
-    s11 = est.sigma_hat[..., 0, 0]
-    s12 = est.sigma_hat[..., 0, 1]
+    s11, s12 = est[..., 0, 0], est[..., 0, 1]
     d_pe_d = float(m_e.s2)
     if d_pe_d <= 0:
         raise BranchError("selected instruments carry no first-stage signal")

@@ -133,10 +133,6 @@ class Moments:
         return _mv(self.chol, self.s)  # Z'D = L s
 
     @cached_property
-    def zty(self) -> np.ndarray:
-        return _mv(self.chol, self.sy)  # Z'Y = L sy
-
-    @cached_property
     def dd(self) -> np.ndarray:
         return self.s2 + self.rss  # D'D
 
@@ -287,10 +283,12 @@ class _RowFactor:
     time (sequential TSQR: Demmel, Grigori, Hoemmen and Langou, SIAM J.
     Sci. Comput. 2012), and each X column's range; no row is kept.  Rows
     enter less the first row, which the intercept absorbs: an offset costs
-    no digits, and a constant column is exactly zero."""
+    no digits, and a constant column is exactly zero.  x_labels and
+    z_labels name the X and Z columns in rank errors."""
 
-    def __init__(self, k: int, p: int):
-        self.k, self.p, self.n = k, p, 0
+    def __init__(self, x_labels: list[str], z_labels: list[str]):
+        k, p = len(x_labels), len(z_labels)
+        self.x_labels, self.z_labels, self.k, self.p, self.n = x_labels, z_labels, k, p, 0
         self.r = np.zeros((k + p + 3, k + p + 3))  # square from the start
         self.lo, self.hi = np.full(k, np.inf), np.full(k, -np.inf)
 
@@ -318,19 +316,18 @@ class _RowFactor:
         rx = r[1 : 1 + k, 1 : 1 + k]  # the factor of the centered X, in unit columns:
         rx = rx / np.linalg.norm(rx, axis=0)  # X's units cannot reach its verdict
         if not _conditioned(rx, RANK_RTOL):  # without X, 0 x 0 and conditioned
-            raise _rank_error(rx, [f"x{j + 1}" for j in np.flatnonzero(keep)], RANK_RTOL)
+            raise _rank_error(rx, [self.x_labels[j] for j in np.flatnonzero(keep)], RANK_RTOL)
         # an instrument's centered norm (rows below the intercept) against
         # its residual norm (rows below X)
         z = r[:, 1 + k : 1 + k + p]
         z_res = np.linalg.norm(z[1 + k :], axis=0)
         lost = z_res <= RANK_RTOL * np.linalg.norm(z[1:], axis=0)
-        z_labels = [f"z{j + 1}" for j in range(p)]
         if lost.any():
-            raise RankDeficiencyError([z_labels[j] for j in np.flatnonzero(lost)])
+            raise RankDeficiencyError([self.z_labels[j] for j in np.flatnonzero(lost)])
         try:
             return Moments.of_factor(self.n, r[1 + k :, 1 + k :])
         except RankDeficiencyError:  # at the core's sqrt(RANK_RTOL), on unit-norm columns: no units reach it
-            raise _rank_error(z[1 + k : 1 + k + p] / z_res, z_labels, RANK_RTOL**0.5) from None
+            raise _rank_error(z[1 + k : 1 + k + p] / z_res, self.z_labels, RANK_RTOL**0.5) from None
 
 
 def require_prepared(data: IVDataset | Moments) -> Moments:
@@ -354,7 +351,7 @@ def prepare(raw: IVDataset) -> Moments:
     bit for bit, and no more than one block of rows is copied.
     """
     x = np.empty((raw.n, 0)) if raw.X is None else raw.X
-    factor = _RowFactor(x.shape[1], raw.p)
+    factor = _RowFactor([f"x{j + 1}" for j in range(x.shape[1])], [f"z{j + 1}" for j in range(raw.p)])
     for i in range(0, raw.n, _BLOCK_ROWS):
         factor.add(np.column_stack([a[i : i + _BLOCK_ROWS] for a in (x, raw.Z, raw.D, raw.Y)]))
     return factor.moments()
@@ -375,33 +372,19 @@ def tsls_estimate(data: IVDataset | Moments) -> float:
     return _item(m.beta_hat)
 
 
-@dataclass(frozen=True)
-class ModelEstimates:
-    """Point estimates consumed by the test statistics.
+def covariance_estimates(data: IVDataset | Moments, beta0: float) -> np.ndarray:
+    """Sigma_hat(beta0) = [Y - D beta0, D]' P_Zperp [Y - D beta0, D] / (n - p),
+    the structural error covariance at the null beta0, once Omega_hat
+    (Moments.omega) and the first stage have passed their checks.  An
+    array of nulls broadcasts against the batch axis of the moments,
+    stacking the matrices (..., 2, 2).
 
-    sigma_hat is the structural error covariance at the null it was
-    evaluated at; omega_hat is the reduced-form covariance and does not
-    depend on the null.  For a batch of datasets or nulls the matrices
-    are stacked (..., 2, 2).
-    """
-
-    omega_hat: np.ndarray
-    sigma_hat: np.ndarray
-
-
-def covariance_estimates(data: IVDataset | Moments, beta0: float) -> ModelEstimates:
-    """Reduced-form and structural covariance estimates at the null beta0.
-    An array of nulls broadcasts against the batch axis of the moments,
-    stacking sigma_hat (..., 2, 2).
-
-    Omega_hat = [Y D]' P_Zperp [Y D] / (n - p)
-    Sigma_hat(beta0) = [Y - D beta0, D]' P_Zperp [Y - D beta0, D] / (n - p)
-
-    The two satisfy Omega = B Sigma B' with B = [[1, beta0], [0, 1]]
-    exactly, because the column maps commute with the projection.  Both
-    are symmetric 2x2 by construction, and Sigma_hat is positive definite
-    exactly when Omega_hat is, so Omega_hat's leading entry and
-    determinant are the one check.
+    Omega_hat = [Y D]' P_Zperp [Y D] / (n - p) and Sigma_hat satisfy
+    Omega = B Sigma B' with B = [[1, beta0], [0, 1]] exactly, because the
+    column maps commute with the projection.  Both are symmetric 2x2 by
+    construction, and Sigma_hat is positive definite exactly when
+    Omega_hat is, so Omega_hat's leading entry and determinant are the
+    one check.
     """
     m = require_prepared(data)
     o = m.omega
@@ -410,7 +393,7 @@ def covariance_estimates(data: IVDataset | Moments, beta0: float) -> ModelEstima
             "Omega_hat is not positive definite: the residuals of Y and D on Z are collinear"
         )
     _require_first_stage(m)
-    return ModelEstimates(omega_hat=o, sigma_hat=m.sigma(beta0))
+    return m.sigma(beta0)
 
 
 def tsls_standard_error(data: IVDataset | Moments) -> float:
@@ -418,4 +401,4 @@ def tsls_standard_error(data: IVDataset | Moments) -> float:
     sqrt(Sigma_hat_11(beta_tsls)) / sqrt(D'P_Z D)."""
     m = require_prepared(data)
     at_beta = covariance_estimates(m, tsls_estimate(m))
-    return _item(np.sqrt(at_beta.sigma_hat[..., 0, 0] / m.s2))
+    return _item(np.sqrt(at_beta[..., 0, 0] / m.s2))

@@ -31,17 +31,14 @@ from .model import tsls_estimate, tsls_standard_error
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval; a side flagged unbounded is stored as +-inf and
-    serialized as null."""
+    """Closed interval; an unbounded side is -inf or +inf, serialized as
+    null with its *_unbounded flag set."""
 
     lower: float
     upper: float
-    lower_unbounded: bool = False
-    upper_unbounded: bool = False
 
     def __post_init__(self):
-        lo = -math.inf if self.lower_unbounded else float(self.lower)
-        hi = math.inf if self.upper_unbounded else float(self.upper)
+        lo, hi = float(self.lower), float(self.upper)
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError("interval endpoints must not be NaN")
         if lo > hi:
@@ -57,17 +54,17 @@ class Interval:
         return self.upper - self.lower
 
     def as_dict(self) -> dict:
+        lo_unbounded, hi_unbounded = self.lower == -math.inf, self.upper == math.inf
         return {
-            "lower": None if self.lower_unbounded else self.lower,
-            "upper": None if self.upper_unbounded else self.upper,
-            "lower_unbounded": self.lower_unbounded,
-            "upper_unbounded": self.upper_unbounded,
+            "lower": None if lo_unbounded else self.lower,
+            "upper": None if hi_unbounded else self.upper,
+            "lower_unbounded": lo_unbounded,
+            "upper_unbounded": hi_unbounded,
         }
 
     def __str__(self):
-        lo = "-inf" if self.lower_unbounded else f"{self.lower:.6g}"
-        hi = "+inf" if self.upper_unbounded else f"{self.upper:.6g}"
-        return f"[{lo}, {hi}]"
+        hi = "+inf" if self.upper == math.inf else f"{self.upper:.6g}"  # .6g writes "inf"
+        return f"[{self.lower:.6g}, {hi}]"
 
 
 @dataclass(frozen=True)
@@ -108,8 +105,8 @@ class InferenceReport:
 
 
 def plain(obj):
-    """Recursively convert numpy scalars/arrays, intervals, and non-finite
-    floats into JSON-safe plain Python values."""
+    """Recursively convert numpy scalars and arrays, and non-finite floats,
+    into JSON-safe plain Python values; TypeError on any other type."""
     if obj is None or isinstance(obj, (bool, str, int)):
         return obj
     if isinstance(obj, float):
@@ -118,15 +115,11 @@ def plain(obj):
         return plain(obj.item())
     if isinstance(obj, np.ndarray):
         return [plain(v) for v in obj.tolist()]
-    if isinstance(obj, Interval):
-        return obj.as_dict()
     if isinstance(obj, dict):
         return {str(k): plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [plain(v) for v in obj]
-    if hasattr(obj, "as_dict"):
-        return plain(obj.as_dict())
-    return str(obj)
+    raise TypeError(f"cannot convert {type(obj).__name__} to JSON")
 
 
 # points of every initial CI grid unless a config sets ci_grid.points
@@ -270,7 +263,7 @@ def invert_pvalue_curve(
         return "crossing"
 
     info["ends"] = {"lower": end(lo_unbounded, lo - 1), "upper": end(hi_unbounded, hi + 1)}
-    interval = Interval(xs[lo], xs[hi], lo_unbounded, hi_unbounded)
+    interval = Interval(-math.inf if lo_unbounded else xs[lo], math.inf if hi_unbounded else xs[hi])
     return interval, xs[done], ps[done], info
 
 

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .model import (
     IVDataset,
-    ModelEstimates,
     Moments,
     _dot,
     _item,
@@ -138,10 +137,10 @@ def _col(x) -> np.ndarray:
 
 
 def build_law_tsls(
-    data: IVDataset | Moments, beta0: float, pretest: PretestOutcome, est: ModelEstimates
+    data: IVDataset | Moments, beta0: float, pretest: PretestOutcome, est: np.ndarray
 ) -> ConditionalLaw:
     """Conditional (t, d) law for testing beta = beta0 after the screen
-    passed.  est must carry Sigma_hat evaluated at this beta0.
+    passed.  est is Sigma_hat evaluated at this beta0.
 
     An array of nulls, or batched moments with their screens and
     estimates, gives one ConditionalLaw whose fields carry that batch
@@ -151,8 +150,7 @@ def build_law_tsls(
         raise BranchError("screen did not pass; this law conditions on passing")
     if np.any(m.s2 <= 0):
         raise DegenerateFirstStageError("S = 0: nothing to condition on")
-    s11 = est.sigma_hat[..., 0, 0]
-    s12 = est.sigma_hat[..., 0, 1]
+    s11, s12 = est[..., 0, 0], est[..., 0, 1]
     w_st = _col(s12) * m.s / _col(np.sqrt(s11 * m.s2))
     t_obs = tsls_stat(m, beta0, est).statistic
     g = RandomizationLaw(scale=pretest.scale, seed=pretest.seed)

@@ -246,8 +246,8 @@ def _screen(mom: Moments, c0: float, rng) -> PretestOutcome:
 
 def _row(batch, i):
     """Replication i (or the replications of an index array i) of a batched
-    PretestOutcome or ModelEstimates: every field with a batch axis is
-    indexed, the shared scalars are kept."""
+    PretestOutcome: every field with a batch axis is indexed, the shared
+    scalars are kept."""
     return replace(batch, **{
         f.name: getattr(batch, f.name)[i] for f in fields(batch) if np.ndim(getattr(batch, f.name))
     })
@@ -304,7 +304,7 @@ def uniformity_experiment(
             f"only {passing.size} of {reps} replications passed the screen"
         )
     est = covariance_estimates(mom, beta0)
-    law = build_law_tsls(mom[passing], beta0, _row(screen, passing), _row(est, passing))
+    law = build_law_tsls(mom[passing], beta0, _row(screen, passing), est[passing])
     two = _pooled_pvalues(law).two_sided
     naive_two = tsls_stat(mom, beta0, est).naive_pvalue[passing]
     wald_covers = np.abs(tsls_estimate(mom) - beta0) <= _wald_z(alpha) * tsls_standard_error(mom)

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import CovarianceError
 from .model import (
     IVDataset,
-    ModelEstimates,
     Moments,
     _dot,
     _item,
@@ -164,13 +163,13 @@ class ClrComponents:
         return _item(self.q_hat[..., 1, 1])
 
 
-def tsls_stat(data: IVDataset | Moments, beta0: float, est: ModelEstimates) -> TestValue:
+def tsls_stat(data: IVDataset | Moments, beta0: float, est: np.ndarray) -> TestValue:
     """T = D'P_Z(Y - D beta0) / (sqrt(Sigma_11) sqrt(D'P_Z D)), two-sided
-    normal p-value.  Sigma_hat must be evaluated at this beta0; an array
+    normal p-value.  est is Sigma_hat evaluated at this beta0; an array
     of nulls gives one statistic per null, as in clr_components."""
     m = require_prepared(data)
     _require_first_stage(m)
-    s11 = est.sigma_hat[..., 0, 0]
+    s11 = est[..., 0, 0]
     if np.any(s11 <= 0):
         raise CovarianceError("Sigma_hat_11 must be positive")
     t = (_dot(m.sy, m.s) - beta0 * m.s2) / np.sqrt(s11 * m.s2)

@@ -20,7 +20,7 @@ def _prepared_rows(raw: IVDataset) -> IVDataset:
     [1 X Z D Y] holds, applied to the rows.  prepare keeps no rows, so
     tests that read centered rows take them from here."""
     x = np.empty((raw.n, 0)) if raw.X is None else raw.X
-    factor = _RowFactor(x.shape[1], raw.p)
+    factor = _RowFactor(["x"] * x.shape[1], ["z"] * raw.p)
     for i in range(0, raw.n, _BLOCK_ROWS):
         factor.add(np.column_stack([a[i : i + _BLOCK_ROWS] for a in (x, raw.Z, raw.D, raw.Y)]))
     keep = factor.hi - factor.lo > 1e-12 * np.maximum(np.abs(factor.lo), np.abs(factor.hi))

@@ -29,7 +29,7 @@ from ivselect import (
     tsls_estimate,
 )
 from ivselect.cli import AnalysisConfig, _report_json, analyze, ingest, main
-from ivselect.errors import BranchError, DataError
+from ivselect.errors import BranchError, DataError, DimensionError, RankDeficiencyError
 from ivselect.model import _BLOCK_ROWS, Moments
 
 TOY = "y,d,z1\n1.0,2.0,0.5\n2.0,1.0,-0.5\n0.0,3.0,1.5\n1.5,2.5,-1.5\n"
@@ -117,12 +117,56 @@ def test_ingest_structural_errors(tmp_path):
         ingest(_write(tmp_path, "c.csv", "y,d,z1\n1,2,3\n,2,3\n4,5,6\n"), cfg)
     with pytest.raises(DataError, match="row 1: expected 3 fields, found 4"):
         ingest(_write(tmp_path, "d.csv", "y,d,z1\n1,2,3,9\n4,5,6\n"), cfg)
-    with pytest.raises(DataError, match="need n > p \\+ k rows"):
+    with pytest.raises(DimensionError, match="need n > p \\+ k"):
         ingest(_write(tmp_path, "e.csv", "y,d,z1,z2\n1,2,3,4\n5,6,7,8\n"), cfg)
     with pytest.raises(DataError, match="empty file"):
         ingest(_write(tmp_path, "f.csv", ""), cfg)
     with pytest.raises(DataError, match="no data rows"):
         ingest(_write(tmp_path, "g.csv", "y,d,z1\n"), cfg)
+
+
+def test_ingest_rank_errors_name_the_csv_columns(tmp_path):
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((30, 5))
+    w[:, 3] = 2.0 * w[:, 2]  # qob_b = 2 qob_a
+    text = "y,d,qob_a,qob_b,qob_c\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in w)
+    columns = {"instruments": ["qob_c", "qob_a", "qob_b"]}
+    with pytest.raises(RankDeficiencyError, match="linearly dependent columns: qob_b$"):
+        ingest(_write(tmp_path, "qob.csv", text), AnalysisConfig(columns=columns))
+    w[:, 3] = 3.0 * w[:, 4] + 1.0  # age2 = 3 age + 1
+    text = "y,d,z1,age2,age\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in w)
+    columns = {"instruments": ["z1"], "covariates": ["age", "age2"]}
+    with pytest.raises(RankDeficiencyError, match="linearly dependent columns: age2$"):
+        ingest(_write(tmp_path, "age.csv", text), AnalysisConfig(columns=columns))
+
+
+@pytest.mark.parametrize(
+    "header, columns, message",
+    [
+        ("y,d,z1,z2,x1,x1", None, "column 'x1' appears 2 times in the header"),
+        ("y,d,z1,z2,x1", {"instruments": ["z1", "z2", "x1"]}, "column 'x1' has two roles: instrument and covariate"),
+        ("y,d,z1,z2", {"instruments": ["z1", "d"]}, "column 'd' has two roles: treatment and instrument"),
+    ],
+    ids=["repeated-header-name", "instrument-and-covariate", "treatment-and-instrument"],
+)
+def test_ingest_refuses_a_column_read_twice(tmp_path, header, columns, message):
+    width = header.count(",") + 1
+    rows = np.random.default_rng(9).standard_normal((20, width))
+    text = header + "\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    with pytest.raises(DataError, match=message):
+        ingest(_write(tmp_path, "twice.csv", text), AnalysisConfig(columns=columns))
+
+
+def test_ingest_counts_rows_after_dropping_constant_covariates(tmp_path):
+    # n = 5, p = 2, covariates (constant, x2, x3): two covariates act, so
+    # n > p + k holds for ingest as it does for prepare
+    rng = np.random.default_rng(10)
+    y, d, z, x = rng.standard_normal(5), rng.standard_normal(5), rng.standard_normal((5, 2)), rng.standard_normal((5, 3))
+    x[:, 0] = 4.0
+    path = tmp_path / "short.csv"
+    np.savetxt(path, np.column_stack([y, d, z, x]), delimiter=",", header="y,d,z1,z2,x1,x2,x3", comments="",
+               fmt="%.17g")
+    _same_moments(ingest(str(path), AnalysisConfig()), prepare(IVDataset(Y=y, D=d, Z=z, X=x)))
 
 
 def test_ingest_column_mapping_and_covariates(tmp_path):
@@ -190,8 +234,9 @@ def test_ingest_locates_faults_of_the_fast_parse(tmp_path, text, message):
         TOY.replace("\n", "\r\n"),
         TOY.rstrip("\n"),
         "y,d,z1,note\n" + "".join(f"{line},text {i}\n" for i, line in enumerate(_toy_lines()[1:])),
+        "y,d,z1,note,note\n" + "".join(f"{line},a,b\n" for line in _toy_lines()[1:]),
     ],
-    ids=["quoted-and-padded", "crlf", "no-final-newline", "unused-text-column"],
+    ids=["quoted-and-padded", "crlf", "no-final-newline", "unused-text-column", "unused-repeated-name"],
 )
 def test_ingest_accepts_csv_variants(tmp_path, text):
     path = tmp_path / "v.csv"

@@ -18,7 +18,6 @@ from ivselect import (
     clr_conditional_inference,
     clr_tail,
     clr_tails,
-    covariance_estimates,
     clr_components,
     dgp_from_r,
     f_statistic,
@@ -94,12 +93,11 @@ def _weak_data(seed=0, n=400, p=4, r=0.05):
 def test_truncation_coefficients_reproduced_from_omega():
     data = _weak_data(seed=1)
     beta0 = 0.8
-    est = covariance_estimates(data, beta0)
     comps = clr_components(data, beta0)
     lam2 = penalty_lambda(data, 10.0) ** 2
-    tr = truncation_from_estimates(est.omega_hat, beta0, lam2, comps.q_r, data.p)
+    tr = truncation_from_estimates(data.moments.omega, beta0, lam2, comps.q_r, data.p)
 
-    om = est.omega_hat
+    om = data.moments.omega
     b0 = np.array([1.0, -beta0])
     a0 = np.array([beta0, 1.0])
     bob = float(b0 @ om @ b0)
@@ -118,10 +116,9 @@ def test_truncation_recovers_screen_quadratic():
     for seed in range(4):
         data = _weak_data(seed=seed, r=0.15)
         beta0 = 0.7
-        est = covariance_estimates(data, beta0)
         comps = clr_components(data, beta0)
         lam2 = penalty_lambda(data, 10.0) ** 2
-        tr = truncation_from_estimates(est.omega_hat, beta0, lam2, comps.q_r, data.p)
+        tr = truncation_from_estimates(data.moments.omega, beta0, lam2, comps.q_r, data.p)
         lhs = tr.d0 * comps.q_u + tr.d1 * comps.q_ur + tr.d2 * comps.q_r
         assert lhs == pytest.approx(data.moments.s2, rel=1e-10)
 
@@ -129,10 +126,9 @@ def test_truncation_recovers_screen_quadratic():
 def test_truncated_tail_bounded_and_decreasing():
     data = _weak_data(seed=2)
     beta0 = 1.0
-    est = covariance_estimates(data, beta0)
     comps = clr_components(data, beta0)
     lam2 = penalty_lambda(data, 10.0) ** 2
-    tr = truncation_from_estimates(est.omega_hat, beta0, lam2, comps.q_r, data.p)
+    tr = truncation_from_estimates(data.moments.omega, beta0, lam2, comps.q_r, data.p)
     ts = np.linspace(0.05, 10.0, 30)
     vals = np.array([clr_tail(t, comps.q_r, data.p, trunc=tr) for t in ts])
     assert np.all((vals >= 0) & (vals <= 1 + 1e-12))
@@ -176,7 +172,7 @@ def test_conditional_inference_reports_intervals():
     assert 0.0 <= report.conditional_pvalue <= 1.0
     assert 0.0 <= report.naive_pvalue <= 1.0
     # weak instruments: both intervals wide, conditional close to naive
-    if not (report.naive_ci.lower_unbounded or report.naive_ci.upper_unbounded):
+    if not (math.isinf(report.naive_ci.lower) or math.isinf(report.naive_ci.upper)):
         assert report.naive_ci.width > 0
 
 
@@ -184,10 +180,9 @@ def test_conditional_inference_reports_intervals():
 
 
 def _weak_laws(data, beta0s, c0=10.0):
-    est = covariance_estimates(data, 1.0)
     lr, q_r = clr_statistics(data, beta0s)
     lam2 = penalty_lambda(data, c0) ** 2
-    return lr, q_r, truncation_from_estimates(est.omega_hat, np.asarray(beta0s), lam2, q_r, data.p)
+    return lr, q_r, truncation_from_estimates(data.moments.omega, np.asarray(beta0s), lam2, q_r, data.p)
 
 
 _COEFS = ("d0", "d1", "d2", "lambda_sq", "q_R")
@@ -449,7 +444,7 @@ def test_truncated_tail_matches_data_level_monte_carlo(seed, c0, beta0, crossing
     one = _law(trunc, 0, 1)
     assert bool(_kinks(lr[0], q_r[0], one)[1]) == crossing
     mc, se, kept = _monte_carlo_tail(
-        covariance_estimates(data, 1.0).omega_hat, beta0, float(trunc.lambda_sq), lr[0], q_r[0], data.p
+        data.moments.omega, beta0, float(trunc.lambda_sq), lr[0], q_r[0], data.p
     )
     tail = clr_tail(lr[0], q_r[0], data.p, one)
     assert kept > 10_000 and abs(tail - clr_tail(lr[0], q_r[0], data.p)) > 10 * se
@@ -531,19 +526,17 @@ def test_batched_truncation_equals_per_null_builds():
     data = _weak_data(seed=3)
     nulls = np.linspace(-2.0, 3.0, 11)
     lr, q_r, trunc = _weak_laws(data, nulls)
-    est = covariance_estimates(data, 1.0)
     lam2 = penalty_lambda(data, 10.0) ** 2
-    singles = [truncation_from_estimates(est.omega_hat, b, lam2, q, data.p) for b, q in zip(nulls, q_r)]
+    singles = [truncation_from_estimates(data.moments.omega, b, lam2, q, data.p) for b, q in zip(nulls, q_r)]
     _assert_truncations_match(trunc, singles, lr, q_r, data.p)
     # a batch of replications at one null, each with its own covariance
     rng = _generator(4, 1)
     mom = Moments.of(*_draw_batch(dgp_from_r(0.05, 0.6, n=300, p=4, seed=4), 12, rng))
-    est = covariance_estimates(mom, 1.0)
     comps = clr_components(mom, 1.0)
     lam2 = penalty_lambda(mom, 10.0) ** 2
-    trunc = truncation_from_estimates(est.omega_hat, 1.0, lam2, comps.q_r, mom.p)
+    trunc = truncation_from_estimates(mom.omega, 1.0, lam2, comps.q_r, mom.p)
     singles = [
-        truncation_from_estimates(est.omega_hat[i], 1.0, float(lam2[i]), comps.q_r[i], mom.p)
+        truncation_from_estimates(mom.omega[i], 1.0, float(lam2[i]), comps.q_r[i], mom.p)
         for i in range(12)
     ]
     lr = clr_statistic_from_q(comps.q_u, comps.q_ur, comps.q_r)

@@ -220,29 +220,33 @@ def test_selection_equivariant_under_treatment_units(column, s):
     np.testing.assert_allclose(scaled.subgradient_u, base.subgradient_u, rtol=0, atol=1e-12)
 
 
+def test_selection_reads_its_event_off_gamma():
+    sel = LassoSelection(
+        lambda_l=1.0, omega=np.zeros(3), gamma_l=np.array([0.0, -0.4, 0.2]),
+        subgradient_u=np.array([0.3, -1.0, 1.0]),
+    )
+    assert sel.support_E == (1, 2)
+    np.testing.assert_array_equal(sel.signs_sE, [-1.0, 1.0])
+    np.testing.assert_array_equal(sel.off_support, [0])
+    empty = LassoSelection(lambda_l=1.0, omega=np.zeros(2), gamma_l=np.zeros(2), subgradient_u=np.array([0.5, -0.2]))
+    assert empty.support_E == () and empty.signs_sE.shape == (0,)
+    np.testing.assert_array_equal(empty.off_support, [0, 1])
+
+
 def test_selection_event_validation():
-    with pytest.raises(ValueError, match="zero off the support"):
-        LassoSelection(
-            lambda_l=1.0, omega=np.zeros(2), gamma_l=np.array([0.5, 0.1]),
-            support_E=(0,), signs_sE=np.array([1.0]),
-            subgradient_u=np.array([1.0, 0.3]),
-        )
     with pytest.raises(ValueError, match="signs"):
         LassoSelection(
             lambda_l=1.0, omega=np.zeros(2), gamma_l=np.array([-0.5, 0.0]),
-            support_E=(0,), signs_sE=np.array([1.0]),
             subgradient_u=np.array([1.0, 0.3]),
         )
     with pytest.raises(ValueError, match="unit box"):
         LassoSelection(
             lambda_l=1.0, omega=np.zeros(2), gamma_l=np.array([0.5, 0.0]),
-            support_E=(0,), signs_sE=np.array([1.0]),
             subgradient_u=np.array([1.0, 1.5]),
         )
     with pytest.raises(ValueError, match="positive"):
         LassoSelection(
-            lambda_l=0.0, omega=np.zeros(1), gamma_l=np.zeros(1),
-            support_E=(), signs_sE=np.zeros(0), subgradient_u=np.zeros(1),
+            lambda_l=0.0, omega=np.zeros(1), gamma_l=np.zeros(1), subgradient_u=np.zeros(1),
         )
 
 

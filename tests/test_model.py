@@ -266,7 +266,7 @@ def test_covariance_at_zero_equals_omega():
     data = generate(DGPConfig(n=120, p=3, beta_star=1.0, gamma_star=0.4,
                               sigma_star=np.array([[1.0, 0.3], [0.3, 1.0]]), seed=8))
     est = covariance_estimates(data, 0.0)
-    np.testing.assert_allclose(est.sigma_hat, est.omega_hat, atol=1e-14)
+    np.testing.assert_allclose(est, data.moments.omega, atol=1e-14)
 
 
 @given(seed=st.integers(0, 2**32 - 1), beta0=st.floats(-3.0, 3.0))
@@ -275,16 +275,16 @@ def test_covariance_mapping_consistency(seed, beta0):
                               sigma_star=np.array([[1.0, 0.8], [0.8, 1.0]]), seed=seed))
     est = covariance_estimates(data, beta0)
     b = np.array([[1.0, beta0], [0.0, 1.0]])
-    np.testing.assert_allclose(b @ est.sigma_hat @ b.T, est.omega_hat, atol=1e-12)
+    np.testing.assert_allclose(b @ est @ b.T, data.moments.omega, atol=1e-12)
     binv = np.array([[1.0, -beta0], [0.0, 1.0]])
-    np.testing.assert_allclose(est.sigma_hat, binv @ est.omega_hat @ binv.T, atol=1e-10)
+    np.testing.assert_allclose(est, binv @ data.moments.omega @ binv.T, atol=1e-10)
 
 
 def test_covariance_estimates_spd():
     data = generate(DGPConfig(n=150, p=2, beta_star=1.0, gamma_star=0.3,
                               sigma_star=np.array([[1.0, -0.5], [-0.5, 2.0]]), seed=10))
     est = covariance_estimates(data, 0.4)
-    for mat in (est.omega_hat, est.sigma_hat):
+    for mat in (data.moments.omega, est):
         np.testing.assert_allclose(mat, mat.T, atol=1e-12)
         assert np.linalg.eigvalsh(mat).min() > 0
 
@@ -298,7 +298,7 @@ def test_covariance_monte_carlo_recovers_truth():
         cfg = DGPConfig(n=200, p=3, beta_star=1.0, gamma_star=0.5,
                         sigma_star=sigma, seed=1000 + i)
         est = covariance_estimates(generate(cfg), 1.0)
-        entries[i] = (est.sigma_hat[0, 0], est.sigma_hat[0, 1], est.sigma_hat[1, 1])
+        entries[i] = (est[0, 0], est[0, 1], est[1, 1])
     mean = entries.mean(axis=0)
     se = entries.std(axis=0, ddof=1) / np.sqrt(reps)
     target = np.array([sigma[0, 0], sigma[0, 1], sigma[1, 1]])
@@ -546,8 +546,10 @@ def test_bartlett_moments_match_the_full_cross_product():
     mix[p:, p] += chol[0]
     rows = np.swapaxes(t, -1, -2) @ mix  # columns Z, Y, D
     ref = Moments.of_factor(n, np.linalg.qr(rows[..., [*range(p), p + 1, p]], mode="r"))
-    for name in ("f", "beta_hat", "omega", "rss", "dd", "ztz", "ztd", "zty"):
+    for name in ("f", "beta_hat", "omega", "rss", "dd", "ztz", "ztd"):
         np.testing.assert_allclose(getattr(mom, name), getattr(ref, name), rtol=1e-12, atol=0, err_msg=name)
+    zty = [np.einsum("rij,rj->ri", m.chol, m.sy) for m in (mom, ref)]  # Z'Y = L S_Y
+    np.testing.assert_allclose(*zty, rtol=1e-12, atol=0, err_msg="zty")
     np.testing.assert_allclose(mom.chol, ref.chol, rtol=0, atol=1e-12 * np.abs(ref.chol).max())
 
 

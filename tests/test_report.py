@@ -45,11 +45,16 @@ def test_interval_basics():
 
 
 def test_interval_unbounded_serializes_null():
-    iv = Interval(0.0, 0.0, lower_unbounded=True, upper_unbounded=True)
-    assert iv.lower == -math.inf and iv.upper == math.inf
-    d = iv.as_dict()
-    assert d["lower"] is None and d["upper"] is None
-    assert iv.contains(1e12)
+    cases = [
+        (-math.inf, 2.5, "[-inf, 2.5]", {"lower": None, "upper": 2.5, "lower_unbounded": True, "upper_unbounded": False}),
+        (-1.0, math.inf, "[-1, +inf]", {"lower": -1.0, "upper": None, "lower_unbounded": False, "upper_unbounded": True}),
+        (-math.inf, math.inf, "[-inf, +inf]", {"lower": None, "upper": None, "lower_unbounded": True, "upper_unbounded": True}),
+    ]
+    for lower, upper, text, doc in cases:
+        iv = Interval(lower, upper)
+        assert iv.as_dict() == doc
+        assert str(iv) == text
+        assert iv.contains(0.0) and iv.width == math.inf
 
 
 def test_interval_rejects_bad_endpoints():
@@ -82,6 +87,8 @@ def test_plain_converts_numpy_and_nonfinite():
     })
     assert out == {"a": 1.5, "b": [1, 2], "c": None, "d": [3, "x"]}
     assert isinstance(out["a"], float) and isinstance(out["b"][0], int)
+    with pytest.raises(TypeError, match="cannot convert Interval"):
+        plain({"ci": Interval(0.0, 1.0)})
 
 
 def test_inversion_recovers_known_retention_set():
@@ -145,7 +152,7 @@ def _full_scan(pvalue_fn, center, halfwidth, alpha, n_points):
         return "crossing"
 
     info["ends"] = {"lower": end(lo_unbounded, lo - 1), "upper": end(hi_unbounded, hi + 1)}
-    return Interval(xs[lo], xs[hi], lo_unbounded, hi_unbounded), xs, ps, info
+    return Interval(-math.inf if lo_unbounded else xs[lo], math.inf if hi_unbounded else xs[hi]), xs, ps, info
 
 
 def _curve(family, m, w, level, side, cut, alpha):
@@ -239,7 +246,7 @@ def test_coarse_scan_misses_a_narrow_island_outside_its_gaps():
 def test_inversion_flags_unbounded_sides():
     fn = lambda xs: np.full(np.shape(xs), 0.5)
     interval, _, _, info = invert_pvalue_curve(fn, 0.0, 1.0, 0.05, n_points=21)
-    assert interval.lower_unbounded and interval.upper_unbounded
+    assert math.isinf(interval.lower) and math.isinf(interval.upper)
     assert info["ends"] == {"lower": "unbounded", "upper": "unbounded"}
 
 

@@ -278,8 +278,8 @@ def test_batch_moments_match_single_dataset_path():
         data = prepare(IVDataset(Y=y[i], D=d[i], Z=z[i]))
         est = covariance_estimates(data, beta0)
         assert np.allclose(mom.s[i], data.s, atol=1e-8)
-        assert np.isclose(est_all.sigma_hat[i, 0, 0], est.sigma_hat[0, 0], rtol=1e-9)
-        assert np.isclose(est_all.sigma_hat[i, 0, 1], est.sigma_hat[0, 1], rtol=1e-9)
+        assert np.isclose(est_all[i, 0, 0], est[0, 0], rtol=1e-9)
+        assert np.isclose(est_all[i, 0, 1], est[0, 1], rtol=1e-9)
         tv = tsls_stat(data, beta0, est)
         assert np.isclose(tv_all.statistic[i], tv.statistic, rtol=1e-9)
         assert np.isclose(tv_all.naive_pvalue[i], tv.naive_pvalue, rtol=1e-9)
@@ -337,7 +337,11 @@ def test_moment_draw_matches_row_draw_in_law():
         return np.einsum("ij,ij->i", u, v)
 
     by, bd = mom.b[:, :, 1], mom.b[:, :, 0]
-    cross = {"yd": dot(mom.sy, mom.s) + dot(by, bd), "yy": dot(mom.sy, mom.sy) + dot(by, by)}  # off R's blocks
+    cross = {  # off R's blocks
+        "zty": np.einsum("rij,rj->ri", mom.chol, mom.sy),
+        "yd": dot(mom.sy, mom.s) + dot(by, bd),
+        "yy": dot(mom.sy, mom.sy) + dot(by, by),
+    }
     for key, mean in expected.items():
         draws = cross[key] if key in cross else getattr(mom, key)
         se = draws.std(axis=0) / np.sqrt(draws.shape[0])
