@@ -129,7 +129,7 @@ def truncation_from_estimates(
     o = np.asarray(omega_hat, dtype=float)
     o00, o01, o11 = o[..., 0, 0], o[..., 0, 1], o[..., 1, 1]
     s11 = o00 - 2.0 * beta0 * o01 + beta0**2 * o11
-    return _truncation(s11, o01 - beta0 * o11, o00 * o11 - o01**2, lambda_sq, q_r, p)
+    return _truncation(s11, o01 - beta0 * o11, np.linalg.det(o), lambda_sq, q_r, p)
 
 
 def _chi2_at(p, x, mask):

@@ -166,12 +166,12 @@ def solve_randomized_lasso(
 
 def default_lasso_penalty(data: IVDataset | Moments, seed: int = 0) -> float:
     """1.1 times the median of ||Z'e||_inf over 200 Gaussian errors e ~
-    N(0, sigma_hat^2 I), sigma_hat^2 = RSS / (n - p): large enough that
-    pure-noise instruments are usually dropped, small enough that
-    selection stays non-trivial.  Each draw is sigma_hat ||L xi||_inf,
+    N(0, sigma_hat^2 I), sigma_hat^2 = Omega_hat_22 = RSS / dof: large
+    enough that pure-noise instruments are usually dropped, small enough
+    that selection stays non-trivial.  Each draw is sigma_hat ||L xi||_inf,
     L L' = Z'Z, xi ~ N(0, I) (Lee, Sun, Sun & Taylor, Ann. Statist. 2016)."""
     m = require_prepared(data)
-    sigma = math.sqrt(float(m.rss) / (m.n - m.p))
+    sigma = math.sqrt(m.omega[1, 1])
     xi = _generator(seed, 11).standard_normal((_PENALTY_SIMS, m.p))
     vals = np.abs(xi @ m.chol.T).max(axis=1)
     lam = _PENALTY_MULT * sigma * float(np.median(vals))
@@ -184,7 +184,7 @@ def default_lasso_scale(data: IVDataset | Moments) -> float:
     """Randomization spread for the Lasso objective: half the typical
     noise scale of a Z'D coordinate (error sd times mean column norm)."""
     m = require_prepared(data)
-    sig2 = math.sqrt(m.rss / (m.n - m.p))
+    sig2 = math.sqrt(m.omega[1, 1])
     mean_col = float(np.mean(np.diagonal(m.ztz)))
     scale = 0.5 * sig2 * math.sqrt(mean_col)
     if scale <= 0:

@@ -124,6 +124,13 @@ class Moments:
     def p(self) -> int:
         return self.s.shape[-1]
 
+    @property
+    def dof(self) -> int:
+        """The residual degrees of freedom n - p: the one divisor of every
+        variance read off the moments (F, Omega_hat, Sigma_hat(beta0), the
+        screen's penalty, the randomization scales and the AR tail)."""
+        return self.n - self.p
+
     @cached_property
     def ztz(self) -> np.ndarray:
         return self.chol @ np.swapaxes(self.chol, -1, -2)  # Z'Z = LL'
@@ -153,8 +160,8 @@ class Moments:
 
     @cached_property
     def f(self) -> np.ndarray:
-        """First-stage F: (||S||^2 / p) / (RSS / (n - p))."""
-        return (self.s2 / self.p) / (self.rss / (self.n - self.p))
+        """First-stage F: (||S||^2 / p) / (RSS / dof)."""
+        return (self.s2 / self.p) / (self.rss / self.dof)
 
     @cached_property
     def beta_hat(self) -> np.ndarray:
@@ -163,24 +170,23 @@ class Moments:
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """Omega_hat = [Y D]' P_Zperp [Y D] / (n - p) = [B_Y B_D]'[B_Y B_D] / (n - p)."""
-        bd, by = self.b[..., :, 0], self.b[..., :, 1]
-        return _sym2(_dot(by, by), _dot(by, bd), self.rss) / (self.n - self.p)
+        """Omega_hat = [Y D]' P_Zperp [Y D] / dof = Sigma_hat(0)."""
+        return self.sigma(0.0)
 
     @cached_property
     def det_omega(self) -> np.ndarray:
-        """det Omega_hat = (det B)^2 / (n - p)^2, which stays exact when Y
+        """det Omega_hat = (det B / dof)^2, which stays exact when Y
         gains a multiple of D, where Omega_hat's entries cancel.  B is
         not triangular in every batch, so its full determinant is taken."""
         b = self.b
-        return ((b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]) / (self.n - self.p)) ** 2
+        return ((b[..., 0, 0] * b[..., 1, 1] - b[..., 0, 1] * b[..., 1, 0]) / self.dof) ** 2
 
     def sigma(self, beta0) -> np.ndarray:
         """Sigma_hat(beta0), the residual covariance of (Y - D beta0, D):
-        the Gram matrix of the columns (B_Y - beta0 B_D, B_D) over n - p."""
+        the Gram matrix of the columns (B_Y - beta0 B_D, B_D) over dof."""
         bd = self.b[..., :, 0]
         e = self.b[..., :, 1] - np.asarray(beta0, dtype=float)[..., None] * bd
-        return _sym2(_dot(e, e), _dot(e, bd), self.rss) / (self.n - self.p)
+        return _sym2(_dot(e, e), _dot(e, bd), self.rss) / self.dof
 
 
 @dataclass(frozen=True)
@@ -311,8 +317,8 @@ class _RowFactor:
         if not keep.all():
             r = np.linalg.qr(r[:, np.flatnonzero(np.r_[True, keep, np.ones(self.p + 2, bool)])], mode="r")
         k, p = int(keep.sum()), self.p
-        if self.n <= p + k:
-            raise DimensionError(f"need n > p + k, got n={self.n}, p={p}, k={k}")
+        if self.n <= p + k + 1:  # the intercept takes a degree of freedom too
+            raise DimensionError(f"need n > p + k + 1, got n={self.n}, p={p}, k={k}")
         rx = r[1 : 1 + k, 1 : 1 + k]  # the factor of the centered X, in unit columns:
         rx = rx / np.linalg.norm(rx, axis=0)  # X's units cannot reach its verdict
         if not _conditioned(rx, RANK_RTOL):  # without X, 0 x 0 and conditioned
@@ -373,22 +379,19 @@ def tsls_estimate(data: IVDataset | Moments) -> float:
 
 
 def covariance_estimates(data: IVDataset | Moments, beta0: float) -> np.ndarray:
-    """Sigma_hat(beta0) = [Y - D beta0, D]' P_Zperp [Y - D beta0, D] / (n - p),
+    """Sigma_hat(beta0) = [Y - D beta0, D]' P_Zperp [Y - D beta0, D] / dof,
     the structural error covariance at the null beta0, once Omega_hat
     (Moments.omega) and the first stage have passed their checks.  An
     array of nulls broadcasts against the batch axis of the moments,
     stacking the matrices (..., 2, 2).
 
-    Omega_hat = [Y D]' P_Zperp [Y D] / (n - p) and Sigma_hat satisfy
-    Omega = B Sigma B' with B = [[1, beta0], [0, 1]] exactly, because the
-    column maps commute with the projection.  Both are symmetric 2x2 by
-    construction, and Sigma_hat is positive definite exactly when
-    Omega_hat is, so Omega_hat's leading entry and determinant are the
-    one check.
+    Omega_hat and Sigma_hat(beta0) are Gram matrices of two columns whose
+    determinant is det B, so both are positive definite exactly when det
+    Omega_hat, read off B, is positive; Omega_hat's entries would cancel
+    once Y carries a large multiple of D.
     """
     m = require_prepared(data)
-    o = m.omega
-    if not np.all((o[..., 0, 0] > 0) & (o[..., 0, 0] * o[..., 1, 1] - o[..., 0, 1] ** 2 > 0)):
+    if not np.all(m.det_omega > 0):
         raise CovarianceError(
             "Omega_hat is not positive definite: the residuals of Y and D on Z are collinear"
         )

@@ -1,8 +1,9 @@
 """First-stage F-test and its randomized convex reformulation.
 
 The screening rule F >= C0 is algebraically the event ||S|| >= lambda
-with lambda^2 = C0 * (p/(n-p)) * RSS, which is the no-randomization case
-of the penalized program
+with lambda^2 = C0 * (p/dof) * RSS, dof the residual degrees of freedom
+(Moments.dof), which is the no-randomization case of the penalized
+program
 
     min_v  0.5 ||v - S||^2 + lambda ||v||_2 - omega'v,   omega ~ N(0, c^2 I).
 
@@ -63,7 +64,7 @@ class PretestOutcome:
 
 
 def f_statistic(data: IVDataset | Moments) -> float:
-    """First-stage F: [sum (Z_i'gamma_hat)^2 / p] / [RSS / (n-p)]."""
+    """First-stage F: [sum (Z_i'gamma_hat)^2 / p] / [RSS / dof]."""
     m = require_prepared(data)
     if np.any(m.rss <= 1e-12 * np.maximum(m.dd, 1e-300)):
         raise DegenerateFirstStageError(
@@ -73,14 +74,14 @@ def f_statistic(data: IVDataset | Moments) -> float:
 
 
 def penalty_lambda(data: IVDataset | Moments, c0: float) -> float:
-    """Penalty level lambda = sqrt(C0 * (p/(n-p)) * RSS).
+    """Penalty level lambda = sqrt(C0 * (p/dof) * RSS).
 
     By construction I(F >= C0) = I(||S|| >= lambda).
     """
     if c0 < 0:
         raise ValueError(f"threshold C0 must be nonnegative, got {c0}")
     m = require_prepared(data)
-    return _item(np.sqrt(c0 * (m.p / (m.n - m.p)) * m.rss))
+    return _item(np.sqrt(c0 * (m.p / m.dof) * m.rss))
 
 
 def default_scale(data: IVDataset | Moments) -> float:
@@ -93,7 +94,7 @@ def default_scale(data: IVDataset | Moments) -> float:
     """
     m = require_prepared(data)
     base = np.std(m.s, axis=-1)
-    base = np.where(base > 0, base, np.sqrt(m.rss / (m.n - m.p)))
+    base = np.where(base > 0, base, np.sqrt(m.omega[..., 1, 1]))
     if np.any(base <= 0):
         raise DegenerateFirstStageError("cannot set a randomization scale: S and the first-stage residuals are both degenerate")
     return _item(0.5 * np.sqrt(m.n / (m.n - 1)) * base)

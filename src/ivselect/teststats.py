@@ -1,7 +1,7 @@
 """Test statistics for H0: beta = beta0 and their naive reference laws.
 
 Three statistics: the TSLS Wald statistic (standard normal under strong
-instruments), Anderson-Rubin (exact F(p, n-p)), and the conditional
+instruments), Anderson-Rubin (exact F(p, dof)), and the conditional
 likelihood ratio statistic whose null law given Q_R is evaluated by
 quadrature elsewhere.  The normal and chi2(p) tails of the statistics and
 the exact engines are computed here in numpy, without scipy.
@@ -19,7 +19,6 @@ from .model import (
     _dot,
     _item,
     _require_first_stage,
-    _sym2,
     require_prepared,
 )
 
@@ -143,24 +142,15 @@ class ClrComponents:
     R_hat = L^-1 Ytilde Omega^(-1) a0 / sqrt(a0' Omega^(-1) a0)
 
     with Ytilde = [Z'Y, Z'D], LL' = Z'Z, a0 = (beta0, 1), b0 = (1, -beta0).  Under
-    the null U_hat is standard normal and independent of R_hat.
+    the null U_hat is standard normal and independent of R_hat.  Q_U =
+    U'U, Q_UR = U'R and Q_R = R'R are one number per replication.
     """
 
     u_hat: np.ndarray
     r_hat: np.ndarray
-    q_hat: np.ndarray  # (..., 2, 2): [[Q_U, Q_UR], [Q_UR, Q_R]] per replication
-
-    @property
-    def q_u(self) -> float:
-        return _item(self.q_hat[..., 0, 0])
-
-    @property
-    def q_ur(self) -> float:
-        return _item(self.q_hat[..., 0, 1])
-
-    @property
-    def q_r(self) -> float:
-        return _item(self.q_hat[..., 1, 1])
+    q_u: float
+    q_ur: float
+    q_r: float
 
 
 def tsls_stat(data: IVDataset | Moments, beta0: float, est: np.ndarray) -> TestValue:
@@ -180,29 +170,29 @@ def tsls_stat(data: IVDataset | Moments, beta0: float, est: np.ndarray) -> TestV
 
 
 def ar_stat(data: IVDataset | Moments, beta0: float) -> TestValue:
-    """Anderson-Rubin statistic; F(p, n-p) upper-tail p-value regardless
+    """Anderson-Rubin statistic; F(p, dof) upper-tail p-value regardless
     of instrument strength.  An array of nulls gives one statistic per
     null, as in tsls_stat."""
     from scipy import special  # deferred: only --test ar reads the F tail
 
     m = require_prepared(data)
-    n, p = m.n, m.p
+    p, dof = m.p, m.dof
     beta0 = np.asarray(beta0, dtype=float)
     pe = m.sy - beta0[..., None] * m.s  # L^-1 Z'(Y - D beta0)
     num = _dot(pe, pe) / p
-    den = m.sigma(beta0)[..., 0, 0]  # (Y - D beta0)' P_Zperp (Y - D beta0) / (n - p)
-    ee = _dot(pe, pe) + (n - p) * den  # (Y - D beta0)'(Y - D beta0)
+    den = m.sigma(beta0)[..., 0, 0]  # (Y - D beta0)' P_Zperp (Y - D beta0) / dof
+    ee = _dot(pe, pe) + dof * den  # (Y - D beta0)'(Y - D beta0)
     if np.any(den <= 1e-12 * np.maximum(ee, 1e-300)):
         raise CovarianceError("AR denominator is zero: Y - D*beta0 lies in col(Z)")
     stat = num / den
     return TestValue(
-        statistic=_item(stat), beta0=_item(beta0), naive_pvalue=_item(special.fdtrc(p, n - p, stat))
+        statistic=_item(stat), beta0=_item(beta0), naive_pvalue=_item(special.fdtrc(p, dof, stat))
     )
 
 
 def clr_components(data: IVDataset | Moments, beta0: float) -> ClrComponents:
-    """U_hat, R_hat, Q_hat with plug-in Omega_hat, all read off the
-    moments' residual factor.
+    """U_hat, R_hat and their Q_U, Q_UR, Q_R with plug-in Omega_hat, all
+    read off the moments' residual factor.
 
     With Sigma = Sigma_hat(beta0), S_e = S_Y - beta0 S and
     det = det Omega_hat = det Sigma, the closed forms are
@@ -230,7 +220,9 @@ def clr_components(data: IVDataset | Moments, beta0: float) -> ClrComponents:
     return ClrComponents(
         u_hat=u_hat,
         r_hat=r_hat,
-        q_hat=_sym2(_dot(u_hat, u_hat), _dot(u_hat, r_hat), _dot(r_hat, r_hat)),
+        q_u=_item(_dot(u_hat, u_hat)),
+        q_ur=_item(_dot(u_hat, r_hat)),
+        q_r=_item(_dot(r_hat, r_hat)),
     )
 
 

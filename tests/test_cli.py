@@ -19,6 +19,7 @@ from ivselect import (
     IVDataset,
     RandomizationLaw,
     ar_stat,
+    covariance_estimates,
     default_lasso_penalty,
     dgp_from_r,
     generate,
@@ -157,16 +158,31 @@ def test_ingest_refuses_a_column_read_twice(tmp_path, header, columns, message):
         ingest(_write(tmp_path, "twice.csv", text), AnalysisConfig(columns=columns))
 
 
-def test_ingest_counts_rows_after_dropping_constant_covariates(tmp_path):
-    # n = 5, p = 2, covariates (constant, x2, x3): two covariates act, so
-    # n > p + k holds for ingest as it does for prepare
+def _short_rows(tmp_path, n):
+    """n rows of y, d, z1, z2 and covariates (constant, x2, x3), as a CSV
+    path and as the IVDataset of the same numbers."""
     rng = np.random.default_rng(10)
-    y, d, z, x = rng.standard_normal(5), rng.standard_normal(5), rng.standard_normal((5, 2)), rng.standard_normal((5, 3))
+    y, d, z, x = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal((n, 2)), rng.standard_normal((n, 3))
     x[:, 0] = 4.0
-    path = tmp_path / "short.csv"
+    path = tmp_path / f"short{n}.csv"
     np.savetxt(path, np.column_stack([y, d, z, x]), delimiter=",", header="y,d,z1,z2,x1,x2,x3", comments="",
                fmt="%.17g")
-    _same_moments(ingest(str(path), AnalysisConfig()), prepare(IVDataset(Y=y, D=d, Z=z, X=x)))
+    return str(path), IVDataset(Y=y, D=d, Z=z, X=x)
+
+
+def test_ingest_counts_rows_after_dropping_constant_covariates(tmp_path):
+    # p = 2 and two covariates act, so the row rule n > p + k + 1, which
+    # counts the intercept, reads the same counts for ingest as for
+    # prepare: n = 6 leaves one residual degree of freedom, n = 5 none
+    path, raw = _short_rows(tmp_path, 6)
+    _same_moments(ingest(path, AnalysisConfig()), prepare(raw))
+    path, raw = _short_rows(tmp_path, 5)
+    errors = []
+    for load in (lambda: ingest(path, AnalysisConfig()), lambda: prepare(raw)):
+        with pytest.raises(DimensionError) as info:
+            load()
+        errors.append(str(info.value))
+    assert errors == ["need n > p + k + 1, got n=5, p=2, k=2"] * 2
 
 
 def test_ingest_column_mapping_and_covariates(tmp_path):
@@ -572,6 +588,21 @@ def test_clr_answer_invariant_when_y_gains_a_multiple_of_d(case, b):
     _assert_intervals_mapped(base, got, 1.0, b, 1.0)
     for name in ("conditional_pvalue", "naive_pvalue"):
         assert abs(getattr(got, name) - getattr(base, name)) <= 1e-8, name
+
+
+def test_tsls_answer_kept_when_y_gains_a_large_multiple_of_d():
+    # Y -> Y + 1e9 D at null 1 + 1e9: Omega_hat's entries grow like 1e18,
+    # and o00 o11 - o01^2 cancels past its sign (-128 against det
+    # Omega_hat = 0.29), so a positive-definiteness check on the entries
+    # refused this well-posed input.  det B keeps it; the mapped null is
+    # itself rounded by eps 1e9
+    data = generate(dgp_from_r(0.2, 0.8, n=300, p=4, seed=3))
+    base, shifted = (prepare(IVDataset(Y=data.Y + b * data.D, D=data.D, Z=data.Z)) for b in (0.0, 1e9))
+    np.testing.assert_allclose(covariance_estimates(shifted, 1.0 + 1e9), covariance_estimates(base, 1.0), rtol=1e-5)
+    want, got = (analyze(m, _light(seed=3, null_value=1.0 + b)) for m, b in ((base, 0.0), (shifted, 1e9)))
+    assert got.diagnostics["branch"] == want.diagnostics["branch"] == "tsls"
+    for name in ("conditional_pvalue", "naive_pvalue"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-5), name
 
 
 def test_analysis_config_validation():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import special
 
 from ivselect import (
     DGPConfig,
@@ -16,6 +17,8 @@ from ivselect import (
     ar_stat,
     clr_components,
     covariance_estimates,
+    default_lasso_penalty,
+    default_lasso_scale,
     default_scale,
     dgp_from_r,
     f_statistic,
@@ -317,15 +320,16 @@ def _mixing_matrices(draw, p):
 
 def _statistics(data, beta0):
     est = covariance_estimates(data, beta0)
-    return np.concatenate([
-        [
-            f_statistic(data),
-            float(np.linalg.norm(require_prepared(data).s)),
-            tsls_estimate(data),
-            tsls_stat(data, beta0, est).statistic,
-            ar_stat(data, beta0).statistic,
-        ],
-        clr_components(data, beta0).q_hat[[0, 0, 1], [0, 1, 1]],
+    comps = clr_components(data, beta0)
+    return np.array([
+        f_statistic(data),
+        float(np.linalg.norm(require_prepared(data).s)),
+        tsls_estimate(data),
+        tsls_stat(data, beta0, est).statistic,
+        ar_stat(data, beta0).statistic,
+        comps.q_u,
+        comps.q_ur,
+        comps.q_r,
     ])
 
 
@@ -408,6 +412,37 @@ def test_sigma_near_a_multiple_of_d_matches_an_exact_oracle():
     y = a * (0.8 * d + rng.standard_normal(n)) + b * d
     m = prepare(IVDataset(Y=y, D=d, Z=z))
     assert m.sigma(a + b)[0, 0] == pytest.approx(_exact_sigma11(y, d, z, a + b), rel=1e-8)
+
+
+def test_every_variance_divides_by_moments_dof(monkeypatch):
+    # Moments.dof is the one home of the residual degrees of freedom:
+    # with it moved to n - p - 7, every variance read off the moments
+    # follows, each against its formula on the raw blocks
+    ref = prepare(generate(dgp_from_r(0.3, 0.8, n=60, p=3, seed=5)))
+    pen, ref_dof = default_lasso_penalty(ref, seed=2), ref.dof
+    monkeypatch.setattr(Moments, "dof", property(lambda m: m.n - m.p - 7))
+    m = Moments(n=ref.n, chol=ref.chol, s=ref.s, sy=ref.sy, b=ref.b)
+    n, p, dof, beta0, c0 = m.n, m.p, m.n - m.p - 7, 0.7, 10.0
+    bd, by = m.b[:, 0], m.b[:, 1]
+    e, rss = by - beta0 * bd, bd @ bd
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    close(m.f, (m.s @ m.s / p) / (rss / dof))
+    close(m.omega, np.array([[by @ by, by @ bd], [by @ bd, rss]]) / dof)
+    close(m.sigma(beta0), np.array([[e @ e, e @ bd], [e @ bd, rss]]) / dof)
+    close(m.det_omega, (np.linalg.det(m.b) / dof) ** 2)
+    close(penalty_lambda(m, c0), np.sqrt(c0 * p / dof * rss))
+    one = m.select([0])
+    close(default_scale(one), 0.5 * np.sqrt(n / (n - 1)) * np.sqrt(one.rss / (n - 1 - 7)))
+    close(default_lasso_penalty(m, seed=2), pen * np.sqrt(ref_dof / dof))
+    close(default_lasso_scale(m), 0.5 * np.sqrt(rss / dof) * np.sqrt(np.mean(np.diagonal(m.chol @ m.chol.T))))
+    pe = m.sy - beta0 * m.s
+    stat = (pe @ pe / p) / (e @ e / dof)
+    ar = ar_stat(m, beta0)
+    close(ar.statistic, stat)
+    close(ar.naive_pvalue, special.fdtrc(p, dof, stat))
 
 
 @given(log_c=st.floats(-6.0, 12.0), sign=st.sampled_from([-1.0, 1.0]), beta0=st.floats(-2.0, 4.0))

@@ -10,8 +10,10 @@ passing and a failing input with covariates x1..x3 that the instruments
 load on, and on a failing one of 2 * 8192 + 17 rows, so three blocks of
 ingest, with a constant covariate x4 beside them, and on shift-clr, the
 clr-1 rows with Y + 3e6 D tested at null 1 + 3e6, where Omega_hat's
-entries cancel, each also forced to `--test tsls --override`, `--test clr
---override` and `--test ar` (naive-only); `pretest`; Lasso library
+entries cancel, and on shift-tsls, the tsls-1 rows with Y + 3e8 D tested
+at null 1 + 3e8, where the determinant of those entries cancels to 0,
+each also forced to `--test tsls --override`, `--test clr --override` and
+`--test ar` (naive-only); `pretest`; Lasso library
 reports with and without a SamplerConfig; and every `simulate` kind,
 `uniformity` both where every replication passes the screen (r = 0.3)
 and at the bench design, where most of the batch fails it (r = 0.08).
@@ -28,8 +30,12 @@ on the same input files.
 
 shift-clr's CLR outputs differ from those of checkouts whose CLR law
 read Omega_hat's entries, which cancel there: their p-values differ by
-about 8e-4 relative.  Listings printed by versions of this script from
-before shift-clr was added have no shift-clr lines.
+about 8e-4 relative.  Checkouts whose covariance check formed det
+Omega_hat from Omega_hat's entries exit 2 on shift-tsls's four analyze
+outputs (every branch reads the TSLS standard error for its CI grid)
+with `Omega_hat is not positive definite`; their pretest output is the
+same.  Listings printed by versions of this script from before shift-clr
+or shift-tsls was added have no lines for them.
 
     python tools/report_digests.py                 # this checkout's src
     python tools/report_digests.py --src OTHER/src > other.txt
@@ -97,7 +103,7 @@ COVARIATE_DATASETS = [
     ("blocks-clr", 0.02, 0.8, 2 * 8192 + 17, 5, 5, 1.0),
 ]
 # (name, dataset, b): the dataset's rows with Y + b D, tested at its null + b
-SHIFTED = [("shift-clr", "clr-1", 3e6)]
+SHIFTED = [("shift-clr", "clr-1", 3e6), ("shift-tsls", "tsls-1", 3e8)]
 FORCED = [[], ["--test", "tsls", "--override"], ["--test", "clr", "--override"], ["--test", "ar"]]
 SIMULATE = [
     ["--kind", "uniformity", "--r", "0.3", "--reps", "300", "--n", "300", "--p", "5", "--seed", "1"],
