@@ -5,11 +5,9 @@ Run: python3 demos/screen_then_infer.py
 """
 import json
 
-import numpy as np
-
-from ivselect.model import covariance_estimates, tsls_estimate, tsls_standard_error
+from ivselect.model import tsls_estimate, tsls_standard_error
 from ivselect.pretest import f_statistic, run_pretest
-from ivselect.sampler import SamplerConfig, build_law_tsls, invert_ci, sample_paths, wald_interval
+from ivselect.sampler import invert_ci, wald_interval
 from ivselect.simulate import dgp_from_r, generate
 
 # Moderately strong design: 10 instruments, first-stage slope 0.3 each.
@@ -28,21 +26,15 @@ print(f"\nscreen: lambda = {pretest.lam:.3f}, ||S + omega|| - lambda = {pretest.
       f"passed = {pretest.passed}")
 
 if pretest.passed:
+    # the conditional p-value and interval are exact tails by quadrature;
+    # the naive ones ignore the screen
     beta0 = 1.0
-    est = covariance_estimates(data, beta0)
-    law = build_law_tsls(data, beta0, pretest, est)
-    draws, _ = sample_paths(law, SamplerConfig(n_samples=6000, burn_in=1500, seed=1, chains=1))
-    t_obs = law.t_obs
-    p_cond = min(1.0, 2 * min(np.mean(draws >= t_obs), np.mean(draws <= t_obs)))
-    print(f"\ntesting beta0 = {beta0}: t_obs = {t_obs:.3f}")
-    print(f"conditional p from 6000 Gibbs draws = {p_cond:.4f}")
-
-    # the report's p-values and interval are exact tails by quadrature
     report = invert_ci(data, pretest, alpha=0.05, null_value=beta0)
-    print(f"exact conditional p = {report.conditional_pvalue:.4f}")
+    print(f"\ntesting beta0 = {beta0}:")
+    print(f"  conditional p = {report.conditional_pvalue:.4f}, 95% interval {report.conditional_ci}")
+    print(f"  naive p       = {report.naive_pvalue:.4f}, 95% interval {report.naive_ci}")
     print("\nfull report:")
     print(json.dumps(report.to_dict(), indent=2, default=str)[:800])
 else:
     print("screen failed; see demos/weak_branch.py for what happens then")
-
-print(f"\nnaive 95% interval (ignores the screen): {wald_interval(data)}")
+    print(f"\nnaive 95% interval (ignores the screen): {wald_interval(data)}")

@@ -23,7 +23,7 @@ from .clr import clr_conditional_inference, clr_law
 from .errors import BranchError, DataError, IVSelectError
 from .model import _BLOCK_ROWS, IVDataset, Moments, _RowFactor
 from .pretest import RandomizationLaw, default_scale, run_pretest
-from .report import GRID_POINTS, InferenceReport, answer, build_report, plain
+from .report import InferenceReport, answer, build_report, plain
 from .sampler import SamplerConfig, invert_ci, wald_answer
 from .simulate import (
     ExperimentGrid,
@@ -55,7 +55,6 @@ class AnalysisConfig:
     alpha: float = 0.05
     test: str = "auto"
     randomization_scale: Optional[float] = None
-    ci_grid: Optional[dict] = None
     seed: int = 0
     columns: Optional[dict] = None
     null_value: float = 0.0
@@ -81,21 +80,12 @@ class AnalysisConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.c0 < 0:
             raise ValueError("C0 must be nonnegative")
-        if self.ci_grid is not None:
-            _require_keys("ci_grid", self.ci_grid, {"points"})
-            points = self.ci_grid.get("points", GRID_POINTS)
-            if not (_is_number(points) and float(points).is_integer() and points >= 3):
-                raise ValueError(f"ci_grid points must be an integer >= 3, got {points!r}")
         if self.columns is not None:
             _require_keys("columns", self.columns, {"outcome", "treatment", "instruments", "covariates"})
             for role, name in self.columns.items():
                 names = [name] if role in ("outcome", "treatment") else name or []
                 if not (isinstance(names, (list, tuple)) and all(isinstance(v, str) for v in names)):
                     raise ValueError(f"columns {role} must give column names, got {name!r}")
-
-    def grid_points(self) -> int:
-        """Points of every branch's initial CI grid over beta_hat +- 8 SE."""
-        return int((self.ci_grid or {}).get("points", GRID_POINTS))
 
 
 def _is_number(value) -> bool:
@@ -149,7 +139,8 @@ def _unused_cell(text):
 def ingest(path: str, config: AnalysisConfig) -> Moments:
     """Parse a headered CSV into the Moments that model.prepare gives its rows.
 
-    The header is read with csv, the body by numpy a block of
+    The file is UTF-8, after a byte-order mark if it has one (Excel's
+    "CSV UTF-8").  The header is read with csv, the body by numpy a block of
     model._BLOCK_ROWS lines at a time; each block is checked, folded into
     the QR factor of [1 X Z D Y] and dropped, so memory does not grow with
     the row count, as in model.prepare, which folds the same blocks.  A cell
@@ -160,7 +151,7 @@ def ingest(path: str, config: AnalysisConfig) -> Moments:
     from the header's (a blank line is such a row), is reported with its
     (1-based) data row and column name, found by a per-cell rescan from
     the top that runs only after a block's fast parse has failed."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
@@ -199,7 +190,7 @@ def _locate_fault(path, width, col, fault):
     bad row and column.  Runs only once the fast parse has failed, so it
     never returns: with nothing to locate it raises with the fast
     parser's own message.  col maps each used column name to its index."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         next(reader)
         for i, row in enumerate(reader, start=1):
@@ -225,13 +216,13 @@ def _locate_fault(path, width, col, fault):
 def _naive_only(data, config, flavor, reason) -> InferenceReport:
     """Report without a conditional part, for branches whose conditional
     law does not apply (or is not available)."""
-    null, alpha, n_points = config.null_value, config.alpha, config.grid_points()
+    null, alpha = config.null_value, config.alpha
     if flavor == "tsls":
         naive = wald_answer(data, null, alpha)
     elif flavor == "ar":
-        naive = answer(lambda xs: (ar_stat(data, xs).naive_pvalue,), data, null, alpha, n_points)
+        naive = answer(lambda xs: (ar_stat(data, xs).naive_pvalue,), data, null, alpha)
     else:
-        naive = answer(lambda xs: clr_law(data, xs), data, null, alpha, n_points)
+        naive = answer(lambda xs: clr_law(data, xs), data, null, alpha)
     return build_report(null, alpha, "naive_only", naive, statistic=flavor, reason=reason)
 
 
@@ -260,24 +251,12 @@ def analyze(data: IVDataset | Moments, config: AnalysisConfig) -> InferenceRepor
             "naive AR inference only",
         )
     elif test in ("tsls", "auto") and pretest.passed:
-        report = invert_ci(
-            data,
-            pretest,
-            alpha=config.alpha,
-            n_points=config.grid_points(),
-            null_value=config.null_value,
-        )
+        report = invert_ci(data, pretest, alpha=config.alpha, null_value=config.null_value)
     elif test == "tsls":
         reason = mismatch("pre-test failed, so the post-screen conditional law does not apply")
         report = _naive_only(data, config, "tsls", reason)
     elif test in ("clr", "auto") and f_below:
-        report = clr_conditional_inference(
-            data,
-            config.null_value,
-            c0=config.c0,
-            alpha=config.alpha,
-            n_points=config.grid_points(),
-        )
+        report = clr_conditional_inference(data, config.null_value, c0=config.c0, alpha=config.alpha)
     elif test == "clr":
         reason = mismatch("F exceeds C0, so the below-threshold conditional law does not apply")
         report = _naive_only(data, config, "clr", reason)

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import BranchError, CovarianceError, QuadratureError, TruncationError
 from .model import IVDataset, Moments, _item, require_prepared
 from .pretest import f_statistic, penalty_lambda
-from .report import GRID_POINTS, InferenceReport, answer, build_report
+from .report import InferenceReport, answer, build_report
 from .teststats import _chi2_tails, clr_statistics
 
 # the one quadrature rule of both exact engines: composite Gauss-Legendre
@@ -389,7 +389,6 @@ def clr_conditional_inference(
     beta0: float,
     c0: float = 10.0,
     alpha: float = 0.05,
-    n_points: int = GRID_POINTS,
 ) -> InferenceReport:
     """Weak-instrument branch: conditional and naive CLR p-values at
     beta0 plus grid-inverted confidence intervals.
@@ -415,10 +414,10 @@ def clr_conditional_inference(
     # far from the estimate the plug-in failure event can underflow;
     # such nulls are unanswerable (NaN), so the scan stops there
     cond = answer(
-        lambda xs: clr_law(data, xs, lam2), data, beta0, alpha, n_points,
+        lambda xs: clr_law(data, xs, lam2), data, beta0, alpha,
         refuse=lambda tail, underflow, *_: _require_mass(underflow),
     )
-    naive = answer(lambda xs: clr_law(data, xs), data, beta0, alpha, n_points)
+    naive = answer(lambda xs: clr_law(data, xs), data, beta0, alpha)
     _, _, error, nodes = cond.at_beta0
     return build_report(
         beta0, alpha, "clr", naive, cond,

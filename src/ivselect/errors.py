@@ -32,7 +32,8 @@ class BranchError(IVSelectError, ValueError):
 
 
 class SamplerError(IVSelectError, RuntimeError):
-    """The Markov chain could not be run or failed a sanity check."""
+    """An engine cannot run on its law (no Gaussian randomization, a
+    non-finite density) or failed a sanity check."""
 
 
 class TruncationError(IVSelectError, ValueError):

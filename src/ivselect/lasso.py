@@ -34,7 +34,7 @@ import numpy as np
 from .errors import BranchError, ConvergenceError, SamplerError
 from .model import IVDataset, Moments, covariance_estimates, require_prepared
 from .pretest import RandomizationLaw
-from .report import GRID_POINTS, InferenceReport, answer, build_report
+from .report import InferenceReport, answer, build_report
 from .sampler import (
     SamplerConfig,
     _col,
@@ -348,7 +348,6 @@ def lasso_conditional_inference(
     sel: LassoSelection,
     config: SamplerConfig = None,
     alpha: float = 0.05,
-    n_points: int = GRID_POINTS,
 ) -> InferenceReport:
     """Conditional p-value and confidence interval for the treatment
     effect after Lasso instrument selection, with the usual
@@ -371,7 +370,7 @@ def lasso_conditional_inference(
         law = build_law_lasso(m, xs, sel, covariance_estimates(m, xs))
         return _pooled_lasso_pvalues(law, points)[1], law
 
-    cond = answer(curve, sub, beta0, alpha, n_points)
+    cond = answer(curve, sub, beta0, alpha)
     law0 = cond.at_beta0[1]
     scrambles = [cond.pvalue] + [
         _pooled_lasso_pvalues(law0, sobol_points(config, m.p, k))[1][0]

@@ -10,13 +10,13 @@ interval end alike: a crossing of alpha, an underflow band or an
 unbounded side.  build_report() makes every InferenceReport.
 The grid is read coarse to fine: every _STRIDE-th null and each grid end
 first, then only the nulls beside the outermost retained ones, so a CI
-costs about n_points / 8 + 14 p-values instead of one per grid null, and
-is a full scan's hull unless the retained set holds an island narrower
-than _STRIDE nulls away from its ends.
-A side is unbounded when the grid still retains it at 1e4 initial
-halfwidths from the grid's center.  That reach is measured in the
-grid's own units, not in absolute ones, so rescaling Y or D rescales
-every interval and keeps its end labels.
+costs about GRID_POINTS / 8 + 14 p-values instead of one per grid null,
+and is a full scan's hull unless the retained set holds an island
+narrower than _STRIDE nulls away from its ends.
+A side is unbounded when the grid still retains it after _EXPANSIONS
+doublings of its reach, 16384 initial halfwidths from the grid's center.
+That reach is counted in the grid's own units, so rescaling Y or D
+rescales every interval and keeps its end labels.
 """
 
 import math
@@ -122,14 +122,12 @@ def plain(obj):
     raise TypeError(f"cannot convert {type(obj).__name__} to JSON")
 
 
-# points of every initial CI grid unless a config sets ci_grid.points
+# points of every answer's initial CI grid
 GRID_POINTS = 201
 # a side still retained at the grid's end reaches this factor further out
-# per round, and is reported unbounded once its reach from the center
-# passes _UNBOUNDED_REACH initial halfwidths
+# per round; one still retained after _EXPANSIONS rounds is unbounded
 _EXPAND_FACTOR = 2.0
-_UNBOUNDED_REACH = 1e4
-_MAX_ROUNDS = 60
+_EXPANSIONS = 14
 # the coarse scan evaluates every _STRIDE-th grid null and each grid end
 _STRIDE = 8
 
@@ -147,9 +145,11 @@ def invert_pvalue_curve(
     pvalue_fn maps an array of candidate nulls to an array of p-values.
     The grid starts at n_points over center +- halfwidth; while an end
     null is still retained, that side's reach grows by _EXPAND_FACTOR per
-    round, adding a block of nulls, until the end is excluded or its
-    distance from center reaches _UNBOUNDED_REACH halfwidths, which
-    reports the side as unbounded.
+    round, adding a block of nulls.  After _EXPANSIONS rounds, a reach
+    of 16384 halfwidths, a side whose end is still retained is reported
+    unbounded.  A grid whose ends round to its center, a halfwidth below
+    the float resolution of center, could never grow and is refused with
+    ExperimentError before any p-value call.
 
     Only part of that grid is evaluated.  The coarse scan takes every
     _STRIDE-th null of the initial grid and of each expansion block, and
@@ -178,6 +178,8 @@ def invert_pvalue_curve(
         raise ValueError(f"alpha = {alpha} outside (0, 1]")
     if halfwidth <= 0 or n_points < 3:
         raise ValueError("need halfwidth > 0 and at least 3 grid points")
+    if not center - halfwidth < center < center + halfwidth:
+        raise ExperimentError(f"grid halfwidth {halfwidth!r} is below the float resolution of center {center!r}")
 
     xs = np.linspace(center - halfwidth, center + halfwidth, n_points)
     ps = np.full(n_points, np.nan)
@@ -194,24 +196,13 @@ def invert_pvalue_curve(
         return idx if outer_first else size - 1 - idx[::-1]
 
     evaluate(np.union1d(coarse(n_points, True), [n_points - 1]))
-    lo_unbounded = hi_unbounded = False
     rounds = 0
     block = max((n_points - 1) // 2, 2)
 
-    while True:
-        lo_open = bool(ps[0] >= alpha) and not lo_unbounded
-        hi_open = bool(ps[-1] >= alpha) and not hi_unbounded
-        if lo_open and center - xs[0] >= _UNBOUNDED_REACH * halfwidth:
-            lo_unbounded, lo_open = True, False
-        if hi_open and xs[-1] - center >= _UNBOUNDED_REACH * halfwidth:
-            hi_unbounded, hi_open = True, False
+    while rounds < _EXPANSIONS:
+        lo_open, hi_open = bool(ps[0] >= alpha), bool(ps[-1] >= alpha)
         if not (lo_open or hi_open):
             break
-        if rounds >= _MAX_ROUNDS:
-            raise ExperimentError(
-                f"confidence-interval grid exhausted after {_MAX_ROUNDS} "
-                f"expansions without excluding the endpoints"
-            )
         rounds += 1
         if lo_open:
             target = center - (center - xs[0]) * _EXPAND_FACTOR
@@ -225,6 +216,7 @@ def invert_pvalue_curve(
             ps = np.concatenate([ps, np.full(block, np.nan)])
             done = np.concatenate([done, np.zeros(block, dtype=bool)])
             evaluate(xs.size - block + coarse(block, False))
+    lo_unbounded, hi_unbounded = bool(ps[0] >= alpha), bool(ps[-1] >= alpha)
 
     def gap(i, step):
         # the unevaluated nulls from i outward to the next evaluated one
@@ -268,10 +260,11 @@ def invert_pvalue_curve(
 
 
 class Answer(NamedTuple):
-    """A p-value at beta0 and the interval that inverts the same test.
-    An answer from answer() also holds the grid info, the curve's items
-    at [beta0] and the evaluated nulls with NaN p-values, in increasing
-    order; a closed-form one, such as the Wald answer, holds none."""
+    """A p-value at beta0 and an interval.  An answer from answer()
+    inverts the curve its p-value is read from, and also holds the grid
+    info, the curve's items at [beta0] and the evaluated nulls with NaN
+    p-values, in increasing order.  A closed-form one holds none, and
+    need not invert one test (see sampler.wald_answer)."""
 
     pvalue: float
     interval: Interval
@@ -280,19 +273,19 @@ class Answer(NamedTuple):
     unanswerable: tuple = ()
 
 
-def answer(curve, data, beta0: float, alpha: float, n_points: int = GRID_POINTS, refuse=None) -> Answer:
+def answer(curve, data, beta0: float, alpha: float, refuse=None) -> Answer:
     """A branch's answer from its curve, which maps an array of nulls to a
     tuple: their p-values, NaN where a null is unanswerable, then the
     engine's per-null extras.  The curve is evaluated at [beta0] first;
     refuse, when given, takes those items and raises when beta0 is
     unanswerable, before any grid work.  Then invert_pvalue_curve inverts
-    it on n_points over beta_hat +- 8 SE of data, a row dataset or its
+    it on GRID_POINTS over beta_hat +- 8 SE of data, a row dataset or its
     Moments (for the Lasso, those of the selected instruments)."""
     at_beta0 = curve(np.array([beta0], dtype=float))
     if refuse is not None:
         refuse(*at_beta0)
     interval, xs, ps, grid = invert_pvalue_curve(
-        lambda nulls: curve(nulls)[0], tsls_estimate(data), 8.0 * tsls_standard_error(data), alpha, n_points
+        lambda nulls: curve(nulls)[0], tsls_estimate(data), 8.0 * tsls_standard_error(data), alpha, GRID_POINTS
     )
     return Answer(float(at_beta0[0][0]), interval, grid, at_beta0, tuple(xs[np.isnan(ps)].tolist()))
 

@@ -49,7 +49,7 @@ from .model import (
     tsls_standard_error,
 )
 from .pretest import PretestOutcome, RandomizationLaw
-from .report import GRID_POINTS, Answer, InferenceReport, Interval, answer, build_report
+from .report import Answer, InferenceReport, Interval, answer, build_report
 from .teststats import _normal_tails, tsls_stat
 
 _SLICE_MAX_EXPAND = 512
@@ -452,8 +452,10 @@ def wald_interval(data: IVDataset | Moments, alpha: float = 0.05) -> Interval:
 
 
 def wald_answer(data: IVDataset | Moments, beta0: float, alpha: float = 0.05) -> Answer:
-    """Naive TSLS answer: the Wald test's normal p-value at beta0 and the
-    Wald interval."""
+    """Naive TSLS answer: the null-restricted t test's normal p-value at
+    beta0, whose SE reads Sigma_hat_11(beta0), and the Wald interval,
+    whose SE reads Sigma_hat_11(beta_hat).  The two do not invert one
+    test, so beta0 can lie inside the interval with p < alpha."""
     naive = tsls_stat(data, beta0, covariance_estimates(data, beta0))
     return Answer(naive.naive_pvalue, wald_interval(data, alpha))
 
@@ -462,7 +464,6 @@ def invert_ci(
     data: IVDataset,
     pretest: PretestOutcome,
     alpha: float = 0.05,
-    n_points: int = GRID_POINTS,
     null_value: float = 0.0,
 ) -> InferenceReport:
     """Confidence interval as the hull of nulls whose two-sided
@@ -472,8 +473,8 @@ def invert_ci(
     The screen's omega and u are held fixed across the grid; the
     statistic's complement O and covariance W_ST depend on the tested
     null, and each grid round builds the laws of all its nulls in one
-    call.  The grid starts at n_points over beta_hat +- 8 SE; expansion
-    proceeds until both endpoints are excluded or reported unbounded.
+    call.  The grid is report.answer's, expanded until both ends are
+    excluded or reported unbounded.
     """
     if not pretest.passed:
         raise BranchError("screen did not pass; invert the weak-instrument branch instead")
@@ -484,7 +485,7 @@ def invert_ci(
         tails = _pooled_pvalues(build_law_tsls(data, xs, pretest, covariance_estimates(data, xs)))
         return (tails.two_sided, *tails)
 
-    cond = answer(curve, data, null_value, alpha, n_points)
+    cond = answer(curve, data, null_value, alpha)
     _, upper, lower, error, nodes = cond.at_beta0
     q = float(min(upper[0], lower[0]))
     err = float(error[0])

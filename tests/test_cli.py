@@ -52,14 +52,6 @@ def _dataset_csv(tmp_path, config, name):
     return _write(tmp_path, name, "\n".join(lines) + "\n")
 
 
-def _light(points=41, seed=0, **kw):
-    return AnalysisConfig(
-        ci_grid={"points": points},
-        seed=seed,
-        **kw,
-    )
-
-
 # --------------------------------------------------------------- ingest
 
 
@@ -251,8 +243,9 @@ def test_ingest_locates_faults_of_the_fast_parse(tmp_path, text, message):
         TOY.rstrip("\n"),
         "y,d,z1,note\n" + "".join(f"{line},text {i}\n" for i, line in enumerate(_toy_lines()[1:])),
         "y,d,z1,note,note\n" + "".join(f"{line},a,b\n" for line in _toy_lines()[1:]),
+        "\ufeff" + TOY,
     ],
-    ids=["quoted-and-padded", "crlf", "no-final-newline", "unused-text-column", "unused-repeated-name"],
+    ids=["quoted-and-padded", "crlf", "no-final-newline", "unused-text-column", "unused-repeated-name", "utf8-bom"],
 )
 def test_ingest_accepts_csv_variants(tmp_path, text):
     path = tmp_path / "v.csv"
@@ -370,7 +363,7 @@ def test_raw_rows_with_covariates_answer_as_prepared(case, r):
     # a row dataset is prepared on first use: every answer on the raw
     # rows, covariates and all, equals the one on prepare's Moments
     raw, m = _covariate_rows(r), prepare(_covariate_rows(r))
-    cfg = _light(null_value=1.0, seed=3)
+    cfg = AnalysisConfig(null_value=1.0, seed=3)
     got = analyze(raw, cfg)
     assert got.diagnostics["branch"] == case
     assert _report_json(got.to_dict()) == _report_json(analyze(m, cfg).to_dict())
@@ -388,7 +381,7 @@ def test_analyze_auto_follows_screen(tmp_path):
         _dataset_csv(tmp_path, dgp_from_r(1.0, 0.5, n=250, p=3, seed=90), "s.csv"),
         AnalysisConfig(),
     )
-    cfg = _light(null_value=1.0)
+    cfg = AnalysisConfig(null_value=1.0)
     report = analyze(strong, cfg)
     assert report.diagnostics["branch"] == "tsls"
     assert report.diagnostics["pretest"]["passed"] is True
@@ -399,7 +392,7 @@ def test_analyze_auto_follows_screen(tmp_path):
         _dataset_csv(tmp_path, dgp_from_r(0.05, 0.5, n=250, p=3, seed=91), "w.csv"),
         AnalysisConfig(),
     )
-    report = analyze(weak, _light(null_value=1.0))
+    report = analyze(weak, AnalysisConfig(null_value=1.0))
     assert report.diagnostics["branch"] == "clr"
     assert report.diagnostics["pretest"]["passed"] is False
     assert report.diagnostics["pretest"]["f_stat"] < 10.0
@@ -412,8 +405,8 @@ def test_analyze_forced_branch_needs_override(tmp_path):
         AnalysisConfig(),
     )
     with pytest.raises(BranchError, match="does not apply"):
-        analyze(weak, _light(test="tsls", null_value=1.0))
-    report = analyze(weak, _light(test="tsls", null_value=1.0, allow_mismatch=True))
+        analyze(weak, AnalysisConfig(test="tsls", null_value=1.0))
+    report = analyze(weak, AnalysisConfig(test="tsls", null_value=1.0, allow_mismatch=True))
     assert report.diagnostics["branch"] == "naive_only"
     assert report.diagnostics["statistic"] == "tsls"
     assert "does not apply" in report.diagnostics["reason"]
@@ -426,8 +419,8 @@ def test_analyze_forced_branch_needs_override(tmp_path):
         AnalysisConfig(),
     )
     with pytest.raises(BranchError, match="below-threshold"):
-        analyze(strong, _light(test="clr", null_value=1.0))
-    report = analyze(strong, _light(test="clr", null_value=1.0, allow_mismatch=True))
+        analyze(strong, AnalysisConfig(test="clr", null_value=1.0))
+    report = analyze(strong, AnalysisConfig(test="clr", null_value=1.0, allow_mismatch=True))
     assert report.diagnostics["branch"] == "naive_only"
     assert report.diagnostics["statistic"] == "clr"
     assert "grid" in report.diagnostics
@@ -438,7 +431,7 @@ def test_analyze_ar_reports_naive_only(tmp_path):
         _dataset_csv(tmp_path, dgp_from_r(1.0, 0.5, n=250, p=3, seed=90), "s.csv"),
         AnalysisConfig(),
     )
-    report = analyze(data, _light(test="ar", null_value=1.0))
+    report = analyze(data, AnalysisConfig(test="ar", null_value=1.0))
     assert report.diagnostics["branch"] == "naive_only"
     assert report.diagnostics["statistic"] == "ar"
     assert report.conditional_pvalue is None
@@ -453,7 +446,7 @@ def test_analyze_zero_threshold_always_passes(tmp_path):
         _dataset_csv(tmp_path, dgp_from_r(0.05, 0.5, n=250, p=3, seed=91), "w.csv"),
         AnalysisConfig(),
     )
-    report = analyze(weak, _light(points=21, c0=0.0, null_value=1.0))
+    report = analyze(weak, AnalysisConfig(c0=0.0, null_value=1.0))
     assert report.diagnostics["pretest"]["passed"] is True
     assert report.diagnostics["branch"] == "tsls"
 
@@ -463,12 +456,7 @@ def test_analyze_zero_threshold_always_passes(tmp_path):
         _dataset_csv(tmp_path, dgp_from_r(1.0, 0.5, n=250, p=3, seed=90), "s.csv"),
         AnalysisConfig(),
     )
-    cfg = _light(
-        points=81,
-        c0=0.0,
-        randomization_scale=50.0,
-        null_value=1.0,
-    )
+    cfg = AnalysisConfig(c0=0.0, randomization_scale=50.0, null_value=1.0)
     report = analyze(strong, cfg)
     assert report.diagnostics["branch"] == "tsls"
     assert abs(report.conditional_pvalue - report.naive_pvalue) < 0.05
@@ -484,7 +472,7 @@ def test_analyze_screen_fail_with_high_f_is_naive_only(tmp_path):
         _dataset_csv(tmp_path, dgp_from_r(0.22, 0.5, n=200, p=3, seed=311), "m.csv"),
         AnalysisConfig(),
     )
-    report = analyze(data, _light(null_value=1.0))
+    report = analyze(data, AnalysisConfig(null_value=1.0))
     assert report.diagnostics["pretest"]["passed"] is False
     assert report.diagnostics["pretest"]["f_stat"] >= 10.0
     assert report.diagnostics["branch"] == "naive_only"
@@ -504,7 +492,7 @@ def _unit_analysis(case, a=1.0, b=0.0, c=1.0, z_units=1.0):
     r, sigma12, n, p, seed = _UNIT_CASES[case]
     data = generate(dgp_from_r(r, sigma12, n=n, p=p, seed=seed))
     mapped = prepare(IVDataset(Y=a * data.Y + b * data.D, D=c * data.D, Z=data.Z * z_units))
-    config = _light(seed=seed, null_value=(a * 1.0 + b) / c)
+    config = AnalysisConfig(seed=seed, null_value=(a * 1.0 + b) / c)
     return analyze(mapped, config)
 
 
@@ -599,7 +587,7 @@ def test_tsls_answer_kept_when_y_gains_a_large_multiple_of_d():
     data = generate(dgp_from_r(0.2, 0.8, n=300, p=4, seed=3))
     base, shifted = (prepare(IVDataset(Y=data.Y + b * data.D, D=data.D, Z=data.Z)) for b in (0.0, 1e9))
     np.testing.assert_allclose(covariance_estimates(shifted, 1.0 + 1e9), covariance_estimates(base, 1.0), rtol=1e-5)
-    want, got = (analyze(m, _light(seed=3, null_value=1.0 + b)) for m, b in ((base, 0.0), (shifted, 1e9)))
+    want, got = (analyze(m, AnalysisConfig(seed=3, null_value=1.0 + b)) for m, b in ((base, 0.0), (shifted, 1e9)))
     assert got.diagnostics["branch"] == want.diagnostics["branch"] == "tsls"
     for name in ("conditional_pvalue", "naive_pvalue"):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-5), name
@@ -612,11 +600,9 @@ def test_analysis_config_validation():
         AnalysisConfig(alpha=1.0)
     with pytest.raises(ValueError, match="C0"):
         AnalysisConfig(c0=-1.0)
-    with pytest.raises(ValueError, match="unknown ci_grid keys"):
-        AnalysisConfig(ci_grid={"centre": 0.0})
-    # every branch's grid is set by its point count alone
-    with pytest.raises(ValueError, match=r"unknown ci_grid keys: \['center'\]"):
-        AnalysisConfig(ci_grid={"center": 0, "points": 21})
+    # the CI grid is report.GRID_POINTS on every branch: no knob sets it
+    with pytest.raises(TypeError, match="ci_grid"):
+        AnalysisConfig(ci_grid={"points": 21})
 
 
 # ------------------------------------------------------------- main/json
@@ -633,7 +619,6 @@ def test_cli_analyze_reproducible_json(tmp_path):
                 "burn_in": 150,
                 "chains": 2,
                 "null_value": 1.0,
-                "ci_grid": {"points": 21},
             }
         ),
     )
@@ -678,7 +663,6 @@ def test_cli_config_merge_and_flag_override(tmp_path):
                 "burn_in": 100,
                 "chains": 2,
                 "null_value": 1.0,
-                "ci_grid": {"points": 21},
             }
         ),
     )
@@ -735,9 +719,11 @@ _WRONG_TYPE_CONFIGS = [
     ({"columns": {"instrument": ["z1"]}}, "unknown columns keys: ['instrument']"),
     ({"columns": {"outcome": ["y"]}}, "columns outcome must give column names, got ['y']"),
     ({"columns": {"instruments": "z1"}}, "columns instruments must give column names, got 'z1'"),
-    ({"ci_grid": {"points": None}}, "ci_grid points must be an integer >= 3, got None"),
-    ({"ci_grid": {"points": 20.5}}, "ci_grid points must be an integer >= 3, got 20.5"),
-    ({"ci_grid": [21]}, "ci_grid must be an object, got [21]"),
+    # the retired grid-size key is refused by name, whatever its value
+    ({"ci_grid": {"points": None}}, "unknown config keys: ['ci_grid']"),
+    ({"ci_grid": {"points": 20.5}}, "unknown config keys: ['ci_grid']"),
+    ({"ci_grid": [21]}, "unknown config keys: ['ci_grid']"),
+    ({"ci_grid": {"points": 201}}, "unknown config keys: ['ci_grid']"),
 ]
 
 
@@ -849,7 +835,7 @@ def test_cli_import_defers_scipy_stats_to_its_callers(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     strong = _dataset_csv(tmp_path, dgp_from_r(1.0, 0.5, n=250, p=3, seed=90), "s.csv")
     weak = _dataset_csv(tmp_path, dgp_from_r(0.05, 0.5, n=250, p=3, seed=91), "w.csv")
-    config = _write(tmp_path, "cfg.json", json.dumps({"null_value": 1.0, "ci_grid": {"points": 21}}))
+    config = _write(tmp_path, "cfg.json", json.dumps({"null_value": 1.0}))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_SURFACE, strong, weak, config, str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=300,
@@ -1021,9 +1007,8 @@ def branch_inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("branches")
     strong = _dataset_csv(tmp, dgp_from_r(1.0, 0.5, n=250, p=3, seed=90), "strong.csv")
     weak = _dataset_csv(tmp, dgp_from_r(0.12, 0.5, n=250, p=3, seed=92), "weak.csv")  # F = 7.6
-    grid = {"null_value": 1.0, "ci_grid": {"points": 21}}
     return {
-        branch: (csv_path, _write(tmp, f"{branch}.json", json.dumps({**grid, **extra})))
+        branch: (csv_path, _write(tmp, f"{branch}.json", json.dumps({"null_value": 1.0, **extra})))
         for branch, csv_path, extra in [
             ("tsls", strong, {}), ("clr", weak, {"test": "clr"}), ("naive_only", weak, {"test": "ar"}),
         ]

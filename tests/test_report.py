@@ -30,7 +30,7 @@ from ivselect import (
 )
 from ivselect.cli import AnalysisConfig, analyze
 from ivselect.errors import ExperimentError
-from ivselect.report import plain
+from ivselect.report import GRID_POINTS, plain
 
 
 def test_interval_basics():
@@ -106,13 +106,15 @@ def test_inversion_recovers_known_retention_set():
 
 
 def _full_scan(pvalue_fn, center, halfwidth, alpha, n_points):
-    """Reference inversion: evaluates every null of the expanding grid."""
+    """Reference inversion: evaluates every null of the expanding grid,
+    and reports a side unbounded once it is retained at 1e4 initial
+    halfwidths from the center, where the scan counts 14 doublings."""
     xs = np.linspace(center - halfwidth, center + halfwidth, n_points)
     ps = np.asarray(pvalue_fn(xs), dtype=float)
     lo_unbounded = hi_unbounded = False
     rounds = 0
     block = max((n_points - 1) // 2, 2)
-    reach = ivselect.report._UNBOUNDED_REACH * halfwidth
+    reach = 1e4 * halfwidth
     while True:
         retained = ps >= alpha
         lo_open = bool(retained[0]) and not lo_unbounded
@@ -276,7 +278,7 @@ def test_answer_reads_beta0_and_the_unanswerable_nulls_off_its_curve():
         return ps, 2.0 * xs
 
     beta0 = center - 0.1 * halfwidth
-    got = answer(curve, data, beta0, 0.05, 101)
+    got = answer(curve, data, beta0, 0.05)
     first, grid_nulls = calls[0], np.concatenate(calls[1:])
     want = curve(np.array([beta0]))
     np.testing.assert_array_equal(first, [beta0])
@@ -287,7 +289,7 @@ def test_answer_reads_beta0_and_the_unanswerable_nulls_off_its_curve():
     nan_nulls = np.sort(grid_nulls[np.isnan(curve(grid_nulls)[0])])
     assert got.unanswerable == tuple(nan_nulls.tolist()) and len(nan_nulls) > 0
     # only evaluated nulls: the band holds more grid nulls than were read
-    fine = np.linspace(center - halfwidth, center + halfwidth, 101)
+    fine = np.linspace(center - halfwidth, center + halfwidth, GRID_POINTS)
     z = (fine - center) / halfwidth
     assert np.count_nonzero((z > 0.3) & (z < 0.7)) > len(nan_nulls)
     assert got.grid["ends"] == {"lower": "crossing", "upper": "underflow"}
@@ -317,6 +319,21 @@ def test_inversion_validates_inputs():
         invert_pvalue_curve(fn, 0.0, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("level", [0.5, 0.01], ids=["retained", "rejected"])
+def test_inversion_refuses_a_grid_that_collapses_onto_its_center(level):
+    # 1e16 +- 0.5 rounds to 1e16: the grid could never grow, so it is
+    # refused by name before the curve is read, retained or not
+    calls = []
+
+    def fn(xs):
+        calls.append(xs)
+        return np.full(np.shape(xs), level)
+
+    with pytest.raises(ExperimentError, match=r"halfwidth 0\.5 .* center 1e\+16"):
+        invert_pvalue_curve(fn, 1e16, 0.5, 0.05)
+    assert calls == []
+
+
 def _lasso_case():
     """A dataset and a randomized Lasso selection of some of its instruments."""
     data = generate(DGPConfig(
@@ -332,9 +349,9 @@ def _lasso_case():
 
 
 def test_every_inversion_starts_on_the_estimate_grid(monkeypatch):
-    # every branch, naive or conditional, starts its CI grid at n_points
-    # over beta_hat +- 8 SE of the dataset it tests: the whole dataset, or
-    # the selected instruments' for the Lasso
+    # every branch, naive or conditional, starts its CI grid at
+    # GRID_POINTS over beta_hat +- 8 SE of the dataset it tests: the whole
+    # dataset, or the selected instruments' for the Lasso
     starts = []
     real = ivselect.report.invert_pvalue_curve
 
@@ -344,24 +361,24 @@ def test_every_inversion_starts_on_the_estimate_grid(monkeypatch):
 
     monkeypatch.setattr(ivselect.report, "invert_pvalue_curve", spy)
 
-    def grid_of(data, n_points=31):
-        return (tsls_estimate(data), 8.0 * tsls_standard_error(data), n_points)
+    def grid_of(data):
+        return (tsls_estimate(data), 8.0 * tsls_standard_error(data), GRID_POINTS)
 
     strong = generate(dgp_from_r(0.3, 0.5, n=300, p=4, seed=7))
     weak = generate(dgp_from_r(0.05, 0.5, n=300, p=3, seed=8))
     lasso_data, sel = _lasso_case()
     assert 1 <= len(sel.support_E) < lasso_data.p
     cases = [
-        ("tsls", lambda: invert_ci(strong, run_pretest(strong, c0=10.0, seed=1), n_points=31),
+        ("tsls", lambda: invert_ci(strong, run_pretest(strong, c0=10.0, seed=1)),
          [grid_of(strong)]),
-        ("clr conditional and naive", lambda: clr_conditional_inference(weak, 0.0, n_points=31),
+        ("clr conditional and naive", lambda: clr_conditional_inference(weak, 0.0),
          [grid_of(weak)] * 2),
-        ("lasso", lambda: lasso_conditional_inference(lasso_data, 1.0, sel, n_points=31),
+        ("lasso", lambda: lasso_conditional_inference(lasso_data, 1.0, sel),
          [grid_of(lasso_data.moments.select(sel.support_E))]),
-        ("naive-only ar", lambda: analyze(weak, AnalysisConfig(test="ar", ci_grid={"points": 31})),
+        ("naive-only ar", lambda: analyze(weak, AnalysisConfig(test="ar")),
          [grid_of(weak)]),
         ("naive-only clr", lambda: analyze(
-            strong, AnalysisConfig(test="clr", allow_mismatch=True, ci_grid={"points": 31})
+            strong, AnalysisConfig(test="clr", allow_mismatch=True)
         ), [grid_of(strong)]),
     ]
     for name, run, want in cases:

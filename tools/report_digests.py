@@ -12,6 +12,8 @@ ingest, with a constant covariate x4 beside them, and on shift-clr, the
 clr-1 rows with Y + 3e6 D tested at null 1 + 3e6, where Omega_hat's
 entries cancel, and on shift-tsls, the tsls-1 rows with Y + 3e8 D tested
 at null 1 + 3e8, where the determinant of those entries cancels to 0,
+and on bom-tsls, the tsls-1 CSV written with a UTF-8 byte-order mark
+before its header, as Excel's "CSV UTF-8" saves it,
 each also forced to `--test tsls --override`, `--test clr --override` and
 `--test ar` (naive-only); `pretest`; Lasso library
 reports with and without a SamplerConfig; and every `simulate` kind,
@@ -34,8 +36,11 @@ about 8e-4 relative.  Checkouts whose covariance check formed det
 Omega_hat from Omega_hat's entries exit 2 on shift-tsls's four analyze
 outputs (every branch reads the TSLS standard error for its CI grid)
 with `Omega_hat is not positive definite`; their pretest output is the
-same.  Listings printed by versions of this script from before shift-clr
-or shift-tsls was added have no lines for them.
+same.  bom-tsls's five outputs are byte-identical to tsls-1's;
+checkouts that read the CSV without skipping the mark exit 2 on all of
+them with `missing column 'y'`.  Listings printed by versions of this
+script from before shift-clr, shift-tsls or bom-tsls was added have no
+lines for them.
 
     python tools/report_digests.py                 # this checkout's src
     python tools/report_digests.py --src OTHER/src > other.txt
@@ -104,6 +109,8 @@ COVARIATE_DATASETS = [
 ]
 # (name, dataset, b): the dataset's rows with Y + b D, tested at its null + b
 SHIFTED = [("shift-clr", "clr-1", 3e6), ("shift-tsls", "tsls-1", 3e8)]
+# (name, dataset): the dataset's CSV and config, the CSV behind a UTF-8 BOM
+BOM = [("bom-tsls", "tsls-1")]
 FORCED = [[], ["--test", "tsls", "--override"], ["--test", "clr", "--override"], ["--test", "ar"]]
 SIMULATE = [
     ["--kind", "uniformity", "--r", "0.3", "--reps", "300", "--n", "300", "--p", "5", "--seed", "1"],
@@ -156,6 +163,9 @@ def make_inputs(workdir: Path):
         data = generate(dgp_from_r(r, s12, n=n, p=p, seed=seed))
         _write_csv(workdir / f"{name}.csv", data.Y + b * data.D, data.D, data.Z)
         (workdir / f"{name}.json").write_text(json.dumps({"null_value": null + b, "seed": seed}))
+    for name, source in BOM:
+        (workdir / f"{name}.csv").write_bytes(b"\xef\xbb\xbf" + (workdir / f"{source}.csv").read_bytes())
+        (workdir / f"{name}.json").write_bytes((workdir / f"{source}.json").read_bytes())
     for seed in LASSO_SEEDS:
         data = generate(dgp_from_r(0.3, 0.5, n=300, p=6, seed=seed))
         np.save(workdir / f"lasso-{seed}.npy", np.column_stack([data.Y, data.D, data.Z]))
@@ -184,7 +194,7 @@ def outputs(workdir: Path, extra_csvs=()):
     from ivselect.report import plain
     from ivselect.sampler import SamplerConfig
 
-    for name, *_ in DATASETS + COVARIATE_DATASETS + SHIFTED:
+    for name, *_ in DATASETS + COVARIATE_DATASETS + SHIFTED + BOM:
         csv_path, cfg = workdir / f"{name}.csv", workdir / f"{name}.json"
         for flags in FORCED:
             tag = "auto" if not flags else flags[1]
