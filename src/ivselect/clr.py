@@ -230,8 +230,8 @@ def _tail_integrals(t, q_r, p, coefs, edges, panels, rule, which):
     between its edges, on the panels which selects.  t and q_r are (laws,)
     arrays; coefs is None for naive laws, else the truncations' arrays."""
     theta, w = _composite_rule(edges, panels, rule, which)
-    u2 = np.sin(theta)
     w *= np.cos(theta) ** (p - 2)
+    u2 = np.sin(theta, out=theta)
     thresh = (q_r + t)[:, None] / (1.0 + q_r[:, None] * u2**2 / t[:, None])
     if coefs is None:
         return (_chi2_tails(p, thresh)[1] * w).sum(1), w.sum(1)
@@ -394,13 +394,14 @@ def clr_conditional_inference(
     beta0 plus grid-inverted confidence intervals.
 
     Applies only when the non-randomized screen failed (F < c0); the
-    conditional law conditions on exactly that event, and a beta0 whose
-    event underflows is refused with TruncationError before any grid
-    work.  Each p-value call of the grid inversion builds the laws of all
-    of its nulls in one clr_law call.  Nulls whose conditioning event
-    underflows are never retained; the diagnostics list those the
-    inversion evaluated (mass_underflow_nulls), and the grid nulls its
-    coarse scan skipped are not among them.
+    conditional law conditions on exactly that event.  beta0 leads the
+    conditional scan's first pass, and a beta0 whose event underflows is
+    refused with TruncationError off that pass, before any further pass
+    and before the naive curve.  Each p-value call of the grid inversion
+    builds the laws of all of its nulls in one clr_law call.  Nulls whose
+    conditioning event underflows are never retained; the diagnostics
+    list those the inversion evaluated (mass_underflow_nulls), and the
+    grid nulls its coarse scan skipped are not among them.
     """
     if data.p < 2:
         raise BranchError("the weak-instrument tail law requires p >= 2 instruments")

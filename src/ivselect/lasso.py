@@ -43,7 +43,7 @@ from .sampler import (
     sobol_points,
     wald_answer,
 )
-from .teststats import tsls_stat
+from .teststats import _tsls_t
 
 # duality-gap tolerance relative to D'D, so the stopping rule does not
 # depend on the units of D: about 450 ulps of D'D, above the gap's rounding floor
@@ -242,7 +242,7 @@ def build_law_lasso(
     # Z'P_E D = Z'Z_E (Z_E'Z_E)^(-1) Z_E'D
     z_pe_d = m.ztz[:, e_idx] @ m_e.gamma_hat
     w_st = _col(s12) * z_pe_d / _col(np.sqrt(s11 * d_pe_d))
-    t_obs = tsls_stat(m_e, beta0, est).statistic
+    t_obs = _tsls_t(m_e, beta0, est)
     shape = np.shape(t_obs)
 
     q = 1 + p
@@ -278,13 +278,13 @@ def _law_rows(law: LassoLaw, v, *tail):
 
 def _qmc_tails(u, t_obs, mean, chol, slope, prec_t, lower, upper):
     """Upper and lower tails of T at t_obs for m laws over the points
-    u (p, N).  mean: (m, 1 + p), the mean of (T, r); chol: (m, p, p), the
-    Cholesky factor of Sigma_rr; slope: (m, p), the change of T's
-    conditional mean per unit of z; prec_t: (m,), Q_TT; lower, upper:
-    (m, p), the bounds of r."""
+    u, (p, N) shared by the laws or (p, m, N) one set per law.  mean:
+    (m, 1 + p), the mean of (T, r); chol: (m, p, p), the Cholesky factor
+    of Sigma_rr; slope: (m, p), the change of T's conditional mean per
+    unit of z; prec_t: (m,), Q_TT; lower, upper: (m, p), the bounds of r."""
     from scipy import special  # deferred: _truncnorm_ppf loads it on this path anyway
 
-    p, n = u.shape
+    p, n = u.shape[0], u.shape[-1]
     z = np.empty((p, t_obs.size, n))
     log_w = np.zeros(z.shape[1:])
     t_mean = mean[:, :1]
@@ -305,8 +305,10 @@ def _qmc_tails(u, t_obs, mean, chol, slope, prec_t, lower, upper):
 def _pooled_lasso_pvalues(law: LassoLaw, points: np.ndarray):
     """Upper and two-sided p-values of a selection law, or of each law of
     a batch at its own t_obs, by sequential conditioning over the QMC
-    points (N, p) of sampler.sobol_points.  The p-values take the law's
-    batch shape; each law's value depends only on that law and the points.
+    points of sampler.sobol_points: one (N, p) set for every law, or an
+    (m, N, p) stack with one set per law of a flat batch of m.  The
+    p-values take the law's batch shape; each law's value depends only on
+    that law and its points.
 
     The state theta = (T, r), r = (gamma_E, u_{-E}), has density
     exp(-theta'Q theta / 2 + h'theta) on its box, with precision
@@ -333,9 +335,10 @@ def _pooled_lasso_pvalues(law: LassoLaw, points: np.ndarray):
         _law_rows(law, law.t_obs), mean, chol, slope, prec[:, 0, 0],
         _law_rows(law, law.lower, q)[:, 1:], _law_rows(law, law.upper, q)[:, 1:],
     )
-    step = max(1, _QMC_CHUNK // len(points))
+    step = max(1, _QMC_CHUNK // points.shape[-2])
     tails = [
-        _qmc_tails(points.T, *(v[at:at + step] for v in arrays))
+        _qmc_tails(np.moveaxis(points if points.ndim == 2 else points[at:at + step], -1, 0),
+                   *(v[at:at + step] for v in arrays))
         for at in range(0, arrays[0].size, step)
     ]
     ge, le = (np.concatenate(t).reshape(np.shape(law.t_obs)) for t in zip(*tails))
@@ -354,28 +357,30 @@ def lasso_conditional_inference(
     selected-instrument TSLS results as the naive reference.
 
     Each grid round builds the laws of all its nulls in one call and
-    runs them through the QMC engine in one call.  Every law is
-    integrated over one scrambled Sobol set of config.n_samples points
-    (rounded up to a power of two; 1024 without a config) keyed by
-    config.seed, so the p-value curve is a deterministic, smooth function
-    of beta0, and the p-value reported at beta0 is the curve's value
-    there.  diagnostics["qmc_se"] is the spread of that p-value over
-    _QMC_SCRAMBLES independent scrambles, the first of them the grid's."""
+    runs them through the QMC engine in one call; beta0 leads the first
+    round.  Every law is integrated over one scrambled Sobol set of
+    config.n_samples points (rounded up to a power of two; 1024 without a
+    config) keyed by config.seed, so the p-value curve is a
+    deterministic, smooth function of beta0, and the p-value reported at
+    beta0 is the curve's value there.  diagnostics["qmc_se"] is the
+    spread of that p-value over _QMC_SCRAMBLES independent scrambles, the
+    first of them the grid's; the other _QMC_SCRAMBLES - 1 integrate
+    beta0's law as one batch, each copy over its own scramble, so a
+    bounded answer makes three engine calls.  An empty support is
+    refused (BranchError) before the grid is read."""
     m = require_prepared(data)
     config = config if config is not None else SamplerConfig(n_samples=_QMC_POINTS)
-    sub = m.select(sel.support_E)
     points = sobol_points(config, m.p)
 
-    def curve(xs):
-        law = build_law_lasso(m, xs, sel, covariance_estimates(m, xs))
-        return _pooled_lasso_pvalues(law, points)[1], law
+    def laws(xs):
+        return build_law_lasso(m, xs, sel, covariance_estimates(m, xs))
 
-    cond = answer(curve, sub, beta0, alpha)
-    law0 = cond.at_beta0[1]
-    scrambles = [cond.pvalue] + [
-        _pooled_lasso_pvalues(law0, sobol_points(config, m.p, k))[1][0]
-        for k in range(1, _QMC_SCRAMBLES)
-    ]
+    # built first, so build_law_lasso refuses an empty support before any grid work
+    at_beta0 = laws(np.full(_QMC_SCRAMBLES - 1, float(beta0)))
+    sub = m.select(sel.support_E)
+    cond = answer(lambda xs: (_pooled_lasso_pvalues(laws(xs), points)[1],), sub, beta0, alpha)
+    extra = np.stack([sobol_points(config, m.p, k) for k in range(1, _QMC_SCRAMBLES)])
+    scrambles = [cond.pvalue, *_pooled_lasso_pvalues(at_beta0, extra)[1]]
     return build_report(
         beta0, alpha, "lasso", wald_answer(sub, beta0, alpha), cond,
         support=list(sel.support_E),

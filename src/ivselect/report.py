@@ -4,15 +4,17 @@ their answers and reports are made.
 An Interval is the hull of grid points retained by test inversion; an
 InferenceReport pairs conditional and naive answers with diagnostics.
 Each branch hands answer() one vectorised p-value curve; answer() reads
-it at beta0 and inverts it on the grid every branch starts on
-(GRID_POINTS points over beta_hat +- 8 SE), so every branch labels each
-interval end alike: a crossing of alpha, an underflow band or an
-unbounded side.  build_report() makes every InferenceReport.
+it at beta0, which leads the scan's first pass, and inverts it on the
+grid every branch starts on (GRID_POINTS points over beta_hat +- 8 SE),
+so every branch labels each interval end alike: a crossing of alpha, an
+underflow band or an unbounded side.  build_report() makes every
+InferenceReport.
 The grid is read coarse to fine: every _STRIDE-th null and each grid end
 first, then only the nulls beside the outermost retained ones, so a CI
 costs about GRID_POINTS / 8 + 14 p-values instead of one per grid null,
-and is a full scan's hull unless the retained set holds an island
-narrower than _STRIDE nulls away from its ends.
+in two curve calls and one more per expansion round, and is a full
+scan's hull unless the retained set holds an island narrower than
+_STRIDE nulls away from its ends.
 A side is unbounded when the grid still retains it after _EXPANSIONS
 doublings of its reach, 16384 initial halfwidths from the grid's center.
 That reach is counted in the grid's own units, so rescaling Y or D
@@ -145,11 +147,12 @@ def invert_pvalue_curve(
     pvalue_fn maps an array of candidate nulls to an array of p-values.
     The grid starts at n_points over center +- halfwidth; while an end
     null is still retained, that side's reach grows by _EXPAND_FACTOR per
-    round, adding a block of nulls.  After _EXPANSIONS rounds, a reach
-    of 16384 halfwidths, a side whose end is still retained is reported
-    unbounded.  A grid whose ends round to its center, a halfwidth below
-    the float resolution of center, could never grow and is refused with
-    ExperimentError before any p-value call.
+    round, adding a block of nulls; a round that grows both sides
+    evaluates their new nulls in one call.  After _EXPANSIONS rounds, a
+    reach of 16384 halfwidths, a side whose end is still retained is
+    reported unbounded.  A grid whose ends round to its center, a
+    halfwidth below the float resolution of center, could never grow and
+    is refused with ExperimentError before any p-value call.
 
     Only part of that grid is evaluated.  The coarse scan takes every
     _STRIDE-th null of the initial grid and of each expansion block, and
@@ -204,18 +207,20 @@ def invert_pvalue_curve(
         if not (lo_open or hi_open):
             break
         rounds += 1
+        new = []
         if lo_open:
             target = center - (center - xs[0]) * _EXPAND_FACTOR
             xs = np.concatenate([np.linspace(target, xs[0], block + 1)[:-1], xs])
             ps = np.concatenate([np.full(block, np.nan), ps])
             done = np.concatenate([np.zeros(block, dtype=bool), done])
-            evaluate(coarse(block, True))
+            new.append(coarse(block, True))
         if hi_open:
             target = center + (xs[-1] - center) * _EXPAND_FACTOR
             xs = np.concatenate([xs, np.linspace(xs[-1], target, block + 1)[1:]])
             ps = np.concatenate([ps, np.full(block, np.nan)])
             done = np.concatenate([done, np.zeros(block, dtype=bool)])
-            evaluate(xs.size - block + coarse(block, False))
+            new.append(xs.size - block + coarse(block, False))
+        evaluate(np.concatenate(new))
     lo_unbounded, hi_unbounded = bool(ps[0] >= alpha), bool(ps[-1] >= alpha)
 
     def gap(i, step):
@@ -275,19 +280,29 @@ class Answer(NamedTuple):
 
 def answer(curve, data, beta0: float, alpha: float, refuse=None) -> Answer:
     """A branch's answer from its curve, which maps an array of nulls to a
-    tuple: their p-values, NaN where a null is unanswerable, then the
-    engine's per-null extras.  The curve is evaluated at [beta0] first;
-    refuse, when given, takes those items and raises when beta0 is
-    unanswerable, before any grid work.  Then invert_pvalue_curve inverts
-    it on GRID_POINTS over beta_hat +- 8 SE of data, a row dataset or its
-    Moments (for the Lasso, those of the selected instruments)."""
-    at_beta0 = curve(np.array([beta0], dtype=float))
-    if refuse is not None:
-        refuse(*at_beta0)
+    tuple of arrays along them: their p-values, NaN where a null is
+    unanswerable, then the engine's per-null extras.  invert_pvalue_curve
+    inverts it on GRID_POINTS over beta_hat +- 8 SE of data, a row dataset
+    or its Moments (for the Lasso, those of the selected instruments), and
+    beta0 leads the scan's first pass, so a bounded answer costs two curve
+    calls.  at_beta0 is read off that pass's first entries; refuse, when
+    given, takes them and raises when beta0 is unanswerable, before any
+    further pass."""
+    at_beta0 = []
+
+    def pvalues(nulls):
+        if at_beta0:
+            return curve(nulls)[0]
+        items = curve(np.concatenate([[beta0], nulls]))
+        at_beta0.extend(item[:1] for item in items)
+        if refuse is not None:
+            refuse(*at_beta0)
+        return items[0][1:]
+
     interval, xs, ps, grid = invert_pvalue_curve(
-        lambda nulls: curve(nulls)[0], tsls_estimate(data), 8.0 * tsls_standard_error(data), alpha, GRID_POINTS
+        pvalues, tsls_estimate(data), 8.0 * tsls_standard_error(data), alpha, GRID_POINTS
     )
-    return Answer(float(at_beta0[0][0]), interval, grid, at_beta0, tuple(xs[np.isnan(ps)].tolist()))
+    return Answer(float(at_beta0[0][0]), interval, grid, tuple(at_beta0), tuple(xs[np.isnan(ps)].tolist()))
 
 
 def build_report(

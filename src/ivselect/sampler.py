@@ -50,7 +50,7 @@ from .model import (
 )
 from .pretest import PretestOutcome, RandomizationLaw
 from .report import Answer, InferenceReport, Interval, answer, build_report
-from .teststats import _normal_tails, tsls_stat
+from .teststats import _normal_tails, _tsls_t, tsls_stat
 
 _SLICE_MAX_EXPAND = 512
 _SLICE_MAX_SHRINK = 256
@@ -152,7 +152,7 @@ def build_law_tsls(
         raise DegenerateFirstStageError("S = 0: nothing to condition on")
     s11, s12 = est[..., 0, 0], est[..., 0, 1]
     w_st = _col(s12) * m.s / _col(np.sqrt(s11 * m.s2))
-    t_obs = tsls_stat(m, beta0, est).statistic
+    t_obs = _tsls_t(m, beta0, est)
     g = RandomizationLaw(scale=pretest.scale, seed=pretest.seed)
     return ConditionalLaw(
         w_t=1.0,

@@ -35,8 +35,9 @@ _ERFC_R = (0.5641895835477551, 1.275366707599781, 5.019050422511805, 6.160210979
            2.9788666537210022)
 _ERFC_S = (1.0, 2.2605286322011726, 9.396035249380015, 12.048953980809666, 17.08144507475659, 9.608968090632859,
            3.369076451000815)
-# _normal_tails works through blocks of this many values: their temporaries
-# stay in cache and off fresh pages, which cost more than the arithmetic
+# _normal_tails and _chi2_tails work through blocks of this many values:
+# their temporaries stay in cache and off fresh pages, which cost more than
+# the arithmetic
 _TAIL_BLOCK = 8192
 # a series or Poisson sum stops once its terms fall below this share of it
 _SUM_EPS = 2.0**-56
@@ -96,31 +97,37 @@ def _chi2_tails(p: int, x):
     r = p/2 - floor(p/2), plus erfc(sqrt y) for odd p, summed down from its
     largest, last term, taken in logs, so no term underflows before the sum
     does.  The other tail is 1 minus that one, which is at least 0.3 on its
-    side of the mean.  x = 0 and x = inf give exact 0 and 1."""
-    y = 0.5 * np.asarray(x, dtype=float)
+    side of the mean.  x = 0 and x = inf give exact 0 and 1.  Blocks of
+    _TAIL_BLOCK values are summed one at a time, so the temporaries do not
+    grow with x; both sums' terms fall, and a term below _SUM_EPS of its
+    sum leaves it unchanged, so a block's values are those of one pass."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
     a = 0.5 * p
-    low = y < a
-    cdf, sf = np.empty(y.shape), np.empty(y.shape)
-    yl = y[low]
-    with np.errstate(divide="ignore"):
-        total = np.exp(a * np.log(yl) - yl - math.lgamma(a + 1.0))
-    term, k = total.copy(), a
-    while np.any(term > _SUM_EPS * total):
-        k += 1.0
-        term *= yl / k
-        total += term
-    cdf[low], sf[low] = total, 1.0 - total
-    yu = np.minimum(y[~low], 1e300)
-    total = 2.0 * _normal_tails(np.sqrt(2.0 * yu))[0] if p % 2 else np.zeros(yu.shape)
-    if a >= 1.0:
-        term, k = np.exp((a - 1.0) * np.log(yu) - yu - math.lgamma(a)), a - 1.0
-        total += term
-        while k >= 1.0 and np.any(term > _SUM_EPS * total):
-            term *= k / yu
+    cdf, sf = np.empty(flat.shape), np.empty(flat.shape)
+    for at in range(0, flat.size, _TAIL_BLOCK):
+        y = 0.5 * flat[at : at + _TAIL_BLOCK]
+        low, block_cdf, block_sf = y < a, cdf[at : at + _TAIL_BLOCK], sf[at : at + _TAIL_BLOCK]
+        yl = y[low]
+        with np.errstate(divide="ignore"):
+            total = np.exp(a * np.log(yl) - yl - math.lgamma(a + 1.0))
+        term, k = total.copy(), a
+        while np.any(term > _SUM_EPS * total):
+            k += 1.0
+            term *= yl / k
             total += term
-            k -= 1.0
-    sf[~low], cdf[~low] = total, 1.0 - total
-    return cdf, sf
+        block_cdf[low], block_sf[low] = total, 1.0 - total
+        yu = np.minimum(y[~low], 1e300)
+        total = 2.0 * _normal_tails(np.sqrt(2.0 * yu))[0] if p % 2 else np.zeros(yu.shape)
+        if a >= 1.0:
+            term, k = np.exp((a - 1.0) * np.log(yu) - yu - math.lgamma(a)), a - 1.0
+            total += term
+            while k >= 1.0 and np.any(term > _SUM_EPS * total):
+                term *= k / yu
+                total += term
+                k -= 1.0
+        block_sf[~low], block_cdf[~low] = total, 1.0 - total
+    return cdf.reshape(x.shape), sf.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -153,20 +160,26 @@ class ClrComponents:
     q_r: float
 
 
-def tsls_stat(data: IVDataset | Moments, beta0: float, est: np.ndarray) -> TestValue:
-    """T = D'P_Z(Y - D beta0) / (sqrt(Sigma_11) sqrt(D'P_Z D)), two-sided
-    normal p-value.  est is Sigma_hat evaluated at this beta0; an array
-    of nulls gives one statistic per null, as in clr_components."""
+def _tsls_t(data: IVDataset | Moments, beta0: float, est: np.ndarray):
+    """T = D'P_Z(Y - D beta0) / (sqrt(Sigma_11) sqrt(D'P_Z D)), without
+    its p-value: tsls_stat's statistic, and the t_obs of the conditional
+    laws.  est is Sigma_hat evaluated at this beta0; an array of nulls
+    gives one statistic per null, as in clr_components."""
     m = require_prepared(data)
     _require_first_stage(m)
     s11 = est[..., 0, 0]
     if np.any(s11 <= 0):
         raise CovarianceError("Sigma_hat_11 must be positive")
-    t = (_dot(m.sy, m.s) - beta0 * m.s2) / np.sqrt(s11 * m.s2)
+    return _item((_dot(m.sy, m.s) - beta0 * m.s2) / np.sqrt(s11 * m.s2))
+
+
+def tsls_stat(data: IVDataset | Moments, beta0: float, est: np.ndarray) -> TestValue:
+    """_tsls_t's T and its two-sided normal p-value.  est is Sigma_hat
+    evaluated at this beta0; an array of nulls gives one statistic per
+    null, as in clr_components."""
+    t = _tsls_t(data, beta0, est)
     pval = np.minimum(2.0 * _normal_tails(np.abs(t))[0], 1.0)
-    return TestValue(
-        statistic=_item(t), beta0=_item(np.asarray(beta0, dtype=float)), naive_pvalue=_item(pval)
-    )
+    return TestValue(statistic=t, beta0=_item(np.asarray(beta0, dtype=float)), naive_pvalue=_item(pval))
 
 
 def ar_stat(data: IVDataset | Moments, beta0: float) -> TestValue:

@@ -493,23 +493,42 @@ def test_interval_end_set_by_underflow_band_is_labelled():
 
 def test_underflowed_null_is_refused_before_the_scan(monkeypatch):
     # at beta0 = 1.6 the failure event's mass underflows, so the branch
-    # refuses the null before it inverts either curve; at 2.0, further out,
-    # the event has mass again and the branch answers
-    scans = []
-    real = ivselect.report.invert_pvalue_curve
+    # refuses the null off the scan's first pass, which beta0 leads: no
+    # further pass and no naive curve is read; at 2.0, further out, the
+    # event has mass again and the branch answers
+    laws = []
+    real = ivselect.clr.clr_law
 
-    def spy(*args):
-        scans.append(args)
-        return real(*args)
+    def spy(data, nulls, lam_sq=None):
+        laws.append((np.array(nulls), lam_sq is None))
+        return real(data, nulls, lam_sq)
 
-    monkeypatch.setattr(ivselect.report, "invert_pvalue_curve", spy)
+    monkeypatch.setattr(ivselect.clr, "clr_law", spy)
     data = generate(dgp_from_r(0.3, 0.99, n=200, p=2, seed=1))
     with pytest.raises(TruncationError, match="conditioning event has mass < 1e-12"):
         clr_conditional_inference(data, 1.6, c0=10.0)
-    assert scans == []
+    assert len(laws) == 1
+    (nulls, naive), = laws
+    assert nulls[0] == 1.6 and nulls.size > 1 and not naive
+    laws.clear()
     report = clr_conditional_inference(data, 2.0, c0=10.0)
-    assert len(scans) == 2
+    naive = [naive for _, naive in laws]
+    assert naive == sorted(naive) and naive.count(True) >= 2 and naive.count(False) >= 2
+    assert laws[0][0][0] == 2.0 and laws[naive.index(True)][0][0] == 2.0
     assert 0.0 <= report.conditional_pvalue <= 1.0
+
+
+def test_naive_tails_of_one_block_peak_below_20mb():
+    # 8 segments * 512 panels * 96 nodes = 393216 nodes, one block: the
+    # nodes, weights and thresholds and the chi2 tails' two outputs, 3.1 MB
+    # each; the chi2 sums' temporaries do not grow with the node count
+    clr_tails([1.0], [1.0], 2, None, QuadratureConfig(panels=512))
+    tracemalloc.start()
+    got = clr_tails([1.0], [1.0], 2, None, QuadratureConfig(panels=512))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got.nodes[0] == 393216
+    assert peak < 20e6
 
 
 def _assert_truncations_match(trunc, singles, t, q_r, p):

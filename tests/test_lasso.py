@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 from scipy.integrate import cumulative_trapezoid
 
+import ivselect.lasso
 from ivselect import (
     DGPConfig,
     IVDataset,
@@ -550,3 +551,39 @@ def test_reported_pvalue_is_the_curve_at_beta0():
     law = build_law_lasso(data, nulls, sel, covariance_estimates(data, nulls))
     curve = _pooled_lasso_pvalues(law, sobol_points(cfg, data.p))[1]
     assert report.conditional_pvalue == curve[1]
+
+
+def test_lasso_inference_makes_three_engine_calls(monkeypatch):
+    # a bounded answer: beta0 leads the scan's coarse pass, one fine pass
+    # places the ends, and the 7 other scrambles at beta0 run as one batch
+    # of 7 laws, each over its own point set
+    data, sel = _partial_selection(seed=63)
+    cfg = SamplerConfig(n_samples=500, seed=64)
+    shapes = []
+    real = ivselect.lasso._pooled_lasso_pvalues
+
+    def spy(law, points):
+        shapes.append((np.shape(law.t_obs), points.shape))
+        return real(law, points)
+
+    monkeypatch.setattr(ivselect.lasso, "_pooled_lasso_pvalues", spy)
+    report = lasso_conditional_inference(data, 1.0, sel, config=cfg)
+    assert report.diagnostics["grid"]["expansion_rounds"] == 0
+    assert len(shapes) == 3
+    assert [points for _, points in shapes[:2]] == [(512, data.p)] * 2
+    assert shapes[2] == ((7,), (7, 512, data.p))
+
+
+def test_qmc_se_is_the_spread_of_a_per_scramble_loop():
+    # the batched scrambles give, bit for bit, what integrating beta0's
+    # law once per scramble gives; scramble 0 is the reported p-value
+    data, sel = _partial_selection(seed=63)
+    for cfg in (None, SamplerConfig(n_samples=500, seed=64)):
+        report = lasso_conditional_inference(data, 1.0, sel, config=cfg)
+        law = build_law_lasso(data, 1.0, sel, covariance_estimates(data, 1.0))
+        loop_cfg = cfg if cfg is not None else SamplerConfig(n_samples=1024)
+        per_scramble = [
+            float(_pooled_lasso_pvalues(law, sobol_points(loop_cfg, data.p, k))[1]) for k in range(8)
+        ]
+        assert report.conditional_pvalue == per_scramble[0]
+        assert report.diagnostics["qmc_se"] == float(np.std(per_scramble, ddof=1))

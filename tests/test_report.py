@@ -265,8 +265,9 @@ def test_inversion_labels_an_end_cut_by_unanswerable_nulls():
 
 def test_answer_reads_beta0_and_the_unanswerable_nulls_off_its_curve():
     # a bump on the estimate grid with a NaN band over its upper half: the
-    # answer is the curve's own value and extras at [beta0], and its
-    # unanswerable nulls are exactly the grid nulls evaluated with NaN
+    # answer is the curve's own value and extras at [beta0], read off the
+    # first pass, which beta0 leads, and its unanswerable nulls are
+    # exactly the grid nulls evaluated with NaN
     data = generate(dgp_from_r(0.3, 0.5, n=300, p=4, seed=7))
     center, halfwidth = tsls_estimate(data), 8.0 * tsls_standard_error(data)
     calls = []
@@ -279,9 +280,11 @@ def test_answer_reads_beta0_and_the_unanswerable_nulls_off_its_curve():
 
     beta0 = center - 0.1 * halfwidth
     got = answer(curve, data, beta0, 0.05)
-    first, grid_nulls = calls[0], np.concatenate(calls[1:])
+    assert len(calls) == 2
+    first, grid_nulls = calls[0], np.concatenate([calls[0][1:], *calls[1:]])
     want = curve(np.array([beta0]))
-    np.testing.assert_array_equal(first, [beta0])
+    assert first[0] == beta0
+    np.testing.assert_array_equal(first[1:], np.linspace(center - halfwidth, center + halfwidth, GRID_POINTS)[::8])
     assert got.pvalue == want[0][0]
     assert len(got.at_beta0) == 2
     for item, ref in zip(got.at_beta0, want):
@@ -293,6 +296,35 @@ def test_answer_reads_beta0_and_the_unanswerable_nulls_off_its_curve():
     z = (fine - center) / halfwidth
     assert np.count_nonzero((z > 0.3) & (z < 0.7)) > len(nan_nulls)
     assert got.grid["ends"] == {"lower": "crossing", "upper": "underflow"}
+
+
+@pytest.mark.parametrize(
+    "retained, rounds",
+    [((-0.5, 0.5), 0), ((-3.0, 20.0), 5), ((-0.5, math.inf), 14), ((-math.inf, math.inf), 14)],
+    ids=["bounded", "both-then-upper", "upper-unbounded", "unbounded"],
+)
+def test_an_answer_makes_two_curve_calls_and_one_per_expansion_round(retained, rounds):
+    # beta0 rides in the first coarse pass, and a round that grows both
+    # sides reads both in one call: a bounded answer makes 2 curve calls,
+    # and r rounds add at most r.  retained is the retained set in grid
+    # halfwidths about the estimate; the reach doubles from 1 per round,
+    # so (-3, 20) grows both sides twice and the upper side 3 more times
+    data = generate(dgp_from_r(0.3, 0.5, n=300, p=4, seed=7))
+    center, halfwidth = tsls_estimate(data), 8.0 * tsls_standard_error(data)
+    lo, hi = retained
+    calls = []
+
+    def curve(xs):
+        calls.append(xs)
+        z = (xs - center) / halfwidth
+        return (np.where((z >= lo) & (z <= hi), 0.5, 0.01),)
+
+    got = answer(curve, data, center + 0.3 * halfwidth, 0.05)
+    assert got.grid["expansion_rounds"] == rounds
+    # every call but a final fine pass grows the grid, and each of those
+    # after the first is one round
+    assert len(calls) == 2 + rounds - (retained == (-math.inf, math.inf))
+    assert got.pvalue == 0.5 and calls[0][0] == center + 0.3 * halfwidth
 
 
 def test_inversion_alpha_one_collapses_to_peak():

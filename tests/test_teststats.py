@@ -21,7 +21,7 @@ from ivselect import (
     tsls_estimate,
     tsls_stat,
 )
-from ivselect.teststats import _chi2_tails, _normal_tails
+from ivselect.teststats import _TAIL_BLOCK, _chi2_tails, _normal_tails
 
 
 def _strong_data(seed=0, n=150, p=3):
@@ -241,6 +241,22 @@ def test_normal_tails_match_scipy_ndtr():
         tails = _normal_tails(sign * beyond)
         assert np.all(tails[small] == 0.0) and np.all(tails[1 - small] == 1.0)
     assert all(np.isnan(tail) for tail in _normal_tails(np.nan))
+
+
+def test_chi2_tails_of_a_value_do_not_depend_on_the_values_beside_it():
+    # the series are summed block by block, each until its own terms are
+    # negligible; a value's tails in a call of several blocks, beside values
+    # that need many more terms, are its tails alone, bit for bit
+    rng = np.random.default_rng(12)
+    for p in (1, 2, 3, 10, 51):
+        x = np.concatenate([
+            rng.uniform(0.0, 4.0 * p, 2 * _TAIL_BLOCK), np.geomspace(1e-12, 1e4, 50), [0.0, np.inf, np.nan],
+        ])
+        rng.shuffle(x)
+        cdf, sf = _chi2_tails(p, x)
+        for i in rng.choice(x.size, 150, replace=False):
+            alone = _chi2_tails(p, x[i : i + 1])
+            np.testing.assert_array_equal((cdf[i], sf[i]), (alone[0][0], alone[1][0]), err_msg=f"p={p}")
 
 
 def test_chi2_tails_match_scipy_chdtr():

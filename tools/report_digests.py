@@ -16,7 +16,12 @@ and on bom-tsls, the tsls-1 CSV written with a UTF-8 byte-order mark
 before its header, as Excel's "CSV UTF-8" saves it,
 each also forced to `--test tsls --override`, `--test clr --override` and
 `--test ar` (naive-only); `pretest`; Lasso library
-reports with and without a SamplerConfig; and every `simulate` kind,
+reports with and without a SamplerConfig, and lasso/empty-support, the
+error type and text of the Lasso library refusing a selection with an
+empty support (the lasso-1 rows at 1e6 times the default penalty),
+which pins that this refusal comes before any grid work, whose first
+step reads the selected instruments' TSLS estimate and would fail with
+another error; and every `simulate` kind,
 `uniformity` both where every replication passes the screen (r = 0.3)
 and at the bench design, where most of the batch fails it (r = 0.08).
 The inputs are generated here by ivselect.simulate.generate at fixed
@@ -183,6 +188,7 @@ def outputs(workdir: Path, extra_csvs=()):
     order.  ivselect is imported here, after main has put the chosen src
     on sys.path."""
     from ivselect.cli import main
+    from ivselect.errors import IVSelectError
     from ivselect.lasso import (
         default_lasso_penalty,
         default_lasso_scale,
@@ -215,6 +221,13 @@ def outputs(workdir: Path, extra_csvs=()):
         for tag, config in (("default", None), ("sampler", SamplerConfig(n_samples=256, seed=seed))):
             rep = lasso_conditional_inference(data, 1.0, sel, config=config, alpha=0.05)
             yield f"lasso/{seed}/{tag}", json.dumps(plain(rep.to_dict()), sort_keys=True)
+        if seed == LASSO_SEEDS[0]:
+            empty = solve_randomized_lasso(data, 1e6 * default_lasso_penalty(data, seed=seed), law)
+            try:
+                text = json.dumps(plain(lasso_conditional_inference(data, 1.0, empty).to_dict()), sort_keys=True)
+            except IVSelectError as err:
+                text = f"{type(err).__name__}: {err}"
+            yield "lasso/empty-support", text
 
     for argv in SIMULATE:
         kind = argv[1] + ("/" + argv[3] if argv[1] == "coverage" else "")
