@@ -40,7 +40,7 @@ from .sampler import (
     _col,
     _generator,
     _truncnorm_ppf,
-    sobol_points,
+    sobol_sets,
     wald_answer,
 )
 from .teststats import _tsls_t
@@ -59,6 +59,11 @@ _QMC_POINTS = 1024
 _QMC_CHUNK = 1 << 14
 
 
+def _require_penalty(lambda_l) -> None:
+    if not (math.isfinite(lambda_l) and lambda_l > 0):
+        raise ValueError(f"lambda_l = {lambda_l}: the penalty must be finite and positive")
+
+
 @dataclass(frozen=True)
 class LassoSelection:
     """Solution and selection event of the randomized Lasso.  The
@@ -74,8 +79,7 @@ class LassoSelection:
     def __post_init__(self):
         for name in ("omega", "gamma_l", "subgradient_u"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.lambda_l <= 0:
-            raise ValueError("lambda_l must be positive")
+        _require_penalty(self.lambda_l)
         p = self.omega.size
         if self.gamma_l.size != p or self.subgradient_u.size != p:
             raise ValueError("omega, gamma_l, subgradient_u must share length p")
@@ -133,8 +137,7 @@ def solve_randomized_lasso(
     moves by one column of Z'Z per changed coordinate, and is recomputed
     before each gap check, so the stopping rule never reads drift."""
     m = require_prepared(data)
-    if lambda_l <= 0:
-        raise ValueError("lambda_l must be positive")
+    _require_penalty(lambda_l)
     ztz, ztd, p = m.ztz, m.ztd, m.p
     omega = law.draw(p)
     col_norm2 = np.diagonal(ztz)
@@ -305,7 +308,7 @@ def _qmc_tails(u, t_obs, mean, chol, slope, prec_t, lower, upper):
 def _pooled_lasso_pvalues(law: LassoLaw, points: np.ndarray):
     """Upper and two-sided p-values of a selection law, or of each law of
     a batch at its own t_obs, by sequential conditioning over the QMC
-    points of sampler.sobol_points: one (N, p) set for every law, or an
+    points of sampler.sobol_sets: one (N, p) set for every law, or an
     (m, N, p) stack with one set per law of a flat batch of m.  The
     p-values take the law's batch shape; each law's value depends only on
     that law and its points.
@@ -366,11 +369,12 @@ def lasso_conditional_inference(
     spread of that p-value over _QMC_SCRAMBLES independent scrambles, the
     first of them the grid's; the other _QMC_SCRAMBLES - 1 integrate
     beta0's law as one batch, each copy over its own scramble, so a
-    bounded answer makes three engine calls.  An empty support is
+    bounded answer makes three engine calls.  All _QMC_SCRAMBLES point
+    sets come from one sampler.sobol_sets call.  An empty support is
     refused (BranchError) before the grid is read."""
     m = require_prepared(data)
     config = config if config is not None else SamplerConfig(n_samples=_QMC_POINTS)
-    points = sobol_points(config, m.p)
+    sets = sobol_sets(config, m.p, range(_QMC_SCRAMBLES))
 
     def laws(xs):
         return build_law_lasso(m, xs, sel, covariance_estimates(m, xs))
@@ -378,14 +382,13 @@ def lasso_conditional_inference(
     # built first, so build_law_lasso refuses an empty support before any grid work
     at_beta0 = laws(np.full(_QMC_SCRAMBLES - 1, float(beta0)))
     sub = m.select(sel.support_E)
-    cond = answer(lambda xs: (_pooled_lasso_pvalues(laws(xs), points)[1],), sub, beta0, alpha)
-    extra = np.stack([sobol_points(config, m.p, k) for k in range(1, _QMC_SCRAMBLES)])
-    scrambles = [cond.pvalue, *_pooled_lasso_pvalues(at_beta0, extra)[1]]
+    cond = answer(lambda xs: (_pooled_lasso_pvalues(laws(xs), sets[0])[1],), sub, beta0, alpha)
+    scrambles = [cond.pvalue, *_pooled_lasso_pvalues(at_beta0, sets[1:])[1]]
     return build_report(
         beta0, alpha, "lasso", wald_answer(sub, beta0, alpha), cond,
         support=list(sel.support_E),
         signs=sel.signs_sE,
         lambda_l=sel.lambda_l,
-        qmc_points=len(points),
+        qmc_points=sets.shape[1],
         qmc_se=float(np.std(scrambles, ddof=1)),
     )

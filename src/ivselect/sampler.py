@@ -17,7 +17,9 @@ d, done by Gauss-Legendre quadrature.  The Gibbs sampler sample_paths
 (exact in t, inverse-CDF or slice steps in d) is the Monte Carlo
 reference; no product path calls it.  SamplerConfig steers it and the
 Lasso QMC engine only: sample_paths reads all four fields, the QMC
-engine its seed and n_samples (sobol_points).
+engine its seed and n_samples.  The engine's scrambled Sobol sets
+(sobol_sets, all of an answer's in one pass) and its truncated-normal
+inverse-CDF step (_truncnorm_ppf) live here too.
 
 A ConditionalLaw follows the batch convention of model.Moments: an
 array of tested nulls, or a batch of replications, gives one law whose
@@ -168,10 +170,12 @@ def build_law_tsls(
     )
 
 
-def _generator(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([int(seed) & (2**63 - 1), *map(int, tags)]))
-    )
+def _generator(seed: int, *tags: int, spawn_key: tuple = ()) -> np.random.Generator:
+    """A Philox stream keyed by seed (masked to 63 bits) and tags; spawn_key
+    (i,) gives the i-th child that Generator.spawn would hand out."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        [int(seed) & (2**63 - 1), *map(int, tags)], spawn_key=spawn_key
+    )))
 
 
 def _truncnorm_ppf(u, lo, hi):
@@ -180,30 +184,89 @@ def _truncnorm_ppf(u, lo, hi):
 
     Rows with lo + hi > 0 are mirrored, so log Phi is always inverted on
     the side away from the mass, where it keeps full relative precision
-    far into either tail; infinite bounds need no special case."""
+    far into either tail; infinite bounds need no special case.  When
+    every mirrored lower bound a is -inf (one-sided bounds, as on the
+    Lasso's sign orthants), log Phi(a) = -inf reduces the general
+    formula to log_mass = log Phi(b) and x = ndtri_exp(log v + log_mass)
+    exactly, so log Phi(a) and the steps it feeds are skipped."""
     from scipy import special  # deferred: only the Lasso and sample_paths call this
 
     flip = lo > -hi
     a = np.where(flip, -hi, lo)
     b = np.where(flip, -lo, hi)
-    log_a = special.log_ndtr(a)
     log_b = special.log_ndtr(b)
-    log_mass = log_b + np.log(-np.expm1(log_a - log_b))
     log_v = np.where(flip, np.log1p(-u), np.log(u))
-    x = special.ndtri_exp(np.logaddexp(log_a, log_v + log_mass))
+    if np.all(a == -np.inf):
+        # log(-expm1(-inf)) = 0 and logaddexp(-inf, y) = y; adding that 0
+        # turns log Phi's -0.0 into 0.0, as the general formula does
+        log_mass = log_b + 0.0
+        x = special.ndtri_exp(log_v + log_mass)
+    else:
+        log_a = special.log_ndtr(a)
+        log_mass = log_b + np.log(-np.expm1(log_a - log_b))
+        x = special.ndtri_exp(np.logaddexp(log_a, log_v + log_mass))
     return np.clip(np.where(flip, -x, x), lo, hi), log_mass
 
 
-def sobol_points(config: SamplerConfig, dim: int, scramble: int = 0) -> np.ndarray:
-    """config.n_samples points of [0, 1)^dim, rounded up to a power of two,
-    from a Sobol set scrambled by a stream keyed by config.seed and
-    scramble.  Points are clipped away from 0 and 1, so every inverse-CDF
-    draw stays finite."""
+# bits of a Sobol coordinate: points are multiples of 2^-30, at most 2^30 of them
+_SOBOL_BITS = 30
+# entry i is bit 29 - i of a coordinate
+_HIGH_FIRST = np.uint32(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+def sobol_sets(config: SamplerConfig, dim: int, scrambles) -> np.ndarray:
+    """One scrambled Sobol set per entry k of scrambles, as an (S, N, dim)
+    stack: config.n_samples points of [0, 1)^dim, rounded up to a power
+    of two N, scrambled by a stream keyed by config.seed and k.  Points
+    are clipped away from 0 and 1, so every inverse-CDF draw stays
+    finite.  More than 2^30 points is a ValueError, raised before
+    anything is allocated.
+
+    The scramble is a linear matrix scramble plus digital shift (LMS +
+    shift; Matousek, J. Complexity 1998) on 30 bits, and set k equals
+    scipy.stats.qmc.Sobol(dim, rng=_generator(config.seed, 5, k))
+    .random_base2(log2 N), clipped, bit for bit.  Direction number v_b is
+    read off the unscrambled sequence x as x[2^b] XOR x[2^b - 1].
+    Scramble k draws from the first child of that stream, as scipy's
+    engine spawns it: the shift's bits (bit b <-> 2^b), then a (dim, 30,
+    30) bit matrix L, kept lower-triangular with a unit diagonal.  Each
+    v'_b is L v_b over GF(2), row and column i <-> bit 29 - i; point 0 is
+    the shift and point i is point i - 1 XOR v'_{ctz(i)}.  All the sets
+    are built in one pass on uint32 integers."""
     from scipy.stats import qmc  # deferred: scipy.stats more than doubles ivselect.cli's import time
 
     log2_n = (config.n_samples - 1).bit_length()
-    sobol = qmc.Sobol(dim, scramble=True, rng=_generator(config.seed, 5, scramble))
-    return np.clip(sobol.random_base2(log2_n), 1e-16, 1.0 - 1e-16)
+    if log2_n > _SOBOL_BITS:
+        raise ValueError(
+            f"n_samples = {config.n_samples}: a Sobol set holds at most 2**{_SOBOL_BITS} points"
+        )
+    x = (qmc.Sobol(dim, scramble=False).random_base2(log2_n) * 2.0**_SOBOL_BITS).astype(np.uint32)
+    step = 1 << np.arange(log2_n)
+    v = x[step] ^ x[step - 1]  # (log2_n, dim)
+    shift = np.empty((len(scrambles), dim), np.uint32)
+    cols = np.empty((len(scrambles), dim, _SOBOL_BITS), np.uint32)
+    for s, k in enumerate(scrambles):
+        rng = _generator(config.seed, 5, k, spawn_key=(0,))
+        shift[s] = rng.integers(0, 2, (dim, _SOBOL_BITS), dtype=np.uint32) @ _HIGH_FIRST[::-1]
+        # column l of L packed into one integer, row i at bit 29 - i
+        cols[s] = _HIGH_FIRST @ rng.integers(0, 2, (dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+    # L's lower triangle (rows i >= l, so bits up to 29 - l) and its unit diagonal
+    cols = np.swapaxes((cols & (2 * _HIGH_FIRST - 1)) | _HIGH_FIRST, 1, 2)
+    # v'_b is the XOR of the columns l at which v_b has bit 29 - l
+    has_bit = (v[:, None, :] & _HIGH_FIRST[:, None]) != 0  # (log2_n, 30, dim)
+    scrambled = np.bitwise_xor.reduce(cols[:, None] * has_bit, axis=2)  # (S, log2_n, dim)
+    i = np.arange(1, 1 << log2_n)
+    ints = np.empty((len(scrambles), i.size + 1, dim), np.uint32)
+    ints[:, 0] = shift
+    ints[:, 1:] = scrambled[:, np.log2(i & -i).astype(np.intp)]
+    np.bitwise_xor.accumulate(ints, axis=1, out=ints)
+    points = ints * 2.0**-_SOBOL_BITS
+    return np.clip(points, 1e-16, 1.0 - 1e-16, out=points)
+
+
+def sobol_points(config: SamplerConfig, dim: int, scramble: int = 0) -> np.ndarray:
+    """The (N, dim) set of sobol_sets for the one scramble."""
+    return sobol_sets(config, dim, [scramble])[0]
 
 
 def _truncated_normal(rng, mean, sd, size):

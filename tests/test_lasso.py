@@ -251,6 +251,21 @@ def test_selection_event_validation():
         )
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+def test_non_finite_or_non_positive_penalty_is_refused_at_entry(lam, monkeypatch):
+    # a nan penalty used to run every coordinate-descent sweep before the
+    # solver gave up on its duality gap; no sweep may run, so no gap is read
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(ivselect.lasso, "_dual_gap", no_sweep)
+    message = f"lambda_l = {lam}: the penalty must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        solve_randomized_lasso(_orthonormal_instance(seed=0), lam, RandomizationLaw(scale=0.8, seed=5))
+    with pytest.raises(ValueError, match=message):
+        LassoSelection(lambda_l=lam, omega=np.zeros(1), gamma_l=np.zeros(1), subgradient_u=np.zeros(1))
+
+
 def _partial_selection(seed):
     """An instance whose selection keeps some instruments and drops others."""
     config = DGPConfig(
@@ -572,6 +587,20 @@ def test_lasso_inference_makes_three_engine_calls(monkeypatch):
     assert len(shapes) == 3
     assert [points for _, points in shapes[:2]] == [(512, data.p)] * 2
     assert shapes[2] == ((7,), (7, 512, data.p))
+
+
+def test_lasso_inference_builds_its_point_sets_in_one_call(monkeypatch):
+    data, sel = _partial_selection(seed=63)
+    calls = []
+    real = ivselect.lasso.sobol_sets
+
+    def spy(config, dim, scrambles):
+        calls.append(list(scrambles))
+        return real(config, dim, scrambles)
+
+    monkeypatch.setattr(ivselect.lasso, "sobol_sets", spy)
+    lasso_conditional_inference(data, 1.0, sel, config=SamplerConfig(n_samples=500, seed=64))
+    assert calls == [list(range(8))]
 
 
 def test_qmc_se_is_the_spread_of_a_per_scramble_loop():

@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 from scipy.integrate import cumulative_trapezoid
+from scipy.stats import qmc
 
 from ivselect import (
     ConditionalLaw,
@@ -26,7 +27,13 @@ from ivselect import (
 )
 from ivselect.errors import BranchError, SamplerError
 from ivselect.model import Moments
-from ivselect.sampler import _generator, _pooled_pvalues, _truncnorm_ppf
+from ivselect.sampler import (
+    _generator,
+    _pooled_pvalues,
+    _truncnorm_ppf,
+    sobol_points,
+    sobol_sets,
+)
 from ivselect.simulate import _draw_batch, _row, _screen
 
 
@@ -223,6 +230,68 @@ def test_truncnorm_ppf_matches_scipy_deep_in_the_tails():
     np.testing.assert_allclose(log_mass[~narrow], mass_ref[~narrow], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(log_mass[narrow], mass_ref[narrow], rtol=1e-8, atol=0)
     assert np.all(free_mass == 0.0)
+
+
+def _general_truncnorm_ppf(u, lo, hi):
+    """_truncnorm_ppf's formula for any bounds, written out in full."""
+    flip = lo > -hi
+    a = np.where(flip, -hi, lo)
+    b = np.where(flip, -lo, hi)
+    log_a, log_b = special.log_ndtr(a), special.log_ndtr(b)
+    log_mass = log_b + np.log(-np.expm1(log_a - log_b))
+    log_v = np.where(flip, np.log1p(-u), np.log(u))
+    x = special.ndtri_exp(np.logaddexp(log_a, log_v + log_mass))
+    return np.clip(np.where(flip, -x, x), lo, hi), log_mass
+
+
+def test_truncnorm_ppf_one_sided_path_equals_the_general_formula(monkeypatch):
+    # one-sided bounds skip log Phi(-inf) and the identities it feeds; the
+    # result must be the general formula's bit for bit, sign of zero included
+    inf = np.inf
+    edges = np.array([-40.0, -8.0, -1.0, 0.0, 1.0, 8.0, 40.0])
+    u = np.array([1e-17, 1e-16, 1e-9, 0.3, 0.5, 0.99, 1.0 - 1e-9, 1.0 - 1e-16])
+    lower = (edges[:, None], np.full((edges.size, 1), inf))
+    upper = (np.full((edges.size, 1), -inf), -edges[:, None])
+    both = tuple(np.concatenate(v) for v in zip(lower, upper))
+    calls = []
+    real = special.log_ndtr
+    monkeypatch.setattr(special, "log_ndtr", lambda x: calls.append(1) or real(x))
+    for lo, hi in (lower, upper, both):
+        calls.clear()
+        x, log_mass = _truncnorm_ppf(u, lo, hi)
+        assert len(calls) == 1
+        ref_x, ref_mass = _general_truncnorm_ppf(u, lo, hi)
+        assert x.tobytes() == ref_x.tobytes()
+        assert log_mass.tobytes() == ref_mass.tobytes()
+    assert np.all(np.isfinite(x)) and np.any(log_mass < -800.0) and np.any(log_mass == 0.0)
+    calls.clear()
+    _truncnorm_ppf(u, np.array([[-1.0], [0.0]]), np.array([[1.0], [inf]]))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "dim, n_samples, seed",
+    [(1, 1, 0), (1, 300, -7), (2, 16, 3), (3, 1000, 2**63 + 5), (10, 4096, 501), (31, 300, 2**40)],
+)
+def test_sobol_sets_equal_scipys_scrambled_sobol_bit_for_bit(dim, n_samples, seed):
+    # scipy's LMS + shift engine, handed scramble k's stream, is the oracle;
+    # the seeds outside [0, 2^63) are masked to 63 bits by _generator
+    config = SamplerConfig(n_samples=n_samples, seed=seed)
+    sets = sobol_sets(config, dim, range(8))
+    log2_n = (n_samples - 1).bit_length()
+    assert sets.shape == (8, 2**log2_n, dim)
+    for k in range(8):
+        ref = qmc.Sobol(dim, scramble=True, rng=_generator(seed, 5, k)).random_base2(log2_n)
+        assert sets[k].tobytes() == np.clip(ref, 1e-16, 1.0 - 1e-16).tobytes()
+    assert sobol_points(config, dim, 5).tobytes() == sets[5].tobytes()
+    assert sobol_sets(config, dim, [3, 0]).tobytes() == sets[[3, 0]].tobytes()
+
+
+def test_oversize_sobol_set_is_refused_before_allocating():
+    # 2^31 points of 2 coordinates would take 32 GiB before any size check
+    for n_samples in (2**30 + 1, 2**31):
+        with pytest.raises(ValueError, match=r"at most 2\*\*30 points"):
+            sobol_points(SamplerConfig(n_samples=n_samples), 2)
 
 
 def test_huge_randomization_scale_gives_standard_normal():

@@ -16,8 +16,10 @@ and on bom-tsls, the tsls-1 CSV written with a UTF-8 byte-order mark
 before its header, as Excel's "CSV UTF-8" saves it,
 each also forced to `--test tsls --override`, `--test clr --override` and
 `--test ar` (naive-only); `pretest`; Lasso library
-reports with and without a SamplerConfig, and lasso/empty-support, the
-error type and text of the Lasso library refusing a selection with an
+reports with and without a SamplerConfig, lasso/{seed}/points-512,
+whose SamplerConfig(n_samples=300, seed=seed + 3) pins a second point
+count (rounded up to 512) and stream of the Sobol sets, and
+lasso/empty-support, the error type and text of the Lasso library refusing a selection with an
 empty support (the lasso-1 rows at 1e6 times the default penalty),
 which pins that this refusal comes before any grid work, whose first
 step reads the selected instruments' TSLS estimate and would fail with
@@ -44,8 +46,8 @@ with `Omega_hat is not positive definite`; their pretest output is the
 same.  bom-tsls's five outputs are byte-identical to tsls-1's;
 checkouts that read the CSV without skipping the mark exit 2 on all of
 them with `missing column 'y'`.  Listings printed by versions of this
-script from before shift-clr, shift-tsls or bom-tsls was added have no
-lines for them.
+script from before shift-clr, shift-tsls, bom-tsls or points-512 was
+added have no lines for them.
 
     python tools/report_digests.py                 # this checkout's src
     python tools/report_digests.py --src OTHER/src > other.txt
@@ -218,7 +220,12 @@ def outputs(workdir: Path, extra_csvs=()):
         data = IVDataset(Y=block[:, 0], D=block[:, 1], Z=block[:, 2:])
         law = RandomizationLaw(scale=default_lasso_scale(data), seed=seed + 10)
         sel = solve_randomized_lasso(data, default_lasso_penalty(data, seed=seed), law)
-        for tag, config in (("default", None), ("sampler", SamplerConfig(n_samples=256, seed=seed))):
+        configs = (
+            ("default", None),
+            ("sampler", SamplerConfig(n_samples=256, seed=seed)),
+            ("points-512", SamplerConfig(n_samples=300, seed=seed + 3)),
+        )
+        for tag, config in configs:
             rep = lasso_conditional_inference(data, 1.0, sel, config=config, alpha=0.05)
             yield f"lasso/{seed}/{tag}", json.dumps(plain(rep.to_dict()), sort_keys=True)
         if seed == LASSO_SEEDS[0]:
