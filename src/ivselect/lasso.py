@@ -33,12 +33,11 @@ import numpy as np
 
 from .errors import BranchError, ConvergenceError, SamplerError
 from .model import IVDataset, Moments, covariance_estimates, require_prepared
-from .pretest import RandomizationLaw
+from .pretest import RandomizationLaw, _generator
 from .report import InferenceReport, answer, build_report
 from .sampler import (
     SamplerConfig,
     _col,
-    _generator,
     _truncnorm_ppf,
     sobol_sets,
     wald_answer,

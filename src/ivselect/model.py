@@ -183,10 +183,18 @@ class Moments:
 
     def sigma(self, beta0) -> np.ndarray:
         """Sigma_hat(beta0), the residual covariance of (Y - D beta0, D):
-        the Gram matrix of the columns (B_Y - beta0 B_D, B_D) over dof."""
+        the Gram matrix of the columns (B_Y - beta0 B_D, B_D) over dof.
+        Raises CovarianceError naming the first null at which
+        |B_Y - beta0 B_D|^2 overflows, where every law would read inf."""
+        beta0 = np.asarray(beta0, dtype=float)
         bd = self.b[..., :, 0]
-        e = self.b[..., :, 1] - np.asarray(beta0, dtype=float)[..., None] * bd
-        return _sym2(_dot(e, e), _dot(e, bd), self.rss) / self.dof
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = self.b[..., :, 1] - beta0[..., None] * bd
+            ee, ed = _dot(e, e), _dot(e, bd)
+        if not np.isfinite(ee).all():  # |e.bd| <= sqrt(ee * rss): ed is finite with ee
+            far = np.broadcast_to(beta0, np.shape(ee))[~np.isfinite(ee)][0]
+            raise CovarianceError(f"Sigma_hat(beta0) overflows at the null beta0 = {float(far)}")
+        return _sym2(ee, ed, self.rss) / self.dof
 
 
 @dataclass(frozen=True)

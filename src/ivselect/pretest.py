@@ -20,13 +20,26 @@ from .errors import DegenerateFirstStageError, DimensionError
 from .model import IVDataset, Moments, _dot, _item, require_prepared
 
 
+_SEED_MASK = 2**63 - 1
+
+
+def _generator(seed: int, *tags: int, spawn_key: tuple = ()) -> np.random.Generator:
+    """The one place a seed becomes a stream: Philox keyed by tags and by
+    seed mod 2^63, so any integer is a seed; spawn_key (i,) gives the i-th
+    child that Generator.spawn would hand out.  Without tags, a seed in
+    [0, 2^63) gives the stream of Philox seeded with that integer."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        [int(seed) & _SEED_MASK, *map(int, tags)], spawn_key=spawn_key
+    )))
+
+
 @dataclass(frozen=True)
 class RandomizationLaw:
     """Gaussian randomization omega ~ N(0, scale^2 I_p).
 
-    Draws come from a counter-based generator (Philox) keyed by seed, so
-    a recorded (seed, scale) pair reproduces omega bit-exactly.  The
-    density also takes an array of scales, one per screen of a batch.
+    Draws come from _generator(seed), so a recorded (seed, scale) pair
+    reproduces omega bit-exactly.  The density also takes an array of
+    scales, one per screen of a batch.
     """
 
     scale: float
@@ -37,8 +50,7 @@ class RandomizationLaw:
             raise ValueError(f"randomization scale must be positive, got {self.scale}")
 
     def draw(self, p: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(self.seed))
-        return rng.normal(0.0, self.scale, size=p)
+        return _generator(self.seed).normal(0.0, self.scale, size=p)
 
     def log_density(self, x: np.ndarray) -> float:
         """Unnormalized log density of omega at x (..., p)."""

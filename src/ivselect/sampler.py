@@ -50,7 +50,7 @@ from .model import (
     tsls_estimate,
     tsls_standard_error,
 )
-from .pretest import PretestOutcome, RandomizationLaw
+from .pretest import PretestOutcome, RandomizationLaw, _generator
 from .report import Answer, InferenceReport, Interval, answer, build_report
 from .teststats import _normal_tails, _tsls_t, tsls_stat
 
@@ -66,10 +66,9 @@ class SamplerConfig:
     chains: int = 4
 
     def __post_init__(self):
-        if self.n_samples < 1 or self.burn_in < 0:
-            raise ValueError("need n_samples >= 1 and burn_in >= 0")
-        if self.chains < 1:
-            raise ValueError("need at least one chain")
+        for name, least in (("n_samples", 1), ("burn_in", 0), ("chains", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"need {name} >= {least}, got {name} = {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -170,14 +169,6 @@ def build_law_tsls(
     )
 
 
-def _generator(seed: int, *tags: int, spawn_key: tuple = ()) -> np.random.Generator:
-    """A Philox stream keyed by seed (masked to 63 bits) and tags; spawn_key
-    (i,) gives the i-th child that Generator.spawn would hand out."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        [int(seed) & (2**63 - 1), *map(int, tags)], spawn_key=spawn_key
-    )))
-
-
 def _truncnorm_ppf(u, lo, hi):
     """Quantile u of the standard normal truncated to [lo, hi], row-wise,
     and the log mass log(Phi(hi) - Phi(lo)) of the bounds.
@@ -262,11 +253,6 @@ def sobol_sets(config: SamplerConfig, dim: int, scrambles) -> np.ndarray:
     np.bitwise_xor.accumulate(ints, axis=1, out=ints)
     points = ints * 2.0**-_SOBOL_BITS
     return np.clip(points, 1e-16, 1.0 - 1e-16, out=points)
-
-
-def sobol_points(config: SamplerConfig, dim: int, scramble: int = 0) -> np.ndarray:
-    """The (N, dim) set of sobol_sets for the one scramble."""
-    return sobol_sets(config, dim, [scramble])[0]
 
 
 def _truncated_normal(rng, mean, sd, size):

@@ -41,8 +41,10 @@ from .model import (
     tsls_standard_error,
 )
 from .pretest import (
+    _SEED_MASK,
     PretestOutcome,
     RandomizationLaw,
+    _generator,
     _l2_prox,
     default_scale,
     f_statistic,
@@ -50,16 +52,13 @@ from .pretest import (
 )
 from .sampler import (
     SamplerConfig,
-    _generator,
     _pooled_pvalues,
     _wald_z,
     build_law_tsls,
-    sobol_points,
+    sobol_sets,
     wald_answer,
 )
 from .teststats import tsls_stat
-
-_SEED_MASK = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -403,7 +402,7 @@ def lasso_uniformity_experiment(
     cfg = sampler if sampler is not None else SamplerConfig(n_samples=_QMC_POINTS, seed=config.seed)
     # supports differ per replication, so the laws are stacked field by field
     law = LassoLaw(**{f.name: np.stack([getattr(w, f.name) for w in laws]) for f in fields(LassoLaw)})
-    _, two = _pooled_lasso_pvalues(law, sobol_points(cfg, config.p))
+    _, two = _pooled_lasso_pvalues(law, sobol_sets(cfg, config.p, [0])[0])
     return _result(reps, len(laws) / reps, two, np.asarray(naive_ps), covers, alpha)
 
 

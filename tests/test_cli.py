@@ -30,7 +30,7 @@ from ivselect import (
     tsls_estimate,
 )
 from ivselect.cli import AnalysisConfig, _report_json, analyze, ingest, main
-from ivselect.errors import BranchError, DataError, DimensionError, RankDeficiencyError
+from ivselect.errors import BranchError, CovarianceError, DataError, DimensionError, RankDeficiencyError
 from ivselect.model import _BLOCK_ROWS, Moments
 
 TOY = "y,d,z1\n1.0,2.0,0.5\n2.0,1.0,-0.5\n0.0,3.0,1.5\n1.5,2.5,-1.5\n"
@@ -821,8 +821,8 @@ from ivselect import sampler
 code = ivselect.cli.main(["simulate", "--kind", "uniformity", "--r", "0.8", "--sigma12", "0.5",
                           "--reps", "100", "--n", "200", "--p", "2", "--seed", "1", "--out", out])
 assert code == 0, code
-points = sampler.sobol_points(sampler.SamplerConfig(n_samples=16), 2)
-assert points.shape == (16, 2), points.shape
+points = sampler.sobol_sets(sampler.SamplerConfig(n_samples=16), 2, [0])
+assert points.shape == (1, 16, 2), points.shape
 assert "scipy.stats" in sys.modules
 """
 
@@ -1015,7 +1015,7 @@ def branch_inputs(tmp_path_factory):
     }
 
 
-@given(seed=st.integers(0, 2**63 - 1))
+@given(seed=st.integers(-(2**63), 2**63 - 1))
 def test_analyze_reproduces_from_its_seed(branch_inputs, tmp_path_factory, seed):
     out = tmp_path_factory.getbasetemp() / "seeded.json"
 
@@ -1029,6 +1029,38 @@ def test_analyze_reproduces_from_its_seed(branch_inputs, tmp_path_factory, seed)
         assert report(csv_path, cfg, seed) == first
         other = json.loads(report(csv_path, cfg, seed ^ 1))
         assert other["pretest"]["omega"] != json.loads(first)["pretest"]["omega"]
+
+
+def test_analyze_keys_a_negative_seed_mod_2_63(branch_inputs, tmp_path):
+    # streams are keyed by the seed mod 2^63: -3 answers as 2^63 - 3
+    # does, and only the echoed seeds differ
+    def report(csv_path, cfg, seed):
+        out = tmp_path / "seeded.json"
+        assert main(["analyze", csv_path, "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        return json.loads(out.read_bytes())
+
+    def unseeded(doc):
+        if isinstance(doc, dict):
+            return {k: unseeded(v) for k, v in doc.items() if k != "seed"}
+        return [unseeded(v) for v in doc] if isinstance(doc, list) else doc
+
+    for csv_path, cfg in branch_inputs.values():
+        neg, wrapped = report(csv_path, cfg, -3), report(csv_path, cfg, 2**63 - 3)
+        assert neg["config"]["seed"] == neg["pretest"]["seed"] == -3
+        assert wrapped["config"]["seed"] == wrapped["pretest"]["seed"] == 2**63 - 3
+        assert unseeded(neg) == unseeded(wrapped)
+
+
+@pytest.mark.parametrize("r, test, branch", [(0.3, "auto", "tsls"), (0.03, "auto", "clr"), (0.03, "ar", "naive_only")])
+def test_analyze_refuses_a_null_that_overflows_sigma(r, test, branch):
+    # |B_Y - beta0 B_D|^2 overflows at 1e200, where the TSLS p-values read
+    # 1.0 and the CLR and AR branches failed with unrelated errors
+    data = generate(dgp_from_r(r, 0.8, n=300, p=4, seed=3))
+    assert analyze(data, AnalysisConfig(seed=1, null_value=1.0, test=test)).diagnostics["branch"] == branch
+    with pytest.raises(CovarianceError, match=r"overflows at the null beta0 = 1e\+200$"):
+        analyze(data, AnalysisConfig(seed=1, null_value=1e200, test=test))
+    if branch == "tsls":  # at 1e152 Sigma_hat holds, and the TSLS answer stands
+        assert analyze(data, AnalysisConfig(seed=1, null_value=1e152)).naive_pvalue < 1e-15
 
 
 def test_cli_clr_report_lists_underflowed_nulls(tmp_path):

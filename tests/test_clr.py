@@ -28,7 +28,7 @@ from ivselect import (
 )
 from ivselect.errors import BranchError, QuadratureError, TruncationError
 from ivselect.model import Moments
-from ivselect.sampler import _generator
+from ivselect.pretest import _generator
 from ivselect.simulate import _draw_batch
 from ivselect.teststats import clr_statistic_from_q, clr_statistics
 

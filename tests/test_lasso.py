@@ -33,9 +33,9 @@ from ivselect import (
     solve_randomized_lasso,
     tsls_estimate,
 )
-from ivselect.errors import BranchError
+from ivselect.errors import BranchError, CovarianceError
 from ivselect.lasso import _dual_gap, _pooled_lasso_pvalues
-from ivselect.sampler import _pooled_pvalues, sobol_points
+from ivselect.sampler import _pooled_pvalues, sobol_sets
 
 
 def _soft(x, tau):
@@ -282,6 +282,19 @@ def _partial_selection(seed):
     return data, sel
 
 
+def test_lasso_refuses_a_null_that_overflows_sigma():
+    # at 1e200 |B_Y - beta0 B_D|^2 overflows, where the p-value read 1.0;
+    # a negative randomization seed selects as its seed + 2^63 does
+    data, sel = _partial_selection(seed=63)
+    law = RandomizationLaw(scale=default_lasso_scale(data), seed=64 - 2**63)
+    wrapped = solve_randomized_lasso(data, sel.lambda_l, law)
+    assert wrapped.omega.tobytes() == sel.omega.tobytes()
+    assert wrapped.gamma_l.tobytes() == sel.gamma_l.tobytes()
+    assert lasso_conditional_inference(data, 1e152, sel).conditional_pvalue < 1e-15
+    with pytest.raises(CovarianceError, match=r"overflows at the null beta0 = 1e\+200$"):
+        lasso_conditional_inference(data, 1e200, sel)
+
+
 def _far_orthant_law():
     # p = 1, gamma selected positive while the randomization puts its
     # conditional mean about 32 sd below zero (T settles near -16)
@@ -363,7 +376,7 @@ def test_qmc_tails_match_single_instrument_closed_form(make_law):
     cdf = _single_instrument_cdf(law, ts)
     # the law's central quantiles, where both tails carry mass
     t_eval = np.interp([0.05, 0.3, 0.5, 0.7, 0.95], cdf, ts)
-    upper, two = _pooled_lasso_pvalues(replace(law, t_obs=t_eval), sobol_points(SamplerConfig(), 1))
+    upper, two = _pooled_lasso_pvalues(replace(law, t_obs=t_eval), sobol_sets(SamplerConfig(), 1, [0])[0])
     want = 1.0 - np.interp(t_eval, ts, cdf)
     np.testing.assert_allclose(upper, want, rtol=0, atol=1e-3)
     np.testing.assert_allclose(two, np.minimum(1.0, 2.0 * np.minimum(want, 1.0 - want)), rtol=0, atol=1e-3)
@@ -408,7 +421,7 @@ def _nquad_upper_tail(law):
 ], ids=["p2", "p3"])
 def test_qmc_tail_matches_adaptive_quadrature(law):
     want = _nquad_upper_tail(law)
-    upper, two = _pooled_lasso_pvalues(law, sobol_points(SamplerConfig(n_samples=4096), law.cols.shape[0]))
+    upper, two = _pooled_lasso_pvalues(law, sobol_sets(SamplerConfig(n_samples=4096), law.cols.shape[0], [0])[0])
     assert abs(float(upper) - want) < 1e-4
     assert abs(float(two) - min(1.0, 2.0 * min(want, 1.0 - want))) < 2e-4
 
@@ -450,7 +463,7 @@ def test_qmc_tails_match_exact_rejection_draws_at_p10():
 
     cfg = SamplerConfig(n_samples=256, seed=5)
     scrambles = np.array([
-        _pooled_lasso_pvalues(replace(law, t_obs=ts), sobol_points(cfg, data.p, k))[0] for k in range(8)
+        _pooled_lasso_pvalues(replace(law, t_obs=ts), sobol_sets(cfg, data.p, [k])[0])[0] for k in range(8)
     ])
     qmc, qmc_se = scrambles[0], scrambles.std(axis=0, ddof=1)
     assert np.all(np.abs(qmc - exact) < 4.0 * np.sqrt(exact_se**2 + qmc_se**2))
@@ -472,7 +485,7 @@ def test_vanishing_randomization_matches_f_branch():
         sel = solve_randomized_lasso(data, lam, law_omega)
         assert sel.support_E == tuple(range(data.p))
         law_l = build_law_lasso(data, 1.0, sel, est)
-        _, two_l = _pooled_lasso_pvalues(law_l, sobol_points(cfg, data.p))
+        _, two_l = _pooled_lasso_pvalues(law_l, sobol_sets(cfg, data.p, [0])[0])
 
         pretest = run_pretest(data, c0=10.0, seed=seed + 3, scale=0.35 * default_scale(data))
         assert pretest.passed
@@ -526,7 +539,7 @@ def test_batched_lasso_law_equals_per_null_builds():
     # its batch, and stacked with the laws of another selection, whose
     # bounds then carry the law axis.  At 4096 points the engine takes 4
     # laws at a time, so both stacks cross its chunk boundaries.
-    points = sobol_points(SamplerConfig(n_samples=4096, seed=66), data.p)
+    points = sobol_sets(SamplerConfig(n_samples=4096, seed=66), data.p, [0])[0]
     data_b, sel_b = _partial_selection(seed=50)
     others = build_law_lasso(data_b, nulls, sel_b, covariance_estimates(data_b, nulls))
     mixed = LassoLaw(**{
@@ -547,7 +560,7 @@ def test_batched_lasso_law_equals_per_null_builds():
         np.testing.assert_array_equal(in_mixed[k][7:], want)
 
 
-@given(seed=st.integers(0, 2**63 - 1), beta0=st.floats(-1.0, 3.0))
+@given(seed=st.integers(-(2**63), 2**63 - 1), beta0=st.floats(-1.0, 3.0))
 def test_lasso_inference_reproduces_from_its_seed(seed, beta0):
     data, sel = _partial_selection(seed=67)
     cfg = SamplerConfig(n_samples=64, seed=seed)
@@ -564,7 +577,7 @@ def test_reported_pvalue_is_the_curve_at_beta0():
     report = lasso_conditional_inference(data, 1.0, sel, config=cfg)
     nulls = np.array([0.5, 1.0, 1.5])
     law = build_law_lasso(data, nulls, sel, covariance_estimates(data, nulls))
-    curve = _pooled_lasso_pvalues(law, sobol_points(cfg, data.p))[1]
+    curve = _pooled_lasso_pvalues(law, sobol_sets(cfg, data.p, [0])[0])[1]
     assert report.conditional_pvalue == curve[1]
 
 
@@ -612,7 +625,7 @@ def test_qmc_se_is_the_spread_of_a_per_scramble_loop():
         law = build_law_lasso(data, 1.0, sel, covariance_estimates(data, 1.0))
         loop_cfg = cfg if cfg is not None else SamplerConfig(n_samples=1024)
         per_scramble = [
-            float(_pooled_lasso_pvalues(law, sobol_points(loop_cfg, data.p, k))[1]) for k in range(8)
+            float(_pooled_lasso_pvalues(law, sobol_sets(loop_cfg, data.p, [k])[0])[1]) for k in range(8)
         ]
         assert report.conditional_pvalue == per_scramble[0]
         assert report.diagnostics["qmc_se"] == float(np.std(per_scramble, ddof=1))

@@ -1,6 +1,7 @@
 """Dataset preparation, the Moments core, TSLS point estimation, and
 covariance mapping, with property tests of the invariances the model claims."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -30,12 +31,13 @@ from ivselect import (
     tsls_stat,
 )
 from ivselect.errors import (
+    CovarianceError,
     DegenerateFirstStageError,
     DimensionError,
     RankDeficiencyError,
 )
 from ivselect.model import require_prepared
-from ivselect.sampler import _generator
+from ivselect.pretest import _generator
 from ivselect.simulate import _draw_batch, _draw_moments, _screen
 
 
@@ -412,6 +414,19 @@ def test_sigma_near_a_multiple_of_d_matches_an_exact_oracle():
     y = a * (0.8 * d + rng.standard_normal(n)) + b * d
     m = prepare(IVDataset(Y=y, D=d, Z=z))
     assert m.sigma(a + b)[0, 0] == pytest.approx(_exact_sigma11(y, d, z, a + b), rel=1e-8)
+
+
+def test_sigma_refuses_a_null_that_overflows_it():
+    # |B_Y - beta0 B_D|^2 is about 1e305 at 1e152, which keeps the
+    # formula's bits, and overflows at 1e153; a batch names its first such null
+    m = prepare(generate(dgp_from_r(0.3, 0.8, n=300, p=4, seed=3)))
+    bd, by = m.b[:, 0], m.b[:, 1]
+    e = by - 1e152 * bd
+    ee, ed = np.einsum("i,i", e, e), np.einsum("i,i", e, bd)
+    assert m.sigma(1e152).tobytes() == (np.array([[ee, ed], [ed, m.rss]]) / m.dof).tobytes()
+    for far, named in ((1e153, "1e+153"), (-1e308, "-1e+308"), (np.array([1.0, 2e200, 1e200]), "2e+200")):
+        with pytest.raises(CovarianceError, match=rf"overflows at the null beta0 = {re.escape(named)}$"):
+            m.sigma(far)
 
 
 def test_every_variance_divides_by_moments_dof(monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ivselect import (
     IVDataset,
@@ -185,3 +187,12 @@ def test_default_scale_single_instrument_fallback():
     d = 0.6 * z[:, 0] + rng.standard_normal(50)
     data = prepare(IVDataset(Y=d + rng.standard_normal(50), D=d, Z=z))
     assert default_scale(data) > 0
+
+
+@given(seed=st.integers(0, 2**63 - 1), scale=st.floats(1e-3, 1e3), p=st.integers(1, 12))
+def test_randomization_draws_philox_of_its_seed(seed, scale, p):
+    # the stream every report was drawn from, Philox(seed), for every seed
+    # below 2^63; the seed 2^63 lower keys it too
+    want = np.random.Generator(np.random.Philox(seed)).normal(0.0, scale, p)
+    assert RandomizationLaw(scale, seed).draw(p).tobytes() == want.tobytes()
+    assert RandomizationLaw(scale, seed - 2**63).draw(p).tobytes() == want.tobytes()

@@ -27,13 +27,8 @@ from ivselect import (
 )
 from ivselect.errors import BranchError, SamplerError
 from ivselect.model import Moments
-from ivselect.sampler import (
-    _generator,
-    _pooled_pvalues,
-    _truncnorm_ppf,
-    sobol_points,
-    sobol_sets,
-)
+from ivselect.pretest import _generator
+from ivselect.sampler import _pooled_pvalues, _truncnorm_ppf, sobol_sets
 from ivselect.simulate import _draw_batch, _row, _screen
 
 
@@ -283,15 +278,20 @@ def test_sobol_sets_equal_scipys_scrambled_sobol_bit_for_bit(dim, n_samples, see
     for k in range(8):
         ref = qmc.Sobol(dim, scramble=True, rng=_generator(seed, 5, k)).random_base2(log2_n)
         assert sets[k].tobytes() == np.clip(ref, 1e-16, 1.0 - 1e-16).tobytes()
-    assert sobol_points(config, dim, 5).tobytes() == sets[5].tobytes()
     assert sobol_sets(config, dim, [3, 0]).tobytes() == sets[[3, 0]].tobytes()
+
+
+@pytest.mark.parametrize("field, value", [("n_samples", 0), ("burn_in", -1), ("chains", 0)])
+def test_sampler_config_names_the_field_it_refuses(field, value):
+    with pytest.raises(ValueError, match=rf"^need {field} >= \d, got {field} = {value}$"):
+        SamplerConfig(**{field: value})
 
 
 def test_oversize_sobol_set_is_refused_before_allocating():
     # 2^31 points of 2 coordinates would take 32 GiB before any size check
     for n_samples in (2**30 + 1, 2**31):
         with pytest.raises(ValueError, match=r"at most 2\*\*30 points"):
-            sobol_points(SamplerConfig(n_samples=n_samples), 2)
+            sobol_sets(SamplerConfig(n_samples=n_samples), 2, [0])
 
 
 def test_huge_randomization_scale_gives_standard_normal():

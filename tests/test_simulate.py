@@ -43,8 +43,7 @@ from ivselect import (
 )
 from ivselect import simulate
 from ivselect.errors import ExperimentError
-from ivselect.pretest import RandomizationLaw
-from ivselect.sampler import _generator
+from ivselect.pretest import RandomizationLaw, _generator
 from ivselect.simulate import _child_seed, _draw_batch, _draw_moments, _screen
 
 

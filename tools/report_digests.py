@@ -13,12 +13,17 @@ clr-1 rows with Y + 3e6 D tested at null 1 + 3e6, where Omega_hat's
 entries cancel, and on shift-tsls, the tsls-1 rows with Y + 3e8 D tested
 at null 1 + 3e8, where the determinant of those entries cancels to 0,
 and on bom-tsls, the tsls-1 CSV written with a UTF-8 byte-order mark
-before its header, as Excel's "CSV UTF-8" saves it,
+before its header, as Excel's "CSV UTF-8" saves it, and on the tsls-1
+rows under two other configs: tsls-negseed at seed -3, which keys the
+streams of seed 2^63 - 3, and far-null at null 1e200, where
+|B_Y - beta0 B_D|^2 overflows and every analyze output is refused with
+CovarianceError (exit code 2),
 each also forced to `--test tsls --override`, `--test clr --override` and
 `--test ar` (naive-only); `pretest`; Lasso library
 reports with and without a SamplerConfig, lasso/{seed}/points-512,
 whose SamplerConfig(n_samples=300, seed=seed + 3) pins a second point
-count (rounded up to 512) and stream of the Sobol sets, and
+count (rounded up to 512) and stream of the Sobol sets, lasso/negseed,
+the lasso-1 report under a negative randomization and penalty seed, and
 lasso/empty-support, the error type and text of the Lasso library refusing a selection with an
 empty support (the lasso-1 rows at 1e6 times the default penalty),
 which pins that this refusal comes before any grid work, whose first
@@ -45,9 +50,16 @@ outputs (every branch reads the TSLS standard error for its CI grid)
 with `Omega_hat is not positive definite`; their pretest output is the
 same.  bom-tsls's five outputs are byte-identical to tsls-1's;
 checkouts that read the CSV without skipping the mark exit 2 on all of
-them with `missing column 'y'`.  Listings printed by versions of this
-script from before shift-clr, shift-tsls, bom-tsls or points-512 was
-added have no lines for them.
+them with `missing column 'y'`.  Checkouts that drew the randomization
+from an unmasked Philox(seed) exit 2 on tsls-negseed's five outputs and
+print numpy's ValueError for lasso/negseed.  Checkouts that formed
+Sigma_hat(beta0) without checking it exit 0 on far-null's auto and tsls
+outputs, with p-values of 1.0, and 2 with other errors on its clr and ar
+outputs (an unconverged quadrature, a zero AR denominator).
+pretest/far-null equals pretest/tsls-1: the screen reads no null.
+Listings printed by versions of this script from before shift-clr,
+shift-tsls, bom-tsls, points-512, tsls-negseed, far-null or
+lasso/negseed was added have no lines for them.
 
     python tools/report_digests.py                 # this checkout's src
     python tools/report_digests.py --src OTHER/src > other.txt
@@ -118,6 +130,8 @@ COVARIATE_DATASETS = [
 SHIFTED = [("shift-clr", "clr-1", 3e6), ("shift-tsls", "tsls-1", 3e8)]
 # (name, dataset): the dataset's CSV and config, the CSV behind a UTF-8 BOM
 BOM = [("bom-tsls", "tsls-1")]
+# (name, dataset, keys): the dataset's CSV, and its config with keys replaced
+RECONFIGURED = [("tsls-negseed", "tsls-1", {"seed": -3}), ("far-null", "tsls-1", {"null_value": 1e200})]
 FORCED = [[], ["--test", "tsls", "--override"], ["--test", "clr", "--override"], ["--test", "ar"]]
 SIMULATE = [
     ["--kind", "uniformity", "--r", "0.3", "--reps", "300", "--n", "300", "--p", "5", "--seed", "1"],
@@ -173,6 +187,10 @@ def make_inputs(workdir: Path):
     for name, source in BOM:
         (workdir / f"{name}.csv").write_bytes(b"\xef\xbb\xbf" + (workdir / f"{source}.csv").read_bytes())
         (workdir / f"{name}.json").write_bytes((workdir / f"{source}.json").read_bytes())
+    for name, source, keys in RECONFIGURED:
+        (workdir / f"{name}.csv").write_bytes((workdir / f"{source}.csv").read_bytes())
+        config = json.loads((workdir / f"{source}.json").read_text())
+        (workdir / f"{name}.json").write_text(json.dumps({**config, **keys}))
     for seed in LASSO_SEEDS:
         data = generate(dgp_from_r(0.3, 0.5, n=300, p=6, seed=seed))
         np.save(workdir / f"lasso-{seed}.npy", np.column_stack([data.Y, data.D, data.Z]))
@@ -202,7 +220,7 @@ def outputs(workdir: Path, extra_csvs=()):
     from ivselect.report import plain
     from ivselect.sampler import SamplerConfig
 
-    for name, *_ in DATASETS + COVARIATE_DATASETS + SHIFTED + BOM:
+    for name, *_ in DATASETS + COVARIATE_DATASETS + SHIFTED + BOM + RECONFIGURED:
         csv_path, cfg = workdir / f"{name}.csv", workdir / f"{name}.json"
         for flags in FORCED:
             tag = "auto" if not flags else flags[1]
@@ -235,6 +253,13 @@ def outputs(workdir: Path, extra_csvs=()):
             except IVSelectError as err:
                 text = f"{type(err).__name__}: {err}"
             yield "lasso/empty-support", text
+            negative = RandomizationLaw(scale=law.scale, seed=-seed - 10)
+            try:
+                picked = solve_randomized_lasso(data, default_lasso_penalty(data, seed=-seed), negative)
+                text = json.dumps(plain(lasso_conditional_inference(data, 1.0, picked).to_dict()), sort_keys=True)
+            except ValueError as err:  # numpy's refusal of a negative Philox seed
+                text = f"{type(err).__name__}: {err}"
+            yield "lasso/negseed", text
 
     for argv in SIMULATE:
         kind = argv[1] + ("/" + argv[3] if argv[1] == "coverage" else "")
