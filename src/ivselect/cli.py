@@ -289,9 +289,10 @@ _IGNORED_CONFIG_KEYS = {"samples", "burn_in", "chains"}
 
 
 def _config_from_args(args) -> AnalysisConfig:
-    """The config file's keys, overridden by the flags given."""
+    """The config file's keys, overridden by the flags given, as a checked
+    AnalysisConfig; a command without --config reads only its flags."""
     keys = {}
-    if args.config:
+    if getattr(args, "config", None):
         with open(args.config) as fh:
             keys = json.load(fh)
         unknown = set(keys) - _CONFIG_KEYS - _IGNORED_CONFIG_KEYS
@@ -358,9 +359,8 @@ def _list_flag(args, name: str, single: bool) -> tuple:
 
 
 def _cmd_simulate(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    c0 = args.c0 if args.c0 is not None else 10.0
-    alpha = args.alpha if args.alpha is not None else 0.05
+    settings = _config_from_args(args)
+    seed, c0, alpha = settings.seed, settings.c0, settings.alpha
     single = args.kind != "coverage"  # only the coverage grid reads lists
     rs, s12s = _list_flag(args, "r", single), _list_flag(args, "sigma12", single)
     if args.kind == "coverage":
@@ -395,8 +395,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    c0 = args.c0 if args.c0 is not None else 10.0
+    settings = _config_from_args(args)
+    seed, c0 = settings.seed, settings.c0
     (r,), (s12,) = _list_flag(args, "r", True), _list_flag(args, "sigma12", True)
     config = dgp_from_r(r, s12, n=args.n, p=args.p, beta_star=args.beta0, seed=seed)
     if args.scale is not None:

@@ -81,12 +81,6 @@ class Moments:
     b: np.ndarray
 
     @classmethod
-    def of(cls, z, y, d) -> "Moments":
-        """Moments of centered instruments z (..., n, p) and y, d (..., n)."""
-        r = np.linalg.qr(np.concatenate([z, d[..., None], y[..., None]], axis=-1), mode="r")
-        return cls.of_factor(z.shape[-2], r)
-
-    @classmethod
     def of_factor(cls, n, r) -> "Moments":
         """Moments from an upper-triangular R of p + 2 columns (B has the
         rows past p, two unless n < p + 2) with R'R the cross-product of

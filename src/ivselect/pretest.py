@@ -46,8 +46,8 @@ class RandomizationLaw:
     seed: int
 
     def __post_init__(self):
-        if not np.all(self.scale > 0):
-            raise ValueError(f"randomization scale must be positive, got {self.scale}")
+        if not np.all((self.scale > 0) & (self.scale < np.inf)):
+            raise ValueError(f"randomization scale must be positive and finite, got {self.scale}")
 
     def draw(self, p: int) -> np.ndarray:
         return _generator(self.seed).normal(0.0, self.scale, size=p)
@@ -90,8 +90,8 @@ def penalty_lambda(data: IVDataset | Moments, c0: float) -> float:
 
     By construction I(F >= C0) = I(||S|| >= lambda).
     """
-    if c0 < 0:
-        raise ValueError(f"threshold C0 must be nonnegative, got {c0}")
+    if not 0.0 <= c0 < np.inf:
+        raise ValueError(f"threshold C0 must be finite and nonnegative, got {c0}")
     m = require_prepared(data)
     return _item(np.sqrt(c0 * (m.p / m.dof) * m.rss))
 
@@ -118,10 +118,14 @@ def _l2_prox(s, omega, lam, scale, seed, c0, f_stat) -> PretestOutcome:
 
     The minimizer is the l2-norm prox at w:
     v_hat = (1 - lambda/||w||) w when ||w|| > lambda, else 0.
-    Ties ||w|| = lambda resolve to not-passed.
+    Ties ||w|| = lambda resolve to not-passed.  A norm that overflows,
+    from a randomization scale near the float range, is refused.
     """
     w = s + omega
-    norm = np.linalg.norm(w, axis=-1)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(w, axis=-1)
+    if not np.all(np.isfinite(norm)):
+        raise ValueError(f"||S + omega|| overflows: the randomization scale {scale} is too large")
     passed = norm > lam
     d = np.where(passed, norm - lam, 0.0)
     u = np.where(passed[..., None], w / np.where(passed, norm, 1.0)[..., None], 0.0)

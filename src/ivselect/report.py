@@ -51,10 +51,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
     def as_dict(self) -> dict:
         lo_unbounded, hi_unbounded = self.lower == -math.inf, self.upper == math.inf
         return {
@@ -124,12 +120,16 @@ def plain(obj):
     raise TypeError(f"cannot convert {type(obj).__name__} to JSON")
 
 
-# points of every answer's initial CI grid
+# points of every answer's initial CI grid; its 200 steps are a multiple
+# of _STRIDE, so the coarse nulls, counted from the lower end, end on the
+# upper one
 GRID_POINTS = 201
 # a side still retained at the grid's end reaches this factor further out
-# per round; one still retained after _EXPANSIONS rounds is unbounded
+# per round, in a block of _BLOCK new nulls; one still retained after
+# _EXPANSIONS rounds is unbounded
 _EXPAND_FACTOR = 2.0
 _EXPANSIONS = 14
+_BLOCK = 100
 # the coarse scan evaluates every _STRIDE-th grid null and each grid end
 _STRIDE = 8
 
@@ -139,15 +139,14 @@ def invert_pvalue_curve(
     center: float,
     halfwidth: float,
     alpha: float,
-    n_points: int = GRID_POINTS,
 ):
     """Hull of {x : pvalue_fn(x) >= alpha} on an expanding grid, read
     coarse to fine.
 
     pvalue_fn maps an array of candidate nulls to an array of p-values.
-    The grid starts at n_points over center +- halfwidth; while an end
+    The grid starts at GRID_POINTS over center +- halfwidth; while an end
     null is still retained, that side's reach grows by _EXPAND_FACTOR per
-    round, adding a block of nulls; a round that grows both sides
+    round, adding a block of _BLOCK nulls; a round that grows both sides
     evaluates their new nulls in one call.  After _EXPANSIONS rounds, a
     reach of 16384 halfwidths, a side whose end is still retained is
     reported unbounded.  A grid whose ends round to its center, a
@@ -155,15 +154,16 @@ def invert_pvalue_curve(
     is refused with ExperimentError before any p-value call.
 
     Only part of that grid is evaluated.  The coarse scan takes every
-    _STRIDE-th null of the initial grid and of each expansion block, and
-    every grid end, so the expansion decisions, which read only the ends,
-    are a full scan's.  One more call evaluates the fine nulls between the
-    first retained coarse null and the evaluated one before it, and
-    likewise after the last, which places each end of the hull on the
-    fine grid.  A retained island narrower than _STRIDE nulls that lies
-    outside those two gaps is not seen.  When no coarse null is retained,
-    the rest of the grid is evaluated, so a narrow retained set is found
-    and an empty one degenerates to the argmax of the whole curve.
+    _STRIDE-th null of the initial grid and of each expansion block,
+    counted from its outer end, so every grid end is evaluated and the
+    expansion decisions, which read only the ends, are a full scan's.
+    One more call evaluates the fine nulls between the first retained
+    null and the evaluated one before it, and likewise after the last,
+    which places each end of the hull on the fine grid.  A retained
+    island narrower than _STRIDE nulls that lies outside those two gaps
+    is not seen.  When no coarse null is retained, the rest of the grid
+    is evaluated, so a narrow retained set is found and an empty one
+    degenerates to the argmax of the whole curve.
 
     NaN p-values count as not retained, and a NaN end freezes that side's
     expansion: the scan cannot see past a null it could not evaluate.
@@ -179,77 +179,55 @@ def invert_pvalue_curve(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha = {alpha} outside (0, 1]")
-    if halfwidth <= 0 or n_points < 3:
-        raise ValueError("need halfwidth > 0 and at least 3 grid points")
+    if halfwidth <= 0:
+        raise ValueError("need halfwidth > 0")
     if not center - halfwidth < center < center + halfwidth:
         raise ExperimentError(f"grid halfwidth {halfwidth!r} is below the float resolution of center {center!r}")
 
-    xs = np.linspace(center - halfwidth, center + halfwidth, n_points)
-    ps = np.full(n_points, np.nan)
-    done = np.zeros(n_points, dtype=bool)
+    xs = np.linspace(center - halfwidth, center + halfwidth, GRID_POINTS)
+    ps = np.full(GRID_POINTS, np.nan)
+    done = np.zeros(GRID_POINTS, dtype=bool)
 
     def evaluate(idx):
         if idx.size:
             ps[idx] = np.asarray(pvalue_fn(xs[idx]), dtype=float)
             done[idx] = True
 
-    def coarse(size, outer_first):
-        # every _STRIDE-th of size new nulls, counted from the outer end
-        idx = np.arange(0, size, _STRIDE)
-        return idx if outer_first else size - 1 - idx[::-1]
-
-    evaluate(np.union1d(coarse(n_points, True), [n_points - 1]))
+    evaluate(np.arange(0, GRID_POINTS, _STRIDE))
     rounds = 0
-    block = max((n_points - 1) // 2, 2)
-
-    while rounds < _EXPANSIONS:
-        lo_open, hi_open = bool(ps[0] >= alpha), bool(ps[-1] >= alpha)
-        if not (lo_open or hi_open):
-            break
+    while rounds < _EXPANSIONS and (ps[0] >= alpha or ps[-1] >= alpha):
         rounds += 1
-        new = []
-        if lo_open:
-            target = center - (center - xs[0]) * _EXPAND_FACTOR
-            xs = np.concatenate([np.linspace(target, xs[0], block + 1)[:-1], xs])
-            ps = np.concatenate([np.full(block, np.nan), ps])
-            done = np.concatenate([np.zeros(block, dtype=bool), done])
-            new.append(coarse(block, True))
-        if hi_open:
-            target = center + (xs[-1] - center) * _EXPAND_FACTOR
-            xs = np.concatenate([xs, np.linspace(xs[-1], target, block + 1)[1:]])
-            ps = np.concatenate([ps, np.full(block, np.nan)])
-            done = np.concatenate([done, np.zeros(block, dtype=bool)])
-            new.append(xs.size - block + coarse(block, False))
+        # each open side's block of new nulls, out to its grown reach
+        below = above = xs[:0]
+        if ps[0] >= alpha:
+            below = np.linspace(center - (center - xs[0]) * _EXPAND_FACTOR, xs[0], _BLOCK + 1)[:-1]
+        if ps[-1] >= alpha:
+            above = np.linspace(xs[-1], center + (xs[-1] - center) * _EXPAND_FACTOR, _BLOCK + 1)[1:]
+        xs = np.concatenate([below, xs, above])
+        ps = np.concatenate([np.full(below.size, np.nan), ps, np.full(above.size, np.nan)])
+        done = np.concatenate([np.zeros(below.size, bool), done, np.zeros(above.size, bool)])
+        # every _STRIDE-th new null, counted from each block's outer end
+        new = np.arange(0, below.size, _STRIDE), xs.size - 1 - np.arange(0, above.size, _STRIDE)[::-1]
         evaluate(np.concatenate(new))
     lo_unbounded, hi_unbounded = bool(ps[0] >= alpha), bool(ps[-1] >= alpha)
 
-    def gap(i, step):
-        # the unevaluated nulls from i outward to the next evaluated one
-        out = []
-        while 0 <= i + step < xs.size and not done[i + step]:
-            i += step
-            out.append(i)
-        return out
-
     retained = done & (ps >= alpha)
     if retained.any():
+        # each gap, as a slice: from an outermost retained null to the
+        # evaluated null beyond it (none past a grid end)
         lo, hi = np.flatnonzero(retained)[[0, -1]]
-        evaluate(np.array(sorted(gap(lo, -1) + gap(hi, 1)), dtype=int))
+        evaluated = np.flatnonzero(done)
+        a, b = evaluated[np.clip(np.searchsorted(evaluated, [lo, hi]) + [-1, 1], 0, evaluated.size - 1)]
+        evaluate(np.r_[a + 1 : lo, hi + 1 : b])
     else:
         evaluate(np.flatnonzero(~done))
     retained = done & (ps >= alpha)
-    info = {
-        "grid_size": int(xs.size),
-        "expansion_rounds": rounds,
-        "degenerate": not retained.any(),
-    }
+    info = {"grid_size": int(xs.size), "expansion_rounds": rounds, "degenerate": not retained.any()}
     if retained.any():
         lo, hi = np.flatnonzero(retained)[[0, -1]]
+    elif not np.isfinite(ps).any():
+        raise ExperimentError("p-value curve could not be evaluated anywhere on the grid")
     else:
-        if not np.isfinite(ps).any():
-            raise ExperimentError(
-                "p-value curve could not be evaluated anywhere on the grid"
-            )
         lo = hi = int(np.nanargmax(ps))
 
     def end(unbounded, outside):
@@ -299,9 +277,7 @@ def answer(curve, data, beta0: float, alpha: float, refuse=None) -> Answer:
             refuse(*at_beta0)
         return items[0][1:]
 
-    interval, xs, ps, grid = invert_pvalue_curve(
-        pvalues, tsls_estimate(data), 8.0 * tsls_standard_error(data), alpha, GRID_POINTS
-    )
+    interval, xs, ps, grid = invert_pvalue_curve(pvalues, tsls_estimate(data), 8.0 * tsls_standard_error(data), alpha)
     return Answer(float(at_beta0[0][0]), interval, grid, tuple(at_beta0), tuple(xs[np.isnan(ps)].tolist()))
 
 

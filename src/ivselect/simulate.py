@@ -406,6 +406,10 @@ def lasso_uniformity_experiment(
     return _result(reps, len(laws) / reps, two, np.asarray(naive_ps), covers, alpha)
 
 
+# replications rejection_oracle simulates per pass
+_ORACLE_CHUNK = 20000
+
+
 def rejection_oracle(
     config: DGPConfig,
     beta0: float,
@@ -418,7 +422,6 @@ def rejection_oracle(
     u_tol: float = None,
     o_tol: float = None,
     min_retained: int = 500,
-    chunk: int = 20000,
 ) -> np.ndarray:
     """Ground-truth draws from the conditional null law of T(beta0).
 
@@ -458,7 +461,7 @@ def rejection_oracle(
     done = 0
     dof = n - p
     while done < reps:
-        m = min(chunk, reps - done)
+        m = min(_ORACLE_CHUNK, reps - done)
         done += m
         eps = rng.standard_normal((m, n, 2)) @ chol.T
         d = z @ config.gamma_star + eps[:, :, 1]

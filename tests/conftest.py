@@ -1,13 +1,14 @@
 """One hypothesis profile for every property test: derandomized, so each
 run replays the same examples, with no deadline, because a shared host
 can stall any single example, and few enough examples to keep the suite
-fast.  Also the prepared_rows fixture, the row oracle."""
+fast.  Also the prepared_rows fixture, the row oracle, and moments_of,
+the Moments of rows already centred."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from ivselect import IVDataset
+from ivselect import IVDataset, Moments
 from ivselect.model import _BLOCK_ROWS, _RowFactor
 
 settings.register_profile("ivselect", derandomize=True, deadline=None, max_examples=50)
@@ -40,3 +41,18 @@ def prepared_rows():
     """The row oracle, _prepared_rows (session-scoped, so property tests
     may take it)."""
     return _prepared_rows
+
+
+def _moments_of(z, y, d) -> Moments:
+    """Moments of centred instruments z (..., n, p) and y, d (..., n),
+    each optionally stacked over a leading batch axis: one QR of
+    [Z D Y], with nothing residualized out."""
+    r = np.linalg.qr(np.concatenate([z, d[..., None], y[..., None]], axis=-1), mode="r")
+    return Moments.of_factor(z.shape[-2], r)
+
+
+@pytest.fixture(scope="session")
+def moments_of():
+    """The Moments of already centred rows, _moments_of (session-scoped,
+    so property tests may take it)."""
+    return _moments_of

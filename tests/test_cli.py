@@ -31,7 +31,7 @@ from ivselect import (
 )
 from ivselect.cli import AnalysisConfig, _report_json, analyze, ingest, main
 from ivselect.errors import BranchError, CovarianceError, DataError, DimensionError, RankDeficiencyError
-from ivselect.model import _BLOCK_ROWS, Moments
+from ivselect.model import _BLOCK_ROWS
 
 TOY = "y,d,z1\n1.0,2.0,0.5\n2.0,1.0,-0.5\n0.0,3.0,1.5\n1.5,2.5,-1.5\n"
 
@@ -65,11 +65,11 @@ def _same_moments(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def test_ingest_toy_file(tmp_path):
+def test_ingest_toy_file(tmp_path, moments_of):
     data = ingest(_write(tmp_path, "toy.csv", TOY), AnalysisConfig())
     assert data.n == 4 and data.p == 1
     y, d, z = (np.array(c) - np.mean(c) for c in ([1.0, 2.0, 0.0, 1.5], [2.0, 1.0, 3.0, 2.5], [0.5, -0.5, 1.5, -1.5]))
-    ref = Moments.of(z[:, None], y, d)
+    ref = moments_of(z[:, None], y, d)
     for name in _FACTOR_FIELDS:
         np.testing.assert_allclose(getattr(data, name), getattr(ref, name), rtol=0, atol=1e-14, err_msg=name)
     assert data.dd == pytest.approx(d @ d, rel=1e-14)
@@ -460,7 +460,7 @@ def test_analyze_zero_threshold_always_passes(tmp_path):
     report = analyze(strong, cfg)
     assert report.diagnostics["branch"] == "tsls"
     assert abs(report.conditional_pvalue - report.naive_pvalue) < 0.05
-    width = report.naive_ci.width
+    width = report.naive_ci.upper - report.naive_ci.lower
     assert abs(report.conditional_ci.lower - report.naive_ci.lower) < 0.10 * width
     assert abs(report.conditional_ci.upper - report.naive_ci.upper) < 0.10 * width
 
@@ -715,6 +715,8 @@ _WRONG_TYPE_CONFIGS = [
     ({"seed": -0.25}, "seed must be an integer, got -0.25"),
     ({"null_value": float("nan")}, "null_value must be a number, got nan"),
     ({"c0": float("inf")}, "c0 must be a number, got inf"),
+    # ||S + omega|| would overflow: refused by the screen, naming the scale
+    ({"randomization_scale": 1e155}, "||S + omega|| overflows: the randomization scale 1e+155 is too large"),
     ({"columns": "y"}, "columns must be an object, got 'y'"),
     ({"columns": {"instrument": ["z1"]}}, "unknown columns keys: ['instrument']"),
     ({"columns": {"outcome": ["y"]}}, "columns outcome must give column names, got ['y']"),
@@ -896,17 +898,30 @@ def test_cli_simulate_lasso_uniformity(tmp_path, capsys):
     assert summary["passing_rate"] >= 0.5
 
 
+_ALPHA_MESSAGE = "alpha must lie strictly between 0 and 1"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--r", "nan"], "gamma_star must be finite"),
-        (["--r", "inf"], "gamma_star must be finite"),
-        (["--n", "12", "--p", "10"], "need n > p + 2 observations"),
+        (["simulate", "--reps", "20", "--r", "nan"], "gamma_star must be finite"),
+        (["simulate", "--reps", "20", "--r", "inf"], "gamma_star must be finite"),
+        (["simulate", "--reps", "20", "--n", "12", "--p", "10"], "need n > p + 2 observations"),
+        # simulate and oracle check --c0, --alpha and --seed as analyze does
+        (["simulate", "--alpha", "1.5", "--reps", "100", "--r", "0.3", "--p", "3", "--n", "200"], _ALPHA_MESSAGE),
+        (["simulate", "--kind", "lasso-uniformity", "--alpha", "1.5", "--reps", "100", "--r", "0.4", "--p", "4",
+          "--n", "300"], _ALPHA_MESSAGE),
+        (["simulate", "--alpha", "0", "--reps", "100", "--r", "0.3", "--p", "3", "--n", "200"], _ALPHA_MESSAGE),
+        (["simulate", "--c0", "inf", "--reps", "100", "--r", "0.3", "--p", "3", "--n", "200"],
+         "c0 must be a number, got inf"),
+        (["oracle", "--c0", "nan", "--reps", "20000"], "c0 must be a number, got nan"),
+        (["oracle", "--c0", "inf", "--reps", "20000"], "c0 must be a number, got inf"),
     ],
-    ids=["r-nan", "r-inf", "n-is-p-plus-2"],
+    ids=["r-nan", "r-inf", "n-is-p-plus-2", "alpha-1.5", "lasso-alpha-1.5", "alpha-0", "c0-inf",
+         "oracle-c0-nan", "oracle-c0-inf"],
 )
 def test_cli_simulate_rejects_a_design_it_cannot_draw(argv, message, capsys):
-    assert main(["simulate", "--reps", "20", *argv]) == 2
+    assert main(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
 
 

@@ -27,7 +27,6 @@ from ivselect import (
     truncation_from_estimates,
 )
 from ivselect.errors import BranchError, QuadratureError, TruncationError
-from ivselect.model import Moments
 from ivselect.pretest import _generator
 from ivselect.simulate import _draw_batch
 from ivselect.teststats import clr_statistic_from_q, clr_statistics
@@ -173,7 +172,7 @@ def test_conditional_inference_reports_intervals():
     assert 0.0 <= report.naive_pvalue <= 1.0
     # weak instruments: both intervals wide, conditional close to naive
     if not (math.isinf(report.naive_ci.lower) or math.isinf(report.naive_ci.upper)):
-        assert report.naive_ci.width > 0
+        assert report.naive_ci.upper > report.naive_ci.lower
 
 
 # ------------------------------------------------------ batched tails
@@ -540,7 +539,7 @@ def _assert_truncations_match(trunc, singles, t, q_r, p):
     np.testing.assert_array_equal(got.tail, [clr_tail(*law, p, one) for *law, one in zip(t, q_r, singles)])
 
 
-def test_batched_truncation_equals_per_null_builds():
+def test_batched_truncation_equals_per_null_builds(moments_of):
     # an array of nulls on one dataset
     data = _weak_data(seed=3)
     nulls = np.linspace(-2.0, 3.0, 11)
@@ -550,7 +549,7 @@ def test_batched_truncation_equals_per_null_builds():
     _assert_truncations_match(trunc, singles, lr, q_r, data.p)
     # a batch of replications at one null, each with its own covariance
     rng = _generator(4, 1)
-    mom = Moments.of(*_draw_batch(dgp_from_r(0.05, 0.6, n=300, p=4, seed=4), 12, rng))
+    mom = moments_of(*_draw_batch(dgp_from_r(0.05, 0.6, n=300, p=4, seed=4), 12, rng))
     comps = clr_components(mom, 1.0)
     lam2 = penalty_lambda(mom, 10.0) ** 2
     trunc = truncation_from_estimates(mom.omega, 1.0, lam2, comps.q_r, mom.p)

@@ -53,27 +53,27 @@ def _centered(rng, n, p):
     return z - z.mean(axis=0)
 
 
-def test_prepare_identity_when_centered():
+def test_prepare_identity_when_centered(moments_of):
     rng = np.random.default_rng(0)
     z = _centered(rng, 40, 3)
     d = z @ np.array([0.5, -0.2, 0.1]) + rng.standard_normal(40)
     d -= d.mean()
     y = 2.0 * d + rng.standard_normal(40)
     y -= y.mean()
-    _assert_moments_close(prepare(IVDataset(Y=y, D=d, Z=z)), Moments.of(z, y, d), atol=1e-12)
+    _assert_moments_close(prepare(IVDataset(Y=y, D=d, Z=z)), moments_of(z, y, d), atol=1e-12)
 
 
-def test_prepare_constant_covariate_is_plain_centering():
+def test_prepare_constant_covariate_is_plain_centering(moments_of):
     rng = np.random.default_rng(1)
     z = rng.standard_normal((30, 2)) + 5.0
     d = rng.standard_normal(30) - 2.0
     y = rng.standard_normal(30) + 1.0
     x = np.full((30, 1), 3.7)
     out = prepare(IVDataset(Y=y, D=d, Z=z, X=x))
-    _assert_moments_close(out, Moments.of(z - z.mean(axis=0), y - y.mean(), d - d.mean()), atol=1e-10)
+    _assert_moments_close(out, moments_of(z - z.mean(axis=0), y - y.mean(), d - d.mean()), atol=1e-10)
 
 
-def test_prepare_matches_normal_equations_oracle():
+def test_prepare_matches_normal_equations_oracle(moments_of):
     # independent oracle: residualize on [1, X] by solving the normal
     # equations directly, which equals center-then-residualize by FWL
     rng = np.random.default_rng(2)
@@ -89,7 +89,7 @@ def test_prepare_matches_normal_equations_oracle():
     resid = m - g @ coef
 
     out = prepare(IVDataset(Y=y, D=d, Z=z, X=x))
-    _assert_moments_close(out, Moments.of(resid[:, 2:], resid[:, 0], resid[:, 1]), atol=1e-10)
+    _assert_moments_close(out, moments_of(resid[:, 2:], resid[:, 0], resid[:, 1]), atol=1e-10)
 
 
 def test_prepare_rank_deficiency_names_columns():
@@ -478,11 +478,11 @@ def test_tsls_equivariant_under_treatment_scaling(log_c, sign, beta0):
 
 
 @given(seed=st.integers(0, 2**32 - 1), beta0=st.floats(-2.0, 4.0))
-def test_batched_moments_rows_match_single_datasets(seed, beta0):
+def test_batched_moments_rows_match_single_datasets(moments_of, seed, beta0):
     # row i of a batched Moments gives what the dataset's own path gives
     config = dgp_from_r(0.3, 0.5, n=120, p=3, seed=seed)
     z, y, d = _draw_batch(config, 3, np.random.default_rng(seed))
-    batch = Moments.of(z, y, d)
+    batch = moments_of(z, y, d)
     assert batch.omega.shape == (3, 2, 2)  # cached on the batch, so rows carry cached rows
     for i in range(3):
         data = prepare(IVDataset(Y=y[i], D=d[i], Z=z[i]))
@@ -521,7 +521,7 @@ def _root_statistics(z, y, d):
     log_kappa=st.floats(0.0, 8.0),
     log_scale=st.floats(-6.0, 6.0),
 )
-def test_cholesky_core_matches_the_symmetric_root(seed, p, log_kappa, log_scale):
+def test_cholesky_core_matches_the_symmetric_root(moments_of, seed, p, log_kappa, log_scale):
     # the R of [Z D Y] gives LL' = Z'Z to rounding, and every statistic
     # read from L^-1 Z'D equals the one read from (Z'Z)^(-1/2) Z'D: the
     # two differ by a rotation.  Rounding Z'Z by eps moves D'P_Z D by up
@@ -530,7 +530,7 @@ def test_cholesky_core_matches_the_symmetric_root(seed, p, log_kappa, log_scale)
     rng = np.random.default_rng(seed)
     kappa = 10.0**log_kappa
     z, y, d = _rows(rng, p, kappa, 10.0**log_scale)
-    m = Moments.of(z, y, d)
+    m = moments_of(z, y, d)
     ztz = z.T @ z
     assert np.abs(m.chol @ m.chol.T - ztz).max() <= 1e-12 * np.abs(ztz).max()
     assert np.array_equal(m.chol, np.tril(m.chol)) and np.all(np.diagonal(m.chol) > 0)
@@ -541,36 +541,36 @@ def test_cholesky_core_matches_the_symmetric_root(seed, p, log_kappa, log_scale)
     np.testing.assert_allclose(m.omega, omega, rtol=0, atol=tol * np.abs(omega).max())
 
 
-def _stacked(rows):
+def _stacked(moments_of, rows):
     """One batched Moments from the rows of several datasets of one shape."""
-    return Moments.of(*(np.stack(arrays) for arrays in zip(*rows)))
+    return moments_of(*(np.stack(arrays) for arrays in zip(*rows)))
 
 
-def test_batch_row_is_the_single_dataset_bit_for_bit():
+def test_batch_row_is_the_single_dataset_bit_for_bit(moments_of):
     # a batch row's factor, whitened vectors and statistics cannot depend
     # on its batch-mates, whatever their conditioning and scale
     rng = np.random.default_rng(21)
     rows = [_rows(rng, 6, k, s) for k, s in ((1.5, 1.0), (1e6, 1e3), (1.2, 1e-4), (3.0, 7.0))]
-    batch = _stacked(rows)
+    batch = _stacked(moments_of, rows)
     for i, row in enumerate(rows):
-        one = Moments.of(*row)
+        one = moments_of(*row)
         for name in ("chol", "s", "sy", "b", "s2", "f", "beta_hat", "omega", "gamma_hat"):
             assert np.array_equal(getattr(batch[i], name), getattr(one, name)), name
 
 
-def test_mixed_stack_with_a_collinear_row_names_its_columns():
+def test_mixed_stack_with_a_collinear_row_names_its_columns(moments_of):
     rng = np.random.default_rng(22)
     rows = [_rows(rng, 4, *a) for a in ((1.3,), (2.0, 50.0), (1e8,))]
-    assert np.array_equal(_stacked(rows)[2].s, Moments.of(*rows[2]).s)  # kappa 1e8 is full rank
+    assert np.array_equal(_stacked(moments_of, rows)[2].s, moments_of(*rows[2]).s)  # kappa 1e8 is full rank
     z, y, d = _rows(rng, 4, 1.0)
     z[:, 3] = z[:, 0] - z[:, 1]
     with pytest.raises(RankDeficiencyError) as info:
-        _stacked([*rows, (z, y, d)])
+        _stacked(moments_of, [*rows, (z, y, d)])
     assert info.value.columns == ["z4"]
     z[:, 3] = rng.standard_normal(100)
     z[:, 2] = 0.0
     with pytest.raises(RankDeficiencyError) as info:
-        _stacked([*rows, (z, y, d)])
+        _stacked(moments_of, [*rows, (z, y, d)])
     assert info.value.columns == ["z3"]
 
 

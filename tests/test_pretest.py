@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from ivselect import (
     IVDataset,
     RandomizationLaw,
+    clr_conditional_inference,
     default_scale,
+    dgp_from_r,
     f_statistic,
+    generate,
     penalty_lambda,
     prepare,
     run_pretest,
@@ -196,3 +199,29 @@ def test_randomization_draws_philox_of_its_seed(seed, scale, p):
     want = np.random.Generator(np.random.Philox(seed)).normal(0.0, scale, p)
     assert RandomizationLaw(scale, seed).draw(p).tobytes() == want.tobytes()
     assert RandomizationLaw(scale, seed - 2**63).draw(p).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [0.3, 0.03], ids=["passes", "fails"])
+@pytest.mark.parametrize("c0", [float("nan"), float("inf")])
+def test_non_finite_threshold_is_refused(r, c0):
+    # C0 becomes lambda: a NaN or infinite one is refused by name, on a
+    # screen that passes and on one whose CLR branch would answer
+    data = generate(dgp_from_r(r, 0.8, n=300, p=4, seed=3))
+    for run in (lambda: penalty_lambda(data, c0), lambda: run_pretest(data, c0=c0),
+                lambda: clr_conditional_inference(data, 1.0, c0=c0)):
+        with pytest.raises(ValueError, match="threshold C0 must be finite and nonnegative"):
+            run()
+
+
+@pytest.mark.parametrize("r", [0.3, 0.03], ids=["passes", "fails"])
+def test_randomization_scale_past_the_float_range_is_refused(r):
+    # an infinite scale is refused by RandomizationLaw, and one at which
+    # ||S + omega|| overflows by the prox, both naming the scale; a scale
+    # just inside the range still screens to a unit direction
+    data = generate(dgp_from_r(r, 0.8, n=300, p=4, seed=3))
+    with pytest.raises(ValueError, match="randomization scale must be positive and finite, got inf"):
+        run_pretest(data, scale=float("inf"))
+    with pytest.raises(ValueError, match=r"randomization scale 1e\+155 is too large"):
+        run_pretest(data, scale=1e155)
+    out = run_pretest(data, scale=1e150)
+    assert out.passed and abs(float(out.u @ out.u) - 1.0) < 1e-12

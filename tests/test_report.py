@@ -37,7 +37,7 @@ def test_interval_basics():
     iv = Interval(-1.0, 2.5)
     assert iv.contains(0.0) and iv.contains(-1.0) and iv.contains(2.5)
     assert not iv.contains(2.6)
-    assert iv.width == pytest.approx(3.5)
+    assert iv.upper - iv.lower == pytest.approx(3.5)
     assert iv.as_dict() == {
         "lower": -1.0, "upper": 2.5,
         "lower_unbounded": False, "upper_unbounded": False,
@@ -54,7 +54,7 @@ def test_interval_unbounded_serializes_null():
         iv = Interval(lower, upper)
         assert iv.as_dict() == doc
         assert str(iv) == text
-        assert iv.contains(0.0) and iv.width == math.inf
+        assert iv.contains(0.0) and iv.upper - iv.lower == math.inf
 
 
 def test_interval_rejects_bad_endpoints():
@@ -95,9 +95,9 @@ def test_inversion_recovers_known_retention_set():
     # p(x) = max(0, 1 - |x - 1| / 2): retained set is |x-1| <= 2(1-alpha)
     alpha = 0.05
     fn = lambda xs: np.clip(1.0 - np.abs(np.asarray(xs) - 1.0) / 2.0, 0.0, 1.0)
-    interval, xs, ps, info = invert_pvalue_curve(fn, 1.0, 0.5, alpha, n_points=101)
+    interval, xs, ps, info = invert_pvalue_curve(fn, 1.0, 1.0, alpha)
     # xs holds the evaluated nulls only: take the spacing of the full grid
-    spacing = np.diff(_full_scan(fn, 1.0, 0.5, alpha, 101)[1]).max()
+    spacing = np.diff(_full_scan(fn, 1.0, 1.0, alpha)[1]).max()
     assert interval.lower == pytest.approx(1.0 - 1.9, abs=2 * spacing)
     assert interval.upper == pytest.approx(1.0 + 1.9, abs=2 * spacing)
     assert info["expansion_rounds"] >= 1
@@ -105,15 +105,15 @@ def test_inversion_recovers_known_retention_set():
     assert info["ends"] == {"lower": "crossing", "upper": "crossing"}
 
 
-def _full_scan(pvalue_fn, center, halfwidth, alpha, n_points):
+def _full_scan(pvalue_fn, center, halfwidth, alpha):
     """Reference inversion: evaluates every null of the expanding grid,
     and reports a side unbounded once it is retained at 1e4 initial
     halfwidths from the center, where the scan counts 14 doublings."""
-    xs = np.linspace(center - halfwidth, center + halfwidth, n_points)
+    xs = np.linspace(center - halfwidth, center + halfwidth, GRID_POINTS)
     ps = np.asarray(pvalue_fn(xs), dtype=float)
     lo_unbounded = hi_unbounded = False
     rounds = 0
-    block = max((n_points - 1) // 2, 2)
+    block = ivselect.report._BLOCK
     reach = 1e4 * halfwidth
     while True:
         retained = ps >= alpha
@@ -183,7 +183,6 @@ def _curve(family, m, w, level, side, cut, alpha):
 @settings(max_examples=400)
 @given(
     family=st.sampled_from(["bump", "plateau", "nan-band", "ray", "two-rays", "peak"]),
-    n_points=st.one_of(st.integers(3, 70), st.just(201)),
     center=st.floats(-5.0, 5.0),
     halfwidth=st.floats(0.1, 10.0),
     offset=st.floats(-3.0, 3.0),
@@ -194,24 +193,24 @@ def _curve(family, m, w, level, side, cut, alpha):
     alpha=st.sampled_from([0.05, 0.3, 0.9, 1.0]),
     on_grid=st.integers(0, 10**6),
 )
-def test_coarse_scan_matches_full_scan(family, n_points, center, halfwidth, offset, log_w,
+def test_coarse_scan_matches_full_scan(family, center, halfwidth, offset, log_w,
                                        log_level, side, cut, alpha, on_grid):
     # every family's retained set is one interval, a ray, the whole line
     # or empty: the coarse scan returns the full scan's interval, labels
     # and grid, and has evaluated the null just outside each finite end
-    fine = np.linspace(center - halfwidth, center + halfwidth, n_points)
+    fine = np.linspace(center - halfwidth, center + halfwidth, GRID_POINTS)
     m = center + offset * halfwidth
     if family == "peak":  # on a grid null, so alpha = 1 retains exactly it
-        m, alpha = fine[on_grid % n_points], 1.0
+        m, alpha = fine[on_grid % GRID_POINTS], 1.0
     level = min(1.0, alpha * 10.0**log_level)  # below alpha: nothing retained
     fn = _curve(family, m, halfwidth * 10.0**log_w, level, side, center + cut * halfwidth, alpha)
     try:
-        want = _full_scan(fn, center, halfwidth, alpha, n_points)
+        want = _full_scan(fn, center, halfwidth, alpha)
     except ExperimentError:
         with pytest.raises(ExperimentError, match="anywhere on the grid"):
-            invert_pvalue_curve(fn, center, halfwidth, alpha, n_points)
+            invert_pvalue_curve(fn, center, halfwidth, alpha)
         return
-    interval, xs, ps, info = invert_pvalue_curve(fn, center, halfwidth, alpha, n_points)
+    interval, xs, ps, info = invert_pvalue_curve(fn, center, halfwidth, alpha)
     assert interval == want[0]
     assert info == want[3]
     ref_xs, ref_ps = want[1], want[2]
@@ -236,10 +235,10 @@ def test_coarse_scan_misses_a_narrow_island_outside_its_gaps():
         island = (x > 0.855) & (x < 0.875)
         return np.where((np.abs(x) <= 0.5 + 1e-9) | island, 0.5, 0.0)
 
-    full = _full_scan(fn, 0.0, 1.0, 0.05, 201)[0]
+    full = _full_scan(fn, 0.0, 1.0, 0.05)[0]
     assert full.upper == pytest.approx(0.87)
     seen.clear()
-    interval, _, _, info = invert_pvalue_curve(fn, 0.0, 1.0, 0.05, 201)
+    interval, _, _, info = invert_pvalue_curve(fn, 0.0, 1.0, 0.05)
     assert interval.lower == pytest.approx(-0.5) and interval.upper == pytest.approx(0.5)
     assert info["ends"] == {"lower": "crossing", "upper": "crossing"}
     assert not any(0.855 < x < 0.875 for x in seen)
@@ -247,7 +246,7 @@ def test_coarse_scan_misses_a_narrow_island_outside_its_gaps():
 
 def test_inversion_flags_unbounded_sides():
     fn = lambda xs: np.full(np.shape(xs), 0.5)
-    interval, _, _, info = invert_pvalue_curve(fn, 0.0, 1.0, 0.05, n_points=21)
+    interval, _, _, info = invert_pvalue_curve(fn, 0.0, 10.0, 0.05)
     assert math.isinf(interval.lower) and math.isinf(interval.upper)
     assert info["ends"] == {"lower": "unbounded", "upper": "unbounded"}
 
@@ -258,7 +257,7 @@ def test_inversion_labels_an_end_cut_by_unanswerable_nulls():
         xs = np.asarray(xs)
         return np.where(xs > 1.25, np.nan, np.where(xs >= -1.0, 0.5, 0.0))
 
-    interval, _, _, info = invert_pvalue_curve(fn, 0.0, 2.0, 0.05, n_points=41)
+    interval, _, _, info = invert_pvalue_curve(fn, 0.0, 10.0, 0.05)
     assert interval.lower == pytest.approx(-1.0) and interval.upper == pytest.approx(1.2)
     assert info["ends"] == {"lower": "crossing", "upper": "underflow"}
 
@@ -329,17 +328,17 @@ def test_an_answer_makes_two_curve_calls_and_one_per_expansion_round(retained, r
 
 def test_inversion_alpha_one_collapses_to_peak():
     fn = lambda xs: np.exp(-0.5 * (np.asarray(xs) - 0.7) ** 2)
-    interval, _, _, _ = invert_pvalue_curve(fn, 0.0, 3.0, 1.0, n_points=301)
-    assert interval.width == pytest.approx(0.0, abs=1e-12)
+    interval, _, _, _ = invert_pvalue_curve(fn, 0.0, 2.0, 1.0)
+    assert interval.upper - interval.lower == pytest.approx(0.0, abs=1e-12)
     assert interval.lower == pytest.approx(0.7, abs=0.03)
 
 
 def test_inversion_empty_retention_degenerates_to_argmax():
     # curve never reaches alpha: the hull collapses to the best point
     fn = lambda xs: 0.9 * np.exp(-0.5 * (np.asarray(xs) - 0.7) ** 2)
-    interval, _, _, info = invert_pvalue_curve(fn, 0.0, 3.0, 1.0, n_points=301)
+    interval, _, _, info = invert_pvalue_curve(fn, 0.0, 2.0, 1.0)
     assert info["degenerate"]
-    assert interval.width == 0.0
+    assert interval.upper - interval.lower == 0.0
     assert interval.lower == pytest.approx(0.7, abs=0.03)
 
 
@@ -387,14 +386,14 @@ def test_every_inversion_starts_on_the_estimate_grid(monkeypatch):
     starts = []
     real = ivselect.report.invert_pvalue_curve
 
-    def spy(pvalue_fn, center, halfwidth, alpha, n_points):
-        starts.append((center, halfwidth, n_points))
-        return real(pvalue_fn, center, halfwidth, alpha, n_points)
+    def spy(pvalue_fn, center, halfwidth, alpha):
+        starts.append((center, halfwidth))
+        return real(pvalue_fn, center, halfwidth, alpha)
 
     monkeypatch.setattr(ivselect.report, "invert_pvalue_curve", spy)
 
     def grid_of(data):
-        return (tsls_estimate(data), 8.0 * tsls_standard_error(data), GRID_POINTS)
+        return (tsls_estimate(data), 8.0 * tsls_standard_error(data))
 
     strong = generate(dgp_from_r(0.3, 0.5, n=300, p=4, seed=7))
     weak = generate(dgp_from_r(0.05, 0.5, n=300, p=3, seed=8))
@@ -426,14 +425,14 @@ def test_each_inversion_evaluates_few_nulls(monkeypatch):
     calls = []
     real = ivselect.report.invert_pvalue_curve
 
-    def spy(pvalue_fn, center, halfwidth, alpha, n_points):
+    def spy(pvalue_fn, center, halfwidth, alpha):
         count = [0]
 
         def counted(xs):
             count[0] += len(xs)
             return pvalue_fn(xs)
 
-        out = real(counted, center, halfwidth, alpha, n_points)
+        out = real(counted, center, halfwidth, alpha)
         calls.append((count[0], out[3]))
         return out
 

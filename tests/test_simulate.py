@@ -20,7 +20,6 @@ from ivselect import (
     ExperimentGrid,
     ExperimentResult,
     IVDataset,
-    Moments,
     SamplerConfig,
     clr_components,
     coverage_csv,
@@ -193,12 +192,12 @@ def test_clr_branch_tracks_naive_when_screen_fails():
     assert res.naive_pvalue_samples.size == failing
 
 
-def test_passing_rate_monotone_in_strength():
+def test_passing_rate_monotone_in_strength(moments_of):
     rates, ses = [], []
     for k, r in enumerate([0.05, 0.1, 0.2, 0.4, 0.8]):
         config = dgp_from_r(r, 0.5, n=300, p=3, seed=70 + k)
         rng = _generator(config.seed, 21)
-        mom = Moments.of(*_draw_batch(config, 400, rng))
+        mom = moments_of(*_draw_batch(config, 400, rng))
         rate = float(np.mean(_screen(mom, 10.0, rng).passed))
         rates.append(rate)
         ses.append(np.sqrt(rate * (1.0 - rate) / 400.0))
@@ -260,11 +259,11 @@ def test_oracle_error_paths():
 # ------------------------------------------------- batch consistency
 
 
-def test_batch_moments_match_single_dataset_path():
+def test_batch_moments_match_single_dataset_path(moments_of):
     config = dgp_from_r(0.6, 0.5, n=250, p=4, seed=33)
     rng = _generator(config.seed, 21)
     z, y, d = _draw_batch(config, 5, rng)
-    mom = Moments.of(z, y, d)
+    mom = moments_of(z, y, d)
     beta0 = 0.9
     est_all = covariance_estimates(mom, beta0)
     tv_all = tsls_stat(mom, beta0, est_all)
@@ -297,14 +296,14 @@ def test_batch_moments_match_single_dataset_path():
         assert np.isclose(screen.scale[i], default_scale(data), rtol=1e-12)
 
 
-def test_moment_draw_matches_row_draw_in_law():
+def test_moment_draw_matches_row_draw_in_law(moments_of):
     # the Bartlett draw against Moments of n-row datasets: the statistics
     # the experiments read must agree in law, and the moments must have
     # the exact Wishart mean (n - 1) M'M, written out here from the design
     config = dgp_from_r(0.3, 0.8, n=300, p=5, seed=19)
     n, p, beta = config.n, config.p, config.beta_star
     mom = _draw_moments(config, 40000, _generator(config.seed, 30))
-    rows = [Moments.of(*_draw_batch(config, 2000, _generator(config.seed, 31, i))) for i in range(5)]
+    rows = [moments_of(*_draw_batch(config, 2000, _generator(config.seed, 31, i))) for i in range(5)]
 
     def stats_of(m):
         est = covariance_estimates(m, beta)

@@ -31,6 +31,12 @@ step reads the selected instruments' TSLS estimate and would fail with
 another error; and every `simulate` kind,
 `uniformity` both where every replication passes the screen (r = 0.3)
 and at the bench design, where most of the batch fails it (r = 0.08).
+Three more outputs record a run that one setting refuses, by its exit
+code and stderr: simulate at alpha 1.5, oracle at C0 nan, and analyze
+on tsls-1 at randomization_scale 1e155, where ||S + omega|| overflows.
+Checkouts that checked none of these settings exit 0 on the first,
+with both coverages 0.0, and 2 on the others with `oracle retained 0
+of 20000 simulations ...` and `u must be a unit vector`.
 The inputs are generated here by ivselect.simulate.generate at fixed
 seeds, so the script needs no data files.  The Lasso outputs pass the
 library a raw IVDataset of generated rows, which it prepares with
@@ -58,8 +64,8 @@ outputs, with p-values of 1.0, and 2 with other errors on its clr and ar
 outputs (an unconverged quadrature, a zero AR denominator).
 pretest/far-null equals pretest/tsls-1: the screen reads no null.
 Listings printed by versions of this script from before shift-clr,
-shift-tsls, bom-tsls, points-512, tsls-negseed, far-null or
-lasso/negseed was added have no lines for them.
+shift-tsls, bom-tsls, points-512, tsls-negseed, far-null, lasso/negseed
+or the three refused runs was added have no lines for them.
 
     python tools/report_digests.py                 # this checkout's src
     python tools/report_digests.py --src OTHER/src > other.txt
@@ -146,6 +152,13 @@ SIMULATE = [
     ["--kind", "lasso-uniformity", "--first-only", "--r", "0.4", "--reps", "100", "--n", "300",
      "--p", "4", "--seed", "5", "--samples", "256"],
 ]
+# (name, argv): runs that one setting refuses; {dir} is the inputs
+# directory, where scale-1e155.json is tsls-1's config at that scale
+REFUSED = [
+    ("simulate/alpha-1.5", ["simulate", "--r", "0.3", "--reps", "100", "--n", "200", "--p", "3", "--alpha", "1.5"]),
+    ("oracle/c0-nan", ["oracle", "--c0", "nan", "--reps", "20000"]),
+    ("analyze/tsls-1/scale-1e155", ["analyze", "{dir}/tsls-1.csv", "--config", "{dir}/scale-1e155.json"]),
+]
 LASSO_SEEDS = (1, 2)
 # a value of one of these keys is replaced by * before comparing by value
 SKIPPED = re.compile(r'("(?:quadrature_error|ess)": )[^,}\n]+')
@@ -191,6 +204,8 @@ def make_inputs(workdir: Path):
         (workdir / f"{name}.csv").write_bytes((workdir / f"{source}.csv").read_bytes())
         config = json.loads((workdir / f"{source}.json").read_text())
         (workdir / f"{name}.json").write_text(json.dumps({**config, **keys}))
+    config = json.loads((workdir / "tsls-1.json").read_text())
+    (workdir / "scale-1e155.json").write_text(json.dumps({**config, "randomization_scale": 1e155}))
     for seed in LASSO_SEEDS:
         data = generate(dgp_from_r(0.3, 0.5, n=300, p=6, seed=seed))
         np.save(workdir / f"lasso-{seed}.npy", np.column_stack([data.Y, data.D, data.Z]))
@@ -264,6 +279,9 @@ def outputs(workdir: Path, extra_csvs=()):
     for argv in SIMULATE:
         kind = argv[1] + ("/" + argv[3] if argv[1] == "coverage" else "")
         yield f"simulate/{kind}/seed{argv[argv.index('--seed') + 1]}", _run_cli(main, ["simulate", *argv])
+
+    for name, argv in REFUSED:
+        yield name, _run_cli(main, [arg.format(dir=workdir) for arg in argv])
 
 
 def collect(src, workdir, extra_csvs):
